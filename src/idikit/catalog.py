@@ -65,24 +65,10 @@ def _zero_drift():
                      jac=lambda t, x: np.zeros((np.atleast_1d(x).size,) * 2))
 
 
-def _iso_jac(scale, n):
-    """Batched isotropic Jacobian: scale[m] * I, shape (m, n, n)."""
-    scale = np.atleast_1d(np.asarray(scale, dtype=float))
-    return scale[:, None, None] * np.eye(n)[None, :, :]
-
-
 def _cos_t(T: float = 1.0) -> CatalogEntry:
     # x'(t) = -int_0^t x(s) ds, x(0) = 1  ->  x(t) = cos t
-    def g(t, s, x):
-        return -np.asarray(x, dtype=float)
-
-    def jac(t, s, x):
-        if np.ndim(t) or np.ndim(s):
-            m = max(np.atleast_1d(t).size, np.atleast_1d(s).size)
-            return _iso_jac(-np.ones(m), 1)
-        return np.array([[-1.0]])
-
-    kernel = VolterraKernel(g=g, jac=jac, beta=1.0, alpha=1.0, vectorized=True)
+    kernel = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0),
+                                        beta=1.0, alpha=1.0)
     problem = ProblemData(
         name="cos_t", fmap=_zero_drift(), kernel=kernel, x0=[1.0], horizon=T,
         omega=WholeSpace(), terminal_cost=_quadratic_terminal([0.0]),
@@ -95,21 +81,7 @@ def _cos_t(T: float = 1.0) -> CatalogEntry:
 
 def _damped_volterra(T: float = 2.0) -> CatalogEntry:
     # x'(t) = -int_0^t e^{-(t-s)} x(s) ds  <=>  x'' + x' + x = 0
-    def g(t, s, x):
-        w = -np.exp(-(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)))
-        X = np.asarray(x, dtype=float)
-        if X.ndim == 2:
-            return np.atleast_1d(w)[:, None] * X
-        return w * X
-
-    def jac(t, s, x):
-        w = -np.exp(-(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)))
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        if np.ndim(w) == 0:
-            return np.array([[w]]) if X.shape[1] == 1 else w * np.eye(X.shape[1])
-        return _iso_jac(w, X.shape[1])
-
-    kernel = VolterraKernel(g=g, jac=jac, beta=1.0, alpha=1.0, vectorized=True)
+    kernel = VolterraKernel.convolution(lambda u: -np.exp(-u), beta=1.0, alpha=1.0)
     problem = ProblemData(
         name="damped_volterra", fmap=_zero_drift(), kernel=kernel, x0=[1.0],
         horizon=T, omega=WholeSpace(), terminal_cost=_quadratic_terminal([0.0]),

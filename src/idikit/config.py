@@ -141,16 +141,13 @@ def _build_inline_problem(parser) -> CatalogEntry:
         kern = VolterraKernel.zero()
         beta_auto = alpha_auto = 0.0
     elif kernel_name == "negative_identity":
-        kern = VolterraKernel(lambda t, s, x: -np.asarray(x, dtype=float),
-                              jac=lambda t, s, x: -np.eye(dim),
-                              beta=1.0, alpha=1.0)
+        kern = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0),
+                                          beta=1.0, alpha=1.0)
         beta_auto = alpha_auto = 1.0
     elif kernel_name == "identity_decay":
         rate = _get(parser, sec, "kernel_rate", float, default=1.0)
-        kern = VolterraKernel(
-            lambda t, s, x: -np.exp(-rate * (t - s)) * np.asarray(x, dtype=float),
-            jac=lambda t, s, x: -np.exp(-rate * (t - s)) * np.eye(dim),
-            beta=1.0, alpha=1.0)
+        kern = VolterraKernel.convolution(lambda u: -np.exp(-rate * u),
+                                          beta=1.0, alpha=1.0)
         beta_auto = alpha_auto = 1.0
     else:
         raise ConfigError(f"field 'problem.kernel': unknown kernel {kernel_name!r}")

@@ -185,14 +185,12 @@ def _deriv_of(arc):
 
 
 def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh,
-                         relaxed: bool = False, order: int = 4) -> float:
+                         order: int = 4) -> float:
     """L2 norm over [0,T] of t -> dist(x'(t) - y(t); F(t, x(t))).
 
-    ``relaxed`` selects the convexified inclusion; the supported value
-    families are already convex, so the flag changes nothing beyond being
-    recorded by callers.
+    The supported value families are convex, so this is also the residual
+    of the convexified inclusion.
     """
-    del relaxed  # co F == F for singleton/ball/polytope offsets
     x_of = arc.eval if hasattr(arc, "eval") else arc
     dx_of = _deriv_of(arc)
     pts, wts = cell_gauss_points(mesh, order)

@@ -3,19 +3,25 @@
 The discrete constructions repeatedly integrate g (or its adjoint state
 Jacobian) over products of mesh cells and over the triangular sliver
 {t_j <= s <= t <= t_{j+1}}, with the state frozen at one mesh node per
-s-cell.  Rectangles use tensor Gauss-Legendre; triangles use a 12-point
-symmetric rule exact through total degree 6, so every polynomial test
-kernel integrates exactly.
+s-cell.  Every such integral goes through one row rule: t in cell j and s
+in cells 0..j, with tensor Gauss-Legendre blocks on the rectangles i < j and
+a 12-point symmetric rule, exact through total degree 6, on the triangle of
+cell j; every polynomial test kernel integrates exactly.  For convolution
+kernels a(t - s) x the cell-pair integrals of a are the product-integration
+weights of Brunner, Collocation Methods for Volterra Integral and Related
+Functional Differential Equations (CUP 2004), here computed by the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .mesh import TimeMesh, PiecewiseLinearArc, interval_gauss_points
+from .setvalued import _fd_jacobian
 
 __all__ = [
     "VolterraKernel",
@@ -61,40 +67,42 @@ def _triangle_rule():
 TRIANGLE_POINTS, TRIANGLE_WEIGHTS = _triangle_rule()
 
 
-def _fd_jac(g, t, s, x):
-    n = x.size
-    step = 1e-6 * (1.0 + np.linalg.norm(x))
-    out = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        out[:, i] = (np.asarray(g(t, s, x + e)) - np.asarray(g(t, s, x - e))) / (2 * step)
-    return out
-
-
 class VolterraKernel:
     """g : (t, s, x) -> R^n with a state-Jacobian oracle.
 
     ``jac`` may be analytic or omitted, in which case central differences
-    with step 1e-6 * (1 + |x|) are used.  With ``vectorized=True`` the
-    callables must broadcast over arrays in t or s with a batched state of
-    shape (m, n); this is only a fast path, results are identical.
+    with step 1e-6 * (1 + |x|) are used.  Kernels of the convolution form
+    g(t, s, x) = a(t - s) x are built with :meth:`convolution` and evaluate
+    batches in closed form; any other kernel evaluates a batch point by
+    point.
 
     ``beta`` bounds |g(t,s,x)| <= beta * (1 + |x|) on {s <= t} and ``alpha``
     bounds the Jacobian norm on the state tube the trajectories visit.
     """
 
     def __init__(self, g: Optional[Callable], jac: Optional[Callable] = None,
-                 beta: float = 0.0, alpha: float = 0.0, vectorized: bool = False):
+                 beta: float = 0.0, alpha: float = 0.0):
         self._g = g
         self._jac = jac
+        self._a = None
         self.beta = float(beta)
         self.alpha = float(alpha)
-        self.vectorized = vectorized
 
     @classmethod
     def zero(cls) -> "VolterraKernel":
         return cls(None, None, beta=0.0, alpha=0.0)
+
+    @classmethod
+    def convolution(cls, a: Callable, beta: float, alpha: float) -> "VolterraKernel":
+        """g(t, s, x) = a(t - s) x with Jacobian a(t - s) I.
+
+        ``a`` maps the lag t - s to a scalar and must broadcast over arrays.
+        """
+        kernel = cls(lambda t, s, x: a(t - s) * x,
+                     jac=lambda t, s, x: a(t - s) * np.eye(x.size),
+                     beta=beta, alpha=alpha)
+        kernel._a = a
+        return kernel
 
     @property
     def is_zero(self) -> bool:
@@ -113,94 +121,80 @@ class VolterraKernel:
             return np.zeros((x.size, x.size))
         if self._jac is not None:
             return np.atleast_2d(np.asarray(self._jac(t, s, x), dtype=float))
-        return _fd_jac(self._g, t, s, x)
+        return _fd_jacobian(partial(self._g, t), s, x)
 
     # batched -----------------------------------------------------------
-    def eval_batch_s(self, t: float, s: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """g(t, s_i, X_i) stacked, shape (m, n)."""
+    # ``t`` is a scalar or an array with the length of ``s``; row i of the
+    # result belongs to (t_i, s_i, X_i).
+    def eval_batch_s(self, t, s: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """g(t_i, s_i, X_i) stacked, shape (m, n)."""
         s = np.asarray(s, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
         if self._g is None:
             return np.zeros_like(X)
-        if self.vectorized:
-            return np.asarray(self._g(t, s, X), dtype=float).reshape(X.shape)
-        return np.array([self.eval(t, si, xi) for si, xi in zip(s, X)])
+        if self._a is not None:
+            return self._a(t - s)[:, None] * X
+        return np.array([self.eval(ti, si, xi) for ti, si, xi in zip(t, s, X)])
 
-    def jac_batch_s(self, t: float, s: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def jac_batch_s(self, t, s: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """State Jacobians of g at (t_i, s_i, X_i) stacked, shape (m, n, n)."""
         s = np.asarray(s, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
         n = X.shape[1]
         if self._g is None:
             return np.zeros((X.shape[0], n, n))
-        if self.vectorized and self._jac is not None:
-            return np.asarray(self._jac(t, s, X), dtype=float).reshape(X.shape[0], n, n)
-        return np.array([self.jac(t, si, xi) for si, xi in zip(s, X)])
-
-    def jac_batch_t(self, t: np.ndarray, s: float, x: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.size
-        if self._g is None:
-            return np.zeros((t.size, n, n))
-        if self.vectorized and self._jac is not None:
-            X = np.broadcast_to(x, (t.size, n))
-            return np.asarray(self._jac(t, s, X), dtype=float).reshape(t.size, n, n)
-        return np.array([self.jac(ti, s, x) for ti in t])
+        if self._a is not None:
+            return self._a(t - s)[:, None, None] * np.eye(n)
+        return np.array([self.jac(ti, si, xi) for ti, si, xi in zip(t, s, X)])
 
 
-# --- cell-pair integrals --------------------------------------------------
+# --- the row rule -----------------------------------------------------------
 
-def _rect_g(kernel: VolterraKernel, t_cell, s_cell, x: np.ndarray,
-            order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Integral of g(t, s, x) over t_cell x s_cell with the state frozen."""
-    tq, tw = interval_gauss_points(*t_cell, order)
-    sq, sw = interval_gauss_points(*s_cell, order)
-    X = np.broadcast_to(x, (sq.size, x.size))
-    acc = np.zeros(x.size)
-    for a in range(tq.size):
-        vals = kernel.eval_batch_s(tq[a], sq, X)
-        acc += tw[a] * (sw[:, None] * vals).sum(axis=0)
-    return acc
+# the 12 triangle points mapped onto {0 <= s <= t <= 1}, in (t, s) coordinates
+_TRI_TS = TRIANGLE_POINTS @ np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
-def _tri_g(kernel: VolterraKernel, cell, x: np.ndarray) -> np.ndarray:
-    """Integral of g(t, s, x) over {a <= s <= t <= b} with frozen state."""
-    a, b = cell
+def _row_rule(mesh: TimeMesh, j: int, order: int):
+    """Quadrature of the memory integral over row j: t in cell j, s <= t.
+
+    Returns points (t, s), weights and the s-cell of each point, whose node
+    is the frozen state.  Cells i < j get an order x order tensor Gauss
+    block each, in order of i; cell j gets the 12-point triangle rule, last.
+    """
+    nodes = mesh.nodes
+    a, b = nodes[j], nodes[j + 1]
     h = b - a
-    # reference triangle (0,0), (1,0), (1,1): s-coordinate <= t-coordinate
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    ts = TRIANGLE_POINTS @ verts  # (12, 2) in (t, s) reference coords
-    tq = a + h * ts[:, 0]
-    sq = a + h * ts[:, 1]
-    acc = np.zeros(x.size)
-    for i in range(tq.size):
-        acc += TRIANGLE_WEIGHTS[i] * kernel.eval(tq[i], sq[i], x)
-    return 0.5 * h * h * acc
+    tq, tw = interval_gauss_points(a, b, order)
+    sq, sw = interval_gauss_points(nodes[:j], nodes[1:j + 1], order)  # (j, order)
+    block = (j, order, order)
+    t = np.concatenate([np.broadcast_to(tq[None, :, None], block).ravel(),
+                        a + h * _TRI_TS[:, 0]])
+    s = np.concatenate([np.broadcast_to(sq[:, None, :], block).ravel(),
+                        a + h * _TRI_TS[:, 1]])
+    w = np.concatenate([(tw[None, :, None] * sw[:, None, :]).ravel(),
+                        0.5 * h * h * TRIANGLE_WEIGHTS])
+    cell = np.concatenate([np.repeat(np.arange(j), order * order),
+                           np.full(TRIANGLE_WEIGHTS.size, j)])
+    return t, s, w, cell
 
 
-def _rect_jacT(kernel: VolterraKernel, t_cell, s_cell, x: np.ndarray,
-               order: int = DEFAULT_ORDER) -> np.ndarray:
-    tq, tw = interval_gauss_points(*t_cell, order)
-    sq, sw = interval_gauss_points(*s_cell, order)
-    X = np.broadcast_to(x, (sq.size, x.size))
-    acc = np.zeros((x.size, x.size))
-    for a in range(tq.size):
-        jacs = kernel.jac_batch_s(tq[a], sq, X)  # (m, n, n)
-        acc += tw[a] * np.tensordot(sw, jacs, axes=(0, 0))
-    return acc.T
+def _row_integrals(batch: Callable, mesh: TimeMesh, states: np.ndarray,
+                   j: int, order: int, only: Optional[int] = None) -> np.ndarray:
+    """Integrals of ``batch`` over each s-cell of row j, one row per cell.
 
-
-def _tri_jacT(kernel: VolterraKernel, cell, x: np.ndarray) -> np.ndarray:
-    a, b = cell
-    h = b - a
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    ts = TRIANGLE_POINTS @ verts
-    tq = a + h * ts[:, 0]
-    sq = a + h * ts[:, 1]
-    acc = np.zeros((x.size, x.size))
-    for i in range(tq.size):
-        acc += TRIANGLE_WEIGHTS[i] * kernel.jac(tq[i], sq[i], x)
-    return 0.5 * h * h * acc.T
+    ``batch`` is a kernel's ``eval_batch_s`` or ``jac_batch_s``; ``only``
+    restricts the row to a single s-cell.
+    """
+    t, s, w, cell = _row_rule(mesh, j, order)
+    if only is not None:
+        keep = cell == only
+        t, s, w, cell = t[keep], s[keep], w[keep], cell[keep]
+    vals = batch(t, s, states[cell])
+    weighted = w.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    return np.add.reduceat(weighted, starts, axis=0)
 
 
 # --- the discrete tensors ---------------------------------------------------
@@ -217,13 +211,8 @@ def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
         raise KernelIndexError(f"cell index {j} outside 0..{mesh.k - 1}")
     if kernel.is_zero:
         return np.zeros(states.shape[1])
-    nodes = mesh.nodes
-    t_cell = (nodes[j], nodes[j + 1])
-    acc = np.zeros(states.shape[1])
-    for i in range(j):
-        acc += _rect_g(kernel, t_cell, (nodes[i], nodes[i + 1]), states[i], order)
-    acc += _tri_g(kernel, t_cell, states[j])
-    return acc / mesh.steps[j]
+    rows = _row_integrals(kernel.eval_batch_s, mesh, states, j, order)
+    return rows.sum(axis=0) / mesh.steps[j]
 
 
 def assemble_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -244,9 +233,7 @@ def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     if not (1 <= i <= mesh.k - 1 and 0 <= j <= i - 1):
         raise KernelIndexError(f"(i={i}, j={j}) outside the triangular index range")
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    nodes = mesh.nodes
-    return _rect_jacT(kernel, (nodes[i], nodes[i + 1]), (nodes[j], nodes[j + 1]),
-                      states[j], order)
+    return _row_integrals(kernel.jac_batch_s, mesh, states, i, order, only=j)[0].T
 
 
 def mu_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -255,8 +242,8 @@ def mu_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     if not 0 <= j <= mesh.k - 1:
         raise KernelIndexError(f"cell index {j} outside 0..{mesh.k - 1}")
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    nodes = mesh.nodes
-    return _tri_jacT(kernel, (nodes[j], nodes[j + 1]), states[j])
+    return _row_integrals(kernel.jac_batch_s, mesh, states, j, DEFAULT_ORDER,
+                          only=j)[0].T
 
 
 def theta_vector(mesh: TimeMesh, velocities, reference_arc, j: int) -> np.ndarray:
@@ -285,9 +272,6 @@ class QuadratureTensors:
     xi: np.ndarray       # (k+1, k, n, n), rows 0 and k zero
     mu: np.ndarray       # (k, n, n)
 
-    def xi_tilde(self, i: int, j: int) -> np.ndarray:
-        return self.xi[i, j]
-
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
                      velocities, reference_arc,
@@ -300,11 +284,10 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     xi = np.zeros((k + 1, k, n, n))
     mu = np.zeros((k, n, n))
     if not kernel.is_zero:
-        for i in range(1, k):
-            for j in range(i):
-                xi[i, j] = xi_tensor(kernel, mesh, states, i, j, order)
-        for j in range(k):
-            mu[j] = mu_tensor(kernel, mesh, states, j)
+        for i in range(k):
+            rows = _row_integrals(kernel.jac_batch_s, mesh, states, i, order)
+            xi[i, :i] = rows[:i].transpose(0, 2, 1)
+            mu[i] = rows[i].T
     return QuadratureTensors(w=w, theta=theta, xi=xi, mu=mu)
 
 
@@ -328,13 +311,10 @@ def continuous_accumulator(kernel: VolterraKernel, arc, t: float,
         edges = np.append(cuts, t)
     else:
         edges = np.linspace(0.0, t, n_panels + 1)
-    acc = np.zeros(probe.size)
-    for a, b in zip(edges[:-1], edges[1:]):
-        sq, sw = interval_gauss_points(a, b, order)
-        X = np.array([np.atleast_1d(x_of(s)) for s in sq])
-        vals = kernel.eval_batch_s(t, sq, X)
-        acc += (sw[:, None] * vals).sum(axis=0)
-    return acc
+    sq, sw = interval_gauss_points(edges[:-1], edges[1:], order)
+    sq, sw = sq.ravel(), sw.ravel()
+    X = np.array([np.atleast_1d(x_of(s)) for s in sq])
+    return sw @ kernel.eval_batch_s(t, sq, X)
 
 
 def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau: float,
@@ -355,10 +335,9 @@ def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau: float,
         edges = np.concatenate([[tau], inner, [horizon]])
     else:
         edges = np.linspace(tau, horizon, n_panels + 1)
-    acc = np.zeros(x_tau.size)
-    for a, b in zip(edges[:-1], edges[1:]):
-        tq, tw = interval_gauss_points(a, b, order)
-        jacs = kernel.jac_batch_t(tq, tau, x_tau)  # (m, n, n)
-        for q in range(tq.size):
-            acc += tw[q] * jacs[q].T @ np.atleast_1d(p_of(tq[q]))
-    return acc
+    tq, tw = interval_gauss_points(edges[:-1], edges[1:], order)
+    tq, tw = tq.ravel(), tw.ravel()
+    X = np.broadcast_to(x_tau, (tq.size, x_tau.size))
+    jacs = kernel.jac_batch_s(tq, np.full(tq.size, tau), X)  # (m, n, n)
+    P = np.array([np.atleast_1d(p_of(t)) for t in tq])
+    return np.einsum("q,qji,qj->i", tw, jacs, P)

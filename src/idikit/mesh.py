@@ -41,9 +41,15 @@ def _leggauss(order: int):
     return x, w
 
 
-def interval_gauss_points(a: float, b: float, order: int = DEFAULT_QUAD_ORDER):
-    """Gauss-Legendre nodes/weights on [a, b]; exact for degree <= 2*order-1."""
+def interval_gauss_points(a, b, order: int = DEFAULT_QUAD_ORDER):
+    """Gauss-Legendre nodes/weights on [a, b]; exact for degree <= 2*order-1.
+
+    ``a`` and ``b`` may be arrays of panel edges: the result then has one
+    row of ``order`` nodes/weights per panel, shape ``a.shape + (order,)``.
+    """
     x, w = _leggauss(order)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
 
@@ -71,6 +77,9 @@ class TimeMesh:
             raise MeshError("mesh nodes must be strictly increasing")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+        steps = np.diff(nodes)
+        steps.setflags(write=False)
+        object.__setattr__(self, "_steps", steps)
 
     @classmethod
     def uniform(cls, k: int, horizon: float) -> "TimeMesh":
@@ -93,7 +102,7 @@ class TimeMesh:
 
     @property
     def steps(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        return self._steps
 
     @property
     def max_step(self) -> float:
@@ -168,6 +177,9 @@ class PiecewiseLinearArc:
                 f"need {self.mesh.k + 1} nodal values, got {vals.shape[0]}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        slopes = np.diff(vals, axis=0) / self.mesh.steps[:, None]
+        slopes.setflags(write=False)
+        object.__setattr__(self, "_slopes", slopes)
 
     @property
     def dim(self) -> int:
@@ -175,7 +187,7 @@ class PiecewiseLinearArc:
 
     @property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.values, axis=0) / self.mesh.steps[:, None]
+        return self._slopes
 
     def eval(self, t: float) -> np.ndarray:
         j = self.mesh.cell_index(t)
@@ -228,10 +240,7 @@ class PiecewiseConstantArc:
 
 def cell_gauss_points(mesh: TimeMesh, order: int = DEFAULT_QUAD_ORDER):
     """Per-cell Gauss-Legendre nodes and weights, shapes (k, order)."""
-    x, w = _leggauss(order)
-    a = mesh.nodes[:-1][:, None]
-    h = mesh.steps[:, None]
-    return a + 0.5 * h * (x[None, :] + 1.0), 0.5 * h * np.broadcast_to(w, (mesh.k, order)).copy()
+    return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:], order)
 
 
 def average_operator(mesh: TimeMesh, y: ArcLike,

@@ -9,7 +9,7 @@ trajectories are expected to visit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -273,9 +273,3 @@ class ProblemData:
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.dim)]
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grid], axis=-1)
-
-    def with_constants_sampled(self, per_axis: int = 8, n_times: int = 8) -> "ProblemData":
-        """Re-derive (m_F, l_F) by sampling f over the box and horizon."""
-        times = np.linspace(0.0, self.horizon, n_times)
-        m_f, l_f = self.fmap.bound_constants(self.state_grid(per_axis), times)
-        return replace(self, m_F=m_f, l_F=l_f)

@@ -47,7 +47,7 @@ class InfeasiblePointError(ValueError):
 
 
 def _fd_jacobian(f: Callable, t: float, x: np.ndarray) -> np.ndarray:
-    # central differences, step scaled like the kernel module's default
+    # central differences with step 1e-6 * (1 + |x|); kernels use it too
     n = x.size
     step = 1e-6 * (1.0 + np.linalg.norm(x))
     out = np.empty((n, n))
@@ -87,17 +87,6 @@ class _OffsetMap:
     def sample_extreme(self, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """A random extreme point of F(t, x), used by selection policies."""
         raise NotImplementedError
-
-    # sampled constants ----------------------------------------------
-    def bound_constants(self, state_samples: np.ndarray, time_samples: np.ndarray):
-        """Sampled (m_F, l_F): sup |f| + body radius and sup ||D_x f||."""
-        m = 0.0
-        lip = 0.0
-        for t in np.atleast_1d(time_samples):
-            for x in np.atleast_2d(state_samples):
-                m = max(m, float(np.linalg.norm(self.center(t, x))))
-                lip = max(lip, float(np.linalg.norm(self.jacobian(t, x), 2)))
-        return m + self.body_radius(), lip
 
 
 class Singleton(_OffsetMap):

@@ -157,11 +157,6 @@ def test_feasibility_residual_cases(cos_t_entry):
     res = feasibility_residual(unit, still, TimeMesh.uniform(8, 1.0))
     assert abs(res - 1.0) < 1e-12  # sqrt(T) * 1 with T = 1
 
-    # relaxed flag is the identity for convex-valued maps
-    r1 = feasibility_residual(prob, ref, mesh, relaxed=False)
-    r2 = feasibility_residual(prob, ref, mesh, relaxed=True)
-    assert r1 == r2
-
 
 def test_localization_check(cos_t_entry):
     prob, ref = cos_t_entry.problem, cos_t_entry.reference

@@ -4,12 +4,14 @@ from math import factorial
 import numpy as np
 import pytest
 
+from idikit import catalog
+from idikit.config import load_config
 from idikit.kernel import (TRIANGLE_POINTS, TRIANGLE_WEIGHTS, KernelIndexError,
-                           VolterraKernel, assemble_tensors,
+                           VolterraKernel, assemble_tensors, assemble_w,
                            continuous_accumulator, kernel_average_w,
                            mu_tensor, theta_vector, volterra_adjoint_integral,
                            xi_tensor)
-from idikit.mesh import PiecewiseLinearArc, TimeMesh
+from idikit.mesh import PiecewiseLinearArc, TimeMesh, interval_gauss_points
 from idikit.problem import CallableArc
 
 
@@ -315,23 +317,196 @@ def test_kernel_average_nonpolynomial_vs_dblquad():
         assert abs(got - (total + tri) / (b - a)) < 1e-10
 
 
-def test_catalog_kernel_batched_paths_match_scalar():
-    from idikit import catalog
-    for name in ("cos_t", "damped_volterra"):
-        kern = catalog.get(name).problem.kernel
-        rng = np.random.default_rng(0)
+# --- per-pair scalar oracle ---------------------------------------------------
+# One cell pair at a time, pointwise eval/jac only: the rules the batched row
+# path must reproduce.
+
+def _rect_oracle(f, t_cell, s_cell, order=4):
+    """Tensor Gauss integral of f(t, s) over t_cell x s_cell."""
+    tq, tw = interval_gauss_points(*t_cell, order)
+    sq, sw = interval_gauss_points(*s_cell, order)
+    return sum(tw[a] * sw[b] * f(tq[a], sq[b])
+               for a in range(tq.size) for b in range(sq.size))
+
+
+def _tri_oracle(f, cell):
+    """12-point rule for the integral of f(t, s) over {a <= s <= t <= b}."""
+    a, b = cell
+    h = b - a
+    ts = TRIANGLE_POINTS @ np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    return 0.5 * h * h * sum(wq * f(a + h * tq, a + h * sq)
+                             for wq, (tq, sq) in zip(TRIANGLE_WEIGHTS, ts))
+
+
+def _cell(mesh, j):
+    return mesh.nodes[j], mesh.nodes[j + 1]
+
+
+def _oracle_w(kernel, mesh, states, j):
+    acc = _tri_oracle(lambda t, s: kernel.eval(t, s, states[j]), _cell(mesh, j))
+    for i in range(j):
+        acc = acc + _rect_oracle(lambda t, s: kernel.eval(t, s, states[i]),
+                                 _cell(mesh, j), _cell(mesh, i))
+    return acc / mesh.steps[j]
+
+
+def _oracle_xi(kernel, mesh, states, i, j):
+    return _rect_oracle(lambda t, s: kernel.jac(t, s, states[j]),
+                        _cell(mesh, i), _cell(mesh, j)).T
+
+
+def _oracle_mu(kernel, mesh, states, j):
+    return _tri_oracle(lambda t, s: kernel.jac(t, s, states[j]), _cell(mesh, j)).T
+
+
+def _panels(edges, order=4):
+    for a, b in zip(edges[:-1], edges[1:]):
+        yield from zip(*interval_gauss_points(a, b, order))
+
+
+def _oracle_accumulator(kernel, arc, t):
+    edges = np.append(arc.mesh.nodes[arc.mesh.nodes < t], t)
+    return sum(wq * kernel.eval(t, sq, arc.eval(sq)) for sq, wq in _panels(edges))
+
+
+def _oracle_adjoint(kernel, x_arc, p_arc, tau, horizon):
+    nodes = p_arc.mesh.nodes
+    edges = np.concatenate([[tau], nodes[(nodes > tau) & (nodes < horizon)], [horizon]])
+    x_tau = x_arc.eval(tau)
+    return sum(wq * kernel.jac(tq, tau, x_tau).T @ p_arc.eval(tq)
+               for tq, wq in _panels(edges))
+
+
+def _inline_kernel(tmp_path, kernel_lines, dim=2):
+    cfg = tmp_path / "kernel.ini"
+    zeros = " ".join(["0"] * dim)
+    cfg.write_text(f"""[problem]
+name = inline_kernel
+inline = true
+dim = {dim}
+variant = singleton
+{kernel_lines}
+x0 = {zeros}
+horizon = 1.0
+state_box_lo = {" ".join(["-1"] * dim)}
+state_box_hi = {" ".join(["1"] * dim)}
+""")
+    return load_config(str(cfg)).entry.problem.kernel
+
+
+def _shipped_kernels(tmp_path):
+    """The four shipped kernels with a state dimension to test them at."""
+    return [
+        ("cos_t", catalog.get("cos_t").problem.kernel, 1),
+        ("damped_volterra", catalog.get("damped_volterra").problem.kernel, 1),
+        ("negative_identity",
+         _inline_kernel(tmp_path, "kernel = negative_identity"), 2),
+        ("identity_decay",
+         _inline_kernel(tmp_path, "kernel = identity_decay\nkernel_rate = 2.5"), 2),
+    ]
+
+
+def _nonlinear_kernel(dim):
+    if dim == 1:
+        return VolterraKernel(
+            lambda t, s, x: np.atleast_1d(np.exp(t * s) * np.sin(x[0])),
+            jac=lambda t, s, x: np.array([[np.exp(t * s) * np.cos(x[0])]]))
+    return VolterraKernel(
+        lambda t, s, x: np.array([np.sin(x[0]) * t + x[1] * s, x[0] * x[1] * (t - s)]),
+        jac=lambda t, s, x: np.array([[np.cos(x[0]) * t, s],
+                                      [x[1] * (t - s), x[0] * (t - s)]]))
+
+
+def _random_mesh(rng, k, horizon):
+    inner = np.sort(rng.uniform(0.0, horizon, k - 1))
+    return TimeMesh.from_nodes(np.concatenate([[0.0], inner, [horizon]]))
+
+
+def _assert_rel(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+def test_batched_methods_match_pointwise_for_shipped_kernels(tmp_path):
+    rng = np.random.default_rng(0)
+    for name, kern, dim in _shipped_kernels(tmp_path):
         s = rng.uniform(0, 0.8, 5)
-        X = rng.normal(size=(5, 1))
-        batch = kern.eval_batch_s(0.9, s, X)
-        scalar = np.array([VolterraKernel.eval(kern, 0.9, si, xi)
-                           for si, xi in zip(s, X)])
-        assert np.array_equal(batch, scalar)
-        jb = kern.jac_batch_s(0.9, s, X)
-        js = np.array([VolterraKernel.jac(kern, 0.9, si, xi)
-                       for si, xi in zip(s, X)])
-        assert np.array_equal(jb, js)
-        tq = np.linspace(0.5, 1.0, 4)
-        tb = kern.jac_batch_t(tq, 0.4, np.array([0.7]))
-        ts_ = np.array([VolterraKernel.jac(kern, ti, 0.4, np.array([0.7]))
-                        for ti in tq])
-        assert np.array_equal(tb, ts_)
+        X = rng.normal(size=(5, dim))
+        for t in (0.9, rng.uniform(0.8, 1.0, 5)):
+            tt = np.broadcast_to(t, s.shape)
+            scalar = np.array([kern.eval(ti, si, xi) for ti, si, xi in zip(tt, s, X)])
+            jacs = np.array([kern.jac(ti, si, xi) for ti, si, xi in zip(tt, s, X)])
+            assert np.array_equal(kern.eval_batch_s(t, s, X), scalar), name
+            assert np.array_equal(kern.jac_batch_s(t, s, X), jacs), name
+        # the Jacobian of a(t - s) x is a(t - s) I
+        a = kern.eval(0.9, 0.2, np.ones(dim))[0]
+        assert np.array_equal(kern.jac(0.9, 0.2, X[0]), a * np.eye(dim)), name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_path_matches_per_pair_oracle(dim, tmp_path):
+    rng = np.random.default_rng(10 + dim)
+    kernels = [("nonlinear", _nonlinear_kernel(dim))]
+    kernels += [(n, k) for n, k, d in _shipped_kernels(tmp_path) if d == dim]
+    for name, kern in kernels:
+        mesh = _random_mesh(rng, 7, 1.6)
+        states = rng.normal(size=(mesh.k + 1, dim))
+        vels = rng.normal(size=(mesh.k, dim))
+        arc = PiecewiseLinearArc(mesh, states)
+        tensors = assemble_tensors(kern, mesh, states, vels, arc)
+        _assert_rel(tensors.w, [_oracle_w(kern, mesh, states, j) for j in range(mesh.k)])
+        _assert_rel(assemble_w(kern, mesh, states), tensors.w)
+        want_xi = np.zeros_like(tensors.xi)
+        for i in range(1, mesh.k):
+            for j in range(i):
+                want_xi[i, j] = _oracle_xi(kern, mesh, states, i, j)
+                _assert_rel(xi_tensor(kern, mesh, states, i, j), want_xi[i, j])
+        _assert_rel(tensors.xi, want_xi)
+        want_mu = [_oracle_mu(kern, mesh, states, j) for j in range(mesh.k)]
+        _assert_rel(tensors.mu, want_mu)
+        _assert_rel([mu_tensor(kern, mesh, states, j) for j in range(mesh.k)], want_mu)
+        for t in (0.05, mesh.nodes[3], 1.37):
+            _assert_rel(continuous_accumulator(kern, arc, t),
+                        _oracle_accumulator(kern, arc, t))
+        for tau in (0.0, mesh.nodes[2], 0.93):
+            _assert_rel(volterra_adjoint_integral(kern, arc, arc, tau, mesh.horizon),
+                        _oracle_adjoint(kern, arc, arc, tau, mesh.horizon))
+
+
+def test_single_cell_memory_comes_from_the_triangle():
+    h = 0.1
+    mesh = TimeMesh.uniform(1, h)
+    states = np.array([[0.7, -1.2], [0.3, 0.4]])
+    vels = np.zeros((1, 2))
+    ref = PiecewiseLinearArc(mesh, states)
+    neg = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0), 1.0, 1.0)
+    damped = VolterraKernel.convolution(lambda u: -np.exp(-u), 1.0, 1.0)
+    # int_0^h int_0^t a(t - s) ds dt for a = -1 and a = -exp(-u)
+    for kern, tri in ((neg, -h * h / 2), (damped, -(h - 1.0 + np.exp(-h)))):
+        tensors = assemble_tensors(kern, mesh, states, vels, ref)
+        assert tensors.xi.shape == (2, 1, 2, 2)
+        assert np.all(tensors.xi == 0.0)
+        _assert_rel(tensors.w[0], tri / h * states[0])
+        _assert_rel(tensors.mu[0], tri * np.eye(2))
+
+
+def test_zero_kernel_gives_zero_tensors():
+    mesh = TimeMesh.from_nodes([0.0, 0.2, 0.7, 1.0])
+    states = np.ones((4, 2))
+    ref = PiecewiseLinearArc(mesh, states)
+    tensors = assemble_tensors(VolterraKernel.zero(), mesh, states,
+                               np.zeros((3, 2)), ref)
+    assert tensors.w.shape == (3, 2) and not tensors.w.any()
+    assert tensors.xi.shape == (4, 3, 2, 2) and not tensors.xi.any()
+    assert tensors.mu.shape == (3, 2, 2) and not tensors.mu.any()
+
+
+def test_inline_negative_identity_hand_computed_w(tmp_path):
+    # uniform k = 2, T = 1, h = 1/2:  w_0 = -x_0 h / 2,  w_1 = -h x_0 - h x_1 / 2
+    kern = _inline_kernel(tmp_path, "kernel = negative_identity")
+    mesh = TimeMesh.uniform(2, 1.0)
+    states = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.0]])
+    w = assemble_w(kern, mesh, states)
+    assert np.allclose(w[0], [-0.25, -0.5], rtol=0, atol=1e-15)
+    assert np.allclose(w[1], [-1.25, -0.75], rtol=0, atol=1e-15)
