@@ -1,8 +1,9 @@
 """Certified Gronwall-type bounds and the a-priori trajectory estimates.
 
-Each evaluator returns the closed-form majorant; the test-suite oracles
-(brute-force recursions, stiff integro-ODE integration) live with the tests
-and are never consulted here.
+Each evaluator returns the closed-form majorant.  Next to the bounds sit the
+equality-case oracles the `audit` subcommand checks them against: the
+forward and backward recursions and an RK4 solve of the integro-ODE, each
+run on a stack of instances at once.  The bounds never consult them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ __all__ = [
     "discrete_gronwall_backward",
     "continuous_gronwall",
     "apriori_bounds",
+    "forward_extremal",
+    "backward_extremal",
+    "continuous_extremal",
 ]
 
 CERT_TOL = 1e-12
@@ -93,11 +97,10 @@ def discrete_gronwall_backward(x_k: float, c, b, a) -> np.ndarray:
     b = _nonneg("b", b)
     a = _nonneg("a", a)
     k = c.size
-    out = np.empty(max(k - 1, 0))
-    for j in range(k - 1):
-        i = np.arange(j + 1, k)
-        out[j] = (x_k + c[i].sum()) * np.exp((((k - i - 1) * b[i]) + a[i]).sum())
-    return out
+    rev = np.s_[:0:-1]  # i = k-1, ..., 1, where the weight k-i-1 is 0, ..., k-2
+    csum = np.cumsum(c[rev])[::-1]
+    wsum = np.cumsum(np.arange(k - 1) * b[rev] + a[rev])[::-1]
+    return (x_k + csum) * np.exp(wsum)
 
 
 ArrOrFn = Union[np.ndarray, Callable[[float], float]]
@@ -146,3 +149,86 @@ def apriori_bounds(problem) -> tuple:
     m1 = (1.0 + x0n + m_f / (beta + 1.0)) * np.exp(T * (beta + 1.0))
     m2 = m_f + beta * T * m1
     return float(m1), float(m2)
+
+
+# --- equality-case oracles, batched over instances ----------------------------
+#
+# Each oracle takes N instances stacked along axis 0 and does for every row
+# the arithmetic of the one-instance loop it batches, in the same order.
+
+
+def forward_extremal(e0, sigma, rho, gamma) -> np.ndarray:
+    """Equality case of the forward recursion for N instances of length m.
+
+    e0 has shape (N,) and sigma, rho, gamma shape (N, m).  Returns e of shape
+    (N, m+1) with e_0 = e0 and
+    e_{n+1} = sigma_n + rho_n * sum_{i<n} e_i + (1+gamma_n) e_n,
+    the pointwise maximum of the sequences `discrete_gronwall_forward` bounds.
+    """
+    e = np.empty((sigma.shape[0], sigma.shape[1] + 1))
+    e[:, 0] = e0
+    for i in range(sigma.shape[1]):
+        e[:, i + 1] = (sigma[:, i] + rho[:, i] * e[:, :i].sum(axis=1)
+                       + (1 + gamma[:, i]) * e[:, i])
+    return e
+
+
+def backward_extremal(x_k, c, b, a) -> np.ndarray:
+    """Equality case of the terminal-anchored recursion for N instances.
+
+    x_k has shape (N,) and c, b, a shape (N, k).  Returns x of shape
+    (N, k+2) with x_k given, x_{k+1} = 0 and, for j = k-1, ..., 0,
+    x_j = c_j + b_j * sum_{i=j+2}^{k+1} x_i + (1+a_j) x_{j+1}.
+    Columns 1..k-1 are what `discrete_gronwall_backward` bounds.
+    """
+    n, k = c.shape
+    x = np.zeros((n, k + 2))
+    x[:, k] = x_k
+    for j in range(k - 1, -1, -1):
+        x[:, j] = (c[:, j] + b[:, j] * x[:, j + 2:].sum(axis=1)
+                   + (1 + a[:, j]) * x[:, j + 1])
+    return x
+
+
+def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
+    """Equality case rho' = a + b1 rho + b2 int_0^t rho for N instances.
+
+    rho0 has shape (N,) and the coefficient rows a, b1, b2 shape (N, G),
+    sampled on the uniform grid (G,) and interpolated linearly between its
+    points as np.interp does.  Fixed-step RK4 with 4 substeps per grid cell
+    on the state (rho, int rho), dense enough to sit far below the
+    continuous bound's built-in exp(t) slack.  Returns rho on the grid,
+    shape (N, G).
+    """
+    grid = np.asarray(grid, dtype=float)
+    rows = [np.asarray(c, dtype=float) for c in (a, b1, b2)]
+
+    def f(t, r, q):
+        # np.interp(t, grid, row) for every coefficient row, with its
+        # arithmetic; t >= grid[0] throughout
+        j = int(np.searchsorted(grid, t, side="right")) - 1
+        if j == grid.size - 1 or grid[j] == t:
+            av, b1v, b2v = (c[:, j] for c in rows)
+        else:
+            dx = grid[j + 1] - grid[j]
+            av, b1v, b2v = ((c[:, j + 1] - c[:, j]) / dx * (t - grid[j]) + c[:, j]
+                            for c in rows)
+        return av + b1v * r + b2v * q, r
+
+    r = np.array(rho0, dtype=float)
+    q = np.zeros_like(r)
+    out = np.empty((r.size, grid.size))
+    out[:, 0] = r
+    hh = (grid[1] - grid[0]) / 4
+    for i in range(grid.size - 1):
+        t = grid[i]
+        for _ in range(4):
+            k1 = f(t, r, q)
+            k2 = f(t + hh / 2, r + hh / 2 * k1[0], q + hh / 2 * k1[1])
+            k3 = f(t + hh / 2, r + hh / 2 * k2[0], q + hh / 2 * k2[1])
+            k4 = f(t + hh, r + hh * k3[0], q + hh * k3[1])
+            r = r + hh / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            q = q + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += hh
+        out[:, i + 1] = r
+    return out

@@ -24,6 +24,8 @@ from idikit.kernel import VolterraKernel, kernel_average_w, mu_tensor, \
     theta_vector, xi_tensor
 from idikit.mesh import TimeMesh
 from idikit.problem import CallableArc
+from oracles import (backward_recursion, fd_gradient, forward_recursion,
+                     integro_rk4, quadratic_oracle)
 
 RESULTS = []
 
@@ -110,44 +112,6 @@ def test_criterion_02_majorant_domination(cos_sweep, catalog_reports):
     _report(2, "zeta/beta majorants dominate", ok, ";".join(detail))
 
 
-def _forward_recursion(e0, sigma, rho, gamma):
-    e = np.empty(sigma.size + 1)
-    e[0] = e0
-    for i in range(sigma.size):
-        e[i + 1] = sigma[i] + rho[i] * e[:i].sum() + (1 + gamma[i]) * e[i]
-    return e
-
-
-def _backward_recursion(x_k, c, b, a):
-    k = c.size
-    x = np.zeros(k + 2)
-    x[k] = x_k
-    for j in range(k - 1, -1, -1):
-        x[j] = c[j] + b[j] * x[j + 2:k + 2].sum() + (1 + a[j]) * x[j + 1]
-    return x
-
-
-def _integro_rk4(rho0, a, b1, b2, grid):
-    y = np.array([rho0, 0.0])
-    out = [rho0]
-    h = grid[1] - grid[0]
-    for i in range(grid.size - 1):
-        t = grid[i]
-        for _ in range(4):
-            hh = h / 4
-            f = lambda tt, yy: np.array([
-                np.interp(tt, grid, a) + np.interp(tt, grid, b1) * yy[0]
-                + np.interp(tt, grid, b2) * yy[1], yy[0]])
-            k1 = f(t, y)
-            k2 = f(t + hh / 2, y + hh / 2 * k1)
-            k3 = f(t + hh / 2, y + hh / 2 * k2)
-            k4 = f(t + hh, y + hh * k3)
-            y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += hh
-        out.append(y[0])
-    return np.array(out)
-
-
 def test_criterion_03_gronwall_oracle_suites():
     rng = np.random.default_rng(321)
     bad = 0
@@ -155,14 +119,14 @@ def test_criterion_03_gronwall_oracle_suites():
         n = int(rng.integers(1, 11))
         e0 = rng.exponential(1.0)
         sig, rho, gam = (rng.exponential(0.5, n) for _ in range(3))
-        if np.any(_forward_recursion(e0, sig, rho, gam)
+        if np.any(forward_recursion(e0, sig, rho, gam)
                   > discrete_gronwall_forward(e0, sig, rho, gam) * (1 + 1e-12)):
             bad += 1
     for _ in range(1000):
         n = int(rng.integers(2, 11))
         c, b, a = (rng.exponential(0.5, n) for _ in range(3))
         x_k = rng.exponential(1.0)
-        if np.any(_backward_recursion(x_k, c, b, a)[1:n]
+        if np.any(backward_recursion(x_k, c, b, a)[1:n]
                   > discrete_gronwall_backward(x_k, c, b, a) * (1 + 1e-12)):
             bad += 1
     grid = np.linspace(0, 1, 65)
@@ -171,7 +135,7 @@ def test_criterion_03_gronwall_oracle_suites():
         a = rng.exponential(0.4) * np.ones_like(grid)
         b1 = rng.exponential(0.4) * np.ones_like(grid)
         b2 = rng.exponential(0.4) * np.ones_like(grid)
-        if np.any(_integro_rk4(rho0, a, b1, b2, grid)
+        if np.any(integro_rk4(rho0, a, b1, b2, grid)
                   > continuous_gronwall(rho0, a, b1, b2, grid) * (1 + 1e-9)):
             bad += 1
     _report(3, "Gronwall bounds dominate 3x1000 oracles", bad == 0,
@@ -236,20 +200,6 @@ def test_criterion_05_quadrature_exactness():
     _report(5, "tensor quadrature exactness", worst < tol, f"worst={worst:.2e}")
 
 
-def _fd_gradient(dbp, controls, step=1e-6):
-    from idikit.bolza import _objective
-    u0 = controls.u.copy()
-    g = np.zeros_like(u0)
-    for j in range(u0.shape[0]):
-        for i in range(u0.shape[1]):
-            up = u0.copy(); up[j, i] += step
-            dn = u0.copy(); dn[j, i] -= step
-            g[j, i] = (_objective(dbp, ControlParameterization(up), 0.0)[0]
-                       - _objective(dbp, ControlParameterization(dn), 0.0)[0]) \
-                / (2 * step)
-    return g
-
-
 def test_criterion_06_adjoint_gradient():
     worst_fd = 0.0
     for name in ("cos_t", "ball_control_lq"):
@@ -261,7 +211,7 @@ def test_criterion_06_adjoint_gradient():
         bumped = ControlParameterization(
             c0.u + 0.01 * rng.standard_normal(c0.u.shape)).projected(dbp)
         grad, _, _ = cost_gradient(dbp, bumped)
-        fd = _fd_gradient(dbp, bumped)
+        fd = fd_gradient(dbp, bumped)
         worst_fd = max(worst_fd,
                        np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12))
 
@@ -295,32 +245,9 @@ def test_criterion_06_adjoint_gradient():
             f"fd_rel={worst_fd:.2e} reduction_gap={gap:.2e}")
 
 
-def _quadratic_oracle(dbp, controls0):
-    from idikit.bolza import _objective
-    k, n = controls0.u.shape
-    N = k * n
-    base = controls0.u.ravel()
-
-    def f(vec):
-        return _objective(dbp, ControlParameterization(vec.reshape(k, n)), 0.0)[0]
-
-    f0 = f(base)
-    E = np.eye(N)
-    fp = np.array([f(base + E[i]) for i in range(N)])
-    fm = np.array([f(base - E[i]) for i in range(N)])
-    g = (fp - fm) / 2.0
-    H = np.empty((N, N))
-    for i in range(N):
-        H[i, i] = fp[i] + fm[i] - 2 * f0
-        for j in range(i + 1, N):
-            fij = f(base + E[i] + E[j])
-            H[i, j] = H[j, i] = fij - fp[i] - fp[j] + f0
-    return ControlParameterization((base + np.linalg.solve(H, -g)).reshape(k, n))
-
-
 def test_criterion_07_lq_solver_optimality(lq_solution):
     entry, dbp, c0, traj, controls, log = lq_solution
-    oracle = _quadratic_oracle(dbp, c0)
+    oracle = quadratic_oracle(dbp, c0)
     traj_star = forward_trajectory(dbp, oracle)
     err = np.abs(traj.states - traj_star.states).max()
     descent = log.descent_ok and all(

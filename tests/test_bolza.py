@@ -9,6 +9,7 @@ from idikit.bolza import (ControlParameterization, SolveOptions,
                           cost_gradient, cost_Jk, forward_trajectory, solve_Pk)
 from idikit.mesh import TimeMesh
 from idikit.problem import CallableArc
+from oracles import fd_gradient, quadratic_oracle
 
 
 def _discrete(entry, k, **kw):
@@ -95,20 +96,6 @@ def test_gradient_linear_terminal_cost_closed_form():
         assert np.allclose(grad[j], mesh.steps[j] * c, atol=1e-12)
 
 
-def _fd_gradient(dbp, controls, rho=0.0, step=1e-6):
-    from idikit.bolza import _objective
-    u0 = controls.u.copy()
-    g = np.zeros_like(u0)
-    for j in range(u0.shape[0]):
-        for i in range(u0.shape[1]):
-            up = u0.copy(); up[j, i] += step
-            dn = u0.copy(); dn[j, i] -= step
-            fp, _ = _objective(dbp, ControlParameterization(up), rho)
-            fm, _ = _objective(dbp, ControlParameterization(dn), rho)
-            g[j, i] = (fp - fm) / (2 * step)
-    return g
-
-
 @pytest.mark.parametrize("name", ["cos_t", "ball_control_lq"])
 def test_gradient_matches_central_differences(name):
     entry = catalog.get(name)
@@ -119,7 +106,7 @@ def test_gradient_matches_central_differences(name):
         controls.u + 0.01 * rng.standard_normal(controls.u.shape))
     bumped = bumped.projected(dbp)
     grad, _, _ = cost_gradient(dbp, bumped)
-    fd = _fd_gradient(dbp, bumped)
+    fd = fd_gradient(dbp, bumped)
     denom = max(np.abs(fd).max(), 1e-12)
     assert np.abs(grad - fd).max() / denom < 1e-5
 
@@ -165,43 +152,12 @@ def test_gradient_g_zero_reduction_matches_reference(ball_entry):
 
 # --- solver ------------------------------------------------------------------
 
-def _quadratic_oracle_solution(dbp, controls0):
-    """Exact minimizer of the (quadratic) objective via sampled Hessian.
-
-    Uses only objective values: for affine dynamics and quadratic costs the
-    finite-difference identities below are exact up to roundoff, so the
-    normal-equations solve is an independent oracle.
-    """
-    from idikit.bolza import _objective
-    k, n = controls0.u.shape
-    N = k * n
-    base = controls0.u.ravel()
-
-    def f(vec):
-        val, _ = _objective(dbp, ControlParameterization(vec.reshape(k, n)), 0.0)
-        return val
-
-    f0 = f(base)
-    E = np.eye(N)
-    fp = np.array([f(base + E[i]) for i in range(N)])
-    fm = np.array([f(base - E[i]) for i in range(N)])
-    g = (fp - fm) / 2.0
-    H = np.empty((N, N))
-    for i in range(N):
-        H[i, i] = fp[i] + fm[i] - 2 * f0
-        for j in range(i + 1, N):
-            fij = f(base + E[i] + E[j])
-            H[i, j] = H[j, i] = fij - fp[i] - fp[j] + f0
-    sol = base + np.linalg.solve(H, -g)
-    return ControlParameterization(sol.reshape(k, n))
-
-
 def test_solver_matches_normal_equations_lq(ball_entry):
     dbp, controls0, traj0, _ = _discrete(ball_entry, 10)
     traj, controls, log = solve_Pk(dbp, controls0,
                                    SolveOptions(tol_stat=1e-10, max_iter=20000))
     assert log.stationary, log.message
-    oracle = _quadratic_oracle_solution(dbp, controls0)
+    oracle = quadratic_oracle(dbp, controls0)
     traj_star = forward_trajectory(dbp, oracle)
     assert np.abs(traj.states - traj_star.states).max() < 1e-8
     # the optimum stays strictly inside the ball: the constraint never binds

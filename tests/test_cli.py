@@ -6,6 +6,8 @@ import pytest
 from idikit import catalog
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
+from idikit.gronwall import discrete_gronwall_backward
+from oracles import backward_recursion
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -82,6 +84,12 @@ def test_audit_passes_on_catalog(tmp_path):
     assert main(["audit", cfgp]) == 0
     lines = (tmp_path / "out" / "t_audit.csv").read_text().splitlines()
     assert all(",FAIL," not in ln for ln in lines[2:])
+    rec = json.loads((tmp_path / "out" / "t_audit.json").read_text())
+    assert set(rec["suites"]) == {"gronwall_forward", "gronwall_backward",
+                                  "gronwall_continuous"}
+    for suite in rec["suites"].values():
+        assert suite["instances"] == 60 and suite["violations"] == 0
+        assert suite["wall_s"] >= 0.0
 
 
 CORRUPT = """
@@ -126,6 +134,56 @@ def test_audit_detects_corrupted_constant(tmp_path):
     m1_fail = next(f for f in rec["failures"] if f["check"] == "M1")
     assert m1_fail["witness_time"] > 0.5
     assert m1_fail["value"] > m1_fail["bound"]
+
+
+def test_audit_failure_matches_scalar_loop(tmp_path, monkeypatch):
+    # the audited backward bound at half its value: the batched audit must
+    # flag the instances a one-at-a-time loop over the same draws flags
+    def half(*args):
+        return 0.5 * discrete_gronwall_backward(*args)
+
+    monkeypatch.setattr("idikit.cli.discrete_gronwall_backward", half)
+    n = 60
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out") +
+                  f"\n[audit]\nn_instances = {n}\nmesh_k = 12\n")
+    assert main(["audit", cfgp]) == 1
+
+    cfg = load_config(cfgp)
+    problem = cfg.entry.problem
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = problem.state_box
+    for _ in range(256):  # the constants audit draws first
+        t = rng.uniform(0, problem.horizon)
+        if t > 0:
+            rng.uniform(0, t)
+        rng.uniform(lo, hi)
+    for _ in range(n):  # then the forward suite
+        m = int(rng.integers(1, 10))
+        rng.exponential(1.0)
+        for _ in range(3):
+            rng.exponential(0.5, m)
+    bad, last = 0, None
+    for _ in range(n):
+        m = int(rng.integers(2, 10))
+        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+        x_k = rng.exponential(1.0)
+        actual = backward_recursion(x_k, c, b, a)[1:m]
+        if np.any(actual > half(x_k, c, b, a) * (1 + 1e-12) + 1e-300):
+            bad += 1
+            last = {"suite": "backward", "x_k": x_k, "c": c.tolist(),
+                    "b": b.tolist(), "a": a.tolist()}
+    assert 0 < bad < n
+
+    lines = (tmp_path / "out" / "t_audit.csv").read_text().splitlines()
+    rows = {ln.split(",")[0]: ln.split(",") for ln in lines[2:]}
+    assert rows["gronwall_backward"][2:4] == ["FAIL", str(bad)]
+    assert rows["gronwall_forward"][2] == "pass"
+    assert rows["gronwall_continuous"][2] == "pass"
+    rec = json.loads((tmp_path / "out" / "t_audit.json").read_text())
+    assert [f["check"] for f in rec["failures"]] == ["gronwall_backward"]
+    assert rec["failures"][0]["violations"] == bad
+    assert rec["failures"][0]["replay"] == last
+    assert rec["suites"]["gronwall_backward"]["violations"] == bad
 
 
 def test_simulate_outputs(tmp_path):

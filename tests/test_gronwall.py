@@ -3,32 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from idikit.gronwall import (BoundCertificate, GronwallDomainError,
-                             apriori_bounds, continuous_gronwall,
+                             apriori_bounds, backward_extremal,
+                             continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
-                             discrete_gronwall_forward)
+                             discrete_gronwall_forward, forward_extremal)
+from oracles import backward_recursion, forward_recursion, integro_rk4
 
 
 # --- brute-force oracles -----------------------------------------------------
-
-def forward_extremal(e0, sigma, rho, gamma):
-    """Equality case of the forward recursion (its pointwise maximum)."""
-    n = len(sigma)
-    e = np.empty(n + 1)
-    e[0] = e0
-    for i in range(n):
-        e[i + 1] = sigma[i] + rho[i] * e[:i].sum() + (1 + gamma[i]) * e[i]
-    return e
-
-
-def backward_extremal(x_k, c, b, a):
-    """Equality case of the terminal-anchored recursion, x_{k+1} = 0."""
-    k = len(c)
-    x = np.zeros(k + 2)
-    x[k] = x_k
-    for j in range(k - 1, -1, -1):
-        x[j] = c[j] + b[j] * x[j + 2:k + 2].sum() + (1 + a[j]) * x[j + 1]
-    return x
-
 
 def integro_ode_worst_case(rho0, a, b1, b2, grid):
     """Stiffly integrated equality case rho' = a + b1 rho + b2 int rho."""
@@ -56,7 +38,7 @@ def test_forward_exp_limit():
                                     np.full(n, 1.0 / n))
     assert out[-1] == pytest.approx(np.e, rel=1e-12)
     # oracle: the recursion equality stays below
-    e = forward_extremal(1.0, np.zeros(n), np.zeros(n), np.full(n, 1.0 / n))
+    e = forward_recursion(1.0, np.zeros(n), np.zeros(n), np.full(n, 1.0 / n))
     assert e[-1] <= out[-1]
 
 
@@ -69,7 +51,7 @@ def test_forward_dominates_randomized():
         rho = rng.exponential(0.3, n)
         gamma = rng.exponential(0.3, n)
         bound = discrete_gronwall_forward(e0, sigma, rho, gamma)
-        actual = forward_extremal(e0, sigma, rho, gamma)
+        actual = forward_recursion(e0, sigma, rho, gamma)
         cert = BoundCertificate(bounds=bound, actual=actual)
         assert cert.certified, (e0, sigma, rho, gamma)
 
@@ -113,7 +95,7 @@ def test_backward_dominates_randomized():
         a = rng.exponential(0.5, k)
         x_k = rng.exponential(1.0)
         bound = discrete_gronwall_backward(x_k, c, b, a)
-        x = backward_extremal(x_k, c, b, a)
+        x = backward_recursion(x_k, c, b, a)
         cert = BoundCertificate(bounds=bound, actual=x[1:k])
         assert cert.certified, (x_k, c, b, a)
 
@@ -192,6 +174,41 @@ def test_discrete_monotone_in_inputs():
         base = discrete_gronwall_forward(1.0, sigma, rho, gamma)
         up = discrete_gronwall_forward(1.0, sigma + 0.1, rho, gamma)
         assert np.all(up >= base - 1e-12)
+
+
+# --- batched audit oracles against the scalar ones ------------------------------
+
+def test_batched_discrete_oracles_match_scalar():
+    # every length m = 1..11, as one instance and as a stack of 20
+    rng = np.random.default_rng(404)
+    for m in range(1, 12):
+        for n in (1, 20):
+            first = rng.exponential(1.0, n)
+            p, q, r = (rng.exponential(0.5, (n, m)) for _ in range(3))
+            np.testing.assert_allclose(
+                forward_extremal(first, p, q, r),
+                [forward_recursion(*row) for row in zip(first, p, q, r)],
+                rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                backward_extremal(first, p, q, r),
+                [backward_recursion(*row) for row in zip(first, p, q, r)],
+                rtol=1e-12, atol=0)
+
+
+def test_batched_continuous_oracle_matches_scalar():
+    rng = np.random.default_rng(5151)
+    grid = np.linspace(0, 1, 33)
+    for n in (1, 200):
+        rho0 = rng.exponential(1.0, n)
+        a = rng.exponential(0.5, (n, 1)) \
+            * (1 + np.sin(rng.uniform(0, 6, (n, 1)) * grid)) / 2
+        b1 = rng.exponential(0.5, (n, 1)) \
+            * (1 + np.cos(rng.uniform(0, 6, (n, 1)) * grid)) / 2
+        b2 = rng.exponential(0.5, (n, 1)) * np.ones_like(grid)
+        np.testing.assert_allclose(
+            continuous_extremal(rho0, a, b1, b2, grid),
+            [integro_rk4(*row, grid) for row in zip(rho0, a, b1, b2)],
+            rtol=1e-12, atol=0)
 
 
 # --- a-priori bounds ----------------------------------------------------------
