@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DiscreteTrajectory, approximate_arc
-from .kernel import assemble_tensors, kernel_average_w
-from .mesh import TimeMesh, cell_gauss_points
+from .dynamics import DiscreteTrajectory, _deriv_of, _march, approximate_arc
+from .kernel import assemble_tensors
+from .mesh import (TimeMesh, _cell_samples, _node_samples, _sq_integral,
+                   cell_gauss_points)
 from .problem import InflatedSet, ProblemData
 
 __all__ = [
@@ -56,13 +57,20 @@ class DiscreteBolzaProblem:
     epsilon: float
     omega_k: InflatedSet
 
+    def __post_init__(self):
+        # sampled once for every cost evaluation, gradient and trial step
+        nodes = _node_samples(self.mesh, self.reference)
+        ref_dot = _cell_samples(self.mesh, _deriv_of(self.reference))
+        for name, arr in (("_ref_nodes", nodes), ("_ref_dot", ref_dot)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def reference_nodes(self) -> np.ndarray:
-        ref = self.reference.eval if hasattr(self.reference, "eval") else self.reference
-        return np.array([np.atleast_1d(ref(t)) for t in self.mesh.nodes])
+        return self._ref_nodes
 
 
 @dataclass(frozen=True)
@@ -112,32 +120,14 @@ def _controls_from_trajectory(problem: ProblemData,
 def forward_trajectory(problem: DiscreteBolzaProblem,
                        controls: ControlParameterization) -> DiscreteTrajectory:
     """Evaluate the dynamics for given controls; feasibility is exact."""
-    base = problem.base
-    mesh = problem.mesh
-    k, n = mesh.k, base.dim
-    states = np.empty((k + 1, n))
-    vels = np.empty((k, n))
-    ws = np.empty((k, n))
-    states[0] = base.x0
-    for j in range(k):
-        w_j = kernel_average_w(base.kernel, mesh, states[:j + 1], j)
-        v_j = base.fmap.center(mesh.nodes[j], states[j]) + controls.u[j] + w_j
-        states[j + 1] = states[j] + mesh.steps[j] * v_j
-        vels[j] = v_j
-        ws[j] = w_j
-    return DiscreteTrajectory(mesh, states, vels, ws)
+    center, t = problem.base.fmap.center, problem.mesh.nodes
+    return _march(problem.base, problem.mesh,
+                  lambda j, x, w: center(t[j], x) + controls.u[j] + w)
 
 
-def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-                   order: int = 4) -> float:
-    dref = problem.reference.derivative
-    pts, wts = cell_gauss_points(problem.mesh, order)
-    acc = 0.0
-    for j in range(problem.mesh.k):
-        for q in range(pts.shape[1]):
-            d = traj.velocities[j] - np.atleast_1d(dref(pts[j, q]))
-            acc += wts[j, q] * float(d @ d)
-    return acc
+def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
+    _, wts = cell_gauss_points(problem.mesh)
+    return _sq_integral(wts, traj.velocities[:, None] - problem._ref_dot)
 
 
 def cost_breakdown(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
@@ -195,13 +185,13 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     if traj is None:
         traj = forward_trajectory(problem, controls)
     tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
-                               problem.reference)
+                               problem.reference_nodes())
     objective = cost_Jk(problem, traj) + _penalty(problem, traj.states[-1], rho)
 
     lam_next = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
     grad = np.empty_like(controls.u)
-    s_list = [None] * k
+    r = np.empty_like(controls.u)  # r_m = s_m / h_m, the memory weights
     for j in range(k - 1, -1, -1):
         t_j = mesh.nodes[j]
         glv = np.atleast_1d(base.running_cost.grad_v(t_j, traj.states[j],
@@ -210,12 +200,10 @@ def cost_gradient(problem: DiscreteBolzaProblem,
                                                      traj.velocities[j]))
         s_j = h[j] * glv + tensors.theta[j] + h[j] * lam_next
         grad[j] = s_j
-        s_list[j] = s_j
+        r[j] = s_j / h[j]
         J_f = base.fmap.jacobian(t_j, traj.states[j])
-        lam_j = lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
-        for m in range(j + 1, k):
-            lam_j = lam_j + tensors.xi[m, j] @ s_list[m] / h[m]
-        lam_next = lam_j
+        lam_next = (lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
+                    + tensors.coupling(j, r))
     return grad, traj, objective
 
 

@@ -214,32 +214,32 @@ def run_bound_audit(cfg: ExperimentConfig):
     rows = []
     failures = []
 
-    # declared standing constants vs sampled suprema over the state box
+    # declared standing constants vs sampled suprema over the state box;
+    # each of m_F, l_F, beta, alpha keeps the time its supremum was first hit
     lo, hi = problem.state_box
-    worst_f = worst_lf = worst_g = worst_jg = 0.0
-    witness_const = 0.0
+    worst = [0.0] * 4
+    witness = [0.0] * 4
     for _ in range(256):
         t = rng.uniform(0, problem.horizon)
         s = rng.uniform(0, t) if t > 0 else 0.0
         x = rng.uniform(lo, hi)
-        fval = float(np.linalg.norm(problem.fmap.center(t, x))) \
-            + problem.fmap.body_radius()
-        jval = float(np.linalg.norm(problem.fmap.jacobian(t, x), 2))
-        gval = float(np.linalg.norm(problem.kernel.eval(t, s, x))) \
-            / (1.0 + float(np.linalg.norm(x)))
-        jg = float(np.linalg.norm(problem.kernel.jac(t, s, x), 2))
-        if fval > worst_f:
-            worst_f, witness_const = fval, float(t)
-        worst_lf = max(worst_lf, jval)
-        worst_g = max(worst_g, gval)
-        worst_jg = max(worst_jg, jg)
-    for label, value, bound in (("constant_m_F", worst_f, problem.m_F),
-                                ("constant_l_F", worst_lf, problem.l_F),
-                                ("constant_beta", worst_g, problem.beta),
-                                ("constant_alpha", worst_jg, problem.alpha)):
+        sampled = (
+            float(np.linalg.norm(problem.fmap.center(t, x)))
+            + problem.fmap.body_radius(),
+            float(np.linalg.norm(problem.fmap.jacobian(t, x), 2)),
+            float(np.linalg.norm(problem.kernel.eval(t, s, x)))
+            / (1.0 + float(np.linalg.norm(x))),
+            float(np.linalg.norm(problem.kernel.jac(t, s, x), 2)))
+        for i, value in enumerate(sampled):
+            if value > worst[i]:
+                worst[i], witness[i] = value, float(t)
+    for label, value, bound, when in zip(
+            ("constant_m_F", "constant_l_F", "constant_beta", "constant_alpha"),
+            worst, (problem.m_F, problem.l_F, problem.beta, problem.alpha),
+            witness):
         ok = value <= bound + 1e-9
         rows.append((label, "sampled", "pass" if ok else "FAIL", value, bound,
-                     witness_const))
+                     when))
         if not ok:
             failures.append({"check": label, "value": value, "bound": bound,
                              "seed": cfg.seed})

@@ -75,17 +75,11 @@ class MultiplierSet:
         return self.p[-1]
 
 
-def _cost_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
-    base = problem.base
-    mesh = problem.mesh
-    glx = np.empty_like(traj.velocities)
-    glv = np.empty_like(traj.velocities)
-    for j in range(mesh.k):
-        glx[j] = np.atleast_1d(base.running_cost.grad_x(
-            mesh.nodes[j], traj.states[j], traj.velocities[j]))
-        glv[j] = np.atleast_1d(base.running_cost.grad_v(
-            mesh.nodes[j], traj.states[j], traj.velocities[j]))
-    return glx, glv
+def _cost_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory, j: int):
+    """(grad_x l, grad_v l) of the running cost at node j."""
+    cost = problem.base.running_cost
+    args = (problem.mesh.nodes[j], traj.states[j], traj.velocities[j])
+    return np.atleast_1d(cost.grad_x(*args)), np.atleast_1d(cost.grad_v(*args))
 
 
 def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
@@ -107,8 +101,10 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
     k, n = mesh.k, base.dim
     h = mesh.steps
     tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
-                               problem.reference)
-    glx, glv = _cost_grads(problem, traj)
+                               problem.reference_nodes())
+    grads = [_cost_grads(problem, traj, j) for j in range(k)]
+    glx = np.array([gx for gx, _ in grads], dtype=float)
+    glv = np.array([gv for _, gv in grads], dtype=float)
 
     p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
@@ -120,9 +116,8 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
                                  traj.velocities[j] - tensors.w[j], tol_feas)
         u_j = cone.project_u(b_j)
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
-                - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j)
-        for m in range(j + 1, k):
-            p[j] = p[j] + tensors.xi[m, j] @ p[m + 1]
+                - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j
+                + tensors.coupling(j, p[1:]))
 
     raw_total = lam + float(np.linalg.norm(p[k]))
     if raw_total < 1e-14:
@@ -172,18 +167,16 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
 
 def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
              mult: MultiplierSet, j: int):
-    mesh = problem.mesh
-    h = mesh.steps[j]
+    h = problem.mesh.steps[j]
     t = mult.tensors
-    glx, glv = _cost_grads(problem, traj)  # small k: recomputing is cheap
-    pin = mult.lam * (glv[j] + t.theta[j] / h)
+    glx, glv = _cost_grads(problem, traj, j)
+    pin = mult.lam * (glv + t.theta[j] / h)
     lhs1 = ((mult.p[j + 1] - mult.p[j]) / h
             + 2.0 / h * t.mu[j] @ mult.p[j + 1]
-            - (t.mu[j] @ pin) / h)
-    for m in range(j + 1, mesh.k):
-        lhs1 = lhs1 + t.xi[m, j] @ mult.p[m + 1] / h
+            - (t.mu[j] @ pin) / h
+            + t.coupling(j, mult.p[1:]) / h)
     lhs2 = mult.p[j + 1] - mult.lam * t.theta[j] / h
-    return lhs1 - mult.lam * glx[j], lhs2 - mult.lam * glv[j]
+    return lhs1 - mult.lam * glx, lhs2 - mult.lam * glv
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem,

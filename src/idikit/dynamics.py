@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernel import VolterraKernel, kernel_average_w, continuous_accumulator
+from .kernel import kernel_average_w, continuous_accumulator
 from .mesh import (PiecewiseConstantArc, PiecewiseLinearArc, TimeMesh,
+                   _cell_samples, _node_samples, _sq_integral,
                    cell_gauss_points, l2_distance, sup_distance)
 from .problem import ProblemData
 from .setvalued import distance_and_projection, averaged_modulus
@@ -106,27 +107,35 @@ def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     rng = np.random.default_rng(seed)
-    n = problem.dim
-    k = mesh.k
+    if constant_deviation is None:
+        constant_deviation = np.zeros(problem.dim)
+    # keep the step feasible even if the requested deviation leaves the body
+    constant_deviation = problem.fmap.project_body(
+        np.atleast_1d(np.asarray(constant_deviation, dtype=float)))
+    fmap, t = problem.fmap, mesh.nodes
+    select = {
+        "min_norm": lambda j, x, w: distance_and_projection(fmap, t[j], x, -w)[1] + w,
+        "extreme": lambda j, x, w: fmap.sample_extreme(t[j], x, rng) + w,
+        "constant": lambda j, x, w: fmap.center(t[j], x) + constant_deviation + w,
+    }[policy]
+    return _march(problem, mesh, select)
+
+
+def _march(problem: ProblemData, mesh: TimeMesh, select,
+           order: int = 4) -> DiscreteTrajectory:
+    """Explicit steps x_{j+1} = x_j + h_j v_j from x_0.
+
+    ``select(j, x_j, w_j)`` picks the velocity v_j given the node state and
+    the frozen-node memory average w_j of the states so far.
+    """
+    k, n = mesh.k, problem.dim
     states = np.empty((k + 1, n))
     vels = np.empty((k, n))
     ws = np.empty((k, n))
     states[0] = problem.x0
-    if constant_deviation is None:
-        constant_deviation = np.zeros(n)
-    # keep the step feasible even if the requested deviation leaves the body
-    constant_deviation = problem.fmap.project_body(
-        np.atleast_1d(np.asarray(constant_deviation, dtype=float)))
     for j in range(k):
-        t_j = mesh.nodes[j]
-        w_j = kernel_average_w(problem.kernel, mesh, states[:j + 1], j)
-        if policy == "min_norm":
-            _, proj = distance_and_projection(problem.fmap, t_j, states[j], -w_j)
-            v_j = proj + w_j
-        elif policy == "extreme":
-            v_j = problem.fmap.sample_extreme(t_j, states[j], rng) + w_j
-        else:
-            v_j = problem.fmap.center(t_j, states[j]) + constant_deviation + w_j
+        w_j = kernel_average_w(problem.kernel, mesh, states[:j + 1], j, order)
+        v_j = select(j, states[j], w_j)
         states[j + 1] = states[j] + mesh.steps[j] * v_j
         vels[j] = v_j
         ws[j] = w_j
@@ -184,6 +193,37 @@ def _deriv_of(arc):
     raise TypeError("reference arc needs a derivative oracle")
 
 
+class _ReferenceSamples(NamedTuple):
+    """An arc at every cell Gauss point, each array of shape (k, order[, n])."""
+
+    pts: np.ndarray
+    wts: np.ndarray
+    x: np.ndarray
+    dx: np.ndarray
+    y: np.ndarray       # the memory accumulator int_0^s g(s, r, x(r)) dr
+    defect: np.ndarray  # dist(x'(s) - y(s); F(s, x(s)))
+
+    @property
+    def residual(self) -> float:
+        return math.sqrt(_sq_integral(self.wts, self.defect[..., None]))
+
+
+def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh,
+                      order: int) -> _ReferenceSamples:
+    dx_of = _deriv_of(arc)
+    pts, wts = cell_gauss_points(mesh, order)
+    x = _cell_samples(mesh, arc, order)
+    dx = _cell_samples(mesh, dx_of, order)
+    y = _cell_samples(
+        mesh, lambda s: continuous_accumulator(problem.kernel, arc, s), order)
+    n = x.shape[-1]
+    defect = np.array([
+        distance_and_projection(problem.fmap, s, xs, us)[0]
+        for s, xs, us in zip(pts.ravel(), x.reshape(-1, n), (dx - y).reshape(-1, n))
+    ]).reshape(pts.shape)
+    return _ReferenceSamples(pts, wts, x, dx, y, defect)
+
+
 def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh,
                          order: int = 4) -> float:
     """L2 norm over [0,T] of t -> dist(x'(t) - y(t); F(t, x(t))).
@@ -191,18 +231,7 @@ def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh,
     The supported value families are convex, so this is also the residual
     of the convexified inclusion.
     """
-    x_of = arc.eval if hasattr(arc, "eval") else arc
-    dx_of = _deriv_of(arc)
-    pts, wts = cell_gauss_points(mesh, order)
-    total = 0.0
-    for j in range(mesh.k):
-        for q in range(pts.shape[1]):
-            s = pts[j, q]
-            y_s = continuous_accumulator(problem.kernel, arc, s)
-            d, _ = distance_and_projection(problem.fmap, s, x_of(s),
-                                           np.atleast_1d(dx_of(s)) - y_s)
-            total += wts[j, q] * d * d
-    return float(np.sqrt(max(total, 0.0)))
+    return _sample_reference(problem, arc, mesh, order).residual
 
 
 def localization_check(candidate, reference, eps: float, mesh: TimeMesh,
@@ -226,106 +255,66 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
     memory averages along the reference nodes, then steps the recursion
     where each velocity is the projection of (average - memory average)
     onto the velocity set shifted by the trajectory's own memory term.
-    Returns the trajectory and the error report.
+    Returns the trajectory and the error report.  The reference is sampled
+    once at the cell Gauss points; the feasibility gate and the report
+    reduce the same samples.
     """
-    x_of = reference.eval if hasattr(reference, "eval") else reference
-    _deriv_of(reference)  # fail early: the report needs the derivative oracle
-    kernel: VolterraKernel = problem.kernel
-    k, n = mesh.k, problem.dim
-    nodes = mesh.nodes
-    steps = mesh.steps
-
-    defect = feasibility_residual(problem, reference, mesh, order=order)
-    if defect > feas_tol:
+    ref = _sample_reference(problem, reference, mesh, order)
+    if ref.residual > feas_tol:
         raise InfeasibleReferenceError(
-            f"reference arc has inclusion residual {defect:.3e} > {feas_tol:.1e}")
+            f"reference arc has inclusion residual {ref.residual:.3e} > {feas_tol:.1e}")
 
-    ref_nodes = np.array([np.atleast_1d(x_of(t)) for t in nodes])
+    ref_nodes = _node_samples(mesh, reference)
     if np.linalg.norm(ref_nodes[0] - problem.x0) > 1e-9:
         raise InfeasibleReferenceError("reference arc does not start at x0")
 
     # exact cell averages of the reference derivative
-    a = np.diff(ref_nodes, axis=0) / steps[:, None]
+    a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
     # memory averages frozen along the reference nodes
-    b = np.array([kernel_average_w(kernel, mesh, ref_nodes, j, order)
-                  for j in range(k)])
+    b = np.array([kernel_average_w(problem.kernel, mesh, ref_nodes, j, order)
+                  for j in range(mesh.k)])
 
-    states = np.empty((k + 1, n))
-    vels = np.empty((k, n))
-    ws = np.empty((k, n))
-    states[0] = problem.x0
-    for j in range(k):
-        w_j = kernel_average_w(kernel, mesh, states[:j + 1], j, order)
-        _, proj = distance_and_projection(problem.fmap, nodes[j], states[j],
-                                          a[j] - b[j])
-        v_j = proj + w_j
-        states[j + 1] = states[j] + steps[j] * v_j
-        vels[j] = v_j
-        ws[j] = w_j
-    traj = DiscreteTrajectory(mesh, states, vels, ws)
-
-    report = _error_report(problem, reference, mesh, traj, a, b,
-                           order=order, tau_f=tau_f)
+    traj = _march(problem, mesh, lambda j, x, w: distance_and_projection(
+        problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, order)
+    report = _error_report(problem, reference, mesh, traj, a, b, ref_nodes,
+                           ref, order=order, tau_f=tau_f)
     return traj, report
 
 
-def _error_report(problem, reference, mesh, traj, a, b, order=4, tau_f=None):
-    x_of = reference.eval if hasattr(reference, "eval") else reference
-    dx_of = _deriv_of(reference)
-    kernel = problem.kernel
+def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref,
+                  order=4, tau_f=None):
     T = mesh.horizon
     h_max = mesh.max_step
     l_f, alpha = problem.l_F, problem.alpha
     if tau_f is None:
         tau_f = estimate_tau(problem, h_max)
+    wts = ref.wts
 
-    pts, wts = cell_gauss_points(mesh, order)
     # step-density error of the cell averages
-    xi_sq = 0.0
-    for j in range(mesh.k):
-        for q in range(pts.shape[1]):
-            d = a[j] - np.atleast_1d(dx_of(pts[j, q]))
-            xi_sq += wts[j, q] * float(d @ d)
-    xi_k = math.sqrt(max(T * xi_sq, 0.0))
+    da = a[:, None] - ref.dx
+    xi_k = math.sqrt(T * _sq_integral(wts, da))
 
-    c_int = 0.0
-    c_sq_int = 0.0
-    nu_k = 0.0
-    deriv_sq = 0.0
-    defect_sq = 0.0
-    for j in range(mesh.k):
-        h_j = mesh.steps[j]
-        t_j = mesh.nodes[j]
-        const = (2.0 * l_f + alpha * T + alpha * h_j / 2.0) * xi_k + tau_f
-        for q in range(pts.shape[1]):
-            s = pts[j, q]
-            dx_s = np.atleast_1d(dx_of(s))
-            y_s = continuous_accumulator(kernel, reference, s)
-            defect_s, _ = distance_and_projection(problem.fmap, s, x_of(s),
-                                                  dx_s - y_s)
-            c_s = (2.0 * np.linalg.norm(a[j] - dx_s)
-                   + np.linalg.norm(b[j] - y_s)
-                   + l_f * (s - t_j) * np.linalg.norm(a[j])
-                   + const + defect_s)
-            c_int += wts[j, q] * c_s
-            c_sq_int += wts[j, q] * c_s * c_s
-            dv = traj.velocities[j] - dx_s
-            nu_k += wts[j, q] * float(np.linalg.norm(dv))
-            deriv_sq += wts[j, q] * float(dv @ dv)
-            defect_sq += wts[j, q] * defect_s * defect_s
+    const = (2.0 * l_f + alpha * T + alpha * mesh.steps / 2.0) * xi_k + tau_f
+    c = (2.0 * np.linalg.norm(da, axis=-1)
+         + np.linalg.norm(b[:, None] - ref.y, axis=-1)
+         + l_f * (ref.pts - mesh.nodes[:-1, None]) * np.linalg.norm(a, axis=-1)[:, None]
+         + const[:, None] + ref.defect)
+    c_int = float(np.sum(wts * c))
+    c_sq_int = float(np.sum(wts * c * c))
+    dv = traj.velocities[:, None] - ref.dx
+    nu_k = float(np.sum(wts * np.linalg.norm(dv, axis=-1)))
 
     zeta_k = c_int * math.exp(alpha * T * T / 2.0 + T * (l_f + 1.5 * alpha * h_max))
     beta_k = c_sq_int + T * (l_f + 2.0 * alpha * T + alpha * h_max / 2.0) ** 2 * zeta_k ** 2
 
-    nodal = max(float(np.linalg.norm(traj.states[j] - x_of(mesh.nodes[j])))
-                for j in range(mesh.k + 1))
+    nodal = float(np.linalg.norm(traj.states - ref_nodes, axis=1).max())
     arc = traj.arc()
     sup_err = sup_distance(mesh, arc, reference)
-    state_l2 = l2_distance(mesh, arc, reference, order)
+    state_l2 = math.sqrt(_sq_integral(wts, _cell_samples(mesh, arc, order) - ref.x))
 
     return ApproximationErrorReport(
         k=mesh.k, h_max=h_max, xi_k=xi_k, zeta_k=zeta_k, beta_k=beta_k,
         nu_k=nu_k, tau_f=tau_f, c_integral=c_int, c_sq_integral=c_sq_int,
-        reference_defect=float(math.sqrt(max(defect_sq, 0.0))),
-        nodal_sup_error=nodal, sup_error=sup_err, state_l2_error=state_l2,
-        deriv_l2_error=float(math.sqrt(max(deriv_sq, 0.0))))
+        reference_defect=ref.residual, nodal_sup_error=nodal,
+        sup_error=sup_err, state_l2_error=state_l2,
+        deriv_l2_error=math.sqrt(_sq_integral(wts, dv)))

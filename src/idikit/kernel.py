@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import TimeMesh, PiecewiseLinearArc, interval_gauss_points
+from .mesh import TimeMesh, PiecewiseLinearArc, _node_samples, interval_gauss_points
 from .setvalued import _fd_jacobian
 
 __all__ = [
@@ -272,15 +272,28 @@ class QuadratureTensors:
     xi: np.ndarray       # (k+1, k, n, n), rows 0 and k zero
     mu: np.ndarray       # (k, n, n)
 
+    def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
+        """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
+        steps m, weighted by r (shape (k, n)), depends on node j."""
+        return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
+
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
                      velocities, reference_arc,
                      order: int = DEFAULT_ORDER) -> QuadratureTensors:
+    """w, theta, xi and mu at the given trajectory.
+
+    ``reference_arc`` may also be given by its nodal values, shape (k+1, n);
+    theta needs nothing else of it.
+    """
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
     k, n = mesh.k, states.shape[1]
     w = assemble_w(kernel, mesh, states, order)
-    theta = np.array([theta_vector(mesh, velocities, reference_arc, j)
-                      for j in range(k)])
+    ref_nodes = reference_arc if isinstance(reference_arc, np.ndarray) \
+        else _node_samples(mesh, reference_arc)
+    # theta_vector for every cell at once
+    v = np.atleast_2d(np.asarray(velocities, dtype=float))
+    theta = mesh.steps[:, None] * v - np.diff(ref_nodes, axis=0)
     xi = np.zeros((k + 1, k, n, n))
     mu = np.zeros((k, n, n))
     if not kernel.is_zero:

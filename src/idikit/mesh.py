@@ -243,6 +243,29 @@ def cell_gauss_points(mesh: TimeMesh, order: int = DEFAULT_QUAD_ORDER):
     return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:], order)
 
 
+def _node_samples(mesh: TimeMesh, f: ArcLike) -> np.ndarray:
+    """f evaluated once at every mesh node, shape (k+1, n)."""
+    f = _as_callable(f)
+    return np.array([np.atleast_1d(f(t)) for t in mesh.nodes])
+
+
+def _cell_samples(mesh: TimeMesh, f: ArcLike,
+                  order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
+    """f evaluated once at every cell Gauss point, shape (k, order, n).
+
+    Every cell-quadrature functional is a weighted reduction of such samples
+    against the weights of :func:`cell_gauss_points`.
+    """
+    f = _as_callable(f)
+    pts, _ = cell_gauss_points(mesh, order)
+    return np.array([[np.atleast_1d(f(s)) for s in row] for row in pts])
+
+
+def _sq_integral(wts: np.ndarray, d: np.ndarray) -> float:
+    """Cell quadrature of |d|^2 from samples d of shape (k, order, n)."""
+    return float(np.sum(wts * np.sum(d * d, axis=-1)))
+
+
 def average_operator(mesh: TimeMesh, y: ArcLike,
                      order: int = DEFAULT_QUAD_ORDER) -> PiecewiseConstantArc:
     """Cellwise mean of y: value on cell j is (1/h_j) * integral of y over it.
@@ -250,26 +273,17 @@ def average_operator(mesh: TimeMesh, y: ArcLike,
     Linear in y.  Gauss-Legendre of the given order per cell, so exact for
     polynomial integrands of degree <= 2*order - 1.
     """
-    f = _as_callable(y)
-    pts, wts = cell_gauss_points(mesh, order)
-    rows = []
-    for j in range(mesh.k):
-        acc = sum(wts[j, q] * f(pts[j, q]) for q in range(pts.shape[1]))
-        rows.append(np.atleast_1d(acc) / mesh.steps[j])
-    return PiecewiseConstantArc(mesh, np.asarray(rows))
+    _, wts = cell_gauss_points(mesh, order)
+    sums = np.einsum("kq,kqn->kn", wts, _cell_samples(mesh, y, order))
+    return PiecewiseConstantArc(mesh, sums / mesh.steps[:, None])
 
 
 def l2_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
                 order: int = DEFAULT_QUAD_ORDER) -> float:
     """sqrt(integral over [0,T] of |a - b|^2) by composite cell quadrature."""
-    fa, fb = _as_callable(a), _as_callable(b)
-    pts, wts = cell_gauss_points(mesh, order)
-    total = 0.0
-    for j in range(mesh.k):
-        for q in range(pts.shape[1]):
-            d = fa(pts[j, q]) - fb(pts[j, q])
-            total += wts[j, q] * float(np.dot(d, d))
-    return float(np.sqrt(max(total, 0.0)))
+    _, wts = cell_gauss_points(mesh, order)
+    d = _cell_samples(mesh, a, order) - _cell_samples(mesh, b, order)
+    return float(np.sqrt(_sq_integral(wts, d)))
 
 
 def sup_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,

@@ -2,13 +2,20 @@
 
 One copy of each brute-force oracle: the Gronwall equality cases, one
 instance at a time (the batched oracles in ``idikit.gronwall`` must agree
-with them), and the objective-only gradient and minimizer of the Bolza
-problem.
+with them); the objective-only gradient and minimizer of the Bolza problem;
+the cell-quadrature functionals walked one Gauss point at a time (the
+package samples each mesh once and reduces arrays); and the memory coupling
+sum of the backward sweeps, one later step at a time.
 """
+
+import math
 
 import numpy as np
 
 from idikit.bolza import ControlParameterization, _objective
+from idikit.kernel import continuous_accumulator, kernel_average_w
+from idikit.mesh import cell_gauss_points, sup_distance
+from idikit.setvalued import distance_and_projection
 
 
 def forward_recursion(e0, sigma, rho, gamma):
@@ -100,3 +107,121 @@ def quadratic_oracle(dbp, controls0):
             H[i, j] = H[j, i] = fij - fp[i] - fp[j] + f0
     sol = base + np.linalg.solve(H, -g)
     return ControlParameterization(sol.reshape(k, n))
+
+
+# --- cell quadrature, one Gauss point at a time -------------------------------
+
+def _f(arc):
+    return arc.eval if hasattr(arc, "eval") else arc
+
+
+def l2_distance(mesh, a, b, order=4):
+    fa, fb = _f(a), _f(b)
+    pts, wts = cell_gauss_points(mesh, order)
+    total = 0.0
+    for j in range(mesh.k):
+        for q in range(pts.shape[1]):
+            d = np.atleast_1d(fa(pts[j, q])) - np.atleast_1d(fb(pts[j, q]))
+            total += wts[j, q] * float(np.dot(d, d))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def average_values(mesh, y, order=4):
+    """Cell values of the cellwise mean of y, shape (k, n)."""
+    f = _f(y)
+    pts, wts = cell_gauss_points(mesh, order)
+    rows = []
+    for j in range(mesh.k):
+        acc = sum(wts[j, q] * np.atleast_1d(f(pts[j, q])) for q in range(pts.shape[1]))
+        rows.append(acc / mesh.steps[j])
+    return np.array(rows)
+
+
+def feasibility_residual(problem, arc, mesh, order=4):
+    x_of, dx_of = _f(arc), arc.derivative
+    pts, wts = cell_gauss_points(mesh, order)
+    total = 0.0
+    for j in range(mesh.k):
+        for q in range(pts.shape[1]):
+            s = pts[j, q]
+            y_s = continuous_accumulator(problem.kernel, arc, s)
+            d, _ = distance_and_projection(problem.fmap, s, x_of(s),
+                                           np.atleast_1d(dx_of(s)) - y_s)
+            total += wts[j, q] * d * d
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def tracking_term(dbp, traj, order=4):
+    dref = dbp.reference.derivative
+    pts, wts = cell_gauss_points(dbp.mesh, order)
+    acc = 0.0
+    for j in range(dbp.mesh.k):
+        for q in range(pts.shape[1]):
+            d = traj.velocities[j] - np.atleast_1d(dref(pts[j, q]))
+            acc += wts[j, q] * float(d @ d)
+    return acc
+
+
+def error_report(problem, reference, mesh, traj, tau_f, order=4):
+    """Every field of ``approximate_arc``'s report for the trajectory, as a
+    dict, with the reference re-evaluated at each Gauss point it needs."""
+    x_of, dx_of = _f(reference), reference.derivative
+    kernel = problem.kernel
+    T = mesh.horizon
+    h_max = mesh.max_step
+    l_f, alpha = problem.l_F, problem.alpha
+    ref_nodes = np.array([np.atleast_1d(x_of(t)) for t in mesh.nodes])
+    a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
+    b = np.array([kernel_average_w(kernel, mesh, ref_nodes, j, order)
+                  for j in range(mesh.k)])
+
+    pts, wts = cell_gauss_points(mesh, order)
+    xi_sq = 0.0
+    for j in range(mesh.k):
+        for q in range(pts.shape[1]):
+            d = a[j] - np.atleast_1d(dx_of(pts[j, q]))
+            xi_sq += wts[j, q] * float(d @ d)
+    xi_k = math.sqrt(max(T * xi_sq, 0.0))
+
+    c_int = c_sq_int = nu_k = deriv_sq = defect_sq = 0.0
+    for j in range(mesh.k):
+        h_j = mesh.steps[j]
+        t_j = mesh.nodes[j]
+        const = (2.0 * l_f + alpha * T + alpha * h_j / 2.0) * xi_k + tau_f
+        for q in range(pts.shape[1]):
+            s = pts[j, q]
+            dx_s = np.atleast_1d(dx_of(s))
+            y_s = continuous_accumulator(kernel, reference, s)
+            defect_s, _ = distance_and_projection(problem.fmap, s, x_of(s),
+                                                  dx_s - y_s)
+            c_s = (2.0 * np.linalg.norm(a[j] - dx_s)
+                   + np.linalg.norm(b[j] - y_s)
+                   + l_f * (s - t_j) * np.linalg.norm(a[j])
+                   + const + defect_s)
+            c_int += wts[j, q] * c_s
+            c_sq_int += wts[j, q] * c_s * c_s
+            dv = traj.velocities[j] - dx_s
+            nu_k += wts[j, q] * float(np.linalg.norm(dv))
+            deriv_sq += wts[j, q] * float(dv @ dv)
+            defect_sq += wts[j, q] * defect_s * defect_s
+
+    zeta_k = c_int * math.exp(alpha * T * T / 2.0 + T * (l_f + 1.5 * alpha * h_max))
+    beta_k = c_sq_int + T * (l_f + 2.0 * alpha * T + alpha * h_max / 2.0) ** 2 * zeta_k ** 2
+    arc = traj.arc()
+    return dict(
+        k=mesh.k, h_max=h_max, xi_k=xi_k, zeta_k=zeta_k, beta_k=beta_k,
+        nu_k=nu_k, tau_f=tau_f, c_integral=c_int, c_sq_integral=c_sq_int,
+        reference_defect=math.sqrt(max(defect_sq, 0.0)),
+        nodal_sup_error=max(float(np.linalg.norm(traj.states[j] - x_of(mesh.nodes[j])))
+                            for j in range(mesh.k + 1)),
+        sup_error=sup_distance(mesh, arc, reference),
+        state_l2_error=l2_distance(mesh, arc, reference, order),
+        deriv_l2_error=math.sqrt(max(deriv_sq, 0.0)))
+
+
+def memory_coupling(xi, j, r):
+    """sum over the later steps m = j+1..k-1 of xi[m, j] @ r[m]."""
+    acc = np.zeros(xi.shape[-1])
+    for m in range(j + 1, xi.shape[1]):
+        acc = acc + xi[m, j] @ r[m]
+    return acc

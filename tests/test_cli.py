@@ -186,6 +186,66 @@ def test_audit_failure_matches_scalar_loop(tmp_path, monkeypatch):
     assert rec["suites"]["gronwall_backward"]["violations"] == bad
 
 
+MEMORY = """
+[problem]
+name = memory_control
+inline = true
+dim = 2
+variant = ball
+radius = 1.5
+drift = rotation
+drift_scale = 0.2
+kernel = identity_decay
+kernel_rate = 1.0
+x0 = 1 0
+horizon = 1.0
+state_box_lo = -4 -4
+state_box_hi = 4 4
+
+[meshes]
+k = 8
+
+[audit]
+n_instances = 5
+policies = constant
+mesh_k = 8
+
+[run]
+seed = 4
+output_dir = {out}
+label = mem
+"""
+
+
+def test_audit_constants_carry_their_own_witness_times(tmp_path):
+    # m_F peaks with |x|, beta with |g|/(1+|x|), alpha as t - s -> 0, and
+    # l_F is constant (first sample): four suprema at four sampled times
+    cfgp = _write(tmp_path, MEMORY.format(out=tmp_path / "out"))
+    main(["audit", cfgp])
+    problem = load_config(cfgp).entry.problem
+    rng = np.random.default_rng(4)
+    lo, hi = problem.state_box
+    worst, when = [0.0] * 4, [0.0] * 4
+    for _ in range(256):
+        t = rng.uniform(0, problem.horizon)
+        s = rng.uniform(0, t) if t > 0 else 0.0
+        x = rng.uniform(lo, hi)
+        vals = (np.linalg.norm(problem.fmap.center(t, x)) + problem.fmap.body_radius(),
+                np.linalg.norm(problem.fmap.jacobian(t, x), 2),
+                np.linalg.norm(problem.kernel.eval(t, s, x)) / (1.0 + np.linalg.norm(x)),
+                np.linalg.norm(problem.kernel.jac(t, s, x), 2))
+        for i, v in enumerate(vals):
+            if v > worst[i]:
+                worst[i], when[i] = v, t
+    assert len(set(when)) == 4
+    lines = (tmp_path / "out" / "mem_audit.csv").read_text().splitlines()
+    rows = {ln.split(",")[0]: ln.split(",") for ln in lines[2:]}
+    labels = ("constant_m_F", "constant_l_F", "constant_beta", "constant_alpha")
+    for label, v, t in zip(labels, worst, when):
+        assert float(rows[label][3]) == pytest.approx(v, rel=1e-15)
+        assert float(rows[label][5]) == t
+
+
 def test_simulate_outputs(tmp_path):
     cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out"))
     assert main(["simulate", cfgp]) == 0

@@ -1,0 +1,163 @@
+"""One sampling of each mesh's Gauss points, held to the per-point oracles.
+
+The package evaluates a reference once at every cell Gauss point and turns
+each quadrature functional into an array reduction; ``oracles.py`` keeps the
+walks that evaluate everything again at every point.  The two must agree to
+1e-12 relative, and a value the oracle gives as exactly 0.0 must stay 0.0.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from idikit import catalog
+from idikit.bolza import (ControlParameterization, SolveOptions, _tracking_term,
+                          build_discrete_problem, forward_trajectory, solve_Pk)
+from idikit.conditions import adjoint_solve_smooth, build_condition_report
+from idikit.config import load_config
+from idikit.dynamics import approximate_arc, feasibility_residual, simulate
+from idikit.kernel import assemble_tensors
+from idikit.mesh import TimeMesh, average_operator, l2_distance
+from idikit.problem import CallableArc
+
+CATALOG = ("cos_t", "damped_volterra", "ball_control_lq", "polytope_endpoint")
+RTOL = 1e-12
+
+# the README's inline example: identity_decay memory at dim 2, a ball of
+# velocities around a rotation drift
+INLINE = """[problem]
+name = memory_control
+inline = true
+dim = 2
+variant = ball
+radius = 1.5
+drift = rotation
+drift_scale = 0.2
+kernel = identity_decay
+kernel_rate = 1.0
+x0 = 1 0
+horizon = 1.0
+state_box_lo = -4 -4
+state_box_hi = 4 4
+terminal = quadratic
+terminal_target = 0 0
+running = quadratic
+"""
+
+
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    """name -> (problem, reference arc with a derivative oracle)."""
+    out = {name: (catalog.get(name).problem, catalog.get(name).reference)
+           for name in CATALOG}
+    ini = tmp_path_factory.mktemp("inline") / "memory.ini"
+    ini.write_text(INLINE, encoding="utf-8")
+    prob = load_config(str(ini)).entry.problem
+    # a simulated reference: piecewise linear, feasible
+    out["identity_decay"] = (prob, simulate(prob, TimeMesh.uniform(48, 1.0)).arc())
+    # an arc that leaves the velocity set: the defect integrand is nonzero
+    out["infeasible"] = (prob, CallableArc(
+        lambda t: np.array([1.0 + 2.0 * t, np.sin(3.0 * t)]),
+        lambda t: np.array([2.0, 3.0 * np.cos(3.0 * t)])))
+    return out
+
+
+def _meshes(horizon, seed):
+    rng = np.random.default_rng(seed)
+    inner = np.sort(rng.uniform(0.0, horizon, 8))
+    return [TimeMesh.uniform(12, horizon),
+            TimeMesh.from_nodes(np.concatenate([[0.0], inner, [horizon]]))]
+
+
+def _close(new, old):
+    if old == 0.0:
+        return new == 0.0
+    return abs(new - old) <= RTOL * abs(old)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("identity_decay", "infeasible"))
+def test_error_report_matches_pointwise_oracle(cases, name):
+    problem, ref = cases[name]
+    for mesh in _meshes(problem.horizon, seed=len(name)):
+        traj, rep = approximate_arc(problem, ref, mesh, feas_tol=np.inf,
+                                    tau_f=0.05)
+        want = oracles.error_report(problem, ref, mesh, traj, tau_f=0.05)
+        for field, old in want.items():
+            assert _close(getattr(rep, field), old), (field, getattr(rep, field), old)
+        # the gate and the report share one walk: the same number, bit for bit
+        gate = feasibility_residual(problem, ref, mesh)
+        assert rep.reference_defect == gate
+        assert _close(gate, oracles.feasibility_residual(problem, ref, mesh))
+        assert (gate > 0.1) == (name == "infeasible")
+
+
+@pytest.mark.parametrize("name", CATALOG + ("identity_decay",))
+def test_tracking_term_and_reference_nodes_match_oracle(cases, name):
+    problem, ref = cases[name]
+    for mesh in _meshes(problem.horizon, seed=3 + len(name)):
+        traj, rep = approximate_arc(problem, ref, mesh, feas_tol=np.inf,
+                                    tau_f=0.0)
+        dbp, c0, _, _ = build_discrete_problem(problem, mesh, ref,
+                                               precomputed=(traj, rep))
+        rng = np.random.default_rng(5)
+        bumped = ControlParameterization(
+            c0.u + 0.1 * rng.standard_normal(c0.u.shape)).projected(dbp)
+        for tr in (traj, forward_trajectory(dbp, bumped)):
+            assert _close(_tracking_term(dbp, tr), oracles.tracking_term(dbp, tr))
+        nodes = np.array([np.atleast_1d(ref(t)) for t in mesh.nodes])
+        assert np.array_equal(dbp.reference_nodes(), nodes)
+
+
+def test_mesh_reductions_match_pointwise_oracle():
+    rng = np.random.default_rng(11)
+    funcs = [lambda t: np.array([np.sin(3.0 * t)]),
+             lambda t: np.array([np.exp(-t), t ** 5 - t]),
+             lambda t: np.array([1.0, 0.0])]
+    for _ in range(4):
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 9)), [2.0]])
+        mesh = TimeMesh.from_nodes(nodes)
+        for order in (2, 4):
+            for f, g in zip(funcs, funcs[1:] + funcs[:1]):
+                if f(0.0).size != g(0.0).size:
+                    continue
+                assert _close(l2_distance(mesh, f, g, order),
+                              oracles.l2_distance(mesh, f, g, order))
+            for f in funcs:
+                assert l2_distance(mesh, f, f, order) == 0.0
+                got = average_operator(mesh, f, order).values
+                want = oracles.average_values(mesh, f, order)
+                assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ("damped_volterra", "identity_decay"))
+def test_memory_coupling_matches_loop(cases, name):
+    problem, ref = cases[name]
+    mesh = _meshes(problem.horizon, seed=7)[1]
+    traj, _ = approximate_arc(problem, ref, mesh, feas_tol=np.inf, tau_f=0.0)
+    tensors = assemble_tensors(problem.kernel, mesh, traj.states,
+                               traj.velocities, ref)
+    r = np.random.default_rng(2).standard_normal((mesh.k, problem.dim))
+    for j in range(mesh.k):
+        want = oracles.memory_coupling(tensors.xi, j, r)
+        got = tensors.coupling(j, r)
+        assert np.abs(got - want).max() <= RTOL * max(np.abs(want).max(), 1e-300)
+    assert np.any(tensors.xi != 0.0)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_single_cell_pipeline(name):
+    # k = 1: approximation, solve and condition report on one cell
+    entry = catalog.get(name)
+    mesh = TimeMesh.uniform(1, entry.problem.horizon)
+    traj0, rep = approximate_arc(entry.problem, entry.reference, mesh)
+    dbp, c0, _, _ = build_discrete_problem(entry.problem, mesh, entry.reference,
+                                           precomputed=(traj0, rep))
+    traj, _, log = solve_Pk(dbp, c0, SolveOptions(max_iter=200))
+    mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=log.endpoint_normal)
+    crep = build_condition_report(dbp, traj, mult, x_arc=entry.reference)
+    assert log.stationary
+    assert rep.dominates()
+    assert crep.el_residuals.shape == (1,) and crep.volterra_residuals.shape == (1,)
+    assert np.isfinite([rep.zeta_k, rep.beta_k, crep.el_max, crep.volterra_median,
+                        crep.transversality]).all()
+    assert crep.nontriviality == pytest.approx(1.0, abs=1e-12)
