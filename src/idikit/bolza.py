@@ -25,6 +25,7 @@ from .kernel import assemble_tensors
 from .mesh import (TimeMesh, _cell_samples, _node_samples, _sq_integral,
                    cell_gauss_points)
 from .problem import InflatedSet, ProblemData
+from .setvalued import _norm
 
 __all__ = [
     "DiscreteBolzaProblem",
@@ -80,9 +81,7 @@ class ControlParameterization:
     u: np.ndarray  # (k, n)
 
     def projected(self, problem: DiscreteBolzaProblem) -> "ControlParameterization":
-        body = problem.base.fmap
-        return ControlParameterization(
-            np.array([body.project_body(row) for row in self.u]))
+        return ControlParameterization(problem.base.fmap.project_body(self.u))
 
 
 def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
@@ -122,7 +121,8 @@ def forward_trajectory(problem: DiscreteBolzaProblem,
     """Evaluate the dynamics for given controls; feasibility is exact."""
     center, t = problem.base.fmap.center, problem.mesh.nodes
     return _march(problem.base, problem.mesh,
-                  lambda j, x, w: center(t[j], x) + controls.u[j] + w)
+                  lambda j, x, w: center(t[j], x) + controls.u[j] + w,
+                  "forward_trajectory")
 
 
 def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
@@ -237,14 +237,9 @@ class SolveLog:
 
 
 def _scaled_projected_gradient_norm(problem, controls, grad):
-    body = problem.base.fmap
-    h = problem.mesh.steps
-    worst = 0.0
-    for j in range(problem.mesh.k):
-        step = controls.u[j] - grad[j] / h[j]
-        worst = max(worst, float(np.linalg.norm(
-            controls.u[j] - body.project_body(step))))
-    return worst
+    step = controls.u - grad / problem.mesh.steps[:, None]
+    gap = controls.u - problem.base.fmap.project_body(step)
+    return float(_norm(gap).max())
 
 
 def _trust_region_ok(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
@@ -291,10 +286,8 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             accepted = False
             trial_alpha = alpha
             for _bt in range(opts.max_backtracks):
-                cand_u = np.array([body.project_body(controls.u[j]
-                                                     - trial_alpha * grad[j] / h[j])
-                                   for j in range(problem.mesh.k)])
-                cand = ControlParameterization(cand_u)
+                cand = ControlParameterization(body.project_body(
+                    controls.u - trial_alpha * grad / h[:, None]))
                 slope = float(np.sum(grad * (cand.u - controls.u)))
                 cand_obj, cand_traj = _objective(problem, cand, rho)
                 tube_ok, budget_ok, _, _ = _trust_region_ok(problem, cand_traj)

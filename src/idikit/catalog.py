@@ -61,8 +61,7 @@ def _quadratic_running(cx: float, cv: float) -> RunningCost:
 
 
 def _zero_drift():
-    return Singleton(lambda t, x: np.zeros_like(np.atleast_1d(x)),
-                     jac=lambda t, x: np.zeros((np.atleast_1d(x).size,) * 2))
+    return Singleton.linear(np.zeros((1, 1)))
 
 
 def _cos_t(T: float = 1.0) -> CatalogEntry:
@@ -102,14 +101,12 @@ def _damped_volterra(T: float = 2.0) -> CatalogEntry:
 _ROT = 0.3  # drift strength shared by the two controlled benchmarks
 
 
-def _rotation(scale: float):
-    A = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return A, (lambda t, x: A @ np.atleast_1d(x)), (lambda t, x: A)
+def _rotation(scale: float) -> np.ndarray:
+    return scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _ball_control_lq(T: float = 1.0, radius: float = 2.0) -> CatalogEntry:
-    A, f, jac = _rotation(_ROT)
-    fmap = BallOffset(f, radius, jac=jac)
+    fmap = BallOffset.linear(_rotation(_ROT), radius)
     box = (np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     m_f = _ROT * 5.0 * math.sqrt(2.0) + radius  # sup |Ax| over the box + r
     problem = ProblemData(
@@ -125,9 +122,9 @@ def _ball_control_lq(T: float = 1.0, radius: float = 2.0) -> CatalogEntry:
 
 
 def _polytope_endpoint(T: float = 1.0) -> CatalogEntry:
-    A, f, jac = _rotation(0.2)
+    A = _rotation(0.2)
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    fmap = PolytopeOffset(f, verts, jac=jac)
+    fmap = PolytopeOffset.linear(A, verts)
     dev = np.array([0.45, 0.45])  # interior deviation of the simplex
 
     # x' = A x + dev with x(0) = 0 keeps x' - A x == dev in the simplex, so

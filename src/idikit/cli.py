@@ -8,7 +8,8 @@ grammar):
     simulate   <config>   time stepping under each selection policy
     conditions <config>   multiplier recovery and residual report per mesh
 
-Exit codes: 0 success, 1 audit/condition failure, 2 config error.  Output is
+Exit codes: 0 success, 1 audit/condition failure, 2 config error, 3 a state
+that became non-finite (the message names the stage and node).  Output is
 one CSV (schema tagged in a leading comment line) plus one JSON run record
 per invocation; identical config + seed reproduce the CSV byte for byte.
 """
@@ -27,7 +28,8 @@ from . import __version__
 from .bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
 from .conditions import adjoint_solve_smooth, build_condition_report
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import approximate_arc, feasibility_residual, simulate
+from .dynamics import (NonFiniteStateError, approximate_arc,
+                       feasibility_residual, simulate)
 from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
@@ -389,19 +391,27 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        return _run(args.command, cfg)
+    except NonFiniteStateError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(command: str, cfg: ExperimentConfig) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{cfg.label}_{args.command}"
+    stem = f"{cfg.label}_{command}"
     started = time.perf_counter()
     status = 0
 
-    if args.command == "converge":
+    if command == "converge":
         rows, meta = run_convergence_study(cfg)
         _write_csv(outdir / f"{stem}.csv", CONVERGE_COLUMNS, rows)
         _write_record(outdir / f"{stem}.json", "converge", cfg, rows,
                       CONVERGE_COLUMNS, {"solves": meta},
                       time.perf_counter() - started)
-    elif args.command == "audit":
+    elif command == "audit":
         columns = ("check", "scope", "status", "value", "bound", "witness_time")
         rows, failures, suites = run_bound_audit(cfg)
         _write_csv(outdir / f"{stem}.csv", columns, rows)
@@ -412,7 +422,7 @@ def main(argv=None) -> int:
             for f in failures:
                 print(f"audit failure: {f}", file=sys.stderr)
             status = 1
-    elif args.command == "simulate":
+    elif command == "simulate":
         rows, columns = run_simulate(cfg)
         _write_csv(outdir / f"{stem}.csv", columns, rows)
         _write_record(outdir / f"{stem}.json", "simulate", cfg, rows, columns,

@@ -96,34 +96,30 @@ def _build_inline_problem(parser) -> CatalogEntry:
     scale = _get(parser, sec, "drift_scale", float, default=0.0)
 
     if drift == "zero":
-        f = lambda t, x: np.zeros(dim)
-        jac = lambda t, x: np.zeros((dim, dim))
+        A = np.zeros((dim, dim))
         drift_norm = lambda box_rad: 0.0
         l_f_auto = 0.0
     elif drift == "rotation":
         if dim != 2:
             raise ConfigError("field 'problem.drift': rotation needs dim = 2")
         A = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
-        f = lambda t, x: A @ np.atleast_1d(x)
-        jac = lambda t, x: A
         drift_norm = lambda box_rad: abs(scale) * box_rad
         l_f_auto = abs(scale)
     elif drift == "scalar_linear":
         if dim != 1:
             raise ConfigError("field 'problem.drift': scalar_linear needs dim = 1")
-        f = lambda t, x: scale * np.atleast_1d(x)
-        jac = lambda t, x: np.array([[scale]])
+        A = np.array([[scale]])
         drift_norm = lambda box_rad: abs(scale) * box_rad
         l_f_auto = abs(scale)
     else:
         raise ConfigError(f"field 'problem.drift': unknown drift {drift!r}")
 
     if variant == "singleton":
-        fmap = Singleton(f, jac=jac)
+        fmap = Singleton.linear(A)
         body_rad = 0.0
     elif variant == "ball":
         radius = _get(parser, sec, "radius", float, required=True)
-        fmap = BallOffset(f, radius, jac=jac)
+        fmap = BallOffset.linear(A, radius)
         body_rad = radius
     elif variant == "polytope":
         raw = _get(parser, sec, "vertices", str, required=True)
@@ -131,7 +127,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
         verts = np.array([_vector(r, "problem.vertices") for r in rows])
         if verts.shape[1] != dim:
             raise ConfigError("field 'problem.vertices': dimension mismatch")
-        fmap = PolytopeOffset(f, verts, jac=jac)
+        fmap = PolytopeOffset.linear(A, verts)
         body_rad = float(np.linalg.norm(verts, axis=1).max())
     else:
         raise ConfigError(f"field 'problem.variant': unknown variant {variant!r}")

@@ -25,6 +25,7 @@ from .problem import ProblemData
 from .setvalued import distance_and_projection, averaged_modulus
 
 __all__ = [
+    "NonFiniteStateError",
     "DiscreteTrajectory",
     "ApproximationErrorReport",
     "simulate",
@@ -39,6 +40,16 @@ POLICIES = ("min_norm", "extreme", "constant")
 
 class InfeasibleReferenceError(ValueError):
     """Reference arc violates the inclusion beyond the stated tolerance."""
+
+
+class NonFiniteStateError(ArithmeticError):
+    """A forward march produced a state, velocity or memory average that is
+    not finite; names the stage, the mesh size k, the node and its time."""
+
+    def __init__(self, stage: str, k: int, node: int, t: float):
+        super().__init__(f"{stage}: non-finite state at node {node} of k={k} "
+                         f"(t={t:.6g})")
+        self.stage, self.k, self.node, self.t = stage, k, node, t
 
 
 @dataclass(frozen=True)
@@ -79,13 +90,9 @@ class DiscreteTrajectory:
 
     def max_feasibility_defect(self, problem: ProblemData) -> float:
         """max_j dist(v_j - w_j ; F(t_j, x_j)); zero for valid trajectories."""
-        worst = 0.0
-        for j in range(self.mesh.k):
-            d, _ = distance_and_projection(problem.fmap, self.mesh.nodes[j],
-                                           self.states[j],
-                                           self.velocities[j] - self.w[j])
-            worst = max(worst, d)
-        return worst
+        d, _ = distance_and_projection(problem.fmap, self.mesh.nodes[:-1],
+                                       self.states[:-1], self.velocities - self.w)
+        return float(d.max())
 
     def w_reproduction_error(self, problem: ProblemData) -> float:
         worst = 0.0
@@ -118,15 +125,17 @@ def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
         "extreme": lambda j, x, w: fmap.sample_extreme(t[j], x, rng) + w,
         "constant": lambda j, x, w: fmap.center(t[j], x) + constant_deviation + w,
     }[policy]
-    return _march(problem, mesh, select)
+    return _march(problem, mesh, select, "simulate")
 
 
-def _march(problem: ProblemData, mesh: TimeMesh, select,
+def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
            order: int = 4) -> DiscreteTrajectory:
     """Explicit steps x_{j+1} = x_j + h_j v_j from x_0.
 
     ``select(j, x_j, w_j)`` picks the velocity v_j given the node state and
-    the frozen-node memory average w_j of the states so far.
+    the frozen-node memory average w_j of the states so far.  Raises
+    :class:`NonFiniteStateError`, naming ``stage``, at the first node j
+    whose v_j, w_j or x_{j+1} is not finite.
     """
     k, n = mesh.k, problem.dim
     states = np.empty((k + 1, n))
@@ -139,6 +148,10 @@ def _march(problem: ProblemData, mesh: TimeMesh, select,
         states[j + 1] = states[j] + mesh.steps[j] * v_j
         vels[j] = v_j
         ws[j] = w_j
+    finite = np.isfinite(states[1:]) & np.isfinite(vels) & np.isfinite(ws)
+    if not finite.all():
+        j = int(np.argmin(finite.all(axis=1)))
+        raise NonFiniteStateError(stage, k, j, float(mesh.nodes[j]))
     return DiscreteTrajectory(mesh, states, vels, ws)
 
 
@@ -217,11 +230,9 @@ def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh,
     y = _cell_samples(
         mesh, lambda s: continuous_accumulator(problem.kernel, arc, s), order)
     n = x.shape[-1]
-    defect = np.array([
-        distance_and_projection(problem.fmap, s, xs, us)[0]
-        for s, xs, us in zip(pts.ravel(), x.reshape(-1, n), (dx - y).reshape(-1, n))
-    ]).reshape(pts.shape)
-    return _ReferenceSamples(pts, wts, x, dx, y, defect)
+    defect, _ = distance_and_projection(problem.fmap, pts.ravel(), x.reshape(-1, n),
+                                        (dx - y).reshape(-1, n))
+    return _ReferenceSamples(pts, wts, x, dx, y, defect.reshape(pts.shape))
 
 
 def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh,
@@ -275,7 +286,7 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
                   for j in range(mesh.k)])
 
     traj = _march(problem, mesh, lambda j, x, w: distance_and_projection(
-        problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, order)
+        problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, "approximate_arc", order)
     report = _error_report(problem, reference, mesh, traj, a, b, ref_nodes,
                            ref, order=order, tau_f=tau_f)
     return traj, report

@@ -264,7 +264,8 @@ class QuadratureTensors:
 
     ``xi[i, j]`` holds the rectangle integral for 1 <= i <= k-1, j < i; the
     row i = k is kept and identically zero so the adjoint recursion can sum
-    to i = k without special-casing the last step.
+    to i = k without special-casing the last step.  For a zero kernel ``xi``
+    is a read-only broadcast of 0.0 that stores no array.
     """
 
     w: np.ndarray        # (k, n)
@@ -275,6 +276,8 @@ class QuadratureTensors:
     def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
         """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
         steps m, weighted by r (shape (k, n)), depends on node j."""
+        if self.xi.strides[0] == 0:  # the zero kernel's broadcast 0.0
+            return np.zeros(r.shape[1])
         return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
 
 
@@ -294,9 +297,11 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     theta = mesh.steps[:, None] * v - np.diff(ref_nodes, axis=0)
-    xi = np.zeros((k + 1, k, n, n))
     mu = np.zeros((k, n, n))
-    if not kernel.is_zero:
+    if kernel.is_zero:
+        xi = np.broadcast_to(0.0, (k + 1, k, n, n))
+    else:
+        xi = np.zeros((k + 1, k, n, n))
         for i in range(k):
             rows = _row_integrals(kernel.jac_batch_s, mesh, states, i, order)
             xi[i, :i] = rows[:i].transpose(0, 2, 1)
@@ -316,9 +321,8 @@ def continuous_accumulator(kernel: VolterraKernel, arc, t: float,
     panel count is used.
     """
     x_of = arc.eval if hasattr(arc, "eval") else arc
-    probe = np.atleast_1d(np.asarray(x_of(0.0), dtype=float))
-    if kernel.is_zero or t <= 0.0:
-        return np.zeros(probe.size)
+    if kernel.is_zero or t <= 0.0:  # the arc is evaluated only for its size
+        return np.zeros(np.atleast_1d(np.asarray(x_of(0.0), dtype=float)).size)
     if isinstance(arc, PiecewiseLinearArc):
         cuts = arc.mesh.nodes[arc.mesh.nodes < t]
         edges = np.append(cuts, t)

@@ -14,8 +14,8 @@ cone of the body P at v - f(t, x).  The coderivative at (x, v) maps u to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,11 +59,40 @@ def _fd_jacobian(f: Callable, t: float, x: np.ndarray) -> np.ndarray:
 
 
 class _OffsetMap:
-    """Common machinery for F(t,x) = f(t,x) + P."""
+    """Common machinery for F(t,x) = f(t,x) + P.
+
+    The body methods (``project_body``, ``body_distance_projection``) take
+    one point of shape (n,) or a stack of shape (N, n).
+    """
 
     def __init__(self, f: Callable, jac: Optional[Callable] = None):
         self._f = f
         self._jac = jac
+        self._linear = None
+
+    @classmethod
+    def linear(cls, A, *body) -> "_OffsetMap":
+        """F(t, x) = A x + P with Jacobian A; ``body`` is what the
+        constructor takes after the drift (nothing, a radius, or vertices).
+
+        The drift does not depend on t, so the map is autonomous by
+        construction and :func:`averaged_modulus` returns 0 without sampling.
+        """
+        A = np.array(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise SetValuedError(f"linear drift needs a square matrix, got shape {A.shape}")
+        A.setflags(write=False)
+        n = A.shape[0]
+        if not A.any():  # exact zeros: A @ x would give -0.0 for some x
+            f = lambda t, x: np.zeros(n)
+        elif n == 1:  # one product keeps the sign of zero; A @ x adds 0.0
+            a = A[0, 0]
+            f = lambda t, x: a * np.atleast_1d(x)
+        else:
+            f = lambda t, x: A @ np.atleast_1d(x)
+        fmap = cls(f, *body, jac=lambda t, x: A)
+        fmap._linear = A
+        return fmap
 
     def center(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(self._f(t, np.asarray(x, dtype=float)), dtype=float))
@@ -95,7 +124,8 @@ class Singleton(_OffsetMap):
     kind = "singleton"
 
     def body_distance_projection(self, w):
-        return float(np.linalg.norm(w)), np.zeros_like(w)
+        w = np.asarray(w, dtype=float)
+        return _norm(w), np.zeros_like(w)
 
     def body_normal_cone(self, w, tol):
         return ("subspace", None)
@@ -122,10 +152,10 @@ class BallOffset(_OffsetMap):
         self.radius = float(radius)
 
     def body_distance_projection(self, w):
-        nw = float(np.linalg.norm(w))
-        if nw <= self.radius:
-            return 0.0, np.asarray(w, dtype=float)
-        return nw - self.radius, (self.radius / nw) * np.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float)
+        nw = _norm(w)
+        scale = np.divide(self.radius, nw, out=np.ones_like(nw), where=nw > self.radius)
+        return np.maximum(nw - self.radius, 0.0), scale[..., None] * w
 
     def body_normal_cone(self, w, tol):
         nw = float(np.linalg.norm(w))
@@ -147,10 +177,7 @@ class BallOffset(_OffsetMap):
         return c + self.radius * d / nd
 
     def project_body(self, u):
-        nu = float(np.linalg.norm(u))
-        if nu <= self.radius:
-            return np.asarray(u, dtype=float)
-        return (self.radius / nu) * np.asarray(u, dtype=float)
+        return self.body_distance_projection(u)[1]
 
 
 class PolytopeOffset(_OffsetMap):
@@ -160,15 +187,18 @@ class PolytopeOffset(_OffsetMap):
 
     def __init__(self, f, vertices: Sequence[Sequence[float]], jac=None):
         super().__init__(f, jac)
-        verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+        verts = np.atleast_2d(np.array(vertices, dtype=float))
         if verts.size == 0:
             raise SetValuedError("polytope needs at least one vertex")
+        verts.setflags(write=False)
         self.vertices = verts
+        self._hull = _HullFaces(verts)
         self._facets = None
 
     def body_distance_projection(self, w):
-        proj = project_convex_hull(self.vertices, np.asarray(w, dtype=float))
-        return float(np.linalg.norm(w - proj)), proj
+        w = np.asarray(w, dtype=float)
+        proj = self._hull.project(w)
+        return _norm(w - proj), proj
 
     def _facet_system(self):
         """Outer facet normals (rows A) and offsets b with P = {A y <= b}."""
@@ -213,42 +243,82 @@ class PolytopeOffset(_OffsetMap):
         return self.center(t, x) + self.vertices[int(rng.integers(self.vertices.shape[0]))]
 
     def project_body(self, u):
-        return project_convex_hull(self.vertices, np.asarray(u, dtype=float))
+        return self._hull.project(np.asarray(u, dtype=float))
+
+
+def _norm(w: np.ndarray):
+    """Euclidean norm of a vector, or of each row of a stack.
+
+    Row by row this is bit for bit ``np.linalg.norm`` of the row.
+    """
+    return np.sqrt(np.vecdot(w, w))
+
+
+class _HullFaces:
+    """Euclidean projection onto conv(vertices), exact at desk scale.
+
+    The candidate faces are the vertex subsets of size <= n+1, by size and
+    then in ``itertools.combinations`` order; each keeps its base vertex, its
+    edge matrix and the edges' pseudo-inverse, which gives the minimum-norm
+    least-squares solution on rank-deficient subsets.  The projection lies
+    in the relative interior of some face, so it is among the affine-hull
+    projections whose barycentric coordinates are all >= -1e-10.  Faces are
+    visited in order; a candidate replaces the best so far when it is nearer
+    by more than 1e-12, or when it is within 1e-12 of the best distance and
+    lexicographically smaller.  Each face is evaluated for every row at once.
+    """
+
+    def __init__(self, vertices: np.ndarray):
+        m, n = vertices.shape
+        self._faces = []
+        for size in range(1, min(m, n + 1) + 1):
+            for idx in combinations(range(m), size):
+                S = vertices[list(idx)]
+                E = (S[1:] - S[0]).T  # n x (size-1)
+                self._faces.append((S[0], E, np.linalg.pinv(E) if size > 1 else None))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        Z = np.atleast_2d(z)
+        best = np.full(Z.shape, np.nan)
+        best_d = np.full(Z.shape[0], np.inf)
+        for base, E, E_pinv in self._faces:
+            if E_pinv is None:
+                cand = np.broadcast_to(base, Z.shape)
+                ok = True
+            else:
+                # products summed elementwise, not by BLAS, so that a row's
+                # result does not depend on the other rows
+                coef = ((Z - base)[:, None, :] * E_pinv).sum(axis=-1)
+                ok = ~((1.0 - coef.sum(axis=1) < -1e-10)
+                       | np.any(coef < -1e-10, axis=1))
+                cand = base + (coef[:, None, :] * E).sum(axis=-1)
+            d = _norm(Z - cand)
+            better = ok & (d < best_d - 1e-12)
+            tie = ok & ~better & (np.abs(d - best_d) <= 1e-12)
+            if tie.any():
+                tie &= _lex_less(cand, best)
+            take = better | tie
+            best[take] = cand[take]
+            best_d[better] = d[better]
+        return best.reshape(np.shape(z))
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``tuple(a_i) < tuple(b_i)``."""
+    differ = a != b
+    first = differ.argmax(axis=1)
+    rows = np.arange(a.shape[0])
+    return differ.any(axis=1) & (a[rows, first] < b[rows, first])
 
 
 def project_convex_hull(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Euclidean projection of z onto conv(vertices), exact at desk scale.
+    """Euclidean projection of z, shape (n,) or (N, n), onto conv(vertices).
 
-    Enumerates affinely independent vertex subsets of size <= n+1; the
-    projection lies in the relative interior of some face, so it appears
-    among the affine-hull projections with nonnegative barycentric
-    coordinates.  Ties within 1e-12 resolve to the lexicographically
-    smallest point.
+    Enumerates the vertex subsets of size <= n+1 (see ``_HullFaces``); ties
+    within 1e-12 resolve to the lexicographically smallest point.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    z = np.asarray(z, dtype=float)
-    m, n = V.shape
-    best, best_d = None, np.inf
-    for size in range(1, min(m, n + 1) + 1):
-        for idx in itertools.combinations(range(m), size):
-            S = V[list(idx)]
-            base = S[0]
-            if size == 1:
-                cand = base
-            else:
-                E = (S[1:] - base).T  # n x (size-1)
-                coef, *_ = np.linalg.lstsq(E, z - base, rcond=None)
-                lam = np.concatenate([[1.0 - coef.sum()], coef])
-                if np.any(lam < -1e-10):
-                    continue
-                cand = base + E @ coef
-            d = float(np.linalg.norm(z - cand))
-            if d < best_d - 1e-12:
-                best, best_d = cand, d
-            elif abs(d - best_d) <= 1e-12 and best is not None:
-                if tuple(cand) < tuple(best):
-                    best = cand
-    return np.asarray(best, dtype=float)
+    return _HullFaces(V).project(np.asarray(z, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -323,11 +393,19 @@ def _as_state(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def distance_and_projection(fmap: _OffsetMap, t: float, x, z):
-    """(dist(z; F(t,x)), nearest point of F(t,x) to z)."""
-    x, z = _as_state(x), _as_state(z)
-    c = fmap.center(t, x)
-    d, p = fmap.body_distance_projection(z - c)
+def distance_and_projection(fmap: _OffsetMap, t, x, z):
+    """(dist(z; F(t,x)), nearest point of F(t,x) to z).
+
+    Stacked queries, ``t`` of shape (N,) with ``x`` and ``z`` of shape
+    (N, n), give (N,) distances and (N, n) points from one body projection.
+    """
+    if np.ndim(t) == 0:
+        x, z = _as_state(x), _as_state(z)
+        c = fmap.center(t, x)
+        d, p = fmap.body_distance_projection(z - c)
+        return float(d), c + p
+    c = np.array([fmap.center(ti, xi) for ti, xi in zip(t, np.asarray(x, dtype=float))])
+    d, p = fmap.body_distance_projection(np.asarray(z, dtype=float) - c)
     return d, c + p
 
 
@@ -346,7 +424,9 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
 
     Integrates over the time grid the supremum (over the state samples) of
     the largest Hausdorff distance between values of F at two times in the
-    window [t - h/2, t + h/2] clipped to the horizon.
+    window [t - h/2, t + h/2] clipped to the horizon.  A map built with
+    ``linear`` is autonomous: its estimate is 0.0 without sampling, which is
+    what the sampler returns for it.
     """
     if h <= 0:
         raise SetValuedError("window width h must be positive")
@@ -354,6 +434,8 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
     states = np.atleast_2d(np.asarray(state_samples, dtype=float))
     if tg.size == 0 or states.size == 0:
         raise SetValuedError("averaged modulus needs nonempty sample grids")
+    if fmap._linear is not None:  # f(t, x) = A x does not depend on t
+        return 0.0
     T = float(tg[-1])
     sigma = np.empty(tg.size)
     for i, t in enumerate(tg):

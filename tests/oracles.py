@@ -5,9 +5,12 @@ instance at a time (the batched oracles in ``idikit.gronwall`` must agree
 with them); the objective-only gradient and minimizer of the Bolza problem;
 the cell-quadrature functionals walked one Gauss point at a time (the
 package samples each mesh once and reduces arrays); and the memory coupling
-sum of the backward sweeps, one later step at a time.
+sum of the backward sweeps, one later step at a time; and the projections
+onto the velocity bodies, one point at a time, with one least-squares solve
+per vertex subset of a polytope.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -225,3 +228,48 @@ def memory_coupling(xi, j, r):
     for m in range(j + 1, xi.shape[1]):
         acc = acc + xi[m, j] @ r[m]
     return acc
+
+
+# --- body projections, one point at a time -----------------------------------
+
+def convex_hull_projection(vertices, z):
+    """Projection of z onto conv(vertices) by enumerating vertex subsets.
+
+    Every subset of size <= n+1 gets one least-squares solve for the
+    projection onto its affine hull; candidates with a barycentric
+    coordinate below -1e-10 are skipped, and ties within 1e-12 go to the
+    lexicographically smallest point.
+    """
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    z = np.asarray(z, dtype=float)
+    m, n = V.shape
+    best, best_d = None, np.inf
+    for size in range(1, min(m, n + 1) + 1):
+        for idx in itertools.combinations(range(m), size):
+            S = V[list(idx)]
+            base = S[0]
+            if size == 1:
+                cand = base
+            else:
+                E = (S[1:] - base).T  # n x (size-1)
+                coef, *_ = np.linalg.lstsq(E, z - base, rcond=None)
+                lam = np.concatenate([[1.0 - coef.sum()], coef])
+                if np.any(lam < -1e-10):
+                    continue
+                cand = base + E @ coef
+            d = float(np.linalg.norm(z - cand))
+            if d < best_d - 1e-12:
+                best, best_d = cand, d
+            elif abs(d - best_d) <= 1e-12 and best is not None:
+                if tuple(cand) < tuple(best):
+                    best = cand
+    return np.asarray(best, dtype=float)
+
+
+def ball_projection(radius, u):
+    """Projection of u onto the closed ball of the given radius."""
+    u = np.asarray(u, dtype=float)
+    nu = float(np.linalg.norm(u))
+    if nu <= radius:
+        return u
+    return (radius / nu) * u

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from idikit import catalog
+from idikit import catalog, cli
+from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
 from idikit.gronwall import discrete_gronwall_backward
+from idikit.setvalued import Singleton
 from oracles import backward_recursion
 
 
@@ -325,3 +328,26 @@ def test_audit_deterministic_bytes(tmp_path):
     first = (tmp_path / "out" / "t_audit.csv").read_bytes()
     assert main(["audit", cfgp]) == 0
     assert first == (tmp_path / "out" / "t_audit.csv").read_bytes()
+
+
+def test_non_finite_state_exits_with_its_stage_and_node(tmp_path, monkeypatch, capsys):
+    # cos_t with a drift that returns nan after t = 0.5
+    def nan_after_half(t, x):
+        return np.full(np.size(x), np.nan) if t > 0.5 else np.zeros(np.size(x))
+
+    def load_nan_drift(path):
+        cfg = load_config(path)
+        problem = replace(cfg.entry.problem, fmap=Singleton(nan_after_half))
+        cfg.entry = CatalogEntry(problem, cfg.entry.reference)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", load_nan_drift)
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    for command, stage in (("simulate", "simulate"), ("converge", "approximate_arc")):
+        assert main([command, cfgp]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {stage}: non-finite state at node ")
+        assert "k=" in err and "Traceback" not in err
+    # simulate runs at the finest mesh, k = 16: node 9 is t = 0.5625
+    assert main(["simulate", cfgp]) == 3
+    assert "node 9 of k=16 (t=0.5625)" in capsys.readouterr().err

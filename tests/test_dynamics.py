@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from idikit import catalog
-from idikit.dynamics import (InfeasibleReferenceError, approximate_arc,
-                             estimate_tau, feasibility_residual,
-                             localization_check, simulate)
+from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
+                          forward_trajectory)
+from idikit.dynamics import (InfeasibleReferenceError, NonFiniteStateError,
+                             approximate_arc, estimate_tau,
+                             feasibility_residual, localization_check,
+                             simulate)
 from idikit.gronwall import apriori_bounds
 from idikit.kernel import VolterraKernel
 from idikit.mesh import TimeMesh
-from idikit.problem import (CallableArc, ProblemData, RunningCost,
-                            TerminalCost, WholeSpace)
+from idikit.problem import (CallableArc, InflatedSet, ProblemData,
+                            RunningCost, TerminalCost, WholeSpace)
 from idikit.setvalued import Singleton
 
 
@@ -217,3 +220,40 @@ def test_approximate_arc_nonuniform_mesh(cos_t_entry):
     assert traj.max_feasibility_defect(prob) < 1e-12
     assert report.dominates()
     assert report.sup_error < 0.05
+
+
+def _nan_after_half(t, x):
+    # a drift that turns non-finite after t = 0.5
+    return np.full(np.size(x), np.nan) if t > 0.5 else np.zeros(np.size(x))
+
+
+def test_non_finite_state_names_stage_and_node():
+    prob = _static_problem(0.0)
+    prob = ProblemData(
+        name="nan_drift", fmap=Singleton(_nan_after_half), kernel=prob.kernel,
+        x0=prob.x0, horizon=1.0, omega=WholeSpace(),
+        terminal_cost=TerminalCost.zero(), running_cost=RunningCost.zero(),
+        m_F=0.0, l_F=0.0, beta=0.0, alpha=0.0, state_box=prob.state_box)
+    mesh = TimeMesh.uniform(8, 1.0)  # t_5 = 0.625 is the first node past 0.5
+    ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    dbp = DiscreteBolzaProblem(base=prob, mesh=mesh, reference=ref, zeta_k=0.0,
+                               epsilon=1.0, omega_k=InflatedSet(WholeSpace(), 0.0))
+    runs = {
+        "simulate": lambda: simulate(prob, mesh),
+        "approximate_arc": lambda: approximate_arc(prob, ref, mesh),
+        "forward_trajectory": lambda: forward_trajectory(
+            dbp, ControlParameterization(np.zeros((8, 1)))),
+    }
+    for stage, run in runs.items():
+        with pytest.raises(NonFiniteStateError) as info:
+            run()
+        err = info.value
+        assert (err.stage, err.k, err.node, err.t) == (stage, 8, 5, 0.625)
+        assert str(err) == f"{stage}: non-finite state at node 5 of k=8 (t=0.625)"
+
+
+def test_overflow_is_caught_at_the_first_infinite_state():
+    prob = _static_problem(1e308)
+    with pytest.raises(NonFiniteStateError) as info, np.errstate(over="ignore"):
+        simulate(prob, TimeMesh.uniform(4, 4.0))  # h = 1: x_2 = 2e308 = inf
+    assert (info.value.stage, info.value.node) == ("simulate", 1)

@@ -510,3 +510,39 @@ def test_inline_negative_identity_hand_computed_w(tmp_path):
     w = assemble_w(kern, mesh, states)
     assert np.allclose(w[0], [-0.25, -0.5], rtol=0, atol=1e-15)
     assert np.allclose(w[1], [-1.25, -0.75], rtol=0, atol=1e-15)
+
+
+def test_zero_kernel_stores_no_xi_and_couples_nothing():
+    # xi of a zero kernel is a broadcast 0.0: no (k+1, k, n, n) array
+    k, n = 1000, 2
+    mesh = TimeMesh.uniform(k, 1.0)
+    states = np.ones((k + 1, n))
+    tensors = assemble_tensors(VolterraKernel.zero(), mesh, states,
+                               np.zeros((k, n)), states)
+    assert tensors.xi.shape == (k + 1, k, n, n)
+    assert tensors.xi.strides == (0, 0, 0, 0) and not tensors.xi.flags.writeable
+    r = np.random.default_rng(0).standard_normal((k, n))
+    for j in (0, 1, k // 2, k - 1):
+        got = tensors.coupling(j, r)
+        assert got.shape == (n,) and not got.any()
+
+
+class _CountingArc:
+    def __init__(self, f):
+        self.f, self.times = f, []
+
+    def eval(self, t):
+        self.times.append(t)
+        return self.f(t)
+
+
+def test_accumulator_evaluates_the_arc_only_where_it_integrates():
+    kern = catalog.get("damped_volterra").problem.kernel
+    arc = _CountingArc(lambda t: np.array([math.cos(t)]))
+    continuous_accumulator(kern, arc, 0.7)
+    assert len(arc.times) == 64 * 4 and 0.0 not in arc.times  # Gauss points only
+    for kernel, t in ((VolterraKernel.zero(), 0.7), (kern, 0.0)):
+        arc = _CountingArc(lambda t: np.array([1.0, 2.0]))
+        out = continuous_accumulator(kernel, arc, t)
+        assert arc.times == [0.0]  # one probe, for the state size
+        assert out.shape == (2,) and not out.any()
