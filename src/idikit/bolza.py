@@ -20,10 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DiscreteTrajectory, _deriv_of, _march, approximate_arc
+from .dynamics import DiscreteTrajectory, _check_finite, _march, approximate_arc
 from .kernel import assemble_tensors
-from .mesh import (TimeMesh, _cell_samples, _node_samples, _sq_integral,
-                   cell_gauss_points)
+from .mesh import TimeMesh, _sample, _sq_integral, cell_gauss_points
 from .problem import InflatedSet, ProblemData
 from .setvalued import _norm
 
@@ -60,8 +59,8 @@ class DiscreteBolzaProblem:
 
     def __post_init__(self):
         # sampled once for every cost evaluation, gradient and trial step
-        nodes = _node_samples(self.mesh, self.reference)
-        ref_dot = _cell_samples(self.mesh, _deriv_of(self.reference))
+        nodes = _sample(self.reference, self.mesh.nodes)
+        ref_dot = _sample(self.reference.derivative, cell_gauss_points(self.mesh)[0])
         for name, arr in (("_ref_nodes", nodes), ("_ref_dot", ref_dot)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -176,7 +175,8 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     backward sweep.  Returns (gradient (k, n), trajectory, objective value).
     The adjoint seed is the terminal-cost gradient plus the endpoint penalty
     gradient; each step accumulates the running-cost gradients, the drift
-    Jacobian action, and the memory tensors carrying dw_m/dx_j.
+    Jacobian action, and the memory tensors carrying dw_m/dx_j.  A
+    gradient that is not finite raises :class:`NonFiniteStateError`.
     """
     base = problem.base
     mesh = problem.mesh
@@ -204,6 +204,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         J_f = base.fmap.jacobian(t_j, traj.states[j])
         lam_next = (lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
                     + tensors.coupling(j, r))
+    _check_finite("cost_gradient", mesh, grad, backward=True)
     return grad, traj, objective
 
 
@@ -245,8 +246,7 @@ def _scaled_projected_gradient_norm(problem, controls, grad):
 def _trust_region_ok(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
     ref_nodes = problem.reference_nodes()
     half = problem.epsilon / 2.0
-    nodal = max(float(np.linalg.norm(traj.states[j] - ref_nodes[j]))
-                for j in range(problem.mesh.k))
+    nodal = float(_norm(traj.states[:-1] - ref_nodes[:-1]).max())
     budget = _tracking_term(problem, traj)
     return nodal <= half, budget <= half, nodal, budget
 

@@ -34,6 +34,7 @@ from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
 from .mesh import TimeMesh
+from .setvalued import _norm
 
 CSV_SCHEMA = "# idi-kit schema v1"
 
@@ -95,9 +96,7 @@ def _reference_for(cfg: ExperimentConfig):
         return entry.reference, cfg.reference_feas_tol or 1e-6
     k_fine = cfg.reference_k or 8 * cfg.mesh_ks[-1]
     fine_mesh = TimeMesh.uniform(k_fine, entry.problem.horizon)
-    traj = simulate(entry.problem, fine_mesh, cfg.reference_policy,
-                    seed=cfg.seed, constant_deviation=cfg.reference_constant)
-    arc = traj.arc()
+    arc = _simulate(cfg, fine_mesh, cfg.reference_policy).arc()
     if cfg.reference_feas_tol is not None:
         return arc, cfg.reference_feas_tol
     res = feasibility_residual(entry.problem, arc,
@@ -106,30 +105,47 @@ def _reference_for(cfg: ExperimentConfig):
     return arc, max(2.0 * res, 1e-9)
 
 
+def _simulate(cfg: ExperimentConfig, mesh: TimeMesh, policy: str):
+    """The config's problem stepped on ``mesh`` under one selection policy;
+    ``constant`` deviates by the config's reference constant (zero if unset)."""
+    return simulate(cfg.entry.problem, mesh, policy, seed=cfg.seed,
+                    constant_deviation=cfg.reference_constant)
+
+
+def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
+                 solve: bool):
+    """Approximate, build, solve if ``solve``, recover the multipliers and
+    report the conditions on the uniform mesh of k cells."""
+    problem = cfg.entry.problem
+    mesh = TimeMesh.uniform(k, problem.horizon)
+    traj, report = approximate_arc(problem, reference, mesh, feas_tol=feas_tol)
+    dbp, controls, _, _ = build_discrete_problem(problem, mesh, reference,
+                                                 precomputed=(traj, report))
+    log, normal = None, None
+    if solve:
+        opts = SolveOptions(tol_stat=cfg.tol_stat, max_iter=cfg.max_iter,
+                            endpoint_tol=cfg.endpoint_tol)
+        traj, _, log = solve_Pk(dbp, controls, opts)
+        normal = log.endpoint_normal
+    mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=normal)
+    # continuous residuals run along the designated reference arc: the
+    # memory-adjoint condition is stated for the minimizer candidate, and
+    # the reference is exactly feasible where discrete extensions carry an
+    # O(h) defect that would trip the cone feasibility gate
+    crep = build_condition_report(dbp, traj, mult, x_arc=reference)
+    return report, dbp, traj, log, crep
+
+
 def run_convergence_study(cfg: ExperimentConfig):
     """Approximate, solve and verify on every mesh; one CSV row per k."""
-    problem = cfg.entry.problem
     reference, feas_tol = _reference_for(cfg)
     rows = []
     meta = []
     for k in cfg.mesh_ks:
-        mesh = TimeMesh.uniform(k, problem.horizon)
-        traj0, report = approximate_arc(problem, reference, mesh,
-                                        feas_tol=feas_tol)
-        dbp, controls0, _, _ = build_discrete_problem(
-            problem, mesh, reference, precomputed=(traj0, report))
-        opts = SolveOptions(tol_stat=cfg.tol_stat, max_iter=cfg.max_iter,
-                            endpoint_tol=cfg.endpoint_tol)
-        traj, controls, log = solve_Pk(dbp, controls0, opts)
-        mult = adjoint_solve_smooth(dbp, traj,
-                                    endpoint_normal=log.endpoint_normal)
-        # continuous residuals run along the designated reference arc: the
-        # memory-adjoint condition is stated for the minimizer candidate,
-        # and the reference is exactly feasible where discrete extensions
-        # carry an O(h) defect that would trip the cone feasibility gate
-        crep = build_condition_report(dbp, traj, mult, x_arc=reference)
+        report, dbp, traj, log, crep = _verify_mesh(cfg, reference, feas_tol,
+                                                    k, solve=True)
         flags = "" if log.stationary else "nonstationary"
-        rows.append((k, mesh.max_step, report.sup_error, report.w12_error,
+        rows.append((k, dbp.mesh.max_step, report.sup_error, report.w12_error,
                      report.zeta_k, report.beta_k, cost_Jk(dbp, traj),
                      crep.el_max, crep.volterra_median, crep.transversality,
                      crep.nontriviality, flags))
@@ -248,33 +264,23 @@ def run_bound_audit(cfg: ExperimentConfig):
 
     m1, m2 = apriori_bounds(problem)
     mesh = TimeMesh.uniform(cfg.audit_mesh_k, problem.horizon)
+    grid = mesh.dense_samples()
     for policy in cfg.audit_policies:
-        kw = {}
-        if policy == "constant":
-            kw["constant_deviation"] = cfg.reference_constant \
-                if cfg.reference_constant is not None else np.zeros(problem.dim)
-        traj = simulate(problem, mesh, policy, seed=cfg.seed, **kw)
-        worst_state, witness_t = -np.inf, 0.0
-        arc = traj.arc()
-        for t in mesh.dense_samples():
-            val = 1.0 + float(np.linalg.norm(arc.eval(t)))
-            if val > worst_state:
-                worst_state, witness_t = val, float(t)
+        traj = _simulate(cfg, mesh, policy)
+        sizes = 1.0 + _norm(traj.arc().eval(grid))
+        first = int(np.argmax(sizes))  # the first time the sup is hit
+        witness_t = float(grid[first])
         worst_vel = float(np.linalg.norm(traj.velocities, axis=1).max())
-        ok1 = worst_state <= m1 + 1e-9
-        ok2 = worst_vel <= m2 + 1e-9
-        rows.append(("trajectory_bound_M1", policy, "pass" if ok1 else "FAIL",
-                     worst_state, m1, witness_t))
-        rows.append(("velocity_bound_M2", policy, "pass" if ok2 else "FAIL",
-                     worst_vel, m2, witness_t))
-        if not ok1:
-            failures.append({"check": "M1", "policy": policy,
-                             "witness_time": witness_t,
-                             "value": worst_state, "bound": m1})
-        if not ok2:
-            failures.append({"check": "M2", "policy": policy,
-                             "witness_time": witness_t,
-                             "value": worst_vel, "bound": m2})
+        for label, check, value, bound in (
+                ("trajectory_bound_M1", "M1", float(sizes[first]), m1),
+                ("velocity_bound_M2", "M2", worst_vel, m2)):
+            ok = value <= bound + 1e-9
+            rows.append((label, policy, "pass" if ok else "FAIL", value, bound,
+                         witness_t))
+            if not ok:
+                failures.append({"check": check, "policy": policy,
+                                 "witness_time": witness_t,
+                                 "value": value, "bound": bound})
 
     # M1 spot identity at the reference constants
     spot = (1.0 + 0.0 + 1.0) * np.exp(1.0)
@@ -335,11 +341,7 @@ def run_simulate(cfg: ExperimentConfig):
     mesh = TimeMesh.uniform(cfg.mesh_ks[-1], problem.horizon)
     rows = []
     for policy in cfg.audit_policies:
-        kw = {}
-        if policy == "constant":
-            kw["constant_deviation"] = cfg.reference_constant \
-                if cfg.reference_constant is not None else np.zeros(problem.dim)
-        traj = simulate(problem, mesh, policy, seed=cfg.seed, **kw)
+        traj = _simulate(cfg, mesh, policy)
         for j in range(mesh.k):
             rows.append((policy, j, mesh.nodes[j],
                          *traj.states[j], *traj.velocities[j], *traj.w[j]))
@@ -353,20 +355,14 @@ def run_simulate(cfg: ExperimentConfig):
 
 
 def run_conditions(cfg: ExperimentConfig):
-    problem = cfg.entry.problem
     reference, feas_tol = _reference_for(cfg)
     rows = []
     medians = []
     bounds_ok = True
     for k in cfg.mesh_ks:
-        mesh = TimeMesh.uniform(k, problem.horizon)
-        traj, report = approximate_arc(problem, reference, mesh,
-                                       feas_tol=feas_tol)
-        dbp, _, _, _ = build_discrete_problem(problem, mesh, reference,
-                                              precomputed=(traj, report))
-        mult = adjoint_solve_smooth(dbp, traj)
-        crep = build_condition_report(dbp, traj, mult, x_arc=reference)
-        rows.append((k, mesh.max_step, crep.el_max, crep.volterra_median,
+        _, dbp, _, _, crep = _verify_mesh(cfg, reference, feas_tol, k,
+                                          solve=False)
+        rows.append((k, dbp.mesh.max_step, crep.el_max, crep.volterra_median,
                      crep.transversality, crep.nontriviality,
                      crep.adjoint_bound, "ok" if crep.adjoint_bound_ok else "FAIL"))
         medians.append(crep.volterra_median)
@@ -403,46 +399,35 @@ def _run(command: str, cfg: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.label}_{command}"
     started = time.perf_counter()
-    status = 0
+    failures = []  # the lines printed for a run that exits 1
 
     if command == "converge":
+        columns = CONVERGE_COLUMNS
         rows, meta = run_convergence_study(cfg)
-        _write_csv(outdir / f"{stem}.csv", CONVERGE_COLUMNS, rows)
-        _write_record(outdir / f"{stem}.json", "converge", cfg, rows,
-                      CONVERGE_COLUMNS, {"solves": meta},
-                      time.perf_counter() - started)
+        extra = {"solves": meta}
     elif command == "audit":
         columns = ("check", "scope", "status", "value", "bound", "witness_time")
-        rows, failures, suites = run_bound_audit(cfg)
-        _write_csv(outdir / f"{stem}.csv", columns, rows)
-        _write_record(outdir / f"{stem}.json", "audit", cfg, rows, columns,
-                      {"failures": failures, "suites": suites},
-                      time.perf_counter() - started)
-        if failures:
-            for f in failures:
-                print(f"audit failure: {f}", file=sys.stderr)
-            status = 1
+        rows, audit_failures, suites = run_bound_audit(cfg)
+        extra = {"failures": audit_failures, "suites": suites}
+        failures = [f"audit failure: {f}" for f in audit_failures]
     elif command == "simulate":
         rows, columns = run_simulate(cfg)
-        _write_csv(outdir / f"{stem}.csv", columns, rows)
-        _write_record(outdir / f"{stem}.json", "simulate", cfg, rows, columns,
-                      {}, time.perf_counter() - started)
+        extra = {}
     else:  # conditions
         columns = ("k", "h", "EL_residual_max", "volterra_residual_median",
                    "transversality_residual", "nontriviality",
                    "adjoint_bound", "adjoint_bound_status")
         rows, bounds_ok, decreasing = run_conditions(cfg)
-        _write_csv(outdir / f"{stem}.csv", columns, rows)
-        _write_record(outdir / f"{stem}.json", "conditions", cfg, rows, columns,
-                      {"adjoint_bounds_ok": bounds_ok,
-                       "volterra_decreasing": decreasing},
-                      time.perf_counter() - started)
+        extra = {"adjoint_bounds_ok": bounds_ok, "volterra_decreasing": decreasing}
         if not bounds_ok or (len(cfg.mesh_ks) > 1 and not decreasing):
-            print("condition failure: adjoint bound or residual decay violated",
-                  file=sys.stderr)
-            status = 1
+            failures = ["condition failure: adjoint bound or residual decay violated"]
 
-    return status
+    _write_csv(outdir / f"{stem}.csv", columns, rows)
+    _write_record(outdir / f"{stem}.json", command, cfg, rows, columns, extra,
+                  time.perf_counter() - started)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bolza import DiscreteBolzaProblem
-from .dynamics import DiscreteTrajectory
-from .kernel import (QuadratureTensors, assemble_tensors,
-                     continuous_accumulator, volterra_adjoint_integral)
-from .mesh import PiecewiseLinearArc
+from .dynamics import DiscreteTrajectory, _check_finite
+from .kernel import (QuadratureTensors, _memory_integrals, assemble_tensors,
+                     volterra_adjoint_integral)
+from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
 from .setvalued import graph_normal_cone
 
@@ -94,7 +94,8 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
     p_{j+1} - lam (grad_v l + theta_j/h_j) onto the graph-cone's direction
     set, which zeroes the velocity slot of the inclusion whenever that set
     is rich enough; the state slot then defines p_j.  The result is scaled
-    so lam + |p_k| = 1; an all-zero raw pair raises.
+    so lam + |p_k| = 1; an all-zero raw pair raises, and so does (with
+    :class:`NonFiniteStateError`) a multiplier that is not finite.
     """
     base = problem.base
     mesh = problem.mesh
@@ -118,6 +119,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
                 - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j
                 + tensors.coupling(j, p[1:]))
+    _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
     raw_total = lam + float(np.linalg.norm(p[k]))
     if raw_total < 1e-14:
@@ -202,32 +204,35 @@ def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,
 
 
 def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
-                      tau: float, tol_feas: float = CONE_TOL_FEAS) -> float:
+                      tau, tol_feas: float = CONE_TOL_FEAS):
     """Pointwise defect of the continuous memory-adjoint inclusion at tau.
 
     Measures the distance, in the paired (state, velocity) slots, from
     (p'(tau) + memory integral - lam grad_x l, p(tau) - lam grad_v l) to the
     graph normal cone at (x(tau), x'(tau) - accumulated memory).  For the
     supported families the right-hand side is already convex, so the hull
-    operation is representational.
+    operation is representational.  ``tau`` is a scalar, giving a float, or
+    a 1-D array, giving one residual per time.  The times count as sampled
+    on p's panels, which both memory integrals share.
     """
-    p_of = p_arc.eval if hasattr(p_arc, "eval") else p_arc
-    p_end = np.atleast_1d(p_of(problem.horizon))
+    p_end = _sample(p_arc, problem.horizon)
     if lam + float(np.linalg.norm(p_end)) < 1e-9:
         raise DegenerateMultiplierError(
             "nontriviality gate: lam + |p(T)| vanishes")
-    x_of = x_arc.eval if hasattr(x_arc, "eval") else x_arc
-    x_tau = np.atleast_1d(x_of(tau))
-    v_tau = np.atleast_1d(x_arc.derivative(tau))
-    pdot = np.atleast_1d(p_arc.derivative(tau))
-    mem = volterra_adjoint_integral(problem.kernel, x_arc, p_arc, tau,
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    x, v = _sample(x_arc, taus), _sample(x_arc.derivative, taus)
+    p, pdot = _sample(p_arc, taus), _sample(p_arc.derivative, taus)
+    mem = volterra_adjoint_integral(problem.kernel, x_arc, p_arc, taus,
                                     problem.horizon)
-    y_tau = continuous_accumulator(problem.kernel, x_arc, tau)
-    glx = lam * np.atleast_1d(problem.running_cost.grad_x(tau, x_tau, v_tau))
-    glv = lam * np.atleast_1d(problem.running_cost.grad_v(tau, x_tau, v_tau))
-    cone = graph_normal_cone(problem.fmap, tau, x_tau, v_tau - y_tau, tol_feas)
-    d, _ = cone.pair_distance(pdot + mem - glx, np.atleast_1d(p_of(tau)) - glv)
-    return d
+    p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
+    y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
+    out = np.empty(taus.size)
+    for i, t in enumerate(taus):  # the cost gradients and cones are pointwise
+        glx = lam * np.atleast_1d(problem.running_cost.grad_x(t, x[i], v[i]))
+        glv = lam * np.atleast_1d(problem.running_cost.grad_v(t, x[i], v[i]))
+        cone = graph_normal_cone(problem.fmap, t, x[i], v[i] - y[i], tol_feas)
+        out[i], _ = cone.pair_distance(pdot[i] + mem[i] - glx, p[i] - glv)
+    return out if np.ndim(tau) else float(out[0])
 
 
 def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
@@ -312,8 +317,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     arc_x = traj.arc() if x_arc is None else x_arc
     p_arc = PiecewiseLinearArc(mesh, mult.p)
     taus = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    vol = np.array([volterra_residual(base, arc_x, p_arc, mult.lam, tau,
-                                      tol_feas) for tau in taus])
+    vol = volterra_residual(base, arc_x, p_arc, mult.lam, taus, tol_feas)
     bound = adjoint_norm_bound(problem, mult)
     norms = np.linalg.norm(mult.p[1:], axis=1)
     bound_ok = bool(np.all(norms <= bound * (1 + 1e-9)))

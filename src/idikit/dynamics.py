@@ -17,12 +17,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernel import kernel_average_w, continuous_accumulator
-from .mesh import (PiecewiseConstantArc, PiecewiseLinearArc, TimeMesh,
-                   _cell_samples, _node_samples, _sq_integral,
+from .kernel import _memory_integrals, assemble_w, kernel_average_w
+from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
                    cell_gauss_points, l2_distance, sup_distance)
 from .problem import ProblemData
-from .setvalued import distance_and_projection, averaged_modulus
+from .setvalued import _norm, averaged_modulus, distance_and_projection
 
 __all__ = [
     "NonFiniteStateError",
@@ -43,8 +42,10 @@ class InfeasibleReferenceError(ValueError):
 
 
 class NonFiniteStateError(ArithmeticError):
-    """A forward march produced a state, velocity or memory average that is
-    not finite; names the stage, the mesh size k, the node and its time."""
+    """A stage produced a value that is not finite: a state, velocity or
+    memory average of a forward march, the reference's inclusion defect on
+    the cell from ``node``, a gradient or a multiplier.  Names the stage,
+    the mesh size k, the node and its time."""
 
     def __init__(self, stage: str, k: int, node: int, t: float):
         super().__init__(f"{stage}: non-finite state at node {node} of k={k} "
@@ -57,8 +58,7 @@ class DiscreteTrajectory:
     """Nodal states, step velocities and frozen-node memory averages.
 
     Satisfies x_{j+1} = x_j + h_j v_j with v_j - w_j in F(t_j, x_j); the
-    piecewise-linear extension of the states and the right-continuous step
-    extension of the memory averages are available as arcs.
+    piecewise-linear extension of the states is available as an arc.
     """
 
     mesh: TimeMesh
@@ -84,10 +84,6 @@ class DiscreteTrajectory:
     def arc(self) -> PiecewiseLinearArc:
         return PiecewiseLinearArc(self.mesh, self.states)
 
-    def y_arc(self) -> PiecewiseConstantArc:
-        return PiecewiseConstantArc(self.mesh, self.w,
-                                    value_at_zero=np.zeros(self.dim))
-
     def max_feasibility_defect(self, problem: ProblemData) -> float:
         """max_j dist(v_j - w_j ; F(t_j, x_j)); zero for valid trajectories."""
         d, _ = distance_and_projection(problem.fmap, self.mesh.nodes[:-1],
@@ -95,11 +91,8 @@ class DiscreteTrajectory:
         return float(d.max())
 
     def w_reproduction_error(self, problem: ProblemData) -> float:
-        worst = 0.0
-        for j in range(self.mesh.k):
-            wj = kernel_average_w(problem.kernel, self.mesh, self.states, j)
-            worst = max(worst, float(np.linalg.norm(wj - self.w[j])))
-        return worst
+        w = assemble_w(problem.kernel, self.mesh, self.states)
+        return float(_norm(w - self.w).max())
 
 
 def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
@@ -148,10 +141,7 @@ def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
         states[j + 1] = states[j] + mesh.steps[j] * v_j
         vels[j] = v_j
         ws[j] = w_j
-    finite = np.isfinite(states[1:]) & np.isfinite(vels) & np.isfinite(ws)
-    if not finite.all():
-        j = int(np.argmin(finite.all(axis=1)))
-        raise NonFiniteStateError(stage, k, j, float(mesh.nodes[j]))
+    _check_finite(stage, mesh, states[1:], vels, ws)
     return DiscreteTrajectory(mesh, states, vels, ws)
 
 
@@ -200,10 +190,14 @@ class ApproximationErrorReport:
         return bool(ok_nodes and ok_deriv)
 
 
-def _deriv_of(arc):
-    if hasattr(arc, "derivative"):
-        return arc.derivative
-    raise TypeError("reference arc needs a derivative oracle")
+def _check_finite(stage: str, mesh: TimeMesh, *rows, backward: bool = False):
+    """Raise NonFiniteStateError at the first node, in the sweep's order,
+    whose rows are not all finite; ``rows`` hold one row per node j >= 0."""
+    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(r).all(axis=1)
+                                                 for r in rows]))
+    if bad.size:
+        j = int(bad[-1] if backward else bad[0])
+        raise NonFiniteStateError(stage, mesh.k, j, float(mesh.nodes[j]))
 
 
 class _ReferenceSamples(NamedTuple):
@@ -223,12 +217,9 @@ class _ReferenceSamples(NamedTuple):
 
 def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh,
                       order: int) -> _ReferenceSamples:
-    dx_of = _deriv_of(arc)
     pts, wts = cell_gauss_points(mesh, order)
-    x = _cell_samples(mesh, arc, order)
-    dx = _cell_samples(mesh, dx_of, order)
-    y = _cell_samples(
-        mesh, lambda s: continuous_accumulator(problem.kernel, arc, s), order)
+    x, dx = _sample(arc, pts), _sample(arc.derivative, pts)
+    y = _memory_integrals(problem.kernel, arc, pts, mesh)
     n = x.shape[-1]
     defect, _ = distance_and_projection(problem.fmap, pts.ravel(), x.reshape(-1, n),
                                         (dx - y).reshape(-1, n))
@@ -253,7 +244,7 @@ def localization_check(candidate, reference, eps: float, mesh: TimeMesh,
     sup_gap = sup_distance(mesh, candidate, reference, samples_per_cell)
     if sup_gap >= eps:
         return False
-    dgap = l2_distance(mesh, _deriv_of(candidate), _deriv_of(reference), order)
+    dgap = l2_distance(mesh, candidate.derivative, reference.derivative, order)
     return dgap ** 2 < eps
 
 
@@ -268,22 +259,23 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
     onto the velocity set shifted by the trajectory's own memory term.
     Returns the trajectory and the error report.  The reference is sampled
     once at the cell Gauss points; the feasibility gate and the report
-    reduce the same samples.
+    reduce the same samples.  The gate passes only a residual <= feas_tol,
+    and a defect that is not finite raises :class:`NonFiniteStateError`.
     """
     ref = _sample_reference(problem, reference, mesh, order)
-    if ref.residual > feas_tol:
+    _check_finite("approximate_arc", mesh, ref.defect)
+    if not ref.residual <= feas_tol:
         raise InfeasibleReferenceError(
             f"reference arc has inclusion residual {ref.residual:.3e} > {feas_tol:.1e}")
 
-    ref_nodes = _node_samples(mesh, reference)
+    ref_nodes = _sample(reference, mesh.nodes)
     if np.linalg.norm(ref_nodes[0] - problem.x0) > 1e-9:
         raise InfeasibleReferenceError("reference arc does not start at x0")
 
     # exact cell averages of the reference derivative
     a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
     # memory averages frozen along the reference nodes
-    b = np.array([kernel_average_w(problem.kernel, mesh, ref_nodes, j, order)
-                  for j in range(mesh.k)])
+    b = assemble_w(problem.kernel, mesh, ref_nodes, order)
 
     traj = _march(problem, mesh, lambda j, x, w: distance_and_projection(
         problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, "approximate_arc", order)
@@ -321,7 +313,7 @@ def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref,
     nodal = float(np.linalg.norm(traj.states - ref_nodes, axis=1).max())
     arc = traj.arc()
     sup_err = sup_distance(mesh, arc, reference)
-    state_l2 = math.sqrt(_sq_integral(wts, _cell_samples(mesh, arc, order) - ref.x))
+    state_l2 = math.sqrt(_sq_integral(wts, _sample(arc, ref.pts) - ref.x))
 
     return ApproximationErrorReport(
         k=mesh.k, h_max=h_max, xi_k=xi_k, zeta_k=zeta_k, beta_k=beta_k,

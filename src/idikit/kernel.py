@@ -1,4 +1,4 @@
-"""Volterra memory kernel g(t, s, x) and the triangular-region quadratures.
+"""Volterra memory kernel g(t, s, x) and the quadratures of its integrals.
 
 The discrete constructions repeatedly integrate g (or its adjoint state
 Jacobian) over products of mesh cells and over the triangular sliver
@@ -6,10 +6,16 @@ Jacobian) over products of mesh cells and over the triangular sliver
 s-cell.  Every such integral goes through one row rule: t in cell j and s
 in cells 0..j, with tensor Gauss-Legendre blocks on the rectangles i < j and
 a 12-point symmetric rule, exact through total degree 6, on the triangle of
-cell j; every polynomial test kernel integrates exactly.  For convolution
-kernels a(t - s) x the cell-pair integrals of a are the product-integration
-weights of Brunner, Collocation Methods for Volterra Integral and Related
-Functional Differential Equations (CUP 2004), here computed by the rule.
+cell j; every polynomial test kernel integrates exactly.
+
+The two continuous memory integrals along arcs, int_0^t g(t, s, x(s)) ds and
+int_tau^T jac_g(t, tau, x(tau))^T p(t) dt, take an array of times in one
+call and share one panel rule: the cells of the integrand arc's own mesh
+when it is piecewise (its kinks), else of the mesh the times are sampled
+on, each split evenly so that [0, T] has at least ``mesh.MIN_PANELS``
+panels, and the panel that holds a time cut there.  Both are the
+product-integration layout of Brunner, Collocation Methods for Volterra
+Integral and Related Functional Differential Equations (CUP 2004).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import TimeMesh, PiecewiseLinearArc, _node_samples, interval_gauss_points
+from .mesh import TimeMesh, _panel_edges, _sample, interval_gauss_points
 from .setvalued import _fd_jacobian
 
 __all__ = [
@@ -253,9 +259,8 @@ def theta_vector(mesh: TimeMesh, velocities, reference_arc, j: int) -> np.ndarra
     it is evaluated; no derivative oracle needed.
     """
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    ref = reference_arc.eval if hasattr(reference_arc, "eval") else reference_arc
-    a, b = mesh.nodes[j], mesh.nodes[j + 1]
-    return mesh.steps[j] * v[j] - (np.atleast_1d(ref(b)) - np.atleast_1d(ref(a)))
+    ref = _sample(reference_arc, mesh.nodes[j:j + 2])
+    return mesh.steps[j] * v[j] - (ref[1] - ref[0])
 
 
 @dataclass(frozen=True)
@@ -282,21 +287,19 @@ class QuadratureTensors:
 
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
-                     velocities, reference_arc,
+                     velocities, reference_nodes,
                      order: int = DEFAULT_ORDER) -> QuadratureTensors:
     """w, theta, xi and mu at the given trajectory.
 
-    ``reference_arc`` may also be given by its nodal values, shape (k+1, n);
-    theta needs nothing else of it.
+    The reference enters theta only, through its nodal values
+    ``reference_nodes``, shape (k+1, n).
     """
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
     k, n = mesh.k, states.shape[1]
     w = assemble_w(kernel, mesh, states, order)
-    ref_nodes = reference_arc if isinstance(reference_arc, np.ndarray) \
-        else _node_samples(mesh, reference_arc)
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    theta = mesh.steps[:, None] * v - np.diff(ref_nodes, axis=0)
+    theta = mesh.steps[:, None] * v - np.diff(reference_nodes, axis=0)
     mu = np.zeros((k, n, n))
     if kernel.is_zero:
         xi = np.broadcast_to(0.0, (k + 1, k, n, n))
@@ -309,52 +312,103 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     return QuadratureTensors(w=w, theta=theta, xi=xi, mu=mu)
 
 
-# --- continuous-time accumulators ------------------------------------------
+# --- continuous-time memory integrals ---------------------------------------
 
-def continuous_accumulator(kernel: VolterraKernel, arc, t: float,
-                           order: int = DEFAULT_ORDER,
-                           n_panels: int = 64) -> np.ndarray:
+TIME_BLOCK = 64  # times per kernel call; a call holds O(k * TIME_BLOCK) points
+
+
+def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
+                before: bool, arc, integrand: Callable, order: int) -> np.ndarray:
+    """Gauss sums, one row per time, over the panels between ``edges``
+    before the time (or after it), the panel that holds it cut there; zero
+    where ``live`` is False.
+
+    ``integrand(rows, s, a)`` is the integrand at points s, where the arc
+    takes the values a, for the times ``times[rows]``.  The arc is evaluated
+    once per point for all times.  Each time adds its terms one after the
+    other, whole panels in order and then the cut panel: the order of a
+    walk over the panels before the time.
+    """
+    rows_live = np.flatnonzero(live)
+    t = times[rows_live]
+    if before:  # edges[cut] < t <= edges[cut + 1]
+        cut = np.searchsorted(edges, t, side="left") - 1
+        lo, hi, a, b = np.zeros_like(cut), cut, edges[cut], t
+    else:  # edges[cut - 1] <= t < edges[cut]
+        cut = np.searchsorted(edges, t, side="right")
+        lo, hi, a, b = cut, np.full_like(cut, edges.size - 1), t, edges[cut]
+    first, last = lo.min(), hi.max()
+    wq, ww = interval_gauss_points(edges[first:last], edges[first + 1:last + 1], order)
+    cq, cw = interval_gauss_points(a, b, order)
+    S, W = np.append(wq, cq), np.append(ww, cw)
+    A = _sample(arc, S)
+    out = np.zeros((times.size,) + A.shape[1:])
+    for start in range(0, t.size, TIME_BLOCK):
+        blk = np.arange(start, min(start + TIME_BLOCK, t.size))[:, None]
+        whole = (hi - lo)[blk] * order
+        # row b of the table: its time's whole-panel points, then the points
+        # of its cut panel; the zeros that pad the row add nothing
+        slot = np.arange(whole.max() + order)
+        src = np.where(slot < whole, (lo[blk] - first) * order + slot,
+                       wq.size + blk * order + slot - whole)
+        used = slot < whole + order
+        terms = np.zeros(used.shape + A.shape[1:])
+        rows = rows_live[np.broadcast_to(blk, used.shape)[used]]
+        terms[used] = W[src[used], None] * integrand(rows, S[src[used]], A[src[used]])
+        out[rows_live[blk[:, 0]]] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
+
+
+def _memory_integrals(kernel: VolterraKernel, arc, t, mesh: Optional[TimeMesh],
+                      order: int = DEFAULT_ORDER) -> np.ndarray:
+    """int_0^t g(t, s, arc(s)) ds at a scalar t, shape (n,), or at each of a
+    1-D array of times, shape (m, n); zero for t <= 0.
+
+    ``mesh`` is the mesh the times are sampled on, the single cell
+    [0, max t] if None; its cells set the panels unless the arc is piecewise.
+    """
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    if kernel.is_zero or not (flat > 0.0).any():  # the arc is evaluated only for its size
+        out = np.zeros((flat.size, _sample(arc, np.zeros(1)).shape[-1]))
+    else:
+        mesh = TimeMesh.uniform(1, flat.max()) if mesh is None else mesh
+        out = _panel_sums(_panel_edges(arc, mesh), flat, flat > 0.0, True, arc,
+                          lambda rows, s, x: kernel.eval_batch_s(flat[rows], s, x),
+                          order)
+    return out.reshape(times.shape + out.shape[-1:])
+
+
+def continuous_accumulator(kernel: VolterraKernel, arc, t,
+                           order: int = DEFAULT_ORDER) -> np.ndarray:
     """Running memory integral along an arc: int_0^t g(t, s, arc(s)) ds.
 
-    Panels follow the arc's own mesh when it has one (the integrand is
-    smooth inside cells but kinked at nodes), otherwise a fixed uniform
-    panel count is used.
+    ``t`` is a scalar, giving shape (n,), or a 1-D array of times, giving
+    (m, n).  The panels follow the arc's own mesh when it is piecewise;
+    otherwise the times count as sampled on the single cell [0, max t].
     """
-    x_of = arc.eval if hasattr(arc, "eval") else arc
-    if kernel.is_zero or t <= 0.0:  # the arc is evaluated only for its size
-        return np.zeros(np.atleast_1d(np.asarray(x_of(0.0), dtype=float)).size)
-    if isinstance(arc, PiecewiseLinearArc):
-        cuts = arc.mesh.nodes[arc.mesh.nodes < t]
-        edges = np.append(cuts, t)
-    else:
-        edges = np.linspace(0.0, t, n_panels + 1)
-    sq, sw = interval_gauss_points(edges[:-1], edges[1:], order)
-    sq, sw = sq.ravel(), sw.ravel()
-    X = np.array([np.atleast_1d(x_of(s)) for s in sq])
-    return sw @ kernel.eval_batch_s(t, sq, X)
+    return _memory_integrals(kernel, arc, t, None, order)
 
 
-def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau: float,
-                              horizon: float, order: int = DEFAULT_ORDER,
-                              n_panels: int = 64) -> np.ndarray:
+def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau,
+                              horizon: float,
+                              order: int = DEFAULT_ORDER) -> np.ndarray:
     """Forward adjoint memory term: int_tau^T jac_g(t, tau, x(tau))^T p(t) dt.
 
     The Jacobian's second argument and its state are pinned at tau; only the
-    first time argument runs over [tau, T].
+    first time argument runs over [tau, T].  ``tau`` is a scalar, giving
+    shape (n,), or a 1-D array, giving (m, n).  The panels follow p's own
+    mesh when it is piecewise, else the single cell [0, T].
     """
-    x_of = arc_x.eval if hasattr(arc_x, "eval") else arc_x
-    p_of = p.eval if hasattr(p, "eval") else p
-    x_tau = np.atleast_1d(np.asarray(x_of(tau), dtype=float))
-    if kernel.is_zero or tau >= horizon:
-        return np.zeros(x_tau.size)
-    if isinstance(p, PiecewiseLinearArc):
-        inner = p.mesh.nodes[(p.mesh.nodes > tau) & (p.mesh.nodes < horizon)]
-        edges = np.concatenate([[tau], inner, [horizon]])
-    else:
-        edges = np.linspace(tau, horizon, n_panels + 1)
-    tq, tw = interval_gauss_points(edges[:-1], edges[1:], order)
-    tq, tw = tq.ravel(), tw.ravel()
-    X = np.broadcast_to(x_tau, (tq.size, x_tau.size))
-    jacs = kernel.jac_batch_s(tq, np.full(tq.size, tau), X)  # (m, n, n)
-    P = np.array([np.atleast_1d(p_of(t)) for t in tq])
-    return np.einsum("q,qji,qj->i", tw, jacs, P)
+    taus = np.asarray(tau, dtype=float)
+    flat = taus.ravel()
+    x_tau = _sample(arc_x, flat)
+    out = np.zeros_like(x_tau)
+    if not kernel.is_zero and (flat < horizon).any():
+        edges = _panel_edges(p, TimeMesh.uniform(1, horizon))
+        out = _panel_sums(
+            np.append(edges[edges < horizon], horizon), flat, flat < horizon,
+            False, p, lambda rows, t, pt: np.einsum(
+                "qji,qj->qi", kernel.jac_batch_s(t, flat[rows], x_tau[rows]), pt),
+            order)
+    return out.reshape(taus.shape + out.shape[-1:])

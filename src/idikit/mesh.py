@@ -1,9 +1,12 @@
-"""Time meshes, piecewise arc extensions and quadrature over mesh cells.
+"""Time meshes, arcs and quadrature over mesh cells.
 
 Everything downstream (kernel averaging, trajectory generation, error
-functionals) works on a partition of [0, T] together with piecewise-linear
-state extensions and piecewise-constant velocity/memory extensions.  All
-types here are immutable after construction and all operations are pure.
+functionals) works on a partition of [0, T] together with arcs: the
+piecewise-linear state extensions, the piecewise-constant velocity/memory
+extensions and closed-form arcs.  An arc's ``eval`` (and ``derivative``)
+takes a scalar time, giving shape (n,), or a 1-D array of m times, giving
+(m, n).  All types here are immutable after construction and all operations
+are pure.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "TimeMesh",
     "PiecewiseLinearArc",
     "PiecewiseConstantArc",
+    "CallableArc",
     "round_down_map",
     "average_operator",
     "l2_distance",
@@ -29,6 +33,8 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4
 DEFAULT_SUP_SAMPLES = 16
+# a memory integral over [0, T] is summed over at least this many panels
+MIN_PANELS = 64
 
 
 class MeshError(ValueError):
@@ -120,24 +126,24 @@ class TimeMesh:
         out[1::2] = mids
         return TimeMesh(out)
 
-    def cell_index(self, t: float) -> int:
-        """Index j with t in [t_j, t_{j+1}); t = T maps to the last cell."""
+    def cell_index(self, t):
+        """Index j with t in [t_j, t_{j+1}), elementwise for an array of
+        times; t = T, and times within 1e-12 outside [0, T], map to the end
+        cells."""
         self._check_domain(t)
-        if t >= self.nodes[-1]:
-            return self.k - 1
-        return int(np.searchsorted(self.nodes, t, side="right") - 1)
+        return np.searchsorted(self.nodes[1:-1], t, side="right")
 
-    def _check_domain(self, t: float) -> None:
-        if t < self.nodes[0] - 1e-12 or t > self.nodes[-1] + 1e-12:
-            raise MeshError(f"time {t} outside [0, {self.horizon}]")
+    def _check_domain(self, t) -> None:
+        t = np.asarray(t)
+        bad = (t < self.nodes[0] - 1e-12) | (t > self.nodes[-1] + 1e-12)
+        if bad.any():
+            raise MeshError(f"time {t[bad].flat[0]} outside [0, {self.horizon}]")
 
     def dense_samples(self, per_cell: int = DEFAULT_SUP_SAMPLES) -> np.ndarray:
         """Deterministic sample grid: nodes plus per_cell interior points."""
-        chunks = [self.nodes]
-        for j in range(self.k):
-            a, b = self.nodes[j], self.nodes[j + 1]
-            chunks.append(a + (b - a) * (np.arange(1, per_cell + 1) / (per_cell + 1)))
-        return np.sort(np.concatenate(chunks))
+        inner = (self.nodes[:-1, None] + self.steps[:, None]
+                 * (np.arange(1, per_cell + 1) / (per_cell + 1)))
+        return np.sort(np.concatenate([self.nodes, inner.ravel()]))
 
 
 def round_down_map(mesh: TimeMesh, t: float) -> float:
@@ -148,13 +154,8 @@ def round_down_map(mesh: TimeMesh, t: float) -> float:
     return float(mesh.nodes[idx])
 
 
-ArcLike = Union["PiecewiseLinearArc", "PiecewiseConstantArc", Callable[[float], np.ndarray]]
-
-
-def _as_callable(arc: ArcLike) -> Callable[[float], np.ndarray]:
-    if callable(arc) and not isinstance(arc, (PiecewiseLinearArc, PiecewiseConstantArc)):
-        return lambda t: np.atleast_1d(np.asarray(arc(t), dtype=float))
-    return arc.eval
+ArcLike = Union["PiecewiseLinearArc", "PiecewiseConstantArc", "CallableArc",
+                Callable[[float], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -189,20 +190,20 @@ class PiecewiseLinearArc:
     def slopes(self) -> np.ndarray:
         return self._slopes
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         j = self.mesh.cell_index(t)
-        t0 = self.mesh.nodes[j]
-        return self.values[j] + (t - t0) * self.slopes[j]
+        return self.values[j] + (t - self.mesh.nodes[j])[..., None] * self.slopes[j]
 
     __call__ = eval
 
-    def derivative(self, t: float) -> np.ndarray:
+    def derivative(self, t) -> np.ndarray:
         return self.slopes[self.mesh.cell_index(t)]
 
 
 @dataclass(frozen=True)
 class PiecewiseConstantArc:
-    """Right-continuous step extension: value y_j on (t_j, t_{j+1}].
+    """Left-continuous step extension: value y_j on (t_j, t_{j+1}].
 
     The value at t = 0 is not determined by the cells and is stored
     separately (``value_at_zero``).
@@ -227,15 +228,55 @@ class PiecewiseConstantArc:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t) -> np.ndarray:
         self.mesh._check_domain(t)
-        if t <= 0.0:
-            return self.value_at_zero
-        j = int(np.searchsorted(self.mesh.nodes, t, side="left") - 1)
-        j = min(max(j, 0), self.mesh.k - 1)
-        return self.values[j]
+        j = np.searchsorted(self.mesh.nodes[1:-1], t, side="left")
+        return np.where(np.asarray(t)[..., None] <= 0.0, self.value_at_zero,
+                        self.values[j])
 
     __call__ = eval
+
+
+@dataclass(frozen=True)
+class CallableArc:
+    """Closed-form arc with an exact derivative oracle.  ``fn`` and ``dfn``
+    take one scalar time; an array of times is served point by point."""
+
+    fn: Callable[[float], np.ndarray]
+    dfn: Callable[[float], np.ndarray]
+
+    def eval(self, t) -> np.ndarray:
+        return _sample(self.fn, t)
+
+    __call__ = eval
+
+    def derivative(self, t) -> np.ndarray:
+        return _sample(self.dfn, t)
+
+
+_ARCS = (PiecewiseLinearArc, PiecewiseConstantArc, CallableArc)
+
+
+def _sample(f: ArcLike, times) -> np.ndarray:
+    """f at every entry of ``times``, shape times.shape + (n,): an arc, or its
+    bound eval/derivative, in one call, any other callable once per time."""
+    times = np.asarray(times, dtype=float)
+    if isinstance(getattr(f, "__self__", f), _ARCS):
+        vals = f(times.ravel())
+    else:
+        vals = np.array([np.atleast_1d(np.asarray(f(s), dtype=float))
+                         for s in times.ravel()])
+    return vals.reshape(times.shape + vals.shape[-1:])
+
+
+def _panel_edges(arc: ArcLike, mesh: TimeMesh) -> np.ndarray:
+    """Panels for an integral along ``arc``: the cells of its own mesh when
+    it is piecewise (it kinks or jumps at the nodes), else of ``mesh``, each
+    split evenly so that [0, T] has at least MIN_PANELS panels."""
+    mesh = arc.mesh if isinstance(arc, _ARCS[:2]) else mesh
+    split = -(-MIN_PANELS // mesh.k)
+    edges = mesh.nodes[:-1, None] + np.arange(split) * (mesh.steps[:, None] / split)
+    return np.append(edges.ravel(), mesh.horizon)
 
 
 def cell_gauss_points(mesh: TimeMesh, order: int = DEFAULT_QUAD_ORDER):
@@ -243,26 +284,12 @@ def cell_gauss_points(mesh: TimeMesh, order: int = DEFAULT_QUAD_ORDER):
     return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:], order)
 
 
-def _node_samples(mesh: TimeMesh, f: ArcLike) -> np.ndarray:
-    """f evaluated once at every mesh node, shape (k+1, n)."""
-    f = _as_callable(f)
-    return np.array([np.atleast_1d(f(t)) for t in mesh.nodes])
-
-
-def _cell_samples(mesh: TimeMesh, f: ArcLike,
-                  order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
-    """f evaluated once at every cell Gauss point, shape (k, order, n).
-
-    Every cell-quadrature functional is a weighted reduction of such samples
-    against the weights of :func:`cell_gauss_points`.
-    """
-    f = _as_callable(f)
-    pts, _ = cell_gauss_points(mesh, order)
-    return np.array([[np.atleast_1d(f(s)) for s in row] for row in pts])
-
-
 def _sq_integral(wts: np.ndarray, d: np.ndarray) -> float:
-    """Cell quadrature of |d|^2 from samples d of shape (k, order, n)."""
+    """Cell quadrature of |d|^2 from samples d of shape (k, order, n).
+
+    Every cell-quadrature functional is such a weighted reduction of the
+    samples of its arcs at the points of :func:`cell_gauss_points`.
+    """
     return float(np.sum(wts * np.sum(d * d, axis=-1)))
 
 
@@ -273,24 +300,24 @@ def average_operator(mesh: TimeMesh, y: ArcLike,
     Linear in y.  Gauss-Legendre of the given order per cell, so exact for
     polynomial integrands of degree <= 2*order - 1.
     """
-    _, wts = cell_gauss_points(mesh, order)
-    sums = np.einsum("kq,kqn->kn", wts, _cell_samples(mesh, y, order))
+    pts, wts = cell_gauss_points(mesh, order)
+    sums = np.einsum("kq,kqn->kn", wts, _sample(y, pts))
     return PiecewiseConstantArc(mesh, sums / mesh.steps[:, None])
 
 
 def l2_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
                 order: int = DEFAULT_QUAD_ORDER) -> float:
     """sqrt(integral over [0,T] of |a - b|^2) by composite cell quadrature."""
-    _, wts = cell_gauss_points(mesh, order)
-    d = _cell_samples(mesh, a, order) - _cell_samples(mesh, b, order)
+    pts, wts = cell_gauss_points(mesh, order)
+    d = _sample(a, pts) - _sample(b, pts)
     return float(np.sqrt(_sq_integral(wts, d)))
 
 
 def sup_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
                  samples_per_cell: int = DEFAULT_SUP_SAMPLES) -> float:
-    fa, fb = _as_callable(a), _as_callable(b)
     grid = mesh.dense_samples(samples_per_cell)
-    return max(float(np.linalg.norm(fa(t) - fb(t))) for t in grid)
+    d = _sample(a, grid) - _sample(b, grid)
+    return float(np.sqrt(np.vecdot(d, d).max()))  # row norms as np.linalg.norm
 
 
 def w12_distance(mesh: TimeMesh, a: PiecewiseLinearArc, b: ArcLike,

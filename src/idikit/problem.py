@@ -14,6 +14,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .mesh import CallableArc  # reference arcs live with the other arcs
+
 __all__ = [
     "TerminalCost",
     "RunningCost",
@@ -208,24 +210,6 @@ class InflatedSet(_EndpointSet):
         eta = (x - self.base.project(x)) / d
         lam = max(0.0, float(eta @ w))
         return float(np.linalg.norm(w - lam * eta))
-
-
-# --- reference arcs ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class CallableArc:
-    """Closed-form arc with an exact derivative oracle."""
-
-    fn: Callable[[float], np.ndarray]
-    dfn: Callable[[float], np.ndarray]
-
-    def eval(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.fn(t), dtype=float))
-
-    __call__ = eval
-
-    def derivative(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.dfn(t), dtype=float))
 
 
 # --- the problem bundle -------------------------------------------------------

@@ -4,10 +4,12 @@ One copy of each brute-force oracle: the Gronwall equality cases, one
 instance at a time (the batched oracles in ``idikit.gronwall`` must agree
 with them); the objective-only gradient and minimizer of the Bolza problem;
 the cell-quadrature functionals walked one Gauss point at a time (the
-package samples each mesh once and reduces arrays); and the memory coupling
-sum of the backward sweeps, one later step at a time; and the projections
-onto the velocity bodies, one point at a time, with one least-squares solve
-per vertex subset of a polytope.
+package samples each mesh once and reduces arrays); the two continuous
+memory integrals walked one time, one panel and one point at a time (the
+package serves all times in one call); the memory coupling sum of the
+backward sweeps, one later step at a time; and the projections onto the
+velocity bodies, one point at a time, with one least-squares solve per
+vertex subset of a polytope.
 """
 
 import itertools
@@ -16,9 +18,10 @@ import math
 import numpy as np
 
 from idikit.bolza import ControlParameterization, _objective
-from idikit.kernel import continuous_accumulator, kernel_average_w
-from idikit.mesh import cell_gauss_points, sup_distance
-from idikit.setvalued import distance_and_projection
+from idikit.kernel import kernel_average_w
+from idikit.mesh import (PiecewiseConstantArc, PiecewiseLinearArc, TimeMesh,
+                         cell_gauss_points, interval_gauss_points, sup_distance)
+from idikit.setvalued import distance_and_projection, graph_normal_cone
 
 
 def forward_recursion(e0, sigma, rho, gamma):
@@ -45,26 +48,35 @@ def integro_rk4(rho0, a, b1, b2, grid):
     """Equality case rho' = a + b1 rho + b2 int rho by fixed-step RK4.
 
     Four substeps per cell of the uniform grid; the coefficient samples are
-    interpolated linearly with np.interp.
+    interpolated linearly, by one np.interp per coefficient at every stage
+    time, and the steps run on Python floats.
     """
-    def f(t, y):
-        return np.array([np.interp(t, grid, a) + np.interp(t, grid, b1) * y[0]
-                         + np.interp(t, grid, b2) * y[1], y[0]])
-
-    y = np.array([rho0, 0.0])
-    out = [rho0]
     h = grid[1] - grid[0]
+    hh = h / 4
+    times = []
     for i in range(grid.size - 1):
         t = grid[i]
         for _ in range(4):
-            hh = h / 4
-            k1 = f(t, y)
-            k2 = f(t + hh / 2, y + hh / 2 * k1)
-            k3 = f(t + hh / 2, y + hh / 2 * k2)
-            k4 = f(t + hh, y + hh * k3)
-            y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            times += [t, t + hh / 2, t + hh / 2, t + hh]
             t += hh
-        out.append(y[0])
+    A, B1, B2 = (np.interp(times, grid, c).tolist() for c in (a, b1, b2))
+    y0, y1 = float(rho0), 0.0
+    out = [rho0]
+    stage = iter(zip(A, B1, B2))
+
+    def f(z0, z1):
+        a_t, b1_t, b2_t = next(stage)
+        return a_t + b1_t * z0 + b2_t * z1, z0
+
+    for _cell in range(grid.size - 1):
+        for _ in range(4):
+            k1 = f(y0, y1)
+            k2 = f(y0 + hh / 2 * k1[0], y1 + hh / 2 * k1[1])
+            k3 = f(y0 + hh / 2 * k2[0], y1 + hh / 2 * k2[1])
+            k4 = f(y0 + hh * k3[0], y1 + hh * k3[1])
+            y0 = y0 + hh / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            y1 = y1 + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        out.append(y0)
     return np.array(out)
 
 
@@ -118,6 +130,70 @@ def _f(arc):
     return arc.eval if hasattr(arc, "eval") else arc
 
 
+# --- the continuous memory integrals, one time and one point at a time --------
+
+def panel_edges(arc, mesh):
+    """Panel edges on [0, T]: the cells of the arc's own mesh when it is
+    piecewise, else of ``mesh``, each split evenly into ceil(64 / k)."""
+    if isinstance(arc, (PiecewiseLinearArc, PiecewiseConstantArc)):
+        mesh = arc.mesh
+    split = math.ceil(64 / mesh.k)
+    edges = [0.0]
+    for j in range(mesh.k):
+        edges += list(np.linspace(mesh.nodes[j], mesh.nodes[j + 1], split + 1)[1:])
+    return np.array(edges)
+
+
+def memory_integral(kernel, arc, t, edges, order=4):
+    """int_0^t g(t, s, arc(s)) ds over the panels between ``edges``, the
+    panel that holds t cut at t; zero for t <= 0."""
+    x_of = _f(arc)
+    acc = np.zeros(np.atleast_1d(x_of(0.0)).size)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a >= t:
+            break
+        pts, wts = interval_gauss_points(a, min(b, t), order)
+        for s, w in zip(pts, wts):
+            acc = acc + w * kernel.eval(t, s, np.atleast_1d(x_of(s)))
+    return acc
+
+
+def adjoint_integral(kernel, x_arc, p, tau, horizon, edges, order=4):
+    """int_tau^T jac_g(t, tau, x(tau))^T p(t) dt over the panels between
+    ``edges`` up to ``horizon``, the panel that holds tau cut at tau."""
+    x_tau = np.atleast_1d(_f(x_arc)(tau))
+    p_of = _f(p)
+    acc = np.zeros(x_tau.size)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= tau or a >= horizon:
+            continue
+        pts, wts = interval_gauss_points(max(a, tau), min(b, horizon), order)
+        for t, w in zip(pts, wts):
+            acc = acc + w * kernel.jac(t, tau, x_tau).T @ np.atleast_1d(p_of(t))
+    return acc
+
+
+def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
+    """The Volterra residual at each tau; tau counts as sampled on p's
+    panels, from its cells when p is piecewise, else from [0, T]."""
+    edges = panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon))
+    out = []
+    for tau in taus:
+        x = np.atleast_1d(x_arc.eval(tau))
+        v = np.atleast_1d(x_arc.derivative(tau))
+        mem = adjoint_integral(problem.kernel, x_arc, p_arc, tau,
+                               problem.horizon, edges)
+        y = memory_integral(problem.kernel, x_arc, tau,
+                            panel_edges(x_arc, TimeMesh.from_nodes(edges)))
+        glx = lam * np.atleast_1d(problem.running_cost.grad_x(tau, x, v))
+        glv = lam * np.atleast_1d(problem.running_cost.grad_v(tau, x, v))
+        cone = graph_normal_cone(problem.fmap, tau, x, v - y, tol_feas)
+        d, _ = cone.pair_distance(np.atleast_1d(p_arc.derivative(tau)) + mem - glx,
+                                  np.atleast_1d(p_arc.eval(tau)) - glv)
+        out.append(d)
+    return np.array(out)
+
+
 def l2_distance(mesh, a, b, order=4):
     fa, fb = _f(a), _f(b)
     pts, wts = cell_gauss_points(mesh, order)
@@ -142,12 +218,13 @@ def average_values(mesh, y, order=4):
 
 def feasibility_residual(problem, arc, mesh, order=4):
     x_of, dx_of = _f(arc), arc.derivative
+    edges = panel_edges(arc, mesh)
     pts, wts = cell_gauss_points(mesh, order)
     total = 0.0
     for j in range(mesh.k):
         for q in range(pts.shape[1]):
             s = pts[j, q]
-            y_s = continuous_accumulator(problem.kernel, arc, s)
+            y_s = memory_integral(problem.kernel, arc, s, edges)
             d, _ = distance_and_projection(problem.fmap, s, x_of(s),
                                            np.atleast_1d(dx_of(s)) - y_s)
             total += wts[j, q] * d * d
@@ -178,6 +255,7 @@ def error_report(problem, reference, mesh, traj, tau_f, order=4):
     b = np.array([kernel_average_w(kernel, mesh, ref_nodes, j, order)
                   for j in range(mesh.k)])
 
+    edges = panel_edges(reference, mesh)
     pts, wts = cell_gauss_points(mesh, order)
     xi_sq = 0.0
     for j in range(mesh.k):
@@ -194,7 +272,7 @@ def error_report(problem, reference, mesh, traj, tau_f, order=4):
         for q in range(pts.shape[1]):
             s = pts[j, q]
             dx_s = np.atleast_1d(dx_of(s))
-            y_s = continuous_accumulator(kernel, reference, s)
+            y_s = memory_integral(kernel, reference, s, edges)
             defect_s, _ = distance_and_projection(problem.fmap, s, x_of(s),
                                                   dx_s - y_s)
             c_s = (2.0 * np.linalg.norm(a[j] - dx_s)

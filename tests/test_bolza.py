@@ -269,3 +269,23 @@ def test_solver_pure_tracking_reproduces_interpolant(ball_entry):
         costs.append(cost_Jk(dbp, traj))
     assert costs[1] <= costs[0] + 1e-15
     assert costs[1] < 1e-12  # constant reference: exact fit
+
+
+def _nan_grad_v_at_half(problem):
+    # a running cost whose v-gradient is nan at t = 0.5 only
+    from dataclasses import replace
+    from idikit.problem import RunningCost
+    return replace(problem, running_cost=RunningCost(
+        lambda t, x, v: 0.0, lambda t, x, v: np.zeros(np.size(x)),
+        lambda t, x, v: np.full(np.size(v), np.nan) if t == 0.5 else np.zeros(np.size(v))))
+
+
+def test_non_finite_gradient_names_stage_and_node(cos_t_entry):
+    from idikit.dynamics import NonFiniteStateError
+    prob = _nan_grad_v_at_half(cos_t_entry.problem)
+    dbp, c0, _, _ = build_discrete_problem(prob, TimeMesh.uniform(8, 1.0),
+                                           cos_t_entry.reference)
+    with pytest.raises(NonFiniteStateError) as info:
+        cost_gradient(dbp, c0)
+    err = info.value  # the backward sweep meets node 4 (t = 0.5) first
+    assert (err.stage, err.k, err.node, err.t) == ("cost_gradient", 8, 4, 0.5)

@@ -9,6 +9,7 @@ from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
 from idikit.gronwall import discrete_gronwall_backward
+from idikit.problem import RunningCost
 from idikit.setvalued import Singleton
 from oracles import backward_recursion
 
@@ -351,3 +352,22 @@ def test_non_finite_state_exits_with_its_stage_and_node(tmp_path, monkeypatch, c
     # simulate runs at the finest mesh, k = 16: node 9 is t = 0.5625
     assert main(["simulate", cfgp]) == 3
     assert "node 9 of k=16 (t=0.5625)" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_and_multiplier_exit_3(tmp_path, monkeypatch, capsys):
+    # cos_t with a running cost whose v-gradient is nan at t = 0.5
+    def load_nan_cost(path):
+        cfg = load_config(path)
+        run = RunningCost(lambda t, x, v: 0.0, lambda t, x, v: np.zeros(1),
+                          lambda t, x, v: np.full(1, np.nan) if t == 0.5 else np.zeros(1))
+        cfg.entry = CatalogEntry(replace(cfg.entry.problem, running_cost=run),
+                                 cfg.entry.reference)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", load_nan_cost)
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    for command, stage in (("converge", "cost_gradient"),
+                           ("conditions", "adjoint_solve_smooth")):
+        assert main([command, cfgp]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {stage}: non-finite state at node 4 of k=8 (t=0.5)\n"

@@ -325,3 +325,17 @@ def test_recover_multipliers_degraded_on_nonstationary(ball_entry):
     mult, route = recover_multipliers(dbp, traj, resid_tol=1e-8)
     assert route == "normal-degraded"
     assert nontriviality_value(mult) == 1.0
+
+
+def test_non_finite_multiplier_names_stage_and_node(cos_t_entry):
+    from dataclasses import replace
+    from idikit.dynamics import NonFiniteStateError
+    prob = replace(cos_t_entry.problem, running_cost=RunningCost(
+        lambda t, x, v: 0.0, lambda t, x, v: np.zeros(1),
+        lambda t, x, v: np.full(1, np.nan) if t == 0.5 else np.zeros(1)))
+    dbp, _, traj, _ = build_discrete_problem(prob, TimeMesh.uniform(8, 1.0),
+                                             cos_t_entry.reference)
+    with pytest.raises(NonFiniteStateError) as info:
+        adjoint_solve_smooth(dbp, traj)
+    err = info.value  # the backward recursion meets node 4 (t = 0.5) first
+    assert (err.stage, err.k, err.node, err.t) == ("adjoint_solve_smooth", 8, 4, 0.5)

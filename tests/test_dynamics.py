@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,6 @@ def test_non_finite_state_names_stage_and_node():
                                epsilon=1.0, omega_k=InflatedSet(WholeSpace(), 0.0))
     runs = {
         "simulate": lambda: simulate(prob, mesh),
-        "approximate_arc": lambda: approximate_arc(prob, ref, mesh),
         "forward_trajectory": lambda: forward_trajectory(
             dbp, ControlParameterization(np.zeros((8, 1)))),
     }
@@ -250,6 +250,12 @@ def test_non_finite_state_names_stage_and_node():
         err = info.value
         assert (err.stage, err.k, err.node, err.t) == (stage, 8, 5, 0.625)
         assert str(err) == f"{stage}: non-finite state at node 5 of k=8 (t=0.625)"
+    # the reference's inclusion defect is sampled at cell Gauss points, so
+    # approximate_arc stops at its gate, at the cell that holds t = 0.5+
+    with pytest.raises(NonFiniteStateError) as info:
+        approximate_arc(prob, ref, mesh)
+    err = info.value
+    assert (err.stage, err.k, err.node, err.t) == ("approximate_arc", 8, 4, 0.5)
 
 
 def test_overflow_is_caught_at_the_first_infinite_state():
@@ -257,3 +263,20 @@ def test_overflow_is_caught_at_the_first_infinite_state():
     with pytest.raises(NonFiniteStateError) as info, np.errstate(over="ignore"):
         simulate(prob, TimeMesh.uniform(4, 4.0))  # h = 1: x_2 = 2e308 = inf
     assert (info.value.stage, info.value.node) == ("simulate", 1)
+
+
+def test_gate_rejects_a_defect_that_is_nan_only_between_the_nodes():
+    # the drift is finite at the mesh nodes, where the march looks, and nan
+    # at every other time, where the reference's defect is sampled
+    mesh = TimeMesh.uniform(4, 1.0)
+    nodes = set(mesh.nodes.tolist())
+    prob = replace(_static_problem(0.0), fmap=Singleton(
+        lambda t, x: np.zeros(1) if float(t) in nodes else np.full(1, np.nan)))
+    ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    assert np.isfinite(simulate(prob, mesh).states).all()
+    assert np.isnan(feasibility_residual(prob, ref, mesh))
+    for feas_tol in (1e-6, np.inf):  # no tolerance lets a nan through
+        with pytest.raises(NonFiniteStateError) as info:
+            approximate_arc(prob, ref, mesh, feas_tol=feas_tol, tau_f=0.0)
+        err = info.value
+        assert (err.stage, err.k, err.node, err.t) == ("approximate_arc", 4, 0, 0.0)

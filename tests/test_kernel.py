@@ -4,14 +4,17 @@ from math import factorial
 import numpy as np
 import pytest
 
+import oracles
+
 from idikit import catalog
 from idikit.config import load_config
 from idikit.kernel import (TRIANGLE_POINTS, TRIANGLE_WEIGHTS, KernelIndexError,
-                           VolterraKernel, assemble_tensors, assemble_w,
-                           continuous_accumulator, kernel_average_w,
+                           VolterraKernel, _memory_integrals, assemble_tensors,
+                           assemble_w, continuous_accumulator, kernel_average_w,
                            mu_tensor, theta_vector, volterra_adjoint_integral,
                            xi_tensor)
-from idikit.mesh import PiecewiseLinearArc, TimeMesh, interval_gauss_points
+from idikit.mesh import (PiecewiseLinearArc, TimeMesh, cell_gauss_points,
+                         interval_gauss_points)
 from idikit.problem import CallableArc
 
 
@@ -286,8 +289,7 @@ def test_assemble_tensors_shapes_and_tilde():
     mesh = TimeMesh.uniform(4, 1.0)
     states = np.linspace(1, 2, 5)[:, None]
     vels = np.diff(states, axis=0) / mesh.steps[:, None]
-    ref = PiecewiseLinearArc(mesh, states)
-    tensors = assemble_tensors(entryk, mesh, states, vels, ref)
+    tensors = assemble_tensors(entryk, mesh, states, vels, states)
     assert tensors.w.shape == (4, 1)
     assert tensors.xi.shape == (5, 4, 1, 1)
     assert np.allclose(tensors.xi[4], 0.0)  # the i = k extension row is zero
@@ -357,24 +359,6 @@ def _oracle_xi(kernel, mesh, states, i, j):
 
 def _oracle_mu(kernel, mesh, states, j):
     return _tri_oracle(lambda t, s: kernel.jac(t, s, states[j]), _cell(mesh, j)).T
-
-
-def _panels(edges, order=4):
-    for a, b in zip(edges[:-1], edges[1:]):
-        yield from zip(*interval_gauss_points(a, b, order))
-
-
-def _oracle_accumulator(kernel, arc, t):
-    edges = np.append(arc.mesh.nodes[arc.mesh.nodes < t], t)
-    return sum(wq * kernel.eval(t, sq, arc.eval(sq)) for sq, wq in _panels(edges))
-
-
-def _oracle_adjoint(kernel, x_arc, p_arc, tau, horizon):
-    nodes = p_arc.mesh.nodes
-    edges = np.concatenate([[tau], nodes[(nodes > tau) & (nodes < horizon)], [horizon]])
-    x_tau = x_arc.eval(tau)
-    return sum(wq * kernel.jac(tq, tau, x_tau).T @ p_arc.eval(tq)
-               for tq, wq in _panels(edges))
 
 
 def _inline_kernel(tmp_path, kernel_lines, dim=2):
@@ -454,7 +438,8 @@ def test_row_path_matches_per_pair_oracle(dim, tmp_path):
         states = rng.normal(size=(mesh.k + 1, dim))
         vels = rng.normal(size=(mesh.k, dim))
         arc = PiecewiseLinearArc(mesh, states)
-        tensors = assemble_tensors(kern, mesh, states, vels, arc)
+        edges = oracles.panel_edges(arc, mesh)
+        tensors = assemble_tensors(kern, mesh, states, vels, states)
         _assert_rel(tensors.w, [_oracle_w(kern, mesh, states, j) for j in range(mesh.k)])
         _assert_rel(assemble_w(kern, mesh, states), tensors.w)
         want_xi = np.zeros_like(tensors.xi)
@@ -468,10 +453,11 @@ def test_row_path_matches_per_pair_oracle(dim, tmp_path):
         _assert_rel([mu_tensor(kern, mesh, states, j) for j in range(mesh.k)], want_mu)
         for t in (0.05, mesh.nodes[3], 1.37):
             _assert_rel(continuous_accumulator(kern, arc, t),
-                        _oracle_accumulator(kern, arc, t))
+                        oracles.memory_integral(kern, arc, t, edges))
         for tau in (0.0, mesh.nodes[2], 0.93):
             _assert_rel(volterra_adjoint_integral(kern, arc, arc, tau, mesh.horizon),
-                        _oracle_adjoint(kern, arc, arc, tau, mesh.horizon))
+                        oracles.adjoint_integral(kern, arc, arc, tau,
+                                                 mesh.horizon, edges))
 
 
 def test_single_cell_memory_comes_from_the_triangle():
@@ -479,12 +465,11 @@ def test_single_cell_memory_comes_from_the_triangle():
     mesh = TimeMesh.uniform(1, h)
     states = np.array([[0.7, -1.2], [0.3, 0.4]])
     vels = np.zeros((1, 2))
-    ref = PiecewiseLinearArc(mesh, states)
     neg = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0), 1.0, 1.0)
     damped = VolterraKernel.convolution(lambda u: -np.exp(-u), 1.0, 1.0)
     # int_0^h int_0^t a(t - s) ds dt for a = -1 and a = -exp(-u)
     for kern, tri in ((neg, -h * h / 2), (damped, -(h - 1.0 + np.exp(-h)))):
-        tensors = assemble_tensors(kern, mesh, states, vels, ref)
+        tensors = assemble_tensors(kern, mesh, states, vels, states)
         assert tensors.xi.shape == (2, 1, 2, 2)
         assert np.all(tensors.xi == 0.0)
         _assert_rel(tensors.w[0], tri / h * states[0])
@@ -494,9 +479,8 @@ def test_single_cell_memory_comes_from_the_triangle():
 def test_zero_kernel_gives_zero_tensors():
     mesh = TimeMesh.from_nodes([0.0, 0.2, 0.7, 1.0])
     states = np.ones((4, 2))
-    ref = PiecewiseLinearArc(mesh, states)
     tensors = assemble_tensors(VolterraKernel.zero(), mesh, states,
-                               np.zeros((3, 2)), ref)
+                               np.zeros((3, 2)), states)
     assert tensors.w.shape == (3, 2) and not tensors.w.any()
     assert tensors.xi.shape == (4, 3, 2, 2) and not tensors.xi.any()
     assert tensors.mu.shape == (3, 2, 2) and not tensors.mu.any()
@@ -528,10 +512,12 @@ def test_zero_kernel_stores_no_xi_and_couples_nothing():
 
 
 class _CountingArc:
+    """A scalar callable that records the times it is called at."""
+
     def __init__(self, f):
         self.f, self.times = f, []
 
-    def eval(self, t):
+    def __call__(self, t):
         self.times.append(t)
         return self.f(t)
 
@@ -546,3 +532,81 @@ def test_accumulator_evaluates_the_arc_only_where_it_integrates():
         out = continuous_accumulator(kernel, arc, t)
         assert arc.times == [0.0]  # one probe, for the state size
         assert out.shape == (2,) and not out.any()
+
+
+# --- the continuous memory integrals against the walk -------------------------
+
+def _walk_accumulator(kern, arc, times, mesh):
+    edges = oracles.panel_edges(arc, mesh)
+    return [oracles.memory_integral(kern, arc, t, edges) for t in times]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_memory_integrals_match_the_walk_on_random_meshes(dim, tmp_path):
+    rng = np.random.default_rng(60 + dim)
+    kernels = [_nonlinear_kernel(dim)]
+    kernels += [kern for _, kern, d in _shipped_kernels(tmp_path) if d == dim]
+    w = rng.uniform(0.5, 2.0, dim)
+    smooth = CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t))
+    for k in (1, 4, 11):
+        mesh = _random_mesh(rng, k, 1.6)
+        fine = mesh.refine().refine().refine()  # a simulated reference's mesh
+        arcs = [PiecewiseLinearArc(mesh, rng.normal(size=(k + 1, dim))),
+                PiecewiseLinearArc(fine, rng.normal(size=(8 * k + 1, dim))),
+                smooth]
+        # every cell Gauss point, as the reference sampling asks, and the ends
+        times = np.concatenate([[0.0], cell_gauss_points(mesh)[0].ravel(),
+                                mesh.nodes[1:]])
+        check = np.unique(np.concatenate([[0, 1, times.size - 1],
+                                          rng.choice(times.size, 4)]))
+        p = PiecewiseLinearArc(mesh, rng.normal(size=(k + 1, dim)))
+        for kern in kernels:
+            for arc in arcs:
+                got = _memory_integrals(kern, arc, times, mesh)
+                assert got.shape == (times.size, dim) and not got[0].any()
+                _assert_rel(got[check], _walk_accumulator(kern, arc, times[check], mesh))
+                for x_arc, q in ((arc, p), (p, arc)):
+                    got = volterra_adjoint_integral(kern, x_arc, q, times, 1.6)
+                    assert got.shape == (times.size, dim) and not got[-1].any()
+                    edges = oracles.panel_edges(q, TimeMesh.uniform(1, 1.6))
+                    _assert_rel(got[check], [oracles.adjoint_integral(
+                        kern, x_arc, q, tau, 1.6, edges) for tau in times[check]])
+
+
+def test_mesh_panels_agree_with_uniform_panels_on_closed_forms():
+    # the rule the accumulator followed before: 64 uniform panels on [0, t]
+    for name in ("damped_volterra", "cos_t"):
+        entry = catalog.get(name)
+        kern, ref = entry.problem.kernel, entry.reference
+        for k in (1, 4, 20, 80):
+            mesh = TimeMesh.uniform(k, entry.problem.horizon)
+            times = cell_gauss_points(mesh)[0].ravel()[::max(1, k // 10)]
+            got = _memory_integrals(kern, ref, times, mesh)
+            want = [oracles.memory_integral(kern, ref, t, np.linspace(0.0, t, 65))
+                    for t in times]
+            _assert_rel(got, want)
+
+
+def test_accumulator_shares_one_arc_evaluation_across_times():
+    kern = catalog.get("damped_volterra").problem.kernel
+    calls = _CountingArc(lambda t: np.array([math.cos(t), t]))
+    arc = CallableArc(calls, lambda t: np.array([-math.sin(t), 1.0]))
+    times = np.linspace(0.05, 1.0, 150)  # three blocks of times
+    out = continuous_accumulator(kern, arc, times)
+    # 63 whole panels of [0, 1], then the cut panel of each time
+    assert out.shape == (150, 2) and len(calls.times) == 4 * 63 + 4 * 150
+    edges = np.linspace(0.0, 1.0, 65)  # the times count as sampled on [0, 1]
+    _assert_rel(out[[0, 77, 149]], [oracles.memory_integral(kern, arc, t, edges)
+                                     for t in times[[0, 77, 149]]])
+
+
+def test_scalar_times_keep_their_shapes():
+    kern = catalog.get("damped_volterra").problem.kernel
+    mesh = TimeMesh.uniform(4, 1.0)
+    arc = PiecewiseLinearArc(mesh, np.ones((5, 2)))
+    for kernel in (kern, VolterraKernel.zero()):
+        assert continuous_accumulator(kernel, arc, 0.7).shape == (2,)
+        assert volterra_adjoint_integral(kernel, arc, arc, 0.3, 1.0).shape == (2,)
+        assert not continuous_accumulator(kernel, arc, 0.0).any()
+        assert not volterra_adjoint_integral(kernel, arc, arc, 1.0, 1.0).any()
+    assert theta_vector(mesh, np.ones((4, 2)), arc, 1).shape == (2,)

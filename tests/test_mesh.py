@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from idikit.mesh import (MeshError, PiecewiseConstantArc, PiecewiseLinearArc,
-                         TimeMesh, average_operator, l2_distance,
-                         round_down_map, sup_distance, w12_distance)
+from idikit.mesh import (CallableArc, MeshError, PiecewiseConstantArc,
+                         PiecewiseLinearArc, TimeMesh, average_operator,
+                         l2_distance, round_down_map, sup_distance,
+                         w12_distance)
 
 
 def test_round_down_basics():
@@ -139,3 +140,80 @@ def test_sup_distance_matches_manual_sampling():
     b = lambda t: np.array([t])
     got = sup_distance(mesh, a, b)
     assert abs(got - 0.25) < 1e-3  # max of t - t^2 on [0, 1]
+
+
+# --- arcs take arrays of times ------------------------------------------------
+
+def _arcs(mesh, dim, rng):
+    """One arc of each class on ``mesh``, with derivative where it has one."""
+    w = rng.normal(size=dim)
+    return [
+        PiecewiseLinearArc(mesh, rng.normal(size=(mesh.k + 1, dim))),
+        PiecewiseConstantArc(mesh, rng.normal(size=(mesh.k, dim)),
+                             value_at_zero=rng.normal(size=dim)),
+        CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_array_eval_is_bitwise_the_scalar_eval(dim):
+    rng = np.random.default_rng(40 + dim)
+    for k in (1, 3, 9):
+        inner = np.sort(rng.uniform(0.0, 1.7, k - 1))
+        mesh = TimeMesh.from_nodes(np.concatenate([[0.0], inner, [1.7]]))
+        T = mesh.horizon
+        times = np.concatenate([mesh.nodes, rng.uniform(0.0, T, 25),
+                                [-1e-12, -5e-13, 5e-13, T - 5e-13, T + 5e-13, T + 1e-12]])
+        for arc in _arcs(mesh, dim, rng):
+            methods = [arc.eval, arc.__call__]
+            if hasattr(arc, "derivative"):
+                methods.append(arc.derivative)
+            for f in methods:
+                batch = f(times)
+                assert batch.shape == (times.size, dim)
+                for i, t in enumerate(times):
+                    one = f(float(t))
+                    assert one.shape == (dim,)
+                    assert np.array_equal(batch[i], one), (type(arc).__name__, t)
+            for bad in (-2e-12, T + 2e-12, 2 * T):
+                if isinstance(arc, CallableArc):
+                    continue  # a closed-form arc has no domain
+                with pytest.raises(MeshError):
+                    arc.eval(bad)
+                with pytest.raises(MeshError):
+                    arc.eval(np.array([0.5 * T, bad]))
+
+
+def test_piecewise_linear_arc_ends_within_round_off():
+    # times within 1e-12 outside [0, T] continue the end cells' lines
+    mesh = TimeMesh.from_nodes([0.0, 0.3, 1.0])
+    arc = PiecewiseLinearArc(mesh, [[1.0], [4.0], [0.5]])
+    got = arc.eval(np.array([-1e-12, 0.0, 1.0, 1.0 + 1e-12]))[:, 0]
+    assert np.allclose(got, [1.0 - 1e-11, 1.0, 0.5, 0.5 - 5e-12], rtol=0, atol=1e-15)
+    assert np.array_equal(arc.derivative(np.array([-1e-12, 1.0 + 1e-12]))[:, 0],
+                          [10.0, -5.0])
+
+
+def test_piecewise_constant_array_keeps_value_at_zero_and_left_continuity():
+    mesh = TimeMesh.uniform(2, 1.0)
+    arc = PiecewiseConstantArc(mesh, [[1.0], [2.0]], value_at_zero=[0.0])
+    times = np.array([-1e-12, 0.0, 1e-15, 0.25, 0.5, 0.5 + 1e-15, 0.75, 1.0])
+    assert np.array_equal(arc.eval(times)[:, 0], [0, 0, 1, 1, 1, 2, 2, 2])
+    default = PiecewiseConstantArc(mesh, [[1.0], [2.0]])  # y_0 at t = 0
+    assert np.array_equal(default.eval(np.array([0.0, 0.5]))[:, 0], [1.0, 1.0])
+
+
+def test_dense_samples_and_sup_distance_match_the_loops():
+    rng = np.random.default_rng(3)
+    mesh = TimeMesh.from_nodes(np.concatenate([[0.0], np.sort(rng.uniform(0, 2, 6)), [2.0]]))
+    chunks = [mesh.nodes]
+    for j in range(mesh.k):
+        a, b = mesh.nodes[j], mesh.nodes[j + 1]
+        chunks.append(a + (b - a) * (np.arange(1, 17) / 17))
+    grid = mesh.dense_samples()
+    assert np.array_equal(grid, np.sort(np.concatenate(chunks)))
+    arc = PiecewiseLinearArc(mesh, rng.normal(size=(mesh.k + 1, 2)))
+    ref = CallableArc(lambda t: np.array([np.sin(t), t * t]),
+                      lambda t: np.array([np.cos(t), 2 * t]))
+    want = max(float(np.linalg.norm(arc.eval(t) - ref.eval(t))) for t in grid)
+    assert sup_distance(mesh, arc, ref) == want

@@ -17,7 +17,7 @@ from idikit.conditions import adjoint_solve_smooth, build_condition_report
 from idikit.config import load_config
 from idikit.dynamics import approximate_arc, feasibility_residual, simulate
 from idikit.kernel import assemble_tensors
-from idikit.mesh import TimeMesh, average_operator, l2_distance
+from idikit.mesh import PiecewiseLinearArc, TimeMesh, average_operator, l2_distance
 from idikit.problem import CallableArc
 
 CATALOG = ("cos_t", "damped_volterra", "ball_control_lq", "polytope_endpoint")
@@ -66,7 +66,8 @@ def _meshes(horizon, seed):
     rng = np.random.default_rng(seed)
     inner = np.sort(rng.uniform(0.0, horizon, 8))
     return [TimeMesh.uniform(12, horizon),
-            TimeMesh.from_nodes(np.concatenate([[0.0], inner, [horizon]]))]
+            TimeMesh.from_nodes(np.concatenate([[0.0], inner, [horizon]])),
+            TimeMesh.uniform(1, horizon)]
 
 
 def _close(new, old):
@@ -135,13 +136,30 @@ def test_memory_coupling_matches_loop(cases, name):
     mesh = _meshes(problem.horizon, seed=7)[1]
     traj, _ = approximate_arc(problem, ref, mesh, feas_tol=np.inf, tau_f=0.0)
     tensors = assemble_tensors(problem.kernel, mesh, traj.states,
-                               traj.velocities, ref)
+                               traj.velocities, ref(mesh.nodes))
     r = np.random.default_rng(2).standard_normal((mesh.k, problem.dim))
     for j in range(mesh.k):
         want = oracles.memory_coupling(tensors.xi, j, r)
         got = tensors.coupling(j, r)
         assert np.abs(got - want).max() <= RTOL * max(np.abs(want).max(), 1e-300)
     assert np.any(tensors.xi != 0.0)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("identity_decay",))
+def test_condition_report_matches_pointwise_oracle(cases, name):
+    problem, ref = cases[name]
+    for mesh in _meshes(problem.horizon, seed=9 + len(name)):
+        traj, rep = approximate_arc(problem, ref, mesh, feas_tol=np.inf,
+                                    tau_f=0.0)
+        dbp, _, _, _ = build_discrete_problem(problem, mesh, ref,
+                                              precomputed=(traj, rep))
+        mult = adjoint_solve_smooth(dbp, traj)
+        crep = build_condition_report(dbp, traj, mult, x_arc=ref)
+        want = oracles.volterra_residuals(problem, ref, PiecewiseLinearArc(mesh, mult.p),
+                                          mult.lam, crep.volterra_taus)
+        assert crep.volterra_residuals.shape == want.shape == (mesh.k,)
+        for got, old in zip(crep.volterra_residuals, want):
+            assert _close(got, old), (mesh.k, got, old)
 
 
 @pytest.mark.parametrize("name", CATALOG)
