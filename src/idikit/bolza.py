@@ -15,7 +15,7 @@ rectangle integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,9 @@ class DiscreteBolzaProblem:
     ``omega_k`` is the endpoint set inflated by the nodal error majorant of
     the approximation run that produced the initial point; the localization
     constraints (nodal eps/2 tube, derivative-L2 budget eps/2) are recorded
-    and enforced as a trust region by the solver.
+    and enforced as a trust region by the solver.  The reference is sampled
+    once, at the nodes and its derivative at the cell Gauss points, unless
+    ``reference_samples`` hands over those two arrays.
     """
 
     base: ProblemData
@@ -56,12 +58,15 @@ class DiscreteBolzaProblem:
     zeta_k: float
     epsilon: float
     omega_k: InflatedSet
+    reference_samples: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, reference_samples):
         # sampled once for every cost evaluation, gradient and trial step
-        nodes = _sample(self.reference, self.mesh.nodes)
-        ref_dot = _sample(self.reference.derivative, cell_gauss_points(self.mesh)[0])
-        for name, arr in (("_ref_nodes", nodes), ("_ref_dot", ref_dot)):
+        if reference_samples is None:
+            reference_samples = (
+                _sample(self.reference, self.mesh.nodes),
+                _sample(self.reference.derivative, cell_gauss_points(self.mesh)[0]))
+        for name, arr in zip(("_ref_nodes", "_ref_dot"), reference_samples):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -91,8 +96,8 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     Runs the arc approximation to obtain the initial trajectory and its
     error report (or reuses a precomputed (trajectory, report) pair from
     the same mesh); the report's nodal majorant becomes the endpoint
-    inflation.  Returns (discrete problem, initial controls, initial
-    trajectory, report).
+    inflation, and the reference samples it carries are not taken again.
+    Returns (discrete problem, initial controls, initial trajectory, report).
     """
     if precomputed is None:
         traj, report = approximate_arc(problem, reference, mesh, feas_tol=feas_tol)
@@ -101,7 +106,8 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     eps = problem.epsilon if epsilon is None else epsilon
     dbp = DiscreteBolzaProblem(
         base=problem, mesh=mesh, reference=reference, zeta_k=report.zeta_k,
-        epsilon=eps, omega_k=InflatedSet(problem.omega, report.zeta_k))
+        epsilon=eps, omega_k=InflatedSet(problem.omega, report.zeta_k),
+        reference_samples=report.reference_samples)
     controls = _controls_from_trajectory(problem, traj).projected(dbp)
     return dbp, controls, traj, report
 

@@ -66,8 +66,7 @@ def _zero_drift():
 
 def _cos_t(T: float = 1.0) -> CatalogEntry:
     # x'(t) = -int_0^t x(s) ds, x(0) = 1  ->  x(t) = cos t
-    kernel = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0),
-                                        beta=1.0, alpha=1.0)
+    kernel = VolterraKernel.exponential(-1.0, 0.0, beta=1.0, alpha=1.0)
     problem = ProblemData(
         name="cos_t", fmap=_zero_drift(), kernel=kernel, x0=[1.0], horizon=T,
         omega=WholeSpace(), terminal_cost=_quadratic_terminal([0.0]),
@@ -80,7 +79,7 @@ def _cos_t(T: float = 1.0) -> CatalogEntry:
 
 def _damped_volterra(T: float = 2.0) -> CatalogEntry:
     # x'(t) = -int_0^t e^{-(t-s)} x(s) ds  <=>  x'' + x' + x = 0
-    kernel = VolterraKernel.convolution(lambda u: -np.exp(-u), beta=1.0, alpha=1.0)
+    kernel = VolterraKernel.exponential(-1.0, 1.0, beta=1.0, alpha=1.0)
     problem = ProblemData(
         name="damped_volterra", fmap=_zero_drift(), kernel=kernel, x0=[1.0],
         horizon=T, omega=WholeSpace(), terminal_cost=_quadratic_terminal([0.0]),

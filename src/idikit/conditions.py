@@ -26,8 +26,8 @@ import numpy as np
 
 from .bolza import DiscreteBolzaProblem
 from .dynamics import DiscreteTrajectory, _check_finite
-from .kernel import (QuadratureTensors, _memory_integrals, assemble_tensors,
-                     volterra_adjoint_integral)
+from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
+                     assemble_tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
 from .setvalued import graph_normal_cone
@@ -181,6 +181,14 @@ def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     return lhs1 - mult.lam * glx, lhs2 - mult.lam * glv
 
 
+def _el_residuals(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
+                  mult: MultiplierSet, tol_feas: float) -> np.ndarray:
+    """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
+    j = k-1 down: the order in which the memory coupling is a running sum."""
+    return np.array([euler_lagrange_residual(problem, traj, mult, j, tol_feas)
+                     for j in range(problem.mesh.k - 1, -1, -1)])[::-1]
+
+
 def euler_lagrange_residual(problem: DiscreteBolzaProblem,
                             traj: DiscreteTrajectory, mult: MultiplierSet,
                             j: int, tol_feas: float = CONE_TOL_FEAS) -> float:
@@ -222,8 +230,7 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     x, v = _sample(x_arc, taus), _sample(x_arc.derivative, taus)
     p, pdot = _sample(p_arc, taus), _sample(p_arc.derivative, taus)
-    mem = volterra_adjoint_integral(problem.kernel, x_arc, p_arc, taus,
-                                    problem.horizon)
+    mem = _adjoint_integrals(problem.kernel, x, p_arc, taus, problem.horizon)
     p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
     y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
     out = np.empty(taus.size)
@@ -250,8 +257,7 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     mult = adjoint_solve_smooth(problem, traj, lam=1.0,
                                 endpoint_normal=endpoint_normal,
                                 tol_feas=tol_feas)
-    el = max((euler_lagrange_residual(problem, traj, mult, j, tol_feas)
-              for j in range(problem.mesh.k)), default=0.0)
+    el = _el_residuals(problem, traj, mult, tol_feas).max()
     if el <= resid_tol:
         return mult, "normal"
     try:
@@ -260,8 +266,7 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                                      tol_feas=tol_feas)
     except DegenerateMultiplierError:
         return mult, "normal-degraded"
-    el0 = max((euler_lagrange_residual(problem, traj, mult0, j, tol_feas)
-               for j in range(problem.mesh.k)), default=0.0)
+    el0 = _el_residuals(problem, traj, mult0, tol_feas).max()
     if el0 <= resid_tol or el0 < el:
         return mult0, "abnormal"
     return mult, "normal-degraded"
@@ -308,8 +313,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     """
     mesh = problem.mesh
     base = problem.base
-    el = np.array([euler_lagrange_residual(problem, traj, mult, j, tol_feas)
-                   for j in range(mesh.k)])
+    el = _el_residuals(problem, traj, mult, tol_feas)
     omega = problem.omega_k if transversality_omega is None else transversality_omega
     trans = transversality_residual(base, traj.states[-1], mult.terminal,
                                     mult.lam, omega=omega, tol=1e-5)

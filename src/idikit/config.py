@@ -137,13 +137,16 @@ def _build_inline_problem(parser) -> CatalogEntry:
         kern = VolterraKernel.zero()
         beta_auto = alpha_auto = 0.0
     elif kernel_name == "negative_identity":
-        kern = VolterraKernel.convolution(lambda u: np.full(np.shape(u), -1.0),
-                                          beta=1.0, alpha=1.0)
+        kern = VolterraKernel.exponential(-1.0, 0.0, beta=1.0, alpha=1.0)
         beta_auto = alpha_auto = 1.0
     elif kernel_name == "identity_decay":
         rate = _get(parser, sec, "kernel_rate", float, default=1.0)
-        kern = VolterraKernel.convolution(lambda u: -np.exp(-rate * u),
-                                          beta=1.0, alpha=1.0)
+        # the declared beta = alpha = 1 hold only for a fading or constant
+        # kernel, which is what exponential accepts
+        try:
+            kern = VolterraKernel.exponential(-1.0, rate, beta=1.0, alpha=1.0)
+        except ValueError as exc:
+            raise ConfigError(f"field 'problem.kernel_rate': {exc}") from None
         beta_auto = alpha_auto = 1.0
     else:
         raise ConfigError(f"field 'problem.kernel': unknown kernel {kernel_name!r}")

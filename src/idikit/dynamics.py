@@ -12,14 +12,14 @@ bound and the derivative-L2 budget) next to the measured errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernel import _memory_integrals, assemble_w, kernel_average_w
-from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
-                   cell_gauss_points, l2_distance, sup_distance)
+from .kernel import _memory_averages, _memory_integrals, assemble_w
+from .mesh import (DEFAULT_QUAD_ORDER, PiecewiseLinearArc, TimeMesh, _sample,
+                   _sq_integral, cell_gauss_points, l2_distance, sup_distance)
 from .problem import ProblemData
 from .setvalued import _norm, averaged_modulus, distance_and_projection
 
@@ -126,7 +126,8 @@ def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
     """Explicit steps x_{j+1} = x_j + h_j v_j from x_0.
 
     ``select(j, x_j, w_j)`` picks the velocity v_j given the node state and
-    the frozen-node memory average w_j of the states so far.  Raises
+    the frozen-node memory average w_j of the states so far, bit for bit
+    what :func:`assemble_w` gives for the finished states.  Raises
     :class:`NonFiniteStateError`, naming ``stage``, at the first node j
     whose v_j, w_j or x_{j+1} is not finite.
     """
@@ -135,8 +136,9 @@ def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
     vels = np.empty((k, n))
     ws = np.empty((k, n))
     states[0] = problem.x0
+    w_of = _memory_averages(problem.kernel, mesh, order)
     for j in range(k):
-        w_j = kernel_average_w(problem.kernel, mesh, states[:j + 1], j, order)
+        w_j = w_of(j, states)
         v_j = select(j, states[j], w_j)
         states[j + 1] = states[j] + mesh.steps[j] * v_j
         vels[j] = v_j
@@ -163,6 +165,10 @@ class ApproximationErrorReport:
     error, ``xi_k`` is the step-density error of the cell-averaged
     derivative, ``nu_k`` the derivative-L1 error.  The measured columns must
     stay below their majorants (checked by :meth:`dominates`).
+    ``reference_samples`` holds what the run sampled of the reference for a
+    discrete problem on the same mesh to reuse: its nodal values and its
+    derivative at the cell Gauss points of the default order (None for
+    another order).
     """
 
     k: int
@@ -179,6 +185,8 @@ class ApproximationErrorReport:
     sup_error: float
     state_l2_error: float
     deriv_l2_error: float
+    reference_samples: Optional[tuple] = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def w12_error(self) -> float:
@@ -320,4 +328,5 @@ def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref,
         nu_k=nu_k, tau_f=tau_f, c_integral=c_int, c_sq_integral=c_sq_int,
         reference_defect=ref.residual, nodal_sup_error=nodal,
         sup_error=sup_err, state_l2_error=state_l2,
-        deriv_l2_error=math.sqrt(_sq_integral(wts, dv)))
+        deriv_l2_error=math.sqrt(_sq_integral(wts, dv)),
+        reference_samples=(ref_nodes, ref.dx) if order == DEFAULT_QUAD_ORDER else None)

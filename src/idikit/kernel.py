@@ -8,6 +8,17 @@ in cells 0..j, with tensor Gauss-Legendre blocks on the rectangles i < j and
 a 12-point symmetric rule, exact through total degree 6, on the triangle of
 cell j; every polynomial test kernel integrates exactly.
 
+An exponential kernel c e^{-r (t - s)} x with r >= 0, built with
+:meth:`VolterraKernel.exponential` (every shipped kernel is one), takes an
+O(k) route through the same rule.  Its Gauss blocks factor into a t-side
+sum per cell, tau_j = sum tw e^{-r (t_q - t_j)}, and an s-side sum,
+sigma_j = sum sw e^{-r (t_{j+1} - s_q)}; with the triangle integral of each
+cell they give w, the backward coupling sums and mu by one running sum
+each, and only the stable factors e^{-r (>= 0)} are ever formed.  This is
+the fast-convolution recurrence of Lubich & Schaedle, SIAM J. Sci. Comput.
+24 (2002), applied to the Gauss rule itself.  Every other kernel keeps the
+row rule, which is also the oracle of the recurrence.
+
 The two continuous memory integrals along arcs, int_0^t g(t, s, x(s)) ds and
 int_tau^T jac_g(t, tau, x(tau))^T p(t) dt, take an array of times in one
 call and share one panel rule: the cells of the integrand arc's own mesh
@@ -15,18 +26,22 @@ when it is piecewise (its kinks), else of the mesh the times are sampled
 on, each split evenly so that [0, T] has at least ``mesh.MIN_PANELS``
 panels, and the panel that holds a time cut there.  Both are the
 product-integration layout of Brunner, Collocation Methods for Volterra
-Integral and Related Functional Differential Equations (CUP 2004).
+Integral and Related Functional Differential Equations (CUP 2004).  For an
+exponential kernel they are a prefix (or suffix) sum over the panels plus
+each time's cut panel; other kernels sum each time's panels in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .mesh import TimeMesh, _panel_edges, _sample, interval_gauss_points
+from .mesh import (TimeMesh, _panel_edges, _sample, cell_gauss_points,
+                   interval_gauss_points)
 from .setvalued import _fd_jacobian
 
 __all__ = [
@@ -80,7 +95,8 @@ class VolterraKernel:
     with step 1e-6 * (1 + |x|) are used.  Kernels of the convolution form
     g(t, s, x) = a(t - s) x are built with :meth:`convolution` and evaluate
     batches in closed form; any other kernel evaluates a batch point by
-    point.
+    point.  Exponential kernels, built with :meth:`exponential`, also take
+    the O(k) memory recurrence.
 
     ``beta`` bounds |g(t,s,x)| <= beta * (1 + |x|) on {s <= t} and ``alpha``
     bounds the Jacobian norm on the state tube the trajectories visit.
@@ -91,6 +107,8 @@ class VolterraKernel:
         self._g = g
         self._jac = jac
         self._a = None
+        self._exp = None    # (c, r) of an exponential kernel
+        self._cells = None  # (mesh, order, its _ExpCells), the last ones built
         self.beta = float(beta)
         self.alpha = float(alpha)
 
@@ -108,6 +126,24 @@ class VolterraKernel:
                      jac=lambda t, s, x: a(t - s) * np.eye(x.size),
                      beta=beta, alpha=alpha)
         kernel._a = a
+        return kernel
+
+    @classmethod
+    def exponential(cls, c: float, r: float, beta: float,
+                    alpha: float) -> "VolterraKernel":
+        """g(t, s, x) = c e^{-r (t - s)} x, a fading (r > 0) or constant
+        (r = 0) memory, with Jacobian c e^{-r (t - s)} I.
+
+        Raises ValueError unless c and r are finite and r >= 0: a growing
+        kernel would need the unstable factors e^{r s}, and its declared
+        bounds ``beta`` and ``alpha`` could not hold on [0, T].
+        """
+        c, r = float(c), float(r)
+        if not (math.isfinite(c) and math.isfinite(r) and r >= 0.0):
+            raise ValueError(f"exponential kernel needs finite c and r >= 0, "
+                             f"got c={c!r}, r={r!r}")
+        kernel = cls.convolution(lambda u: c * np.exp(-r * u), beta, alpha)
+        kernel._exp = (c, r)
         return kernel
 
     @property
@@ -203,6 +239,75 @@ def _row_integrals(batch: Callable, mesh: TimeMesh, states: np.ndarray,
     return np.add.reduceat(weighted, starts, axis=0)
 
 
+# --- the exponential recurrence ---------------------------------------------
+
+class _ExpCells(NamedTuple):
+    """Per-cell sums of an exponential kernel c e^{-r (t - s)} x on one mesh,
+    from the row rule's own Gauss points and triangle; arrays of shape (k,)."""
+
+    c: float
+    rate: float
+    nodes: np.ndarray
+    steps: np.ndarray
+    tau: np.ndarray    # sum of tw e^{-r (t_q - t_j)} over cell j's Gauss points
+    sigma: np.ndarray  # sum of sw e^{-r (t_{j+1} - s_q)} over the same points
+    tri: np.ndarray    # the triangle rule's integral of e^{-r (t - s)} on cell j
+    decay: np.ndarray  # e^{-r h_j}
+
+
+def _exp_cells(kernel: VolterraKernel, mesh: TimeMesh, order: int) -> _ExpCells:
+    """The cell sums of an exponential kernel, built once per (mesh, order)
+    in a row: the kernel keeps the last ones."""
+    cached = kernel._cells
+    if cached is not None and cached[0] is mesh and cached[1] == order:
+        return cached[2]
+    c, r = kernel._exp
+    nodes, h = mesh.nodes, mesh.steps
+    q, wq = cell_gauss_points(mesh, order)
+    tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
+    cells = _ExpCells(
+        c, r, nodes, h,
+        tau=np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1),
+        sigma=np.sum(wq * np.exp(-r * (nodes[1:, None] - q)), axis=1),
+        tri=0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS),
+        decay=np.exp(-r * h))
+    kernel._cells = (mesh, order, cells)
+    return cells
+
+
+def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
+    """``w(j, states)``, the memory average of cell j, called for
+    j = 0, 1, ..., k-1 in turn with ``states`` holding at least nodes 0..j.
+
+    The forward march and :func:`assemble_w` both take their averages from
+    it, so theirs agree bit for bit.  An exponential kernel carries the
+    running sum S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i, so that
+    w_j = (c tau_j / h_j) S_j + (c tri_j / h_j) x_j costs O(n); any other
+    kernel takes the row rule of :func:`kernel_average_w`.
+    """
+    if kernel._exp is None:
+        return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j, order)
+    cells = _exp_cells(kernel, mesh, order)
+    # Python floats: a step is then four small-array operations
+    past = (cells.c * cells.tau / cells.steps).tolist()
+    own = (cells.c * cells.tri / cells.steps).tolist()
+    decay, sigma = cells.decay.tolist(), cells.sigma.tolist()
+    running, expected = 0.0, 0
+
+    def w(j, states):
+        nonlocal running, expected
+        if j != expected:
+            raise KernelIndexError(f"memory averages run over cells in turn: "
+                                   f"asked for {j}, next is {expected}")
+        x = states[j]
+        w_j = past[j] * running + own[j] * x
+        running = decay[j] * running + sigma[j] * x
+        expected += 1
+        return w_j
+
+    return w
+
+
 # --- the discrete tensors ---------------------------------------------------
 
 def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -223,10 +328,11 @@ def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
 
 def assemble_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
                order: int = DEFAULT_ORDER) -> np.ndarray:
-    """All cell averages w_0..w_{k-1}, shape (k, n)."""
+    """All cell averages w_0..w_{k-1}, shape (k, n); for an exponential
+    kernel in O(k) by the running sum the forward march carries."""
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    return np.array([kernel_average_w(kernel, mesh, states, j, order)
-                     for j in range(mesh.k)])
+    w_of = _memory_averages(kernel, mesh, order)
+    return np.array([w_of(j, states) for j in range(mesh.k)])
 
 
 def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -270,20 +376,50 @@ class QuadratureTensors:
     ``xi[i, j]`` holds the rectangle integral for 1 <= i <= k-1, j < i; the
     row i = k is kept and identically zero so the adjoint recursion can sum
     to i = k without special-casing the last step.  For a zero kernel ``xi``
-    is a read-only broadcast of 0.0 that stores no array.
+    is a read-only broadcast of 0.0 that stores no array.  For an
+    exponential kernel ``xi`` is None and ``cells`` holds the per-cell sums
+    it factors into, xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.
     """
 
-    w: np.ndarray        # (k, n)
-    theta: np.ndarray    # (k, n)
-    xi: np.ndarray       # (k+1, k, n, n), rows 0 and k zero
-    mu: np.ndarray       # (k, n, n)
+    w: np.ndarray             # (k, n)
+    theta: np.ndarray         # (k, n)
+    xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero
+    mu: np.ndarray            # (k, n, n)
+    cells: Optional[_ExpCells] = None
+    # (r, its buffer, j, R_j) of the last exponential coupling call
+    _sweep: list = field(default_factory=lambda: [None] * 4, init=False,
+                         repr=False, compare=False)
 
     def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
         """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
-        steps m, weighted by r (shape (k, n)), depends on node j."""
+        steps m, weighted by r (shape (k, n)), depends on node j.
+
+        For an exponential kernel this is c sigma_j R_j with the backward
+        running sum R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m].  A call
+        that follows ``coupling(j + 1, r)`` on the same array costs O(n),
+        R_j = e^{-r h_{j+1}} R_{j+1} + tau_{j+1} r[j+1], as on the backward
+        sweeps, which write every row of r before they read it; any other
+        call sums R_j afresh.  Rows after j + 1 must not change in between.
+        """
+        if self.cells is not None:
+            return self._exp_coupling(j, r)
         if self.xi.strides[0] == 0:  # the zero kernel's broadcast 0.0
             return np.zeros(r.shape[1])
         return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
+
+    def _exp_coupling(self, j: int, r: np.ndarray) -> np.ndarray:
+        cells = self.cells
+        # r is held, so no other array can take its buffer while it is here
+        buffer = (r.__array_interface__["data"][0], r.shape, r.strides)
+        _, last_buffer, last_j, running = self._sweep
+        if buffer == last_buffer and j == last_j - 1:
+            running = cells.decay[j + 1] * running + cells.tau[j + 1] * r[j + 1]
+        else:
+            m = np.arange(j + 1, len(r))
+            lag = cells.nodes[m] - cells.nodes[j + 1]
+            running = (cells.tau[m] * np.exp(-cells.rate * lag)) @ r[m]
+        self._sweep[:] = [r, buffer, j, running]
+        return cells.c * cells.sigma[j] * running
 
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -292,7 +428,8 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     """w, theta, xi and mu at the given trajectory.
 
     The reference enters theta only, through its nodal values
-    ``reference_nodes``, shape (k+1, n).
+    ``reference_nodes``, shape (k+1, n).  An exponential kernel gets its
+    per-cell sums in place of ``xi``, in O(k) time and memory.
     """
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
     k, n = mesh.k, states.shape[1]
@@ -301,20 +438,53 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     theta = mesh.steps[:, None] * v - np.diff(reference_nodes, axis=0)
     mu = np.zeros((k, n, n))
+    cells = None
     if kernel.is_zero:
         xi = np.broadcast_to(0.0, (k + 1, k, n, n))
+    elif kernel._exp is not None:
+        cells = _exp_cells(kernel, mesh, order)
+        xi = None
+        mu[:] = (cells.c * cells.tri)[:, None, None] * np.eye(n)
     else:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):
             rows = _row_integrals(kernel.jac_batch_s, mesh, states, i, order)
             xi[i, :i] = rows[:i].transpose(0, 2, 1)
             mu[i] = rows[i].T
-    return QuadratureTensors(w=w, theta=theta, xi=xi, mu=mu)
+    return QuadratureTensors(w=w, theta=theta, xi=xi, mu=mu, cells=cells)
 
 
 # --- continuous-time memory integrals ---------------------------------------
 
 TIME_BLOCK = 64  # times per kernel call; a call holds O(k * TIME_BLOCK) points
+
+
+class _Panels(NamedTuple):
+    """The panels between ``edges`` that integrals at times t run over:
+    for the i-th time the whole panels lo[i]..hi[i]-1 and the panel
+    ``cut[i]`` that holds it, cut there."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    cut: np.ndarray
+    first: int    # the whole panels of all times lie in first..last-1
+    last: int
+    whole: tuple  # Gauss (points, weights) of panels first..last-1, (last - first, order)
+    part: tuple   # Gauss (points, weights) of each time's cut panel, (m, order)
+
+
+def _panels(edges: np.ndarray, t: np.ndarray, before: bool, order: int) -> _Panels:
+    """The panels before each time t (or after it)."""
+    if before:  # edges[cut] < t <= edges[cut + 1]
+        cut = np.searchsorted(edges, t, side="left") - 1
+        lo, hi, a, b = np.zeros_like(cut), cut, edges[cut], t
+    else:  # edges[cut - 1] <= t < edges[cut]
+        cut = np.searchsorted(edges, t, side="right")
+        lo, hi, a, b = cut, np.full_like(cut, edges.size - 1), t, edges[cut]
+    first, last = lo.min(), hi.max()
+    return _Panels(lo, hi, cut, first, last,
+                   interval_gauss_points(edges[first:last], edges[first + 1:last + 1], order),
+                   interval_gauss_points(a, b, order))
 
 
 def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
@@ -330,32 +500,61 @@ def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
     walk over the panels before the time.
     """
     rows_live = np.flatnonzero(live)
-    t = times[rows_live]
-    if before:  # edges[cut] < t <= edges[cut + 1]
-        cut = np.searchsorted(edges, t, side="left") - 1
-        lo, hi, a, b = np.zeros_like(cut), cut, edges[cut], t
-    else:  # edges[cut - 1] <= t < edges[cut]
-        cut = np.searchsorted(edges, t, side="right")
-        lo, hi, a, b = cut, np.full_like(cut, edges.size - 1), t, edges[cut]
-    first, last = lo.min(), hi.max()
-    wq, ww = interval_gauss_points(edges[first:last], edges[first + 1:last + 1], order)
-    cq, cw = interval_gauss_points(a, b, order)
+    pan = _panels(edges, times[rows_live], before, order)
+    (wq, ww), (cq, cw) = pan.whole, pan.part
     S, W = np.append(wq, cq), np.append(ww, cw)
     A = _sample(arc, S)
     out = np.zeros((times.size,) + A.shape[1:])
-    for start in range(0, t.size, TIME_BLOCK):
-        blk = np.arange(start, min(start + TIME_BLOCK, t.size))[:, None]
-        whole = (hi - lo)[blk] * order
+    for start in range(0, rows_live.size, TIME_BLOCK):
+        blk = np.arange(start, min(start + TIME_BLOCK, rows_live.size))[:, None]
+        whole = (pan.hi - pan.lo)[blk] * order
         # row b of the table: its time's whole-panel points, then the points
         # of its cut panel; the zeros that pad the row add nothing
         slot = np.arange(whole.max() + order)
-        src = np.where(slot < whole, (lo[blk] - first) * order + slot,
+        src = np.where(slot < whole, (pan.lo[blk] - pan.first) * order + slot,
                        wq.size + blk * order + slot - whole)
         used = slot < whole + order
         terms = np.zeros(used.shape + A.shape[1:])
         rows = rows_live[np.broadcast_to(blk, used.shape)[used]]
         terms[used] = W[src[used], None] * integrand(rows, S[src[used]], A[src[used]])
         out[rows_live[blk[:, 0]]] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
+
+
+def _panel_recurrence(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
+                      before: bool, arc, c: float, rate: float,
+                      order: int) -> np.ndarray:
+    """:func:`_panel_sums` of the integrand c e^{-rate |t - s|} arc(s), the
+    exponential kernel's, at the same points in O(panels + times).
+
+    One running sum over the whole panels, forward before the times or
+    backward after them, is carried to each time's cut and added to the sum
+    over its cut panel; every lag in an exponent is >= 0.
+    """
+    rows_live = np.flatnonzero(live)
+    t = times[rows_live]
+    pan = _panels(edges, t, before, order)
+    (wq, ww), (cq, cw) = pan.whole, pan.part
+    A = _sample(arc, np.append(wq, cq))
+    n = A.shape[-1]
+    sign = 1.0 if before else -1.0  # sign * (t - s) is the lag
+    span = edges[pan.first:pan.last + 1]
+    near = span[1:] if before else span[:-1]  # each panel's edge toward the times
+    part = np.einsum("pq,pqn->pn", ww * np.exp(-rate * sign * (near[:, None] - wq)),
+                     A[:wq.size].reshape(wq.shape + (n,)))
+    decay = np.exp(-rate * np.diff(span))
+    if not before:
+        part, decay = part[::-1], decay[::-1]
+    running = np.zeros((part.shape[0] + 1, n))
+    for i in range(part.shape[0]):
+        running[i + 1] = decay[i] * running[i] + part[i]
+    if not before:
+        running = running[::-1]
+    head = np.exp(-rate * sign * (t - edges[pan.cut]))[:, None] * running[pan.cut - pan.first]
+    tail = np.einsum("mq,mqn->mn", cw * np.exp(-rate * sign * (t[:, None] - cq)),
+                     A[wq.size:].reshape(cq.shape + (n,)))
+    out = np.zeros((times.size, n))
+    out[rows_live] = c * (head + tail)
     return out
 
 
@@ -373,9 +572,14 @@ def _memory_integrals(kernel: VolterraKernel, arc, t, mesh: Optional[TimeMesh],
         out = np.zeros((flat.size, _sample(arc, np.zeros(1)).shape[-1]))
     else:
         mesh = TimeMesh.uniform(1, flat.max()) if mesh is None else mesh
-        out = _panel_sums(_panel_edges(arc, mesh), flat, flat > 0.0, True, arc,
-                          lambda rows, s, x: kernel.eval_batch_s(flat[rows], s, x),
-                          order)
+        edges = _panel_edges(arc, mesh)
+        if kernel._exp is not None:
+            out = _panel_recurrence(edges, flat, flat > 0.0, True, arc,
+                                    *kernel._exp, order)
+        else:
+            out = _panel_sums(edges, flat, flat > 0.0, True, arc,
+                              lambda rows, s, x: kernel.eval_batch_s(flat[rows], s, x),
+                              order)
     return out.reshape(times.shape + out.shape[-1:])
 
 
@@ -401,14 +605,27 @@ def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau,
     mesh when it is piecewise, else the single cell [0, T].
     """
     taus = np.asarray(tau, dtype=float)
+    return _adjoint_integrals(kernel, _sample(arc_x, taus.ravel()), p, taus,
+                              horizon, order)
+
+
+def _adjoint_integrals(kernel: VolterraKernel, x_tau: np.ndarray, p, tau,
+                       horizon: float, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """:func:`volterra_adjoint_integral` with the state already sampled at
+    the times, ``x_tau`` of shape (m, n)."""
+    taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
-    x_tau = _sample(arc_x, flat)
     out = np.zeros_like(x_tau)
     if not kernel.is_zero and (flat < horizon).any():
         edges = _panel_edges(p, TimeMesh.uniform(1, horizon))
-        out = _panel_sums(
-            np.append(edges[edges < horizon], horizon), flat, flat < horizon,
-            False, p, lambda rows, t, pt: np.einsum(
-                "qji,qj->qi", kernel.jac_batch_s(t, flat[rows], x_tau[rows]), pt),
-            order)
+        edges = np.append(edges[edges < horizon], horizon)
+        if kernel._exp is not None:
+            out = _panel_recurrence(edges, flat, flat < horizon, False, p,
+                                    *kernel._exp, order)
+        else:
+            out = _panel_sums(edges, flat, flat < horizon, False, p,
+                              lambda rows, t, pt: np.einsum(
+                                  "qji,qj->qi",
+                                  kernel.jac_batch_s(t, flat[rows], x_tau[rows]), pt),
+                              order)
     return out.reshape(taus.shape + out.shape[-1:])

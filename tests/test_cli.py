@@ -371,3 +371,37 @@ def test_non_finite_gradient_and_multiplier_exit_3(tmp_path, monkeypatch, capsys
         assert main([command, cfgp]) == 3
         err = capsys.readouterr().err
         assert err == f"numerical failure: {stage}: non-finite state at node 4 of k=8 (t=0.5)\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("took the O(k^2) row rule or per-time panel sums")
+
+
+def test_shipped_kernel_converges_without_the_quadratic_paths(tmp_path, monkeypatch):
+    # damped_volterra is exponential: w, the tensors, the coupling and both
+    # continuous integrals all take the running sums
+    import idikit.kernel
+    monkeypatch.setattr(idikit.kernel, "_row_integrals", _refuse)
+    monkeypatch.setattr(idikit.kernel, "_panel_sums", _refuse)
+    cfgp = _write(tmp_path, BASE.replace("cos_t", "damped_volterra")
+                  .replace("k = 8, 16", "k = 20, 40").format(out=tmp_path / "out"))
+    assert main(["converge", cfgp]) == 0
+    assert len((tmp_path / "out" / "t_converge.csv").read_text().splitlines()) == 4
+
+
+def test_generic_kernel_takes_the_row_rule_and_panel_sums(tmp_path, monkeypatch):
+    import idikit.kernel
+    calls = {"_row_integrals": 0, "_panel_sums": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(idikit.kernel, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(idikit.kernel, name, counted)
+    entry = catalog.get("damped_volterra")
+    generic = idikit.kernel.VolterraKernel.convolution(lambda u: -np.exp(-u), 1.0, 1.0)
+    entry = CatalogEntry(replace(entry.problem, kernel=generic), entry.reference)
+    monkeypatch.setattr(cli, "load_config", lambda path: replace(
+        load_config(path), entry=entry))
+    cfgp = _write(tmp_path, BASE.replace("k = 8, 16", "k = 6").format(out=tmp_path / "out"))
+    assert main(["converge", cfgp]) == 0
+    assert calls["_row_integrals"] > 0 and calls["_panel_sums"] > 0

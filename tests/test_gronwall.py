@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,13 +14,33 @@ from oracles import backward_recursion, forward_recursion, integro_rk4
 
 # --- brute-force oracles -----------------------------------------------------
 
+def _interp(grid, *values):
+    """t -> (np.interp(t, grid, v) for v in values) bit for bit, with one
+    search of the grid, on Python floats."""
+    xs, ys = grid.tolist(), [v.tolist() for v in values]
+
+    def at(t):
+        j = bisect.bisect_right(xs, t) - 1
+        if j < 0:
+            return [y[0] for y in ys]
+        if j >= len(xs) - 1:
+            return [y[-1] for y in ys]
+        if xs[j] == t:
+            return [y[j] for y in ys]
+        dx, dt = xs[j + 1] - xs[j], t - xs[j]
+        return [(y[j + 1] - y[j]) / dx * dt + y[j] for y in ys]
+
+    return at
+
+
 def integro_ode_worst_case(rho0, a, b1, b2, grid):
     """Stiffly integrated equality case rho' = a + b1 rho + b2 int rho."""
+    coefficients = _interp(grid, a, b1, b2)
+
     def rhs(t, y):
-        av = np.interp(t, grid, a)
-        b1v = np.interp(t, grid, b1)
-        b2v = np.interp(t, grid, b2)
-        return [av + b1v * y[0] + b2v * y[1], y[0]]
+        y0, y1 = y.tolist()
+        av, b1v, b2v = coefficients(t)
+        return [av + b1v * y0 + b2v * y1, y0]
 
     sol = solve_ivp(rhs, (grid[0], grid[-1]), [rho0, 0.0], t_eval=grid,
                     rtol=1e-8, atol=1e-11, method="RK45")

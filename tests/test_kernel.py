@@ -7,15 +7,18 @@ import pytest
 import oracles
 
 from idikit import catalog
-from idikit.config import load_config
+from idikit.config import ConfigError, load_config
+from idikit.dynamics import simulate
 from idikit.kernel import (TRIANGLE_POINTS, TRIANGLE_WEIGHTS, KernelIndexError,
-                           VolterraKernel, _memory_integrals, assemble_tensors,
-                           assemble_w, continuous_accumulator, kernel_average_w,
-                           mu_tensor, theta_vector, volterra_adjoint_integral,
-                           xi_tensor)
+                           VolterraKernel, _memory_averages, _memory_integrals,
+                           assemble_tensors, assemble_w, continuous_accumulator,
+                           kernel_average_w, mu_tensor, theta_vector,
+                           volterra_adjoint_integral, xi_tensor)
 from idikit.mesh import (PiecewiseLinearArc, TimeMesh, cell_gauss_points,
                          interval_gauss_points)
-from idikit.problem import CallableArc
+from idikit.problem import (CallableArc, ProblemData, RunningCost, TerminalCost,
+                            WholeSpace)
+from idikit.setvalued import Singleton
 
 
 def test_triangle_rule_degree_six_exact():
@@ -442,12 +445,17 @@ def test_row_path_matches_per_pair_oracle(dim, tmp_path):
         tensors = assemble_tensors(kern, mesh, states, vels, states)
         _assert_rel(tensors.w, [_oracle_w(kern, mesh, states, j) for j in range(mesh.k)])
         _assert_rel(assemble_w(kern, mesh, states), tensors.w)
-        want_xi = np.zeros_like(tensors.xi)
+        want_xi = np.zeros((mesh.k + 1, mesh.k, dim, dim))
         for i in range(1, mesh.k):
             for j in range(i):
                 want_xi[i, j] = _oracle_xi(kern, mesh, states, i, j)
                 _assert_rel(xi_tensor(kern, mesh, states, i, j), want_xi[i, j])
-        _assert_rel(tensors.xi, want_xi)
+        if tensors.xi is None:  # an exponential kernel keeps its cell sums
+            r = np.random.default_rng(dim).normal(size=(mesh.k, dim))
+            for j in [*range(mesh.k - 1, -1, -1), *range(mesh.k)]:
+                _assert_rel(tensors.coupling(j, r), oracles.memory_coupling(want_xi, j, r))
+        else:
+            _assert_rel(tensors.xi, want_xi)
         want_mu = [_oracle_mu(kern, mesh, states, j) for j in range(mesh.k)]
         _assert_rel(tensors.mu, want_mu)
         _assert_rel([mu_tensor(kern, mesh, states, j) for j in range(mesh.k)], want_mu)
@@ -610,3 +618,99 @@ def test_scalar_times_keep_their_shapes():
         assert not continuous_accumulator(kernel, arc, 0.0).any()
         assert not volterra_adjoint_integral(kernel, arc, arc, 1.0, 1.0).any()
     assert theta_vector(mesh, np.ones((4, 2)), arc, 1).shape == (2,)
+
+
+# --- the exponential recurrence against the row rule --------------------------
+
+def _memory_problem(kern, x0):
+    """Memory-only dynamics x' = w: a zero drift and a point velocity set."""
+    dim = len(x0)
+    return ProblemData(
+        name="memory_only", fmap=Singleton.linear(np.zeros((dim, dim))), kernel=kern,
+        x0=x0, horizon=1.6, omega=WholeSpace(), terminal_cost=TerminalCost.zero(),
+        running_cost=RunningCost.zero(), m_F=0.0, l_F=0.0, beta=1.0, alpha=1.0,
+        state_box=(-np.ones(dim), np.ones(dim)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exponential_path_matches_the_row_rule(dim):
+    rng = np.random.default_rng(70 + dim)
+    for rate in (0.0, 1.0, 2.5):
+        c = -1.3
+        kern = VolterraKernel.exponential(c, rate, beta=1.0, alpha=1.0)
+        # the same g, but no exponential route: the row rule and the walks
+        twin = VolterraKernel.convolution(lambda u: c * np.exp(-rate * u), 1.0, 1.0)
+        for k in (1, 2, 11, 200):
+            mesh = _random_mesh(rng, k, 1.6)
+            traj = simulate(_memory_problem(kern, rng.normal(size=dim)), mesh)
+            states = traj.states
+            # the march and assemble_w carry one running sum: bit for bit
+            assert np.array_equal(traj.w, assemble_w(kern, mesh, states))
+            _assert_rel(traj.w, assemble_w(twin, mesh, states))
+            vels = rng.normal(size=(k, dim))
+            fast = assemble_tensors(kern, mesh, states, vels, states)
+            slow = assemble_tensors(twin, mesh, states, vels, states)
+            assert fast.xi is None and slow.xi.shape == (k + 1, k, dim, dim)
+            _assert_rel(fast.w, slow.w)
+            _assert_rel(fast.mu, slow.mu)
+            r, r2 = rng.normal(size=(2, k, dim))
+            want = np.array([np.einsum("mab,mb->a", slow.xi[j + 1:k, j], r[j + 1:])
+                             for j in range(k)])
+            want2 = np.array([oracles.memory_coupling(slow.xi, j, r2) for j in range(k)])
+            down = range(k - 1, -1, -1)
+            # two arrays in turn, a backward sweep, then out of order
+            both = [(fast.coupling(j, r), fast.coupling(j, r2)) for j in down]
+            _assert_rel([a for a, _ in both][::-1], want)
+            _assert_rel([b for _, b in both][::-1], want2)
+            _assert_rel([fast.coupling(j, r) for j in down][::-1], want)
+            _assert_rel([fast.coupling(j, r) for j in range(k)], want)
+            # both continuous integrals against the walks, exact zeros at the ends
+            times = np.concatenate([[0.0], cell_gauss_points(mesh)[0].ravel(),
+                                    mesh.nodes[1:]])
+            check = np.unique(np.concatenate([[0, 1, times.size - 1],
+                                              rng.choice(times.size, 2)]))
+            p = PiecewiseLinearArc(mesh, rng.normal(size=(k + 1, dim)))
+            w = rng.uniform(0.5, 2.0, dim)
+            smooth = CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t))
+            for arc in (traj.arc(), smooth):
+                got = _memory_integrals(kern, arc, times, mesh)
+                assert not got[0].any()
+                _assert_rel(got[check], _walk_accumulator(twin, arc, times[check], mesh))
+                for x_arc, q in ((arc, p), (p, arc)):
+                    got = volterra_adjoint_integral(kern, x_arc, q, times, 1.6)
+                    assert not got[-1].any()
+                    edges = oracles.panel_edges(q, TimeMesh.uniform(1, 1.6))
+                    _assert_rel(got[check], [oracles.adjoint_integral(
+                        twin, x_arc, q, tau, 1.6, edges) for tau in times[check]])
+
+
+def test_memory_averages_run_in_turn():
+    kern = catalog.get("damped_volterra").problem.kernel
+    mesh = TimeMesh.uniform(4, 1.0)
+    w_of = _memory_averages(kern, mesh, 4)
+    w_of(0, np.ones((5, 1)))
+    with pytest.raises(KernelIndexError):
+        w_of(2, np.ones((5, 1)))
+
+
+def test_exponential_kernel_with_zero_weight_is_zero():
+    kern = VolterraKernel.exponential(0.0, 1.0, beta=0.0, alpha=0.0)
+    mesh = TimeMesh.from_nodes([0.0, 0.2, 0.7, 1.0])
+    states = np.random.default_rng(3).normal(size=(4, 2))
+    tensors = assemble_tensors(kern, mesh, states, np.ones((3, 2)), states)
+    assert not tensors.w.any() and not tensors.mu.any()
+    assert not any(tensors.coupling(j, states[1:]).any() for j in (2, 1, 0))
+    arc = PiecewiseLinearArc(mesh, states)
+    assert not continuous_accumulator(kern, arc, mesh.nodes).any()
+    assert not volterra_adjoint_integral(kern, arc, arc, mesh.nodes, 1.0).any()
+
+
+def test_exponential_kernel_rejects_growth_and_non_finite_values(tmp_path):
+    for c, r in ((-1.0, -0.5), (-1.0, np.nan), (-1.0, np.inf), (np.nan, 1.0),
+                 (np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            VolterraKernel.exponential(c, r, beta=1.0, alpha=1.0)
+    # a growing inline kernel would void the declared beta = alpha = 1
+    for rate in ("-0.5", "nan", "inf"):
+        with pytest.raises(ConfigError, match="problem.kernel_rate"):
+            _inline_kernel(tmp_path, f"kernel = identity_decay\nkernel_rate = {rate}")
