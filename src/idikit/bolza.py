@@ -198,6 +198,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         + _penalty_gradient(problem, traj.states[-1], rho)
     grad = np.empty_like(controls.u)
     r = np.empty_like(controls.u)  # r_m = s_m / h_m, the memory weights
+    coupling = tensors.backward_coupling(r)
     for j in range(k - 1, -1, -1):
         t_j = mesh.nodes[j]
         glv = np.atleast_1d(base.running_cost.grad_v(t_j, traj.states[j],
@@ -209,7 +210,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         r[j] = s_j / h[j]
         J_f = base.fmap.jacobian(t_j, traj.states[j])
         lam_next = (lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
-                    + tensors.coupling(j, r))
+                    + coupling(j))
     _check_finite("cost_gradient", mesh, grad, backward=True)
     return grad, traj, objective
 

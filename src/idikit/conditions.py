@@ -110,6 +110,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
     p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
     p[k] = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
+    coupling = tensors.backward_coupling(p[1:])
     for j in range(k - 1, -1, -1):
         pin = lam * (glv[j] + tensors.theta[j] / h[j])
         b_j = p[j + 1] - pin
@@ -118,7 +119,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
         u_j = cone.project_u(b_j)
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
                 - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j
-                + tensors.coupling(j, p[1:]))
+                + coupling(j))
     _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
     raw_total = lam + float(np.linalg.norm(p[k]))
@@ -168,7 +169,7 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
 
 
 def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-             mult: MultiplierSet, j: int):
+             mult: MultiplierSet, j: int, coupling: np.ndarray):
     h = problem.mesh.steps[j]
     t = mult.tensors
     glx, glv = _cost_grads(problem, traj, j)
@@ -176,7 +177,7 @@ def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     lhs1 = ((mult.p[j + 1] - mult.p[j]) / h
             + 2.0 / h * t.mu[j] @ mult.p[j + 1]
             - (t.mu[j] @ pin) / h
-            + t.coupling(j, mult.p[1:]) / h)
+            + coupling / h)
     lhs2 = mult.p[j + 1] - mult.lam * t.theta[j] / h
     return lhs1 - mult.lam * glx, lhs2 - mult.lam * glv
 
@@ -185,15 +186,24 @@ def _el_residuals(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                   mult: MultiplierSet, tol_feas: float) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
     j = k-1 down: the order in which the memory coupling is a running sum."""
-    return np.array([euler_lagrange_residual(problem, traj, mult, j, tol_feas)
+    coupling = mult.tensors.backward_coupling(mult.p[1:])
+    return np.array([euler_lagrange_residual(problem, traj, mult, j, tol_feas,
+                                             coupling(j))
                      for j in range(problem.mesh.k - 1, -1, -1)])[::-1]
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem,
                             traj: DiscreteTrajectory, mult: MultiplierSet,
-                            j: int, tol_feas: float = CONE_TOL_FEAS) -> float:
-    """Distance of the node-j adjoint pair to lam*grad(l) + graph normal cone."""
-    q_x, q_u = _el_pair(problem, traj, mult, j)
+                            j: int, tol_feas: float = CONE_TOL_FEAS,
+                            coupling: Optional[np.ndarray] = None) -> float:
+    """Distance of the node-j adjoint pair to lam*grad(l) + graph normal cone.
+
+    ``coupling`` is the memory coupling of p at j when the caller has it
+    already (as a backward sweep does); else it is summed here.
+    """
+    if coupling is None:
+        coupling = mult.tensors.coupling(j, mult.p[1:])
+    q_x, q_u = _el_pair(problem, traj, mult, j, coupling)
     cone = graph_normal_cone(problem.base.fmap, problem.mesh.nodes[j],
                              traj.states[j],
                              traj.velocities[j] - mult.tensors.w[j], tol_feas)

@@ -34,7 +34,7 @@ each time's cut panel; other kernels sum each time's panels in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -107,8 +107,7 @@ class VolterraKernel:
         self._g = g
         self._jac = jac
         self._a = None
-        self._exp = None    # (c, r) of an exponential kernel
-        self._cells = None  # (mesh, order, its _ExpCells), the last ones built
+        self._exp = None  # (c, r) of an exponential kernel
         self.beta = float(beta)
         self.alpha = float(alpha)
 
@@ -256,23 +255,35 @@ class _ExpCells(NamedTuple):
 
 
 def _exp_cells(kernel: VolterraKernel, mesh: TimeMesh, order: int) -> _ExpCells:
-    """The cell sums of an exponential kernel, built once per (mesh, order)
-    in a row: the kernel keeps the last ones."""
-    cached = kernel._cells
-    if cached is not None and cached[0] is mesh and cached[1] == order:
-        return cached[2]
+    """The cell sums of an exponential kernel on ``mesh``, O(k order) work."""
     c, r = kernel._exp
     nodes, h = mesh.nodes, mesh.steps
     q, wq = cell_gauss_points(mesh, order)
     tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
-    cells = _ExpCells(
+    return _ExpCells(
         c, r, nodes, h,
         tau=np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1),
         sigma=np.sum(wq * np.exp(-r * (nodes[1:, None] - q)), axis=1),
         tri=0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS),
         decay=np.exp(-r * h))
-    kernel._cells = (mesh, order, cells)
-    return cells
+
+
+def _in_turn(step: Callable, cells: range, what: str) -> Callable:
+    """``step(j, ...)`` for the cells j of ``cells``, one after another, as
+    a running sum needs; a call for any other cell raises
+    :class:`KernelIndexError`."""
+    at = 0
+
+    def call(j, *args):
+        nonlocal at
+        expected = cells[at] if at < len(cells) else None
+        if j != expected:
+            raise KernelIndexError(f"{what} run over cells in turn: "
+                                   f"asked for {j}, next is {expected}")
+        at += 1
+        return step(j, *args)
+
+    return call
 
 
 def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
@@ -283,29 +294,27 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
     it, so theirs agree bit for bit.  An exponential kernel carries the
     running sum S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i, so that
     w_j = (c tau_j / h_j) S_j + (c tri_j / h_j) x_j costs O(n); any other
-    kernel takes the row rule of :func:`kernel_average_w`.
+    kernel takes the row rule of :func:`kernel_average_w`.  A call out of
+    turn raises :class:`KernelIndexError`.
     """
     if kernel._exp is None:
-        return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j, order)
+        return _in_turn(lambda j, states: kernel_average_w(
+            kernel, mesh, states[:j + 1], j, order), range(mesh.k), "memory averages")
     cells = _exp_cells(kernel, mesh, order)
     # Python floats: a step is then four small-array operations
     past = (cells.c * cells.tau / cells.steps).tolist()
     own = (cells.c * cells.tri / cells.steps).tolist()
     decay, sigma = cells.decay.tolist(), cells.sigma.tolist()
-    running, expected = 0.0, 0
+    running = 0.0
 
     def w(j, states):
-        nonlocal running, expected
-        if j != expected:
-            raise KernelIndexError(f"memory averages run over cells in turn: "
-                                   f"asked for {j}, next is {expected}")
+        nonlocal running
         x = states[j]
         w_j = past[j] * running + own[j] * x
         running = decay[j] * running + sigma[j] * x
-        expected += 1
         return w_j
 
-    return w
+    return _in_turn(w, range(mesh.k), "memory averages")
 
 
 # --- the discrete tensors ---------------------------------------------------
@@ -386,40 +395,50 @@ class QuadratureTensors:
     xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero
     mu: np.ndarray            # (k, n, n)
     cells: Optional[_ExpCells] = None
-    # (r, its buffer, j, R_j) of the last exponential coupling call
-    _sweep: list = field(default_factory=lambda: [None] * 4, init=False,
-                         repr=False, compare=False)
 
     def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
         """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
         steps m, weighted by r (shape (k, n)), depends on node j.
 
-        For an exponential kernel this is c sigma_j R_j with the backward
-        running sum R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m].  A call
-        that follows ``coupling(j + 1, r)`` on the same array costs O(n),
-        R_j = e^{-r h_{j+1}} R_{j+1} + tau_{j+1} r[j+1], as on the backward
-        sweeps, which write every row of r before they read it; any other
-        call sums R_j afresh.  Rows after j + 1 must not change in between.
+        For an exponential kernel this is c sigma_j R_j with
+        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m], summed afresh in
+        O(k n); a sweep over every j takes :meth:`backward_coupling`.
         """
         if self.cells is not None:
-            return self._exp_coupling(j, r)
+            cells = self.cells
+            m = np.arange(j + 1, len(r))
+            lag = cells.nodes[m] - cells.nodes[j + 1]
+            running = (cells.tau[m] * np.exp(-cells.rate * lag)) @ r[m]
+            return cells.c * cells.sigma[j] * running
         if self.xi.strides[0] == 0:  # the zero kernel's broadcast 0.0
             return np.zeros(r.shape[1])
         return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
 
-    def _exp_coupling(self, j: int, r: np.ndarray) -> np.ndarray:
-        cells = self.cells
-        # r is held, so no other array can take its buffer while it is here
-        buffer = (r.__array_interface__["data"][0], r.shape, r.strides)
-        _, last_buffer, last_j, running = self._sweep
-        if buffer == last_buffer and j == last_j - 1:
-            running = cells.decay[j + 1] * running + cells.tau[j + 1] * r[j + 1]
-        else:
-            m = np.arange(j + 1, len(r))
-            lag = cells.nodes[m] - cells.nodes[j + 1]
-            running = (cells.tau[m] * np.exp(-cells.rate * lag)) @ r[m]
-        self._sweep[:] = [r, buffer, j, running]
-        return cells.c * cells.sigma[j] * running
+    def backward_coupling(self, r: np.ndarray) -> Callable:
+        """``coupling(j)``, the same as :meth:`coupling` of r at j, called
+        for j = k-1, k-2, ..., 0 in turn; a call out of turn raises
+        :class:`KernelIndexError`.
+
+        Call j reads row j + 1 of r and no later row, so a backward sweep
+        may write r[j + 1] just before it asks for j.  For an exponential
+        kernel a call costs O(n): R_j = e^{-r h_{j+1}} R_{j+1} +
+        tau_{j+1} r[j + 1], with R_{k-1} = 0.
+        """
+        k, cells = len(r), self.cells
+        if cells is None:
+            return _in_turn(lambda j: self.coupling(j, r), range(k - 1, -1, -1),
+                            "backward couplings")
+        c, tau = cells.c, cells.tau.tolist()
+        sigma, decay = cells.sigma.tolist(), cells.decay.tolist()
+        running = np.zeros(r.shape[1])
+
+        def coupling(j):
+            nonlocal running
+            if j + 1 < k:
+                running = decay[j + 1] * running + tau[j + 1] * r[j + 1]
+            return c * sigma[j] * running
+
+        return _in_turn(coupling, range(k - 1, -1, -1), "backward couplings")
 
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,

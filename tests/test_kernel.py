@@ -450,12 +450,13 @@ def test_row_path_matches_per_pair_oracle(dim, tmp_path):
             for j in range(i):
                 want_xi[i, j] = _oracle_xi(kern, mesh, states, i, j)
                 _assert_rel(xi_tensor(kern, mesh, states, i, j), want_xi[i, j])
-        if tensors.xi is None:  # an exponential kernel keeps its cell sums
-            r = np.random.default_rng(dim).normal(size=(mesh.k, dim))
-            for j in [*range(mesh.k - 1, -1, -1), *range(mesh.k)]:
-                _assert_rel(tensors.coupling(j, r), oracles.memory_coupling(want_xi, j, r))
-        else:
+        if tensors.xi is not None:  # an exponential kernel keeps its cell sums
             _assert_rel(tensors.xi, want_xi)
+        r = np.random.default_rng(dim).normal(size=(mesh.k, dim))
+        want = [oracles.memory_coupling(want_xi, j, r) for j in range(mesh.k)]
+        sweep = tensors.backward_coupling(r)
+        _assert_rel([sweep(j) for j in range(mesh.k - 1, -1, -1)][::-1], want)
+        _assert_rel([tensors.coupling(j, r) for j in range(mesh.k)], want)
         want_mu = [_oracle_mu(kern, mesh, states, j) for j in range(mesh.k)]
         _assert_rel(tensors.mu, want_mu)
         _assert_rel([mu_tensor(kern, mesh, states, j) for j in range(mesh.k)], want_mu)
@@ -654,15 +655,15 @@ def test_exponential_path_matches_the_row_rule(dim):
             _assert_rel(fast.w, slow.w)
             _assert_rel(fast.mu, slow.mu)
             r, r2 = rng.normal(size=(2, k, dim))
-            want = np.array([np.einsum("mab,mb->a", slow.xi[j + 1:k, j], r[j + 1:])
-                             for j in range(k)])
-            want2 = np.array([oracles.memory_coupling(slow.xi, j, r2) for j in range(k)])
+            want = [oracles.memory_coupling(slow.xi, j, r) for j in range(k)]
+            want2 = [oracles.memory_coupling(slow.xi, j, r2) for j in range(k)]
+            _assert_rel([slow.coupling(j, r) for j in range(k)], want)
+            # two sweeps side by side, then each j summed afresh
             down = range(k - 1, -1, -1)
-            # two arrays in turn, a backward sweep, then out of order
-            both = [(fast.coupling(j, r), fast.coupling(j, r2)) for j in down]
+            sweep, sweep2 = fast.backward_coupling(r), fast.backward_coupling(r2)
+            both = [(sweep(j), sweep2(j)) for j in down]
             _assert_rel([a for a, _ in both][::-1], want)
             _assert_rel([b for _, b in both][::-1], want2)
-            _assert_rel([fast.coupling(j, r) for j in down][::-1], want)
             _assert_rel([fast.coupling(j, r) for j in range(k)], want)
             # both continuous integrals against the walks, exact zeros at the ends
             times = np.concatenate([[0.0], cell_gauss_points(mesh)[0].ravel(),
@@ -684,13 +685,23 @@ def test_exponential_path_matches_the_row_rule(dim):
                         twin, x_arc, q, tau, 1.6, edges) for tau in times[check]])
 
 
-def test_memory_averages_run_in_turn():
-    kern = catalog.get("damped_volterra").problem.kernel
+def test_running_sums_run_in_turn():
     mesh = TimeMesh.uniform(4, 1.0)
-    w_of = _memory_averages(kern, mesh, 4)
-    w_of(0, np.ones((5, 1)))
-    with pytest.raises(KernelIndexError):
-        w_of(2, np.ones((5, 1)))
+    states = np.ones((5, 1))
+    for kern in (catalog.get("damped_volterra").problem.kernel, _nonlinear_kernel(1)):
+        w_of = _memory_averages(kern, mesh, 4)
+        w_of(0, states)
+        with pytest.raises(KernelIndexError):
+            w_of(2, states)
+        tensors = assemble_tensors(kern, mesh, states, np.ones((4, 1)), states)
+        sweep = tensors.backward_coupling(states[1:])
+        sweep(3)
+        with pytest.raises(KernelIndexError):  # cell 2 skipped
+            sweep(1)
+        for j in (2, 1, 0):
+            sweep(j)
+        with pytest.raises(KernelIndexError):  # past cell 0
+            sweep(0)
 
 
 def test_exponential_kernel_with_zero_weight_is_zero():
@@ -699,7 +710,8 @@ def test_exponential_kernel_with_zero_weight_is_zero():
     states = np.random.default_rng(3).normal(size=(4, 2))
     tensors = assemble_tensors(kern, mesh, states, np.ones((3, 2)), states)
     assert not tensors.w.any() and not tensors.mu.any()
-    assert not any(tensors.coupling(j, states[1:]).any() for j in (2, 1, 0))
+    sweep = tensors.backward_coupling(states[1:])
+    assert not any(sweep(j).any() for j in (2, 1, 0))
     arc = PiecewiseLinearArc(mesh, states)
     assert not continuous_accumulator(kern, arc, mesh.nodes).any()
     assert not volterra_adjoint_integral(kern, arc, arc, mesh.nodes, 1.0).any()

@@ -6,6 +6,8 @@ walks that evaluate everything again at every point.  The two must agree to
 1e-12 relative, and a value the oracle gives as exactly 0.0 must stay 0.0.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
 from idikit.conditions import adjoint_solve_smooth, build_condition_report
 from idikit.config import load_config
 from idikit.dynamics import approximate_arc, feasibility_residual, simulate
-from idikit.kernel import assemble_tensors, xi_tensor
+from idikit.kernel import VolterraKernel, assemble_tensors, xi_tensor
 from idikit.mesh import PiecewiseLinearArc, TimeMesh, average_operator, l2_distance
 from idikit.problem import CallableArc
 
@@ -71,12 +73,21 @@ def _meshes(horizon, seed):
             TimeMesh.uniform(1, horizon)]
 
 
-def _close(new, old, scale=0.0):
-    """new within RTOL of old, or of ``scale`` when old is the difference of
-    terms of that size; an exact 0.0 must stay 0.0."""
+def _close(new, old):
     if old == 0.0:
         return new == 0.0
-    return abs(new - old) <= RTOL * max(abs(old), scale)
+    return abs(new - old) <= RTOL * abs(old)
+
+
+def _close_defect(new, old, size):
+    """The inclusion defect dist(x' - y; F) within RTOL of the oracle's, as
+    _close; but where the oracle's is itself round-off against ``size``, the
+    L2 norm of x' (an exact reference), both need only be that round-off:
+    within RTOL * size of each other.  The exponential kernels' running sums
+    and the walk give y different last digits, and so such a defect."""
+    if 0.0 < old <= RTOL * size:
+        return abs(new - old) <= RTOL * size
+    return _close(new, old)
 
 
 @pytest.mark.parametrize("name", CATALOG + ("identity_decay", "infeasible"))
@@ -86,17 +97,16 @@ def test_error_report_matches_pointwise_oracle(cases, name):
         traj, rep = approximate_arc(problem, ref, mesh, feas_tol=np.inf,
                                     tau_f=0.05)
         want = oracles.error_report(problem, ref, mesh, traj, tau_f=0.05)
-        # the defect is dist(x' - y; F): for an exact reference, the round-off
-        # of a difference of terms of the size of x', and the exponential
-        # kernels' running sums and the walk leave y different last digits
         size = oracles.l2_distance(mesh, ref.derivative, lambda t: np.zeros(problem.dim))
         for field, old in want.items():
-            scale = size if field == "reference_defect" else 0.0
-            assert _close(getattr(rep, field), old, scale), (field, getattr(rep, field), old)
+            got = getattr(rep, field)
+            ok = (_close_defect(got, old, size) if field == "reference_defect"
+                  else _close(got, old))
+            assert ok, (field, got, old)
         # the gate and the report share one walk: the same number, bit for bit
         gate = feasibility_residual(problem, ref, mesh)
         assert rep.reference_defect == gate
-        assert _close(gate, oracles.feasibility_residual(problem, ref, mesh), size)
+        assert _close_defect(gate, oracles.feasibility_residual(problem, ref, mesh), size)
         assert (gate > 0.1) == (name == "infeasible")
 
 
@@ -138,26 +148,35 @@ def test_mesh_reductions_match_pointwise_oracle():
                 assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name", ("damped_volterra", "identity_decay"))
+@pytest.mark.parametrize("name", ("damped_volterra", "identity_decay", "generic"))
 def test_memory_coupling_matches_loop(cases, name):
-    problem, ref = cases[name]
+    if name == "generic":  # damped_volterra's g, but the row rule's dense xi
+        problem, ref = cases["damped_volterra"]
+        problem = replace(problem, kernel=VolterraKernel.convolution(
+            lambda u: -np.exp(-u), beta=1.0, alpha=1.0))
+    else:
+        problem, ref = cases[name]
     mesh = _meshes(problem.horizon, seed=7)[1]
     traj, _ = approximate_arc(problem, ref, mesh, feas_tol=np.inf, tau_f=0.0)
     tensors = assemble_tensors(problem.kernel, mesh, traj.states,
                                traj.velocities, ref(mesh.nodes))
-    # the dense xi of the row rule; the exponential kernel stores none
     n = problem.dim
     xi = np.zeros((mesh.k + 1, mesh.k, n, n))
     for i in range(1, mesh.k):
         for j in range(i):
             xi[i, j] = xi_tensor(problem.kernel, mesh, traj.states, i, j)
+    # the exponential kernels store no dense xi; the generic one stores the
+    # row rule's
+    assert (tensors.xi is None) == (name != "generic") and np.any(xi != 0.0)
+    if tensors.xi is not None:
+        assert np.abs(tensors.xi - xi).max() <= RTOL * np.abs(xi).max()
     r = np.random.default_rng(2).standard_normal((mesh.k, problem.dim))
-    # a backward sweep, then every j again out of its order
-    for j in [*range(mesh.k - 1, -1, -1), *range(mesh.k)]:
-        want = oracles.memory_coupling(xi, j, r)
-        got = tensors.coupling(j, r)
-        assert np.abs(got - want).max() <= RTOL * max(np.abs(want).max(), 1e-300)
-    assert tensors.xi is None and np.any(xi != 0.0)
+    want = [oracles.memory_coupling(xi, j, r) for j in range(mesh.k)]
+    sweep = tensors.backward_coupling(r)
+    down = [sweep(j) for j in range(mesh.k - 1, -1, -1)][::-1]
+    for got in (down, [tensors.coupling(j, r) for j in range(mesh.k)]):
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= RTOL * max(np.abs(w).max(), 1e-300)
 
 
 @pytest.mark.parametrize("name", CATALOG + ("identity_decay",))
