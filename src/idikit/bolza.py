@@ -89,7 +89,6 @@ class ControlParameterization:
 
 
 def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
-                           feas_tol: float = 1e-6, epsilon: Optional[float] = None,
                            precomputed=None):
     """Construct the discrete problem plus a feasible initial point.
 
@@ -100,13 +99,12 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     Returns (discrete problem, initial controls, initial trajectory, report).
     """
     if precomputed is None:
-        traj, report = approximate_arc(problem, reference, mesh, feas_tol=feas_tol)
+        traj, report = approximate_arc(problem, reference, mesh)
     else:
         traj, report = precomputed
-    eps = problem.epsilon if epsilon is None else epsilon
     dbp = DiscreteBolzaProblem(
         base=problem, mesh=mesh, reference=reference, zeta_k=report.zeta_k,
-        epsilon=eps, omega_k=InflatedSet(problem.omega, report.zeta_k),
+        epsilon=problem.epsilon, omega_k=InflatedSet(problem.omega, report.zeta_k),
         reference_samples=report.reference_samples)
     controls = _controls_from_trajectory(problem, traj).projected(dbp)
     return dbp, controls, traj, report
@@ -168,8 +166,10 @@ def _penalty_gradient(problem: DiscreteBolzaProblem, x_end: np.ndarray,
 
 def _objective(problem: DiscreteBolzaProblem, controls: ControlParameterization,
                rho: float):
+    """(penalized objective, cost, trajectory) of the controls."""
     traj = forward_trajectory(problem, controls)
-    return cost_Jk(problem, traj) + _penalty(problem, traj.states[-1], rho), traj
+    cost = cost_Jk(problem, traj)
+    return cost + _penalty(problem, traj.states[-1], rho), cost, traj
 
 
 def cost_gradient(problem: DiscreteBolzaProblem,
@@ -178,7 +178,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     """Exact gradient of the (possibly penalized) cost in the controls.
 
     One forward evaluation, one tensor assembly at the current states, one
-    backward sweep.  Returns (gradient (k, n), trajectory, objective value).
+    backward sweep.  Returns (gradient (k, n), trajectory).
     The adjoint seed is the terminal-cost gradient plus the endpoint penalty
     gradient; each step accumulates the running-cost gradients, the drift
     Jacobian action, and the memory tensors carrying dw_m/dx_j.  A
@@ -192,7 +192,6 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         traj = forward_trajectory(problem, controls)
     tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
                                problem.reference_nodes())
-    objective = cost_Jk(problem, traj) + _penalty(problem, traj.states[-1], rho)
 
     lam_next = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
@@ -212,21 +211,26 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         lam_next = (lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
                     + coupling(j))
     _check_finite("cost_gradient", mesh, grad, backward=True)
-    return grad, traj, objective
+    return grad, traj
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     tol_stat: float = 1e-7     # max_j |u_j - proj(u_j - g_j/h_j)|
     max_iter: int = 5000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    alpha0: float = 1.0
-    rho0: float = 10.0
-    rho_growth: float = 10.0
-    rho_max: float = 1e8
     endpoint_tol: float = 1e-6
+
+
+# the line search: sufficient-decrease constant, step shrink factor, trials
+# per iteration and the first trial step
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+ALPHA0 = 1.0
+# the exact endpoint penalty: first weight, growth per stage and cap
+RHO0 = 10.0
+RHO_GROWTH = 10.0
+RHO_MAX = 1e8
 
 
 @dataclass
@@ -271,15 +275,17 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
     h = problem.mesh.steps
     log = SolveLog()
     controls = init.projected(problem)
-    rho = opts.rho0
+    rho = RHO0
 
     while True:  # penalty escalation stages
-        grad, traj, obj = cost_gradient(problem, controls, rho)
-        alpha = opts.alpha0
+        grad, traj = cost_gradient(problem, controls, rho)
+        cost = cost_Jk(problem, traj)
+        obj = cost + _penalty(problem, traj.states[-1], rho)
+        alpha = ALPHA0
         while True:
             gnorm = _scaled_projected_gradient_norm(problem, controls, grad)
             log.grad_norms.append(gnorm)
-            log.costs.append(cost_Jk(problem, traj))
+            log.costs.append(cost)
             if gnorm < opts.tol_stat:
                 log.stationary = True
                 break
@@ -292,17 +298,17 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             noise = 4.0 * np.finfo(float).eps * (1.0 + abs(obj))
             accepted = False
             trial_alpha = alpha
-            for _bt in range(opts.max_backtracks):
+            for _bt in range(MAX_BACKTRACKS):
                 cand = ControlParameterization(body.project_body(
                     controls.u - trial_alpha * grad / h[:, None]))
                 slope = float(np.sum(grad * (cand.u - controls.u)))
-                cand_obj, cand_traj = _objective(problem, cand, rho)
+                cand_obj, cand_cost, cand_traj = _objective(problem, cand, rho)
                 tube_ok, budget_ok, _, _ = _trust_region_ok(problem, cand_traj)
-                if cand_obj <= obj + opts.armijo_c1 * slope + noise \
+                if cand_obj <= obj + ARMIJO_C1 * slope + noise \
                         and tube_ok and budget_ok:
                     accepted = True
                     break
-                trial_alpha *= opts.backtrack
+                trial_alpha *= BACKTRACK
             log.iterations += 1
             if not accepted:
                 log.message = "line search stalled"
@@ -312,7 +318,8 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             s_step = cand.u - controls.u
             controls = cand
             prev_grad = grad
-            grad, traj, obj = cost_gradient(problem, controls, rho, traj=cand_traj)
+            grad, traj = cost_gradient(problem, controls, rho, traj=cand_traj)
+            obj, cost = cand_obj, cand_cost
             # spectral (Barzilai-Borwein) step for the next trial, in the
             # mesh-scaled metric the projection step uses
             y_step = (grad - prev_grad) / h[:, None]
@@ -321,16 +328,16 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             if sy > 1e-16 * max(ss, 1e-16):
                 alpha = min(max(ss / sy, 1e-8), 1e8)
             else:
-                alpha = min(trial_alpha / opts.backtrack, 1e3)
+                alpha = min(trial_alpha / BACKTRACK, 1e3)
 
         violation = problem.omega_k.distance(traj.states[-1])
-        if violation <= opts.endpoint_tol or rho >= opts.rho_max \
+        if violation <= opts.endpoint_tol or rho >= RHO_MAX \
                 or log.iterations >= opts.max_iter or log.message == "line search stalled":
             log.rho_final = rho
             log.endpoint_violation = violation
             log.endpoint_normal = _penalty_gradient(problem, traj.states[-1], rho)
             break
-        rho *= opts.rho_growth
+        rho *= RHO_GROWTH
         log.stationary = False
 
     _, _, nodal, budget = _trust_region_ok(problem, traj)

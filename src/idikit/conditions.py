@@ -47,6 +47,8 @@ __all__ = [
     "perturbation_robustness",
 ]
 
+# how far a velocity may sit outside its value set and still get a graph
+# normal cone, in every condition the report checks
 CONE_TOL_FEAS = 1e-6
 
 
@@ -84,8 +86,7 @@ def _cost_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory, j: int)
 
 def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                          lam: float = 1.0,
-                         endpoint_normal: Optional[np.ndarray] = None,
-                         tol_feas: float = CONE_TOL_FEAS) -> MultiplierSet:
+                         endpoint_normal: Optional[np.ndarray] = None) -> MultiplierSet:
     """Backward recursion for the discrete adjoint at a stationary trajectory.
 
     The terminal value is -(lam * grad phi + nu) with nu the endpoint normal
@@ -115,7 +116,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
         pin = lam * (glv[j] + tensors.theta[j] / h[j])
         b_j = p[j + 1] - pin
         cone = graph_normal_cone(base.fmap, mesh.nodes[j], traj.states[j],
-                                 traj.velocities[j] - tensors.w[j], tol_feas)
+                                 traj.velocities[j] - tensors.w[j], CONE_TOL_FEAS)
         u_j = cone.project_u(b_j)
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
                 - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j
@@ -183,19 +184,17 @@ def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
 
 
 def _el_residuals(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-                  mult: MultiplierSet, tol_feas: float) -> np.ndarray:
+                  mult: MultiplierSet) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
     j = k-1 down: the order in which the memory coupling is a running sum."""
     coupling = mult.tensors.backward_coupling(mult.p[1:])
-    return np.array([euler_lagrange_residual(problem, traj, mult, j, tol_feas,
-                                             coupling(j))
+    return np.array([euler_lagrange_residual(problem, traj, mult, j, coupling(j))
                      for j in range(problem.mesh.k - 1, -1, -1)])[::-1]
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem,
                             traj: DiscreteTrajectory, mult: MultiplierSet,
-                            j: int, tol_feas: float = CONE_TOL_FEAS,
-                            coupling: Optional[np.ndarray] = None) -> float:
+                            j: int, coupling: Optional[np.ndarray] = None) -> float:
     """Distance of the node-j adjoint pair to lam*grad(l) + graph normal cone.
 
     ``coupling`` is the memory coupling of p at j when the caller has it
@@ -206,7 +205,7 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem,
     q_x, q_u = _el_pair(problem, traj, mult, j, coupling)
     cone = graph_normal_cone(problem.base.fmap, problem.mesh.nodes[j],
                              traj.states[j],
-                             traj.velocities[j] - mult.tensors.w[j], tol_feas)
+                             traj.velocities[j] - mult.tensors.w[j], CONE_TOL_FEAS)
     d, _ = cone.pair_distance(q_x, q_u)
     return d
 
@@ -222,7 +221,7 @@ def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,
 
 
 def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
-                      tau, tol_feas: float = CONE_TOL_FEAS):
+                      tau):
     """Pointwise defect of the continuous memory-adjoint inclusion at tau.
 
     Measures the distance, in the paired (state, velocity) slots, from
@@ -247,15 +246,14 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     for i, t in enumerate(taus):  # the cost gradients and cones are pointwise
         glx = lam * np.atleast_1d(problem.running_cost.grad_x(t, x[i], v[i]))
         glv = lam * np.atleast_1d(problem.running_cost.grad_v(t, x[i], v[i]))
-        cone = graph_normal_cone(problem.fmap, t, x[i], v[i] - y[i], tol_feas)
+        cone = graph_normal_cone(problem.fmap, t, x[i], v[i] - y[i], CONE_TOL_FEAS)
         out[i], _ = cone.pair_distance(pdot[i] + mem[i] - glx, p[i] - glv)
     return out if np.ndim(tau) else float(out[0])
 
 
 def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                         endpoint_normal: Optional[np.ndarray] = None,
-                        resid_tol: float = 1e-5,
-                        tol_feas: float = CONE_TOL_FEAS):
+                        resid_tol: float = 1e-5):
     """Normal-first multiplier recovery with an abnormal fallback probe.
 
     Solves the backward recursion with lam = 1; only if the resulting
@@ -265,18 +263,16 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     or "normal-degraded" when neither certifies within tolerance.
     """
     mult = adjoint_solve_smooth(problem, traj, lam=1.0,
-                                endpoint_normal=endpoint_normal,
-                                tol_feas=tol_feas)
-    el = _el_residuals(problem, traj, mult, tol_feas).max()
+                                endpoint_normal=endpoint_normal)
+    el = _el_residuals(problem, traj, mult).max()
     if el <= resid_tol:
         return mult, "normal"
     try:
         mult0 = adjoint_solve_smooth(problem, traj, lam=0.0,
-                                     endpoint_normal=endpoint_normal,
-                                     tol_feas=tol_feas)
+                                     endpoint_normal=endpoint_normal)
     except DegenerateMultiplierError:
         return mult, "normal-degraded"
-    el0 = _el_residuals(problem, traj, mult0, tol_feas).max()
+    el0 = _el_residuals(problem, traj, mult0).max()
     if el0 <= resid_tol or el0 < el:
         return mult0, "abnormal"
     return mult, "normal-degraded"
@@ -298,7 +294,6 @@ class ConditionReport:
     adjoint_bound: float
     adjoint_bound_ok: bool
     p0_interior_gap: float
-    tol_feas: float
 
     @property
     def el_max(self) -> float:
@@ -312,8 +307,7 @@ class ConditionReport:
 
 def build_condition_report(problem: DiscreteBolzaProblem,
                            traj: DiscreteTrajectory, mult: MultiplierSet,
-                           x_arc=None, tol_feas: float = CONE_TOL_FEAS,
-                           transversality_omega=None) -> ConditionReport:
+                           x_arc=None, transversality_omega=None) -> ConditionReport:
     """Evaluate all residuals for one trajectory/multiplier pair.
 
     The Volterra defect is sampled at cell midpoints of the adjoint's own
@@ -323,7 +317,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     """
     mesh = problem.mesh
     base = problem.base
-    el = _el_residuals(problem, traj, mult, tol_feas)
+    el = _el_residuals(problem, traj, mult)
     omega = problem.omega_k if transversality_omega is None else transversality_omega
     trans = transversality_residual(base, traj.states[-1], mult.terminal,
                                     mult.lam, omega=omega, tol=1e-5)
@@ -331,7 +325,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     arc_x = traj.arc() if x_arc is None else x_arc
     p_arc = PiecewiseLinearArc(mesh, mult.p)
     taus = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    vol = volterra_residual(base, arc_x, p_arc, mult.lam, taus, tol_feas)
+    vol = volterra_residual(base, arc_x, p_arc, mult.lam, taus)
     bound = adjoint_norm_bound(problem, mult)
     norms = np.linalg.norm(mult.p[1:], axis=1)
     bound_ok = bool(np.all(norms <= bound * (1 + 1e-9)))
@@ -340,12 +334,12 @@ def build_condition_report(problem: DiscreteBolzaProblem,
         problem=base.name, k=mesh.k, h_max=mesh.max_step, lam=mult.lam,
         el_residuals=el, transversality=trans, nontriviality=nontriv,
         volterra_taus=taus, volterra_residuals=vol, adjoint_bound=bound,
-        adjoint_bound_ok=bound_ok, p0_interior_gap=p0_gap, tol_feas=tol_feas)
+        adjoint_bound_ok=bound_ok, p0_interior_gap=p0_gap)
 
 
 def perturbation_robustness(problem: ProblemData, t: float, x, v,
                             deltas: Sequence[float], seed: int = 0,
-                            n_dirs: int = 6, tol_feas: float = CONE_TOL_FEAS):
+                            n_dirs: int = 6):
     """Sampled stability of cone generators and cost gradients at (x, v).
 
     For each perturbation size delta, perturbs the state along random unit
@@ -363,7 +357,7 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     vdirs = rng.standard_normal((n_dirs, x.size))
     vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
-    cone0 = graph_normal_cone(problem.fmap, t, x, v, tol_feas)
+    cone0 = graph_normal_cone(problem.fmap, t, x, v, CONE_TOL_FEAS)
     pairs0 = cone0.pair_samples()
     glx0 = np.atleast_1d(problem.running_cost.grad_x(t, x, v))
     glv0 = np.atleast_1d(problem.running_cost.grad_v(t, x, v))
@@ -371,7 +365,7 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     body_pt = v - problem.fmap.center(t, x)
     fmap = problem.fmap
     on_sphere = (getattr(fmap, "kind", "") == "ball" and fmap.radius > 0
-                 and abs(np.linalg.norm(body_pt) - fmap.radius) <= tol_feas)
+                 and abs(np.linalg.norm(body_pt) - fmap.radius) <= CONE_TOL_FEAS)
     out = []
     for delta in deltas:
         gen_gap = 0.0
@@ -384,7 +378,7 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
             else:
                 w_p = fmap.project_body(w_p)
             v_p = fmap.center(t, x_p) + w_p
-            cone_p = graph_normal_cone(problem.fmap, t, x_p, v_p, tol_feas)
+            cone_p = graph_normal_cone(problem.fmap, t, x_p, v_p, CONE_TOL_FEAS)
             pairs_p = cone_p.pair_samples()
             if pairs_p.shape == pairs0.shape:
                 gen_gap = max(gen_gap, float(np.abs(pairs_p - pairs0).max()))

@@ -9,13 +9,14 @@ the full grammar.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import catalog
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, _quadratic_running, _quadratic_terminal
 from .kernel import VolterraKernel
 from .problem import (BallSet, BoxSet, PointSet, ProblemData,
                       RunningCost, TerminalCost, WholeSpace)
@@ -42,7 +43,7 @@ _KNOWN_KEYS = {
     "solver": {"tol_stat", "max_iter", "endpoint_tol"},
     "run": {"seed", "output_dir", "label"},
     "reference": {"policy", "k", "constant_deviation", "feas_tol"},
-    "audit": {"n_instances", "samples_per_cell", "policies", "mesh_k"},
+    "audit": {"n_instances", "policies", "mesh_k"},
 }
 
 
@@ -85,6 +86,13 @@ def _get(parser, section, key, cast, default=None, required=False):
         return cast(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"field '{section}.{key}': cannot parse {raw!r}")
+
+
+def _horizon(horizon: float) -> float:
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"field 'problem.horizon': must be positive and "
+                          f"finite, got {horizon!r}")
+    return horizon
 
 
 def _build_inline_problem(parser) -> CatalogEntry:
@@ -154,9 +162,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
     x0 = _vector(_get(parser, sec, "x0", str, required=True), "problem.x0")
     if x0.size != dim:
         raise ConfigError("field 'problem.x0': dimension mismatch")
-    horizon = _get(parser, sec, "horizon", float, required=True)
-    if horizon <= 0:
-        raise ConfigError("field 'problem.horizon': must be positive")
+    horizon = _horizon(_get(parser, sec, "horizon", float, required=True))
     eps = _get(parser, sec, "epsilon", float, default=1.0)
 
     lo = _vector(_get(parser, sec, "state_box_lo", str, required=True),
@@ -175,12 +181,9 @@ def _build_inline_problem(parser) -> CatalogEntry:
     if terminal == "none":
         phi = TerminalCost.zero()
     elif terminal == "quadratic":
-        target = _vector(_get(parser, sec, "terminal_target", str,
-                              default=" ".join(["0"] * dim)),
-                         "problem.terminal_target")
-        phi = TerminalCost(
-            value=lambda x: 0.5 * float(np.sum((np.atleast_1d(x) - target) ** 2)),
-            grad=lambda x: np.atleast_1d(x) - target)
+        phi = _quadratic_terminal(_vector(
+            _get(parser, sec, "terminal_target", str, default=" ".join(["0"] * dim)),
+            "problem.terminal_target"))
     else:
         raise ConfigError(f"field 'problem.terminal': unknown cost {terminal!r}")
 
@@ -188,13 +191,9 @@ def _build_inline_problem(parser) -> CatalogEntry:
     if running == "none":
         lrun = RunningCost.zero()
     elif running == "quadratic":
-        cx = _get(parser, sec, "running_x_weight", float, default=1.0)
-        cv = _get(parser, sec, "running_v_weight", float, default=1.0)
-        lrun = RunningCost(
-            value=lambda t, x, v: 0.5 * (cx * float(np.sum(np.atleast_1d(x) ** 2))
-                                         + cv * float(np.sum(np.atleast_1d(v) ** 2))),
-            grad_x=lambda t, x, v: cx * np.atleast_1d(x),
-            grad_v=lambda t, x, v: cv * np.atleast_1d(v))
+        lrun = _quadratic_running(
+            _get(parser, sec, "running_x_weight", float, default=1.0),
+            _get(parser, sec, "running_v_weight", float, default=1.0))
     else:
         raise ConfigError(f"field 'problem.running': unknown cost {running!r}")
 
@@ -255,16 +254,14 @@ def load_config(path: str) -> ExperimentConfig:
         overrides = {}
         horizon = _get(parser, "problem", "horizon", float)
         if horizon is not None:
-            overrides["T"] = horizon
+            overrides["T"] = _horizon(horizon)
         entry = catalog.get(name, **overrides)
         m_f = _get(parser, "problem", "m_F", float)
         if m_f is not None:  # declared-constant override, e.g. for audits
-            from dataclasses import replace
             entry = CatalogEntry(replace(entry.problem, m_F=m_f),
                                  entry.reference, entry.oracle)
 
-    ks_raw = _get(parser, "meshes", "k", str, default="20 40 80") \
-        if parser.has_section("meshes") else "20 40 80"
+    ks_raw = _get(parser, "meshes", "k", str, default="20 40 80")
     try:
         ks = [int(tok) for tok in ks_raw.replace(",", " ").split()]
     except ValueError:
@@ -272,41 +269,28 @@ def load_config(path: str) -> ExperimentConfig:
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
         raise ConfigError("field 'meshes.k': need a strictly increasing list")
 
-    const_raw = _get(parser, "reference", "constant_deviation", str) \
-        if parser.has_section("reference") else None
+    const_raw = _get(parser, "reference", "constant_deviation", str)
     snapshot = {s: dict(parser.items(s)) for s in parser.sections()}
     policies_raw = _get(parser, "audit", "policies", str,
-                        default="min_norm extreme constant") \
-        if parser.has_section("audit") else "min_norm extreme constant"
+                        default="min_norm extreme constant")
 
     return ExperimentConfig(
         entry=entry,
         mesh_ks=ks,
-        seed=_get(parser, "run", "seed", int, default=0)
-        if parser.has_section("run") else 0,
-        output_dir=_get(parser, "run", "output_dir", str, default="idikit_out")
-        if parser.has_section("run") else "idikit_out",
-        label=_get(parser, "run", "label", str, default=name)
-        if parser.has_section("run") else name,
-        tol_stat=_get(parser, "solver", "tol_stat", float, default=1e-7)
-        if parser.has_section("solver") else 1e-7,
-        max_iter=_get(parser, "solver", "max_iter", int, default=20000)
-        if parser.has_section("solver") else 20000,
-        endpoint_tol=_get(parser, "solver", "endpoint_tol", float, default=1e-6)
-        if parser.has_section("solver") else 1e-6,
+        seed=_get(parser, "run", "seed", int, default=0),
+        output_dir=_get(parser, "run", "output_dir", str, default="idikit_out"),
+        label=_get(parser, "run", "label", str, default=name),
+        tol_stat=_get(parser, "solver", "tol_stat", float, default=1e-7),
+        max_iter=_get(parser, "solver", "max_iter", int, default=20000),
+        endpoint_tol=_get(parser, "solver", "endpoint_tol", float, default=1e-6),
         reference_policy=_get(parser, "reference", "policy", str,
-                              default="min_norm")
-        if parser.has_section("reference") else "min_norm",
-        reference_k=_get(parser, "reference", "k", int, default=0)
-        if parser.has_section("reference") else 0,
+                              default="min_norm"),
+        reference_k=_get(parser, "reference", "k", int, default=0),
         reference_constant=None if const_raw is None
         else _vector(const_raw, "reference.constant_deviation"),
-        reference_feas_tol=_get(parser, "reference", "feas_tol", float)
-        if parser.has_section("reference") else None,
-        audit_instances=_get(parser, "audit", "n_instances", int, default=1000)
-        if parser.has_section("audit") else 1000,
+        reference_feas_tol=_get(parser, "reference", "feas_tol", float),
+        audit_instances=_get(parser, "audit", "n_instances", int, default=1000),
         audit_policies=policies_raw.replace(",", " ").split(),
-        audit_mesh_k=_get(parser, "audit", "mesh_k", int, default=24)
-        if parser.has_section("audit") else 24,
+        audit_mesh_k=_get(parser, "audit", "mesh_k", int, default=24),
         snapshot=snapshot,
     )

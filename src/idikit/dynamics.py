@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .kernel import _memory_averages, _memory_integrals, assemble_w
-from .mesh import (DEFAULT_QUAD_ORDER, PiecewiseLinearArc, TimeMesh, _sample,
-                   _sq_integral, cell_gauss_points, l2_distance, sup_distance)
+from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
+                   cell_gauss_points, l2_distance, sup_distance)
 from .problem import ProblemData
 from .setvalued import _norm, averaged_modulus, distance_and_projection
 
@@ -121,8 +121,8 @@ def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
     return _march(problem, mesh, select, "simulate")
 
 
-def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
-           order: int = 4) -> DiscreteTrajectory:
+def _march(problem: ProblemData, mesh: TimeMesh, select,
+           stage: str) -> DiscreteTrajectory:
     """Explicit steps x_{j+1} = x_j + h_j v_j from x_0.
 
     ``select(j, x_j, w_j)`` picks the velocity v_j given the node state and
@@ -136,7 +136,7 @@ def _march(problem: ProblemData, mesh: TimeMesh, select, stage: str,
     vels = np.empty((k, n))
     ws = np.empty((k, n))
     states[0] = problem.x0
-    w_of = _memory_averages(problem.kernel, mesh, order)
+    w_of = _memory_averages(problem.kernel, mesh)
     for j in range(k):
         w_j = w_of(j, states)
         v_j = select(j, states[j], w_j)
@@ -167,8 +167,7 @@ class ApproximationErrorReport:
     stay below their majorants (checked by :meth:`dominates`).
     ``reference_samples`` holds what the run sampled of the reference for a
     discrete problem on the same mesh to reuse: its nodal values and its
-    derivative at the cell Gauss points of the default order (None for
-    another order).
+    derivative at the cell Gauss points.
     """
 
     k: int
@@ -185,8 +184,7 @@ class ApproximationErrorReport:
     sup_error: float
     state_l2_error: float
     deriv_l2_error: float
-    reference_samples: Optional[tuple] = field(default=None, repr=False,
-                                               compare=False)
+    reference_samples: tuple = field(repr=False, compare=False)
 
     @property
     def w12_error(self) -> float:
@@ -209,7 +207,8 @@ def _check_finite(stage: str, mesh: TimeMesh, *rows, backward: bool = False):
 
 
 class _ReferenceSamples(NamedTuple):
-    """An arc at every cell Gauss point, each array of shape (k, order[, n])."""
+    """An arc at every cell Gauss point, each array of shape
+    (k, GAUSS_ORDER[, n])."""
 
     pts: np.ndarray
     wts: np.ndarray
@@ -223,9 +222,8 @@ class _ReferenceSamples(NamedTuple):
         return math.sqrt(_sq_integral(self.wts, self.defect[..., None]))
 
 
-def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh,
-                      order: int) -> _ReferenceSamples:
-    pts, wts = cell_gauss_points(mesh, order)
+def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh) -> _ReferenceSamples:
+    pts, wts = cell_gauss_points(mesh)
     x, dx = _sample(arc, pts), _sample(arc.derivative, pts)
     y = _memory_integrals(problem.kernel, arc, pts, mesh)
     n = x.shape[-1]
@@ -234,31 +232,29 @@ def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh,
     return _ReferenceSamples(pts, wts, x, dx, y, defect.reshape(pts.shape))
 
 
-def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh,
-                         order: int = 4) -> float:
+def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh) -> float:
     """L2 norm over [0,T] of t -> dist(x'(t) - y(t); F(t, x(t))).
 
     The supported value families are convex, so this is also the residual
     of the convexified inclusion.
     """
-    return _sample_reference(problem, arc, mesh, order).residual
+    return _sample_reference(problem, arc, mesh).residual
 
 
 def localization_check(candidate, reference, eps: float, mesh: TimeMesh,
-                       samples_per_cell: int = 16, order: int = 4) -> bool:
+                       samples_per_cell: int = 16) -> bool:
     """Strict sup-norm and derivative-L2 localization test around an arc."""
     if eps <= 0:
         raise ValueError("localization radius must be positive")
     sup_gap = sup_distance(mesh, candidate, reference, samples_per_cell)
     if sup_gap >= eps:
         return False
-    dgap = l2_distance(mesh, candidate.derivative, reference.derivative, order)
+    dgap = l2_distance(mesh, candidate.derivative, reference.derivative)
     return dgap ** 2 < eps
 
 
 def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
-                    feas_tol: float = 1e-6, order: int = 4,
-                    tau_f: Optional[float] = None):
+                    feas_tol: float = 1e-6, tau_f: Optional[float] = None):
     """Projection-algorithm approximation of a feasible reference arc.
 
     Builds the cell averages of the reference derivative, the frozen-node
@@ -270,7 +266,7 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
     reduce the same samples.  The gate passes only a residual <= feas_tol,
     and a defect that is not finite raises :class:`NonFiniteStateError`.
     """
-    ref = _sample_reference(problem, reference, mesh, order)
+    ref = _sample_reference(problem, reference, mesh)
     _check_finite("approximate_arc", mesh, ref.defect)
     if not ref.residual <= feas_tol:
         raise InfeasibleReferenceError(
@@ -283,17 +279,16 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
     # exact cell averages of the reference derivative
     a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
     # memory averages frozen along the reference nodes
-    b = assemble_w(problem.kernel, mesh, ref_nodes, order)
+    b = assemble_w(problem.kernel, mesh, ref_nodes)
 
     traj = _march(problem, mesh, lambda j, x, w: distance_and_projection(
-        problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, "approximate_arc", order)
+        problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, "approximate_arc")
     report = _error_report(problem, reference, mesh, traj, a, b, ref_nodes,
-                           ref, order=order, tau_f=tau_f)
+                           ref, tau_f)
     return traj, report
 
 
-def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref,
-                  order=4, tau_f=None):
+def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref, tau_f):
     T = mesh.horizon
     h_max = mesh.max_step
     l_f, alpha = problem.l_F, problem.alpha
@@ -329,4 +324,4 @@ def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref,
         reference_defect=ref.residual, nodal_sup_error=nodal,
         sup_error=sup_err, state_l2_error=state_l2,
         deriv_l2_error=math.sqrt(_sq_integral(wts, dv)),
-        reference_samples=(ref_nodes, ref.dx) if order == DEFAULT_QUAD_ORDER else None)
+        reference_samples=(ref_nodes, ref.dx))

@@ -4,9 +4,10 @@ The discrete constructions repeatedly integrate g (or its adjoint state
 Jacobian) over products of mesh cells and over the triangular sliver
 {t_j <= s <= t <= t_{j+1}}, with the state frozen at one mesh node per
 s-cell.  Every such integral goes through one row rule: t in cell j and s
-in cells 0..j, with tensor Gauss-Legendre blocks on the rectangles i < j and
-a 12-point symmetric rule, exact through total degree 6, on the triangle of
-cell j; every polynomial test kernel integrates exactly.
+in cells 0..j, with tensor Gauss-Legendre blocks of order
+``mesh.GAUSS_ORDER`` on the rectangles i < j and a 12-point symmetric rule,
+exact through total degree 6, on the triangle of cell j; every polynomial
+test kernel integrates exactly.
 
 An exponential kernel c e^{-r (t - s)} x with r >= 0, built with
 :meth:`VolterraKernel.exponential` (every shipped kernel is one), takes an
@@ -40,8 +41,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .mesh import (TimeMesh, _panel_edges, _sample, cell_gauss_points,
-                   interval_gauss_points)
+from .mesh import (GAUSS_ORDER, TimeMesh, _panel_edges, _sample,
+                   cell_gauss_points, interval_gauss_points)
 from .setvalued import _fd_jacobian
 
 __all__ = [
@@ -58,9 +59,6 @@ __all__ = [
     "TRIANGLE_POINTS",
     "TRIANGLE_WEIGHTS",
 ]
-
-DEFAULT_ORDER = 4
-
 
 class KernelIndexError(IndexError):
     """Cell-pair indices outside the admissible triangular range."""
@@ -197,38 +195,38 @@ class VolterraKernel:
 _TRI_TS = TRIANGLE_POINTS @ np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
-def _row_rule(mesh: TimeMesh, j: int, order: int):
+def _row_rule(mesh: TimeMesh, j: int):
     """Quadrature of the memory integral over row j: t in cell j, s <= t.
 
     Returns points (t, s), weights and the s-cell of each point, whose node
-    is the frozen state.  Cells i < j get an order x order tensor Gauss
-    block each, in order of i; cell j gets the 12-point triangle rule, last.
+    is the frozen state.  Cells i < j get a GAUSS_ORDER x GAUSS_ORDER tensor
+    Gauss block each, in order of i; cell j gets the 12-point triangle rule, last.
     """
     nodes = mesh.nodes
     a, b = nodes[j], nodes[j + 1]
     h = b - a
-    tq, tw = interval_gauss_points(a, b, order)
-    sq, sw = interval_gauss_points(nodes[:j], nodes[1:j + 1], order)  # (j, order)
-    block = (j, order, order)
+    tq, tw = interval_gauss_points(a, b)
+    sq, sw = interval_gauss_points(nodes[:j], nodes[1:j + 1])  # (j, GAUSS_ORDER)
+    block = (j, GAUSS_ORDER, GAUSS_ORDER)
     t = np.concatenate([np.broadcast_to(tq[None, :, None], block).ravel(),
                         a + h * _TRI_TS[:, 0]])
     s = np.concatenate([np.broadcast_to(sq[:, None, :], block).ravel(),
                         a + h * _TRI_TS[:, 1]])
     w = np.concatenate([(tw[None, :, None] * sw[:, None, :]).ravel(),
                         0.5 * h * h * TRIANGLE_WEIGHTS])
-    cell = np.concatenate([np.repeat(np.arange(j), order * order),
+    cell = np.concatenate([np.repeat(np.arange(j), GAUSS_ORDER ** 2),
                            np.full(TRIANGLE_WEIGHTS.size, j)])
     return t, s, w, cell
 
 
 def _row_integrals(batch: Callable, mesh: TimeMesh, states: np.ndarray,
-                   j: int, order: int, only: Optional[int] = None) -> np.ndarray:
+                   j: int, only: Optional[int] = None) -> np.ndarray:
     """Integrals of ``batch`` over each s-cell of row j, one row per cell.
 
     ``batch`` is a kernel's ``eval_batch_s`` or ``jac_batch_s``; ``only``
     restricts the row to a single s-cell.
     """
-    t, s, w, cell = _row_rule(mesh, j, order)
+    t, s, w, cell = _row_rule(mesh, j)
     if only is not None:
         keep = cell == only
         t, s, w, cell = t[keep], s[keep], w[keep], cell[keep]
@@ -254,11 +252,11 @@ class _ExpCells(NamedTuple):
     decay: np.ndarray  # e^{-r h_j}
 
 
-def _exp_cells(kernel: VolterraKernel, mesh: TimeMesh, order: int) -> _ExpCells:
-    """The cell sums of an exponential kernel on ``mesh``, O(k order) work."""
+def _exp_cells(kernel: VolterraKernel, mesh: TimeMesh) -> _ExpCells:
+    """The cell sums of an exponential kernel on ``mesh``, O(k) work."""
     c, r = kernel._exp
     nodes, h = mesh.nodes, mesh.steps
-    q, wq = cell_gauss_points(mesh, order)
+    q, wq = cell_gauss_points(mesh)
     tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
     return _ExpCells(
         c, r, nodes, h,
@@ -286,7 +284,7 @@ def _in_turn(step: Callable, cells: range, what: str) -> Callable:
     return call
 
 
-def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
+def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh):
     """``w(j, states)``, the memory average of cell j, called for
     j = 0, 1, ..., k-1 in turn with ``states`` holding at least nodes 0..j.
 
@@ -299,8 +297,8 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
     """
     if kernel._exp is None:
         return _in_turn(lambda j, states: kernel_average_w(
-            kernel, mesh, states[:j + 1], j, order), range(mesh.k), "memory averages")
-    cells = _exp_cells(kernel, mesh, order)
+            kernel, mesh, states[:j + 1], j), range(mesh.k), "memory averages")
+    cells = _exp_cells(kernel, mesh)
     # Python floats: a step is then four small-array operations
     past = (cells.c * cells.tau / cells.steps).tolist()
     own = (cells.c * cells.tri / cells.steps).tolist()
@@ -320,7 +318,7 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh, order: int):
 # --- the discrete tensors ---------------------------------------------------
 
 def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
-                     j: int, order: int = DEFAULT_ORDER) -> np.ndarray:
+                     j: int) -> np.ndarray:
     """Cell-j average of the accumulated memory with nodes frozen per cell.
 
     (1/h_j) * int over the j-th cell in t of [ sum_{i<j} int over cell i of
@@ -331,21 +329,20 @@ def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
         raise KernelIndexError(f"cell index {j} outside 0..{mesh.k - 1}")
     if kernel.is_zero:
         return np.zeros(states.shape[1])
-    rows = _row_integrals(kernel.eval_batch_s, mesh, states, j, order)
+    rows = _row_integrals(kernel.eval_batch_s, mesh, states, j)
     return rows.sum(axis=0) / mesh.steps[j]
 
 
-def assemble_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
-               order: int = DEFAULT_ORDER) -> np.ndarray:
+def assemble_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states) -> np.ndarray:
     """All cell averages w_0..w_{k-1}, shape (k, n); for an exponential
     kernel in O(k) by the running sum the forward march carries."""
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    w_of = _memory_averages(kernel, mesh, order)
+    w_of = _memory_averages(kernel, mesh)
     return np.array([w_of(j, states) for j in range(mesh.k)])
 
 
 def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
-              i: int, j: int, order: int = DEFAULT_ORDER) -> np.ndarray:
+              i: int, j: int) -> np.ndarray:
     """Adjoint-Jacobian rectangle integral: t over cell i, s over cell j.
 
     Defined for 0 <= j <= i-1, 1 <= i <= k-1, with the state frozen at the
@@ -354,7 +351,7 @@ def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     if not (1 <= i <= mesh.k - 1 and 0 <= j <= i - 1):
         raise KernelIndexError(f"(i={i}, j={j}) outside the triangular index range")
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    return _row_integrals(kernel.jac_batch_s, mesh, states, i, order, only=j)[0].T
+    return _row_integrals(kernel.jac_batch_s, mesh, states, i, only=j)[0].T
 
 
 def mu_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -363,8 +360,7 @@ def mu_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     if not 0 <= j <= mesh.k - 1:
         raise KernelIndexError(f"cell index {j} outside 0..{mesh.k - 1}")
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    return _row_integrals(kernel.jac_batch_s, mesh, states, j, DEFAULT_ORDER,
-                          only=j)[0].T
+    return _row_integrals(kernel.jac_batch_s, mesh, states, j, only=j)[0].T
 
 
 def theta_vector(mesh: TimeMesh, velocities, reference_arc, j: int) -> np.ndarray:
@@ -442,8 +438,7 @@ class QuadratureTensors:
 
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
-                     velocities, reference_nodes,
-                     order: int = DEFAULT_ORDER) -> QuadratureTensors:
+                     velocities, reference_nodes) -> QuadratureTensors:
     """w, theta, xi and mu at the given trajectory.
 
     The reference enters theta only, through its nodal values
@@ -452,7 +447,7 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     """
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
     k, n = mesh.k, states.shape[1]
-    w = assemble_w(kernel, mesh, states, order)
+    w = assemble_w(kernel, mesh, states)
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     theta = mesh.steps[:, None] * v - np.diff(reference_nodes, axis=0)
@@ -461,13 +456,13 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     if kernel.is_zero:
         xi = np.broadcast_to(0.0, (k + 1, k, n, n))
     elif kernel._exp is not None:
-        cells = _exp_cells(kernel, mesh, order)
+        cells = _exp_cells(kernel, mesh)
         xi = None
         mu[:] = (cells.c * cells.tri)[:, None, None] * np.eye(n)
     else:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):
-            rows = _row_integrals(kernel.jac_batch_s, mesh, states, i, order)
+            rows = _row_integrals(kernel.jac_batch_s, mesh, states, i)
             xi[i, :i] = rows[:i].transpose(0, 2, 1)
             mu[i] = rows[i].T
     return QuadratureTensors(w=w, theta=theta, xi=xi, mu=mu, cells=cells)
@@ -488,11 +483,11 @@ class _Panels(NamedTuple):
     cut: np.ndarray
     first: int    # the whole panels of all times lie in first..last-1
     last: int
-    whole: tuple  # Gauss (points, weights) of panels first..last-1, (last - first, order)
-    part: tuple   # Gauss (points, weights) of each time's cut panel, (m, order)
+    whole: tuple  # Gauss (points, weights) of panels first..last-1, a row per panel
+    part: tuple   # Gauss (points, weights) of each time's cut panel, a row per time
 
 
-def _panels(edges: np.ndarray, t: np.ndarray, before: bool, order: int) -> _Panels:
+def _panels(edges: np.ndarray, t: np.ndarray, before: bool) -> _Panels:
     """The panels before each time t (or after it)."""
     if before:  # edges[cut] < t <= edges[cut + 1]
         cut = np.searchsorted(edges, t, side="left") - 1
@@ -502,12 +497,12 @@ def _panels(edges: np.ndarray, t: np.ndarray, before: bool, order: int) -> _Pane
         lo, hi, a, b = cut, np.full_like(cut, edges.size - 1), t, edges[cut]
     first, last = lo.min(), hi.max()
     return _Panels(lo, hi, cut, first, last,
-                   interval_gauss_points(edges[first:last], edges[first + 1:last + 1], order),
-                   interval_gauss_points(a, b, order))
+                   interval_gauss_points(edges[first:last], edges[first + 1:last + 1]),
+                   interval_gauss_points(a, b))
 
 
 def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
-                before: bool, arc, integrand: Callable, order: int) -> np.ndarray:
+                before: bool, arc, integrand: Callable) -> np.ndarray:
     """Gauss sums, one row per time, over the panels between ``edges``
     before the time (or after it), the panel that holds it cut there; zero
     where ``live`` is False.
@@ -519,20 +514,20 @@ def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
     walk over the panels before the time.
     """
     rows_live = np.flatnonzero(live)
-    pan = _panels(edges, times[rows_live], before, order)
+    pan = _panels(edges, times[rows_live], before)
     (wq, ww), (cq, cw) = pan.whole, pan.part
     S, W = np.append(wq, cq), np.append(ww, cw)
     A = _sample(arc, S)
     out = np.zeros((times.size,) + A.shape[1:])
     for start in range(0, rows_live.size, TIME_BLOCK):
         blk = np.arange(start, min(start + TIME_BLOCK, rows_live.size))[:, None]
-        whole = (pan.hi - pan.lo)[blk] * order
+        whole = (pan.hi - pan.lo)[blk] * GAUSS_ORDER
         # row b of the table: its time's whole-panel points, then the points
         # of its cut panel; the zeros that pad the row add nothing
-        slot = np.arange(whole.max() + order)
-        src = np.where(slot < whole, (pan.lo[blk] - pan.first) * order + slot,
-                       wq.size + blk * order + slot - whole)
-        used = slot < whole + order
+        slot = np.arange(whole.max() + GAUSS_ORDER)
+        src = np.where(slot < whole, (pan.lo[blk] - pan.first) * GAUSS_ORDER + slot,
+                       wq.size + blk * GAUSS_ORDER + slot - whole)
+        used = slot < whole + GAUSS_ORDER
         terms = np.zeros(used.shape + A.shape[1:])
         rows = rows_live[np.broadcast_to(blk, used.shape)[used]]
         terms[used] = W[src[used], None] * integrand(rows, S[src[used]], A[src[used]])
@@ -541,8 +536,7 @@ def _panel_sums(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
 
 
 def _panel_recurrence(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
-                      before: bool, arc, c: float, rate: float,
-                      order: int) -> np.ndarray:
+                      before: bool, arc, c: float, rate: float) -> np.ndarray:
     """:func:`_panel_sums` of the integrand c e^{-rate |t - s|} arc(s), the
     exponential kernel's, at the same points in O(panels + times).
 
@@ -552,7 +546,7 @@ def _panel_recurrence(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
     """
     rows_live = np.flatnonzero(live)
     t = times[rows_live]
-    pan = _panels(edges, t, before, order)
+    pan = _panels(edges, t, before)
     (wq, ww), (cq, cw) = pan.whole, pan.part
     A = _sample(arc, np.append(wq, cq))
     n = A.shape[-1]
@@ -577,8 +571,8 @@ def _panel_recurrence(edges: np.ndarray, times: np.ndarray, live: np.ndarray,
     return out
 
 
-def _memory_integrals(kernel: VolterraKernel, arc, t, mesh: Optional[TimeMesh],
-                      order: int = DEFAULT_ORDER) -> np.ndarray:
+def _memory_integrals(kernel: VolterraKernel, arc, t,
+                      mesh: Optional[TimeMesh]) -> np.ndarray:
     """int_0^t g(t, s, arc(s)) ds at a scalar t, shape (n,), or at each of a
     1-D array of times, shape (m, n); zero for t <= 0.
 
@@ -593,29 +587,25 @@ def _memory_integrals(kernel: VolterraKernel, arc, t, mesh: Optional[TimeMesh],
         mesh = TimeMesh.uniform(1, flat.max()) if mesh is None else mesh
         edges = _panel_edges(arc, mesh)
         if kernel._exp is not None:
-            out = _panel_recurrence(edges, flat, flat > 0.0, True, arc,
-                                    *kernel._exp, order)
+            out = _panel_recurrence(edges, flat, flat > 0.0, True, arc, *kernel._exp)
         else:
             out = _panel_sums(edges, flat, flat > 0.0, True, arc,
-                              lambda rows, s, x: kernel.eval_batch_s(flat[rows], s, x),
-                              order)
+                              lambda rows, s, x: kernel.eval_batch_s(flat[rows], s, x))
     return out.reshape(times.shape + out.shape[-1:])
 
 
-def continuous_accumulator(kernel: VolterraKernel, arc, t,
-                           order: int = DEFAULT_ORDER) -> np.ndarray:
+def continuous_accumulator(kernel: VolterraKernel, arc, t) -> np.ndarray:
     """Running memory integral along an arc: int_0^t g(t, s, arc(s)) ds.
 
     ``t`` is a scalar, giving shape (n,), or a 1-D array of times, giving
     (m, n).  The panels follow the arc's own mesh when it is piecewise;
     otherwise the times count as sampled on the single cell [0, max t].
     """
-    return _memory_integrals(kernel, arc, t, None, order)
+    return _memory_integrals(kernel, arc, t, None)
 
 
 def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau,
-                              horizon: float,
-                              order: int = DEFAULT_ORDER) -> np.ndarray:
+                              horizon: float) -> np.ndarray:
     """Forward adjoint memory term: int_tau^T jac_g(t, tau, x(tau))^T p(t) dt.
 
     The Jacobian's second argument and its state are pinned at tau; only the
@@ -624,12 +614,11 @@ def volterra_adjoint_integral(kernel: VolterraKernel, arc_x, p, tau,
     mesh when it is piecewise, else the single cell [0, T].
     """
     taus = np.asarray(tau, dtype=float)
-    return _adjoint_integrals(kernel, _sample(arc_x, taus.ravel()), p, taus,
-                              horizon, order)
+    return _adjoint_integrals(kernel, _sample(arc_x, taus.ravel()), p, taus, horizon)
 
 
 def _adjoint_integrals(kernel: VolterraKernel, x_tau: np.ndarray, p, tau,
-                       horizon: float, order: int = DEFAULT_ORDER) -> np.ndarray:
+                       horizon: float) -> np.ndarray:
     """:func:`volterra_adjoint_integral` with the state already sampled at
     the times, ``x_tau`` of shape (m, n)."""
     taus = np.asarray(tau, dtype=float)
@@ -639,12 +628,10 @@ def _adjoint_integrals(kernel: VolterraKernel, x_tau: np.ndarray, p, tau,
         edges = _panel_edges(p, TimeMesh.uniform(1, horizon))
         edges = np.append(edges[edges < horizon], horizon)
         if kernel._exp is not None:
-            out = _panel_recurrence(edges, flat, flat < horizon, False, p,
-                                    *kernel._exp, order)
+            out = _panel_recurrence(edges, flat, flat < horizon, False, p, *kernel._exp)
         else:
             out = _panel_sums(edges, flat, flat < horizon, False, p,
                               lambda rows, t, pt: np.einsum(
                                   "qji,qj->qi",
-                                  kernel.jac_batch_s(t, flat[rows], x_tau[rows]), pt),
-                              order)
+                                  kernel.jac_batch_s(t, flat[rows], x_tau[rows]), pt))
     return out.reshape(taus.shape + out.shape[-1:])

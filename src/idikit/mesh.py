@@ -5,14 +5,14 @@ functionals) works on a partition of [0, T] together with arcs: the
 piecewise-linear state extensions, the piecewise-constant velocity/memory
 extensions and closed-form arcs.  An arc's ``eval`` (and ``derivative``)
 takes a scalar time, giving shape (n,), or a 1-D array of m times, giving
-(m, n).  All types here are immutable after construction and all operations
-are pure.
+(m, n).  Every quadrature over cells or panels is Gauss-Legendre of the one
+order ``GAUSS_ORDER``.  All types here are immutable after construction and
+all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -31,7 +31,10 @@ __all__ = [
     "interval_gauss_points",
 ]
 
-DEFAULT_QUAD_ORDER = 4
+# every cell and panel quadrature is Gauss-Legendre of this order, exact for
+# polynomials of degree <= 2 * GAUSS_ORDER - 1
+GAUSS_ORDER = 4
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 DEFAULT_SUP_SAMPLES = 16
 # a memory integral over [0, T] is summed over at least this many panels
 MIN_PANELS = 64
@@ -41,23 +44,17 @@ class MeshError(ValueError):
     """Raised for ill-formed partitions or out-of-domain time queries."""
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def interval_gauss_points(a, b, order: int = DEFAULT_QUAD_ORDER):
-    """Gauss-Legendre nodes/weights on [a, b]; exact for degree <= 2*order-1.
+def interval_gauss_points(a, b):
+    """Gauss-Legendre nodes/weights of order GAUSS_ORDER on [a, b].
 
     ``a`` and ``b`` may be arrays of panel edges: the result then has one
-    row of ``order`` nodes/weights per panel, shape ``a.shape + (order,)``.
+    row of GAUSS_ORDER nodes/weights per panel, shape
+    ``a.shape + (GAUSS_ORDER,)``.
     """
-    x, w = _leggauss(order)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * x, half * w
+    return 0.5 * (a + b) + half * _GAUSS_X, half * _GAUSS_W
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,8 @@ class TimeMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise MeshError("mesh needs at least two nodes")
+        if not np.isfinite(nodes).all():
+            raise MeshError("mesh nodes must be finite")
         if nodes[0] != 0.0:
             raise MeshError("mesh must start at t=0")
         if np.any(np.diff(nodes) <= 0):
@@ -89,8 +88,8 @@ class TimeMesh:
 
     @classmethod
     def uniform(cls, k: int, horizon: float) -> "TimeMesh":
-        if k < 1 or horizon <= 0:
-            raise MeshError("need k >= 1 cells and positive horizon")
+        if k < 1 or not 0 < horizon < np.inf:
+            raise MeshError("need k >= 1 cells and a positive finite horizon")
         return cls(np.linspace(0.0, horizon, k + 1))
 
     @classmethod
@@ -279,13 +278,13 @@ def _panel_edges(arc: ArcLike, mesh: TimeMesh) -> np.ndarray:
     return np.append(edges.ravel(), mesh.horizon)
 
 
-def cell_gauss_points(mesh: TimeMesh, order: int = DEFAULT_QUAD_ORDER):
-    """Per-cell Gauss-Legendre nodes and weights, shapes (k, order)."""
-    return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:], order)
+def cell_gauss_points(mesh: TimeMesh):
+    """Per-cell Gauss-Legendre nodes and weights, shapes (k, GAUSS_ORDER)."""
+    return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:])
 
 
 def _sq_integral(wts: np.ndarray, d: np.ndarray) -> float:
-    """Cell quadrature of |d|^2 from samples d of shape (k, order, n).
+    """Cell quadrature of |d|^2 from samples d of shape (k, GAUSS_ORDER, n).
 
     Every cell-quadrature functional is such a weighted reduction of the
     samples of its arcs at the points of :func:`cell_gauss_points`.
@@ -293,22 +292,20 @@ def _sq_integral(wts: np.ndarray, d: np.ndarray) -> float:
     return float(np.sum(wts * np.sum(d * d, axis=-1)))
 
 
-def average_operator(mesh: TimeMesh, y: ArcLike,
-                     order: int = DEFAULT_QUAD_ORDER) -> PiecewiseConstantArc:
+def average_operator(mesh: TimeMesh, y: ArcLike) -> PiecewiseConstantArc:
     """Cellwise mean of y: value on cell j is (1/h_j) * integral of y over it.
 
-    Linear in y.  Gauss-Legendre of the given order per cell, so exact for
-    polynomial integrands of degree <= 2*order - 1.
+    Linear in y.  Gauss-Legendre of order GAUSS_ORDER per cell, so exact for
+    polynomial integrands of degree <= 2*GAUSS_ORDER - 1.
     """
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     sums = np.einsum("kq,kqn->kn", wts, _sample(y, pts))
     return PiecewiseConstantArc(mesh, sums / mesh.steps[:, None])
 
 
-def l2_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
-                order: int = DEFAULT_QUAD_ORDER) -> float:
+def l2_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike) -> float:
     """sqrt(integral over [0,T] of |a - b|^2) by composite cell quadrature."""
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     d = _sample(a, pts) - _sample(b, pts)
     return float(np.sqrt(_sq_integral(wts, d)))
 
@@ -321,9 +318,8 @@ def sup_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
 
 
 def w12_distance(mesh: TimeMesh, a: PiecewiseLinearArc, b: ArcLike,
-                 b_dot: ArcLike, samples_per_cell: int = DEFAULT_SUP_SAMPLES,
-                 order: int = DEFAULT_QUAD_ORDER):
+                 b_dot: ArcLike, samples_per_cell: int = DEFAULT_SUP_SAMPLES):
     """(sup-norm gap, L2 gap of derivatives) between a and an a.c. arc b."""
     sup_err = sup_distance(mesh, a, b, samples_per_cell)
-    deriv_err = l2_distance(mesh, a.derivative, b_dot, order)
+    deriv_err = l2_distance(mesh, a.derivative, b_dot)
     return sup_err, deriv_err

@@ -88,8 +88,8 @@ def fd_gradient(dbp, controls, rho=0.0, step=1e-6):
         for i in range(u0.shape[1]):
             up = u0.copy(); up[j, i] += step
             dn = u0.copy(); dn[j, i] -= step
-            fp, _ = _objective(dbp, ControlParameterization(up), rho)
-            fm, _ = _objective(dbp, ControlParameterization(dn), rho)
+            fp, _, _ = _objective(dbp, ControlParameterization(up), rho)
+            fm, _, _ = _objective(dbp, ControlParameterization(dn), rho)
             g[j, i] = (fp - fm) / (2 * step)
     return g
 
@@ -106,7 +106,7 @@ def quadratic_oracle(dbp, controls0):
     base = controls0.u.ravel()
 
     def f(vec):
-        val, _ = _objective(dbp, ControlParameterization(vec.reshape(k, n)), 0.0)
+        val, _, _ = _objective(dbp, ControlParameterization(vec.reshape(k, n)), 0.0)
         return val
 
     f0 = f(base)
@@ -144,7 +144,7 @@ def panel_edges(arc, mesh):
     return np.array(edges)
 
 
-def memory_integral(kernel, arc, t, edges, order=4):
+def memory_integral(kernel, arc, t, edges):
     """int_0^t g(t, s, arc(s)) ds over the panels between ``edges``, the
     panel that holds t cut at t; zero for t <= 0."""
     x_of = _f(arc)
@@ -152,13 +152,13 @@ def memory_integral(kernel, arc, t, edges, order=4):
     for a, b in zip(edges[:-1], edges[1:]):
         if a >= t:
             break
-        pts, wts = interval_gauss_points(a, min(b, t), order)
+        pts, wts = interval_gauss_points(a, min(b, t))
         for s, w in zip(pts, wts):
             acc = acc + w * kernel.eval(t, s, np.atleast_1d(x_of(s)))
     return acc
 
 
-def adjoint_integral(kernel, x_arc, p, tau, horizon, edges, order=4):
+def adjoint_integral(kernel, x_arc, p, tau, horizon, edges):
     """int_tau^T jac_g(t, tau, x(tau))^T p(t) dt over the panels between
     ``edges`` up to ``horizon``, the panel that holds tau cut at tau."""
     x_tau = np.atleast_1d(_f(x_arc)(tau))
@@ -167,7 +167,7 @@ def adjoint_integral(kernel, x_arc, p, tau, horizon, edges, order=4):
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= tau or a >= horizon:
             continue
-        pts, wts = interval_gauss_points(max(a, tau), min(b, horizon), order)
+        pts, wts = interval_gauss_points(max(a, tau), min(b, horizon))
         for t, w in zip(pts, wts):
             acc = acc + w * kernel.jac(t, tau, x_tau).T @ np.atleast_1d(p_of(t))
     return acc
@@ -194,9 +194,9 @@ def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
     return np.array(out)
 
 
-def l2_distance(mesh, a, b, order=4):
+def l2_distance(mesh, a, b):
     fa, fb = _f(a), _f(b)
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     total = 0.0
     for j in range(mesh.k):
         for q in range(pts.shape[1]):
@@ -205,10 +205,10 @@ def l2_distance(mesh, a, b, order=4):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def average_values(mesh, y, order=4):
+def average_values(mesh, y):
     """Cell values of the cellwise mean of y, shape (k, n)."""
     f = _f(y)
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     rows = []
     for j in range(mesh.k):
         acc = sum(wts[j, q] * np.atleast_1d(f(pts[j, q])) for q in range(pts.shape[1]))
@@ -216,10 +216,10 @@ def average_values(mesh, y, order=4):
     return np.array(rows)
 
 
-def feasibility_residual(problem, arc, mesh, order=4):
+def feasibility_residual(problem, arc, mesh):
     x_of, dx_of = _f(arc), arc.derivative
     edges = panel_edges(arc, mesh)
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     total = 0.0
     for j in range(mesh.k):
         for q in range(pts.shape[1]):
@@ -231,9 +231,9 @@ def feasibility_residual(problem, arc, mesh, order=4):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def tracking_term(dbp, traj, order=4):
+def tracking_term(dbp, traj):
     dref = dbp.reference.derivative
-    pts, wts = cell_gauss_points(dbp.mesh, order)
+    pts, wts = cell_gauss_points(dbp.mesh)
     acc = 0.0
     for j in range(dbp.mesh.k):
         for q in range(pts.shape[1]):
@@ -242,7 +242,7 @@ def tracking_term(dbp, traj, order=4):
     return acc
 
 
-def error_report(problem, reference, mesh, traj, tau_f, order=4):
+def error_report(problem, reference, mesh, traj, tau_f):
     """Every field of ``approximate_arc``'s report for the trajectory, as a
     dict, with the reference re-evaluated at each Gauss point it needs."""
     x_of, dx_of = _f(reference), reference.derivative
@@ -252,11 +252,11 @@ def error_report(problem, reference, mesh, traj, tau_f, order=4):
     l_f, alpha = problem.l_F, problem.alpha
     ref_nodes = np.array([np.atleast_1d(x_of(t)) for t in mesh.nodes])
     a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
-    b = np.array([kernel_average_w(kernel, mesh, ref_nodes, j, order)
+    b = np.array([kernel_average_w(kernel, mesh, ref_nodes, j)
                   for j in range(mesh.k)])
 
     edges = panel_edges(reference, mesh)
-    pts, wts = cell_gauss_points(mesh, order)
+    pts, wts = cell_gauss_points(mesh)
     xi_sq = 0.0
     for j in range(mesh.k):
         for q in range(pts.shape[1]):
@@ -296,7 +296,7 @@ def error_report(problem, reference, mesh, traj, tau_f, order=4):
         nodal_sup_error=max(float(np.linalg.norm(traj.states[j] - x_of(mesh.nodes[j])))
                             for j in range(mesh.k + 1)),
         sup_error=sup_distance(mesh, arc, reference),
-        state_l2_error=l2_distance(mesh, arc, reference, order),
+        state_l2_error=l2_distance(mesh, arc, reference),
         deriv_l2_error=math.sqrt(max(deriv_sq, 0.0)))
 
 

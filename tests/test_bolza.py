@@ -7,6 +7,7 @@ from idikit import catalog
 from idikit.bolza import (ControlParameterization, SolveOptions,
                           build_discrete_problem, cost_breakdown,
                           cost_gradient, cost_Jk, forward_trajectory, solve_Pk)
+from idikit.dynamics import approximate_arc
 from idikit.mesh import TimeMesh
 from idikit.problem import CallableArc
 from oracles import fd_gradient, quadratic_oracle
@@ -91,7 +92,7 @@ def test_gradient_linear_terminal_cost_closed_form():
                       lambda t: np.array([0.3, 0.1]))
     mesh = TimeMesh.uniform(5, 1.0)
     dbp, controls, traj0, _ = build_discrete_problem(prob, mesh, ref)
-    grad, _, _ = cost_gradient(dbp, controls)
+    grad, _ = cost_gradient(dbp, controls)
     for j in range(5):
         assert np.allclose(grad[j], mesh.steps[j] * c, atol=1e-12)
 
@@ -105,7 +106,7 @@ def test_gradient_matches_central_differences(name):
     bumped = ControlParameterization(
         controls.u + 0.01 * rng.standard_normal(controls.u.shape))
     bumped = bumped.projected(dbp)
-    grad, _, _ = cost_gradient(dbp, bumped)
+    grad, _ = cost_gradient(dbp, bumped)
     fd = fd_gradient(dbp, bumped)
     denom = max(np.abs(fd).max(), 1e-12)
     assert np.abs(grad - fd).max() / denom < 1e-5
@@ -145,7 +146,7 @@ def test_gradient_g_zero_reduction_matches_reference(ball_entry):
     rng = np.random.default_rng(3)
     bumped = ControlParameterization(
         controls.u + 0.05 * rng.standard_normal(controls.u.shape)).projected(dbp)
-    g_main, _, _ = cost_gradient(dbp, bumped)
+    g_main, _ = cost_gradient(dbp, bumped)
     g_ref = _reference_adjoint_gradient_g_zero(dbp, bumped)
     assert np.abs(g_main - g_ref).max() < 1e-12
 
@@ -289,3 +290,37 @@ def test_non_finite_gradient_names_stage_and_node(cos_t_entry):
         cost_gradient(dbp, c0)
     err = info.value  # the backward sweep meets node 4 (t = 0.5) first
     assert (err.stage, err.k, err.node, err.t) == ("cost_gradient", 8, 4, 0.5)
+
+
+@pytest.mark.parametrize("k", (1, 7, 40))
+@pytest.mark.parametrize("name", catalog.names())
+def test_initial_controls_march_the_approximation_bit_for_bit(name, k):
+    entry = catalog.get(name)
+    prob = entry.problem
+    mesh = TimeMesh.uniform(k, prob.horizon)
+    traj0, report = approximate_arc(prob, entry.reference, mesh)
+    dbp, controls0, _, _ = build_discrete_problem(prob, mesh, entry.reference,
+                                                  precomputed=(traj0, report))
+    traj = forward_trajectory(dbp, controls0)
+    for field in ("states", "velocities", "w"):
+        assert np.array_equal(getattr(traj, field), getattr(traj0, field)), field
+
+
+def test_solver_evaluates_each_trajectory_cost_once(polytope_entry, monkeypatch):
+    import idikit.bolza as bolza
+    dbp, controls0, _, _ = _discrete(polytope_entry, 12)
+    calls = {"_march": 0, "cost_breakdown": 0}
+
+    def counted(name):
+        inner = getattr(bolza, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bolza, name, counted(name))
+    _, _, log = solve_Pk(dbp, controls0, SolveOptions(max_iter=200))
+    assert log.iterations > 0 and calls["_march"] > log.iterations
+    assert calls["cost_breakdown"] == calls["_march"]

@@ -78,6 +78,19 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="meshes.k"):
         load_config(_write(tmp_path, "[problem]\nname = cos_t\n[meshes]\nk = 8 8\n",
                            "d.ini"))
+    # a horizon that is not finite, inline and as a catalog override
+    for value in ("nan", "inf"):
+        with pytest.raises(ConfigError, match="problem.horizon"):
+            load_config(_write(tmp_path, inline + f"horizon = {value}\n", "e.ini"))
+        catalog_cfg = _write(tmp_path, f"[problem]\nname = cos_t\nhorizon = {value}\n",
+                             "f.ini")
+        with pytest.raises(ConfigError, match="problem.horizon"):
+            load_config(catalog_cfg)
+        assert main(["converge", catalog_cfg]) == 2
+    # a key no code reads is unknown
+    with pytest.raises(ConfigError, match="audit.samples_per_cell"):
+        load_config(_write(tmp_path, "[problem]\nname = cos_t\n[audit]\n"
+                           "samples_per_cell = 16\n", "g.ini"))
     # missing file
     assert main(["audit", str(tmp_path / "missing.ini")]) == 2
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -13,3 +14,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"idikit.{name}")
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_public_callable_takes_a_quadrature_order():
+    # the Gauss order is the one constant mesh.GAUSS_ORDER
+    takers = []
+    for name in MODULES:
+        module = importlib.import_module(f"idikit.{name}")
+        for attr in getattr(module, "__all__", []):
+            obj = getattr(module, attr)
+            members = [obj] if callable(obj) else []
+            if inspect.isclass(obj):
+                members += [m for n, m in vars(obj).items()
+                            if not n.startswith("_") and callable(m)]
+            for member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "order" in params:
+                    takers.append(f"{name}.{attr}")
+    assert takers == []

@@ -326,10 +326,10 @@ def test_kernel_average_nonpolynomial_vs_dblquad():
 # One cell pair at a time, pointwise eval/jac only: the rules the batched row
 # path must reproduce.
 
-def _rect_oracle(f, t_cell, s_cell, order=4):
+def _rect_oracle(f, t_cell, s_cell):
     """Tensor Gauss integral of f(t, s) over t_cell x s_cell."""
-    tq, tw = interval_gauss_points(*t_cell, order)
-    sq, sw = interval_gauss_points(*s_cell, order)
+    tq, tw = interval_gauss_points(*t_cell)
+    sq, sw = interval_gauss_points(*s_cell)
     return sum(tw[a] * sw[b] * f(tq[a], sq[b])
                for a in range(tq.size) for b in range(sq.size))
 
@@ -689,7 +689,7 @@ def test_running_sums_run_in_turn():
     mesh = TimeMesh.uniform(4, 1.0)
     states = np.ones((5, 1))
     for kern in (catalog.get("damped_volterra").problem.kernel, _nonlinear_kernel(1)):
-        w_of = _memory_averages(kern, mesh, 4)
+        w_of = _memory_averages(kern, mesh)
         w_of(0, states)
         with pytest.raises(KernelIndexError):
             w_of(2, states)

@@ -31,6 +31,12 @@ def test_mesh_validation_and_refine():
         TimeMesh.from_nodes([0.1, 0.5, 1.0])  # must start at 0
     with pytest.raises(MeshError):
         TimeMesh.from_nodes([0.0, 0.5, 0.5, 1.0])  # strictly increasing
+    for nodes in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(MeshError, match="finite"):
+            TimeMesh.from_nodes(nodes)
+    for horizon in (np.nan, np.inf, 0.0):
+        with pytest.raises(MeshError, match="horizon"):
+            TimeMesh.uniform(4, horizon)
     mesh = TimeMesh.from_nodes([0.0, 0.2, 1.0])
     assert not mesh.satisfies_uniformity_cap
     fine = mesh.refine()
