@@ -125,13 +125,13 @@ def _polytope_endpoint(T: float = 1.0) -> CatalogEntry:
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     fmap = PolytopeOffset.linear(A, verts)
     dev = np.array([0.45, 0.45])  # interior deviation of the simplex
+    Ainv = np.linalg.inv(A)
 
     # x' = A x + dev with x(0) = 0 keeps x' - A x == dev in the simplex, so
     # the matrix-exponential arc is exactly feasible.
     def x_ref(t):
         c, s = math.cos(0.2 * t), math.sin(0.2 * t)
         eAt = np.array([[c, s], [-s, c]])
-        Ainv = np.linalg.inv(A)
         return Ainv @ (eAt - np.eye(2)) @ dev
 
     def dx_ref(t):

@@ -93,7 +93,8 @@ def _reference_for(cfg: ExperimentConfig):
     """Closed-form catalog reference, or a fine simulated fallback."""
     entry = cfg.entry
     if entry.reference is not None:
-        return entry.reference, cfg.reference_feas_tol or 1e-6
+        feas_tol = cfg.reference_feas_tol
+        return entry.reference, 1e-6 if feas_tol is None else feas_tol
     k_fine = cfg.reference_k or 8 * cfg.mesh_ks[-1]
     fine_mesh = TimeMesh.uniform(k_fine, entry.problem.horizon)
     arc = _simulate(cfg, fine_mesh, cfg.reference_policy).arc()

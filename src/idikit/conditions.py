@@ -30,7 +30,7 @@ from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
                      assemble_tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
-from .setvalued import graph_normal_cone
+from .setvalued import GraphNormalCone, graph_normal_cone
 
 __all__ = [
     "MultiplierSet",
@@ -58,7 +58,8 @@ class DegenerateMultiplierError(ValueError):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Normalized multipliers (lam, p_0..p_k) with their coupling tensors.
+    """Normalized multipliers (lam, p_0..p_k) with their coupling tensors
+    and the graph normal cones of the nodes j = 0..k-1.
 
     Normalized so that lam + |p_k| is exactly 1.  ``normalization`` records
     the raw magnitudes; ``m_l`` is the sampled bound on the running-cost
@@ -68,6 +69,7 @@ class MultiplierSet:
     lam: float
     p: np.ndarray  # (k+1, n)
     tensors: QuadratureTensors
+    cones: Sequence[GraphNormalCone]
     normalization: dict
     m_l: float
     theta_l1: float
@@ -111,15 +113,14 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
     p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
     p[k] = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
+    cones = graph_normal_cone(base.fmap, mesh.nodes[:-1], traj.states[:-1],
+                              traj.velocities - tensors.w, CONE_TOL_FEAS)
     coupling = tensors.backward_coupling(p[1:])
     for j in range(k - 1, -1, -1):
         pin = lam * (glv[j] + tensors.theta[j] / h[j])
-        b_j = p[j + 1] - pin
-        cone = graph_normal_cone(base.fmap, mesh.nodes[j], traj.states[j],
-                                 traj.velocities[j] - tensors.w[j], CONE_TOL_FEAS)
-        u_j = cone.project_u(b_j)
+        u_j = cones[j].project_u(p[j + 1] - pin)
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
-                - h[j] * lam * glx[j] + h[j] * cone.jacobian.T @ u_j
+                - h[j] * lam * glx[j] + h[j] * cones[j].jacobian.T @ u_j
                 + coupling(j))
     _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
@@ -142,7 +143,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
         m_l = max(float(np.linalg.norm(glx, axis=1).max()),
                   float(np.linalg.norm(glv, axis=1).max()))
     theta_l1 = float(np.linalg.norm(tensors.theta, axis=1).sum())
-    return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors,
+    return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, cones=cones,
                          normalization=norm_rec, m_l=m_l, theta_l1=theta_l1)
 
 
@@ -197,16 +198,15 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem,
                             j: int, coupling: Optional[np.ndarray] = None) -> float:
     """Distance of the node-j adjoint pair to lam*grad(l) + graph normal cone.
 
-    ``coupling`` is the memory coupling of p at j when the caller has it
-    already (as a backward sweep does); else it is summed here.
+    The cone is the one ``mult`` carries for node j, built by
+    :func:`adjoint_solve_smooth` on this trajectory.  ``coupling`` is the
+    memory coupling of p at j when the caller has it already (as a backward
+    sweep does); else it is summed here.
     """
     if coupling is None:
         coupling = mult.tensors.coupling(j, mult.p[1:])
     q_x, q_u = _el_pair(problem, traj, mult, j, coupling)
-    cone = graph_normal_cone(problem.base.fmap, problem.mesh.nodes[j],
-                             traj.states[j],
-                             traj.velocities[j] - mult.tensors.w[j], CONE_TOL_FEAS)
-    d, _ = cone.pair_distance(q_x, q_u)
+    d, _ = mult.cones[j].pair_distance(q_x, q_u)
     return d
 
 
@@ -242,12 +242,12 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     mem = _adjoint_integrals(problem.kernel, x, p_arc, taus, problem.horizon)
     p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
     y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
+    cones = graph_normal_cone(problem.fmap, taus, x, v - y, CONE_TOL_FEAS)
     out = np.empty(taus.size)
-    for i, t in enumerate(taus):  # the cost gradients and cones are pointwise
+    for i, t in enumerate(taus):  # the cost gradients are pointwise
         glx = lam * np.atleast_1d(problem.running_cost.grad_x(t, x[i], v[i]))
         glv = lam * np.atleast_1d(problem.running_cost.grad_v(t, x[i], v[i]))
-        cone = graph_normal_cone(problem.fmap, t, x[i], v[i] - y[i], CONE_TOL_FEAS)
-        out[i], _ = cone.pair_distance(pdot[i] + mem[i] - glx, p[i] - glv)
+        out[i], _ = cones[i].pair_distance(pdot[i] + mem[i] - glx, p[i] - glv)
     return out if np.ndim(tau) else float(out[0])
 
 

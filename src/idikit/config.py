@@ -88,6 +88,16 @@ def _get(parser, section, key, cast, default=None, required=False):
         raise ConfigError(f"field '{section}.{key}': cannot parse {raw!r}")
 
 
+def _number(parser, key, default=None, required=False):
+    """A float field of [problem]; a non-finite number is rejected."""
+    value = _get(parser, "problem", key, float, required=required)
+    if value is None:
+        return default
+    if not math.isfinite(value):
+        raise ConfigError(f"field 'problem.{key}': must be finite, got {value!r}")
+    return value
+
+
 def _horizon(horizon: float) -> float:
     if not 0 < horizon < math.inf:
         raise ConfigError(f"field 'problem.horizon': must be positive and "
@@ -101,7 +111,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
     dim = _get(parser, sec, "dim", int, required=True)
     variant = _get(parser, sec, "variant", str, required=True)
     drift = _get(parser, sec, "drift", str, default="zero")
-    scale = _get(parser, sec, "drift_scale", float, default=0.0)
+    scale = _number(parser, "drift_scale", default=0.0)
 
     if drift == "zero":
         A = np.zeros((dim, dim))
@@ -126,7 +136,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
         fmap = Singleton.linear(A)
         body_rad = 0.0
     elif variant == "ball":
-        radius = _get(parser, sec, "radius", float, required=True)
+        radius = _number(parser, "radius", required=True)
         fmap = BallOffset.linear(A, radius)
         body_rad = radius
     elif variant == "polytope":
@@ -148,7 +158,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
         kern = VolterraKernel.exponential(-1.0, 0.0, beta=1.0, alpha=1.0)
         beta_auto = alpha_auto = 1.0
     elif kernel_name == "identity_decay":
-        rate = _get(parser, sec, "kernel_rate", float, default=1.0)
+        rate = _number(parser, "kernel_rate", default=1.0)
         # the declared beta = alpha = 1 hold only for a fading or constant
         # kernel, which is what exponential accepts
         try:
@@ -163,7 +173,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
     if x0.size != dim:
         raise ConfigError("field 'problem.x0': dimension mismatch")
     horizon = _horizon(_get(parser, sec, "horizon", float, required=True))
-    eps = _get(parser, sec, "epsilon", float, default=1.0)
+    eps = _number(parser, "epsilon", default=1.0)
 
     lo = _vector(_get(parser, sec, "state_box_lo", str, required=True),
                  "problem.state_box_lo")
@@ -171,11 +181,10 @@ def _build_inline_problem(parser) -> CatalogEntry:
                  "problem.state_box_hi")
     box_rad = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
-    m_f = _get(parser, sec, "m_F", float,
-               default=drift_norm(box_rad) + body_rad)
-    l_f = _get(parser, sec, "l_F", float, default=l_f_auto)
-    beta = _get(parser, sec, "beta", float, default=beta_auto)
-    alpha = _get(parser, sec, "alpha", float, default=alpha_auto)
+    m_f = _number(parser, "m_F", default=drift_norm(box_rad) + body_rad)
+    l_f = _number(parser, "l_F", default=l_f_auto)
+    beta = _number(parser, "beta", default=beta_auto)
+    alpha = _number(parser, "alpha", default=alpha_auto)
 
     terminal = _get(parser, sec, "terminal", str, default="none")
     if terminal == "none":
@@ -192,8 +201,8 @@ def _build_inline_problem(parser) -> CatalogEntry:
         lrun = RunningCost.zero()
     elif running == "quadratic":
         lrun = _quadratic_running(
-            _get(parser, sec, "running_x_weight", float, default=1.0),
-            _get(parser, sec, "running_v_weight", float, default=1.0))
+            _number(parser, "running_x_weight", default=1.0),
+            _number(parser, "running_v_weight", default=1.0))
     else:
         raise ConfigError(f"field 'problem.running': unknown cost {running!r}")
 
@@ -203,8 +212,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
     elif omega_kind == "ball":
         center = _vector(_get(parser, sec, "omega_center", str, required=True),
                          "problem.omega_center")
-        omega = BallSet(center, _get(parser, sec, "omega_radius", float,
-                                     required=True))
+        omega = BallSet(center, _number(parser, "omega_radius", required=True))
     elif omega_kind == "point":
         omega = PointSet(_vector(_get(parser, sec, "omega_point", str,
                                       required=True), "problem.omega_point"))
@@ -256,7 +264,7 @@ def load_config(path: str) -> ExperimentConfig:
         if horizon is not None:
             overrides["T"] = _horizon(horizon)
         entry = catalog.get(name, **overrides)
-        m_f = _get(parser, "problem", "m_F", float)
+        m_f = _number(parser, "m_F")
         if m_f is not None:  # declared-constant override, e.g. for audits
             entry = CatalogEntry(replace(entry.problem, m_F=m_f),
                                  entry.reference, entry.oracle)

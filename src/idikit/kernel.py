@@ -292,9 +292,12 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh):
     it, so theirs agree bit for bit.  An exponential kernel carries the
     running sum S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i, so that
     w_j = (c tau_j / h_j) S_j + (c tri_j / h_j) x_j costs O(n); any other
-    kernel takes the row rule of :func:`kernel_average_w`.  A call out of
-    turn raises :class:`KernelIndexError`.
+    kernel takes the row rule of :func:`kernel_average_w`, and the zero
+    kernel gives zeros.  A call out of turn raises :class:`KernelIndexError`.
     """
+    if kernel.is_zero:
+        return _in_turn(lambda j, states: np.zeros(np.shape(states)[-1]),
+                        range(mesh.k), "memory averages")
     if kernel._exp is None:
         return _in_turn(lambda j, states: kernel_average_w(
             kernel, mesh, states[:j + 1], j), range(mesh.k), "memory averages")

@@ -451,22 +451,38 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
     return float(np.trapezoid(sigma, tg))
 
 
-def graph_normal_cone(fmap: _OffsetMap, t: float, x, v,
-                      tol_feas: float = DEFAULT_TOL_FEAS) -> GraphNormalCone:
-    """Generators of the limiting normal cone to gph F(t,.) at (x, v)."""
-    x, v = _as_state(x), _as_state(v)
-    dist, _ = distance_and_projection(fmap, t, x, v)
-    if dist > tol_feas:
+def graph_normal_cone(fmap: _OffsetMap, t, x, v,
+                      tol_feas: float = DEFAULT_TOL_FEAS):
+    """Generators of the limiting normal cone to gph F(t,.) at (x, v).
+
+    Stacked queries, ``t`` of shape (N,) with ``x`` and ``v`` of shape
+    (N, n), give a list of N cones from one feasibility gate and one body
+    projection; a scalar ``t`` is the one-row case and gives one cone.  A
+    row whose v is farther than ``tol_feas`` from F(t, x) raises
+    :class:`InfeasiblePointError` naming the first such row and its time.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    X = np.asarray(x, dtype=float).reshape(ts.size, -1)
+    V = np.asarray(v, dtype=float).reshape(X.shape)
+    W = V - np.array([fmap.center(ti, xi) for ti, xi in zip(ts, X)]).reshape(X.shape)
+    dist, _ = fmap.body_distance_projection(W)
+    far = np.flatnonzero(dist > tol_feas)
+    if far.size:
+        i = int(far[0])
         raise InfeasiblePointError(
-            f"v is {dist:.3e} away from F(t,x), beyond tol_feas={tol_feas:.1e}")
-    J = fmap.jacobian(t, x)
-    w = v - fmap.center(t, x)
-    kind, data = fmap.body_normal_cone(w, tol_feas)
-    if kind == "ray":
-        return GraphNormalCone("ray", J, direction=data)
-    if kind == "polyhedral":
-        return GraphNormalCone("polyhedral", J, generators=data)
-    return GraphNormalCone(kind, J)
+            f"row {i} (t = {ts[i]:.6g}): v is {dist[i]:.3e} away from F(t,x), "
+            f"beyond tol_feas={tol_feas:.1e}")
+    cones = []
+    for ti, xi, wi in zip(ts, X, W):
+        J = fmap.jacobian(ti, xi)
+        kind, data = fmap.body_normal_cone(wi, tol_feas)
+        if kind == "ray":
+            cones.append(GraphNormalCone("ray", J, direction=data))
+        elif kind == "polyhedral":
+            cones.append(GraphNormalCone("polyhedral", J, generators=data))
+        else:
+            cones.append(GraphNormalCone(kind, J))
+    return cones if np.ndim(t) else cones[0]
 
 
 def coderivative(fmap: _OffsetMap, t: float, x, v, u,

@@ -7,9 +7,10 @@ the cell-quadrature functionals walked one Gauss point at a time (the
 package samples each mesh once and reduces arrays); the two continuous
 memory integrals walked one time, one panel and one point at a time (the
 package serves all times in one call); the memory coupling sum of the
-backward sweeps, one later step at a time; and the projections onto the
+backward sweeps, one later step at a time; the projections onto the
 velocity bodies, one point at a time, with one least-squares solve per
-vertex subset of a polytope.
+vertex subset of a polytope; and the graph normal cone of one point, with
+its own feasibility gate (the package builds a stack of them in one pass).
 """
 
 import itertools
@@ -21,7 +22,8 @@ from idikit.bolza import ControlParameterization, _objective
 from idikit.kernel import kernel_average_w
 from idikit.mesh import (PiecewiseConstantArc, PiecewiseLinearArc, TimeMesh,
                          cell_gauss_points, interval_gauss_points, sup_distance)
-from idikit.setvalued import distance_and_projection, graph_normal_cone
+from idikit.setvalued import (GraphNormalCone, InfeasiblePointError,
+                              distance_and_projection)
 
 
 def forward_recursion(e0, sigma, rho, gamma):
@@ -351,3 +353,24 @@ def ball_projection(radius, u):
     if nu <= radius:
         return u
     return (radius / nu) * u
+
+
+# --- graph normal cones, one point at a time ---------------------------------
+
+def graph_normal_cone(fmap, t, x, v, tol_feas=1e-8):
+    """The limiting normal cone to gph F(t, .) at one point (x, v): the
+    distance of v to F(t, x) gated at ``tol_feas``, then the Jacobian and
+    the body cone at v - f(t, x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    dist, _ = distance_and_projection(fmap, t, x, v)
+    if dist > tol_feas:
+        raise InfeasiblePointError(
+            f"v is {dist:.3e} away from F(t,x), beyond tol_feas={tol_feas:.1e}")
+    J = fmap.jacobian(t, x)
+    kind, data = fmap.body_normal_cone(v - fmap.center(t, x), tol_feas)
+    if kind == "ray":
+        return GraphNormalCone("ray", J, direction=data)
+    if kind == "polyhedral":
+        return GraphNormalCone("polyhedral", J, generators=data)
+    return GraphNormalCone(kind, J)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,19 @@ def test_damped_volterra_second_order_oracle():
         dx = ref.derivative(t)[0]
         ddx = (ref.derivative(t + h)[0] - ref.derivative(t - h)[0]) / (2 * h)
         assert abs(ddx + dx + x) < 1e-6
+
+
+def test_polytope_reference_is_its_closed_form(monkeypatch):
+    # x(t) = A^{-1} (e^{At} - I) dev, bit for bit, with A inverted once
+    A = np.array([[0.0, 0.2], [-0.2, 0.0]])
+    dev = np.array([0.45, 0.45])
+    Ainv = np.linalg.inv(A)
+    entry = catalog.get("polytope_endpoint")
+    inversions = []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda M: inversions.append(M) or Ainv)
+    for t in np.linspace(0.0, 1.0, 9):
+        c, s = math.cos(0.2 * t), math.sin(0.2 * t)
+        want = Ainv @ (np.array([[c, s], [-s, c]]) - np.eye(2)) @ dev
+        assert np.array_equal(entry.reference.eval(t), want)
+    assert inversions == []

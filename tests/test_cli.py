@@ -418,3 +418,39 @@ def test_generic_kernel_takes_the_row_rule_and_panel_sums(tmp_path, monkeypatch)
     cfgp = _write(tmp_path, BASE.replace("k = 8, 16", "k = 6").format(out=tmp_path / "out"))
     assert main(["converge", cfgp]) == 0
     assert calls["_row_integrals"] > 0 and calls["_panel_sums"] > 0
+
+
+def test_zero_reference_tolerance_is_honoured(tmp_path):
+    # feas_tol = 0 is a tolerance of its own, not "unset": the closed-form
+    # cos_t reference misses the inclusion by round-off, so it is rejected
+    from idikit.dynamics import InfeasibleReferenceError
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out").replace(
+        "k = 8, 16", "k = 4") + "\n[reference]\nfeas_tol = 0\n")
+    assert cli._reference_for(load_config(cfgp))[1] == 0.0
+    with pytest.raises(InfeasibleReferenceError):
+        main(["converge", cfgp])
+
+
+def test_non_finite_problem_numbers_are_config_errors(tmp_path):
+    text = MEMORY.format(out=tmp_path / "out")
+    for field, line in (("radius", "radius = 1.5"), ("drift_scale", "drift_scale = 0.2"),
+                        ("kernel_rate", "kernel_rate = 1.0")):
+        for value in ("nan", "inf", "-inf"):
+            cfgp = _write(tmp_path, text.replace(line, f"{field} = {value}"))
+            with pytest.raises(ConfigError, match=f"problem.{field}"):
+                load_config(cfgp)
+    for field in ("epsilon", "m_F", "l_F", "beta", "alpha"):
+        cfgp = _write(tmp_path, text.replace("horizon = 1.0",
+                                             f"horizon = 1.0\n{field} = nan"))
+        with pytest.raises(ConfigError, match=f"problem.{field}"):
+            load_config(cfgp)
+    for value in ("nan", "inf"):
+        catalog_cfg = _write(tmp_path, f"[problem]\nname = cos_t\nm_F = {value}\n")
+        with pytest.raises(ConfigError, match="problem.m_F"):
+            load_config(catalog_cfg)
+    # both used to load: radius = nan stopped at node 0 (exit 3), epsilon =
+    # nan ran to exit 0
+    assert main(["converge", _write(tmp_path, text.replace(
+        "radius = 1.5", "radius = nan"))]) == 2
+    assert main(["converge", _write(tmp_path, text.replace(
+        "horizon = 1.0", "horizon = 1.0\nepsilon = nan"))]) == 2

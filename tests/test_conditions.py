@@ -121,8 +121,8 @@ def test_el_residual_small_at_lq_stationary_point(ball_entry):
     bumped_p = mult.p.copy()
     bumped_p[5] += 0.1
     bumped = MultiplierSet(lam=mult.lam, p=bumped_p, tensors=mult.tensors,
-                           normalization=mult.normalization, m_l=mult.m_l,
-                           theta_l1=mult.theta_l1)
+                           cones=mult.cones, normalization=mult.normalization,
+                           m_l=mult.m_l, theta_l1=mult.theta_l1)
     r4 = euler_lagrange_residual(dbp, traj, bumped, 4)
     r5 = euler_lagrange_residual(dbp, traj, bumped, 5)
     assert max(r4, r5) > 0.05  # sensitivity ~ delta / h or delta
@@ -218,14 +218,14 @@ def test_transversality_cases():
 def test_nontriviality_value_literal():
     tensors_dummy = None
     mult = MultiplierSet(lam=0.3, p=np.array([[0.0], [0.7]]),
-                         tensors=tensors_dummy,
+                         tensors=tensors_dummy, cones=(),
                          normalization={"raw_lambda": 0.6,
                                         "raw_terminal_norm": 1.4,
                                         "scale": 0.5, "p_trivial": False},
                          m_l=0.0, theta_l1=0.0)
     assert nontriviality_value(mult) == pytest.approx(1.0)
     degenerate = MultiplierSet(lam=0.0, p=np.zeros((2, 1)),
-                               tensors=tensors_dummy,
+                               tensors=tensors_dummy, cones=(),
                                normalization={"raw_lambda": 0.0,
                                               "raw_terminal_norm": 0.0,
                                               "scale": 1.0, "p_trivial": True},
@@ -339,3 +339,50 @@ def test_non_finite_multiplier_names_stage_and_node(cos_t_entry):
         adjoint_solve_smooth(dbp, traj)
     err = info.value  # the backward recursion meets node 4 (t = 0.5) first
     assert (err.stage, err.k, err.node, err.t) == ("adjoint_solve_smooth", 8, 4, 0.5)
+
+
+def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
+    # the adjoint builds the node cones in one stacked call and carries
+    # them; the Euler-Lagrange residuals read them, the Volterra residuals
+    # build theirs in one more stacked call
+    import oracles
+    from dataclasses import replace
+    import idikit.conditions as conditions
+    from idikit.setvalued import GraphNormalCone
+    prob = polytope_entry.problem
+    mesh = TimeMesh.uniform(12, prob.horizon)
+    dbp, c0, _, _ = build_discrete_problem(prob, mesh, polytope_entry.reference)
+    traj, _, log = solve_Pk(dbp, c0, SolveOptions(max_iter=300))
+    calls = []
+    real = conditions.graph_normal_cone
+
+    def counted(fmap, t, x, v, tol_feas):
+        calls.append(np.shape(t))
+        return real(fmap, t, x, v, tol_feas)
+
+    monkeypatch.setattr(conditions, "graph_normal_cone", counted)
+    mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=log.endpoint_normal)
+    assert calls == [(mesh.k,)]
+    for j, cone in enumerate(mult.cones):
+        want = oracles.graph_normal_cone(
+            prob.fmap, mesh.nodes[j], traj.states[j],
+            traj.velocities[j] - mult.tensors.w[j], conditions.CONE_TOL_FEAS)
+        assert cone.kind == want.kind
+        assert np.array_equal(cone.jacobian, want.jacobian)
+        if want.generators is not None:
+            assert np.array_equal(cone.generators, want.generators)
+
+    calls.clear()
+    el = conditions._el_residuals(dbp, traj, mult)
+    assert [euler_lagrange_residual(dbp, traj, mult, j)
+            for j in range(mesh.k)] == list(el)
+    assert calls == []
+    rep = build_condition_report(dbp, traj, mult, x_arc=polytope_entry.reference)
+    assert calls == [(mesh.k,)]
+    assert np.array_equal(rep.el_residuals, el)
+
+    # the carried cones are the ones used: whole-space body cones make
+    # every velocity slot free, so the residuals change
+    free = replace(mult, cones=[GraphNormalCone("subspace", c.jacobian)
+                                for c in mult.cones])
+    assert not np.array_equal(conditions._el_residuals(dbp, traj, free), el)

@@ -688,7 +688,8 @@ def test_exponential_path_matches_the_row_rule(dim):
 def test_running_sums_run_in_turn():
     mesh = TimeMesh.uniform(4, 1.0)
     states = np.ones((5, 1))
-    for kern in (catalog.get("damped_volterra").problem.kernel, _nonlinear_kernel(1)):
+    for kern in (catalog.get("damped_volterra").problem.kernel, _nonlinear_kernel(1),
+                 VolterraKernel.zero()):
         w_of = _memory_averages(kern, mesh)
         w_of(0, states)
         with pytest.raises(KernelIndexError):
@@ -702,6 +703,19 @@ def test_running_sums_run_in_turn():
             sweep(j)
         with pytest.raises(KernelIndexError):  # past cell 0
             sweep(0)
+
+
+def test_zero_kernel_march_has_exact_zero_memory(monkeypatch):
+    # the zero kernel's averages are zeros without a row rule per cell
+    import idikit.kernel as kernel_module
+    monkeypatch.setattr(kernel_module, "kernel_average_w", None)
+    problem = catalog.get("ball_control_lq").problem
+    mesh = TimeMesh.from_nodes([0.0, 0.1, 0.45, 0.5, 1.0])
+    traj = simulate(problem, mesh)
+    assert traj.w.shape == (4, problem.dim)
+    assert not traj.w.any() and not np.signbit(traj.w).any()
+    w = assemble_w(VolterraKernel.zero(), mesh, traj.states)
+    assert w.shape == (4, problem.dim) and not w.any() and not np.signbit(w).any()
 
 
 def test_exponential_kernel_with_zero_weight_is_zero():

@@ -302,3 +302,94 @@ def test_graph_normal_cone_polytope_proximal():
             vv = F.center(0.0, xx) + lam @ np.asarray(verts)
             assert np.linalg.norm(probe - np.concatenate([xx, vv])) \
                 >= d_base - 1e-9
+
+
+# --- stacked graph normal cones against the one-point oracle ------------------
+
+def _nonlinear(t, x):
+    return np.sin(x) + 0.3 * t * x[::-1]
+
+
+def _cone_cases():
+    """(label, map, body points) for every body, drift and dim 1 to 3: the
+    body points hold interior, boundary and active-facet points."""
+    cases = []
+    for n in (1, 2, 3):
+        A = np.arange(1.0, n * n + 1.0).reshape(n, n) / (n * n)
+        e = np.eye(n)[0]
+        u = np.ones(n) / np.sqrt(n)
+        simplex = np.vstack([np.zeros(n), np.eye(n)])
+        if n == 1:
+            simplex = np.array([[-0.5], [1.0]])
+        V = simplex
+        body = {
+            "singleton": [np.zeros(n), np.full(n, 1e-10)],
+            "ball": [np.zeros(n), 0.3 * e, 0.8 * u, 0.8 * e, -0.8 * u],
+            "ball0": [np.zeros(n), np.full(n, 1e-10)],
+            "polytope": [V.mean(axis=0), V[0], V[-1], 0.5 * (V[0] + V[1]),
+                         V[1:].mean(axis=0), V[:-1].mean(axis=0)],
+            "vertex": [np.full(n, 0.2), np.full(n, 0.2) + 1e-10],
+        }
+        for drift, make in (("linear", lambda cls, *b: cls.linear(A, *b)),
+                            ("nonlinear", lambda cls, *b: cls(_nonlinear, *b))):
+            for name, fmap in (("singleton", make(Singleton)),
+                               ("ball", make(BallOffset, 0.8)),
+                               ("ball0", make(BallOffset, 0.0)),
+                               ("polytope", make(PolytopeOffset, V)),
+                               ("vertex", make(PolytopeOffset, [[0.2] * n]))):
+                cases.append((f"{name}-{drift}-{n}d", fmap, body[name]))
+    return cases
+
+
+def _cone_rows(fmap, body, seed=0):
+    rng = np.random.default_rng(seed)
+    m, n = len(body), body[0].size
+    ts = rng.uniform(0.0, 1.0, m)
+    xs = rng.normal(size=(m, n))
+    vs = np.array([fmap.center(t, x) for t, x in zip(ts, xs)]) + np.array(body)
+    return ts, xs, vs
+
+
+def _same_cone(a, b):
+    assert a.kind == b.kind
+    assert np.array_equal(a.jacobian, b.jacobian)
+    for field in ("direction", "generators"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("label,fmap,body", _cone_cases(),
+                         ids=[c[0] for c in _cone_cases()])
+def test_stacked_cones_match_point_oracle(label, fmap, body):
+    import oracles
+    ts, xs, vs = _cone_rows(fmap, body)
+    cones = graph_normal_cone(fmap, ts, xs, vs, 1e-6)
+    assert isinstance(cones, list) and len(cones) == len(body)
+    for t, x, v, cone in zip(ts, xs, vs, cones):
+        want = oracles.graph_normal_cone(fmap, t, x, v, 1e-6)
+        _same_cone(cone, want)
+        _same_cone(graph_normal_cone(fmap, t, x, v, 1e-6), want)  # one row
+    kinds = {c.kind for c in cones}
+    expected = {"singleton": {"subspace"}, "ball": {"zero", "ray"},
+                "ball0": {"subspace"}, "polytope": {"zero", "polyhedral"},
+                "vertex": {"subspace"}}[label.split("-")[0]]
+    assert kinds == expected
+
+
+def test_stacked_cones_name_the_first_infeasible_row():
+    F = BallOffset.linear([[0.5, 0.0], [0.0, -1.0]], 1.0)
+    ts = np.linspace(0.0, 1.0, 5)
+    xs = np.zeros((5, 2))
+    vs = np.zeros((5, 2))
+    vs[2] = [3.0, 0.0]
+    vs[4] = [0.0, 2.0]
+    with pytest.raises(InfeasiblePointError, match=r"row 2 \(t = 0\.5\)"):
+        graph_normal_cone(F, ts, xs, vs)
+    vs[2] = [1.0, 0.0]
+    with pytest.raises(InfeasiblePointError, match=r"row 4 \(t = 1\)"):
+        graph_normal_cone(F, ts, xs, vs)
+    vs[4] = [0.0, 1.0]
+    assert [c.kind for c in graph_normal_cone(F, ts, xs, vs)] == \
+        ["zero", "zero", "ray", "zero", "ray"]
