@@ -393,6 +393,11 @@ def _as_state(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _centers(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """f(t_i, x_i) for the rows of a stack, shape (N, n)."""
+    return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
+
+
 def distance_and_projection(fmap: _OffsetMap, t, x, z):
     """(dist(z; F(t,x)), nearest point of F(t,x) to z).
 
@@ -404,7 +409,7 @@ def distance_and_projection(fmap: _OffsetMap, t, x, z):
         c = fmap.center(t, x)
         d, p = fmap.body_distance_projection(z - c)
         return float(d), c + p
-    c = np.array([fmap.center(ti, xi) for ti, xi in zip(t, np.asarray(x, dtype=float))])
+    c = _centers(fmap, t, np.asarray(x, dtype=float))
     d, p = fmap.body_distance_projection(np.asarray(z, dtype=float) - c)
     return d, c + p
 
@@ -464,7 +469,7 @@ def graph_normal_cone(fmap: _OffsetMap, t, x, v,
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     X = np.asarray(x, dtype=float).reshape(ts.size, -1)
     V = np.asarray(v, dtype=float).reshape(X.shape)
-    W = V - np.array([fmap.center(ti, xi) for ti, xi in zip(ts, X)]).reshape(X.shape)
+    W = V - _centers(fmap, ts, X)
     dist, _ = fmap.body_distance_projection(W)
     far = np.flatnonzero(dist > tol_feas)
     if far.size:
