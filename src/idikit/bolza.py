@@ -24,7 +24,7 @@ from .dynamics import DiscreteTrajectory, _check_finite, _march, approximate_arc
 from .kernel import assemble_tensors
 from .mesh import TimeMesh, _sample, _sq_integral, cell_gauss_points
 from .problem import InflatedSet, ProblemData
-from .setvalued import _norm
+from .setvalued import _centers, _jacobians, _norm
 
 __all__ = [
     "DiscreteBolzaProblem",
@@ -112,11 +112,8 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
 
 def _controls_from_trajectory(problem: ProblemData,
                               traj: DiscreteTrajectory) -> ControlParameterization:
-    u = np.empty_like(traj.velocities)
-    for j in range(traj.mesh.k):
-        c = problem.fmap.center(traj.mesh.nodes[j], traj.states[j])
-        u[j] = traj.velocities[j] - c - traj.w[j]
-    return ControlParameterization(u)
+    c = _centers(problem.fmap, traj.mesh.nodes[:-1], traj.states[:-1])
+    return ControlParameterization(traj.velocities - c - traj.w)
 
 
 def forward_trajectory(problem: DiscreteBolzaProblem,
@@ -134,16 +131,27 @@ def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> f
 
 
 def cost_breakdown(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
-    """(terminal, running, tracking) parts of the discrete cost."""
+    """(terminal, running, tracking) parts of the discrete cost.
+
+    The running part is h_0 l_0 + h_1 l_1 + ... added in node order (a
+    cumulative sum), with the l_j from one stacked call.
+    """
     base = problem.base
     mesh = problem.mesh
     terminal = float(base.terminal_cost.value(traj.states[-1]))
-    running = 0.0
-    for j in range(mesh.k):
-        running += mesh.steps[j] * float(base.running_cost.value(
-            mesh.nodes[j], traj.states[j], traj.velocities[j]))
+    vals = base.running_cost.evaluate(mesh.nodes[:-1], traj.states[:-1],
+                                      traj.velocities)
+    running = float(np.cumsum(mesh.steps * vals)[-1])
     tracking = 0.5 * _tracking_term(problem, traj)
     return terminal, running, tracking
+
+
+def _running_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
+                   rows: slice = slice(None)):
+    """(grad_x l, grad_v l) at the nodes j = 0..k-1, or at the ``rows`` of
+    them, (rows, n) each, from one stacked call."""
+    return problem.base.running_cost.gradients(
+        problem.mesh.nodes[:-1][rows], traj.states[:-1][rows], traj.velocities[rows])
 
 
 def cost_Jk(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
@@ -178,7 +186,8 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     """Exact gradient of the (possibly penalized) cost in the controls.
 
     One forward evaluation, one tensor assembly at the current states, one
-    backward sweep.  Returns (gradient (k, n), trajectory).
+    stacked call for the running-cost gradients, one backward sweep.
+    Returns (gradient (k, n), trajectory).
     The adjoint seed is the terminal-cost gradient plus the endpoint penalty
     gradient; each step accumulates the running-cost gradients, the drift
     Jacobian action, and the memory tensors carrying dw_m/dx_j.  A
@@ -193,23 +202,20 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
                                problem.reference_nodes())
 
+    glx, glv = _running_grads(problem, traj)
+    jacs = _jacobians(base.fmap, mesh.nodes[:-1], traj.states[:-1])
+
     lam_next = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
     grad = np.empty_like(controls.u)
     r = np.empty_like(controls.u)  # r_m = s_m / h_m, the memory weights
     coupling = tensors.backward_coupling(r)
     for j in range(k - 1, -1, -1):
-        t_j = mesh.nodes[j]
-        glv = np.atleast_1d(base.running_cost.grad_v(t_j, traj.states[j],
-                                                     traj.velocities[j]))
-        glx = np.atleast_1d(base.running_cost.grad_x(t_j, traj.states[j],
-                                                     traj.velocities[j]))
-        s_j = h[j] * glv + tensors.theta[j] + h[j] * lam_next
+        s_j = h[j] * glv[j] + tensors.theta[j] + h[j] * lam_next
         grad[j] = s_j
         r[j] = s_j / h[j]
-        J_f = base.fmap.jacobian(t_j, traj.states[j])
-        lam_next = (lam_next + h[j] * glx + J_f.T @ s_j + tensors.mu[j] @ s_j / h[j]
-                    + coupling(j))
+        lam_next = (lam_next + h[j] * glx[j] + jacs[j].T @ s_j
+                    + tensors.mu[j] @ s_j / h[j] + coupling(j))
     _check_finite("cost_gradient", mesh, grad, backward=True)
     return grad, traj
 

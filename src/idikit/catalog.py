@@ -53,10 +53,10 @@ def _quadratic_terminal(target: np.ndarray) -> TerminalCost:
 
 def _quadratic_running(cx: float, cv: float) -> RunningCost:
     return RunningCost(
-        value=lambda t, x, v: 0.5 * (cx * float(np.sum(np.atleast_1d(x) ** 2))
-                                     + cv * float(np.sum(np.atleast_1d(v) ** 2))),
-        grad_x=lambda t, x, v: cx * np.atleast_1d(x),
-        grad_v=lambda t, x, v: cv * np.atleast_1d(v),
+        value=lambda t, x, v: 0.5 * (cx * np.sum(x ** 2, axis=-1)
+                                     + cv * np.sum(v ** 2, axis=-1)),
+        grad_x=lambda t, x, v: cx * x,
+        grad_v=lambda t, x, v: cv * v,
     )
 
 
@@ -72,8 +72,8 @@ def _cos_t(T: float = 1.0) -> CatalogEntry:
         omega=WholeSpace(), terminal_cost=_quadratic_terminal([0.0]),
         running_cost=RunningCost.zero(), m_F=0.0, l_F=0.0, beta=1.0,
         alpha=1.0, state_box=([-1.5], [1.5]), epsilon=1.0)
-    reference = CallableArc(lambda t: np.array([math.cos(t)]),
-                            lambda t: np.array([-math.sin(t)]))
+    reference = CallableArc(lambda t: np.cos(t)[:, None],
+                            lambda t: -np.sin(t)[:, None])
     return CatalogEntry(problem, reference)
 
 
@@ -88,11 +88,11 @@ def _damped_volterra(T: float = 2.0) -> CatalogEntry:
     w = math.sqrt(3.0) / 2.0
 
     def x_ref(t):
-        return np.array([math.exp(-t / 2) * (math.cos(w * t)
-                                             + math.sin(w * t) / math.sqrt(3.0))])
+        x = np.exp(-t / 2) * (np.cos(w * t) + np.sin(w * t) / math.sqrt(3.0))
+        return x[:, None]
 
     def dx_ref(t):
-        return np.array([-math.exp(-t / 2) * (2.0 / math.sqrt(3.0)) * math.sin(w * t)])
+        return (-np.exp(-t / 2) * (2.0 / math.sqrt(3.0)) * np.sin(w * t))[:, None]
 
     return CatalogEntry(problem, CallableArc(x_ref, dx_ref))
 
@@ -116,7 +116,8 @@ def _ball_control_lq(T: float = 1.0, radius: float = 2.0) -> CatalogEntry:
         m_F=m_f, l_F=_ROT, beta=0.0, alpha=0.0, state_box=box, epsilon=4.0)
     # the constant arc x == x0 is exactly feasible: 0 = A x0 + u with |u| < r
     x0 = np.array([1.0, 0.0])
-    reference = CallableArc(lambda t: x0.copy(), lambda t: np.zeros(2))
+    reference = CallableArc(lambda t: np.tile(x0, (t.size, 1)),
+                            lambda t: np.zeros((t.size, 2)))
     return CatalogEntry(problem, reference)
 
 
@@ -129,16 +130,18 @@ def _polytope_endpoint(T: float = 1.0) -> CatalogEntry:
 
     # x' = A x + dev with x(0) = 0 keeps x' - A x == dev in the simplex, so
     # the matrix-exponential arc is exactly feasible.
+    def eAt(t):  # e^{At} at each time, shape (m, 2, 2)
+        c, s = np.cos(0.2 * t), np.sin(0.2 * t)
+        return np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)],
+                        axis=-2)
+
     def x_ref(t):
-        c, s = math.cos(0.2 * t), math.sin(0.2 * t)
-        eAt = np.array([[c, s], [-s, c]])
-        return Ainv @ (eAt - np.eye(2)) @ dev
+        return Ainv @ (eAt(t) - np.eye(2)) @ dev
 
     def dx_ref(t):
-        c, s = math.cos(0.2 * t), math.sin(0.2 * t)
-        return np.array([[c, s], [-s, c]]) @ dev
+        return eAt(t) @ dev
 
-    x_end = x_ref(T)
+    x_end = x_ref(np.array([T]))[0]
     box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     m_f = 0.2 * 3.0 * math.sqrt(2.0) + 1.0
     problem = ProblemData(

@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bolza import DiscreteBolzaProblem
+from .bolza import DiscreteBolzaProblem, _running_grads
 from .dynamics import DiscreteTrajectory, _check_finite
 from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
                      assemble_tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
-from .setvalued import GraphNormalCone, graph_normal_cone
+from .setvalued import GraphNormalCone, _norm, graph_normal_cone
 
 __all__ = [
     "MultiplierSet",
@@ -79,11 +79,27 @@ class MultiplierSet:
         return self.p[-1]
 
 
-def _cost_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory, j: int):
-    """(grad_x l, grad_v l) of the running cost at node j."""
-    cost = problem.base.running_cost
-    args = (problem.mesh.nodes[j], traj.states[j], traj.velocities[j])
-    return np.atleast_1d(cost.grad_x(*args)), np.atleast_1d(cost.grad_v(*args))
+class _TrajectoryTerms(NamedTuple):
+    """What the multipliers of one trajectory share, whatever lam: the
+    coupling tensors, the running-cost gradients (k, n) and the graph normal
+    cones of the nodes j = 0..k-1."""
+
+    tensors: QuadratureTensors
+    glx: np.ndarray
+    glv: np.ndarray
+    cones: Sequence[GraphNormalCone]
+
+
+def _trajectory_terms(problem: DiscreteBolzaProblem,
+                      traj: DiscreteTrajectory) -> _TrajectoryTerms:
+    base = problem.base
+    mesh = problem.mesh
+    tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
+                               problem.reference_nodes())
+    glx, glv = _running_grads(problem, traj)
+    cones = graph_normal_cone(base.fmap, mesh.nodes[:-1], traj.states[:-1],
+                              traj.velocities - tensors.w, CONE_TOL_FEAS)
+    return _TrajectoryTerms(tensors, glx, glv, cones)
 
 
 def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
@@ -100,21 +116,23 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
     so lam + |p_k| = 1; an all-zero raw pair raises, and so does (with
     :class:`NonFiniteStateError`) a multiplier that is not finite.
     """
+    return _adjoint_sweep(problem, traj, _trajectory_terms(problem, traj),
+                          lam, endpoint_normal)
+
+
+def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
+                   terms: _TrajectoryTerms, lam: float,
+                   endpoint_normal: Optional[np.ndarray]) -> MultiplierSet:
+    """:func:`adjoint_solve_smooth` on terms already built for ``traj``."""
     base = problem.base
     mesh = problem.mesh
     k, n = mesh.k, base.dim
     h = mesh.steps
-    tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
-                               problem.reference_nodes())
-    grads = [_cost_grads(problem, traj, j) for j in range(k)]
-    glx = np.array([gx for gx, _ in grads], dtype=float)
-    glv = np.array([gv for _, gv in grads], dtype=float)
+    tensors, glx, glv, cones = terms
 
     p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
     p[k] = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
-    cones = graph_normal_cone(base.fmap, mesh.nodes[:-1], traj.states[:-1],
-                              traj.velocities - tensors.w, CONE_TOL_FEAS)
     coupling = tensors.backward_coupling(p[1:])
     for j in range(k - 1, -1, -1):
         pin = lam * (glv[j] + tensors.theta[j] / h[j])
@@ -170,11 +188,11 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
             + (a * h + lf) * mult.theta_l1) * math.exp(T * (3.0 * a * T + lf))
 
 
-def _el_pair(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-             mult: MultiplierSet, j: int, coupling: np.ndarray):
+def _el_pair(problem: DiscreteBolzaProblem, mult: MultiplierSet, j: int,
+             coupling: np.ndarray, glx: np.ndarray, glv: np.ndarray):
+    """The node-j adjoint pair, given the running-cost gradients there."""
     h = problem.mesh.steps[j]
     t = mult.tensors
-    glx, glv = _cost_grads(problem, traj, j)
     pin = mult.lam * (glv + t.theta[j] / h)
     lhs1 = ((mult.p[j + 1] - mult.p[j]) / h
             + 2.0 / h * t.mu[j] @ mult.p[j + 1]
@@ -188,9 +206,13 @@ def _el_residuals(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                   mult: MultiplierSet) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
     j = k-1 down: the order in which the memory coupling is a running sum."""
+    glx, glv = _running_grads(problem, traj)
     coupling = mult.tensors.backward_coupling(mult.p[1:])
-    return np.array([euler_lagrange_residual(problem, traj, mult, j, coupling(j))
-                     for j in range(problem.mesh.k - 1, -1, -1)])[::-1]
+    out = np.empty(problem.mesh.k)
+    for j in range(problem.mesh.k - 1, -1, -1):
+        q_x, q_u = _el_pair(problem, mult, j, coupling(j), glx[j], glv[j])
+        out[j], _ = mult.cones[j].pair_distance(q_x, q_u)
+    return out
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem,
@@ -205,7 +227,8 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem,
     """
     if coupling is None:
         coupling = mult.tensors.coupling(j, mult.p[1:])
-    q_x, q_u = _el_pair(problem, traj, mult, j, coupling)
+    glx, glv = _running_grads(problem, traj, slice(j, j + 1))
+    q_x, q_u = _el_pair(problem, mult, j, coupling, glx[0], glv[0])
     d, _ = mult.cones[j].pair_distance(q_x, q_u)
     return d
 
@@ -243,11 +266,11 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
     y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
     cones = graph_normal_cone(problem.fmap, taus, x, v - y, CONE_TOL_FEAS)
+    glx, glv = problem.running_cost.gradients(taus, x, v)
+    glx, glv = lam * glx, lam * glv
     out = np.empty(taus.size)
-    for i, t in enumerate(taus):  # the cost gradients are pointwise
-        glx = lam * np.atleast_1d(problem.running_cost.grad_x(t, x[i], v[i]))
-        glv = lam * np.atleast_1d(problem.running_cost.grad_v(t, x[i], v[i]))
-        out[i], _ = cones[i].pair_distance(pdot[i] + mem[i] - glx, p[i] - glv)
+    for i in range(taus.size):
+        out[i], _ = cones[i].pair_distance(pdot[i] + mem[i] - glx[i], p[i] - glv[i])
     return out if np.ndim(tau) else float(out[0])
 
 
@@ -259,17 +282,17 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     Solves the backward recursion with lam = 1; only if the resulting
     Euler-Lagrange residuals exceed ``resid_tol`` is the abnormal branch
     lam = 0 probed (it needs an active endpoint set to avoid degeneracy).
+    Both probes share one build of the tensors and the node cones.
     Returns (multipliers, route) with route one of "normal", "abnormal",
     or "normal-degraded" when neither certifies within tolerance.
     """
-    mult = adjoint_solve_smooth(problem, traj, lam=1.0,
-                                endpoint_normal=endpoint_normal)
+    terms = _trajectory_terms(problem, traj)
+    mult = _adjoint_sweep(problem, traj, terms, 1.0, endpoint_normal)
     el = _el_residuals(problem, traj, mult).max()
     if el <= resid_tol:
         return mult, "normal"
     try:
-        mult0 = adjoint_solve_smooth(problem, traj, lam=0.0,
-                                     endpoint_normal=endpoint_normal)
+        mult0 = _adjoint_sweep(problem, traj, terms, 0.0, endpoint_normal)
     except DegenerateMultiplierError:
         return mult, "normal-degraded"
     el0 = _el_residuals(problem, traj, mult0).max()
@@ -359,8 +382,7 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
     cone0 = graph_normal_cone(problem.fmap, t, x, v, CONE_TOL_FEAS)
     pairs0 = cone0.pair_samples()
-    glx0 = np.atleast_1d(problem.running_cost.grad_x(t, x, v))
-    glv0 = np.atleast_1d(problem.running_cost.grad_v(t, x, v))
+    (glx0,), (glv0,) = problem.running_cost.gradients(np.array([t]), x[None], v[None])
     gphi0 = np.atleast_1d(problem.terminal_cost.grad(x))
     body_pt = v - problem.fmap.center(t, x)
     fmap = problem.fmap
@@ -369,29 +391,26 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     out = []
     for delta in deltas:
         gen_gap = 0.0
-        cost_gap = 0.0
-        for d, dv in zip(dirs, vdirs):
-            x_p = x + delta * d
+        x_p = x + delta * dirs
+        v_p = np.empty_like(x_p)
+        for i, dv in enumerate(vdirs):
             w_p = body_pt + delta * dv
             if on_sphere:
                 w_p = fmap.radius * w_p / np.linalg.norm(w_p)
             else:
                 w_p = fmap.project_body(w_p)
-            v_p = fmap.center(t, x_p) + w_p
-            cone_p = graph_normal_cone(problem.fmap, t, x_p, v_p, CONE_TOL_FEAS)
+            v_p[i] = fmap.center(t, x_p[i]) + w_p
+            cone_p = graph_normal_cone(problem.fmap, t, x_p[i], v_p[i], CONE_TOL_FEAS)
             pairs_p = cone_p.pair_samples()
             if pairs_p.shape == pairs0.shape:
                 gen_gap = max(gen_gap, float(np.abs(pairs_p - pairs0).max()))
             else:  # active set changed under perturbation; compare Jacobians
                 gen_gap = max(gen_gap, float(np.linalg.norm(
                     cone_p.jacobian - cone0.jacobian)))
-            cost_gap = max(
-                cost_gap,
-                float(np.linalg.norm(
-                    np.atleast_1d(problem.running_cost.grad_x(t, x_p, v_p)) - glx0)),
-                float(np.linalg.norm(
-                    np.atleast_1d(problem.running_cost.grad_v(t, x_p, v_p)) - glv0)),
-                float(np.linalg.norm(
-                    np.atleast_1d(problem.terminal_cost.grad(x_p)) - gphi0)))
+        glx, glv = problem.running_cost.gradients(np.full(n_dirs, t), x_p, v_p)
+        cost_gap = max(
+            float(_norm(glx - glx0).max()), float(_norm(glv - glv0).max()),
+            max(float(np.linalg.norm(np.atleast_1d(problem.terminal_cost.grad(xi))
+                                     - gphi0)) for xi in x_p))
         out.append((float(delta), gen_gap, cost_gap))
     return out

@@ -238,19 +238,35 @@ class PiecewiseConstantArc:
 
 @dataclass(frozen=True)
 class CallableArc:
-    """Closed-form arc with an exact derivative oracle.  ``fn`` and ``dfn``
-    take one scalar time; an array of times is served point by point."""
+    """Closed-form arc with an exact derivative oracle.
 
-    fn: Callable[[float], np.ndarray]
-    dfn: Callable[[float], np.ndarray]
+    ``fn`` and ``dfn`` take a 1-D array of m times and return an (m, n)
+    array, so every stack of times is one call.  ``eval`` and ``derivative``
+    take times of any shape like the other arcs; an oracle whose result is
+    not (m, n) raises :class:`MeshError`.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    dfn: Callable[[np.ndarray], np.ndarray]
 
     def eval(self, t) -> np.ndarray:
-        return _sample(self.fn, t)
+        return _stacked(self.fn, t)
 
     __call__ = eval
 
     def derivative(self, t) -> np.ndarray:
-        return _sample(self.dfn, t)
+        return _stacked(self.dfn, t)
+
+
+def _stacked(fn: Callable[[np.ndarray], np.ndarray], t) -> np.ndarray:
+    """fn at the times t, shape t.shape + (n,), from one call on t.ravel()."""
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    vals = np.asarray(fn(flat), dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != flat.size:
+        raise MeshError(f"arc oracle gave shape {vals.shape} for {flat.size} "
+                        f"times; needs ({flat.size}, n)")
+    return vals.reshape(t.shape + vals.shape[1:])
 
 
 _ARCS = (PiecewiseLinearArc, PiecewiseConstantArc, CallableArc)

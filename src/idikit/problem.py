@@ -45,18 +45,49 @@ class TerminalCost:
         return cls(lambda x: 0.0, lambda x: np.zeros_like(np.atleast_1d(x)))
 
 
+class CostShapeError(ValueError):
+    """A running-cost oracle gave an array of the wrong shape."""
+
+
+_StackedOracle = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class RunningCost:
-    """Smooth running cost l(t, x, v) with both partial gradients."""
+    """Smooth running cost l(t, x, v) with both partial gradients.
 
-    value: Callable[[float, np.ndarray, np.ndarray], float]
-    grad_x: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    grad_v: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    Each oracle takes a stack of N points: times ``t`` of shape (N,), states
+    ``x`` and velocities ``v`` of shape (N, n).  ``value`` returns shape
+    (N,), ``grad_x`` and ``grad_v`` shape (N, n).  Consumers go through
+    :meth:`evaluate` and :meth:`gradients`, which raise
+    :class:`CostShapeError` on any other shape.
+    """
+
+    value: _StackedOracle
+    grad_x: _StackedOracle
+    grad_v: _StackedOracle
 
     @classmethod
     def zero(cls) -> "RunningCost":
-        z = lambda t, x, v: np.zeros_like(np.atleast_1d(x))
-        return cls(lambda t, x, v: 0.0, z, z)
+        z = lambda t, x, v: np.zeros(np.shape(x))
+        return cls(lambda t, x, v: np.zeros(np.shape(t)), z, z)
+
+    def evaluate(self, t, x, v) -> np.ndarray:
+        """l at every point of the stack, shape (N,)."""
+        return _checked("value", self.value(t, x, v), np.shape(t))
+
+    def gradients(self, t, x, v):
+        """(grad_x l, grad_v l) at every point of the stack, each (N, n)."""
+        return (_checked("grad_x", self.grad_x(t, x, v), np.shape(x)),
+                _checked("grad_v", self.grad_v(t, x, v), np.shape(x)))
+
+
+def _checked(name: str, out, shape) -> np.ndarray:
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise CostShapeError(f"running cost {name} gave shape {out.shape}; "
+                             f"the stack needs {shape}")
+    return out
 
 
 # --- endpoint constraint sets ------------------------------------------------

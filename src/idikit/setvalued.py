@@ -394,8 +394,27 @@ def _as_state(x) -> np.ndarray:
 
 
 def _centers(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """f(t_i, x_i) for the rows of a stack, shape (N, n)."""
-    return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
+    """f(t_i, x_i) for the rows of a stack, shape (N, n).
+
+    A map built with ``linear`` gives the whole stack in closed form, row by
+    row bit for bit its ``center``; any other drift is called row by row.
+    """
+    A = fmap._linear
+    if A is None:
+        return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
+    if not A.any():
+        return np.zeros(X.shape)
+    if A.shape[0] == 1:
+        return A[0, 0] * X
+    return (A @ X[..., None])[..., 0]  # one A @ x_i per row, as ``center``
+
+
+def _jacobians(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray):
+    """The state Jacobian of f at each row of a stack: A itself, shared by
+    every row, for a map built with ``linear``."""
+    if fmap._linear is not None:
+        return [fmap._linear] * len(X)
+    return [fmap.jacobian(ti, xi) for ti, xi in zip(t, X)]
 
 
 def distance_and_projection(fmap: _OffsetMap, t, x, z):
@@ -478,8 +497,7 @@ def graph_normal_cone(fmap: _OffsetMap, t, x, v,
             f"row {i} (t = {ts[i]:.6g}): v is {dist[i]:.3e} away from F(t,x), "
             f"beyond tol_feas={tol_feas:.1e}")
     cones = []
-    for ti, xi, wi in zip(ts, X, W):
-        J = fmap.jacobian(ti, xi)
+    for J, wi in zip(_jacobians(fmap, ts, X), W):
         kind, data = fmap.body_normal_cone(wi, tol_feas)
         if kind == "ray":
             cones.append(GraphNormalCone("ray", J, direction=data))

@@ -9,8 +9,10 @@ memory integrals walked one time, one panel and one point at a time (the
 package serves all times in one call); the memory coupling sum of the
 backward sweeps, one later step at a time; the projections onto the
 velocity bodies, one point at a time, with one least-squares solve per
-vertex subset of a polytope; and the graph normal cone of one point, with
-its own feasibility gate (the package builds a stack of them in one pass).
+vertex subset of a polytope; the graph normal cone of one point, with
+its own feasibility gate (the package builds a stack of them in one pass);
+and closed-form arcs, running costs and drift centers written for one time
+or one point and served row by row (the package's oracles take stacks).
 """
 
 import itertools
@@ -20,10 +22,49 @@ import numpy as np
 
 from idikit.bolza import ControlParameterization, _objective
 from idikit.kernel import kernel_average_w
-from idikit.mesh import (PiecewiseConstantArc, PiecewiseLinearArc, TimeMesh,
-                         cell_gauss_points, interval_gauss_points, sup_distance)
+from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
+                         TimeMesh, cell_gauss_points, interval_gauss_points,
+                         sup_distance)
+from idikit.problem import RunningCost
 from idikit.setvalued import (GraphNormalCone, InfeasiblePointError,
                               distance_and_projection)
+
+
+# --- oracles of one time or one point, served row by row ----------------------
+
+def per_row_arc(fn, dfn):
+    """A CallableArc from functions of one scalar time, called once per
+    time of a stack."""
+    return CallableArc(_per_time(fn), _per_time(dfn))
+
+
+def _per_time(f):
+    return lambda t: np.array([np.atleast_1d(np.asarray(f(s), dtype=float))
+                               for s in t])
+
+
+def per_row_cost(value, grad_x, grad_v):
+    """A RunningCost from functions of one point (t, x, v), called once per
+    row of a stack."""
+    def rows(f):
+        return lambda t, x, v: np.array(
+            [np.atleast_1d(np.asarray(f(*row), dtype=float)) for row in zip(t, x, v)]
+        ).reshape(np.shape(x))
+    return RunningCost(
+        lambda t, x, v: np.array([float(value(*row)) for row in zip(t, x, v)]),
+        rows(grad_x), rows(grad_v))
+
+
+def point_grads(cost, t, x, v):
+    """(grad_x l, grad_v l) of a running cost at one point, shape (n,) each."""
+    gx, gv = cost.gradients(np.array([t], dtype=float), np.atleast_1d(x)[None],
+                            np.atleast_1d(v)[None])
+    return gx[0], gv[0]
+
+
+def centers(fmap, t, X):
+    """The drift f(t_i, x_i) of each row, one ``center`` call per row."""
+    return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(np.shape(X))
 
 
 def forward_recursion(e0, sigma, rho, gamma):
@@ -187,8 +228,8 @@ def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
                                problem.horizon, edges)
         y = memory_integral(problem.kernel, x_arc, tau,
                             panel_edges(x_arc, TimeMesh.from_nodes(edges)))
-        glx = lam * np.atleast_1d(problem.running_cost.grad_x(tau, x, v))
-        glv = lam * np.atleast_1d(problem.running_cost.grad_v(tau, x, v))
+        glx, glv = point_grads(problem.running_cost, tau, x, v)
+        glx, glv = lam * glx, lam * glv
         cone = graph_normal_cone(problem.fmap, tau, x, v - y, tol_feas)
         d, _ = cone.pair_distance(np.atleast_1d(p_arc.derivative(tau)) + mem - glx,
                                   np.atleast_1d(p_arc.eval(tau)) - glv)

@@ -23,9 +23,8 @@ from idikit.gronwall import (apriori_bounds, continuous_gronwall,
 from idikit.kernel import VolterraKernel, kernel_average_w, mu_tensor, \
     theta_vector, xi_tensor
 from idikit.mesh import TimeMesh
-from idikit.problem import CallableArc
 from oracles import (backward_recursion, fd_gradient, forward_recursion,
-                     integro_rk4, quadratic_oracle)
+                     integro_rk4, per_row_arc, point_grads, quadratic_oracle)
 
 RESULTS = []
 
@@ -194,7 +193,7 @@ def test_criterion_05_quadrature_exactness():
     got = kernel_average_w(wk, mesh, np.array([[1.0], [2.0]]), 1)[0]
     checks.append(abs(got - 1.0))
 
-    ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    ref = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     checks.append(abs(theta_vector(mesh, np.array([[1.0], [1.0]]), ref, 0)[0] - 0.5))
     worst = max(checks)
     _report(5, "tensor quadrature exactness", worst < tol, f"worst={worst:.2e}")
@@ -230,10 +229,8 @@ def test_criterion_06_adjoint_gradient():
     g_ref = np.zeros_like(bumped.u)
     for j in range(mesh.k - 1, -1, -1):
         t_j = mesh.nodes[j]
-        glv = np.atleast_1d(base.running_cost.grad_v(t_j, traj.states[j],
-                                                     traj.velocities[j]))
-        glx = np.atleast_1d(base.running_cost.grad_x(t_j, traj.states[j],
-                                                     traj.velocities[j]))
+        glx, glv = point_grads(base.running_cost, t_j, traj.states[j],
+                               traj.velocities[j])
         theta = h[j] * traj.velocities[j] - (dbp.reference.eval(mesh.nodes[j + 1])
                                              - dbp.reference.eval(mesh.nodes[j]))
         s = h[j] * glv + theta + h[j] * lam

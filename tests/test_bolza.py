@@ -9,8 +9,8 @@ from idikit.bolza import (ControlParameterization, SolveOptions,
                           cost_gradient, cost_Jk, forward_trajectory, solve_Pk)
 from idikit.dynamics import approximate_arc
 from idikit.mesh import TimeMesh
-from idikit.problem import CallableArc
-from oracles import fd_gradient, quadratic_oracle
+from oracles import (fd_gradient, per_row_arc, per_row_cost, point_grads,
+                     quadratic_oracle)
 
 
 def _discrete(entry, k, **kw):
@@ -49,11 +49,11 @@ def test_cost_terminal_only_breakdown(ball_entry):
 def test_cost_running_quadrature_converges(cos_t_entry):
     # l = |v|^2 along the interpolant: h sum l -> integral of sin^2 = (T - sin T cos T)/2
     from dataclasses import replace
-    from idikit.problem import RunningCost, TerminalCost
+    from idikit.problem import TerminalCost
     T = cos_t_entry.problem.horizon
-    lcost = RunningCost(value=lambda t, x, v: float(np.sum(np.atleast_1d(v) ** 2)),
-                        grad_x=lambda t, x, v: np.zeros_like(np.atleast_1d(x)),
-                        grad_v=lambda t, x, v: 2.0 * np.atleast_1d(v))
+    lcost = per_row_cost(value=lambda t, x, v: float(np.sum(np.atleast_1d(v) ** 2)),
+                         grad_x=lambda t, x, v: np.zeros_like(np.atleast_1d(x)),
+                         grad_v=lambda t, x, v: 2.0 * np.atleast_1d(v))
     base = replace(cos_t_entry.problem, terminal_cost=TerminalCost.zero(),
                    running_cost=lcost)
     exact = (T - math.sin(T) * math.cos(T)) / 2.0
@@ -88,7 +88,7 @@ def test_gradient_linear_terminal_cost_closed_form():
                                    lambda x: c.copy()),
         running_cost=RunningCost.zero(), m_F=5.0, l_F=0.0, beta=0.0,
         alpha=0.0, state_box=(-np.ones(2) * 6, np.ones(2) * 6), epsilon=50.0)
-    ref = CallableArc(lambda t: np.array([0.3 * t, 0.1 * t]),
+    ref = per_row_arc(lambda t: np.array([0.3 * t, 0.1 * t]),
                       lambda t: np.array([0.3, 0.1]))
     mesh = TimeMesh.uniform(5, 1.0)
     dbp, controls, traj0, _ = build_discrete_problem(prob, mesh, ref)
@@ -128,8 +128,7 @@ def _reference_adjoint_gradient_g_zero(dbp, controls):
     for j in range(k - 1, -1, -1):
         t_j = mesh.nodes[j]
         x_j, v_j = traj.states[j], traj.velocities[j]
-        glv = np.atleast_1d(base.running_cost.grad_v(t_j, x_j, v_j))
-        glx = np.atleast_1d(base.running_cost.grad_x(t_j, x_j, v_j))
+        glx, glv = point_grads(base.running_cost, t_j, x_j, v_j)
         # d/dv of the tracking term: integral over the cell of (v - ref')
         a, b = mesh.nodes[j], mesh.nodes[j + 1]
         ref_diff = dbp.reference.eval(b) - dbp.reference.eval(a)
@@ -213,22 +212,21 @@ def _cosh_benchmark():
     """1-D ball dynamics with l = (x^2 + v^2)/2: the optimum is
     x(t) = cosh(1-t)/cosh(1), smooth and interior to the velocity ball."""
     from idikit.kernel import VolterraKernel
-    from idikit.problem import (ProblemData, RunningCost, TerminalCost,
-                                WholeSpace)
+    from idikit.problem import ProblemData, TerminalCost, WholeSpace
     from idikit.setvalued import BallOffset
     fmap = BallOffset(lambda t, x: np.zeros(1), 2.0,
                       jac=lambda t, x: np.zeros((1, 1)))
     prob = ProblemData(
         name="cosh_lq", fmap=fmap, kernel=VolterraKernel.zero(), x0=[1.0],
         horizon=1.0, omega=WholeSpace(), terminal_cost=TerminalCost.zero(),
-        running_cost=RunningCost(
+        running_cost=per_row_cost(
             value=lambda t, x, v: 0.5 * float(x[0] ** 2 + v[0] ** 2),
             grad_x=lambda t, x, v: np.atleast_1d(x),
             grad_v=lambda t, x, v: np.atleast_1d(v)),
         m_F=2.0, l_F=0.0, beta=0.0, alpha=0.0, state_box=([-2.0], [2.0]),
         epsilon=4.0)
     c = math.cosh(1.0)
-    ref = CallableArc(lambda t: np.array([math.cosh(1 - t) / c]),
+    ref = per_row_arc(lambda t: np.array([math.cosh(1 - t) / c]),
                       lambda t: np.array([-math.sinh(1 - t) / c]))
     return prob, ref
 
@@ -275,8 +273,7 @@ def test_solver_pure_tracking_reproduces_interpolant(ball_entry):
 def _nan_grad_v_at_half(problem):
     # a running cost whose v-gradient is nan at t = 0.5 only
     from dataclasses import replace
-    from idikit.problem import RunningCost
-    return replace(problem, running_cost=RunningCost(
+    return replace(problem, running_cost=per_row_cost(
         lambda t, x, v: 0.0, lambda t, x, v: np.zeros(np.size(x)),
         lambda t, x, v: np.full(np.size(v), np.nan) if t == 0.5 else np.zeros(np.size(v))))
 

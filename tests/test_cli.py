@@ -9,9 +9,8 @@ from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
 from idikit.gronwall import discrete_gronwall_backward
-from idikit.problem import RunningCost
 from idikit.setvalued import Singleton
-from oracles import backward_recursion
+from oracles import backward_recursion, per_row_cost
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -371,8 +370,8 @@ def test_non_finite_gradient_and_multiplier_exit_3(tmp_path, monkeypatch, capsys
     # cos_t with a running cost whose v-gradient is nan at t = 0.5
     def load_nan_cost(path):
         cfg = load_config(path)
-        run = RunningCost(lambda t, x, v: 0.0, lambda t, x, v: np.zeros(1),
-                          lambda t, x, v: np.full(1, np.nan) if t == 0.5 else np.zeros(1))
+        run = per_row_cost(lambda t, x, v: 0.0, lambda t, x, v: np.zeros(1),
+                           lambda t, x, v: np.full(1, np.nan) if t == 0.5 else np.zeros(1))
         cfg.entry = CatalogEntry(replace(cfg.entry.problem, running_cost=run),
                                  cfg.entry.reference)
         return cfg

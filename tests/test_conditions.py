@@ -14,9 +14,10 @@ from idikit.conditions import (DegenerateMultiplierError, MultiplierSet,
 from idikit.dynamics import approximate_arc, simulate
 from idikit.kernel import VolterraKernel
 from idikit.mesh import PiecewiseLinearArc, TimeMesh
-from idikit.problem import (BallSet, CallableArc, InflatedSet, PointSet,
-                            ProblemData, RunningCost, TerminalCost, WholeSpace)
+from idikit.problem import (BallSet, InflatedSet, PointSet, ProblemData,
+                            RunningCost, TerminalCost, WholeSpace)
 from idikit.setvalued import BallOffset, Singleton
+from oracles import per_row_arc, per_row_cost
 
 
 def _singleton_linear_problem(a=0.8, phi_grad=None):
@@ -149,15 +150,15 @@ def test_volterra_residual_ode_case_analytic_adjoint():
     a = 0.8
     prob = _singleton_linear_problem(a=a)
     T = prob.horizon
-    x_arc = CallableArc(lambda t: np.array([math.exp(a * t)]),
+    x_arc = per_row_arc(lambda t: np.array([math.exp(a * t)]),
                         lambda t: np.array([a * math.exp(a * t)]))
     pT = -math.exp(a * T)
-    p_arc = CallableArc(lambda t: np.array([pT * math.exp(-a * (t - T))]),
+    p_arc = per_row_arc(lambda t: np.array([pT * math.exp(-a * (t - T))]),
                         lambda t: np.array([-a * pT * math.exp(-a * (t - T))]))
     for tau in (0.1, 0.37, 0.9):
         assert volterra_residual(prob, x_arc, p_arc, 1.0, tau) < 1e-10
     # a wrong adjoint is detected
-    bad = CallableArc(lambda t: np.array([pT]), lambda t: np.zeros(1))
+    bad = per_row_arc(lambda t: np.array([pT]), lambda t: np.zeros(1))
     assert volterra_residual(prob, x_arc, bad, 1.0, 0.5) > 0.1
 
 
@@ -179,7 +180,7 @@ def test_volterra_residual_decreases_cos_t(cos_t_entry):
 
 def test_volterra_residual_degenerate_gate(cos_t_entry):
     prob = cos_t_entry.problem
-    zero_arc = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    zero_arc = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     with pytest.raises(DegenerateMultiplierError):
         volterra_residual(prob, cos_t_entry.reference, zero_arc, 0.0, 0.5)
 
@@ -273,7 +274,7 @@ def test_perturbation_robustness_decreasing():
         horizon=1.0, omega=WholeSpace(),
         terminal_cost=TerminalCost(lambda x: 0.5 * float(np.sum(x ** 2)),
                                    lambda x: np.atleast_1d(x)),
-        running_cost=RunningCost(
+        running_cost=per_row_cost(
             value=lambda t, x, v: 0.5 * float(np.sum(np.atleast_1d(x) ** 2)),
             grad_x=lambda t, x, v: np.atleast_1d(x),
             grad_v=lambda t, x, v: np.zeros_like(np.atleast_1d(v))),
@@ -330,7 +331,7 @@ def test_recover_multipliers_degraded_on_nonstationary(ball_entry):
 def test_non_finite_multiplier_names_stage_and_node(cos_t_entry):
     from dataclasses import replace
     from idikit.dynamics import NonFiniteStateError
-    prob = replace(cos_t_entry.problem, running_cost=RunningCost(
+    prob = replace(cos_t_entry.problem, running_cost=per_row_cost(
         lambda t, x, v: 0.0, lambda t, x, v: np.zeros(1),
         lambda t, x, v: np.full(1, np.nan) if t == 0.5 else np.zeros(1)))
     dbp, _, traj, _ = build_discrete_problem(prob, TimeMesh.uniform(8, 1.0),

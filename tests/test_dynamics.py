@@ -17,6 +17,7 @@ from idikit.mesh import TimeMesh
 from idikit.problem import (CallableArc, InflatedSet, ProblemData,
                             RunningCost, TerminalCost, WholeSpace)
 from idikit.setvalued import Singleton
+from oracles import per_row_arc
 
 
 def _static_problem(f_const, n=1):
@@ -99,7 +100,7 @@ def test_approximate_arc_fixed_point():
     # a line with matching singleton drift reproduces itself exactly
     prob = _static_problem(0.7)
     mesh = TimeMesh.uniform(6, 1.0)
-    ref = CallableArc(lambda t: np.array([0.7 * t]), lambda t: np.array([0.7]))
+    ref = per_row_arc(lambda t: np.array([0.7 * t]), lambda t: np.array([0.7]))
     traj, report = approximate_arc(prob, ref, mesh)
     assert np.allclose(traj.states[:, 0], 0.7 * mesh.nodes, atol=1e-15)
     assert report.xi_k < 1e-15
@@ -143,7 +144,7 @@ def test_approximate_arc_self_consistency_ball(ball_entry):
 
 def test_approximate_arc_rejects_infeasible(ball_entry):
     prob = ball_entry.problem
-    bad = CallableArc(lambda t: np.array([1.0 + 10.0 * t, 0.0]),
+    bad = per_row_arc(lambda t: np.array([1.0 + 10.0 * t, 0.0]),
                       lambda t: np.array([10.0, 0.0]))  # speed 10 >> r + |Ax|
     with pytest.raises(InfeasibleReferenceError):
         approximate_arc(prob, bad, TimeMesh.uniform(8, prob.horizon))
@@ -157,7 +158,7 @@ def test_feasibility_residual_cases(cos_t_entry):
 
     # constant arc violating a unit-drift singleton by exactly 1
     unit = _static_problem(1.0)
-    still = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    still = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     res = feasibility_residual(unit, still, TimeMesh.uniform(8, 1.0))
     assert abs(res - 1.0) < 1e-12  # sqrt(T) * 1 with T = 1
 
@@ -236,7 +237,7 @@ def test_non_finite_state_names_stage_and_node():
         terminal_cost=TerminalCost.zero(), running_cost=RunningCost.zero(),
         m_F=0.0, l_F=0.0, beta=0.0, alpha=0.0, state_box=prob.state_box)
     mesh = TimeMesh.uniform(8, 1.0)  # t_5 = 0.625 is the first node past 0.5
-    ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    ref = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     dbp = DiscreteBolzaProblem(base=prob, mesh=mesh, reference=ref, zeta_k=0.0,
                                epsilon=1.0, omega_k=InflatedSet(WholeSpace(), 0.0))
     runs = {
@@ -272,7 +273,7 @@ def test_gate_rejects_a_defect_that_is_nan_only_between_the_nodes():
     nodes = set(mesh.nodes.tolist())
     prob = replace(_static_problem(0.0), fmap=Singleton(
         lambda t, x: np.zeros(1) if float(t) in nodes else np.full(1, np.nan)))
-    ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    ref = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     assert np.isfinite(simulate(prob, mesh).states).all()
     assert np.isnan(feasibility_residual(prob, ref, mesh))
     for feas_tol in (1e-6, np.inf):  # no tolerance lets a nan through

@@ -156,14 +156,14 @@ def test_tensor_norm_bounds():
 
 def test_theta_vector_cases():
     mesh = TimeMesh.uniform(2, 1.0)
-    ref = CallableArc(lambda t: np.array([np.cos(t)]),
-                      lambda t: np.array([-np.sin(t)]))
+    ref = oracles.per_row_arc(lambda t: np.array([np.cos(t)]),
+                              lambda t: np.array([-np.sin(t)]))
     slopes = np.array([(np.cos(0.5) - 1.0) / 0.5,
                        (np.cos(1.0) - np.cos(0.5)) / 0.5])[:, None]
     for j in range(2):
         assert np.allclose(theta_vector(mesh, slopes, ref, j), 0.0, atol=1e-15)
 
-    zero_ref = CallableArc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    zero_ref = oracles.per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
     v = np.array([[1.0], [1.0]])
     assert abs(theta_vector(mesh, v, zero_ref, 0)[0] - 0.5) < 1e-15
 
@@ -176,7 +176,7 @@ def test_theta_vector_cases():
 
 def test_continuous_accumulator_cases():
     k0 = VolterraKernel.zero()
-    one = CallableArc(lambda t: np.ones(1), lambda t: np.zeros(1))
+    one = oracles.per_row_arc(lambda t: np.ones(1), lambda t: np.zeros(1))
     assert np.allclose(continuous_accumulator(k0, one, 0.7), 0.0)
 
     ident = VolterraKernel(lambda t, s, x: np.atleast_1d(x),
@@ -186,8 +186,8 @@ def test_continuous_accumulator_cases():
 
     neg = VolterraKernel(lambda t, s, x: -np.atleast_1d(x),
                          jac=lambda t, s, x: -np.eye(1))
-    cos_arc = CallableArc(lambda t: np.array([np.cos(t)]),
-                          lambda t: np.array([-np.sin(t)]))
+    cos_arc = oracles.per_row_arc(lambda t: np.array([np.cos(t)]),
+                                  lambda t: np.array([-np.sin(t)]))
     for t in (0.25, 0.8, 1.5):
         got = continuous_accumulator(neg, cos_arc, t)[0]
         assert abs(got - (-np.sin(t))) < 1e-10
@@ -215,8 +215,9 @@ def test_continuous_accumulator_piecewise_linear_panels():
 
 
 def test_volterra_adjoint_integral_cases():
-    const_p = CallableArc(lambda t: np.array([2.0, -1.0]), lambda t: np.zeros(2))
-    x_arc = CallableArc(lambda t: np.zeros(2), lambda t: np.zeros(2))
+    const_p = oracles.per_row_arc(lambda t: np.array([2.0, -1.0]),
+                                  lambda t: np.zeros(2))
+    x_arc = oracles.per_row_arc(lambda t: np.zeros(2), lambda t: np.zeros(2))
     z = volterra_adjoint_integral(VolterraKernel.zero(), x_arc, const_p, 0.3, 1.0)
     assert np.allclose(z, 0.0)
 
@@ -227,8 +228,8 @@ def test_volterra_adjoint_integral_cases():
 
     neg1 = VolterraKernel(lambda t, s, x: -np.atleast_1d(x),
                           jac=lambda t, s, x: -np.eye(1))
-    ramp_p = CallableArc(lambda t: np.array([t]), lambda t: np.ones(1))
-    x1 = CallableArc(lambda t: np.ones(1), lambda t: np.zeros(1))
+    ramp_p = oracles.per_row_arc(lambda t: np.array([t]), lambda t: np.ones(1))
+    x1 = oracles.per_row_arc(lambda t: np.ones(1), lambda t: np.zeros(1))
     got = volterra_adjoint_integral(neg1, x1, ramp_p, 0.5, 1.0)
     assert abs(got[0] - (-0.375)) < 1e-13  # -(1 - 0.25)/2
 
@@ -556,7 +557,8 @@ def test_memory_integrals_match_the_walk_on_random_meshes(dim, tmp_path):
     kernels = [_nonlinear_kernel(dim)]
     kernels += [kern for _, kern, d in _shipped_kernels(tmp_path) if d == dim]
     w = rng.uniform(0.5, 2.0, dim)
-    smooth = CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t))
+    smooth = CallableArc(lambda t: np.cos(np.multiply.outer(t, w)),
+                         lambda t: -w * np.sin(np.multiply.outer(t, w)))
     for k in (1, 4, 11):
         mesh = _random_mesh(rng, k, 1.6)
         fine = mesh.refine().refine().refine()  # a simulated reference's mesh
@@ -599,7 +601,7 @@ def test_mesh_panels_agree_with_uniform_panels_on_closed_forms():
 def test_accumulator_shares_one_arc_evaluation_across_times():
     kern = catalog.get("damped_volterra").problem.kernel
     calls = _CountingArc(lambda t: np.array([math.cos(t), t]))
-    arc = CallableArc(calls, lambda t: np.array([-math.sin(t), 1.0]))
+    arc = oracles.per_row_arc(calls, lambda t: np.array([-math.sin(t), 1.0]))
     times = np.linspace(0.05, 1.0, 150)  # three blocks of times
     out = continuous_accumulator(kern, arc, times)
     # 63 whole panels of [0, 1], then the cut panel of each time
@@ -672,7 +674,8 @@ def test_exponential_path_matches_the_row_rule(dim):
                                               rng.choice(times.size, 2)]))
             p = PiecewiseLinearArc(mesh, rng.normal(size=(k + 1, dim)))
             w = rng.uniform(0.5, 2.0, dim)
-            smooth = CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t))
+            smooth = CallableArc(lambda t: np.cos(np.multiply.outer(t, w)),
+                                 lambda t: -w * np.sin(np.multiply.outer(t, w)))
             for arc in (traj.arc(), smooth):
                 got = _memory_integrals(kern, arc, times, mesh)
                 assert not got[0].any()

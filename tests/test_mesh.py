@@ -157,7 +157,8 @@ def _arcs(mesh, dim, rng):
         PiecewiseLinearArc(mesh, rng.normal(size=(mesh.k + 1, dim))),
         PiecewiseConstantArc(mesh, rng.normal(size=(mesh.k, dim)),
                              value_at_zero=rng.normal(size=dim)),
-        CallableArc(lambda t: np.cos(w * t), lambda t: -w * np.sin(w * t)),
+        CallableArc(lambda t: np.cos(np.multiply.outer(t, w)),
+                    lambda t: -w * np.sin(np.multiply.outer(t, w))),
     ]
 
 
@@ -219,7 +220,7 @@ def test_dense_samples_and_sup_distance_match_the_loops():
     grid = mesh.dense_samples()
     assert np.array_equal(grid, np.sort(np.concatenate(chunks)))
     arc = PiecewiseLinearArc(mesh, rng.normal(size=(mesh.k + 1, 2)))
-    ref = CallableArc(lambda t: np.array([np.sin(t), t * t]),
-                      lambda t: np.array([np.cos(t), 2 * t]))
+    ref = CallableArc(lambda t: np.stack([np.sin(t), t * t], axis=-1),
+                      lambda t: np.stack([np.cos(t), 2 * t], axis=-1))
     want = max(float(np.linalg.norm(arc.eval(t) - ref.eval(t))) for t in grid)
     assert sup_distance(mesh, arc, ref) == want

@@ -59,7 +59,7 @@ def cases(tmp_path_factory):
     # a simulated reference: piecewise linear, feasible
     out["identity_decay"] = (prob, simulate(prob, TimeMesh.uniform(48, 1.0)).arc())
     # an arc that leaves the velocity set: the defect integrand is nonzero
-    out["infeasible"] = (prob, CallableArc(
+    out["infeasible"] = (prob, oracles.per_row_arc(
         lambda t: np.array([1.0 + 2.0 * t, np.sin(3.0 * t)]),
         lambda t: np.array([2.0, 3.0 * np.cos(3.0 * t)])))
     return out
@@ -216,8 +216,8 @@ def test_single_cell_pipeline(name):
 def test_discrete_problem_takes_the_reference_samples_of_its_approximation():
     entry = catalog.get("damped_volterra")
     times = []
-    ref = CallableArc(lambda t: times.append(t) or entry.reference.fn(t),
-                      lambda t: times.append(t) or entry.reference.dfn(t))
+    ref = CallableArc(lambda t: times.extend(t) or entry.reference.fn(t),
+                      lambda t: times.extend(t) or entry.reference.dfn(t))
     mesh = TimeMesh.uniform(8, entry.problem.horizon)
     traj, rep = approximate_arc(entry.problem, ref, mesh)
     times.clear()
