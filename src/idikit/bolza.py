@@ -146,12 +146,11 @@ def cost_breakdown(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
     return terminal, running, tracking
 
 
-def _running_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-                   rows: slice = slice(None)):
-    """(grad_x l, grad_v l) at the nodes j = 0..k-1, or at the ``rows`` of
-    them, (rows, n) each, from one stacked call."""
+def _running_grads(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
+    """(grad_x l, grad_v l) at the nodes j = 0..k-1, (k, n) each, from one
+    stacked call."""
     return problem.base.running_cost.gradients(
-        problem.mesh.nodes[:-1][rows], traj.states[:-1][rows], traj.velocities[rows])
+        problem.mesh.nodes[:-1], traj.states[:-1], traj.velocities)
 
 
 def cost_Jk(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:

@@ -58,8 +58,9 @@ class DegenerateMultiplierError(ValueError):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Normalized multipliers (lam, p_0..p_k) with their coupling tensors
-    and the graph normal cones of the nodes j = 0..k-1.
+    """Normalized multipliers (lam, p_0..p_k) with their coupling tensors,
+    the running-cost gradients and the graph normal cones of the nodes
+    j = 0..k-1.
 
     Normalized so that lam + |p_k| is exactly 1.  ``normalization`` records
     the raw magnitudes; ``m_l`` is the sampled bound on the running-cost
@@ -69,6 +70,8 @@ class MultiplierSet:
     lam: float
     p: np.ndarray  # (k+1, n)
     tensors: QuadratureTensors
+    glx: np.ndarray  # (k, n)
+    glv: np.ndarray  # (k, n)
     cones: Sequence[GraphNormalCone]
     normalization: dict
     m_l: float
@@ -161,8 +164,8 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
         m_l = max(float(np.linalg.norm(glx, axis=1).max()),
                   float(np.linalg.norm(glv, axis=1).max()))
     theta_l1 = float(np.linalg.norm(tensors.theta, axis=1).sum())
-    return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, cones=cones,
-                         normalization=norm_rec, m_l=m_l, theta_l1=theta_l1)
+    return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, glx=glx, glv=glv,
+                         cones=cones, normalization=norm_rec, m_l=m_l, theta_l1=theta_l1)
 
 
 def nontriviality_value(mult: MultiplierSet) -> float:
@@ -188,49 +191,40 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
             + (a * h + lf) * mult.theta_l1) * math.exp(T * (3.0 * a * T + lf))
 
 
-def _el_pair(problem: DiscreteBolzaProblem, mult: MultiplierSet, j: int,
-             coupling: np.ndarray, glx: np.ndarray, glv: np.ndarray):
-    """The node-j adjoint pair, given the running-cost gradients there."""
+def _el_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet, j: int,
+                 coupling: np.ndarray) -> float:
+    """The node-j residual, given the memory coupling of p there."""
     h = problem.mesh.steps[j]
     t = mult.tensors
+    glx, glv = mult.glx[j], mult.glv[j]
     pin = mult.lam * (glv + t.theta[j] / h)
     lhs1 = ((mult.p[j + 1] - mult.p[j]) / h
             + 2.0 / h * t.mu[j] @ mult.p[j + 1]
             - (t.mu[j] @ pin) / h
             + coupling / h)
     lhs2 = mult.p[j + 1] - mult.lam * t.theta[j] / h
-    return lhs1 - mult.lam * glx, lhs2 - mult.lam * glv
+    d, _ = mult.cones[j].pair_distance(lhs1 - mult.lam * glx, lhs2 - mult.lam * glv)
+    return d
 
 
-def _el_residuals(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-                  mult: MultiplierSet) -> np.ndarray:
+def _el_residuals(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
     j = k-1 down: the order in which the memory coupling is a running sum."""
-    glx, glv = _running_grads(problem, traj)
     coupling = mult.tensors.backward_coupling(mult.p[1:])
     out = np.empty(problem.mesh.k)
     for j in range(problem.mesh.k - 1, -1, -1):
-        q_x, q_u = _el_pair(problem, mult, j, coupling(j), glx[j], glv[j])
-        out[j], _ = mult.cones[j].pair_distance(q_x, q_u)
+        out[j] = _el_residual(problem, mult, j, coupling(j))
     return out
 
 
-def euler_lagrange_residual(problem: DiscreteBolzaProblem,
-                            traj: DiscreteTrajectory, mult: MultiplierSet,
-                            j: int, coupling: Optional[np.ndarray] = None) -> float:
+def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
+                            j: int) -> float:
     """Distance of the node-j adjoint pair to lam*grad(l) + graph normal cone.
 
-    The cone is the one ``mult`` carries for node j, built by
-    :func:`adjoint_solve_smooth` on this trajectory.  ``coupling`` is the
-    memory coupling of p at j when the caller has it already (as a backward
-    sweep does); else it is summed here.
+    The running-cost gradients and the cone are the ones ``mult`` carries
+    for node j, built by :func:`adjoint_solve_smooth` on its trajectory.
     """
-    if coupling is None:
-        coupling = mult.tensors.coupling(j, mult.p[1:])
-    glx, glv = _running_grads(problem, traj, slice(j, j + 1))
-    q_x, q_u = _el_pair(problem, mult, j, coupling, glx[0], glv[0])
-    d, _ = mult.cones[j].pair_distance(q_x, q_u)
-    return d
+    return _el_residual(problem, mult, j, mult.tensors.coupling(j, mult.p[1:]))
 
 
 def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,
@@ -288,14 +282,14 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     """
     terms = _trajectory_terms(problem, traj)
     mult = _adjoint_sweep(problem, traj, terms, 1.0, endpoint_normal)
-    el = _el_residuals(problem, traj, mult).max()
+    el = _el_residuals(problem, mult).max()
     if el <= resid_tol:
         return mult, "normal"
     try:
         mult0 = _adjoint_sweep(problem, traj, terms, 0.0, endpoint_normal)
     except DegenerateMultiplierError:
         return mult, "normal-degraded"
-    el0 = _el_residuals(problem, traj, mult0).max()
+    el0 = _el_residuals(problem, mult0).max()
     if el0 <= resid_tol or el0 < el:
         return mult0, "abnormal"
     return mult, "normal-degraded"
@@ -340,7 +334,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     """
     mesh = problem.mesh
     base = problem.base
-    el = _el_residuals(problem, traj, mult)
+    el = _el_residuals(problem, mult)
     omega = problem.omega_k if transversality_omega is None else transversality_omega
     trans = transversality_residual(base, traj.states[-1], mult.terminal,
                                     mult.lam, omega=omega, tol=1e-5)
@@ -409,8 +403,9 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
                     cone_p.jacobian - cone0.jacobian)))
         glx, glv = problem.running_cost.gradients(np.full(n_dirs, t), x_p, v_p)
         cost_gap = max(
-            float(_norm(glx - glx0).max()), float(_norm(glv - glv0).max()),
-            max(float(np.linalg.norm(np.atleast_1d(problem.terminal_cost.grad(xi))
-                                     - gphi0)) for xi in x_p))
+            float(_norm(glx - glx0).max(initial=0.0)),
+            float(_norm(glv - glv0).max(initial=0.0)),
+            max((float(np.linalg.norm(np.atleast_1d(problem.terminal_cost.grad(xi))
+                                      - gphi0)) for xi in x_p), default=0.0))
         out.append((float(delta), gen_gap, cost_gap))
     return out

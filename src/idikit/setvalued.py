@@ -77,6 +77,8 @@ class _OffsetMap:
 
         The drift does not depend on t, so the map is autonomous by
         construction and :func:`averaged_modulus` returns 0 without sampling.
+        It takes one state (n,) or a stack (N, n), which gives each row bit
+        for bit as the one state would.
         """
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -84,12 +86,12 @@ class _OffsetMap:
         A.setflags(write=False)
         n = A.shape[0]
         if not A.any():  # exact zeros: A @ x would give -0.0 for some x
-            f = lambda t, x: np.zeros(n)
+            f = lambda t, x: np.zeros(np.shape(np.atleast_1d(x)))
         elif n == 1:  # one product keeps the sign of zero; A @ x adds 0.0
             a = A[0, 0]
             f = lambda t, x: a * np.atleast_1d(x)
-        else:
-            f = lambda t, x: A @ np.atleast_1d(x)
+        else:  # one A @ x_i per row
+            f = lambda t, x: (A @ np.asarray(x)[..., None])[..., 0]
         fmap = cls(f, *body, jac=lambda t, x: A)
         fmap._linear = A
         return fmap
@@ -396,17 +398,12 @@ def _as_state(x) -> np.ndarray:
 def _centers(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """f(t_i, x_i) for the rows of a stack, shape (N, n).
 
-    A map built with ``linear`` gives the whole stack in closed form, row by
-    row bit for bit its ``center``; any other drift is called row by row.
+    A map built with ``linear`` gives the whole stack from one call of its
+    drift; any other drift is called row by row.
     """
-    A = fmap._linear
-    if A is None:
-        return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
-    if not A.any():
-        return np.zeros(X.shape)
-    if A.shape[0] == 1:
-        return A[0, 0] * X
-    return (A @ X[..., None])[..., 0]  # one A @ x_i per row, as ``center``
+    if fmap._linear is not None:
+        return fmap._f(t, X)
+    return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
 
 
 def _jacobians(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray):

@@ -106,7 +106,7 @@ def test_el_residual_zero_dynamics_zero_multipliers():
     dbp = _wrap_discrete(prob, mesh, traj.arc())
     mult = adjoint_solve_smooth(dbp, traj)
     for j in range(5):
-        assert euler_lagrange_residual(dbp, traj, mult, j) < 1e-14
+        assert euler_lagrange_residual(dbp, mult, j) < 1e-14
 
 
 def test_el_residual_small_at_lq_stationary_point(ball_entry):
@@ -117,15 +117,14 @@ def test_el_residual_small_at_lq_stationary_point(ball_entry):
     assert log.stationary
     mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=log.endpoint_normal)
     for j in range(mesh.k):
-        assert euler_lagrange_residual(dbp, traj, mult, j) < 1e-7
+        assert euler_lagrange_residual(dbp, mult, j) < 1e-7
     # perturbing one adjoint node must be seen by the residual
+    from dataclasses import replace
     bumped_p = mult.p.copy()
     bumped_p[5] += 0.1
-    bumped = MultiplierSet(lam=mult.lam, p=bumped_p, tensors=mult.tensors,
-                           cones=mult.cones, normalization=mult.normalization,
-                           m_l=mult.m_l, theta_l1=mult.theta_l1)
-    r4 = euler_lagrange_residual(dbp, traj, bumped, 4)
-    r5 = euler_lagrange_residual(dbp, traj, bumped, 5)
+    bumped = replace(mult, p=bumped_p)
+    r4 = euler_lagrange_residual(dbp, bumped, 4)
+    r5 = euler_lagrange_residual(dbp, bumped, 5)
     assert max(r4, r5) > 0.05  # sensitivity ~ delta / h or delta
 
 
@@ -139,7 +138,7 @@ def test_el_residual_small_at_polytope_stationary_point(polytope_entry):
     mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=log.endpoint_normal)
     for j in range(mesh.k):
         # the certified link: residual within 10x the stationarity tolerance
-        assert euler_lagrange_residual(dbp, traj, mult, j) < 10 * 1e-8
+        assert euler_lagrange_residual(dbp, mult, j) < 10 * 1e-8
     rep = build_condition_report(dbp, traj, mult, x_arc=polytope_entry.reference)
     assert rep.transversality < 1e-6
     assert rep.adjoint_bound_ok
@@ -219,14 +218,16 @@ def test_transversality_cases():
 def test_nontriviality_value_literal():
     tensors_dummy = None
     mult = MultiplierSet(lam=0.3, p=np.array([[0.0], [0.7]]),
-                         tensors=tensors_dummy, cones=(),
+                         tensors=tensors_dummy, glx=np.zeros((1, 1)),
+                         glv=np.zeros((1, 1)), cones=(),
                          normalization={"raw_lambda": 0.6,
                                         "raw_terminal_norm": 1.4,
                                         "scale": 0.5, "p_trivial": False},
                          m_l=0.0, theta_l1=0.0)
     assert nontriviality_value(mult) == pytest.approx(1.0)
     degenerate = MultiplierSet(lam=0.0, p=np.zeros((2, 1)),
-                               tensors=tensors_dummy, cones=(),
+                               tensors=tensors_dummy, glx=np.zeros((1, 1)),
+                               glv=np.zeros((1, 1)), cones=(),
                                normalization={"raw_lambda": 0.0,
                                               "raw_terminal_norm": 0.0,
                                               "scale": 1.0, "p_trivial": True},
@@ -287,6 +288,9 @@ def test_perturbation_robustness_decreasing():
     cost = [r[2] for r in rows]
     assert gen[0] > gen[1] > gen[2] > 0
     assert cost[0] > cost[1] > cost[2] > 0
+    # no directions: nothing is perturbed, so both gaps are 0
+    assert perturbation_robustness(prob, 0.0, x, v, [1e-2, 1e-3], n_dirs=0) \
+        == [(1e-2, 0.0, 0.0), (1e-3, 0.0, 0.0)]
 
 
 def test_recover_multipliers_routes(cos_t_entry):
@@ -374,8 +378,8 @@ def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
             assert np.array_equal(cone.generators, want.generators)
 
     calls.clear()
-    el = conditions._el_residuals(dbp, traj, mult)
-    assert [euler_lagrange_residual(dbp, traj, mult, j)
+    el = conditions._el_residuals(dbp, mult)
+    assert [euler_lagrange_residual(dbp, mult, j)
             for j in range(mesh.k)] == list(el)
     assert calls == []
     rep = build_condition_report(dbp, traj, mult, x_arc=polytope_entry.reference)
@@ -386,4 +390,4 @@ def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
     # every velocity slot free, so the residuals change
     free = replace(mult, cones=[GraphNormalCone("subspace", c.jacobian)
                                 for c in mult.cones])
-    assert not np.array_equal(conditions._el_residuals(dbp, traj, free), el)
+    assert not np.array_equal(conditions._el_residuals(dbp, free), el)

@@ -234,6 +234,16 @@ def _linear_maps(rng):
     ]
 
 
+def _matvec(A, x):
+    """A x for one state: zeros for a zero A, one product for n = 1 (either
+    keeps the sign of zero that A @ x would not), else A @ x."""
+    if not A.any():
+        return np.zeros(x.size)
+    if A.shape[0] == 1:
+        return A[0, 0] * x
+    return A @ x
+
+
 def test_linear_drift_centers_match_the_rows():
     rng = np.random.default_rng(13)
     for fmap in _linear_maps(rng):
@@ -245,6 +255,10 @@ def test_linear_drift_centers_match_the_rows():
             got, want = _centers(fmap, t, X), centers(fmap, t, X)
             _assert_rel(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+            # ``center`` is the matrix-vector product of one state, bit for bit
+            rows = np.array([_matvec(fmap._linear, x) for x in X])
+            assert np.array_equal(want, rows)
+            assert np.array_equal(np.signbit(want), np.signbit(rows))
 
 
 def test_linear_cones_carry_the_matrix():
