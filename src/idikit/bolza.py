@@ -15,16 +15,17 @@ rectangle integral).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import DiscreteTrajectory, _check_finite, _march, approximate_arc
-from .kernel import assemble_tensors
-from .mesh import TimeMesh, _sample, _sq_integral, cell_gauss_points
+from .dynamics import (DiscreteTrajectory, _check_finite, _march,
+                       _sample_reference, approximate_arc)
+from .kernel import _discretize, _Discretization, _tensors
+from .mesh import TimeMesh, _sq_integral
 from .problem import InflatedSet, ProblemData
-from .setvalued import _centers, _jacobians, _norm
+from .setvalued import _centers, _norm
 
 __all__ = [
     "DiscreteBolzaProblem",
@@ -47,9 +48,10 @@ class DiscreteBolzaProblem:
     ``omega_k`` is the endpoint set inflated by the nodal error majorant of
     the approximation run that produced the initial point; the localization
     constraints (nodal eps/2 tube, derivative-L2 budget eps/2) are recorded
-    and enforced as a trust region by the solver.  The reference is sampled
-    once, at the nodes and its derivative at the cell Gauss points, unless
-    ``reference_samples`` hands over those two arrays.
+    and enforced as a trust region by the solver.  The discretization of the
+    mesh and the reference sampled on it, taken by every cost, gradient and
+    trial step, are those of the approximation run when
+    :func:`build_discrete_problem` hands them over, else built here.
     """
 
     base: ProblemData
@@ -58,24 +60,20 @@ class DiscreteBolzaProblem:
     zeta_k: float
     epsilon: float
     omega_k: InflatedSet
-    reference_samples: InitVar[Optional[tuple]] = None
+    _disc: Optional[_Discretization] = field(default=None, repr=False,
+                                             compare=False)
 
-    def __post_init__(self, reference_samples):
-        # sampled once for every cost evaluation, gradient and trial step
-        if reference_samples is None:
-            reference_samples = (
-                _sample(self.reference, self.mesh.nodes),
-                _sample(self.reference.derivative, cell_gauss_points(self.mesh)[0]))
-        for name, arr in zip(("_ref_nodes", "_ref_dot"), reference_samples):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __post_init__(self):
+        if self._disc is None:
+            object.__setattr__(self, "_disc", _sample_reference(
+                self.reference, _discretize(self.base.kernel, self.mesh)))
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def reference_nodes(self) -> np.ndarray:
-        return self._ref_nodes
+        return self._disc.ref_nodes
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,8 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     Runs the arc approximation to obtain the initial trajectory and its
     error report (or reuses a precomputed (trajectory, report) pair from
     the same mesh); the report's nodal majorant becomes the endpoint
-    inflation, and the reference samples it carries are not taken again.
+    inflation, and the discretization and reference samples it carries are
+    not built again.
     Returns (discrete problem, initial controls, initial trajectory, report).
     """
     if precomputed is None:
@@ -105,7 +104,7 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     dbp = DiscreteBolzaProblem(
         base=problem, mesh=mesh, reference=reference, zeta_k=report.zeta_k,
         epsilon=problem.epsilon, omega_k=InflatedSet(problem.omega, report.zeta_k),
-        reference_samples=report.reference_samples)
+        _disc=report._disc)
     controls = _controls_from_trajectory(problem, traj).projected(dbp)
     return dbp, controls, traj, report
 
@@ -120,14 +119,14 @@ def forward_trajectory(problem: DiscreteBolzaProblem,
                        controls: ControlParameterization) -> DiscreteTrajectory:
     """Evaluate the dynamics for given controls; feasibility is exact."""
     center, t = problem.base.fmap.center, problem.mesh.nodes
-    return _march(problem.base, problem.mesh,
+    return _march(problem.base, problem._disc,
                   lambda j, x, w: center(t[j], x) + controls.u[j] + w,
                   "forward_trajectory")
 
 
 def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
-    _, wts = cell_gauss_points(problem.mesh)
-    return _sq_integral(wts, traj.velocities[:, None] - problem._ref_dot)
+    disc = problem._disc
+    return _sq_integral(disc.wts, traj.velocities[:, None] - disc.ref_dot)
 
 
 def cost_breakdown(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
@@ -159,10 +158,6 @@ def cost_Jk(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
     return terminal + running + tracking
 
 
-def _penalty(problem: DiscreteBolzaProblem, x_end: np.ndarray, rho: float) -> float:
-    return rho * problem.omega_k.distance(x_end)
-
-
 def _penalty_gradient(problem: DiscreteBolzaProblem, x_end: np.ndarray,
                       rho: float) -> np.ndarray:
     d = problem.omega_k.distance(x_end)
@@ -171,12 +166,16 @@ def _penalty_gradient(problem: DiscreteBolzaProblem, x_end: np.ndarray,
     return rho * (x_end - problem.omega_k.project(x_end)) / d
 
 
-def _objective(problem: DiscreteBolzaProblem, controls: ControlParameterization,
+def _objective(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                rho: float):
-    """(penalized objective, cost, trajectory) of the controls."""
-    traj = forward_trajectory(problem, controls)
-    cost = cost_Jk(problem, traj)
-    return cost + _penalty(problem, traj.states[-1], rho), cost, traj
+    """(penalized objective, cost, nodal distance, derivative budget) of a
+    trajectory; the solver holds the last two to eps/2 as a trust region,
+    and the budget is twice the cost's own tracking part."""
+    terminal, running, tracking = cost_breakdown(problem, traj)
+    cost = terminal + running + tracking
+    penalty = rho * problem.omega_k.distance(traj.states[-1])
+    nodal = float(_norm(traj.states[:-1] - problem.reference_nodes()[:-1]).max())
+    return cost + penalty, cost, nodal, 2.0 * tracking
 
 
 def cost_gradient(problem: DiscreteBolzaProblem,
@@ -184,8 +183,8 @@ def cost_gradient(problem: DiscreteBolzaProblem,
                   traj: Optional[DiscreteTrajectory] = None):
     """Exact gradient of the (possibly penalized) cost in the controls.
 
-    One forward evaluation, one tensor assembly at the current states, one
-    stacked call for the running-cost gradients, one backward sweep.
+    One forward evaluation, the trajectory's tensors, one stacked call for
+    the running-cost gradients, one backward sweep.
     Returns (gradient (k, n), trajectory).
     The adjoint seed is the terminal-cost gradient plus the endpoint penalty
     gradient; each step accumulates the running-cost gradients, the drift
@@ -198,11 +197,10 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     h = mesh.steps
     if traj is None:
         traj = forward_trajectory(problem, controls)
-    tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
-                               problem.reference_nodes())
+    tensors = _tensors(problem._disc, traj.states, traj.w, traj.velocities)
 
     glx, glv = _running_grads(problem, traj)
-    jacs = _jacobians(base.fmap, mesh.nodes[:-1], traj.states[:-1])
+    jac, t, x = base.fmap.jacobian, mesh.nodes, traj.states
 
     lam_next = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
@@ -213,7 +211,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         s_j = h[j] * glv[j] + tensors.theta[j] + h[j] * lam_next
         grad[j] = s_j
         r[j] = s_j / h[j]
-        lam_next = (lam_next + h[j] * glx[j] + jacs[j].T @ s_j
+        lam_next = (lam_next + h[j] * glx[j] + jac(t[j], x[j]).T @ s_j
                     + tensors.mu[j] @ s_j / h[j] + coupling(j))
     _check_finite("cost_gradient", mesh, grad, backward=True)
     return grad, traj
@@ -259,14 +257,6 @@ def _scaled_projected_gradient_norm(problem, controls, grad):
     return float(_norm(gap).max())
 
 
-def _trust_region_ok(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
-    ref_nodes = problem.reference_nodes()
-    half = problem.epsilon / 2.0
-    nodal = float(_norm(traj.states[:-1] - ref_nodes[:-1]).max())
-    budget = _tracking_term(problem, traj)
-    return nodal <= half, budget <= half, nodal, budget
-
-
 def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
              opts: SolveOptions = SolveOptions()):
     """Projected-gradient descent with Armijo line search and exact penalty.
@@ -278,14 +268,14 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
     """
     body = problem.base.fmap
     h = problem.mesh.steps
+    half = problem.epsilon / 2.0
     log = SolveLog()
     controls = init.projected(problem)
     rho = RHO0
 
     while True:  # penalty escalation stages
         grad, traj = cost_gradient(problem, controls, rho)
-        cost = cost_Jk(problem, traj)
-        obj = cost + _penalty(problem, traj.states[-1], rho)
+        obj, cost, nodal, budget = _objective(problem, traj, rho)
         alpha = ALPHA0
         while True:
             gnorm = _scaled_projected_gradient_norm(problem, controls, grad)
@@ -307,10 +297,11 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
                 cand = ControlParameterization(body.project_body(
                     controls.u - trial_alpha * grad / h[:, None]))
                 slope = float(np.sum(grad * (cand.u - controls.u)))
-                cand_obj, cand_cost, cand_traj = _objective(problem, cand, rho)
-                tube_ok, budget_ok, _, _ = _trust_region_ok(problem, cand_traj)
+                cand_traj = forward_trajectory(problem, cand)
+                cand_obj, cand_cost, cand_nodal, cand_budget = _objective(
+                    problem, cand_traj, rho)
                 if cand_obj <= obj + ARMIJO_C1 * slope + noise \
-                        and tube_ok and budget_ok:
+                        and cand_nodal <= half and cand_budget <= half:
                     accepted = True
                     break
                 trial_alpha *= BACKTRACK
@@ -324,7 +315,7 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             controls = cand
             prev_grad = grad
             grad, traj = cost_gradient(problem, controls, rho, traj=cand_traj)
-            obj, cost = cand_obj, cand_cost
+            obj, cost, nodal, budget = cand_obj, cand_cost, cand_nodal, cand_budget
             # spectral (Barzilai-Borwein) step for the next trial, in the
             # mesh-scaled metric the projection step uses
             y_step = (grad - prev_grad) / h[:, None]
@@ -345,7 +336,6 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
         rho *= RHO_GROWTH
         log.stationary = False
 
-    _, _, nodal, budget = _trust_region_ok(problem, traj)
     log.tube_active = bool(nodal > 0.95 * problem.epsilon / 2.0)
     log.budget_active = bool(budget > 0.95 * problem.epsilon / 2.0)
     if not log.stationary and not log.message:

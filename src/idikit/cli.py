@@ -151,7 +151,7 @@ def run_convergence_study(cfg: ExperimentConfig):
                      crep.el_max, crep.volterra_median, crep.transversality,
                      crep.nontriviality, flags))
         meta.append({"k": k, "iterations": log.iterations,
-                     "stationary": log.stationary,
+                     "stationary": log.stationary, "message": log.message,
                      "endpoint_violation": float(log.endpoint_violation),
                      "tube_active": log.tube_active,
                      "budget_active": log.budget_active,
@@ -269,12 +269,14 @@ def run_bound_audit(cfg: ExperimentConfig):
     for policy in cfg.audit_policies:
         traj = _simulate(cfg, mesh, policy)
         sizes = 1.0 + _norm(traj.arc().eval(grid))
-        first = int(np.argmax(sizes))  # the first time the sup is hit
-        witness_t = float(grid[first])
-        worst_vel = float(np.linalg.norm(traj.velocities, axis=1).max())
-        for label, check, value, bound in (
-                ("trajectory_bound_M1", "M1", float(sizes[first]), m1),
-                ("velocity_bound_M2", "M2", worst_vel, m2)):
+        speeds = np.linalg.norm(traj.velocities, axis=1)
+        # the first time the sup is hit, and the start of the first fastest cell
+        first, fastest = int(np.argmax(sizes)), int(np.argmax(speeds))
+        for label, check, value, bound, witness_t in (
+                ("trajectory_bound_M1", "M1", float(sizes[first]), m1,
+                 float(grid[first])),
+                ("velocity_bound_M2", "M2", float(speeds[fastest]), m2,
+                 float(mesh.nodes[fastest]))):
             ok = value <= bound + 1e-9
             rows.append((label, policy, "pass" if ok else "FAIL", value, bound,
                          witness_t))

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bolza import DiscreteBolzaProblem, _running_grads
 from .dynamics import DiscreteTrajectory, _check_finite
 from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
-                     assemble_tensors)
+                     _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
 from .setvalued import GraphNormalCone, _norm, graph_normal_cone
@@ -82,27 +82,17 @@ class MultiplierSet:
         return self.p[-1]
 
 
-class _TrajectoryTerms(NamedTuple):
+def _trajectory_terms(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
     """What the multipliers of one trajectory share, whatever lam: the
     coupling tensors, the running-cost gradients (k, n) and the graph normal
     cones of the nodes j = 0..k-1."""
-
-    tensors: QuadratureTensors
-    glx: np.ndarray
-    glv: np.ndarray
-    cones: Sequence[GraphNormalCone]
-
-
-def _trajectory_terms(problem: DiscreteBolzaProblem,
-                      traj: DiscreteTrajectory) -> _TrajectoryTerms:
     base = problem.base
     mesh = problem.mesh
-    tensors = assemble_tensors(base.kernel, mesh, traj.states, traj.velocities,
-                               problem.reference_nodes())
+    tensors = _tensors(problem._disc, traj.states, traj.w, traj.velocities)
     glx, glv = _running_grads(problem, traj)
     cones = graph_normal_cone(base.fmap, mesh.nodes[:-1], traj.states[:-1],
-                              traj.velocities - tensors.w, CONE_TOL_FEAS)
-    return _TrajectoryTerms(tensors, glx, glv, cones)
+                              traj.velocities - traj.w, CONE_TOL_FEAS)
+    return tensors, glx, glv, cones
 
 
 def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
@@ -124,7 +114,7 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
 
 
 def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
-                   terms: _TrajectoryTerms, lam: float,
+                   terms: tuple, lam: float,
                    endpoint_normal: Optional[np.ndarray]) -> MultiplierSet:
     """:func:`adjoint_solve_smooth` on terms already built for ``traj``."""
     base = problem.base

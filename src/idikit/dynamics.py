@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .kernel import _memory_averages, _memory_integrals, assemble_w
+from .kernel import (_assemble_w, _discretize, _Discretization,
+                     _memory_averages, _memory_integrals, assemble_w)
 from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
-                   cell_gauss_points, l2_distance, sup_distance)
+                   l2_distance, sup_distance)
 from .problem import ProblemData
 from .setvalued import _norm, averaged_modulus, distance_and_projection
 
@@ -118,12 +119,12 @@ def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
         "extreme": lambda j, x, w: fmap.sample_extreme(t[j], x, rng) + w,
         "constant": lambda j, x, w: fmap.center(t[j], x) + constant_deviation + w,
     }[policy]
-    return _march(problem, mesh, select, "simulate")
+    return _march(problem, _discretize(problem.kernel, mesh), select, "simulate")
 
 
-def _march(problem: ProblemData, mesh: TimeMesh, select,
+def _march(problem: ProblemData, disc: _Discretization, select,
            stage: str) -> DiscreteTrajectory:
-    """Explicit steps x_{j+1} = x_j + h_j v_j from x_0.
+    """Explicit steps x_{j+1} = x_j + h_j v_j from x_0 on ``disc``'s mesh.
 
     ``select(j, x_j, w_j)`` picks the velocity v_j given the node state and
     the frozen-node memory average w_j of the states so far, bit for bit
@@ -131,12 +132,13 @@ def _march(problem: ProblemData, mesh: TimeMesh, select,
     :class:`NonFiniteStateError`, naming ``stage``, at the first node j
     whose v_j, w_j or x_{j+1} is not finite.
     """
+    mesh = disc.mesh
     k, n = mesh.k, problem.dim
     states = np.empty((k + 1, n))
     vels = np.empty((k, n))
     ws = np.empty((k, n))
     states[0] = problem.x0
-    w_of = _memory_averages(problem.kernel, mesh)
+    w_of = _memory_averages(disc)
     for j in range(k):
         w_j = w_of(j, states)
         v_j = select(j, states[j], w_j)
@@ -164,10 +166,9 @@ class ApproximationErrorReport:
     ``zeta_k`` bounds the nodal error, ``beta_k`` the squared derivative-L2
     error, ``xi_k`` is the step-density error of the cell-averaged
     derivative, ``nu_k`` the derivative-L1 error.  The measured columns must
-    stay below their majorants (checked by :meth:`dominates`).
-    ``reference_samples`` holds what the run sampled of the reference for a
-    discrete problem on the same mesh to reuse: its nodal values and its
-    derivative at the cell Gauss points.
+    stay below their majorants (checked by :meth:`dominates`).  ``_disc``
+    carries the run's discretization, with the reference sampled on it, to a
+    discrete problem on the same mesh.
     """
 
     k: int
@@ -184,7 +185,7 @@ class ApproximationErrorReport:
     sup_error: float
     state_l2_error: float
     deriv_l2_error: float
-    reference_samples: tuple = field(repr=False, compare=False)
+    _disc: _Discretization = field(repr=False, compare=False)
 
     @property
     def w12_error(self) -> float:
@@ -206,30 +207,23 @@ def _check_finite(stage: str, mesh: TimeMesh, *rows, backward: bool = False):
         raise NonFiniteStateError(stage, mesh.k, j, float(mesh.nodes[j]))
 
 
-class _ReferenceSamples(NamedTuple):
-    """An arc at every cell Gauss point, each array of shape
-    (k, GAUSS_ORDER[, n])."""
-
-    pts: np.ndarray
-    wts: np.ndarray
-    x: np.ndarray
-    dx: np.ndarray
-    y: np.ndarray       # the memory accumulator int_0^s g(s, r, x(r)) dr
-    defect: np.ndarray  # dist(x'(s) - y(s); F(s, x(s)))
-
-    @property
-    def residual(self) -> float:
-        return math.sqrt(_sq_integral(self.wts, self.defect[..., None]))
+def _sample_reference(arc, disc: _Discretization) -> _Discretization:
+    """``disc`` with a reference arc sampled on it."""
+    return disc._replace(ref_nodes=_sample(arc, disc.mesh.nodes),
+                         ref_dot=_sample(arc.derivative, disc.pts))
 
 
-def _sample_reference(problem: ProblemData, arc, mesh: TimeMesh) -> _ReferenceSamples:
-    pts, wts = cell_gauss_points(mesh)
-    x, dx = _sample(arc, pts), _sample(arc.derivative, pts)
-    y = _memory_integrals(problem.kernel, arc, pts, mesh)
+def _inclusion_defect(problem: ProblemData, arc, disc: _Discretization):
+    """The arc x and its memory accumulator y(s) = int_0^s g(s, r, x(r)) dr
+    at the cell Gauss points, the defect dist(x'(s) - y(s); F(s, x(s)))
+    there, and the L2 norm of the defect; x' is ``disc``'s sample."""
+    x = _sample(arc, disc.pts)
+    y = _memory_integrals(problem.kernel, arc, disc.pts, disc.mesh)
     n = x.shape[-1]
-    defect, _ = distance_and_projection(problem.fmap, pts.ravel(), x.reshape(-1, n),
-                                        (dx - y).reshape(-1, n))
-    return _ReferenceSamples(pts, wts, x, dx, y, defect.reshape(pts.shape))
+    defect, _ = distance_and_projection(problem.fmap, disc.pts.ravel(), x.reshape(-1, n),
+                                        (disc.ref_dot - y).reshape(-1, n))
+    defect = defect.reshape(disc.pts.shape)
+    return x, y, defect, math.sqrt(_sq_integral(disc.wts, defect[..., None]))
 
 
 def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh) -> float:
@@ -238,7 +232,8 @@ def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh) -> float:
     The supported value families are convex, so this is also the residual
     of the convexified inclusion.
     """
-    return _sample_reference(problem, arc, mesh).residual
+    disc = _sample_reference(arc, _discretize(problem.kernel, mesh))
+    return _inclusion_defect(problem, arc, disc)[-1]
 
 
 def localization_check(candidate, reference, eps: float, mesh: TimeMesh,
@@ -266,62 +261,64 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
     reduce the same samples.  The gate passes only a residual <= feas_tol,
     and a defect that is not finite raises :class:`NonFiniteStateError`.
     """
-    ref = _sample_reference(problem, reference, mesh)
-    _check_finite("approximate_arc", mesh, ref.defect)
-    if not ref.residual <= feas_tol:
+    disc = _sample_reference(reference, _discretize(problem.kernel, mesh))
+    x, y, defect, residual = _inclusion_defect(problem, reference, disc)
+    _check_finite("approximate_arc", mesh, defect)
+    if not residual <= feas_tol:
         raise InfeasibleReferenceError(
-            f"reference arc has inclusion residual {ref.residual:.3e} > {feas_tol:.1e}")
+            f"reference arc has inclusion residual {residual:.3e} > {feas_tol:.1e}")
 
-    ref_nodes = _sample(reference, mesh.nodes)
-    if np.linalg.norm(ref_nodes[0] - problem.x0) > 1e-9:
+    if np.linalg.norm(disc.ref_nodes[0] - problem.x0) > 1e-9:
         raise InfeasibleReferenceError("reference arc does not start at x0")
 
     # exact cell averages of the reference derivative
-    a = np.diff(ref_nodes, axis=0) / mesh.steps[:, None]
+    a = np.diff(disc.ref_nodes, axis=0) / mesh.steps[:, None]
     # memory averages frozen along the reference nodes
-    b = assemble_w(problem.kernel, mesh, ref_nodes)
+    b = _assemble_w(disc, disc.ref_nodes)
 
-    traj = _march(problem, mesh, lambda j, x, w: distance_and_projection(
+    traj = _march(problem, disc, lambda j, x, w: distance_and_projection(
         problem.fmap, mesh.nodes[j], x, a[j] - b[j])[1] + w, "approximate_arc")
-    report = _error_report(problem, reference, mesh, traj, a, b, ref_nodes,
-                           ref, tau_f)
+    report = _error_report(problem, reference, traj, a, b, disc, x, y, defect,
+                           residual, tau_f)
     return traj, report
 
 
-def _error_report(problem, reference, mesh, traj, a, b, ref_nodes, ref, tau_f):
+def _error_report(problem, reference, traj, a, b, disc, x, y, defect, residual,
+                  tau_f):
+    mesh = traj.mesh
     T = mesh.horizon
     h_max = mesh.max_step
     l_f, alpha = problem.l_F, problem.alpha
     if tau_f is None:
         tau_f = estimate_tau(problem, h_max)
-    wts = ref.wts
+    pts, wts = disc.pts, disc.wts
 
     # step-density error of the cell averages
-    da = a[:, None] - ref.dx
+    da = a[:, None] - disc.ref_dot
     xi_k = math.sqrt(T * _sq_integral(wts, da))
 
     const = (2.0 * l_f + alpha * T + alpha * mesh.steps / 2.0) * xi_k + tau_f
     c = (2.0 * np.linalg.norm(da, axis=-1)
-         + np.linalg.norm(b[:, None] - ref.y, axis=-1)
-         + l_f * (ref.pts - mesh.nodes[:-1, None]) * np.linalg.norm(a, axis=-1)[:, None]
-         + const[:, None] + ref.defect)
+         + np.linalg.norm(b[:, None] - y, axis=-1)
+         + l_f * (pts - mesh.nodes[:-1, None]) * np.linalg.norm(a, axis=-1)[:, None]
+         + const[:, None] + defect)
     c_int = float(np.sum(wts * c))
     c_sq_int = float(np.sum(wts * c * c))
-    dv = traj.velocities[:, None] - ref.dx
+    dv = traj.velocities[:, None] - disc.ref_dot
     nu_k = float(np.sum(wts * np.linalg.norm(dv, axis=-1)))
 
     zeta_k = c_int * math.exp(alpha * T * T / 2.0 + T * (l_f + 1.5 * alpha * h_max))
     beta_k = c_sq_int + T * (l_f + 2.0 * alpha * T + alpha * h_max / 2.0) ** 2 * zeta_k ** 2
 
-    nodal = float(np.linalg.norm(traj.states - ref_nodes, axis=1).max())
+    nodal = float(np.linalg.norm(traj.states - disc.ref_nodes, axis=1).max())
     arc = traj.arc()
     sup_err = sup_distance(mesh, arc, reference)
-    state_l2 = math.sqrt(_sq_integral(wts, _sample(arc, ref.pts) - ref.x))
+    state_l2 = math.sqrt(_sq_integral(wts, _sample(arc, pts) - x))
 
     return ApproximationErrorReport(
         k=mesh.k, h_max=h_max, xi_k=xi_k, zeta_k=zeta_k, beta_k=beta_k,
         nu_k=nu_k, tau_f=tau_f, c_integral=c_int, c_sq_integral=c_sq_int,
-        reference_defect=ref.residual, nodal_sup_error=nodal,
+        reference_defect=residual, nodal_sup_error=nodal,
         sup_error=sup_err, state_l2_error=state_l2,
         deriv_l2_error=math.sqrt(_sq_integral(wts, dv)),
-        reference_samples=(ref_nodes, ref.dx))
+        _disc=disc)

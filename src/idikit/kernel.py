@@ -18,7 +18,8 @@ cell they give w, the backward coupling sums and mu by one running sum
 each, and only the stable factors e^{-r (>= 0)} are ever formed.  This is
 the fast-convolution recurrence of Lubich & Schaedle, SIAM J. Sci. Comput.
 24 (2002), applied to the Gauss rule itself.  Every other kernel keeps the
-row rule, which is also the oracle of the recurrence.
+row rule, which is also the oracle of the recurrence.  The cell sums are
+built once per (problem, mesh), in the discretization every layer takes.
 
 The two continuous memory integrals along arcs, int_0^t g(t, s, x(s)) ds and
 int_tau^T jac_g(t, tau, x(tau))^T p(t) dt, take an array of times in one
@@ -236,30 +237,40 @@ def _row_integrals(batch: Callable, mesh: TimeMesh, states: np.ndarray,
     return np.add.reduceat(weighted, starts, axis=0)
 
 
-# --- the exponential recurrence ---------------------------------------------
+# --- the discretization and the exponential recurrence ---------------------
 
-class _ExpCells(NamedTuple):
-    """Per-cell sums of an exponential kernel c e^{-r (t - s)} x on one mesh,
-    from the row rule's own Gauss points and triangle; arrays of shape (k,)."""
+class _Discretization(NamedTuple):
+    """A problem on one mesh, built once by :func:`_discretize` and taken by
+    every layer that works on the mesh: the cell Gauss points and weights,
+    shape (k, GAUSS_ORDER); for an exponential kernel c e^{-r (t - s)} x its
+    sums per cell, shape (k,), from the row rule's own Gauss points and
+    triangle; and, once sampled, a reference arc at the nodes, (k+1, n), and
+    its derivative at the Gauss points, (k, GAUSS_ORDER, n).  What does not
+    apply is None."""
 
-    c: float
-    rate: float
-    nodes: np.ndarray
-    steps: np.ndarray
-    tau: np.ndarray    # sum of tw e^{-r (t_q - t_j)} over cell j's Gauss points
-    sigma: np.ndarray  # sum of sw e^{-r (t_{j+1} - s_q)} over the same points
-    tri: np.ndarray    # the triangle rule's integral of e^{-r (t - s)} on cell j
-    decay: np.ndarray  # e^{-r h_j}
+    mesh: TimeMesh
+    kernel: VolterraKernel
+    pts: np.ndarray
+    wts: np.ndarray
+    tau: Optional[np.ndarray] = None    # sum of tw e^{-r (t_q - t_j)}, cell j's points
+    sigma: Optional[np.ndarray] = None  # sum of sw e^{-r (t_{j+1} - s_q)}, the same
+    tri: Optional[np.ndarray] = None    # triangle rule of e^{-r (t - s)} on cell j
+    decay: Optional[np.ndarray] = None  # e^{-r h_j}
+    ref_nodes: Optional[np.ndarray] = None
+    ref_dot: Optional[np.ndarray] = None
 
 
-def _exp_cells(kernel: VolterraKernel, mesh: TimeMesh) -> _ExpCells:
-    """The cell sums of an exponential kernel on ``mesh``, O(k) work."""
-    c, r = kernel._exp
-    nodes, h = mesh.nodes, mesh.steps
-    q, wq = cell_gauss_points(mesh)
+def _discretize(kernel: VolterraKernel, mesh: TimeMesh) -> _Discretization:
+    disc = _Discretization(mesh, kernel, *cell_gauss_points(mesh))
+    return disc if kernel._exp is None else _exp_cells(disc)
+
+
+def _exp_cells(disc: _Discretization) -> _Discretization:
+    """``disc`` with the cell sums of its exponential kernel, O(k) work."""
+    r = disc.kernel._exp[1]
+    nodes, h, q, wq = disc.mesh.nodes, disc.mesh.steps, disc.pts, disc.wts
     tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
-    return _ExpCells(
-        c, r, nodes, h,
+    return disc._replace(
         tau=np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1),
         sigma=np.sum(wq * np.exp(-r * (nodes[1:, None] - q)), axis=1),
         tri=0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS),
@@ -284,7 +295,7 @@ def _in_turn(step: Callable, cells: range, what: str) -> Callable:
     return call
 
 
-def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh):
+def _memory_averages(disc: _Discretization):
     """``w(j, states)``, the memory average of cell j, called for
     j = 0, 1, ..., k-1 in turn with ``states`` holding at least nodes 0..j.
 
@@ -293,19 +304,18 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh):
     running sum S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i, so that
     w_j = (c tau_j / h_j) S_j + (c tri_j / h_j) x_j costs O(n); any other
     kernel takes the row rule of :func:`kernel_average_w`, and the zero
-    kernel gives zeros.  A call out of turn raises :class:`KernelIndexError`.
+    kernel gives zeros.
     """
+    kernel, mesh = disc.kernel, disc.mesh
     if kernel.is_zero:
-        return _in_turn(lambda j, states: np.zeros(np.shape(states)[-1]),
-                        range(mesh.k), "memory averages")
-    if kernel._exp is None:
-        return _in_turn(lambda j, states: kernel_average_w(
-            kernel, mesh, states[:j + 1], j), range(mesh.k), "memory averages")
-    cells = _exp_cells(kernel, mesh)
+        return lambda j, states: np.zeros(np.shape(states)[-1])
+    if disc.tau is None:
+        return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j)
+    c = kernel._exp[0]
     # Python floats: a step is then four small-array operations
-    past = (cells.c * cells.tau / cells.steps).tolist()
-    own = (cells.c * cells.tri / cells.steps).tolist()
-    decay, sigma = cells.decay.tolist(), cells.sigma.tolist()
+    past = (c * disc.tau / mesh.steps).tolist()
+    own = (c * disc.tri / mesh.steps).tolist()
+    decay, sigma = disc.decay.tolist(), disc.sigma.tolist()
     running = 0.0
 
     def w(j, states):
@@ -315,7 +325,7 @@ def _memory_averages(kernel: VolterraKernel, mesh: TimeMesh):
         running = decay[j] * running + sigma[j] * x
         return w_j
 
-    return _in_turn(w, range(mesh.k), "memory averages")
+    return w
 
 
 # --- the discrete tensors ---------------------------------------------------
@@ -339,9 +349,13 @@ def kernel_average_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
 def assemble_w(kernel: VolterraKernel, mesh: TimeMesh, nodal_states) -> np.ndarray:
     """All cell averages w_0..w_{k-1}, shape (k, n); for an exponential
     kernel in O(k) by the running sum the forward march carries."""
+    return _assemble_w(_discretize(kernel, mesh), nodal_states)
+
+
+def _assemble_w(disc: _Discretization, nodal_states) -> np.ndarray:
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
-    w_of = _memory_averages(kernel, mesh)
-    return np.array([w_of(j, states) for j in range(mesh.k)])
+    w_of = _memory_averages(disc)
+    return np.array([w_of(j, states) for j in range(disc.mesh.k)])
 
 
 def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -385,15 +399,16 @@ class QuadratureTensors:
     row i = k is kept and identically zero so the adjoint recursion can sum
     to i = k without special-casing the last step.  For a zero kernel ``xi``
     is a read-only broadcast of 0.0 that stores no array.  For an
-    exponential kernel ``xi`` is None and ``cells`` holds the per-cell sums
-    it factors into, xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.
+    exponential kernel ``xi`` is None and ``cells``, the discretization,
+    holds the per-cell sums it factors into,
+    xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.
     """
 
     w: np.ndarray             # (k, n)
     theta: np.ndarray         # (k, n)
     xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero
     mu: np.ndarray            # (k, n, n)
-    cells: Optional[_ExpCells] = None
+    cells: Optional[_Discretization] = None
 
     def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
         """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
@@ -404,11 +419,11 @@ class QuadratureTensors:
         O(k n); a sweep over every j takes :meth:`backward_coupling`.
         """
         if self.cells is not None:
-            cells = self.cells
+            cells, (c, rate) = self.cells, self.cells.kernel._exp
             m = np.arange(j + 1, len(r))
-            lag = cells.nodes[m] - cells.nodes[j + 1]
-            running = (cells.tau[m] * np.exp(-cells.rate * lag)) @ r[m]
-            return cells.c * cells.sigma[j] * running
+            lag = cells.mesh.nodes[m] - cells.mesh.nodes[j + 1]
+            running = (cells.tau[m] * np.exp(-rate * lag)) @ r[m]
+            return c * cells.sigma[j] * running
         if self.xi.strides[0] == 0:  # the zero kernel's broadcast 0.0
             return np.zeros(r.shape[1])
         return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
@@ -427,7 +442,7 @@ class QuadratureTensors:
         if cells is None:
             return _in_turn(lambda j: self.coupling(j, r), range(k - 1, -1, -1),
                             "backward couplings")
-        c, tau = cells.c, cells.tau.tolist()
+        c, tau = cells.kernel._exp[0], cells.tau.tolist()
         sigma, decay = cells.sigma.tolist(), cells.decay.tolist()
         running = np.zeros(r.shape[1])
 
@@ -448,20 +463,28 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     ``reference_nodes``, shape (k+1, n).  An exponential kernel gets its
     per-cell sums in place of ``xi``, in O(k) time and memory.
     """
+    disc = _discretize(kernel, mesh)._replace(ref_nodes=reference_nodes)
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
+    return _tensors(disc, states, _assemble_w(disc, states), velocities)
+
+
+def _tensors(disc: _Discretization, states: np.ndarray, w: np.ndarray,
+             velocities) -> QuadratureTensors:
+    """:func:`assemble_tensors` on a discretization with its reference
+    nodes, given the averages ``w`` of the states: a trajectory's own, which
+    are :func:`assemble_w`'s bit for bit.  Only the row rule evaluates the
+    kernel here."""
+    mesh, kernel, cells = disc.mesh, disc.kernel, None
     k, n = mesh.k, states.shape[1]
-    w = assemble_w(kernel, mesh, states)
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    theta = mesh.steps[:, None] * v - np.diff(reference_nodes, axis=0)
+    theta = mesh.steps[:, None] * v - np.diff(disc.ref_nodes, axis=0)
     mu = np.zeros((k, n, n))
-    cells = None
     if kernel.is_zero:
         xi = np.broadcast_to(0.0, (k + 1, k, n, n))
-    elif kernel._exp is not None:
-        cells = _exp_cells(kernel, mesh)
-        xi = None
-        mu[:] = (cells.c * cells.tri)[:, None, None] * np.eye(n)
+    elif disc.tau is not None:
+        xi, cells = None, disc
+        mu[:] = (kernel._exp[0] * disc.tri)[:, None, None] * np.eye(n)
     else:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):

@@ -78,7 +78,7 @@ class _OffsetMap:
         The drift does not depend on t, so the map is autonomous by
         construction and :func:`averaged_modulus` returns 0 without sampling.
         It takes one state (n,) or a stack (N, n), which gives each row bit
-        for bit as the one state would.
+        for bit as the one state would; ``jacobian`` returns A itself.
         """
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -92,7 +92,7 @@ class _OffsetMap:
             f = lambda t, x: a * np.atleast_1d(x)
         else:  # one A @ x_i per row
             f = lambda t, x: (A @ np.asarray(x)[..., None])[..., 0]
-        fmap = cls(f, *body, jac=lambda t, x: A)
+        fmap = cls(f, *body)
         fmap._linear = A
         return fmap
 
@@ -100,6 +100,8 @@ class _OffsetMap:
         return np.atleast_1d(np.asarray(self._f(t, np.asarray(x, dtype=float)), dtype=float))
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        if self._linear is not None:
+            return self._linear
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._jac is not None:
             return np.atleast_2d(np.asarray(self._jac(t, x), dtype=float))
@@ -406,14 +408,6 @@ def _centers(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
 
 
-def _jacobians(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray):
-    """The state Jacobian of f at each row of a stack: A itself, shared by
-    every row, for a map built with ``linear``."""
-    if fmap._linear is not None:
-        return [fmap._linear] * len(X)
-    return [fmap.jacobian(ti, xi) for ti, xi in zip(t, X)]
-
-
 def distance_and_projection(fmap: _OffsetMap, t, x, z):
     """(dist(z; F(t,x)), nearest point of F(t,x) to z).
 
@@ -494,7 +488,8 @@ def graph_normal_cone(fmap: _OffsetMap, t, x, v,
             f"row {i} (t = {ts[i]:.6g}): v is {dist[i]:.3e} away from F(t,x), "
             f"beyond tol_feas={tol_feas:.1e}")
     cones = []
-    for J, wi in zip(_jacobians(fmap, ts, X), W):
+    for ti, xi, wi in zip(ts, X, W):
+        J = fmap.jacobian(ti, xi)
         kind, data = fmap.body_normal_cone(wi, tol_feas)
         if kind == "ray":
             cones.append(GraphNormalCone("ray", J, direction=data))

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from idikit.bolza import ControlParameterization, _objective
+from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
 from idikit.kernel import kernel_average_w
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
@@ -123,6 +123,13 @@ def integro_rk4(rho0, a, b1, b2, grid):
     return np.array(out)
 
 
+def penalized_objective(dbp, u, rho):
+    """J_k plus rho times the distance of the endpoint to omega_k, at the
+    controls u."""
+    traj = forward_trajectory(dbp, ControlParameterization(u))
+    return cost_Jk(dbp, traj) + rho * dbp.omega_k.distance(traj.states[-1])
+
+
 def fd_gradient(dbp, controls, rho=0.0, step=1e-6):
     """Central-difference gradient of the penalized objective."""
     u0 = controls.u.copy()
@@ -131,9 +138,8 @@ def fd_gradient(dbp, controls, rho=0.0, step=1e-6):
         for i in range(u0.shape[1]):
             up = u0.copy(); up[j, i] += step
             dn = u0.copy(); dn[j, i] -= step
-            fp, _, _ = _objective(dbp, ControlParameterization(up), rho)
-            fm, _, _ = _objective(dbp, ControlParameterization(dn), rho)
-            g[j, i] = (fp - fm) / (2 * step)
+            g[j, i] = (penalized_objective(dbp, up, rho)
+                       - penalized_objective(dbp, dn, rho)) / (2 * step)
     return g
 
 
@@ -149,8 +155,7 @@ def quadratic_oracle(dbp, controls0):
     base = controls0.u.ravel()
 
     def f(vec):
-        val, _, _ = _objective(dbp, ControlParameterization(vec.reshape(k, n)), 0.0)
-        return val
+        return penalized_objective(dbp, vec.reshape(k, n), 0.0)
 
     f0 = f(base)
     E = np.eye(N)

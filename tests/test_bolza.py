@@ -97,19 +97,66 @@ def test_gradient_linear_terminal_cost_closed_form():
         assert np.allclose(grad[j], mesh.steps[j] * c, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["cos_t", "ball_control_lq"])
-def test_gradient_matches_central_differences(name):
-    entry = catalog.get(name)
-    dbp, controls, traj0, _ = _discrete(entry, 10)
+# the README's inline problem: memory, a ball of velocities around a rotation
+# drift, and a ball endpoint set the reference misses
+MEMORY_CONTROL = """[problem]
+name = memory_control
+inline = true
+dim = 2
+variant = ball
+radius = 1.5
+drift = rotation
+drift_scale = 0.2
+kernel = identity_decay
+kernel_rate = 1.0
+x0 = 1 0
+horizon = 1.0
+epsilon = 1.0
+state_box_lo = -4 -4
+state_box_hi = 4 4
+terminal = quadratic
+terminal_target = 0 0
+running = quadratic
+omega = ball
+omega_center = 0.4 0.4
+omega_radius = 0.35
+
+[meshes]
+k = 10
+
+[reference]
+policy = min_norm
+"""
+
+
+@pytest.mark.parametrize("name", ["cos_t", "ball_control_lq", "damped_volterra",
+                                  "polytope_endpoint", "memory_control"])
+def test_gradient_matches_central_differences(name, tmp_path):
+    if name == "memory_control":
+        from idikit import cli
+        from idikit.config import load_config
+        ini = tmp_path / "memory_control.ini"
+        ini.write_text(MEMORY_CONTROL, encoding="utf-8")
+        cfg = load_config(str(ini))
+        prob, (ref, feas_tol) = cfg.entry.problem, cli._reference_for(cfg)
+        mesh = TimeMesh.uniform(10, prob.horizon)
+        dbp, controls, _, _ = build_discrete_problem(
+            prob, mesh, ref, precomputed=approximate_arc(prob, ref, mesh, feas_tol))
+    else:
+        dbp, controls, traj0, _ = _discrete(catalog.get(name), 10)
     # move off the initial point so nothing is special about it
     rng = np.random.default_rng(0)
     bumped = ControlParameterization(
         controls.u + 0.01 * rng.standard_normal(controls.u.shape))
     bumped = bumped.projected(dbp)
-    grad, _ = cost_gradient(dbp, bumped)
-    fd = fd_gradient(dbp, bumped)
-    denom = max(np.abs(fd).max(), 1e-12)
-    assert np.abs(grad - fd).max() / denom < 1e-5
+    if name == "memory_control":  # the endpoint penalty's gradient is live
+        x_end = forward_trajectory(dbp, bumped).states[-1]
+        assert dbp.omega_k.distance(x_end) > 0.3
+    for rho in (0.0, 10.0):
+        grad, _ = cost_gradient(dbp, bumped, rho)
+        fd = fd_gradient(dbp, bumped, rho)
+        denom = max(np.abs(fd).max(), 1e-12)
+        assert np.abs(grad - fd).max() / denom < 1e-5, rho
 
 
 def _reference_adjoint_gradient_g_zero(dbp, controls):

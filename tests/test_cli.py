@@ -9,6 +9,7 @@ from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
 from idikit.gronwall import discrete_gronwall_backward
+from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
 from oracles import backward_recursion, per_row_cost
 
@@ -50,6 +51,7 @@ def test_converge_csv_and_record(tmp_path):
     assert rec["seed"] == 3
     assert len(rec["rows"]) == 2
     assert all(s["stationary"] for s in rec["solves"])
+    assert all(s["message"] == "" for s in rec["solves"])
 
 
 def test_converge_deterministic_bytes(tmp_path):
@@ -260,6 +262,38 @@ def test_audit_constants_carry_their_own_witness_times(tmp_path):
     for label, v, t in zip(labels, worst, when):
         assert float(rows[label][3]) == pytest.approx(v, rel=1e-15)
         assert float(rows[label][5]) == t
+
+
+DEMO_AUDIT = """
+[problem]
+name = cos_t
+
+[audit]
+n_instances = 5
+policies = min_norm extreme constant
+mesh_k = 24
+
+[run]
+seed = 0
+output_dir = {out}
+label = demo
+"""
+
+
+def test_velocity_bound_witness_is_the_start_of_the_fastest_cell(tmp_path):
+    # configs/demo.ini's audit mesh: every policy steps fastest on the last
+    # cell, so each M2 row names t_23 = 23/24, not the M1 witness
+    cfgp = _write(tmp_path, DEMO_AUDIT.format(out=tmp_path / "out"))
+    assert main(["audit", cfgp]) == 0
+    cfg = load_config(cfgp)
+    mesh = TimeMesh.uniform(24, cfg.entry.problem.horizon)
+    lines = (tmp_path / "out" / "demo_audit.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines[2:] if ln.startswith("velocity_bound_M2")]
+    assert [r[1] for r in rows] == ["min_norm", "extreme", "constant"]
+    for row in rows:
+        speeds = np.linalg.norm(cli._simulate(cfg, mesh, row[1]).velocities, axis=1)
+        assert float(row[3]) == speeds.max()
+        assert float(row[5]) == mesh.nodes[np.argmax(speeds)] == mesh.nodes[23]
 
 
 def test_simulate_outputs(tmp_path):

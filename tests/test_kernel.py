@@ -10,7 +10,7 @@ from idikit import catalog
 from idikit.config import ConfigError, load_config
 from idikit.dynamics import simulate
 from idikit.kernel import (TRIANGLE_POINTS, TRIANGLE_WEIGHTS, KernelIndexError,
-                           VolterraKernel, _memory_averages, _memory_integrals,
+                           VolterraKernel, _memory_integrals,
                            assemble_tensors, assemble_w, continuous_accumulator,
                            kernel_average_w, mu_tensor, theta_vector,
                            volterra_adjoint_integral, xi_tensor)
@@ -693,10 +693,6 @@ def test_running_sums_run_in_turn():
     states = np.ones((5, 1))
     for kern in (catalog.get("damped_volterra").problem.kernel, _nonlinear_kernel(1),
                  VolterraKernel.zero()):
-        w_of = _memory_averages(kern, mesh)
-        w_of(0, states)
-        with pytest.raises(KernelIndexError):
-            w_of(2, states)
         tensors = assemble_tensors(kern, mesh, states, np.ones((4, 1)), states)
         sweep = tensors.backward_coupling(states[1:])
         sweep(3)

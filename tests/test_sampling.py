@@ -228,4 +228,40 @@ def test_discrete_problem_takes_the_reference_samples_of_its_approximation():
                                  dbp.omega_k)
     assert len(times) == mesh.k + 1 + 4 * mesh.k
     assert np.array_equal(dbp.reference_nodes(), fresh.reference_nodes())
-    assert np.array_equal(dbp._ref_dot, fresh._ref_dot)
+    assert np.array_equal(dbp._disc.ref_dot, fresh._disc.ref_dot)
+
+
+def test_one_discretization_per_mesh(tmp_path, monkeypatch):
+    # a converge run builds each mesh's exponential cell sums once, and the
+    # gradient and the multipliers take w from the trajectory: no walk of
+    # the k memory averages
+    import idikit.kernel as kernel
+    from idikit import cli
+    from idikit.bolza import cost_gradient
+
+    built, walks = [], []
+
+    def counted(name, log):
+        inner = getattr(kernel, name)
+
+        def wrapper(*args):
+            log.append(args)
+            return inner(*args)
+        monkeypatch.setattr(kernel, name, wrapper)
+
+    counted("_exp_cells", built)
+    ini = tmp_path / "dv.ini"
+    ini.write_text(f"[problem]\nname = damped_volterra\n\n[meshes]\nk = 20, 40\n\n"
+                   f"[run]\noutput_dir = {tmp_path}\n", encoding="utf-8")
+    cli.run_convergence_study(load_config(str(ini)))
+    assert len(built) == 2
+
+    entry = catalog.get("polytope_endpoint")
+    mesh = TimeMesh.uniform(40, entry.problem.horizon)
+    dbp, controls, traj, _ = build_discrete_problem(entry.problem, mesh,
+                                                    entry.reference)
+    counted("_memory_averages", walks)
+    counted("assemble_w", walks)
+    cost_gradient(dbp, controls, traj=traj)
+    adjoint_solve_smooth(dbp, traj)
+    assert walks == []
