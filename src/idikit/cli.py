@@ -9,7 +9,8 @@ grammar):
     conditions <config>   multiplier recovery and residual report per mesh
 
 Exit codes: 0 success, 1 audit/condition failure, 2 config error, 3 a state
-that became non-finite (the message names the stage and node).  Output is
+that became non-finite (the message names the stage and node), 4 an
+endpoint outside the endpoint set its condition is checked on.  Output is
 one CSV (schema tagged in a leading comment line) plus one JSON run record
 per invocation; identical config + seed reproduce the CSV byte for byte.
 """
@@ -34,6 +35,7 @@ from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
 from .mesh import TimeMesh
+from .problem import EndpointError
 from .setvalued import _norm
 
 CSV_SCHEMA = "# idi-kit schema v1"
@@ -395,6 +397,9 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except EndpointError as exc:
+        print(f"endpoint error: {exc}", file=sys.stderr)
+        return 4
 
 
 def _run(command: str, cfg: ExperimentConfig) -> int:

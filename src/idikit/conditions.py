@@ -13,7 +13,8 @@ the tensor sum by the forward memory integral: for a.e. tau,
 must pair with p(tau) inside lam * grad(l) + N_{gph F(tau, .)} evaluated at
 (x(tau), x'(tau) - accumulated memory).  Everything here is specialized to
 smooth cost oracles, where the subdifferentials are singletons and all cone
-projections are closed-form (least squares, ray clipping, or small NNLS).
+distances are closed-form: each residual set is one stacked
+:func:`~idikit.setvalued.pair_distances` call, one pass per cone kind.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
                      _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
-from .setvalued import GraphNormalCone, _norm, graph_normal_cone
+from .setvalued import (GraphNormalCone, _matvec, _norm, graph_normal_cone,
+                        pair_distances)
 
 __all__ = [
     "MultiplierSet",
@@ -181,30 +183,35 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
             + (a * h + lf) * mult.theta_l1) * math.exp(T * (3.0 * a * T + lf))
 
 
-def _el_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet, j: int,
-                 coupling: np.ndarray) -> float:
-    """The node-j residual, given the memory coupling of p there."""
-    h = problem.mesh.steps[j]
+def _el_residual_rows(problem: DiscreteBolzaProblem, mult: MultiplierSet,
+                      js: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """The residuals of the nodes ``js``, given the memory coupling of p at
+    each (one row per node), from one stacked cone-distance call."""
+    h = problem.mesh.steps[js][:, None]
     t = mult.tensors
-    glx, glv = mult.glx[j], mult.glv[j]
-    pin = mult.lam * (glv + t.theta[j] / h)
-    lhs1 = ((mult.p[j + 1] - mult.p[j]) / h
-            + 2.0 / h * t.mu[j] @ mult.p[j + 1]
-            - (t.mu[j] @ pin) / h
-            + coupling / h)
-    lhs2 = mult.p[j + 1] - mult.lam * t.theta[j] / h
-    d, _ = mult.cones[j].pair_distance(lhs1 - mult.lam * glx, lhs2 - mult.lam * glv)
+    mu, theta = t.mu[js], t.theta[js]
+    p0, p1 = mult.p[js], mult.p[js + 1]
+    pin = mult.lam * (mult.glv[js] + theta / h)
+    lhs1 = ((p1 - p0) / h
+            + 2.0 / h * _matvec(mu, p1)
+            - _matvec(mu, pin) / h
+            + couplings / h)
+    lhs2 = p1 - mult.lam * theta / h
+    d, _ = pair_distances([mult.cones[j] for j in js], lhs1 - mult.lam * mult.glx[js],
+                          lhs2 - mult.lam * mult.glv[js])
     return d
 
 
 def _el_residuals(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> np.ndarray:
-    """The Euler-Lagrange residual at every node j = 0..k-1, evaluated from
-    j = k-1 down: the order in which the memory coupling is a running sum."""
+    """The Euler-Lagrange residual at every node j = 0..k-1.  The memory
+    couplings are collected from j = k-1 down, the order in which they are a
+    running sum; the distances are then one stacked pass."""
+    k = problem.mesh.k
     coupling = mult.tensors.backward_coupling(mult.p[1:])
-    out = np.empty(problem.mesh.k)
-    for j in range(problem.mesh.k - 1, -1, -1):
-        out[j] = _el_residual(problem, mult, j, coupling(j))
-    return out
+    couplings = np.empty((k, problem.base.dim))
+    for j in range(k - 1, -1, -1):
+        couplings[j] = coupling(j)
+    return _el_residual_rows(problem, mult, np.arange(k), couplings)
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
@@ -214,7 +221,8 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
     The running-cost gradients and the cone are the ones ``mult`` carries
     for node j, built by :func:`adjoint_solve_smooth` on its trajectory.
     """
-    return _el_residual(problem, mult, j, mult.tensors.coupling(j, mult.p[1:]))
+    coupling = mult.tensors.coupling(j, mult.p[1:])
+    return float(_el_residual_rows(problem, mult, np.array([j]), coupling[None])[0])
 
 
 def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,
@@ -251,10 +259,7 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
     cones = graph_normal_cone(problem.fmap, taus, x, v - y, CONE_TOL_FEAS)
     glx, glv = problem.running_cost.gradients(taus, x, v)
-    glx, glv = lam * glx, lam * glv
-    out = np.empty(taus.size)
-    for i in range(taus.size):
-        out[i], _ = cones[i].pair_distance(pdot[i] + mem[i] - glx[i], p[i] - glv[i])
+    out, _ = pair_distances(cones, pdot + mem - lam * glx, p - lam * glv)
     return out if np.ndim(tau) else float(out[0])
 
 

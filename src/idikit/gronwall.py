@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 __all__ = [
     "BoundCertificate",
@@ -115,6 +114,42 @@ def _on_grid(f: ArrOrFn, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _simpson_first_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """int_{x_i}^{x_{i+1}} of the parabola through the samples i, i+1, i+2,
+    for i = 0..len(y)-3 (Cartwright's rule for unequal intervals)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Cumulative composite Simpson integral of samples y on a strictly
+    increasing grid of at least three points: the integral from grid[0] to
+    each of grid[1:].
+
+    Interval i takes the parabola through its own two samples and the next
+    one, read forward on even i and backward (through the previous sample)
+    on odd i and on the last interval; this is the arithmetic of
+    scipy's ``cumulative_simpson(y, x=grid)``, bit for bit.
+    """
+    dx = np.diff(grid)
+    if np.any(dx <= 0):
+        raise GronwallDomainError("grid must be strictly increasing")
+    forward = _simpson_first_cells(y, dx)
+    backward = _simpson_first_cells(y[::-1], dx[::-1])[::-1]
+    cells = np.empty(dx.size)
+    cells[:-1:2] = forward[::2]
+    cells[1::2] = backward[::2]
+    cells[-1] = backward[-1]
+    return np.cumsum(cells)
+
+
 def continuous_gronwall(rho0: float, a: ArrOrFn, b1: ArrOrFn, b2: ArrOrFn,
                         grid) -> np.ndarray:
     """Majorant arc for rho' <= a + b1 rho + b2 * int rho, on the given grid.
@@ -130,8 +165,8 @@ def continuous_gronwall(rho0: float, a: ArrOrFn, b1: ArrOrFn, b2: ArrOrFn,
         raise GronwallDomainError("grid needs at least three points")
     av = _nonneg("a", _on_grid(a, grid))
     b = np.maximum(_nonneg("b1", _on_grid(b1, grid)), _nonneg("b2", _on_grid(b2, grid)))
-    B = np.concatenate([[0.0], cumulative_simpson(b + 1.0, x=grid)])
-    inner = np.concatenate([[0.0], cumulative_simpson(av * np.exp(-B), x=grid)])
+    B = np.concatenate([[0.0], _cumulative_simpson(b + 1.0, grid)])
+    inner = np.concatenate([[0.0], _cumulative_simpson(av * np.exp(-B), grid)])
     return rho0 * np.exp(B) + np.exp(B) * inner
 
 

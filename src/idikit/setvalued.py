@@ -19,13 +19,13 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "Singleton",
     "BallOffset",
     "PolytopeOffset",
     "GraphNormalCone",
+    "pair_distances",
     "distance_and_projection",
     "hausdorff_distance",
     "averaged_modulus",
@@ -332,7 +332,9 @@ class GraphNormalCone:
     Elements are pairs (-J^T u, u) with u in the body cone described by
     ``kind``: all of R^n ("subspace"), {0} ("zero"), a ray ("ray" with unit
     direction), or a finitely generated cone ("polyhedral" with generator
-    rows).
+    rows).  Distances to a stack of cones are taken by
+    :func:`pair_distances`; ``pair_distance`` is its one-row case and
+    ``project_u`` the witness for J = 0 and a zero state slot.
     """
 
     kind: str
@@ -354,29 +356,18 @@ class GraphNormalCone:
         if self.kind == "ray":
             lam = max(0.0, float(self.direction @ b))
             return lam * self.direction
-        lam, _ = nnls(self.generators.T, b)
-        return self.generators.T @ lam
+        # the nearest pair (0, u) to (0, b) when J = 0 has u the projection
+        free = GraphNormalCone("polyhedral", np.zeros_like(self.jacobian),
+                               generators=self.generators)
+        return pair_distances([free], np.zeros((1, b.size)), b[None])[1][0]
 
     def contains_u(self, b: np.ndarray, tol: float = 1e-9) -> bool:
         return float(np.linalg.norm(b - self.project_u(b))) <= tol
 
     def pair_distance(self, q_x: np.ndarray, q_v: np.ndarray):
         """Distance in R^{2n} from (q_x, q_v) to the cone, with the witness u."""
-        J = self.jacobian
-        q = np.concatenate([q_x, q_v])
-        if self.kind == "zero":
-            return float(np.linalg.norm(q)), np.zeros(self.dim)
-        if self.kind == "subspace":
-            M = np.vstack([-J.T, np.eye(self.dim)])
-            u, *_ = np.linalg.lstsq(M, q, rcond=None)
-            return float(np.linalg.norm(M @ u - q)), u
-        if self.kind == "ray":
-            d = np.concatenate([-J.T @ self.direction, self.direction])
-            lam = max(0.0, float(d @ q) / float(d @ d))
-            return float(np.linalg.norm(q - lam * d)), lam * self.direction
-        D = np.vstack([-J.T @ self.generators.T, self.generators.T])
-        lam, resid = nnls(D, q)
-        return float(resid), self.generators.T @ lam
+        d, u = pair_distances([self], np.atleast_1d(q_x)[None], np.atleast_1d(q_v)[None])
+        return float(d[0]), u[0]
 
     def pair_samples(self, scale: float = 1.0) -> np.ndarray:
         """A few representative normal pairs, used by sampling-based audits."""
@@ -391,6 +382,112 @@ class GraphNormalCone:
         else:
             us = self.generators * scale
         return np.hstack([-(J.T @ us.T).T, us])
+
+
+# Products of the stacked passes below are summed elementwise, not by BLAS,
+# so that a row's result does not depend on the other rows: the one-row case
+# of a stack is bit for bit the row.
+
+def _matvec(M, x):
+    """M_i x_i for a matrix (n, n) or one per row (N, n, n), and x (N, n)."""
+    return (M * x[:, None, :]).sum(axis=-1)
+
+
+def _rmatvec(M, x):
+    """M_i^T x_i, with M and x as for :func:`_matvec`."""
+    return (M * x[:, :, None]).sum(axis=-2)
+
+
+def _shared_jacobian(cones: Sequence[GraphNormalCone]) -> np.ndarray:
+    """The Jacobian of the cones: one (n, n) array when they all hold the
+    same one (a map built with ``linear``), else one per cone, (N, n, n)."""
+    J = cones[0].jacobian
+    if all(c.jacobian is J for c in cones):
+        return J
+    return np.stack([c.jacobian for c in cones])
+
+
+def _subspace_witness(cones, Qx, Qv):
+    # normal equations of min |q_x + J^T u|^2 + |q_v - u|^2; I + J J^T is
+    # factored once when the Jacobian is shared
+    J = _shared_jacobian(cones)
+    JJt = (J[..., :, None, :] * J[..., None, :, :]).sum(axis=-1)
+    K_inv = np.linalg.inv(np.eye(Qx.shape[1]) + JJt)
+    return _matvec(K_inv, Qv - _matvec(J, Qx)), J
+
+
+def _ray_witness(cones, Qx, Qv):
+    # clipped projection of q onto the one pair (-J^T e, e)
+    J = _shared_jacobian(cones)
+    E = np.stack([c.direction for c in cones])
+    Dx = -_rmatvec(J, E)
+    lam = (np.vecdot(Dx, Qx) + np.vecdot(E, Qv)) / (np.vecdot(Dx, Dx) + np.vecdot(E, E))
+    return np.maximum(lam, 0.0)[:, None] * E, J
+
+
+def _polyhedral_witness(cones, Qx, Qv):
+    """Nearest nonnegative combination of the pairs (-J^T g, g) of the
+    generator rows g shared by ``cones``.
+
+    The subsets of at most n generators are visited in
+    ``itertools.combinations`` order, by size; each gives the least-squares
+    combination of its pairs, clipped at 0, which is a point of the cone.
+    The projection of q is the combination of a linearly independent subset
+    with nonnegative coefficients, so the nearest candidate is the
+    projection; the first one wins a tie.
+    """
+    J = _shared_jacobian(cones)
+    G = cones[0].generators
+    n = G.shape[1]
+    Q = np.concatenate([Qx, Qv], axis=1)
+    JtG = (G[:, :, None] * J[..., None, :, :]).sum(axis=-2)  # rows J^T g
+    P = np.concatenate([-JtG, np.broadcast_to(G, JtG.shape)],
+                       axis=-1)  # pair rows, (g, 2n) or (N, g, 2n)
+    best_d = np.full(Q.shape[0], np.inf)
+    best_u = np.zeros_like(Qv)
+    for size in range(1, min(G.shape[0], n) + 1):
+        for idx in combinations(range(G.shape[0]), size):
+            rows = list(idx)
+            pinv = np.linalg.pinv(np.swapaxes(P[..., rows, :], -1, -2))
+            lam = np.maximum(_matvec(pinv, Q), 0.0)  # (N, size)
+            d = _norm(Q - _rmatvec(P[..., rows, :], lam))
+            take = d < best_d
+            best_d[take] = d[take]
+            best_u[take] = (lam[take, :, None] * G[rows]).sum(axis=1)
+    return best_u, J
+
+
+_WITNESS = {"subspace": _subspace_witness, "ray": _ray_witness,
+            "polyhedral": _polyhedral_witness}
+
+
+def pair_distances(cones: Sequence[GraphNormalCone], q_x, q_v):
+    """Distances in R^{2n} from the rows (q_x_i, q_v_i) of two (N, n)
+    stacks to ``cones[i]``, with the witnesses: (N,) distances and (N, n)
+    vectors u_i such that (-J_i^T u_i, u_i) is the nearest point of cone i.
+
+    One pass per cone kind, in closed form: ``zero`` is |q| with u = 0;
+    ``subspace`` is u = (I + J J^T)^{-1} (q_v - J q_x); ``ray`` is one
+    clipped projection; ``polyhedral`` enumerates the generator subsets of
+    each group of rows that share their generators.  A Jacobian held by
+    every cone of a pass (a map built with ``linear``) is factored once.
+    """
+    Qx, Qv = np.array(q_x, dtype=float), np.array(q_v, dtype=float)
+    U = np.zeros_like(Qv)
+    groups = {}
+    for i, c in enumerate(cones):
+        key = (c.kind,) if c.generators is None else (
+            c.kind, c.generators.shape, c.generators.tobytes())
+        groups.setdefault(key, []).append(i)
+    for (kind, *_), rows in groups.items():
+        if kind == "zero":
+            continue
+        rows = np.array(rows)
+        u, J = _WITNESS[kind]([cones[i] for i in rows], Qx[rows], Qv[rows])
+        U[rows] = u
+        Qx[rows] = Qx[rows] + _rmatvec(J, u)
+        Qv[rows] = Qv[rows] - u
+    return np.sqrt(np.vecdot(Qx, Qx) + np.vecdot(Qv, Qv)), U
 
 
 def _as_state(x) -> np.ndarray:

@@ -11,14 +11,18 @@ backward sweeps, one later step at a time; the projections onto the
 velocity bodies, one point at a time, with one least-squares solve per
 vertex subset of a polytope; the graph normal cone of one point, with
 its own feasibility gate (the package builds a stack of them in one pass);
-and closed-form arcs, running costs and drift centers written for one time
-or one point and served row by row (the package's oracles take stacks).
+the distance to one graph normal cone and the projection onto one body
+cone, by a least-squares or NNLS solve (the package has closed forms for a
+stack); closed-form arcs, running costs and drift centers written for one
+time or one point and served row by row (the package's oracles take
+stacks).
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import nnls
 
 from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
 from idikit.kernel import kernel_average_w
@@ -236,8 +240,8 @@ def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
         glx, glv = point_grads(problem.running_cost, tau, x, v)
         glx, glv = lam * glx, lam * glv
         cone = graph_normal_cone(problem.fmap, tau, x, v - y, tol_feas)
-        d, _ = cone.pair_distance(np.atleast_1d(p_arc.derivative(tau)) + mem - glx,
-                                  np.atleast_1d(p_arc.eval(tau)) - glv)
+        d, _ = pair_distance(cone, np.atleast_1d(p_arc.derivative(tau)) + mem - glx,
+                             np.atleast_1d(p_arc.eval(tau)) - glv)
         out.append(d)
     return np.array(out)
 
@@ -420,3 +424,38 @@ def graph_normal_cone(fmap, t, x, v, tol_feas=1e-8):
     if kind == "polyhedral":
         return GraphNormalCone("polyhedral", J, generators=data)
     return GraphNormalCone(kind, J)
+
+
+def pair_distance(cone, q_x, q_v):
+    """Distance in R^{2n} from (q_x, q_v) to one graph normal cone, with the
+    witness u: one least-squares solve for a subspace, one NNLS solve for a
+    polyhedral cone."""
+    J = cone.jacobian
+    q = np.concatenate([q_x, q_v])
+    if cone.kind == "zero":
+        return float(np.linalg.norm(q)), np.zeros(cone.dim)
+    if cone.kind == "subspace":
+        M = np.vstack([-J.T, np.eye(cone.dim)])
+        u, *_ = np.linalg.lstsq(M, q, rcond=None)
+        return float(np.linalg.norm(M @ u - q)), u
+    if cone.kind == "ray":
+        d = np.concatenate([-J.T @ cone.direction, cone.direction])
+        lam = max(0.0, float(d @ q) / float(d @ d))
+        return float(np.linalg.norm(q - lam * d)), lam * cone.direction
+    D = np.vstack([-J.T @ cone.generators.T, cone.generators.T])
+    lam, resid = nnls(D, q)
+    return float(resid), cone.generators.T @ lam
+
+
+def project_u(cone, b):
+    """Projection of b onto the body cone of one graph normal cone, by NNLS
+    for a polyhedral cone."""
+    b = np.asarray(b, dtype=float)
+    if cone.kind == "subspace":
+        return b
+    if cone.kind == "zero":
+        return np.zeros_like(b)
+    if cone.kind == "ray":
+        return max(0.0, float(cone.direction @ b)) * cone.direction
+    lam, _ = nnls(cone.generators.T, b)
+    return cone.generators.T @ lam

@@ -487,3 +487,44 @@ def test_non_finite_problem_numbers_are_config_errors(tmp_path):
         "radius = 1.5", "radius = nan"))]) == 2
     assert main(["converge", _write(tmp_path, text.replace(
         "horizon = 1.0", "horizon = 1.0\nepsilon = nan"))]) == 2
+
+
+MEMORY_CONTROL = """
+[problem]
+name = memory_control
+inline = true
+dim = 2
+variant = ball
+radius = 1.5
+drift = rotation
+drift_scale = 0.2
+kernel = identity_decay
+kernel_rate = 1.0
+x0 = 1 0
+horizon = 1.0
+epsilon = 1.0
+state_box_lo = -4 -4
+state_box_hi = 4 4
+terminal = quadratic
+terminal_target = 0 0
+running = quadratic
+omega = ball
+omega_center = 0.4 0.4
+omega_radius = 0.35
+
+[meshes]
+k = 8, 16
+
+[run]
+output_dir = {out}
+label = mc
+"""
+
+
+def test_endpoint_outside_its_set_exits_4(tmp_path, capsys):
+    # without a solve the approximation ends outside the inflated ball, so
+    # the transversality check has no normal cone to measure against
+    cfgp = _write(tmp_path, MEMORY_CONTROL.format(out=tmp_path / "out"))
+    assert main(["conditions", cfgp]) == 4
+    err = capsys.readouterr().err
+    assert err == "endpoint error: endpoint outside the inflated set\n"

@@ -1,6 +1,10 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,14 @@ def test_no_public_callable_takes_a_quadrature_order():
                 if "order" in params:
                     takers.append(f"{name}.{attr}")
     assert takers == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, for polytope facets only: neither the
+    # package nor the CLI pays for it at import
+    code = ("import sys, idikit, idikit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(idikit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -2,10 +2,11 @@ import bisect
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 from idikit.gronwall import (BoundCertificate, GronwallDomainError,
-                             apriori_bounds, backward_extremal,
+                             _cumulative_simpson, apriori_bounds,
+                             backward_extremal,
                              continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
                              discrete_gronwall_forward, forward_extremal)
@@ -250,3 +251,21 @@ def test_apriori_static_inclusion():
     m1, m2 = apriori_bounds(_Consts(0.0, 0.0, 2.0, np.array([3.0, 4.0])))
     assert abs(m1 - 6.0 * np.exp(2.0)) < 1e-12
     assert m2 == 0.0
+
+
+def test_cumulative_simpson_is_scipys_bit_for_bit():
+    # uniform and random non-uniform grids of every length from 3 to 200
+    rng = np.random.default_rng(12)
+    for m in range(3, 201):
+        uniform = np.linspace(0.0, 1.3, m)
+        uneven = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, m - 1))])
+        for grid in (uniform, uneven):
+            y = rng.standard_normal(m)
+            assert np.array_equal(_cumulative_simpson(y, grid),
+                                  cumulative_simpson(y, x=grid)), m
+
+
+def test_cumulative_simpson_needs_an_increasing_grid():
+    with pytest.raises(GronwallDomainError):
+        continuous_gronwall(1.0, np.ones(3), np.ones(3), np.ones(3),
+                            np.array([0.0, 0.5, 0.5]))
