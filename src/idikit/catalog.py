@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = ["CatalogEntry", "get", "names"]
 class CatalogEntry:
     problem: ProblemData
     reference: CallableArc
-    oracle: Optional[Callable] = None  # problem-specific extras for tests
 
     @property
     def name(self) -> str:

@@ -10,7 +10,9 @@ grammar):
 
 Exit codes: 0 success, 1 audit/condition failure, 2 config error, 3 a state
 that became non-finite (the message names the stage and node), 4 an
-endpoint outside the endpoint set its condition is checked on.  Output is
+endpoint outside the endpoint set its condition is checked on, 5 a problem
+the run cannot check: a reference or a velocity outside its value set, or
+a velocity body without the normal cones a check needs.  Output is
 one CSV (schema tagged in a leading comment line) plus one JSON run record
 per invocation; identical config + seed reproduce the CSV byte for byte.
 """
@@ -29,14 +31,14 @@ from . import __version__
 from .bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
 from .conditions import adjoint_solve_smooth, build_condition_report
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import (NonFiniteStateError, approximate_arc,
-                       feasibility_residual, simulate)
+from .dynamics import (InfeasibleReferenceError, NonFiniteStateError,
+                       approximate_arc, feasibility_residual, simulate)
 from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
 from .mesh import TimeMesh
 from .problem import EndpointError
-from .setvalued import _norm
+from .setvalued import InfeasiblePointError, SetValuedError, _norm
 
 CSV_SCHEMA = "# idi-kit schema v1"
 
@@ -92,7 +94,8 @@ def _write_record(path: Path, command, cfg: ExperimentConfig, rows, columns,
 
 
 def _reference_for(cfg: ExperimentConfig):
-    """Closed-form catalog reference, or a fine simulated fallback."""
+    """Closed-form catalog reference, or a fine simulated fallback, gated at
+    twice its largest inclusion residual over the meshes of the sweep."""
     entry = cfg.entry
     if entry.reference is not None:
         feas_tol = cfg.reference_feas_tol
@@ -102,9 +105,9 @@ def _reference_for(cfg: ExperimentConfig):
     arc = _simulate(cfg, fine_mesh, cfg.reference_policy).arc()
     if cfg.reference_feas_tol is not None:
         return arc, cfg.reference_feas_tol
-    res = feasibility_residual(entry.problem, arc,
-                               TimeMesh.uniform(cfg.mesh_ks[-1],
-                                                entry.problem.horizon))
+    res = max(feasibility_residual(entry.problem, arc,
+                                   TimeMesh.uniform(k, entry.problem.horizon))
+              for k in cfg.mesh_ks)
     return arc, max(2.0 * res, 1e-9)
 
 
@@ -400,6 +403,10 @@ def main(argv=None) -> int:
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return 4
+    except (InfeasibleReferenceError, InfeasiblePointError,
+            SetValuedError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def _run(command: str, cfg: ExperimentConfig) -> int:

@@ -31,8 +31,8 @@ from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
                      _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
-from .setvalued import (GraphNormalCone, _matvec, _norm, graph_normal_cone,
-                        pair_distances)
+from .setvalued import (CONE_TOL_FEAS, GraphNormalCone, _centers, _matvec,
+                        _norm, graph_normal_cone, pair_distances)
 
 __all__ = [
     "MultiplierSet",
@@ -49,11 +49,6 @@ __all__ = [
     "perturbation_robustness",
 ]
 
-# how far a velocity may sit outside its value set and still get a graph
-# normal cone, in every condition the report checks
-CONE_TOL_FEAS = 1e-6
-
-
 class DegenerateMultiplierError(ValueError):
     """All-zero multiplier pair: the excluded degenerate case."""
 
@@ -61,8 +56,8 @@ class DegenerateMultiplierError(ValueError):
 @dataclass(frozen=True)
 class MultiplierSet:
     """Normalized multipliers (lam, p_0..p_k) with their coupling tensors,
-    the running-cost gradients and the graph normal cones of the nodes
-    j = 0..k-1.
+    the running-cost gradients and the stack of graph normal cones of the
+    nodes j = 0..k-1.
 
     Normalized so that lam + |p_k| is exactly 1.  ``normalization`` records
     the raw magnitudes; ``m_l`` is the sampled bound on the running-cost
@@ -74,7 +69,7 @@ class MultiplierSet:
     tensors: QuadratureTensors
     glx: np.ndarray  # (k, n)
     glv: np.ndarray  # (k, n)
-    cones: Sequence[GraphNormalCone]
+    cones: GraphNormalCone
     normalization: dict
     m_l: float
     theta_l1: float
@@ -86,14 +81,14 @@ class MultiplierSet:
 
 def _trajectory_terms(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory):
     """What the multipliers of one trajectory share, whatever lam: the
-    coupling tensors, the running-cost gradients (k, n) and the graph normal
-    cones of the nodes j = 0..k-1."""
+    coupling tensors, the running-cost gradients (k, n) and the stack of
+    graph normal cones of the nodes j = 0..k-1."""
     base = problem.base
     mesh = problem.mesh
     tensors = _tensors(problem._disc, traj.states, traj.w, traj.velocities)
     glx, glv = _running_grads(problem, traj)
     cones = graph_normal_cone(base.fmap, mesh.nodes[:-1], traj.states[:-1],
-                              traj.velocities - traj.w, CONE_TOL_FEAS)
+                              traj.velocities - traj.w)
     return tensors, glx, glv, cones
 
 
@@ -131,9 +126,9 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     coupling = tensors.backward_coupling(p[1:])
     for j in range(k - 1, -1, -1):
         pin = lam * (glv[j] + tensors.theta[j] / h[j])
-        u_j = cones[j].project_u(p[j + 1] - pin)
+        u_j = cones.project_u(p[j + 1] - pin, j)
         p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
-                - h[j] * lam * glx[j] + h[j] * cones[j].jacobian.T @ u_j
+                - h[j] * lam * glx[j] + h[j] * cones.row_jacobian(j).T @ u_j
                 + coupling(j))
     _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
@@ -197,7 +192,7 @@ def _el_residual_rows(problem: DiscreteBolzaProblem, mult: MultiplierSet,
             - _matvec(mu, pin) / h
             + couplings / h)
     lhs2 = p1 - mult.lam * theta / h
-    d, _ = pair_distances([mult.cones[j] for j in js], lhs1 - mult.lam * mult.glx[js],
+    d, _ = pair_distances(mult.cones[js], lhs1 - mult.lam * mult.glx[js],
                           lhs2 - mult.lam * mult.glv[js])
     return d
 
@@ -257,7 +252,7 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     mem = _adjoint_integrals(problem.kernel, x, p_arc, taus, problem.horizon)
     p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
     y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
-    cones = graph_normal_cone(problem.fmap, taus, x, v - y, CONE_TOL_FEAS)
+    cones = graph_normal_cone(problem.fmap, taus, x, v - y)
     glx, glv = problem.running_cost.gradients(taus, x, v)
     out, _ = pair_distances(cones, pdot + mem - lam * glx, p - lam * glv)
     return out if np.ndim(tau) else float(out[0])
@@ -369,8 +364,8 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     vdirs = rng.standard_normal((n_dirs, x.size))
     vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
-    cone0 = graph_normal_cone(problem.fmap, t, x, v, CONE_TOL_FEAS)
-    pairs0 = cone0.pair_samples()
+    cone0 = graph_normal_cone(problem.fmap, t, x, v)
+    pairs0 = cone0.pair_samples(0)
     (glx0,), (glv0,) = problem.running_cost.gradients(np.array([t]), x[None], v[None])
     gphi0 = np.atleast_1d(problem.terminal_cost.grad(x))
     body_pt = v - problem.fmap.center(t, x)
@@ -378,25 +373,25 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     on_sphere = (getattr(fmap, "kind", "") == "ball" and fmap.radius > 0
                  and abs(np.linalg.norm(body_pt) - fmap.radius) <= CONE_TOL_FEAS)
     out = []
+    ts = np.full(n_dirs, t)
     for delta in deltas:
         gen_gap = 0.0
         x_p = x + delta * dirs
-        v_p = np.empty_like(x_p)
-        for i, dv in enumerate(vdirs):
-            w_p = body_pt + delta * dv
-            if on_sphere:
-                w_p = fmap.radius * w_p / np.linalg.norm(w_p)
-            else:
-                w_p = fmap.project_body(w_p)
-            v_p[i] = fmap.center(t, x_p[i]) + w_p
-            cone_p = graph_normal_cone(problem.fmap, t, x_p[i], v_p[i], CONE_TOL_FEAS)
-            pairs_p = cone_p.pair_samples()
+        w_p = body_pt + delta * vdirs
+        if on_sphere:
+            w_p = fmap.radius * w_p / _norm(w_p)[:, None]
+        else:
+            w_p = fmap.project_body(w_p)
+        v_p = _centers(fmap, ts, x_p) + w_p
+        cones = graph_normal_cone(fmap, ts, x_p, v_p) if n_dirs else None
+        for i in range(n_dirs):
+            pairs_p = cones.pair_samples(i)
             if pairs_p.shape == pairs0.shape:
                 gen_gap = max(gen_gap, float(np.abs(pairs_p - pairs0).max()))
             else:  # active set changed under perturbation; compare Jacobians
                 gen_gap = max(gen_gap, float(np.linalg.norm(
-                    cone_p.jacobian - cone0.jacobian)))
-        glx, glv = problem.running_cost.gradients(np.full(n_dirs, t), x_p, v_p)
+                    cones.row_jacobian(i) - cone0.row_jacobian(0))))
+        glx, glv = problem.running_cost.gradients(ts, x_p, v_p)
         cost_gap = max(
             float(_norm(glx - glx0).max(initial=0.0)),
             float(_norm(glv - glv0).max(initial=0.0)),

@@ -267,7 +267,7 @@ def load_config(path: str) -> ExperimentConfig:
         m_f = _number(parser, "m_F")
         if m_f is not None:  # declared-constant override, e.g. for audits
             entry = CatalogEntry(replace(entry.problem, m_F=m_f),
-                                 entry.reference, entry.oracle)
+                                 entry.reference)
 
     ks_raw = _get(parser, "meshes", "k", str, default="20 40 80")
     try:

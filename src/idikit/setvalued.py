@@ -14,7 +14,7 @@ cone of the body P at v - f(t, x).  The coderivative at (x, v) maps u to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +34,9 @@ __all__ = [
     "project_convex_hull",
 ]
 
-DEFAULT_TOL_FEAS = 1e-8
+# how far a velocity may sit outside its value set and still get a graph
+# normal cone; also the margin that tells a ball's interior from its sphere
+CONE_TOL_FEAS = 1e-6
 _ACTIVE_TOL = 1e-8
 
 
@@ -111,8 +113,11 @@ class _OffsetMap:
     def body_distance_projection(self, w: np.ndarray):
         raise NotImplementedError
 
-    def body_normal_cone(self, w: np.ndarray, tol: float):
-        raise NotImplementedError
+    def body_normal_cone(self, W: np.ndarray) -> dict:
+        """The body cones at the rows of W, shape (N, n), as the fields of a
+        :class:`GraphNormalCone` stack but its Jacobian; here those of a
+        point body, the whole space at every row."""
+        return {"kind": np.full(len(W), "subspace"), "direction": np.zeros_like(W)}
 
     def body_radius(self) -> float:
         raise NotImplementedError
@@ -130,9 +135,6 @@ class Singleton(_OffsetMap):
     def body_distance_projection(self, w):
         w = np.asarray(w, dtype=float)
         return _norm(w), np.zeros_like(w)
-
-    def body_normal_cone(self, w, tol):
-        return ("subspace", None)
 
     def body_radius(self):
         return 0.0
@@ -161,13 +163,16 @@ class BallOffset(_OffsetMap):
         scale = np.divide(self.radius, nw, out=np.ones_like(nw), where=nw > self.radius)
         return np.maximum(nw - self.radius, 0.0), scale[..., None] * w
 
-    def body_normal_cone(self, w, tol):
-        nw = float(np.linalg.norm(w))
-        if nw < self.radius - tol:
-            return ("zero", None)
-        if nw <= tol:  # degenerate r == 0: body is a point
-            return ("subspace", None)
-        return ("ray", np.asarray(w) / nw)
+    def body_normal_cone(self, W):
+        nw = _norm(W)
+        # a point within the tolerance of the center is a radius-0 ball's
+        # one point, where the cone is the whole space
+        kind = np.where(nw < self.radius - CONE_TOL_FEAS, "zero",
+                        np.where(nw <= CONE_TOL_FEAS, "subspace", "ray"))
+        ray = kind == "ray"
+        direction = np.zeros_like(W)
+        direction[ray] = W[ray] / nw[ray, None]
+        return {"kind": kind, "direction": direction}
 
     def body_radius(self):
         return self.radius
@@ -228,17 +233,20 @@ class PolytopeOffset(_OffsetMap):
             self._facets = (eq[:, :-1] / norms[:, None], -eq[:, -1] / norms)
         return self._facets
 
-    def body_normal_cone(self, w, tol):
+    def body_normal_cone(self, W):
         if self.vertices.shape[0] == 1:
-            return ("subspace", None)
+            return super().body_normal_cone(W)
         A, b = self._facet_system()
-        resid = A @ np.asarray(w, dtype=float) - b
-        if np.any(resid > tol):
-            raise InfeasiblePointError("point outside polytope beyond tolerance")
-        active = A[np.abs(resid) <= _ACTIVE_TOL]
-        if active.shape[0] == 0:
-            return ("zero", None)
-        return ("polyhedral", active)
+        resid = (W[:, None, :] * A).sum(axis=-1) - b  # (N, m)
+        far = np.flatnonzero((resid > CONE_TOL_FEAS).any(axis=1))
+        if far.size:
+            i = int(far[0])
+            raise InfeasiblePointError(
+                f"row {i}: point {resid[i].max():.3e} outside a facet of the "
+                f"polytope, beyond the cone tolerance {CONE_TOL_FEAS:.1e}")
+        active = np.abs(resid) <= _ACTIVE_TOL
+        return {"kind": np.where(active.any(axis=1), "polyhedral", "zero"),
+                "direction": np.zeros_like(W), "facets": A, "active": active}
 
     def body_radius(self):
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
@@ -327,66 +335,77 @@ def project_convex_hull(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphNormalCone:
-    """Closed-form description of N_{gph F(t,.)}(x, v).
+    """Closed-form N_{gph F(t_i,.)}(x_i, v_i) for a stack of N >= 1 points.
 
-    Elements are pairs (-J^T u, u) with u in the body cone described by
-    ``kind``: all of R^n ("subspace"), {0} ("zero"), a ray ("ray" with unit
-    direction), or a finitely generated cone ("polyhedral" with generator
-    rows).  Distances to a stack of cones are taken by
-    :func:`pair_distances`; ``pair_distance`` is its one-row case and
-    ``project_u`` the witness for J = 0 and a zero state slot.
+    Elements of row i are pairs (-J_i^T u, u) with u in the body cone that
+    ``kind[i]`` names: all of R^n ("subspace"), {0} ("zero"), the ray of the
+    unit ``direction[i]`` ("ray", zero on other rows), or the cone of the
+    facet normals ``facets[active[i]]`` ("polyhedral"; ``facets`` (m, n) and
+    ``active`` (N, m) are set for a polytope only).  ``jacobian`` is the
+    (n, n) A of a map built with ``linear``, stored once, else (N, n, n).
     """
 
-    kind: str
+    kind: np.ndarray
     jacobian: np.ndarray
-    direction: Optional[np.ndarray] = None   # ray case
-    generators: Optional[np.ndarray] = None  # polyhedral case, rows
+    direction: np.ndarray
+    facets: Optional[np.ndarray] = None
+    active: Optional[np.ndarray] = None
 
-    @property
-    def dim(self) -> int:
-        return self.jacobian.shape[0]
+    def __len__(self) -> int:
+        return self.kind.size
 
-    def project_u(self, b: np.ndarray) -> np.ndarray:
-        """Projection of b onto the u-cone."""
-        b = np.asarray(b, dtype=float)
-        if self.kind == "subspace":
-            return b
-        if self.kind == "zero":
-            return np.zeros_like(b)
-        if self.kind == "ray":
-            lam = max(0.0, float(self.direction @ b))
-            return lam * self.direction
-        # the nearest pair (0, u) to (0, b) when J = 0 has u the projection
-        free = GraphNormalCone("polyhedral", np.zeros_like(self.jacobian),
-                               generators=self.generators)
-        return pair_distances([free], np.zeros((1, b.size)), b[None])[1][0]
-
-    def contains_u(self, b: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(b - self.project_u(b))) <= tol
-
-    def pair_distance(self, q_x: np.ndarray, q_v: np.ndarray):
-        """Distance in R^{2n} from (q_x, q_v) to the cone, with the witness u."""
-        d, u = pair_distances([self], np.atleast_1d(q_x)[None], np.atleast_1d(q_v)[None])
-        return float(d[0]), u[0]
-
-    def pair_samples(self, scale: float = 1.0) -> np.ndarray:
-        """A few representative normal pairs, used by sampling-based audits."""
+    def __getitem__(self, rows) -> "GraphNormalCone":
+        """The stack of the rows ``rows``, an index array."""
         J = self.jacobian
-        n = self.dim
-        if self.kind == "zero":
+        return replace(self, kind=self.kind[rows],
+                       jacobian=J if J.ndim == 2 else J[rows],
+                       direction=self.direction[rows],
+                       active=None if self.active is None else self.active[rows])
+
+    def row_jacobian(self, j: int) -> np.ndarray:
+        J = self.jacobian
+        return J if J.ndim == 2 else J[j]
+
+    def generators(self, j: int) -> np.ndarray:
+        """The generator rows of the polyhedral row j."""
+        return self.facets[self.active[j]]
+
+    def project_u(self, b: np.ndarray, j: int) -> np.ndarray:
+        """Projection of b onto the u-cone of row j."""
+        b = np.asarray(b, dtype=float)
+        kind = self.kind[j]
+        if kind == "subspace":
+            return b
+        if kind == "zero":
+            return np.zeros_like(b)
+        if kind == "ray":
+            e = self.direction[j]
+            return max(0.0, float(e @ b)) * e
+        # the nearest pair (0, u) to (0, b) when J = 0 has u the projection
+        n = b.size
+        return _polyhedral_witness(self.generators(j), np.zeros((n, n)),
+                                   np.zeros((1, n)), b[None])[0]
+
+    def pair_samples(self, j: int, scale: float = 1.0) -> np.ndarray:
+        """A few representative normal pairs of row j, used by
+        sampling-based audits."""
+        J = self.row_jacobian(j)
+        n = J.shape[0]
+        kind = self.kind[j]
+        if kind == "zero":
             us = np.zeros((1, n))
-        elif self.kind == "subspace":
+        elif kind == "subspace":
             us = np.vstack([np.eye(n), -np.eye(n)]) * scale
-        elif self.kind == "ray":
-            us = self.direction[None, :] * scale
+        elif kind == "ray":
+            us = self.direction[j][None, :] * scale
         else:
-            us = self.generators * scale
+            us = self.generators(j) * scale
         return np.hstack([-(J.T @ us.T).T, us])
 
 
 # Products of the stacked passes below are summed elementwise, not by BLAS,
 # so that a row's result does not depend on the other rows: the one-row case
-# of a stack is bit for bit the row.
+# of a stack is bit for bit the row.  ``J`` is shared, (n, n), or (N, n, n).
 
 def _matvec(M, x):
     """M_i x_i for a matrix (n, n) or one per row (N, n, n), and x (N, n)."""
@@ -398,36 +417,24 @@ def _rmatvec(M, x):
     return (M * x[:, :, None]).sum(axis=-2)
 
 
-def _shared_jacobian(cones: Sequence[GraphNormalCone]) -> np.ndarray:
-    """The Jacobian of the cones: one (n, n) array when they all hold the
-    same one (a map built with ``linear``), else one per cone, (N, n, n)."""
-    J = cones[0].jacobian
-    if all(c.jacobian is J for c in cones):
-        return J
-    return np.stack([c.jacobian for c in cones])
-
-
-def _subspace_witness(cones, Qx, Qv):
+def _subspace_witness(J, Qx, Qv):
     # normal equations of min |q_x + J^T u|^2 + |q_v - u|^2; I + J J^T is
     # factored once when the Jacobian is shared
-    J = _shared_jacobian(cones)
     JJt = (J[..., :, None, :] * J[..., None, :, :]).sum(axis=-1)
     K_inv = np.linalg.inv(np.eye(Qx.shape[1]) + JJt)
-    return _matvec(K_inv, Qv - _matvec(J, Qx)), J
+    return _matvec(K_inv, Qv - _matvec(J, Qx))
 
 
-def _ray_witness(cones, Qx, Qv):
-    # clipped projection of q onto the one pair (-J^T e, e)
-    J = _shared_jacobian(cones)
-    E = np.stack([c.direction for c in cones])
+def _ray_witness(J, E, Qx, Qv):
+    # clipped projection of q onto the one pair (-J^T e, e) per row
     Dx = -_rmatvec(J, E)
     lam = (np.vecdot(Dx, Qx) + np.vecdot(E, Qv)) / (np.vecdot(Dx, Dx) + np.vecdot(E, E))
-    return np.maximum(lam, 0.0)[:, None] * E, J
+    return np.maximum(lam, 0.0)[:, None] * E
 
 
-def _polyhedral_witness(cones, Qx, Qv):
+def _polyhedral_witness(G, J, Qx, Qv):
     """Nearest nonnegative combination of the pairs (-J^T g, g) of the
-    generator rows g shared by ``cones``.
+    generator rows g of G, shared by every row.
 
     The subsets of at most n generators are visited in
     ``itertools.combinations`` order, by size; each gives the least-squares
@@ -436,8 +443,6 @@ def _polyhedral_witness(cones, Qx, Qv):
     with nonnegative coefficients, so the nearest candidate is the
     projection; the first one wins a tie.
     """
-    J = _shared_jacobian(cones)
-    G = cones[0].generators
     n = G.shape[1]
     Q = np.concatenate([Qx, Qv], axis=1)
     JtG = (G[:, :, None] * J[..., None, :, :]).sum(axis=-2)  # rows J^T g
@@ -454,40 +459,41 @@ def _polyhedral_witness(cones, Qx, Qv):
             take = d < best_d
             best_d[take] = d[take]
             best_u[take] = (lam[take, :, None] * G[rows]).sum(axis=1)
-    return best_u, J
+    return best_u
 
 
-_WITNESS = {"subspace": _subspace_witness, "ray": _ray_witness,
-            "polyhedral": _polyhedral_witness}
-
-
-def pair_distances(cones: Sequence[GraphNormalCone], q_x, q_v):
+def pair_distances(cones: GraphNormalCone, q_x, q_v):
     """Distances in R^{2n} from the rows (q_x_i, q_v_i) of two (N, n)
-    stacks to ``cones[i]``, with the witnesses: (N,) distances and (N, n)
-    vectors u_i such that (-J_i^T u_i, u_i) is the nearest point of cone i.
+    arrays to the rows of a cone stack, with the witnesses: (N,) distances
+    and (N, n) vectors u_i such that (-J_i^T u_i, u_i) is the nearest point
+    of cone i.
 
     One pass per cone kind, in closed form: ``zero`` is |q| with u = 0;
-    ``subspace`` is u = (I + J J^T)^{-1} (q_v - J q_x); ``ray`` is one
-    clipped projection; ``polyhedral`` enumerates the generator subsets of
-    each group of rows that share their generators.  A Jacobian held by
-    every cone of a pass (a map built with ``linear``) is factored once.
+    ``subspace`` is u = (I + J J^T)^{-1} (q_v - J q_x), factored once for a
+    shared J; ``ray`` is one clipped projection; ``polyhedral`` enumerates
+    the generator subsets of each group of rows with the same active facets.
     """
     Qx, Qv = np.array(q_x, dtype=float), np.array(q_v, dtype=float)
     U = np.zeros_like(Qv)
-    groups = {}
-    for i, c in enumerate(cones):
-        key = (c.kind,) if c.generators is None else (
-            c.kind, c.generators.shape, c.generators.tobytes())
-        groups.setdefault(key, []).append(i)
-    for (kind, *_), rows in groups.items():
-        if kind == "zero":
+    J = cones.jacobian
+    for kind in ("subspace", "ray", "polyhedral"):
+        rows = np.flatnonzero(cones.kind == kind)
+        if not rows.size:
             continue
-        rows = np.array(rows)
-        u, J = _WITNESS[kind]([cones[i] for i in rows], Qx[rows], Qv[rows])
-        U[rows] = u
-        Qx[rows] = Qx[rows] + _rmatvec(J, u)
-        Qv[rows] = Qv[rows] - u
-    return np.sqrt(np.vecdot(Qx, Qx) + np.vecdot(Qv, Qv)), U
+        J_rows = J if J.ndim == 2 else J[rows]
+        if kind == "subspace":
+            U[rows] = _subspace_witness(J_rows, Qx[rows], Qv[rows])
+        elif kind == "ray":
+            U[rows] = _ray_witness(J_rows, cones.direction[rows], Qx[rows], Qv[rows])
+        else:
+            masks, group = np.unique(cones.active[rows], axis=0, return_inverse=True)
+            for g, mask in enumerate(masks):
+                sub = group.reshape(-1) == g
+                U[rows[sub]] = _polyhedral_witness(
+                    cones.facets[mask], J_rows if J.ndim == 2 else J_rows[sub],
+                    Qx[rows[sub]], Qv[rows[sub]])
+    Rx, Rv = Qx + _rmatvec(J, U), Qv - U
+    return np.sqrt(np.vecdot(Rx, Rx) + np.vecdot(Rv, Rv)), U
 
 
 def _as_state(x) -> np.ndarray:
@@ -563,45 +569,38 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
     return float(np.trapezoid(sigma, tg))
 
 
-def graph_normal_cone(fmap: _OffsetMap, t, x, v,
-                      tol_feas: float = DEFAULT_TOL_FEAS):
-    """Generators of the limiting normal cone to gph F(t,.) at (x, v).
+def graph_normal_cone(fmap: _OffsetMap, t, x, v) -> GraphNormalCone:
+    """The stack of limiting normal cones to gph F(t_i,.) at (x_i, v_i).
 
-    Stacked queries, ``t`` of shape (N,) with ``x`` and ``v`` of shape
-    (N, n), give a list of N cones from one feasibility gate and one body
-    projection; a scalar ``t`` is the one-row case and gives one cone.  A
-    row whose v is farther than ``tol_feas`` from F(t, x) raises
-    :class:`InfeasiblePointError` naming the first such row and its time.
+    ``t`` of shape (N,) with ``x`` and ``v`` of shape (N, n) gives N rows,
+    and a scalar ``t`` one row, from one feasibility gate, one body
+    projection and one body-cone pass.  A row whose v is farther than
+    ``CONE_TOL_FEAS`` from F(t, x) raises :class:`InfeasiblePointError`
+    naming the first such row and its time.  Only a map not built with
+    ``linear`` is asked for its Jacobian, row by row.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     X = np.asarray(x, dtype=float).reshape(ts.size, -1)
     V = np.asarray(v, dtype=float).reshape(X.shape)
     W = V - _centers(fmap, ts, X)
     dist, _ = fmap.body_distance_projection(W)
-    far = np.flatnonzero(dist > tol_feas)
+    far = np.flatnonzero(dist > CONE_TOL_FEAS)
     if far.size:
         i = int(far[0])
         raise InfeasiblePointError(
             f"row {i} (t = {ts[i]:.6g}): v is {dist[i]:.3e} away from F(t,x), "
-            f"beyond tol_feas={tol_feas:.1e}")
-    cones = []
-    for ti, xi, wi in zip(ts, X, W):
-        J = fmap.jacobian(ti, xi)
-        kind, data = fmap.body_normal_cone(wi, tol_feas)
-        if kind == "ray":
-            cones.append(GraphNormalCone("ray", J, direction=data))
-        elif kind == "polyhedral":
-            cones.append(GraphNormalCone("polyhedral", J, generators=data))
-        else:
-            cones.append(GraphNormalCone(kind, J))
-    return cones if np.ndim(t) else cones[0]
+            f"beyond the cone tolerance {CONE_TOL_FEAS:.1e}")
+    if fmap._linear is not None:
+        J = fmap._linear
+    else:
+        J = np.stack([fmap.jacobian(ti, xi) for ti, xi in zip(ts, X)])
+    return GraphNormalCone(jacobian=J, **fmap.body_normal_cone(W))
 
 
-def coderivative(fmap: _OffsetMap, t: float, x, v, u,
-                 tol_feas: float = DEFAULT_TOL_FEAS):
+def coderivative(fmap: _OffsetMap, t: float, x, v, u):
     """D*F(t,.)(x, v)(u) as a list of vectors (empty or one element)."""
-    cone = graph_normal_cone(fmap, t, x, v, tol_feas)
+    cone = graph_normal_cone(fmap, t, x, v)
     u = _as_state(u)
-    if cone.contains_u(-u):
-        return [cone.jacobian.T @ u]
+    if np.linalg.norm(u + cone.project_u(-u, 0)) <= 1e-9:  # -u in the u-cone
+        return [cone.row_jacobian(0).T @ u]
     return []

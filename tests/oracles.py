@@ -20,6 +20,7 @@ stacks).
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -30,8 +31,7 @@ from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
                          sup_distance)
 from idikit.problem import RunningCost
-from idikit.setvalued import (GraphNormalCone, InfeasiblePointError,
-                              distance_and_projection)
+from idikit.setvalued import InfeasiblePointError, distance_and_projection
 
 
 # --- oracles of one time or one point, served row by row ----------------------
@@ -225,7 +225,7 @@ def adjoint_integral(kernel, x_arc, p, tau, horizon, edges):
     return acc
 
 
-def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
+def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol=1e-6):
     """The Volterra residual at each tau; tau counts as sampled on p's
     panels, from its cells when p is piecewise, else from [0, T]."""
     edges = panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon))
@@ -239,7 +239,7 @@ def volterra_residuals(problem, x_arc, p_arc, lam, taus, tol_feas=1e-6):
                             panel_edges(x_arc, TimeMesh.from_nodes(edges)))
         glx, glv = point_grads(problem.running_cost, tau, x, v)
         glx, glv = lam * glx, lam * glv
-        cone = graph_normal_cone(problem.fmap, tau, x, v - y, tol_feas)
+        cone = graph_normal_cone(problem.fmap, tau, x, v - y, tol)
         d, _ = pair_distance(cone, np.atleast_1d(p_arc.derivative(tau)) + mem - glx,
                              np.atleast_1d(p_arc.eval(tau)) - glv)
         out.append(d)
@@ -407,23 +407,50 @@ def ball_projection(radius, u):
 
 # --- graph normal cones, one point at a time ---------------------------------
 
-def graph_normal_cone(fmap, t, x, v, tol_feas=1e-8):
+# the graph normal cone at one point: its kind, the Jacobian J, the ray's
+# unit direction (zero on other kinds) and the generator rows (polyhedral
+# only); the elements are the pairs (-J^T u, u) with u in that body cone
+Cone = namedtuple("Cone", "kind jacobian direction generators")
+
+
+def graph_normal_cone(fmap, t, x, v, tol=1e-6):
     """The limiting normal cone to gph F(t, .) at one point (x, v): the
-    distance of v to F(t, x) gated at ``tol_feas``, then the Jacobian and
-    the body cone at v - f(t, x)."""
+    distance of v to F(t, x) gated at ``tol``, then the Jacobian and the body
+    cone at w = v - f(t, x), case by case."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     dist, _ = distance_and_projection(fmap, t, x, v)
-    if dist > tol_feas:
+    if dist > tol:
         raise InfeasiblePointError(
-            f"v is {dist:.3e} away from F(t,x), beyond tol_feas={tol_feas:.1e}")
+            f"v is {dist:.3e} away from F(t,x), beyond tol={tol:.1e}")
     J = fmap.jacobian(t, x)
-    kind, data = fmap.body_normal_cone(v - fmap.center(t, x), tol_feas)
-    if kind == "ray":
-        return GraphNormalCone("ray", J, direction=data)
-    if kind == "polyhedral":
-        return GraphNormalCone("polyhedral", J, generators=data)
-    return GraphNormalCone(kind, J)
+    w = v - fmap.center(t, x)
+    none = np.zeros_like(w)
+    if fmap.kind == "singleton" or (fmap.kind == "polytope"
+                                    and len(fmap.vertices) == 1):
+        return Cone("subspace", J, none, None)
+    if fmap.kind == "ball":
+        nw = float(np.linalg.norm(w))
+        if nw < fmap.radius - tol:
+            return Cone("zero", J, none, None)
+        if nw <= tol:  # a radius-0 ball is a point
+            return Cone("subspace", J, none, None)
+        return Cone("ray", J, w / nw, None)
+    A, b = fmap._facet_system()
+    resid = A @ w - b
+    if np.any(resid > tol):
+        raise InfeasiblePointError("point outside polytope beyond tolerance")
+    active = A[np.abs(resid) <= 1e-8]
+    if active.shape[0] == 0:
+        return Cone("zero", J, none, None)
+    return Cone("polyhedral", J, none, active)
+
+
+def cone_row(cones, i):
+    """Row i of a package cone stack as a one-point ``Cone``."""
+    kind = str(cones.kind[i])
+    return Cone(kind, cones.row_jacobian(i), cones.direction[i],
+                cones.generators(i) if kind == "polyhedral" else None)
 
 
 def pair_distance(cone, q_x, q_v):
@@ -433,9 +460,9 @@ def pair_distance(cone, q_x, q_v):
     J = cone.jacobian
     q = np.concatenate([q_x, q_v])
     if cone.kind == "zero":
-        return float(np.linalg.norm(q)), np.zeros(cone.dim)
+        return float(np.linalg.norm(q)), np.zeros(q_v.size)
     if cone.kind == "subspace":
-        M = np.vstack([-J.T, np.eye(cone.dim)])
+        M = np.vstack([-J.T, np.eye(q_v.size)])
         u, *_ = np.linalg.lstsq(M, q, rcond=None)
         return float(np.linalg.norm(M @ u - q)), u
     if cone.kind == "ray":

@@ -461,7 +461,8 @@ def test_zero_reference_tolerance_is_honoured(tmp_path):
         "k = 8, 16", "k = 4") + "\n[reference]\nfeas_tol = 0\n")
     assert cli._reference_for(load_config(cfgp))[1] == 0.0
     with pytest.raises(InfeasibleReferenceError):
-        main(["converge", cfgp])
+        cli.run_convergence_study(load_config(cfgp))
+    assert main(["converge", cfgp]) == 5
 
 
 def test_non_finite_problem_numbers_are_config_errors(tmp_path):
@@ -528,3 +529,59 @@ def test_endpoint_outside_its_set_exits_4(tmp_path, capsys):
     assert main(["conditions", cfgp]) == 4
     err = capsys.readouterr().err
     assert err == "endpoint error: endpoint outside the inflated set\n"
+
+
+# an inline problem with memory whose reference is simulated on a fine mesh
+SIMULATED = """
+[problem]
+name = simulated
+inline = true
+dim = 2
+{body}
+drift = rotation
+drift_scale = 0.2
+kernel = identity_decay
+x0 = 1 0
+horizon = 1.0
+state_box_lo = -4 -4
+state_box_hi = 4 4
+
+[meshes]
+k = 4, 8
+
+[solver]
+max_iter = 50
+
+[run]
+output_dir = {out}
+label = sim
+"""
+
+
+def test_simulated_reference_passes_the_gate_of_every_mesh(tmp_path):
+    # a small ball's reference misses the inclusion more on the coarse
+    # mesh than on the fine one; the gate covers both
+    from idikit.dynamics import approximate_arc, feasibility_residual
+    cfg = load_config(_write(tmp_path, SIMULATED.format(
+        body="variant = ball\nradius = 0.01", out=tmp_path / "out")))
+    reference, feas_tol = cli._reference_for(cfg)
+    horizon = cfg.entry.problem.horizon
+    res = [feasibility_residual(cfg.entry.problem, reference,
+                                TimeMesh.uniform(k, horizon)) for k in cfg.mesh_ks]
+    assert res[0] > 2.0 * res[-1] and feas_tol == 2.0 * max(res)
+    for k in cfg.mesh_ks:
+        approximate_arc(cfg.entry.problem, reference, TimeMesh.uniform(k, horizon),
+                        feas_tol=feas_tol)
+
+
+def test_problems_the_run_cannot_check_exit_5(tmp_path, capsys):
+    # a singleton's simulated reference misses the cone gate of the Volterra
+    # residuals; a flat polytope has no facet normals for its cones
+    for body, error in (("variant = singleton", "InfeasiblePointError"),
+                        ("variant = polytope\nvertices = 0 0; 1 1; 2 2",
+                         "SetValuedError")):
+        cfgp = _write(tmp_path, SIMULATED.format(body=body, out=tmp_path / "out"))
+        for command in ("converge", "conditions"):
+            assert main([command, cfgp]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith(f"{error}: ") and err.count("\n") == 1

@@ -1,8 +1,8 @@
 """The stacked graph-normal-cone distances against the per-node oracle.
 
 ``pair_distances`` has a closed form per cone kind; ``oracles.pair_distance``
-solves one least-squares or NNLS problem per row.  Both are held within
-1e-12 relative to |q|, the size of the query pair.
+solves one least-squares or NNLS problem per row of the stack.  Both are
+held within 1e-12 relative to |q|, the size of the query pair.
 """
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 
 import oracles
 from idikit.setvalued import (BallOffset, GraphNormalCone, PolytopeOffset,
-                              Singleton, graph_normal_cone, pair_distances)
+                              SetValuedError, Singleton, graph_normal_cone,
+                              pair_distances)
 
 RTOL = 1e-12
 KINDS = ("zero", "subspace", "ray", "polyhedral")
@@ -33,34 +34,39 @@ def _generator_sets(rng, n):
 
 
 def _cones(rng, n, N, jacobian):
-    """N cones of random kinds; ``jacobian`` is "shared" (one matrix object,
-    as a map built with ``linear`` gives), "per_row" or "zero"."""
-    shared = rng.standard_normal((n, n)) if jacobian == "shared" else np.zeros((n, n))
+    """A stack of N rows of random kinds; ``jacobian`` is "shared" (one
+    (n, n) matrix, as a map built with ``linear`` gives), "per_row" or
+    "zero".  The facets are the generator sets one after another, and a
+    polyhedral row takes one whole set."""
     sets = _generator_sets(rng, n)
-    cones = []
-    for kind in rng.choice(KINDS, size=N):
-        J = rng.standard_normal((n, n)) if jacobian == "per_row" else shared
-        if kind == "ray":
-            cones.append(GraphNormalCone("ray", J, direction=_unit(rng, n)))
-        elif kind == "polyhedral":
-            gens = sets[rng.integers(len(sets))]
-            cones.append(GraphNormalCone("polyhedral", J, generators=gens))
-        else:
-            cones.append(GraphNormalCone(str(kind), J))
-    return cones
+    ends = np.cumsum([len(g) for g in sets])
+    if jacobian == "per_row":
+        J = rng.standard_normal((N, n, n))
+    else:
+        J = rng.standard_normal((n, n)) if jacobian == "shared" else np.zeros((n, n))
+    kind = rng.choice(KINDS, size=N)
+    direction = np.zeros((N, n))
+    active = np.zeros((N, ends[-1]), dtype=bool)
+    for i in np.flatnonzero(kind == "ray"):
+        direction[i] = _unit(rng, n)
+    for i in np.flatnonzero(kind == "polyhedral"):
+        g = rng.integers(len(sets))
+        active[i, ends[g] - len(sets[g]):ends[g]] = True
+    return GraphNormalCone(kind, J, direction, np.concatenate(sets), active)
 
 
 def _queries(rng, cones, n):
     """Random pairs, a quarter of them moved into their cone (distance 0)."""
     Qx, Qv = rng.standard_normal((2, len(cones), n))
     for i in np.flatnonzero(rng.random(len(cones)) < 0.25):
-        u = oracles.project_u(cones[i], Qv[i])
-        Qx[i], Qv[i] = -cones[i].jacobian.T @ u, u
+        u = oracles.project_u(oracles.cone_row(cones, i), Qv[i])
+        Qx[i], Qv[i] = -cones.row_jacobian(i).T @ u, u
     return Qx, Qv
 
 
 def _assert_matches_oracle(cones, Qx, Qv, d, U):
-    for c, qx, qv, di, u in zip(cones, Qx, Qv, d, U):
+    for i, (qx, qv, di, u) in enumerate(zip(Qx, Qv, d, U)):
+        c = oracles.cone_row(cones, i)
         scale = np.linalg.norm(np.concatenate([qx, qv]))
         want_d, want_u = oracles.pair_distance(c, qx, qv)
         assert abs(di - want_d) <= RTOL * scale, (c.kind, di, want_d)
@@ -89,9 +95,9 @@ def test_each_row_is_its_one_row_case(jacobian):
     cones = _cones(rng, 2, 200, jacobian)
     Qx, Qv = _queries(rng, cones, 2)
     d, U = pair_distances(cones, Qx, Qv)
-    for i, c in enumerate(cones):
-        di, ui = c.pair_distance(Qx[i], Qv[i])
-        assert di == d[i] and np.array_equal(ui, U[i])
+    for i in range(len(cones)):
+        di, ui = pair_distances(cones[[i]], Qx[i:i + 1], Qv[i:i + 1])
+        assert di[0] == d[i] and np.array_equal(ui[0], U[i])
 
 
 def test_inputs_are_not_written():
@@ -105,7 +111,8 @@ def test_inputs_are_not_written():
 
 def test_degenerate_bodies_give_subspace_cones():
     # a radius-0 ball and a one-vertex polytope are points: their graph
-    # cones are subspaces, as a singleton's are
+    # cones are subspaces, as a singleton's are; a flat polytope has no
+    # facet normals, which one stacked call names
     A = np.array([[0.3, -1.1], [0.7, 0.2]])
     rng = np.random.default_rng(7)
     X = rng.standard_normal((40, 2))
@@ -116,10 +123,13 @@ def test_degenerate_bodies_give_subspace_cones():
             Singleton.linear(np.zeros((2, 2))))
     for fmap, vv in zip(maps, (X @ A.T, V, np.zeros_like(X))):
         cones = graph_normal_cone(fmap, t, X, vv)
-        assert {c.kind for c in cones} == {"subspace"}
+        assert set(cones.kind) == {"subspace"}
         Qx, Qv = rng.standard_normal((2, 40, 2))
         d, U = pair_distances(cones, Qx, Qv)
         _assert_matches_oracle(cones, Qx, Qv, d, U)
+    flat = PolytopeOffset.linear(A, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(SetValuedError, match="full space"):
+        graph_normal_cone(flat, t, X, X @ A.T + 0.5)
 
 
 def test_polytope_cones_from_a_trajectory_stack():
@@ -131,7 +141,7 @@ def test_polytope_cones_from_a_trajectory_stack():
                      [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]] * 30)
     X = rng.standard_normal(body.shape)
     cones = graph_normal_cone(F, np.zeros(len(body)), X, X @ A.T + body)
-    assert {c.kind for c in cones} == {"polyhedral", "zero"}
+    assert set(cones.kind) == {"polyhedral", "zero"}
     Qx, Qv = rng.standard_normal((2,) + body.shape)
     d, U = pair_distances(cones, Qx, Qv)
     _assert_matches_oracle(cones, Qx, Qv, d, U)
@@ -141,9 +151,10 @@ def test_polytope_cones_from_a_trajectory_stack():
 def test_project_u_matches_nnls(n):
     rng = np.random.default_rng(9 + n)
     for gens in _generator_sets(rng, n):
-        cone = GraphNormalCone("polyhedral", rng.standard_normal((n, n)),
-                               generators=gens)
+        cone = GraphNormalCone(np.array(["polyhedral"]), rng.standard_normal((n, n)),
+                               np.zeros((1, n)), gens, np.ones((1, len(gens)), bool))
         for b in rng.standard_normal((20, n)):
-            got = cone.project_u(b)
-            assert np.abs(got - oracles.project_u(cone, b)).max() <= RTOL * np.linalg.norm(b)
-            assert cone.contains_u(got)
+            got = cone.project_u(b, 0)
+            want = oracles.project_u(oracles.cone_row(cone, 0), b)
+            assert np.abs(got - want).max() <= RTOL * np.linalg.norm(b)
+            assert np.linalg.norm(cone.project_u(got, 0) - got) <= 1e-9

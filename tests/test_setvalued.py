@@ -5,7 +5,7 @@ from idikit.setvalued import (BallOffset, InfeasiblePointError, PolytopeOffset,
                               SetValuedError, Singleton, averaged_modulus,
                               coderivative, distance_and_projection,
                               graph_normal_cone, hausdorff_distance,
-                              project_convex_hull)
+                              pair_distances, project_convex_hull)
 
 
 def _lin(A):
@@ -163,23 +163,23 @@ def test_graph_normal_cone_singleton_linear():
     F = Singleton(f, jac=jac)
     x = np.array([0.3, -0.2])
     cone = graph_normal_cone(F, 0.0, x, A @ x)
-    assert cone.kind == "subspace"
+    assert list(cone.kind) == ["subspace"]
     for u in (np.array([1.0, 0.0]), np.array([0.5, -2.0])):
         pairs = np.concatenate([-(A.T @ u), u])
-        d, _ = cone.pair_distance(pairs[:2], pairs[2:])
-        assert d < 1e-12
+        d, _ = pair_distances(cone, pairs[None, :2], pairs[None, 2:])
+        assert d[0] < 1e-12
 
 
 def test_graph_normal_cone_ball_boundary_and_interior():
     F = BallOffset(lambda t, x: np.zeros(2), 1.0, jac=lambda t, x: np.zeros((2, 2)))
     cone = graph_normal_cone(F, 0.0, [0.0, 0.0], [1.0, 0.0])
-    assert cone.kind == "ray"
-    assert np.allclose(cone.direction, [1.0, 0.0])
-    d, _ = cone.pair_distance(np.zeros(2), np.array([0.7, 0.0]))
-    assert d < 1e-12
+    assert list(cone.kind) == ["ray"]
+    assert np.allclose(cone.direction, [[1.0, 0.0]])
+    d, _ = pair_distances(cone, np.zeros((1, 2)), np.array([[0.7, 0.0]]))
+    assert d[0] < 1e-12
 
     interior = graph_normal_cone(F, 0.0, [0.0, 0.0], [0.1, 0.2])
-    assert interior.kind == "zero"
+    assert list(interior.kind) == ["zero"]
     with pytest.raises(InfeasiblePointError):
         graph_normal_cone(F, 0.0, [0.0, 0.0], [2.0, 0.0])
 
@@ -212,8 +212,8 @@ def test_graph_normal_cone_nonlinear_ball_proximal():
     x = np.array([0.2])
     v = x + 1.0
     cone = graph_normal_cone(F, 0.0, x, v)
-    assert cone.kind == "ray"
-    pair = np.concatenate([-cone.jacobian.T @ cone.direction, cone.direction])
+    assert list(cone.kind) == ["ray"]
+    pair = cone.pair_samples(0)[0]
     assert np.allclose(pair, [-1.0, 1.0])
     assert _proximal_check(F, 0.0, x, v, pair)
 
@@ -224,14 +224,14 @@ def test_graph_normal_cone_polytope_active_facets():
                        jac=lambda t, x: np.zeros((2, 2)))
     # midpoint of the hypotenuse facet: one active facet with normal (1,1)/sqrt(2)
     cone = graph_normal_cone(F, 0.0, [0.0, 0.0], [0.5, 0.5])
-    assert cone.kind == "polyhedral"
-    assert cone.generators.shape[0] == 1
-    assert np.allclose(np.abs(cone.generators[0]), [1 / np.sqrt(2)] * 2)
+    assert list(cone.kind) == ["polyhedral"]
+    assert cone.generators(0).shape[0] == 1
+    assert np.allclose(np.abs(cone.generators(0)[0]), [1 / np.sqrt(2)] * 2)
     # vertex (1,0): two active facets
     cone_v = graph_normal_cone(F, 0.0, [0.0, 0.0], [1.0, 0.0])
-    assert cone_v.generators.shape[0] == 2
+    assert cone_v.generators(0).shape[0] == 2
     # interior point: trivial cone
-    assert graph_normal_cone(F, 0.0, [0.0, 0.0], [0.2, 0.2]).kind == "zero"
+    assert list(graph_normal_cone(F, 0.0, [0.0, 0.0], [0.2, 0.2]).kind) == ["zero"]
 
 
 def test_coderivative_cases():
@@ -291,9 +291,9 @@ def test_graph_normal_cone_polytope_proximal():
     x = np.array([0.5, -0.3])
     v = F.center(0.0, x) + np.array([0.5, 0.5])  # hypotenuse midpoint
     cone = graph_normal_cone(F, 0.0, x, v)
-    assert cone.kind == "polyhedral"
+    assert list(cone.kind) == ["polyhedral"]
     rng = np.random.default_rng(4)
-    for pair in cone.pair_samples():
+    for pair in cone.pair_samples(0):
         probe = np.concatenate([x, v]) + 1e-4 * pair / np.linalg.norm(pair)
         d_base = np.linalg.norm(probe - np.concatenate([x, v]))
         for _ in range(300):
@@ -312,7 +312,9 @@ def _nonlinear(t, x):
 
 def _cone_cases():
     """(label, map, body points) for every body, drift and dim 1 to 3: the
-    body points hold interior, boundary and active-facet points."""
+    body points hold interior, boundary and active-facet points.  The
+    degenerate bodies are a radius-0 ball, a one-vertex polytope and, in 1-D,
+    a polytope of two equal vertices, whose cone is generated by -1 and 1."""
     cases = []
     for n in (1, 2, 3):
         A = np.arange(1.0, n * n + 1.0).reshape(n, n) / (n * n)
@@ -329,14 +331,18 @@ def _cone_cases():
             "polytope": [V.mean(axis=0), V[0], V[-1], 0.5 * (V[0] + V[1]),
                          V[1:].mean(axis=0), V[:-1].mean(axis=0)],
             "vertex": [np.full(n, 0.2), np.full(n, 0.2) + 1e-10],
+            "twin": [np.full(n, 0.2), np.full(n, 0.2) + 1e-10],
         }
         for drift, make in (("linear", lambda cls, *b: cls.linear(A, *b)),
                             ("nonlinear", lambda cls, *b: cls(_nonlinear, *b))):
-            for name, fmap in (("singleton", make(Singleton)),
-                               ("ball", make(BallOffset, 0.8)),
-                               ("ball0", make(BallOffset, 0.0)),
-                               ("polytope", make(PolytopeOffset, V)),
-                               ("vertex", make(PolytopeOffset, [[0.2] * n]))):
+            maps = [("singleton", make(Singleton)),
+                    ("ball", make(BallOffset, 0.8)),
+                    ("ball0", make(BallOffset, 0.0)),
+                    ("polytope", make(PolytopeOffset, V)),
+                    ("vertex", make(PolytopeOffset, [[0.2] * n]))]
+            if n == 1:
+                maps.append(("twin", make(PolytopeOffset, [[0.2], [0.2]])))
+            for name, fmap in maps:
                 cases.append((f"{name}-{drift}-{n}d", fmap, body[name]))
     return cases
 
@@ -353,11 +359,11 @@ def _cone_rows(fmap, body, seed=0):
 def _same_cone(a, b):
     assert a.kind == b.kind
     assert np.array_equal(a.jacobian, b.jacobian)
-    for field in ("direction", "generators"):
-        got, want = getattr(a, field), getattr(b, field)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(a.direction, b.direction)
+    assert (a.generators is None) == (b.generators is None)
+    if b.generators is not None:
+        assert a.generators.shape == b.generators.shape
+        assert np.array_equal(a.generators, b.generators)
 
 
 @pytest.mark.parametrize("label,fmap,body", _cone_cases(),
@@ -365,17 +371,26 @@ def _same_cone(a, b):
 def test_stacked_cones_match_point_oracle(label, fmap, body):
     import oracles
     ts, xs, vs = _cone_rows(fmap, body)
-    cones = graph_normal_cone(fmap, ts, xs, vs, 1e-6)
-    assert isinstance(cones, list) and len(cones) == len(body)
-    for t, x, v, cone in zip(ts, xs, vs, cones):
-        want = oracles.graph_normal_cone(fmap, t, x, v, 1e-6)
-        _same_cone(cone, want)
-        _same_cone(graph_normal_cone(fmap, t, x, v, 1e-6), want)  # one row
-    kinds = {c.kind for c in cones}
+    cones = graph_normal_cone(fmap, ts, xs, vs)
+    assert len(cones) == len(body)
+    rng = np.random.default_rng(1)
+    Qx, Qv = rng.normal(size=(2,) + xs.shape)
+    d, U = pair_distances(cones, Qx, Qv)
+    for i, (t, x, v) in enumerate(zip(ts, xs, vs)):
+        want = oracles.graph_normal_cone(fmap, t, x, v)
+        _same_cone(oracles.cone_row(cones, i), want)
+        _same_cone(oracles.cone_row(graph_normal_cone(fmap, t, x, v), 0),
+                   want)  # one row
+        scale = np.linalg.norm(np.concatenate([Qx[i], Qv[i]]))
+        want_d, want_u = oracles.pair_distance(want, Qx[i], Qv[i])
+        assert abs(d[i] - want_d) <= 1e-12 * scale
+        assert np.abs(U[i] - want_u).max() <= 1e-12 * scale
     expected = {"singleton": {"subspace"}, "ball": {"zero", "ray"},
                 "ball0": {"subspace"}, "polytope": {"zero", "polyhedral"},
-                "vertex": {"subspace"}}[label.split("-")[0]]
-    assert kinds == expected
+                "vertex": {"subspace"}, "twin": {"polyhedral"}}[label.split("-")[0]]
+    assert set(cones.kind) == expected
+    if fmap._linear is not None:  # the map's A, stored once
+        assert cones.jacobian is fmap._linear
 
 
 def test_stacked_cones_name_the_first_infeasible_row():
@@ -391,5 +406,5 @@ def test_stacked_cones_name_the_first_infeasible_row():
     with pytest.raises(InfeasiblePointError, match=r"row 4 \(t = 1\)"):
         graph_normal_cone(F, ts, xs, vs)
     vs[4] = [0.0, 1.0]
-    assert [c.kind for c in graph_normal_cone(F, ts, xs, vs)] == \
+    assert list(graph_normal_cone(F, ts, xs, vs).kind) == \
         ["zero", "zero", "ray", "zero", "ray"]

@@ -262,10 +262,11 @@ def test_linear_drift_centers_match_the_rows():
 
 
 def test_linear_cones_carry_the_matrix():
+    # the stack stores the map's A once, as (n, n), whatever the rows
     fmap = BallOffset.linear(0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0)
     X = np.array([[0.5, -1.0], [2.0, 0.0]])
     cones = graph_normal_cone(fmap, np.zeros(2), X, _centers(fmap, np.zeros(2), X))
-    assert all(cone.jacobian is fmap._linear for cone in cones)
+    assert cones.jacobian is fmap._linear and cones.jacobian.shape == (2, 2)
 
 
 # --- multiplier recovery -------------------------------------------------------------
