@@ -12,9 +12,13 @@ Exit codes: 0 success, 1 audit/condition failure, 2 config error, 3 a state
 that became non-finite (the message names the stage and node), 4 an
 endpoint outside the endpoint set its condition is checked on, 5 a problem
 the run cannot check: a reference or a velocity outside its value set, or
-a velocity body without the normal cones a check needs.  Output is
-one CSV (schema tagged in a leading comment line) plus one JSON run record
-per invocation; identical config + seed reproduce the CSV byte for byte.
+a velocity body without the normal cones a check needs (asked for before
+the solve).  Output is one CSV (schema tagged in a leading comment line)
+plus one JSON run record per invocation; identical config + seed reproduce
+the CSV byte for byte.  ``converge`` and ``conditions`` recover the
+multipliers normal-first with :func:`~idikit.conditions.recover_multipliers`
+and record its route per k: ``route`` in each ``solves`` entry, ``routes``
+in the conditions record.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
-from .conditions import adjoint_solve_smooth, build_condition_report
+from .conditions import build_condition_report, recover_multipliers
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import (InfeasibleReferenceError, NonFiniteStateError,
                        approximate_arc, feasibility_residual, simulate)
@@ -120,26 +124,31 @@ def _simulate(cfg: ExperimentConfig, mesh: TimeMesh, policy: str):
 
 def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
                  solve: bool):
-    """Approximate, build, solve if ``solve``, recover the multipliers and
-    report the conditions on the uniform mesh of k cells."""
+    """Approximate, build, solve if ``solve``, recover the multipliers
+    normal-first (:func:`~idikit.conditions.recover_multipliers`) and report
+    the conditions on the uniform mesh of k cells; the recovery's route
+    comes back with the reports."""
     problem = cfg.entry.problem
     mesh = TimeMesh.uniform(k, problem.horizon)
     traj, report = approximate_arc(problem, reference, mesh, feas_tol=feas_tol)
     dbp, controls, _, _ = build_discrete_problem(problem, mesh, reference,
                                                  precomputed=(traj, report))
+    # a body without the normal cones the checks need (a flat polytope)
+    # raises here, not after a solve that cannot be checked
+    problem.fmap.body_normal_cone(np.empty((0, problem.dim)))
     log, normal = None, None
     if solve:
         opts = SolveOptions(tol_stat=cfg.tol_stat, max_iter=cfg.max_iter,
                             endpoint_tol=cfg.endpoint_tol)
         traj, _, log = solve_Pk(dbp, controls, opts)
         normal = log.endpoint_normal
-    mult = adjoint_solve_smooth(dbp, traj, endpoint_normal=normal)
+    mult, route = recover_multipliers(dbp, traj, endpoint_normal=normal)
     # continuous residuals run along the designated reference arc: the
     # memory-adjoint condition is stated for the minimizer candidate, and
     # the reference is exactly feasible where discrete extensions carry an
     # O(h) defect that would trip the cone feasibility gate
     crep = build_condition_report(dbp, traj, mult, x_arc=reference)
-    return report, dbp, traj, log, crep
+    return report, dbp, traj, log, crep, route
 
 
 def run_convergence_study(cfg: ExperimentConfig):
@@ -148,8 +157,8 @@ def run_convergence_study(cfg: ExperimentConfig):
     rows = []
     meta = []
     for k in cfg.mesh_ks:
-        report, dbp, traj, log, crep = _verify_mesh(cfg, reference, feas_tol,
-                                                    k, solve=True)
+        report, dbp, traj, log, crep, route = _verify_mesh(
+            cfg, reference, feas_tol, k, solve=True)
         flags = "" if log.stationary else "nonstationary"
         rows.append((k, dbp.mesh.max_step, report.sup_error, report.w12_error,
                      report.zeta_k, report.beta_k, cost_Jk(dbp, traj),
@@ -157,6 +166,7 @@ def run_convergence_study(cfg: ExperimentConfig):
                      crep.nontriviality, flags))
         meta.append({"k": k, "iterations": log.iterations,
                      "stationary": log.stationary, "message": log.message,
+                     "route": route,
                      "endpoint_violation": float(log.endpoint_violation),
                      "tube_active": log.tube_active,
                      "budget_active": log.budget_active,
@@ -366,10 +376,12 @@ def run_conditions(cfg: ExperimentConfig):
     reference, feas_tol = _reference_for(cfg)
     rows = []
     medians = []
+    routes = []
     bounds_ok = True
     for k in cfg.mesh_ks:
-        _, dbp, _, _, crep = _verify_mesh(cfg, reference, feas_tol, k,
-                                          solve=False)
+        _, dbp, _, _, crep, route = _verify_mesh(cfg, reference, feas_tol, k,
+                                                 solve=False)
+        routes.append(route)
         rows.append((k, dbp.mesh.max_step, crep.el_max, crep.volterra_median,
                      crep.transversality, crep.nontriviality,
                      crep.adjoint_bound, "ok" if crep.adjoint_bound_ok else "FAIL"))
@@ -377,7 +389,7 @@ def run_conditions(cfg: ExperimentConfig):
         bounds_ok = bounds_ok and crep.adjoint_bound_ok
     decreasing = all(b <= a * (1 + 1e-9) + 1e-12
                      for a, b in zip(medians, medians[1:]))
-    return rows, bounds_ok, decreasing
+    return rows, bounds_ok, decreasing, routes
 
 
 def main(argv=None) -> int:
@@ -432,8 +444,9 @@ def _run(command: str, cfg: ExperimentConfig) -> int:
         columns = ("k", "h", "EL_residual_max", "volterra_residual_median",
                    "transversality_residual", "nontriviality",
                    "adjoint_bound", "adjoint_bound_status")
-        rows, bounds_ok, decreasing = run_conditions(cfg)
-        extra = {"adjoint_bounds_ok": bounds_ok, "volterra_decreasing": decreasing}
+        rows, bounds_ok, decreasing, routes = run_conditions(cfg)
+        extra = {"adjoint_bounds_ok": bounds_ok, "volterra_decreasing": decreasing,
+                 "routes": routes}
         if not bounds_ok or (len(cfg.mesh_ks) > 1 and not decreasing):
             failures = ["condition failure: adjoint bound or residual decay violated"]
 

@@ -15,6 +15,12 @@ must pair with p(tau) inside lam * grad(l) + N_{gph F(tau, .)} evaluated at
 smooth cost oracles, where the subdifferentials are singletons and all cone
 distances are closed-form: each residual set is one stacked
 :func:`~idikit.setvalued.pair_distances` call, one pass per cone kind.
+
+:func:`recover_multipliers` is the path from a trajectory to its
+multipliers, the CLI's too: the lam = 1 sweep of
+:func:`adjoint_solve_smooth`, then the lam = 0 probe if that does not
+certify.  :func:`euler_lagrange_residual` is one row of the stacked pass
+:func:`build_condition_report` takes.
 """
 
 from __future__ import annotations
@@ -178,35 +184,26 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
             + (a * h + lf) * mult.theta_l1) * math.exp(T * (3.0 * a * T + lf))
 
 
-def _el_residual_rows(problem: DiscreteBolzaProblem, mult: MultiplierSet,
-                      js: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """The residuals of the nodes ``js``, given the memory coupling of p at
-    each (one row per node), from one stacked cone-distance call."""
-    h = problem.mesh.steps[js][:, None]
-    t = mult.tensors
-    mu, theta = t.mu[js], t.theta[js]
-    p0, p1 = mult.p[js], mult.p[js + 1]
-    pin = mult.lam * (mult.glv[js] + theta / h)
-    lhs1 = ((p1 - p0) / h
-            + 2.0 / h * _matvec(mu, p1)
-            - _matvec(mu, pin) / h
-            + couplings / h)
-    lhs2 = p1 - mult.lam * theta / h
-    d, _ = pair_distances(mult.cones[js], lhs1 - mult.lam * mult.glx[js],
-                          lhs2 - mult.lam * mult.glv[js])
-    return d
-
-
 def _el_residuals(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1.  The memory
-    couplings are collected from j = k-1 down, the order in which they are a
-    running sum; the distances are then one stacked pass."""
-    k = problem.mesh.k
-    coupling = mult.tensors.backward_coupling(mult.p[1:])
-    couplings = np.empty((k, problem.base.dim))
-    for j in range(k - 1, -1, -1):
+    couplings of p are collected from j = k-1 down, the order in which they
+    are a running sum; the distances are then one stacked pass."""
+    h = problem.mesh.steps[:, None]
+    t = mult.tensors
+    coupling = t.backward_coupling(mult.p[1:])
+    couplings = np.empty_like(t.theta)
+    for j in range(problem.mesh.k - 1, -1, -1):
         couplings[j] = coupling(j)
-    return _el_residual_rows(problem, mult, np.arange(k), couplings)
+    p0, p1 = mult.p[:-1], mult.p[1:]
+    pin = mult.lam * (mult.glv + t.theta / h)
+    lhs1 = ((p1 - p0) / h
+            + 2.0 / h * _matvec(t.mu, p1)
+            - _matvec(t.mu, pin) / h
+            + couplings / h)
+    lhs2 = p1 - mult.lam * t.theta / h
+    d, _ = pair_distances(mult.cones, lhs1 - mult.lam * mult.glx,
+                          lhs2 - mult.lam * mult.glv)
+    return d
 
 
 def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
@@ -215,9 +212,9 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
 
     The running-cost gradients and the cone are the ones ``mult`` carries
     for node j, built by :func:`adjoint_solve_smooth` on its trajectory.
+    This is row j of the stacked pass the condition report takes.
     """
-    coupling = mult.tensors.coupling(j, mult.p[1:])
-    return float(_el_residual_rows(problem, mult, np.array([j]), coupling[None])[0])
+    return float(_el_residuals(problem, mult)[j])
 
 
 def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,

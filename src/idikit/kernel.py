@@ -397,61 +397,50 @@ class QuadratureTensors:
 
     ``xi[i, j]`` holds the rectangle integral for 1 <= i <= k-1, j < i; the
     row i = k is kept and identically zero so the adjoint recursion can sum
-    to i = k without special-casing the last step.  For a zero kernel ``xi``
-    is a read-only broadcast of 0.0 that stores no array.  For an
-    exponential kernel ``xi`` is None and ``cells``, the discretization,
-    holds the per-cell sums it factors into,
-    xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.
+    to i = k without special-casing the last step.  Only the row rule's
+    kernel stores this dense array.  For the zero kernel ``xi`` is None and
+    so is ``cells``.  For an exponential kernel ``xi`` is None and
+    ``cells``, the discretization, holds the per-cell sums it factors into,
+    xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.  The couplings of
+    all three are read through :meth:`backward_coupling`.
     """
 
     w: np.ndarray             # (k, n)
     theta: np.ndarray         # (k, n)
-    xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero
+    xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero; row rule only
     mu: np.ndarray            # (k, n, n)
     cells: Optional[_Discretization] = None
 
-    def coupling(self, j: int, r: np.ndarray) -> np.ndarray:
-        """sum_{m=j+1}^{k-1} xi[m, j] @ r[m]: how the memory of the later
-        steps m, weighted by r (shape (k, n)), depends on node j.
-
-        For an exponential kernel this is c sigma_j R_j with
-        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m], summed afresh in
-        O(k n); a sweep over every j takes :meth:`backward_coupling`.
-        """
-        if self.cells is not None:
-            cells, (c, rate) = self.cells, self.cells.kernel._exp
-            m = np.arange(j + 1, len(r))
-            lag = cells.mesh.nodes[m] - cells.mesh.nodes[j + 1]
-            running = (cells.tau[m] * np.exp(-rate * lag)) @ r[m]
-            return c * cells.sigma[j] * running
-        if self.xi.strides[0] == 0:  # the zero kernel's broadcast 0.0
-            return np.zeros(r.shape[1])
-        return np.einsum("mab,mb->a", self.xi[j + 1:len(r), j], r[j + 1:])
-
     def backward_coupling(self, r: np.ndarray) -> Callable:
-        """``coupling(j)``, the same as :meth:`coupling` of r at j, called
-        for j = k-1, k-2, ..., 0 in turn; a call out of turn raises
-        :class:`KernelIndexError`.
+        """``coupling(j)`` = sum_{m=j+1}^{k-1} xi[m, j] @ r[m], how the memory
+        of the later steps m, weighted by r (shape (k, n)), depends on node
+        j; called for j = k-1, k-2, ..., 0 in turn, and a call out of turn
+        raises :class:`KernelIndexError`.
 
-        Call j reads row j + 1 of r and no later row, so a backward sweep
-        may write r[j + 1] just before it asks for j.  For an exponential
-        kernel a call costs O(n): R_j = e^{-r h_{j+1}} R_{j+1} +
-        tau_{j+1} r[j + 1], with R_{k-1} = 0.
+        Call j reads rows j + 1.. of r, so a backward sweep may write
+        r[j + 1] just before it asks for j.  An exponential kernel carries
+        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m] as the running sum
+        R_j = e^{-r h_{j+1}} R_{j+1} + tau_{j+1} r[j + 1], R_{k-1} = 0, so
+        that coupling(j) = c sigma_j R_j costs O(n); the row rule's kernel
+        sums its dense ``xi``, and the zero kernel gives zeros.
         """
         k, cells = len(r), self.cells
-        if cells is None:
-            return _in_turn(lambda j: self.coupling(j, r), range(k - 1, -1, -1),
-                            "backward couplings")
-        c, tau = cells.kernel._exp[0], cells.tau.tolist()
-        sigma, decay = cells.sigma.tolist(), cells.decay.tolist()
-        running = np.zeros(r.shape[1])
+        if cells is not None:
+            c, tau = cells.kernel._exp[0], cells.tau.tolist()
+            sigma, decay = cells.sigma.tolist(), cells.decay.tolist()
+            running = np.zeros(r.shape[1])
 
-        def coupling(j):
-            nonlocal running
-            if j + 1 < k:
-                running = decay[j + 1] * running + tau[j + 1] * r[j + 1]
-            return c * sigma[j] * running
-
+            def coupling(j):
+                nonlocal running
+                if j + 1 < k:
+                    running = decay[j + 1] * running + tau[j + 1] * r[j + 1]
+                return c * sigma[j] * running
+        elif self.xi is not None:
+            def coupling(j):
+                return np.einsum("mab,mb->a", self.xi[j + 1:k, j], r[j + 1:])
+        else:
+            def coupling(j):
+                return np.zeros(r.shape[1])
         return _in_turn(coupling, range(k - 1, -1, -1), "backward couplings")
 
 
@@ -461,7 +450,8 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
 
     The reference enters theta only, through its nodal values
     ``reference_nodes``, shape (k+1, n).  An exponential kernel gets its
-    per-cell sums in place of ``xi``, in O(k) time and memory.
+    per-cell sums in place of ``xi``, in O(k) time and memory; the zero
+    kernel gets no ``xi``.
     """
     disc = _discretize(kernel, mesh)._replace(ref_nodes=reference_nodes)
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
@@ -479,13 +469,11 @@ def _tensors(disc: _Discretization, states: np.ndarray, w: np.ndarray,
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     theta = mesh.steps[:, None] * v - np.diff(disc.ref_nodes, axis=0)
-    mu = np.zeros((k, n, n))
-    if kernel.is_zero:
-        xi = np.broadcast_to(0.0, (k + 1, k, n, n))
-    elif disc.tau is not None:
-        xi, cells = None, disc
+    mu, xi = np.zeros((k, n, n)), None
+    if disc.tau is not None:
+        cells = disc
         mu[:] = (kernel._exp[0] * disc.tri)[:, None, None] * np.eye(n)
-    else:
+    elif not kernel.is_zero:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):
             rows = _row_integrals(kernel.jac_batch_s, mesh, states, i)

@@ -139,39 +139,6 @@ class PointSet(_EndpointSet):
 
 
 @dataclass(frozen=True)
-class BallSet(_EndpointSet):
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-
-    def distance(self, x):
-        return max(0.0, float(np.linalg.norm(np.atleast_1d(x) - self.center)) - self.radius)
-
-    def project(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = float(np.linalg.norm(x - self.center))
-        if d <= self.radius:
-            return x
-        return self.center + (self.radius / d) * (x - self.center)
-
-    def normal_cone_residual(self, x, w, tol=1e-9):
-        x = np.atleast_1d(x)
-        d = float(np.linalg.norm(x - self.center))
-        if d > self.radius + tol:
-            raise EndpointError("endpoint outside the ball beyond tolerance")
-        w = np.atleast_1d(w)
-        if self.radius == 0.0:
-            return 0.0
-        if d < self.radius - tol:
-            return float(np.linalg.norm(w))
-        eta = (x - self.center) / d
-        lam = max(0.0, float(eta @ w))
-        return float(np.linalg.norm(w - lam * eta))
-
-
-@dataclass(frozen=True)
 class BoxSet(_EndpointSet):
     lo: np.ndarray
     hi: np.ndarray
@@ -241,6 +208,24 @@ class InflatedSet(_EndpointSet):
         eta = (x - self.base.project(x)) / d
         lam = max(0.0, float(eta @ w))
         return float(np.linalg.norm(w - lam * eta))
+
+
+class BallSet(InflatedSet):
+    """center + radius * unit ball: the point ``center`` inflated by
+    ``radius``, with the distance, projection and normal cone of
+    :class:`InflatedSet`; a radius-0 ball is the point, whose cone is the
+    whole space."""
+
+    def __init__(self, center, radius: float):
+        super().__init__(PointSet(center), radius)
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.base.point
+
+    @property
+    def radius(self) -> float:
+        return self.zeta
 
 
 # --- the problem bundle -------------------------------------------------------

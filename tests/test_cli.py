@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def test_converge_csv_and_record(tmp_path):
     assert len(rec["rows"]) == 2
     assert all(s["stationary"] for s in rec["solves"])
     assert all(s["message"] == "" for s in rec["solves"])
+
+
+def test_demo_multipliers_are_normal_on_every_mesh(tmp_path):
+    # configs/demo.ini's converge recovers lam = 1 multipliers on all three
+    # meshes, and its record says so
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
+    text = demo.read_text().replace("output_dir = idikit_out",
+                                    f"output_dir = {tmp_path / 'out'}")
+    assert main(["converge", _write(tmp_path, text)]) == 0
+    rec = json.loads((tmp_path / "out" / "demo_converge.json").read_text())
+    assert [s["k"] for s in rec["solves"]] == [20, 40, 80]
+    assert [s["route"] for s in rec["solves"]] == ["normal"] * 3
 
 
 def test_converge_deterministic_bytes(tmp_path):
@@ -311,6 +324,8 @@ def test_conditions_outputs(tmp_path):
     rec = json.loads((tmp_path / "out" / "t_conditions.json").read_text())
     assert rec["adjoint_bounds_ok"] is True
     assert rec["volterra_decreasing"] is True
+    assert len(rec["routes"]) == 2
+    assert set(rec["routes"]) <= {"normal", "abnormal", "normal-degraded"}
 
 
 def test_inline_problem_roundtrip(tmp_path):
@@ -548,9 +563,6 @@ state_box_hi = 4 4
 
 [meshes]
 k = 4, 8
-
-[solver]
-max_iter = 50
 
 [run]
 output_dir = {out}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from idikit.conditions import (DegenerateMultiplierError, MultiplierSet,
 from idikit.dynamics import approximate_arc, simulate
 from idikit.kernel import VolterraKernel
 from idikit.mesh import PiecewiseLinearArc, TimeMesh
-from idikit.problem import (BallSet, InflatedSet, PointSet, ProblemData,
-                            RunningCost, TerminalCost, WholeSpace)
+from idikit.problem import (BallSet, EndpointError, InflatedSet, PointSet,
+                            ProblemData, RunningCost, TerminalCost, WholeSpace)
 from idikit.setvalued import BallOffset, Singleton
 from oracles import per_row_arc, per_row_cost
 
@@ -263,6 +264,75 @@ def test_condition_report_fields(cos_t_entry):
     # the adjoint recursion solves the printed inclusion exactly for
     # singleton maps, so the discrete residuals sit at rounding level
     assert rep.el_max < 1e-12
+
+
+@pytest.mark.parametrize("name", ["cos_t_entry", "damped_entry"])
+def test_el_residual_is_the_report_row(name, request):
+    # one Euler-Lagrange path: a node's residual is the report's row, bit
+    # for bit, with memory couplings from the running sum
+    entry = request.getfixturevalue(name)
+    prob, ref = entry.problem, entry.reference
+    mesh = TimeMesh.uniform(9, prob.horizon)
+    traj, rep0 = approximate_arc(prob, ref, mesh)
+    dbp = _wrap_discrete(prob, mesh, ref, zeta=rep0.zeta_k)
+    mult = adjoint_solve_smooth(dbp, traj)
+    # the multipliers moved off the recursion, so the couplings count
+    mult = replace(mult, p=mult.p + 0.01 * np.arange(mesh.k + 1)[:, None])
+    rep = build_condition_report(dbp, traj, mult, x_arc=ref)
+    assert rep.el_max > 1e-6
+    assert [euler_lagrange_residual(dbp, mult, j)
+            for j in range(mesh.k)] == rep.el_residuals.tolist()
+
+
+def _ball_distance(c, r, x):
+    return max(0.0, float(np.linalg.norm(x - c)) - r)
+
+
+def _ball_project(c, r, x):
+    d = float(np.linalg.norm(x - c))
+    return x if d <= r else c + (r / d) * (x - c)
+
+
+def _ball_residual(c, r, x, w, tol):
+    d = float(np.linalg.norm(x - c))
+    if r == 0.0:
+        return 0.0
+    if d < r - tol:
+        return float(np.linalg.norm(w))
+    eta = (x - c) / d
+    return float(np.linalg.norm(w - max(0.0, float(eta @ w)) * eta))
+
+
+def test_ball_set_keeps_the_ball_formulas():
+    # a ball is its center inflated by its radius: distance, projection and
+    # normal-cone residual stay the ball's own formulas bit for bit
+    rng = np.random.default_rng(5)
+    tol = 1e-6
+    for n in (1, 2, 3):
+        c, r = rng.normal(size=n), float(rng.uniform(0.1, 2.0))
+        ball = BallSet(c, r)
+        assert np.array_equal(ball.center, c) and ball.radius == r
+        for _ in range(40):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            w = rng.normal(size=n)
+            inside = c + rng.uniform(0.0, 0.99 * r) * u
+            band = c + (r + rng.uniform(-0.5 * tol, 0.5 * tol)) * u
+            outside = c + rng.uniform(r + 2 * tol, 3.0 * r) * u
+            for x in (inside, band, outside):
+                assert ball.distance(x) == _ball_distance(c, r, x)
+                assert np.array_equal(ball.project(x), _ball_project(c, r, x))
+            for x in (inside, band):
+                assert ball.normal_cone_residual(x, w, tol) \
+                    == _ball_residual(c, r, x, w, tol)
+            with pytest.raises(EndpointError):
+                ball.normal_cone_residual(outside, w, tol)
+        # radius 0: the center within the tolerance, whose cone is everything
+        point = BallSet(c, 0.0)
+        near = c + 0.5 * tol * u
+        assert point.normal_cone_residual(near, w, tol) == 0.0
+        assert point.distance(near) == _ball_distance(c, 0.0, near)
+        assert np.array_equal(point.project(near), _ball_project(c, 0.0, near))
 
 
 def test_perturbation_robustness_decreasing():

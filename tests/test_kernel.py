@@ -457,7 +457,6 @@ def test_row_path_matches_per_pair_oracle(dim, tmp_path):
         want = [oracles.memory_coupling(want_xi, j, r) for j in range(mesh.k)]
         sweep = tensors.backward_coupling(r)
         _assert_rel([sweep(j) for j in range(mesh.k - 1, -1, -1)][::-1], want)
-        _assert_rel([tensors.coupling(j, r) for j in range(mesh.k)], want)
         want_mu = [_oracle_mu(kern, mesh, states, j) for j in range(mesh.k)]
         _assert_rel(tensors.mu, want_mu)
         _assert_rel([mu_tensor(kern, mesh, states, j) for j in range(mesh.k)], want_mu)
@@ -492,8 +491,10 @@ def test_zero_kernel_gives_zero_tensors():
     tensors = assemble_tensors(VolterraKernel.zero(), mesh, states,
                                np.zeros((3, 2)), states)
     assert tensors.w.shape == (3, 2) and not tensors.w.any()
-    assert tensors.xi.shape == (4, 3, 2, 2) and not tensors.xi.any()
+    assert tensors.xi is None and tensors.cells is None
     assert tensors.mu.shape == (3, 2, 2) and not tensors.mu.any()
+    sweep = tensors.backward_coupling(states[1:])
+    assert not any(sweep(j).any() for j in (2, 1, 0))
 
 
 def test_inline_negative_identity_hand_computed_w(tmp_path):
@@ -507,18 +508,23 @@ def test_inline_negative_identity_hand_computed_w(tmp_path):
 
 
 def test_zero_kernel_stores_no_xi_and_couples_nothing():
-    # xi of a zero kernel is a broadcast 0.0: no (k+1, k, n, n) array
+    # a zero kernel keeps no (k+1, k, n, n) array; its sweep gives zeros,
+    # in turn like the others
     k, n = 1000, 2
     mesh = TimeMesh.uniform(k, 1.0)
     states = np.ones((k + 1, n))
     tensors = assemble_tensors(VolterraKernel.zero(), mesh, states,
                                np.zeros((k, n)), states)
-    assert tensors.xi.shape == (k + 1, k, n, n)
-    assert tensors.xi.strides == (0, 0, 0, 0) and not tensors.xi.flags.writeable
+    assert tensors.xi is None
     r = np.random.default_rng(0).standard_normal((k, n))
-    for j in (0, 1, k // 2, k - 1):
-        got = tensors.coupling(j, r)
+    sweep = tensors.backward_coupling(r)
+    for j in range(k - 1, -1, -1):
+        got = sweep(j)
         assert got.shape == (n,) and not got.any()
+    with pytest.raises(KernelIndexError):  # past cell 0
+        sweep(0)
+    with pytest.raises(KernelIndexError):  # cell k - 2 before k - 1
+        tensors.backward_coupling(r)(k - 2)
 
 
 class _CountingArc:
@@ -659,14 +665,14 @@ def test_exponential_path_matches_the_row_rule(dim):
             r, r2 = rng.normal(size=(2, k, dim))
             want = [oracles.memory_coupling(slow.xi, j, r) for j in range(k)]
             want2 = [oracles.memory_coupling(slow.xi, j, r2) for j in range(k)]
-            _assert_rel([slow.coupling(j, r) for j in range(k)], want)
-            # two sweeps side by side, then each j summed afresh
             down = range(k - 1, -1, -1)
+            slow_sweep = slow.backward_coupling(r)
+            _assert_rel([slow_sweep(j) for j in down][::-1], want)
+            # two running sums side by side
             sweep, sweep2 = fast.backward_coupling(r), fast.backward_coupling(r2)
             both = [(sweep(j), sweep2(j)) for j in down]
             _assert_rel([a for a, _ in both][::-1], want)
             _assert_rel([b for _, b in both][::-1], want2)
-            _assert_rel([fast.coupling(j, r) for j in range(k)], want)
             # both continuous integrals against the walks, exact zeros at the ends
             times = np.concatenate([[0.0], cell_gauss_points(mesh)[0].ravel(),
                                     mesh.nodes[1:]])
