@@ -58,8 +58,10 @@ class NonFiniteStateError(ArithmeticError):
 class DiscreteTrajectory:
     """Nodal states, step velocities and frozen-node memory averages.
 
-    Satisfies x_{j+1} = x_j + h_j v_j with v_j - w_j in F(t_j, x_j); the
-    piecewise-linear extension of the states is available as an arc.
+    Satisfies x_{j+1} = x_j + h_j v_j with v_j - w_j in F(t_j, x_j), bit
+    for bit from the node loop and to round-off from the prefix scan of
+    :func:`bolza.forward_trajectory`; the piecewise-linear extension of the
+    states is available as an arc.
     """
 
     mesh: TimeMesh
@@ -130,7 +132,11 @@ def _march(problem: ProblemData, disc: _Discretization, select,
     the frozen-node memory average w_j of the states so far, bit for bit
     what :func:`assemble_w` gives for the finished states.  Raises
     :class:`NonFiniteStateError`, naming ``stage``, at the first node j
-    whose v_j, w_j or x_{j+1} is not finite.
+    whose v_j, w_j or x_{j+1} is not finite.  A step that projects, a drift
+    not built with ``linear``, a row-rule kernel and a drift whose step
+    products grow past ``bolza.SCAN_GROWTH`` take this loop; the solver
+    scans the march of every other problem and holds this loop as its
+    fallback and its test oracle.
     """
     mesh = disc.mesh
     k, n = mesh.k, problem.dim

@@ -277,6 +277,23 @@ def _exp_cells(disc: _Discretization) -> _Discretization:
         decay=np.exp(-r * h))
 
 
+def _exp_steps(disc: _Discretization):
+    """The cell recurrence of an exponential kernel c e^{-r (t - s)} x, as
+    four arrays of shape (k,), (c tri_j, c tau_j, sigma_j, e^{-r h_j}):
+
+        h_j w_j = c tri_j x_j + c tau_j S_j,
+        S_{j+1} = sigma_j x_j + e^{-r h_j} S_j,  S_0 = 0,
+
+    with S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i the running sum
+    of the past cells.  Each coefficient multiplies the identity.  The
+    march's memory averages (:func:`_memory_averages`), the backward
+    coupling (the transposed recurrence) and the solver's prefix scans all
+    read the recurrence from here.
+    """
+    c = disc.kernel._exp[0]
+    return c * disc.tri, c * disc.tau, disc.sigma, disc.decay
+
+
 def _in_turn(step: Callable, cells: range, what: str) -> Callable:
     """``step(j, ...)`` for the cells j of ``cells``, one after another, as
     a running sum needs; a call for any other cell raises
@@ -301,8 +318,7 @@ def _memory_averages(disc: _Discretization):
 
     The forward march and :func:`assemble_w` both take their averages from
     it, so theirs agree bit for bit.  An exponential kernel carries the
-    running sum S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i, so that
-    w_j = (c tau_j / h_j) S_j + (c tri_j / h_j) x_j costs O(n); any other
+    running sum S_j of :func:`_exp_steps`, so that w_j costs O(n); any other
     kernel takes the row rule of :func:`kernel_average_w`, and the zero
     kernel gives zeros.
     """
@@ -311,11 +327,10 @@ def _memory_averages(disc: _Discretization):
         return lambda j, states: np.zeros(np.shape(states)[-1])
     if disc.tau is None:
         return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j)
-    c = kernel._exp[0]
+    c_tri, c_tau, sigma, decay = _exp_steps(disc)
     # Python floats: a step is then four small-array operations
-    past = (c * disc.tau / mesh.steps).tolist()
-    own = (c * disc.tri / mesh.steps).tolist()
-    decay, sigma = disc.decay.tolist(), disc.sigma.tolist()
+    past, own = (c_tau / mesh.steps).tolist(), (c_tri / mesh.steps).tolist()
+    decay, sigma = decay.tolist(), sigma.tolist()
     running = 0.0
 
     def w(j, states):
@@ -418,23 +433,23 @@ class QuadratureTensors:
         raises :class:`KernelIndexError`.
 
         Call j reads rows j + 1.. of r, so a backward sweep may write
-        r[j + 1] just before it asks for j.  An exponential kernel carries
-        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} tau_m r[m] as the running sum
-        R_j = e^{-r h_{j+1}} R_{j+1} + tau_{j+1} r[j + 1], R_{k-1} = 0, so
-        that coupling(j) = c sigma_j R_j costs O(n); the row rule's kernel
+        r[j + 1] just before it asks for j.  An exponential kernel runs the
+        recurrence of :func:`_exp_steps` transposed, carrying
+        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} c tau_m r[m] as the running
+        sum R_j = e^{-r h_{j+1}} R_{j+1} + c tau_{j+1} r[j + 1], R_{k-1} = 0,
+        so that coupling(j) = sigma_j R_j costs O(n); the row rule's kernel
         sums its dense ``xi``, and the zero kernel gives zeros.
         """
         k, cells = len(r), self.cells
         if cells is not None:
-            c, tau = cells.kernel._exp[0], cells.tau.tolist()
-            sigma, decay = cells.sigma.tolist(), cells.decay.tolist()
+            _, c_tau, sigma, decay = (a.tolist() for a in _exp_steps(cells))
             running = np.zeros(r.shape[1])
 
             def coupling(j):
                 nonlocal running
                 if j + 1 < k:
-                    running = decay[j + 1] * running + tau[j + 1] * r[j + 1]
-                return c * sigma[j] * running
+                    running = decay[j + 1] * running + c_tau[j + 1] * r[j + 1]
+                return sigma[j] * running
         elif self.xi is not None:
             def coupling(j):
                 return np.einsum("mab,mb->a", self.xi[j + 1:k, j], r[j + 1:])
@@ -472,7 +487,7 @@ def _tensors(disc: _Discretization, states: np.ndarray, w: np.ndarray,
     mu, xi = np.zeros((k, n, n)), None
     if disc.tau is not None:
         cells = disc
-        mu[:] = (kernel._exp[0] * disc.tri)[:, None, None] * np.eye(n)
+        mu[:] = _exp_steps(disc)[0][:, None, None] * np.eye(n)
     elif not kernel.is_zero:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):

@@ -200,8 +200,8 @@ class InflatedSet(_EndpointSet):
         d = self.base.distance(x)
         if d > self.zeta + tol:
             raise EndpointError("endpoint outside the inflated set")
-        if self.zeta <= tol:
-            return self.base.normal_cone_residual(x, w, tol)
+        if self.zeta <= tol:  # the base's gate takes what the one above took
+            return self.base.normal_cone_residual(x, w, tol + self.zeta)
         if d < self.zeta - tol:
             return float(np.linalg.norm(w))
         # boundary band: d >= zeta - tol > 0, the radial direction is safe

@@ -15,7 +15,8 @@ the distance to one graph normal cone and the projection onto one body
 cone, by a least-squares or NNLS solve (the package has closed forms for a
 stack); closed-form arcs, running costs and drift centers written for one
 time or one point and served row by row (the package's oracles take
-stacks).
+stacks); a linear drift A x as a plain callable, which the package steps
+node by node (it scans a drift built with ``linear``).
 """
 
 import itertools
@@ -31,10 +32,25 @@ from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
                          sup_distance)
 from idikit.problem import RunningCost
-from idikit.setvalued import InfeasiblePointError, distance_and_projection
+from idikit.setvalued import (BallOffset, InfeasiblePointError, PolytopeOffset,
+                              Singleton, distance_and_projection)
 
 
 # --- oracles of one time or one point, served row by row ----------------------
+
+def loop_drift(fmap):
+    """``fmap``, built with ``linear``, with its drift A x and Jacobian A as
+    plain callables: the same map, whose march and backward sweep the
+    package takes node by node."""
+    A = fmap._linear
+    f, jac = (lambda t, x: A @ np.atleast_1d(x)), (lambda t, x: A)
+    if isinstance(fmap, BallOffset):
+        return BallOffset(f, fmap.radius, jac=jac)
+    if isinstance(fmap, PolytopeOffset):
+        return PolytopeOffset(f, fmap.vertices, jac=jac)
+    assert isinstance(fmap, Singleton)
+    return Singleton(f, jac=jac)
+
 
 def per_row_arc(fn, dfn):
     """A CallableArc from functions of one scalar time, called once per

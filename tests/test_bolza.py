@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from idikit import catalog
 from idikit.bolza import (ControlParameterization, SolveOptions,
                           build_discrete_problem, cost_breakdown,
                           cost_gradient, cost_Jk, forward_trajectory, solve_Pk)
+from idikit.bolza import _scans
 from idikit.dynamics import approximate_arc
 from idikit.mesh import TimeMesh
-from oracles import (fd_gradient, per_row_arc, per_row_cost, point_grads,
-                     quadratic_oracle)
+from oracles import (fd_gradient, loop_drift, per_row_arc, per_row_cost,
+                     point_grads, quadratic_oracle)
 
 
 def _discrete(entry, k, **kw):
@@ -222,13 +224,16 @@ def test_solver_descent_and_determinism(ball_entry):
 
 def test_solver_zero_residual_fit(cos_t_entry):
     # tracking cost with a feasible reference: singleton controls leave the
-    # initial trajectory untouched and it is already stationary
+    # initial trajectory untouched and it is already stationary; the solver
+    # scans the march that approximate_arc loops, so the states agree to
+    # round-off
     dbp, controls0, traj0, _ = _discrete(cos_t_entry, 16)
     traj, controls, log = solve_Pk(dbp, controls0, SolveOptions(tol_stat=1e-9))
     assert log.stationary
     assert log.iterations == 0  # nothing to move: the control set is a point
-    assert np.allclose(controls.u, 0.0)
-    assert np.array_equal(traj.states, traj0.states)
+    assert np.array_equal(controls.u, np.zeros_like(controls.u))
+    gap = np.abs(traj.states - traj0.states).max()
+    assert gap <= 1e-12 * np.abs(traj0.states).max()
 
 
 def test_solver_endpoint_penalty_polytope(polytope_entry):
@@ -330,30 +335,57 @@ def test_non_finite_gradient_names_stage_and_node(cos_t_entry):
     prob = _nan_grad_v_at_half(cos_t_entry.problem)
     dbp, c0, _, _ = build_discrete_problem(prob, TimeMesh.uniform(8, 1.0),
                                            cos_t_entry.reference)
+    assert _scans(dbp)  # the scan's nan sends the sweep back to the loop
     with pytest.raises(NonFiniteStateError) as info:
         cost_gradient(dbp, c0)
     err = info.value  # the backward sweep meets node 4 (t = 0.5) first
     assert (err.stage, err.k, err.node, err.t) == ("cost_gradient", 8, 4, 0.5)
 
 
+def _initial_march(prob, reference, k):
+    """(discrete problem, approximate_arc's trajectory, forward_trajectory's
+    at the initial controls) on the uniform mesh of k cells."""
+    mesh = TimeMesh.uniform(k, prob.horizon)
+    traj0, report = approximate_arc(prob, reference, mesh, tau_f=0.0)
+    dbp, controls0, _, _ = build_discrete_problem(prob, mesh, reference,
+                                                  precomputed=(traj0, report))
+    return dbp, traj0, forward_trajectory(dbp, controls0)
+
+
 @pytest.mark.parametrize("k", (1, 7, 40))
 @pytest.mark.parametrize("name", catalog.names())
 def test_initial_controls_march_the_approximation_bit_for_bit(name, k):
+    # the catalog problem with its drift as a plain callable: both runs
+    # take the node loop, whose steps agree bit for bit
     entry = catalog.get(name)
-    prob = entry.problem
-    mesh = TimeMesh.uniform(k, prob.horizon)
-    traj0, report = approximate_arc(prob, entry.reference, mesh)
-    dbp, controls0, _, _ = build_discrete_problem(prob, mesh, entry.reference,
-                                                  precomputed=(traj0, report))
-    traj = forward_trajectory(dbp, controls0)
+    prob = replace(entry.problem, fmap=loop_drift(entry.problem.fmap))
+    dbp, traj0, traj = _initial_march(prob, entry.reference, k)
+    assert not _scans(dbp)
     for field in ("states", "velocities", "w"):
         assert np.array_equal(getattr(traj, field), getattr(traj0, field)), field
+
+
+@pytest.mark.parametrize("k", (1, 7, 40))
+@pytest.mark.parametrize("name", catalog.names())
+def test_initial_controls_scan_the_approximation(name, k):
+    # the catalog problem itself: forward_trajectory scans what
+    # approximate_arc loops, and the two summation orders agree to round-off
+    # of the trajectory's largest value (ball_control_lq's velocities
+    # A x_j + u_j cancel to exact zeros in the loop only)
+    entry = catalog.get(name)
+    dbp, traj0, traj = _initial_march(entry.problem, entry.reference, k)
+    assert _scans(dbp)
+    fields = ("states", "velocities", "w")
+    scale = max(np.abs(getattr(traj0, field)).max() for field in fields)
+    for field in fields:
+        gap = np.abs(getattr(traj, field) - getattr(traj0, field)).max()
+        assert gap <= 1e-12 * scale, field
 
 
 def test_solver_evaluates_each_trajectory_cost_once(polytope_entry, monkeypatch):
     import idikit.bolza as bolza
     dbp, controls0, _, _ = _discrete(polytope_entry, 12)
-    calls = {"_march": 0, "cost_breakdown": 0}
+    calls = {"forward_trajectory": 0, "cost_breakdown": 0}
 
     def counted(name):
         inner = getattr(bolza, name)
@@ -366,5 +398,5 @@ def test_solver_evaluates_each_trajectory_cost_once(polytope_entry, monkeypatch)
     for name in calls:
         monkeypatch.setattr(bolza, name, counted(name))
     _, _, log = solve_Pk(dbp, controls0, SolveOptions(max_iter=200))
-    assert log.iterations > 0 and calls["_march"] > log.iterations
-    assert calls["cost_breakdown"] == calls["_march"]
+    assert log.iterations > 0 and calls["forward_trajectory"] > log.iterations
+    assert calls["cost_breakdown"] == calls["forward_trajectory"]

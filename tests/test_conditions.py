@@ -15,8 +15,9 @@ from idikit.conditions import (DegenerateMultiplierError, MultiplierSet,
 from idikit.dynamics import approximate_arc, simulate
 from idikit.kernel import VolterraKernel
 from idikit.mesh import PiecewiseLinearArc, TimeMesh
-from idikit.problem import (BallSet, EndpointError, InflatedSet, PointSet,
-                            ProblemData, RunningCost, TerminalCost, WholeSpace)
+from idikit.problem import (BallSet, BoxSet, EndpointError, InflatedSet,
+                            PointSet, ProblemData, RunningCost, TerminalCost,
+                            WholeSpace)
 from idikit.setvalued import BallOffset, Singleton
 from oracles import per_row_arc, per_row_cost
 
@@ -333,6 +334,27 @@ def test_ball_set_keeps_the_ball_formulas():
         assert point.normal_cone_residual(near, w, tol) == 0.0
         assert point.distance(near) == _ball_distance(c, 0.0, near)
         assert np.array_equal(point.project(near), _ball_project(c, 0.0, near))
+
+
+# 0 < zeta <= tol: a point 1.2e-9 from the base is within zeta + tol of it,
+# so the base's own gate must take it too
+
+def test_a_thin_ball_gates_once():
+    w = np.array([0.3, -0.4])
+    ball = BallSet(np.zeros(2), 5e-10)
+    assert ball.normal_cone_residual(np.array([1.2e-9, 0.0]), w) == 0.0
+    with pytest.raises(EndpointError):
+        ball.normal_cone_residual(np.array([2e-9, 0.0]), w)
+
+
+def test_a_thinly_inflated_box_gates_once():
+    w = np.array([0.3, -0.4])
+    box = InflatedSet(BoxSet(np.zeros(2), np.ones(2)), 5e-10)
+    x = np.array([1.0 + 1.2e-9, 0.5])  # past the face x_0 = 1
+    assert box.normal_cone_residual(x, np.array([0.7, 0.0])) == 0.0
+    assert box.normal_cone_residual(x, w) == pytest.approx(0.4)
+    with pytest.raises(EndpointError):
+        box.normal_cone_residual(np.array([1.0 + 2e-9, 0.5]), w)
 
 
 def test_perturbation_robustness_decreasing():

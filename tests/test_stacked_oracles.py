@@ -1,9 +1,11 @@
 """The stacked problem oracles against the same formulas served row by row.
 
 Closed-form references, running costs and linear drift centers take a whole
-stack per call.  Each is held to its per-row oracle from ``oracles`` (the
-formulas of one time or one point) within 1e-12 relative, on random
-non-uniform meshes; an oracle of the wrong shape raises a named error.
+stack per call, and the march and the backward sweep of a linear drift are
+prefix scans.  Each is held to its per-row oracle from ``oracles`` (the
+formulas of one time or one point, or the node loop) within 1e-12
+relative, on random non-uniform meshes; an oracle of the wrong shape raises
+a named error, and a scan that is not finite falls back to the loop.
 """
 
 import math
@@ -13,19 +15,24 @@ import numpy as np
 import pytest
 
 from idikit import catalog, conditions
-from idikit.bolza import (ControlParameterization, build_discrete_problem,
-                          cost_breakdown, cost_gradient, forward_trajectory)
+from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
+                          build_discrete_problem, cost_breakdown,
+                          cost_gradient, forward_trajectory)
+from idikit.bolza import _scans
 from idikit.catalog import _quadratic_running
 from idikit.conditions import (_adjoint_sweep, _trajectory_terms,
                                adjoint_solve_smooth, recover_multipliers,
                                volterra_residual)
 from idikit.config import load_config
+from idikit.dynamics import NonFiniteStateError
+from idikit.kernel import VolterraKernel
 from idikit.mesh import (CallableArc, MeshError, PiecewiseLinearArc, TimeMesh,
                          cell_gauss_points)
-from idikit.problem import CostShapeError, RunningCost
+from idikit.problem import (BallSet, CostShapeError, InflatedSet, ProblemData,
+                            RunningCost)
 from idikit.setvalued import (BallOffset, PolytopeOffset, Singleton, _centers,
                               graph_normal_cone)
-from oracles import centers, per_row_arc, per_row_cost
+from oracles import centers, loop_drift, per_row_arc, per_row_cost
 
 KS = (1, 2, 11, 200)
 
@@ -301,3 +308,119 @@ def test_shared_terms_give_the_abnormal_multipliers(polytope_entry):
         want = adjoint_solve_smooth(dbp, traj, lam=lam, endpoint_normal=nu)
         got = _adjoint_sweep(dbp, traj, terms, lam, nu)
         assert got.lam == want.lam and np.array_equal(got.p, want.p)
+
+
+# --- scanned recurrences -------------------------------------------------------
+
+_ROTATING = 2.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the drift matrices of each state size: decaying, rotating, growing
+DRIFTS = {1: [[[-1.5]], [[3.0]], [[10.0]]],
+          2: [[[-1.5, 0.3], [0.0, -0.8]], _ROTATING, 3.0 * np.eye(2), 10.0 * np.eye(2)]}
+KERNELS = {"zero": VolterraKernel.zero,
+           "constant": lambda: VolterraKernel.exponential(-1.0, 0.0, 1.0, 1.0),
+           "fading": lambda: VolterraKernel.exponential(0.7, 2.5, 0.7, 0.7)}
+
+
+def _linear_problem(A, kernel, mesh, rng, x0=None):
+    """A discrete problem with drift A x built with ``linear``, which scans,
+    and the same problem with the drift as a plain callable, which loops.
+    Quadratic costs and a ball endpoint set the march misses keep every
+    term of the gradient live."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    base = ProblemData(
+        name="scan", fmap=BallOffset.linear(A, 1.0), kernel=kernel,
+        x0=rng.normal(size=n) if x0 is None else x0, horizon=mesh.horizon,
+        omega=BallSet(5.0 * np.ones(n), 0.1),
+        terminal_cost=catalog._quadratic_terminal(np.ones(n)),
+        running_cost=_quadratic_running(0.3, 2.5), m_F=1.0, l_F=1.0,
+        beta=1.0, alpha=1.0, state_box=(-np.ones(n), np.ones(n)))
+    ref = PiecewiseLinearArc(TimeMesh.uniform(3, mesh.horizon), rng.normal(size=(4, n)))
+    fast = DiscreteBolzaProblem(base=base, mesh=mesh, reference=ref, zeta_k=0.0,
+                                epsilon=1.0, omega_k=InflatedSet(base.omega, 0.0))
+    slow = replace(fast, base=replace(base, fmap=loop_drift(base.fmap)))
+    assert not _scans(slow)
+    return fast, slow
+
+
+def _assert_scan_matches_loop(fast, slow, controls):
+    scanned, looped = forward_trajectory(fast, controls), forward_trajectory(slow, controls)
+    for field in ("states", "velocities", "w"):
+        _assert_rel(getattr(scanned, field), getattr(looped, field))
+    for rho in (0.0, 10.0):
+        _assert_rel(cost_gradient(fast, controls, rho)[0],
+                    cost_gradient(slow, controls, rho)[0])
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_scans_match_the_node_loop(kernel):
+    # every drift up to 3 I scans on every mesh; 10 I scans on the coarse
+    # meshes only, where its steps grow little
+    rng = np.random.default_rng(14)
+    for n, drifts in DRIFTS.items():
+        for A in drifts:
+            for k in KS:
+                mesh = _random_mesh(rng, k, 1.0)
+                fast, slow = _linear_problem(A, KERNELS[kernel](), mesh, rng)
+                assert _scans(fast) or np.abs(A).max() == 10.0
+                controls = ControlParameterization(rng.normal(size=(k, n)))
+                _assert_scan_matches_loop(fast, slow, controls)
+
+
+def test_scans_match_the_node_loop_on_a_fine_mesh():
+    rng = np.random.default_rng(15)
+    k = 10 ** 4
+    fast, slow = _linear_problem(3.0 * np.eye(2), KERNELS["fading"](),
+                                 _random_mesh(rng, k, 1.0), rng)
+    assert _scans(fast)
+    _assert_scan_matches_loop(fast, slow, ControlParameterization(rng.normal(size=(k, 2))))
+
+
+@pytest.mark.parametrize("a, horizon", ((20.0, 2.0), (10.0, 1.0), (3.0, 1.0)))
+def test_held_growing_states_match_the_loop_entry_by_entry(a, horizon):
+    # u_j = -A x* holds x_j = x* exactly in the loop, while the products
+    # of a scan grow like e^{a T} and cancel back down to x*: a growth of
+    # e^40 or e^10 would leave the scan's states wrong at O(1) or 1e-12, so
+    # those problems take the loop, and e^3 scans within 1e-12 of each
+    # entry
+    rng = np.random.default_rng(18)
+    k, x_star, A = 200, np.array([0.7, -0.4]), a * np.eye(2)
+    fast, slow = _linear_problem(A, VolterraKernel.zero(), _random_mesh(rng, k, horizon),
+                                 rng, x0=x_star)
+    assert _scans(fast) == (a * horizon <= 3.0)
+    controls = ControlParameterization(np.tile(-A @ x_star, (k, 1)))
+    scanned, looped = forward_trajectory(fast, controls), forward_trajectory(slow, controls)
+    assert np.array_equal(looped.states, np.tile(x_star, (k + 1, 1)))
+    assert np.all(np.abs(scanned.states - looped.states) <= 1e-12 * np.abs(looped.states))
+    # the loop's velocities are exact zeros: held to the drift's size
+    assert np.abs(scanned.velocities).max() <= 1e-12 * np.abs(A @ x_star).max()
+    for rho in (0.0, 10.0):
+        got, want = cost_gradient(fast, controls, rho)[0], cost_gradient(slow, controls, rho)[0]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_nan_control_names_its_node_on_the_scan(kernel):
+    rng = np.random.default_rng(16)
+    mesh = TimeMesh.uniform(8, 1.0)
+    fast, _ = _linear_problem(DRIFTS[2][0], KERNELS[kernel](), mesh, rng)
+    u = rng.normal(size=(8, 2))
+    u[5, 1] = np.nan
+    with pytest.raises(NonFiniteStateError) as info:
+        forward_trajectory(fast, ControlParameterization(u))
+    err = info.value
+    assert (err.stage, err.k, err.node, err.t) == ("forward_trajectory", 8, 5, 0.625)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_fast_growing_drift_takes_the_loop(kernel):
+    # x0 = 0 and u = 0 keep every state 0, but a scan's products would
+    # overflow (the widest spans 8192 steps of 1 + 800 h = 1.16), and
+    # inf * 0 is nan: the problem takes the loop, whose zeros come back
+    k, rng = 10 ** 4, np.random.default_rng(17)
+    fast, _ = _linear_problem([[800.0]], KERNELS[kernel](), TimeMesh.uniform(k, 2.0),
+                              rng, x0=np.zeros(1))
+    assert not _scans(fast)
+    traj = forward_trajectory(fast, ControlParameterization(np.zeros((k, 1))))
+    for field in ("states", "velocities", "w"):
+        assert np.array_equal(getattr(traj, field), np.zeros_like(getattr(traj, field)))
