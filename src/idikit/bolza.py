@@ -19,12 +19,12 @@ and the backward sweep in (lambda_{j+1}, R_j), R the running coupling
 sum, with the transposed matrices M_j^T.  Affine maps compose
 associatively, so each runs as one prefix scan by doubling, ceil(log2 k)
 batched products (Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190, 1990).  The products of a scan can grow where its result
-stays bounded (an unstable A held by the controls), and its round-off
-grows with them, so a problem scans only while the product of the step
-norms over its mesh stays below :data:`SCAN_GROWTH`.  A scan that yields a
-value that is not finite is run again as the node loop, which names the
-stage and the node.
+CMU-CS-90-190, 1990; :func:`dynamics._affine_scan`).  The products of a
+scan can grow where its result stays bounded (an unstable A held by the
+controls), and its round-off grows with them, so a problem scans only
+while the product of the step norms over its mesh stays below
+:data:`dynamics.SCAN_GROWTH`.  A scan that yields a value that is not
+finite is run again as the node loop, which names the stage and the node.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DiscreteTrajectory, _check_finite, _march,
-                       _sample_reference, approximate_arc)
+from .dynamics import (DiscreteTrajectory, _affine_scan, _check_finite,
+                       _decide_scan, _march, _sample_reference, _scan_march,
+                       approximate_arc)
 from .kernel import _discretize, _Discretization, _exp_steps, _tensors
 from .mesh import TimeMesh, _sq_integral
 from .problem import InflatedSet, ProblemData
@@ -65,8 +66,9 @@ class DiscreteBolzaProblem:
     and enforced as a trust region by the solver.  The discretization of the
     mesh and the reference sampled on it, taken by every cost, gradient and
     trial step, are those of the approximation run when
-    :func:`build_discrete_problem` hands them over, else built here; so are
-    the step matrices of a problem that scans (:func:`_scan_steps`).
+    :func:`build_discrete_problem` hands them over, else built here; so is
+    the decision whether the march scans, with its step matrices
+    (:func:`dynamics._decide_scan`), which the run made for this map.
     """
 
     base: ProblemData
@@ -77,14 +79,13 @@ class DiscreteBolzaProblem:
     omega_k: InflatedSet
     _disc: Optional[_Discretization] = field(default=None, repr=False,
                                              compare=False)
-    _steps: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     def __post_init__(self):
-        if self._disc is None:
-            object.__setattr__(self, "_disc", _sample_reference(
-                self.reference, _discretize(self.base.kernel, self.mesh)))
-        object.__setattr__(self, "_steps", _scan_steps(self.base, self._disc))
+        disc = self._disc
+        if disc is None:
+            disc = _sample_reference(self.reference,
+                                     _discretize(self.base.kernel, self.mesh))
+        object.__setattr__(self, "_disc", _decide_scan(self.base.fmap, disc))
 
     @property
     def dim(self) -> int:
@@ -133,99 +134,22 @@ def _controls_from_trajectory(problem: ProblemData,
     return ControlParameterization(traj.velocities - c - traj.w)
 
 
-# A scan's round-off is machine epsilon times the norm of the products it
-# forms, which grow where the states may stay bounded (an unstable A held by
-# its controls); a problem scans while the product of its step norms, a
-# bound on every such product, is at most this.  Held at x* by u = -A x*
-# with A = 4 I over T = 1, the scanned states stay within 5e-14 of x* per
-# entry at k = 200 and 3.2e-13 at k = 10^4.
-SCAN_GROWTH = 2.0 ** 6
-
-
-def _affine_scan(M: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = 0, shape (k, m),
-    given M (k, m, m) and c (k, m).
-
-    Doubling: after the pass of stride d, row j holds the composition of
-    the maps j - 2d + 1..j (from map 0 where that is < 0), so
-    ceil(log2 k) passes of batched products give every prefix.
-    """
-    M, c = M.copy(), c[..., None].copy()
-    k, d = len(c), 1
-    while d < k:
-        c[d:] += M[d:] @ c[:-d]
-        if 2 * d < k:
-            M[d:] = M[d:] @ M[:-d]
-        d *= 2
-    return c[..., 0]
-
-
-def _scan_steps(base: ProblemData, disc: _Discretization) -> Optional[np.ndarray]:
-    """The M_j of the march z_{j+1} = M_j z_j + c_j, shape (k, m, m), for a
-    problem that scans, else None.
-
-    A problem scans when its drift is built with ``linear``, its kernel is
-    zero or exponential, and the product over the mesh of the step norms
-    max(1, ||M_j||_2), bounded by sqrt(||M_j||_1 ||M_j||_inf), is at most
-    :data:`SCAN_GROWTH`; the bound holds for M_j^T too, so the backward
-    sweep scans with the march.  Zero kernel: z = x and M_j = I + h_j A.
-    Exponential kernel: z = (x, S) with S the running sum of
-    :func:`kernel._exp_steps`, and M_j holds the blocks I + h_j A + c tri_j I,
-    c tau_j I, sigma_j I and e^{-r h_j} I.
-    """
-    A = base.fmap._linear
-    if A is None or not (disc.kernel.is_zero or disc.tau is not None):
-        return None
-    h, n = disc.mesh.steps, A.shape[0]
-    M = np.eye(n) + h[:, None, None] * A
-    if disc.tau is not None:
-        top = M
-        M = np.kron(np.stack(_exp_steps(disc), axis=-1).reshape(-1, 2, 2), np.eye(n))
-        M[:, :n, :n] += top
-    size = np.abs(M)
-    norms = np.sqrt(size.sum(axis=1).max(axis=1) * size.sum(axis=2).max(axis=1))
-    if not np.log(np.maximum(norms, 1.0)).sum() <= np.log(SCAN_GROWTH):
-        return None
-    M.flags.writeable = False  # shared by every scan of the problem
-    return M
-
-
 def _scans(problem: DiscreteBolzaProblem) -> bool:
     """Whether the march and the backward sweep run as prefix scans."""
-    return problem._steps is not None
-
-
-def _scan_forward(problem: DiscreteBolzaProblem, u: np.ndarray):
-    """(states, velocities, w) of the march by one :func:`_affine_scan`,
-    the velocities v_j = A x_j + u_j + w_j from one stacked pass."""
-    base, disc, M = problem.base, problem._disc, problem._steps
-    n, h = base.dim, disc.mesh.steps
-    z0, c = np.zeros(M.shape[1]), np.zeros(M.shape[:2])
-    z0[:n], c[:, :n] = base.x0, h[:, None] * u
-    c[0] += M[0] @ z0
-    z = np.concatenate([z0[None], _affine_scan(M, c)])
-    states = z[:, :n]
-    if disc.tau is None:
-        w = np.zeros_like(u)
-    else:
-        c_tri, c_tau = _exp_steps(disc)[:2]
-        w = (c_tau / h)[:, None] * z[:-1, n:] + (c_tri / h)[:, None] * states[:-1]
-    v = _centers(base.fmap, disc.mesh.nodes[:-1], states[:-1]) + u + w
-    return states, v, w
+    return problem._disc.scan is not None
 
 
 def forward_trajectory(problem: DiscreteBolzaProblem,
                        controls: ControlParameterization) -> DiscreteTrajectory:
     """Evaluate the dynamics for given controls; feasibility is exact.
 
-    A problem that scans (:func:`_scan_steps`) takes :func:`_affine_scan`,
-    where x_{j+1} = x_j + h_j v_j holds to round-off; any other problem,
-    and a scan with a value that is not finite, takes the node loop.
+    A problem that scans takes :func:`dynamics._scan_march`, where
+    x_{j+1} = x_j + h_j v_j holds to round-off; any other problem, and a
+    scan with a value that is not finite, takes the node loop.
     """
     if _scans(problem):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _scan_forward(problem, controls.u)
-        if all(np.isfinite(r).all() for r in rows):
+        rows = _scan_march(problem.base, problem._disc, controls.u)
+        if rows is not None:
             return DiscreteTrajectory(problem.mesh, *rows)
     center, t = problem.base.fmap.center, problem.mesh.nodes
     return _march(problem.base, problem._disc,
@@ -344,7 +268,8 @@ def _scan_gradient(problem: DiscreteBolzaProblem, tensors, glx, glv,
     plus (h_j grad_x l_j + A^T b_j + c tri_j b_j / h_j, c tau_j b_j / h_j);
     the zero kernel has no R block and no tri term.
     """
-    disc, A, M = problem._disc, problem.base.fmap._linear, problem._steps
+    disc, A = problem._disc, problem.base.fmap._linear
+    M = disc.scan
     h, n = disc.mesh.steps, A.shape[0]
     b = h[:, None] * glv + tensors.theta
     c = np.zeros(M.shape[:2])

@@ -32,9 +32,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bolza import DiscreteBolzaProblem, _running_grads
-from .dynamics import DiscreteTrajectory, _check_finite
-from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
-                     _tensors)
+from .dynamics import (DiscreteTrajectory, _affine_scan, _bounded_growth,
+                       _check_finite)
+from .kernel import (QuadratureTensors, _adjoint_integrals, _exp_steps,
+                     _memory_integrals, _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
 from .setvalued import (CONE_TOL_FEAS, GraphNormalCone, _centers, _matvec,
@@ -119,7 +120,14 @@ def adjoint_solve_smooth(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory
 def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                    terms: tuple, lam: float,
                    endpoint_normal: Optional[np.ndarray]) -> MultiplierSet:
-    """:func:`adjoint_solve_smooth` on terms already built for ``traj``."""
+    """:func:`adjoint_solve_smooth` on terms already built for ``traj``.
+
+    The sweep p_j = p_{j+1} + 2 mu_j p_{j+1} - mu_j pin_j - h_j lam grad_x l_j
+    + h_j J_j^T u_j + coupling_j, with u_j the projection of p_{j+1} - pin_j
+    onto the u-cone of row j, runs as :func:`_scan_sweep`, to round-off,
+    where that applies; else, and where a scanned value is not finite,
+    as this node loop, its oracle.
+    """
     base = problem.base
     mesh = problem.mesh
     k, n = mesh.k, base.dim
@@ -129,13 +137,17 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
     p[k] = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
-    coupling = tensors.backward_coupling(p[1:])
-    for j in range(k - 1, -1, -1):
-        pin = lam * (glv[j] + tensors.theta[j] / h[j])
-        u_j = cones.project_u(p[j + 1] - pin, j)
-        p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin
-                - h[j] * lam * glx[j] + h[j] * cones.row_jacobian(j).T @ u_j
-                + coupling(j))
+    pin = lam * (glv + tensors.theta / h[:, None])
+    scanned = _scan_sweep(h, terms, lam, pin, p[k])
+    if scanned is not None:
+        p[:k] = scanned
+    else:
+        coupling = tensors.backward_coupling(p[1:])
+        for j in range(k - 1, -1, -1):
+            u_j = cones.project_u(p[j + 1] - pin[j], j)
+            p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin[j]
+                    - h[j] * lam * glx[j] + h[j] * cones.row_jacobian(j).T @ u_j
+                    + coupling(j))
     _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
     raw_total = lam + float(np.linalg.norm(p[k]))
@@ -159,6 +171,64 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     theta_l1 = float(np.linalg.norm(tensors.theta, axis=1).sum())
     return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, glx=glx, glv=glv,
                          cones=cones, normalization=norm_rec, m_l=m_l, theta_l1=theta_l1)
+
+
+def _scan_sweep(h: np.ndarray, terms: tuple, lam: float, pin: np.ndarray,
+                p_end: np.ndarray) -> Optional[np.ndarray]:
+    """p_0..p_{k-1} of the sweep of :func:`_adjoint_sweep` by prefix scans,
+    or None where the node loop runs instead.
+
+    A ``zero`` row (u_j = 0) and a ``subspace`` row (u_j = p_{j+1} - pin_j)
+    make the step affine in p_{j+1}: p_j = P_j p_{j+1} + c_j with
+    P_j = I + 2 mu_j, plus h_j J_j^T on a subspace row.  With an
+    exponential kernel the state is (p_{j+1}, R_j), R the running sum of
+    :meth:`~idikit.kernel.QuadratureTensors.backward_coupling`, and steps to
+    (p_j, R_{j-1}) by the blocks P_j, tau_j I, c tau_j I and e^{-r h_j} I;
+    the zero kernel has no R block.  Each maximal run of such rows is one
+    :func:`~idikit.dynamics._affine_scan`; a ``ray`` or ``polyhedral`` row
+    takes one step, its u_j projected from the p_{j+1} the run above it
+    gave.  A row-rule kernel, steps whose products could grow past
+    :data:`~idikit.dynamics.SCAN_GROWTH` and a value that is not finite
+    give None.
+    """
+    tensors, glx, _, cones = terms
+    if tensors.xi is not None:
+        return None
+    k, n = pin.shape
+    JT = h[:, None, None] * np.swapaxes(np.broadcast_to(cones.jacobian, (k, n, n)), 1, 2)
+    free = (cones.kind == "subspace")[:, None]
+    affine = free[:, 0] | (cones.kind == "zero")
+    P = np.eye(n) + 2.0 * tensors.mu + np.where(free[..., None], JT, 0.0)
+    c = np.zeros((k, 2 * n if tensors.cells is not None else n))
+    c[:, :n] = (-_matvec(tensors.mu, pin) - h[:, None] * lam * glx
+                - np.where(free, _matvec(JT, pin), 0.0))
+    if tensors.cells is None:
+        M = P
+    else:
+        _, c_tau, tau, decay = _exp_steps(tensors.cells)
+        blocks = np.stack([np.zeros(k), tau, c_tau, decay], axis=-1).reshape(-1, 2, 2)
+        M = np.kron(blocks, np.eye(n))
+        M[:, :n, :n] = P
+    if not _bounded_growth(M[affine]):
+        return None
+    # the rows from j = k-1 down, cut before every row that does not scan
+    # and after it
+    M, c, affine = M[::-1], c[::-1], affine[::-1]
+    cuts = np.flatnonzero(~affine[1:] | ~affine[:-1]) + 1
+    y, out = np.zeros(M.shape[1]), np.empty_like(c)
+    y[:n] = p_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, k]):
+            seg = c[lo:hi].copy()
+            seg[0] += M[lo] @ y
+            if not affine[lo]:
+                j = k - 1 - lo
+                u_j = cones.project_u(y[:n] - pin[j], j)
+                seg[0, :n] += h[j] * cones.row_jacobian(j).T @ u_j
+            out[lo:hi] = _affine_scan(M[lo:hi], seg)
+            y = out[hi - 1]
+    p = out[::-1, :n]
+    return p if np.isfinite(p).all() else None
 
 
 def nontriviality_value(mult: MultiplierSet) -> float:

@@ -12,10 +12,11 @@ test kernel integrates exactly.
 An exponential kernel c e^{-r (t - s)} x with r >= 0, built with
 :meth:`VolterraKernel.exponential` (every shipped kernel is one), takes an
 O(k) route through the same rule.  Its Gauss blocks factor into a t-side
-sum per cell, tau_j = sum tw e^{-r (t_q - t_j)}, and an s-side sum,
-sigma_j = sum sw e^{-r (t_{j+1} - s_q)}; with the triangle integral of each
-cell they give w, the backward coupling sums and mu by one running sum
-each, and only the stable factors e^{-r (>= 0)} are ever formed.  This is
+sum per cell, tau_j = sum tw e^{-r (t_q - t_j)}, and an s-side sum over
+e^{-r (t_{j+1} - s_q)}, which the symmetric Gauss rule makes the same sum
+in reverse order, so tau_j serves as both; with the triangle integral of
+each cell they give w, the backward coupling sums and mu by one running
+sum each, and only the stable factors e^{-r (>= 0)} are ever formed.  This is
 the fast-convolution recurrence of Lubich & Schaedle, SIAM J. Sci. Comput.
 24 (2002), applied to the Gauss rule itself.  Every other kernel keeps the
 row rule, which is also the oracle of the recurrence.  The cell sums are
@@ -244,20 +245,25 @@ class _Discretization(NamedTuple):
     every layer that works on the mesh: the cell Gauss points and weights,
     shape (k, GAUSS_ORDER); for an exponential kernel c e^{-r (t - s)} x its
     sums per cell, shape (k,), from the row rule's own Gauss points and
-    triangle; and, once sampled, a reference arc at the nodes, (k+1, n), and
-    its derivative at the Gauss points, (k, GAUSS_ORDER, n).  What does not
-    apply is None."""
+    triangle; once sampled, a reference arc at the nodes, (k+1, n), and its
+    derivative at the Gauss points, (k, GAUSS_ORDER, n); and, once
+    :func:`dynamics._decide_scan` has looked at a velocity map (``drift``),
+    the step matrices of its march when that march scans (``scan``).  What
+    does not apply is None."""
 
     mesh: TimeMesh
     kernel: VolterraKernel
     pts: np.ndarray
     wts: np.ndarray
-    tau: Optional[np.ndarray] = None    # sum of tw e^{-r (t_q - t_j)}, cell j's points
-    sigma: Optional[np.ndarray] = None  # sum of sw e^{-r (t_{j+1} - s_q)}, the same
+    # sum of tw e^{-r (t_q - t_j)} over cell j's points, and of
+    # sw e^{-r (t_{j+1} - s_q)}: the Gauss rule is symmetric
+    tau: Optional[np.ndarray] = None
     tri: Optional[np.ndarray] = None    # triangle rule of e^{-r (t - s)} on cell j
     decay: Optional[np.ndarray] = None  # e^{-r h_j}
     ref_nodes: Optional[np.ndarray] = None
     ref_dot: Optional[np.ndarray] = None
+    drift: Optional[object] = None      # the velocity map ``scan`` was decided for
+    scan: Optional[np.ndarray] = None   # (k, m, m), None where the march loops
 
 
 def _discretize(kernel: VolterraKernel, mesh: TimeMesh) -> _Discretization:
@@ -272,26 +278,25 @@ def _exp_cells(disc: _Discretization) -> _Discretization:
     tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
     return disc._replace(
         tau=np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1),
-        sigma=np.sum(wq * np.exp(-r * (nodes[1:, None] - q)), axis=1),
         tri=0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS),
         decay=np.exp(-r * h))
 
 
 def _exp_steps(disc: _Discretization):
     """The cell recurrence of an exponential kernel c e^{-r (t - s)} x, as
-    four arrays of shape (k,), (c tri_j, c tau_j, sigma_j, e^{-r h_j}):
+    four arrays of shape (k,), (c tri_j, c tau_j, tau_j, e^{-r h_j}):
 
         h_j w_j = c tri_j x_j + c tau_j S_j,
-        S_{j+1} = sigma_j x_j + e^{-r h_j} S_j,  S_0 = 0,
+        S_{j+1} = tau_j x_j + e^{-r h_j} S_j,  S_0 = 0,
 
-    with S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} sigma_i x_i the running sum
+    with S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} tau_i x_i the running sum
     of the past cells.  Each coefficient multiplies the identity.  The
     march's memory averages (:func:`_memory_averages`), the backward
-    coupling (the transposed recurrence) and the solver's prefix scans all
-    read the recurrence from here.
+    coupling (the transposed recurrence) and the prefix scans all read the
+    recurrence from here.
     """
     c = disc.kernel._exp[0]
-    return c * disc.tri, c * disc.tau, disc.sigma, disc.decay
+    return c * disc.tri, c * disc.tau, disc.tau, disc.decay
 
 
 def _in_turn(step: Callable, cells: range, what: str) -> Callable:
@@ -327,17 +332,17 @@ def _memory_averages(disc: _Discretization):
         return lambda j, states: np.zeros(np.shape(states)[-1])
     if disc.tau is None:
         return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j)
-    c_tri, c_tau, sigma, decay = _exp_steps(disc)
+    c_tri, c_tau, tau, decay = _exp_steps(disc)
     # Python floats: a step is then four small-array operations
     past, own = (c_tau / mesh.steps).tolist(), (c_tri / mesh.steps).tolist()
-    decay, sigma = decay.tolist(), sigma.tolist()
+    decay, tau = decay.tolist(), tau.tolist()
     running = 0.0
 
     def w(j, states):
         nonlocal running
         x = states[j]
         w_j = past[j] * running + own[j] * x
-        running = decay[j] * running + sigma[j] * x
+        running = decay[j] * running + tau[j] * x
         return w_j
 
     return w
@@ -416,7 +421,7 @@ class QuadratureTensors:
     kernel stores this dense array.  For the zero kernel ``xi`` is None and
     so is ``cells``.  For an exponential kernel ``xi`` is None and
     ``cells``, the discretization, holds the per-cell sums it factors into,
-    xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} sigma_j I.  The couplings of
+    xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} tau_j I.  The couplings of
     all three are read through :meth:`backward_coupling`.
     """
 
@@ -437,19 +442,19 @@ class QuadratureTensors:
         recurrence of :func:`_exp_steps` transposed, carrying
         R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} c tau_m r[m] as the running
         sum R_j = e^{-r h_{j+1}} R_{j+1} + c tau_{j+1} r[j + 1], R_{k-1} = 0,
-        so that coupling(j) = sigma_j R_j costs O(n); the row rule's kernel
+        so that coupling(j) = tau_j R_j costs O(n); the row rule's kernel
         sums its dense ``xi``, and the zero kernel gives zeros.
         """
         k, cells = len(r), self.cells
         if cells is not None:
-            _, c_tau, sigma, decay = (a.tolist() for a in _exp_steps(cells))
+            _, c_tau, tau, decay = (a.tolist() for a in _exp_steps(cells))
             running = np.zeros(r.shape[1])
 
             def coupling(j):
                 nonlocal running
                 if j + 1 < k:
                     running = decay[j + 1] * running + c_tau[j + 1] * r[j + 1]
-                return sigma[j] * running
+                return tau[j] * running
         elif self.xi is not None:
             def coupling(j):
                 return np.einsum("mab,mb->a", self.xi[j + 1:k, j], r[j + 1:])

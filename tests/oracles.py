@@ -16,7 +16,10 @@ cone, by a least-squares or NNLS solve (the package has closed forms for a
 stack); closed-form arcs, running costs and drift centers written for one
 time or one point and served row by row (the package's oracles take
 stacks); a linear drift A x as a plain callable, which the package steps
-node by node (it scans a drift built with ``linear``).
+node by node (it scans a drift built with ``linear``); the march of
+``approximate_arc`` with one projection per node (the package projects
+every node of a zero kernel's march in one stacked pass, and scans a point
+body's).
 """
 
 import itertools
@@ -27,7 +30,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
-from idikit.kernel import kernel_average_w
+from idikit.dynamics import _march, _sample_reference
+from idikit.kernel import _assemble_w, _discretize, kernel_average_w
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
                          sup_distance)
@@ -50,6 +54,18 @@ def loop_drift(fmap):
         return PolytopeOffset(f, fmap.vertices, jac=jac)
     assert isinstance(fmap, Singleton)
     return Singleton(f, jac=jac)
+
+
+def approximation_march(problem, reference, mesh):
+    """The trajectory of ``approximate_arc`` from the node loop: at node j
+    the nearest point of F(t_j, x_j) to a_j - b_j, plus w_j, one
+    ``distance_and_projection`` call per node."""
+    disc = _sample_reference(reference, _discretize(problem.kernel, mesh))
+    a = np.diff(disc.ref_nodes, axis=0) / mesh.steps[:, None]
+    b = _assemble_w(disc, disc.ref_nodes)
+    t = mesh.nodes
+    return _march(problem, disc, lambda j, x, w: distance_and_projection(
+        problem.fmap, t[j], x, a[j] - b[j])[1] + w, "approximate_arc")
 
 
 def per_row_arc(fn, dfn):

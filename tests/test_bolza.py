@@ -369,9 +369,10 @@ def test_initial_controls_march_the_approximation_bit_for_bit(name, k):
 @pytest.mark.parametrize("name", catalog.names())
 def test_initial_controls_scan_the_approximation(name, k):
     # the catalog problem itself: forward_trajectory scans what
-    # approximate_arc loops, and the two summation orders agree to round-off
-    # of the trajectory's largest value (ball_control_lq's velocities
-    # A x_j + u_j cancel to exact zeros in the loop only)
+    # approximate_arc marches with the loop's arithmetic (a zero kernel) or
+    # the same scan (a point body), and the two agree to round-off of the
+    # trajectory's largest value (ball_control_lq's velocities A x_j + u_j
+    # cancel to exact zeros in the loop only)
     entry = catalog.get(name)
     dbp, traj0, traj = _initial_march(entry.problem, entry.reference, k)
     assert _scans(dbp)

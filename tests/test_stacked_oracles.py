@@ -1,11 +1,15 @@
 """The stacked problem oracles against the same formulas served row by row.
 
 Closed-form references, running costs and linear drift centers take a whole
-stack per call, and the march and the backward sweep of a linear drift are
-prefix scans.  Each is held to its per-row oracle from ``oracles`` (the
-formulas of one time or one point, or the node loop) within 1e-12
-relative, on random non-uniform meshes; an oracle of the wrong shape raises
-a named error, and a scan that is not finite falls back to the loop.
+stack per call, the march and the backward sweep of a linear drift are
+prefix scans, the march of ``approximate_arc`` is one stacked pass on a
+zero kernel and a scan on a point body, and the multipliers' adjoint sweep
+scans its runs of ``zero`` and ``subspace`` rows.  Each is held to its
+per-row oracle from ``oracles`` (the formulas of one time or one point, or
+the node loop) within 1e-12 relative, and the zero kernel's stacked march
+bit for bit, on random non-uniform meshes; an oracle of the wrong shape
+raises a named error, and a scan that is not finite falls back to the
+loop, which names the stage and the node.
 """
 
 import math
@@ -14,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idikit import catalog, conditions
+from idikit import catalog, conditions, dynamics
 from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
                           build_discrete_problem, cost_breakdown,
                           cost_gradient, forward_trajectory)
@@ -24,15 +28,16 @@ from idikit.conditions import (_adjoint_sweep, _trajectory_terms,
                                adjoint_solve_smooth, recover_multipliers,
                                volterra_residual)
 from idikit.config import load_config
-from idikit.dynamics import NonFiniteStateError
+from idikit.dynamics import NonFiniteStateError, approximate_arc
 from idikit.kernel import VolterraKernel
 from idikit.mesh import (CallableArc, MeshError, PiecewiseLinearArc, TimeMesh,
                          cell_gauss_points)
 from idikit.problem import (BallSet, CostShapeError, InflatedSet, ProblemData,
-                            RunningCost)
-from idikit.setvalued import (BallOffset, PolytopeOffset, Singleton, _centers,
-                              graph_normal_cone)
-from oracles import centers, loop_drift, per_row_arc, per_row_cost
+                            RunningCost, TerminalCost, WholeSpace)
+from idikit.setvalued import (BallOffset, GraphNormalCone, PolytopeOffset,
+                              Singleton, _centers, graph_normal_cone)
+from oracles import (approximation_march, centers, loop_drift, per_row_arc,
+                     per_row_cost)
 
 KS = (1, 2, 11, 200)
 
@@ -424,3 +429,294 @@ def test_a_fast_growing_drift_takes_the_loop(kernel):
     traj = forward_trajectory(fast, ControlParameterization(np.zeros((k, 1))))
     for field in ("states", "velocities", "w"):
         assert np.array_equal(getattr(traj, field), np.zeros_like(getattr(traj, field)))
+
+
+# --- the approximation march -------------------------------------------------------
+
+def _rider(n, body, linear):
+    """x' in x + P on [0, 1] from x0, with P the ball of radius 1 or the
+    cube [-1, 1]^n, and a reference whose deviation x' - x is d(t) e_1,
+    d growing from 0 to 1 by t = 0.4 and then riding the boundary of P:
+    the projections of the march turn active after t = 0.4."""
+    t0, x0, e1 = 0.4, np.linspace(0.5, -0.3, n), np.eye(n)[0]
+    if body == "ball":
+        fmap = BallOffset.linear(np.eye(n), 1.0)
+    else:
+        corners = np.array(list(np.ndindex(*(2,) * n)), dtype=float) * 2.0 - 1.0
+        fmap = PolytopeOffset.linear(np.eye(n), corners)
+    if not linear:
+        fmap = loop_drift(fmap)
+
+    def x_ref(t):
+        s, late = np.minimum(t, t0)[:, None], np.maximum(t - t0, 0.0)[:, None]
+        ramp = (np.exp(s) - 1.0 - s) / t0 * np.exp(late) + np.exp(late) - 1.0
+        return x0 * np.exp(t[:, None]) + ramp * e1
+
+    def dx_ref(t):
+        return x_ref(t) + (np.minimum(t, t0) / t0)[:, None] * e1
+
+    problem = ProblemData(
+        name="rider", fmap=fmap, kernel=VolterraKernel.zero(), x0=x0,
+        horizon=1.0, omega=WholeSpace(), terminal_cost=TerminalCost.zero(),
+        running_cost=RunningCost.zero(), m_F=10.0, l_F=1.0, beta=0.0,
+        alpha=0.0, state_box=(-5.0 * np.ones(n), 5.0 * np.ones(n)))
+    return problem, CallableArc(x_ref, dx_ref)
+
+
+def _assert_bits(got, want):
+    for field in ("states", "velocities", "w"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                      b.view(np.uint64)), field
+
+
+def _spy_starts(monkeypatch):
+    """The node each ``dynamics._march`` call starts its loop at."""
+    starts, inner = [], dynamics._march
+
+    def spy(problem, disc, select, stage, start=0, head=None):
+        starts.append(start)
+        return inner(problem, disc, select, stage, start, head)
+    monkeypatch.setattr(dynamics, "_march", spy)
+    return starts
+
+
+@pytest.mark.parametrize("linear", (True, False), ids=("linear", "callable"))
+def test_the_stacked_approximation_march_is_the_loop_bit_for_bit(linear, monkeypatch):
+    # the zero kernel's catalog problems project inside their bodies at
+    # every node, so their stacked pass never loops; the riders' turn
+    # active mid-mesh, where the loop takes over
+    # (the finest mesh is held down where the oracle's loop projects onto
+    # a polytope, 0.3 ms a node)
+    rng = np.random.default_rng(19)
+    cases = [(catalog.get(name).problem, catalog.get(name).reference, fine)
+             for name, fine in (("ball_control_lq", 10 ** 4), ("polytope_endpoint", 2000))]
+    cases = [(p if linear else replace(p, fmap=loop_drift(p.fmap)), ref, fine)
+             for p, ref, fine in cases]
+    cases += [(*_rider(n, body, linear), 400) for n in (1, 2)
+              for body in ("ball", "polytope")]
+    starts = _spy_starts(monkeypatch)
+    for problem, ref, fine in cases:
+        for k in KS + (fine,):
+            mesh = _random_mesh(rng, k, problem.horizon)
+            starts.clear()
+            traj, _ = approximate_arc(problem, ref, mesh, tau_f=0.0)
+            _assert_bits(traj, approximation_march(problem, ref, mesh))
+            if problem.name != "rider":
+                assert starts == [k]  # no node loops
+            elif k >= 200:
+                assert 0 < starts[0] < k  # the loop resumed mid-mesh
+
+
+def _rotation_singleton():
+    """x' = A x with a rotation A and the zero kernel, and its arc e^{At} x0."""
+    A, x0 = 1.5 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.5])
+    problem = ProblemData(
+        name="rotation", fmap=Singleton.linear(A), kernel=VolterraKernel.zero(),
+        x0=x0, horizon=2.0, omega=WholeSpace(), terminal_cost=TerminalCost.zero(),
+        running_cost=RunningCost.zero(), m_F=5.0, l_F=1.5, beta=0.0, alpha=0.0,
+        state_box=(-2.0 * np.ones(2), 2.0 * np.ones(2)))
+
+    def rot(t):
+        c, s = np.cos(1.5 * t), np.sin(1.5 * t)
+        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+    return problem, CallableArc(lambda t: rot(t) @ x0, lambda t: rot(t) @ (A @ x0))
+
+
+def test_a_point_body_scans_the_approximation_march(monkeypatch):
+    rng = np.random.default_rng(20)
+    cases = [(catalog.get(name).problem, catalog.get(name).reference)
+             for name in ("cos_t", "damped_volterra")] + [_rotation_singleton()]
+    starts = _spy_starts(monkeypatch)
+    for problem, ref in cases:
+        for k in KS + (10 ** 4,):
+            mesh = _random_mesh(rng, k, problem.horizon)
+            traj, report = approximate_arc(problem, ref, mesh, tau_f=0.0)
+            assert report._disc.scan is not None and not starts
+            want = approximation_march(problem, ref, mesh)
+            for field in ("states", "velocities", "w"):
+                _assert_rel(getattr(traj, field), getattr(want, field))
+
+
+def test_the_solver_takes_the_approximations_scan_decision(monkeypatch):
+    # build_discrete_problem hands the discretization on with the decision
+    # made for the same map; a problem with another map decides again
+    entry = catalog.get("damped_volterra")
+    mesh = TimeMesh.uniform(40, entry.problem.horizon)
+    decided = []
+    inner = dynamics._scan_steps
+
+    def counted(fmap, disc):
+        decided.append(fmap)
+        return inner(fmap, disc)
+    monkeypatch.setattr(dynamics, "_scan_steps", counted)
+    dbp, _, _, report = build_discrete_problem(entry.problem, mesh, entry.reference)
+    assert decided == [entry.problem.fmap] and dbp._disc is report._disc
+    slow = replace(dbp, base=replace(entry.problem, fmap=loop_drift(entry.problem.fmap)))
+    assert len(decided) == 2 and not _scans(slow) and _scans(dbp)
+
+
+# --- the adjoint sweep -----------------------------------------------------------
+
+KINDS = np.array(["zero", "subspace", "ray", "polyhedral"])
+
+
+def _mixed_cones(rng, k, n, jacobian):
+    """A cone stack of every kind, in runs: mostly ``zero`` and
+    ``subspace`` rows, with ``ray`` and ``polyhedral`` rows between."""
+    kind = KINDS[rng.choice(4, size=k, p=[0.35, 0.35, 0.15, 0.15])]
+    direction = rng.normal(size=(k, n))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    direction[kind != "ray"] = 0.0
+    facets = rng.normal(size=(3, n))
+    facets /= np.linalg.norm(facets, axis=1)[:, None]
+    active = (rng.random((k, 3)) < 0.5) & (kind == "polyhedral")[:, None]
+    active[:, 0] |= (kind == "polyhedral") & ~active.any(axis=1)
+    return GraphNormalCone(kind=kind, jacobian=jacobian, direction=direction,
+                           facets=facets, active=active)
+
+
+def _looped(monkeypatch):
+    monkeypatch.setattr(conditions, "_scan_sweep", lambda *args: None)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_the_sweep_scans_its_runs_and_steps_the_rest(kernel, monkeypatch):
+    rng = np.random.default_rng(21)
+    calls = []
+    inner = GraphNormalCone.project_u
+    monkeypatch.setattr(GraphNormalCone, "project_u",
+                        lambda self, b, j: calls.append(j) or inner(self, b, j))
+    for n, drifts in DRIFTS.items():
+        for A in drifts[:2]:
+            for k in KS:
+                mesh = _random_mesh(rng, k, 1.0)
+                dbp, _ = _linear_problem(A, KERNELS[kernel](), mesh, rng)
+                u = ControlParameterization(rng.normal(size=(k, n))).projected(dbp)
+                traj = forward_trajectory(dbp, u)
+                tensors, glx, glv, _ = _trajectory_terms(dbp, traj)
+                per_row = np.array(A) + 0.1 * rng.normal(size=(k, n, n))
+                for jac in (np.array(A, dtype=float), per_row):
+                    terms = (tensors, glx, glv, _mixed_cones(rng, k, n, jac))
+                    stepped = np.isin(terms[3].kind, ("ray", "polyhedral")).sum()
+                    for lam in (1.0, 0.0):
+                        nu = rng.normal(size=n)
+                        calls.clear()
+                        got = _adjoint_sweep(dbp, traj, terms, lam, nu)
+                        assert len(calls) == stepped
+                        with monkeypatch.context() as m:
+                            _looped(m)
+                            want = _adjoint_sweep(dbp, traj, terms, lam, nu)
+                        assert len(calls) == stepped + k
+                        assert got.lam == want.lam
+                        _assert_rel(got.p, want.p)
+
+
+def test_the_sweep_gates_the_matrices_it_composes():
+    # A = 800 over [0, 2]: the march's steps I + h A grow past the gate and
+    # loop, while a zero row drops h A^T, so a sweep of zero rows scans and
+    # one of subspace rows loops
+    rng = np.random.default_rng(22)
+    k = 50
+    dbp, _ = _linear_problem([[800.0]], VolterraKernel.zero(), TimeMesh.uniform(k, 2.0),
+                             rng, x0=np.zeros(1))
+    assert not _scans(dbp)
+    traj = forward_trajectory(dbp, ControlParameterization(np.zeros((k, 1))))
+    tensors, glx, glv, cones = _trajectory_terms(dbp, traj)
+    pin = tensors.theta / dbp.mesh.steps[:, None] + glv
+    for kind, scans in (("zero", True), ("subspace", False)):
+        terms = (tensors, glx, glv, replace(cones, kind=np.full(k, kind)))
+        got = conditions._scan_sweep(dbp.mesh.steps, terms, 1.0, pin, np.ones(1))
+        assert (got is not None) == scans
+
+
+def test_recovery_makes_no_call_per_node(monkeypatch):
+    # the approximation march and the multipliers' sweep are array passes
+    # on every catalog problem: as many calls at k = 4000 as at k = 40
+    import idikit.setvalued as setvalued
+    counts = {}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(dynamics, "distance_and_projection")
+    counted(setvalued.GraphNormalCone, "project_u")
+    counted(setvalued.GraphNormalCone, "row_jacobian")
+    for name in catalog.names():
+        entry = catalog.get(name)
+        seen = []
+        for k in (40, 4000):
+            mesh = TimeMesh.uniform(k, entry.problem.horizon)
+            counts.clear()
+            traj, report = approximate_arc(entry.problem, entry.reference, mesh)
+            marched = counts.get("distance_and_projection", 0)
+            dbp, _, _, _ = build_discrete_problem(entry.problem, mesh, entry.reference,
+                                                  precomputed=(traj, report))
+            counts.clear()
+            recover_multipliers(dbp, traj)
+            seen.append((marched, counts.get("project_u", 0), counts.get("row_jacobian", 0)))
+        assert seen[0] == seen[1], name
+
+
+# --- values that are not finite on the stacked paths ----------------------------------
+
+def _nan_at_late_nodes(nodes):
+    """A drift that is nan at the nodes past t = 0.5 and zero at every
+    other time: the reference's defect, sampled between the nodes, stays
+    finite, and the march meets the nan."""
+    late = {float(t) for t in nodes if t > 0.5}
+    return lambda t, x: np.full(np.size(x), np.nan if float(t) in late else 0.0)
+
+
+def test_a_nan_in_the_stacked_march_names_the_loops_node():
+    mesh = TimeMesh.uniform(8, 1.0)  # t_5 = 0.625 is the first node past 0.5
+    ref = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
+    problem = ProblemData(
+        name="nan_drift", fmap=BallOffset(_nan_at_late_nodes(mesh.nodes), 1.0),
+        kernel=VolterraKernel.zero(), x0=[0.0], horizon=1.0, omega=WholeSpace(),
+        terminal_cost=TerminalCost.zero(), running_cost=RunningCost.zero(),
+        m_F=1.0, l_F=0.0, beta=0.0, alpha=0.0, state_box=([-1.0], [1.0]))
+    for run in (approximate_arc, approximation_march):
+        with pytest.raises(NonFiniteStateError) as info:
+            run(problem, ref, mesh)
+        err = info.value
+        assert (err.stage, err.k, err.node, err.t) == ("approximate_arc", 8, 5, 0.625)
+
+
+def test_a_nan_in_the_scanned_march_names_the_loops_node():
+    entry = catalog.get("damped_volterra")
+    problem = replace(entry.problem, x0=[np.nan])
+    mesh = TimeMesh.uniform(8, problem.horizon)
+    for run in (approximate_arc, approximation_march):
+        with pytest.raises(NonFiniteStateError) as info:
+            run(problem, entry.reference, mesh)
+        err = info.value
+        assert (err.stage, err.k, err.node, err.t) == ("approximate_arc", 8, 0, 0.0)
+
+
+@pytest.mark.parametrize("name, node", (("ball_control_lq", 7), ("damped_volterra", 7)))
+def test_a_nan_in_the_scanned_sweep_names_the_loops_node(name, node, monkeypatch):
+    # grad_x l is nan past t = 0.5: the sweep, from j = k-1 down, meets it
+    # at its first step
+    entry = catalog.get(name)
+    late_nan = RunningCost(
+        lambda t, x, v: np.zeros(np.shape(t)),
+        lambda t, x, v: np.where(t[:, None] > 0.5, np.nan, 0.0) * np.ones(np.shape(x)),
+        lambda t, x, v: np.zeros(np.shape(x)))
+    problem = replace(entry.problem, running_cost=late_nan)
+    mesh = TimeMesh.uniform(8, problem.horizon)
+    dbp, _, traj, _ = build_discrete_problem(problem, mesh, entry.reference)
+    for looped in (False, True):
+        with monkeypatch.context() as m:
+            if looped:
+                _looped(m)
+            with pytest.raises(NonFiniteStateError) as info:
+                adjoint_solve_smooth(dbp, traj)
+        err = info.value
+        assert (err.stage, err.k, err.node) == ("adjoint_solve_smooth", 8, node)
+        assert err.t == mesh.nodes[node]
