@@ -210,7 +210,16 @@ class PolytopeOffset(_OffsetMap):
         return _norm(w - proj), proj
 
     def _facet_system(self):
-        """Outer facet normals (rows A) and offsets b with P = {A y <= b}."""
+        """Outer unit facet normals (rows A) and offsets b with
+        P = {A y <= b}, one row per facet.
+
+        For n >= 2 the facets come from the size-n vertex subsets that the
+        projection enumerates (``_HullFaces``): a subset of rank n - 1 spans
+        a hyperplane, normal to the null space of E^T for its edge matrix E,
+        kept and turned outward when every vertex lies on one side of it
+        within 1e-12 times the largest |vertex coordinate|.  Equal normals
+        (within 1e-9) are one facet, the first in ``combinations`` order.
+        """
         if self._facets is not None:
             return self._facets
         V = self.vertices
@@ -218,19 +227,25 @@ class PolytopeOffset(_OffsetMap):
         if V.shape[0] == 1:
             self._facets = (np.zeros((0, n)), np.zeros(0))
         elif n == 1:
+            # kept apart: the zero-length interval [[0.2], [0.2]] has the
+            # facets -1 and 1 here but is a flat body to the rank test below
             lo, hi = float(V.min()), float(V.max())
             self._facets = (np.array([[-1.0], [1.0]]), np.array([-lo, hi]))
         else:
-            from scipy.spatial import ConvexHull
-            try:
-                hull = ConvexHull(V)
-            except Exception as exc:  # degenerate (not full-dimensional)
-                raise SetValuedError(
-                    "polytope vertices must span the full space for facet "
-                    "normal cones; got a degenerate hull") from exc
-            eq = hull.equations  # rows (a, -b) with a.y - b <= 0
-            norms = np.linalg.norm(eq[:, :-1], axis=1)
-            self._facets = (eq[:, :-1] / norms[:, None], -eq[:, -1] / norms)
+            tol = 1e-12 * np.abs(V).max()
+            if np.linalg.matrix_rank(V - V[0], tol=tol) < n:
+                raise SetValuedError("polytope vertices must span the full space "
+                                     "for facet normal cones; got a flat body")
+            base, E = map(np.array, zip(*[f[:2] for f in self._hull._faces
+                                          if f[1].shape[1] == n - 1]))
+            _, s, Vt = np.linalg.svd(np.swapaxes(E, 1, 2))
+            A = Vt[:, -1] / _norm(Vt[:, -1])[:, None]
+            side = (V[:, None, :] * A).sum(axis=-1) - np.vecdot(A, base)  # (m, K)
+            below, above = (side <= tol).all(axis=0), (side >= -tol).all(axis=0)
+            A = np.where(below[:, None], A, -A)[(s[:, -1] > tol) & (below | above)]
+            same = np.abs(A[:, None] - A[None]).max(axis=-1) <= 1e-9
+            A = A[~np.tril(same, -1).any(axis=1)]
+            self._facets = (A, (V[:, None, :] * A).sum(axis=-1).max(axis=0))
         return self._facets
 
     def body_normal_cone(self, W):

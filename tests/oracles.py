@@ -9,8 +9,10 @@ memory integrals walked one time, one panel and one point at a time (the
 package serves all times in one call); the memory coupling sum of the
 backward sweeps, one later step at a time; the projections onto the
 velocity bodies, one point at a time, with one least-squares solve per
-vertex subset of a polytope; the graph normal cone of one point, with
-its own feasibility gate (the package builds a stack of them in one pass);
+vertex subset of a polytope; the facets of a polytope from scipy's convex
+hull, the rows of a split facet merged (the package enumerates vertex
+subsets); the graph normal cone of one point, with its own feasibility
+gate (the package builds a stack of them in one pass);
 the distance to one graph normal cone and the projection onto one body
 cone, by a least-squares or NNLS solve (the package has closed forms for a
 stack); closed-form arcs, running costs and drift centers written for one
@@ -28,6 +30,7 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.spatial import ConvexHull
 
 from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
 from idikit.dynamics import _march, _sample_reference
@@ -426,6 +429,20 @@ def convex_hull_projection(vertices, z):
                 if tuple(cand) < tuple(best):
                     best = cand
     return np.asarray(best, dtype=float)
+
+
+def polytope_facets(vertices):
+    """Outer unit facet normals (rows A) and offsets b of conv(vertices),
+    n >= 2, from ``scipy.spatial.ConvexHull``.
+
+    Qhull triangulates its output, so a facet that is not a simplex comes
+    as several equal rows (a, -b); equal rows within 1e-9 are merged, the
+    first kept.
+    """
+    eq = ConvexHull(np.asarray(vertices, dtype=float)).equations
+    keep = [i for i in range(len(eq))
+            if not any(np.abs(eq[i] - eq[j]).max() <= 1e-9 for j in range(i))]
+    return eq[keep, :-1], -eq[keep, -1]
 
 
 def ball_projection(radius, u):

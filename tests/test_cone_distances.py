@@ -132,6 +132,24 @@ def test_degenerate_bodies_give_subspace_cones():
         graph_normal_cone(flat, t, X, X @ A.T + 0.5)
 
 
+def test_a_cube_has_one_generator_per_facet():
+    # a square face is one facet, not the two triangles a triangulated hull
+    # gives: a vertex row has 3 generators and an edge row 2
+    A = np.array([[0.1, -0.3, 0.0], [0.2, 0.0, 0.4], [0.0, 0.5, -0.1]])
+    F = PolytopeOffset.linear(A, np.array(np.meshgrid(*[[0.0, 1.0]] * 3)).reshape(3, -1).T)
+    body = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 0.5, 0.5],
+                     [0.5, 0.5, 0.5]] * 10)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal(body.shape)
+    cones = graph_normal_cone(F, np.zeros(len(body)), X, X @ A.T + body)
+    assert cones.facets.shape == (6, 3)
+    assert [len(cones.generators(i)) for i in range(3)] == [3, 2, 1]
+    assert cones.kind[3] == "zero"
+    Qx, Qv = rng.standard_normal((2,) + body.shape)
+    d, U = pair_distances(cones, Qx, Qv)
+    _assert_matches_oracle(cones, Qx, Qv, d, U)
+
+
 def test_polytope_cones_from_a_trajectory_stack():
     # rows on facets and at vertices of a triangle, one shared A
     A = np.array([[0.0, 0.2], [-0.2, 0.0]])

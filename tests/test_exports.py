@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -41,10 +42,29 @@ def test_no_public_callable_takes_a_quadrature_order():
     assert takers == []
 
 
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle
+    found = []
+    for path in sorted(Path(idikit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, for polytope facets only: neither the
-    # package nor the CLI pays for it at import
-    code = ("import sys, idikit, idikit.cli; "
+    # no scipy module is loaded by the package, the CLI, or a polytope's
+    # facets, which the package finds by enumerating vertex subsets
+    code = ("import sys, numpy as np, idikit, idikit.cli\n"
+            "from idikit.setvalued import PolytopeOffset, graph_normal_cone\n"
+            "F = PolytopeOffset.linear(np.eye(2), [[0, 0], [1, 0], [0, 1]])\n"
+            "assert graph_normal_cone(F, 0.0, [0.0, 0.0], [0.5, 0.5]).kind[0] == 'polyhedral'\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(Path(idikit.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -234,6 +234,52 @@ def test_graph_normal_cone_polytope_active_facets():
     assert list(graph_normal_cone(F, 0.0, [0.0, 0.0], [0.2, 0.2]).kind) == ["zero"]
 
 
+def _facet_inputs():
+    """(label, vertices) with n = 2 and 3: random point sets, duplicate
+    vertices, extra vertices on a facet (some of them on an edge) and
+    interior points, one set far from the origin."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in (2, 3):
+        box = np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T
+        on_facet = np.hstack([rng.uniform(0.0, 1.0, (5, n - 1)), np.ones((5, 1))])
+        on_facet[0, 0] = 0.0
+        pts = rng.normal(size=(9, n))
+        cases += [(f"random-{n}d-{i}", rng.normal(size=(int(rng.integers(n + 1, 13)), n)))
+                  for i in range(4)]
+        cases += [(f"duplicates-{n}d", np.vstack([pts, pts[:3], pts[:1]])),
+                  (f"box-{n}d", box),
+                  (f"coplanar-{n}d", np.vstack([box, on_facet, 0.5 * (box[0] + box[1])])),
+                  (f"interior-{n}d", np.vstack([pts, rng.dirichlet(np.ones(9), 6) @ pts])),
+                  (f"far-{n}d", 40.0 + 3.0 * pts)]
+    return cases
+
+
+@pytest.mark.parametrize("label,V", _facet_inputs(), ids=[c[0] for c in _facet_inputs()])
+def test_polytope_facets_match_the_convex_hull(label, V):
+    import oracles
+    A, b = PolytopeOffset.linear(np.eye(V.shape[1]), V)._facet_system()
+    want_A, want_b = oracles.polytope_facets(V)
+    assert A.shape == want_A.shape
+    gap = (np.abs(A[:, None] - want_A[None]).max(axis=-1)
+           + np.abs(b[:, None] - want_b[None]) / np.abs(V).max())
+    match = gap.argmin(axis=1)
+    assert sorted(match) == list(range(len(want_b)))
+    assert gap[np.arange(len(b)), match].max() <= 1e-12
+    if label.startswith("box"):
+        assert len(b) == 2 * V.shape[1]
+
+
+@pytest.mark.parametrize("V", [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
+                               [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                [1.0, 1.0, 1.0], [0.3, 0.4, 1.0]]],
+                         ids=["collinear-2d", "coplanar-3d"])
+def test_flat_polytope_has_no_facets(V):
+    F = PolytopeOffset.linear(np.eye(len(V[0])), V)
+    with pytest.raises(SetValuedError, match="full space"):
+        graph_normal_cone(F, 0.0, np.zeros(len(V[0])), V[1])
+
+
 def test_coderivative_cases():
     A = np.array([[1.0, 2.0], [0.0, -1.0]])
     f, jac = _lin(A)
