@@ -28,6 +28,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        discrete_gronwall_forward, forward_extremal)
 from .mesh import TimeMesh
 from .problem import EndpointError
-from .setvalued import InfeasiblePointError, SetValuedError, _norm
+from .setvalued import (InfeasiblePointError, SetValuedError, _centers,
+                        _jacobians, _norm)
 
 CSV_SCHEMA = "# idi-kit schema v1"
 
@@ -190,54 +192,39 @@ def run_convergence_study(cfg: ExperimentConfig):
     return rows, meta
 
 
-def _forward_instances(rng, n):
-    out = []
-    for _ in range(n):
-        m = int(rng.integers(1, 10))
-        e0 = rng.exponential(1.0)
-        sig, rho, gam = (rng.exponential(0.5, m) for _ in range(3))
-        out.append((e0, sig, rho, gam))
-    return out
+def _draw_forward(rng):
+    m = int(rng.integers(1, 10))
+    e0 = rng.exponential(1.0)
+    return (e0, *(rng.exponential(0.5, m) for _ in range(3)))
 
 
-def _backward_instances(rng, n):
-    out = []
-    for _ in range(n):
-        m = int(rng.integers(2, 10))
-        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
-        x_k = rng.exponential(1.0)
-        out.append((x_k, c, b, a))
-    return out
+def _draw_backward(rng):
+    m = int(rng.integers(2, 10))
+    c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+    return (rng.exponential(1.0), c, b, a)
 
 
-def _continuous_instances(rng, n, grid):
-    out = []
-    for _ in range(n):
-        rho0 = rng.exponential(1.0)
-        # constant coefficient rows: read-only views of one drawn value each
-        a, b1, b2 = (np.broadcast_to(rng.exponential(0.4), grid.shape)
-                     for _ in range(3))
-        out.append((rho0, a, b1, b2))
-    return out
+def _draw_continuous(rng):
+    # rho0, then the one value of each constant coefficient row a, b1, b2
+    return (rng.exponential(1.0), *(rng.exponential(0.4) for _ in range(3)))
 
 
-def _violations(instances, bound, oracle, cols, rtol, *extra):
-    """Which instances (scalar, array, array, array) the bound fails.
-
-    The bound under audit is evaluated instance by instance; the oracle runs
-    once per group of equal-length instances, on their stacked arrays, and
-    ``cols`` picks the oracle columns the bound covers.
-    """
-    bounds = [bound(*inst, *extra) for inst in instances]
-    lengths = np.array([inst[1].size for inst in instances])
+def _violations(instances, bound, oracle, cols, rtol, grid):
+    """Which instances the bound fails, from one bound and one oracle call
+    per length on the stacked fields; ``cols`` picks the oracle columns the
+    bound covers.  With a ``grid`` the three last fields are constant rows."""
+    lengths = np.array([np.size(inst[1]) for inst in instances])
     bad = np.zeros(len(instances), dtype=bool)
     for m in np.unique(lengths):
         idx = np.flatnonzero(lengths == m)
-        first = np.array([instances[i][0] for i in idx])
-        rest = (np.stack([instances[i][p] for i in idx]) for p in (1, 2, 3))
-        actual = oracle(first, *rest, *extra)[:, cols]
-        bound_m = np.stack([bounds[i] for i in idx])
-        bad[idx] = np.any(actual > bound_m * (1 + rtol) + 1e-300, axis=1)
+        first, *rows = (np.array([instances[i][p] for i in idx]) for p in range(4))
+        extra = ()
+        if grid is not None:
+            rows = [np.broadcast_to(r[:, None], (idx.size, grid.size)) for r in rows]
+            extra = (grid,)
+        actual = oracle(first, *rows, *extra)[:, cols]
+        bad[idx] = np.any(actual > bound(first, *rows, *extra) * (1 + rtol) + 1e-300,
+                          axis=1)
     return bad
 
 
@@ -248,29 +235,26 @@ def run_bound_audit(cfg: ExperimentConfig):
     rows = []
     failures = []
 
-    # declared standing constants vs sampled suprema over the state box;
-    # each of m_F, l_F, beta, alpha keeps the time its supremum was first hit
+    # declared standing constants vs suprema sampled at 256 points (t, s, x)
+    # of {0 <= s <= t <= T} x state box, as rng.uniform would draw them one
+    # point at a time; each keeps the first time its supremum was hit
+    fmap, kernel = problem.fmap, problem.kernel
     lo, hi = problem.state_box
-    worst = [0.0] * 4
-    witness = [0.0] * 4
-    for _ in range(256):
-        t = rng.uniform(0, problem.horizon)
-        s = rng.uniform(0, t) if t > 0 else 0.0
-        x = rng.uniform(lo, hi)
-        sampled = (
-            float(np.linalg.norm(problem.fmap.center(t, x)))
-            + problem.fmap.body_radius(),
-            float(np.linalg.norm(problem.fmap.jacobian(t, x), 2)),
-            float(np.linalg.norm(problem.kernel.eval(t, s, x)))
-            / (1.0 + float(np.linalg.norm(x))),
-            float(np.linalg.norm(problem.kernel.jac(t, s, x), 2)))
-        for i, value in enumerate(sampled):
-            if value > worst[i]:
-                worst[i], witness[i] = value, float(t)
+    u = rng.random((256, 2 + problem.dim))
+    t = problem.horizon * u[:, 0]
+    s = t * u[:, 1]
+    X = lo + (hi - lo) * u[:, 2:]
+    sampled = np.stack(np.broadcast_arrays(
+        _norm(_centers(fmap, t, X)) + fmap.body_radius(),
+        np.linalg.norm(_jacobians(fmap, t, X), 2, axis=(-2, -1)),  # one, if linear
+        _norm(kernel.eval_batch_s(t, s, X)) / (1.0 + _norm(X)),
+        np.linalg.norm(kernel.jac_batch_s(t, s, X), 2, axis=(-2, -1))))
+    worst = sampled.max(axis=1)
+    witness = np.where(worst > 0, t[sampled.argmax(axis=1)], 0.0)
     for label, value, bound, when in zip(
             ("constant_m_F", "constant_l_F", "constant_beta", "constant_alpha"),
-            worst, (problem.m_F, problem.l_F, problem.beta, problem.alpha),
-            witness):
+            worst.tolist(), (problem.m_F, problem.l_F, problem.beta, problem.alpha),
+            witness.tolist()):
         ok = value <= bound + 1e-9
         rows.append((label, "sampled", "pass" if ok else "FAIL", value, bound,
                      when))
@@ -300,12 +284,10 @@ def run_bound_audit(cfg: ExperimentConfig):
                                  "witness_time": witness_t,
                                  "value": value, "bound": bound})
 
-    # M1 spot identity at the reference constants
-    spot = (1.0 + 0.0 + 1.0) * np.exp(1.0)
-    class _Spot:
-        m_F, beta, horizon = 1.0, 0.0, 1.0
-        x0 = np.zeros(1)
-    s1, _ = apriori_bounds(_Spot)
+    # M1 spot identity at m_F = 1, beta = 0, T = 1, x0 = 0: M1 = 2e
+    s1, _ = apriori_bounds(SimpleNamespace(m_F=1.0, beta=0.0, horizon=1.0,
+                                           x0=np.zeros(1)))
+    spot = 2.0 * np.exp(1.0)
     ok = abs(s1 - spot) < 1e-12
     rows.append(("apriori_spot_2e", "-", "pass" if ok else "FAIL", s1, spot, 0.0))
     if not ok:
@@ -313,42 +295,32 @@ def run_bound_audit(cfg: ExperimentConfig):
 
     n = cfg.audit_instances
     grid = np.linspace(0.0, 1.0, 65)
-    # each suite: its instances (drawn suite after suite from the one seeded
-    # rng, so a seed fixes them), the bound under audit, its batched
-    # equality-case oracle, the oracle columns the bound covers, the relative
-    # slack, extra arguments of bound and oracle, and the replay record
+    # each suite: its name and replay fields, the draw of one instance (from
+    # the one seeded rng, suite after suite), the bound and its oracle (named
+    # here, at call time), the oracle columns, the relative slack, the grid
     suite_specs = (
-        ("gronwall_forward", lambda: _forward_instances(rng, n),
-         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, (),
-         lambda e0, sig, rho, gam: {
-             "suite": "forward", "e0": e0, "sigma": sig.tolist(),
-             "rho": rho.tolist(), "gamma": gam.tolist()}),
-        ("gronwall_backward", lambda: _backward_instances(rng, n),
-         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12,
-         (), lambda x_k, c, b, a: {
-             "suite": "backward", "x_k": x_k, "c": c.tolist(),
-             "b": b.tolist(), "a": a.tolist()}),
-        ("gronwall_continuous", lambda: _continuous_instances(rng, n, grid),
-         continuous_gronwall, continuous_extremal, slice(None), 1e-9, (grid,),
-         lambda rho0, a, b1, b2: {
-             "suite": "continuous", "rho0": rho0, "a": float(a[0]),
-             "b1": float(b1[0]), "b2": float(b2[0])}),
+        ("forward", ("e0", "sigma", "rho", "gamma"), _draw_forward,
+         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, None),
+        ("backward", ("x_k", "c", "b", "a"), _draw_backward,
+         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12, None),
+        ("continuous", ("rho0", "a", "b1", "b2"), _draw_continuous,
+         continuous_gronwall, continuous_extremal, slice(None), 1e-9, grid),
     )
     suites = {}
-    replay = None  # the last violating instance, in suite order
-    for label, draw, bound, oracle, cols, rtol, extra, record in suite_specs:
+    for name, fields, draw, bound, oracle, cols, rtol, on_grid in suite_specs:
+        label = f"gronwall_{name}"
         started = time.perf_counter()
-        instances = draw()
-        bad = _violations(instances, bound, oracle, cols, rtol, *extra)
-        if bad.any():
-            replay = record(*instances[np.flatnonzero(bad)[-1]])
-        suites[label] = {"instances": n, "violations": int(bad.sum()),
+        instances = [draw(rng) for _ in range(n)]
+        bad = _violations(instances, bound, oracle, cols, rtol, on_grid)
+        count = int(bad.sum())
+        suites[label] = {"instances": n, "violations": count,
                          "wall_s": time.perf_counter() - started}
-    for label, suite in suites.items():
-        count = suite["violations"]
         rows.append((label, f"{n} instances", "pass" if count == 0 else "FAIL",
                      count, 0, 0.0))
-        if count:
+        if count:  # replay the suite's last violating instance
+            last = instances[np.flatnonzero(bad)[-1]]
+            replay = {"suite": name, **{f: v.tolist() if np.ndim(v) else v
+                                        for f, v in zip(fields, last)}}
             failures.append({"check": label, "violations": count,
                              "replay": replay, "seed": cfg.seed})
     return rows, failures, suites

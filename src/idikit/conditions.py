@@ -381,20 +381,19 @@ class ConditionReport:
 
 def build_condition_report(problem: DiscreteBolzaProblem,
                            traj: DiscreteTrajectory, mult: MultiplierSet,
-                           x_arc=None, transversality_omega=None) -> ConditionReport:
+                           x_arc=None) -> ConditionReport:
     """Evaluate all residuals for one trajectory/multiplier pair.
 
     The Volterra defect is sampled at cell midpoints of the adjoint's own
     mesh (away from the kinks of the piecewise-linear extensions); the
-    transversality check runs against the inflated endpoint set by default,
-    which is the set the discrete conditions use.
+    transversality check runs against the inflated endpoint set, which is
+    the set the discrete conditions use.
     """
     mesh = problem.mesh
     base = problem.base
     el = _el_residuals(problem, mult)
-    omega = problem.omega_k if transversality_omega is None else transversality_omega
     trans = transversality_residual(base, traj.states[-1], mult.terminal,
-                                    mult.lam, omega=omega, tol=1e-5)
+                                    mult.lam, omega=problem.omega_k, tol=1e-5)
     nontriv = nontriviality_value(mult)
     arc_x = traj.arc() if x_arc is None else x_arc
     p_arc = PiecewiseLinearArc(mesh, mult.p)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import CatalogEntry, _quadratic_running, _quadratic_terminal
+from .dynamics import POLICIES
 from .kernel import VolterraKernel
 from .problem import (BallSet, BoxSet, PointSet, ProblemData,
                       RunningCost, TerminalCost, WholeSpace)
@@ -96,6 +97,21 @@ def _number(parser, key, default=None, required=False):
     if not math.isfinite(value):
         raise ConfigError(f"field 'problem.{key}': must be finite, got {value!r}")
     return value
+
+
+def _count(parser, section, key, default, low):
+    """An integer field that must be at least ``low``."""
+    value = _get(parser, section, key, int, default=default)
+    if value < low:
+        raise ConfigError(f"field '{section}.{key}': must be >= {low}, got {value!r}")
+    return value
+
+
+def _policy(name: str, field_name: str) -> str:
+    if name not in POLICIES:
+        raise ConfigError(f"field '{field_name}': unknown policy {name!r}; "
+                          f"pick one of {' '.join(POLICIES)}")
+    return name
 
 
 def _horizon(horizon: float) -> float:
@@ -279,8 +295,10 @@ def load_config(path: str) -> ExperimentConfig:
 
     const_raw = _get(parser, "reference", "constant_deviation", str)
     snapshot = {s: dict(parser.items(s)) for s in parser.sections()}
-    policies_raw = _get(parser, "audit", "policies", str,
-                        default="min_norm extreme constant")
+    policies = _get(parser, "audit", "policies", str,
+                    default=" ".join(POLICIES)).replace(",", " ").split()
+    if not policies:
+        raise ConfigError("field 'audit.policies': needs at least one policy")
 
     return ExperimentConfig(
         entry=entry,
@@ -291,14 +309,14 @@ def load_config(path: str) -> ExperimentConfig:
         tol_stat=_get(parser, "solver", "tol_stat", float, default=1e-7),
         max_iter=_get(parser, "solver", "max_iter", int, default=20000),
         endpoint_tol=_get(parser, "solver", "endpoint_tol", float, default=1e-6),
-        reference_policy=_get(parser, "reference", "policy", str,
-                              default="min_norm"),
-        reference_k=_get(parser, "reference", "k", int, default=0),
+        reference_policy=_policy(_get(parser, "reference", "policy", str,
+                                      default="min_norm"), "reference.policy"),
+        reference_k=_count(parser, "reference", "k", 0, 0),
         reference_constant=None if const_raw is None
         else _vector(const_raw, "reference.constant_deviation"),
         reference_feas_tol=_get(parser, "reference", "feas_tol", float),
-        audit_instances=_get(parser, "audit", "n_instances", int, default=1000),
-        audit_policies=policies_raw.replace(",", " ").split(),
-        audit_mesh_k=_get(parser, "audit", "mesh_k", int, default=24),
+        audit_instances=_count(parser, "audit", "n_instances", 1000, 1),
+        audit_policies=[_policy(p, "audit.policies") for p in policies],
+        audit_mesh_k=_count(parser, "audit", "mesh_k", 24, 1),
         snapshot=snapshot,
     )

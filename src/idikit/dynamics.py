@@ -264,13 +264,11 @@ def _scan_march(problem: ProblemData, disc: _Discretization, u: np.ndarray):
     return rows if all(np.isfinite(r).all() for r in rows) else None
 
 
-def estimate_tau(problem: ProblemData, h: float, per_axis: Optional[int] = None,
-                 n_times: int = 64) -> float:
-    """Averaged time-oscillation of F sampled on the declared state box."""
-    if per_axis is None:
-        per_axis = max(2, math.ceil(64.0 ** (1.0 / problem.dim)))
-    states = problem.state_grid(per_axis)
-    times = np.linspace(0.0, problem.horizon, n_times)
+def estimate_tau(problem: ProblemData, h: float) -> float:
+    """Averaged time-oscillation of F sampled on the declared state box: on
+    about 64 states (at least 2 per axis) and at 64 times."""
+    states = problem.state_grid(max(2, math.ceil(64.0 ** (1.0 / problem.dim))))
+    times = np.linspace(0.0, problem.horizon, 64)
     return averaged_modulus(problem.fmap, h, states, times)
 
 

@@ -3,7 +3,10 @@
 Each evaluator returns the closed-form majorant.  Next to the bounds sit the
 equality-case oracles the `audit` subcommand checks them against: the
 forward and backward recursions and an RK4 solve of the integro-ODE, each
-run on a stack of instances at once.  The bounds never consult them.
+run on a stack of N instances: first argument (N,), rows (N, m) or (N, G).
+The bounds take such a stack too, or one instance (a scalar and rows (m,)
+or (G,)), and work along the last axis: row i of a stacked bound is bit for
+bit the call on instance i.  The bounds never consult the oracles.
 """
 
 from __future__ import annotations
@@ -58,31 +61,32 @@ class BoundCertificate:
         return self.min_slack >= -CERT_TOL
 
 
-def discrete_gronwall_forward(e0: float, sigma, rho, gamma) -> np.ndarray:
+def discrete_gronwall_forward(e0, sigma, rho, gamma) -> np.ndarray:
     """Majorant for e_{n+1} <= sigma_n + rho_n * sum_{i<n} e_i + (1+gamma_n) e_n.
 
     Returns the values (e0 + sum_{i<n} sigma_i) * exp(sum_{i<n} (i rho_i +
-    gamma_i)) for n = 0..len(sigma); the n = 0 entry is e0 itself.
+    gamma_i)) for n = 0..m; the n = 0 entry is e0 itself.  Rows of shape
+    (m,) give (m+1,); a stack, e0 (N,) and rows (N, m), gives (N, m+1).
     """
-    if e0 < 0:
-        raise GronwallDomainError("e0 must be nonnegative")
+    e0 = _nonneg("e0", e0)
     sigma = _nonneg("sigma", sigma)
     rho = _nonneg("rho", rho)
     gamma = _nonneg("gamma", gamma)
-    n = sigma.size
-    idx = np.arange(n)
-    csum = np.concatenate([[0.0], np.cumsum(sigma)])
-    cexp = np.concatenate([[0.0], np.cumsum(idx * rho + gamma)])
-    return (e0 + csum) * np.exp(cexp)
+    csum = np.insert(np.cumsum(sigma, axis=-1), 0, 0.0, axis=-1)
+    cexp = np.insert(np.cumsum(np.arange(sigma.shape[-1]) * rho + gamma, axis=-1),
+                     0, 0.0, axis=-1)
+    return (e0[..., None] + csum) * np.exp(cexp)
 
 
-def discrete_gronwall_backward(x_k: float, c, b, a) -> np.ndarray:
+def discrete_gronwall_backward(x_k, c, b, a) -> np.ndarray:
     """Majorant for the terminal-anchored recursion with x_{k+1} = 0.
 
     Hypothesis: x_j <= c_j + b_j * sum_{i=j+1}^{k} x_{i+1} + (1+a_j) x_{j+1}
     for j = 0..k-1.  Returns bounds on x_{j+1} for j = 0..k-2:
     (x_k + sum_{i=j+1}^{k-1} c_i) * exp(sum_{i=j+1}^{k-1} ((k-i-1) b_i + a_i)).
     The x_{k+1} = 0 convention is built in, not supplied by the caller.
+    Rows of shape (k,) give (k-1,); a stack, x_k (N,) and rows (N, k), gives
+    (N, k-1).
 
     The weight k-i-1 on b_i counts the accumulated future terms the i-th
     inequality couples to; it is exactly what the index reversal
@@ -90,16 +94,16 @@ def discrete_gronwall_backward(x_k: float, c, b, a) -> np.ndarray:
     that actually dominates the recursion (the transposed weight i-j-1
     fails on adversarial data with a large b at small index).
     """
-    if x_k < 0:
-        raise GronwallDomainError("x_k must be nonnegative")
+    x_k = _nonneg("x_k", x_k)
     c = _nonneg("c", c)
     b = _nonneg("b", b)
     a = _nonneg("a", a)
-    k = c.size
-    rev = np.s_[:0:-1]  # i = k-1, ..., 1, where the weight k-i-1 is 0, ..., k-2
-    csum = np.cumsum(c[rev])[::-1]
-    wsum = np.cumsum(np.arange(k - 1) * b[rev] + a[rev])[::-1]
-    return (x_k + csum) * np.exp(wsum)
+    rev = np.s_[..., :0:-1]  # i = k-1, ..., 1, where the weight k-i-1 is 0, ..., k-2
+    csum = np.cumsum(c[rev], axis=-1)
+    wsum = np.cumsum(np.arange(c.shape[-1] - 1) * b[rev] + a[rev], axis=-1)
+    # formed in the reversed order and turned round last: np.exp of a
+    # contiguous row rounds as it does for the row alone, of a strided view not
+    return ((x_k[..., None] + csum) * np.exp(wsum))[..., ::-1]
 
 
 ArrOrFn = Union[np.ndarray, Callable[[float], float]]
@@ -109,7 +113,7 @@ def _on_grid(f: ArrOrFn, grid: np.ndarray) -> np.ndarray:
     if callable(f):
         return np.array([float(f(t)) for t in grid])
     arr = np.asarray(f, dtype=float)
-    if arr.shape != grid.shape:
+    if arr.shape[-1:] != grid.shape:
         raise GronwallDomainError("array input must match the grid shape")
     return arr
 
@@ -125,13 +129,14 @@ def _simpson_first_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     coeff1 = 3 - x21_x31
     coeff2 = 3 + x21x21_x31x32 + x21_x31
     coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+    return x21 / 6 * (coeff1 * y[..., :-2] + coeff2 * y[..., 1:-1]
+                      + coeff3 * y[..., 2:])
 
 
 def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Cumulative composite Simpson integral of samples y on a strictly
-    increasing grid of at least three points: the integral from grid[0] to
-    each of grid[1:].
+    """Cumulative composite Simpson integral of samples y, shape (G,) or
+    (N, G), on a strictly increasing grid of G >= 3 points: the integral
+    from grid[0] to each of grid[1:], along the last axis.
 
     Interval i takes the parabola through its own two samples and the next
     one, read forward on even i and backward (through the previous sample)
@@ -142,32 +147,33 @@ def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if np.any(dx <= 0):
         raise GronwallDomainError("grid must be strictly increasing")
     forward = _simpson_first_cells(y, dx)
-    backward = _simpson_first_cells(y[::-1], dx[::-1])[::-1]
-    cells = np.empty(dx.size)
-    cells[:-1:2] = forward[::2]
-    cells[1::2] = backward[::2]
-    cells[-1] = backward[-1]
-    return np.cumsum(cells)
+    backward = _simpson_first_cells(y[..., ::-1], dx[::-1])[..., ::-1]
+    cells = np.empty(y.shape[:-1] + dx.shape)
+    cells[..., :-1:2] = forward[..., ::2]
+    cells[..., 1::2] = backward[..., ::2]
+    cells[..., -1] = backward[..., -1]
+    return np.cumsum(cells, axis=-1)
 
 
-def continuous_gronwall(rho0: float, a: ArrOrFn, b1: ArrOrFn, b2: ArrOrFn,
+def continuous_gronwall(rho0, a: ArrOrFn, b1: ArrOrFn, b2: ArrOrFn,
                         grid) -> np.ndarray:
     """Majorant arc for rho' <= a + b1 rho + b2 * int rho, on the given grid.
 
     With b = max(b1, b2) pointwise the bound is
     rho0 exp(int (b+1)) + int a(s) exp(int_s^t (b+1)) ds, evaluated through
     cumulative composite-Simpson integrals of (b+1) and of a e^{-B}.
+    Rows of shape (G,) or callables give (G,); a stack, rho0 (N,) and rows
+    (N, G), gives (N, G).
     """
-    if rho0 < 0:
-        raise GronwallDomainError("rho0 must be nonnegative")
+    rho0 = _nonneg("rho0", rho0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise GronwallDomainError("grid needs at least three points")
     av = _nonneg("a", _on_grid(a, grid))
     b = np.maximum(_nonneg("b1", _on_grid(b1, grid)), _nonneg("b2", _on_grid(b2, grid)))
-    B = np.concatenate([[0.0], _cumulative_simpson(b + 1.0, grid)])
-    inner = np.concatenate([[0.0], _cumulative_simpson(av * np.exp(-B), grid)])
-    return rho0 * np.exp(B) + np.exp(B) * inner
+    B = np.insert(_cumulative_simpson(b + 1.0, grid), 0, 0.0, axis=-1)
+    inner = np.insert(_cumulative_simpson(av * np.exp(-B), grid), 0, 0.0, axis=-1)
+    return rho0[..., None] * np.exp(B) + np.exp(B) * inner
 
 
 def apriori_bounds(problem) -> tuple:

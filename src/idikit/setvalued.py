@@ -526,6 +526,14 @@ def _centers(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.array([fmap.center(ti, xi) for ti, xi in zip(t, X)]).reshape(X.shape)
 
 
+def _jacobians(fmap: _OffsetMap, t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The Jacobians of f at the rows of a stack: the matrix (n, n) of a map
+    built with ``linear``, the same at every row, else (N, n, n) row by row."""
+    if fmap._linear is not None:
+        return fmap._linear
+    return np.stack([fmap.jacobian(ti, xi) for ti, xi in zip(t, X)])
+
+
 def distance_and_projection(fmap: _OffsetMap, t, x, z):
     """(dist(z; F(t,x)), nearest point of F(t,x) to z).
 
@@ -551,15 +559,15 @@ def hausdorff_distance(fmap: _OffsetMap, t: float, x1, x2) -> float:
     return float(np.linalg.norm(fmap.center(t, _as_state(x1)) - fmap.center(t, _as_state(x2))))
 
 
-def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
-                     window_samples: int = 9) -> float:
+def averaged_modulus(fmap: _OffsetMap, h: float, state_samples,
+                     time_grid) -> float:
     """Sampled estimate of the time-averaged oscillation of t -> F(t, x).
 
     Integrates over the time grid the supremum (over the state samples) of
-    the largest Hausdorff distance between values of F at two times in the
-    window [t - h/2, t + h/2] clipped to the horizon.  A map built with
-    ``linear`` is autonomous: its estimate is 0.0 without sampling, which is
-    what the sampler returns for it.
+    the largest Hausdorff distance between values of F at two of 9 evenly
+    spaced times in the window [t - h/2, t + h/2] clipped to the horizon.  A
+    map built with ``linear`` is autonomous: its estimate is 0.0 without
+    sampling, which is what the sampler returns for it.
     """
     if h <= 0:
         raise SetValuedError("window width h must be positive")
@@ -573,7 +581,7 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples, time_grid,
     sigma = np.empty(tg.size)
     for i, t in enumerate(tg):
         lo, hi = max(0.0, t - h / 2), min(T, t + h / 2)
-        window = np.linspace(lo, hi, window_samples)
+        window = np.linspace(lo, hi, 9)
         worst = 0.0
         for x in states:
             pts = np.array([fmap.center(tw, x) for tw in window])
@@ -605,11 +613,8 @@ def graph_normal_cone(fmap: _OffsetMap, t, x, v) -> GraphNormalCone:
         raise InfeasiblePointError(
             f"row {i} (t = {ts[i]:.6g}): v is {dist[i]:.3e} away from F(t,x), "
             f"beyond the cone tolerance {CONE_TOL_FEAS:.1e}")
-    if fmap._linear is not None:
-        J = fmap._linear
-    else:
-        J = np.stack([fmap.jacobian(ti, xi) for ti, xi in zip(ts, X)])
-    return GraphNormalCone(jacobian=J, **fmap.body_normal_cone(W))
+    return GraphNormalCone(jacobian=_jacobians(fmap, ts, X),
+                           **fmap.body_normal_cone(W))
 
 
 def coderivative(fmap: _OffsetMap, t: float, x, v, u):

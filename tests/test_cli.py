@@ -9,10 +9,10 @@ from idikit import catalog, cli
 from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
-from idikit.gronwall import discrete_gronwall_backward
+from idikit.gronwall import discrete_gronwall_backward, discrete_gronwall_forward
 from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
-from oracles import backward_recursion, per_row_cost
+from oracles import backward_recursion, forward_recursion, per_row_cost
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -105,6 +105,20 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="audit.samples_per_cell"):
         load_config(_write(tmp_path, "[problem]\nname = cos_t\n[audit]\n"
                            "samples_per_cell = 16\n", "g.ini"))
+    # audit and reference fields out of range, each named and exit 2
+    for section, body, name in (
+            ("audit", "n_instances = -3", "audit.n_instances"),
+            ("audit", "n_instances = 0", "audit.n_instances"),
+            ("audit", "mesh_k = 0", "audit.mesh_k"),
+            ("reference", "k = -1", "reference.k"),
+            ("audit", "policies =", "audit.policies"),
+            ("audit", "policies = min_norm lazy", "audit.policies"),
+            ("reference", "policy = lazy", "reference.policy")):
+        cfgp = _write(tmp_path, f"[problem]\nname = cos_t\n[{section}]\n{body}\n",
+                      "h.ini")
+        with pytest.raises(ConfigError, match=name):
+            load_config(cfgp)
+        assert main(["audit", cfgp]) == 2
     # missing file
     assert main(["audit", str(tmp_path / "missing.ini")]) == 2
 
@@ -121,6 +135,11 @@ def test_audit_passes_on_catalog(tmp_path):
     for suite in rec["suites"].values():
         assert suite["instances"] == 60 and suite["violations"] == 0
         assert suite["wall_s"] >= 0.0
+    # cos_t has no drift and a point body: the sampled m_F and l_F suprema
+    # are 0, and a supremum of 0 is witnessed by no time, written 0
+    rows = {ln.split(",")[0]: ln.split(",") for ln in lines[2:]}
+    for label in ("constant_m_F", "constant_l_F"):
+        assert float(rows[label][3]) == 0.0 and float(rows[label][5]) == 0.0
 
 
 CORRUPT = """
@@ -215,6 +234,76 @@ def test_audit_failure_matches_scalar_loop(tmp_path, monkeypatch):
     assert rec["failures"][0]["violations"] == bad
     assert rec["failures"][0]["replay"] == last
     assert rec["suites"]["gronwall_backward"]["violations"] == bad
+
+
+def _halved(bound):
+    return lambda *args: 0.5 * bound(*args)
+
+
+def test_each_failing_suite_replays_its_own_instance(tmp_path, monkeypatch):
+    # both discrete bounds at half their value: each failure record replays
+    # the last violator of its own suite
+    for name in ("discrete_gronwall_forward", "discrete_gronwall_backward"):
+        monkeypatch.setattr(cli, name, _halved(getattr(cli, name)))
+    n = 30
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out") +
+                  f"\n[audit]\nn_instances = {n}\nmesh_k = 12\n")
+    assert main(["audit", cfgp]) == 1
+
+    cfg = load_config(cfgp)
+    rng = np.random.default_rng(cfg.seed)
+    rng.random((256, 2 + cfg.entry.problem.dim))  # the constants audit draws first
+    last = {}
+    for _ in range(n):
+        m = int(rng.integers(1, 10))
+        e0 = rng.exponential(1.0)
+        sig, rho, gam = (rng.exponential(0.5, m) for _ in range(3))
+        bound = 0.5 * discrete_gronwall_forward(e0, sig, rho, gam)
+        if np.any(forward_recursion(e0, sig, rho, gam) > bound * (1 + 1e-12) + 1e-300):
+            last["gronwall_forward"] = {"suite": "forward", "e0": e0,
+                                        "sigma": sig.tolist(), "rho": rho.tolist(),
+                                        "gamma": gam.tolist()}
+    for _ in range(n):
+        m = int(rng.integers(2, 10))
+        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+        x_k = rng.exponential(1.0)
+        bound = 0.5 * discrete_gronwall_backward(x_k, c, b, a)
+        if np.any(backward_recursion(x_k, c, b, a)[1:m] > bound * (1 + 1e-12) + 1e-300):
+            last["gronwall_backward"] = {"suite": "backward", "x_k": x_k,
+                                         "c": c.tolist(), "b": b.tolist(),
+                                         "a": a.tolist()}
+    assert set(last) == {"gronwall_forward", "gronwall_backward"}
+    rec = json.loads((tmp_path / "out" / "t_audit.json").read_text())
+    assert {f["check"]: f["replay"] for f in rec["failures"]} == last
+
+
+def test_audit_calls_bound_and_oracle_once_per_length(tmp_path, monkeypatch):
+    # a count that does not depend on the machine: at n = 250 every suite
+    # stacks its instances by length and hands each stack to its bound and
+    # its oracle in one call, forward lengths 1..9, backward 2..9 and the
+    # continuous suite's one grid
+    calls = {}
+
+    def counted(name, fn):
+        def call(first, *rest):
+            calls.setdefault(name, []).append((np.size(first), np.shape(rest[0])[-1]))
+            return fn(first, *rest)
+        return call
+
+    for name in ("discrete_gronwall_forward", "forward_extremal",
+                 "discrete_gronwall_backward", "backward_extremal",
+                 "continuous_gronwall", "continuous_extremal"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out") +
+                  "\n[audit]\nn_instances = 250\nmesh_k = 12\n")
+    assert main(["audit", cfgp]) == 0
+    for bound, oracle, lengths in (
+            ("discrete_gronwall_forward", "forward_extremal", 9),
+            ("discrete_gronwall_backward", "backward_extremal", 8),
+            ("continuous_gronwall", "continuous_extremal", 1)):
+        assert calls[bound] == calls[oracle]
+        rows, ms = zip(*calls[bound])
+        assert sum(rows) == 250 and len(set(ms)) == len(ms) == lengths
 
 
 MEMORY = """

@@ -202,12 +202,19 @@ def test_discrete_monotone_in_inputs():
 # --- batched audit oracles against the scalar ones ------------------------------
 
 def test_batched_discrete_oracles_match_scalar():
-    # every length m = 1..11, as one instance and as a stack of 20
+    # every length m = 1..11, as one instance and as a stack of 20; a stacked
+    # bound gives each row bit for bit as the one-instance call
     rng = np.random.default_rng(404)
     for m in range(1, 12):
         for n in (1, 20):
             first = rng.exponential(1.0, n)
             p, q, r = (rng.exponential(0.5, (n, m)) for _ in range(3))
+            for bound, width in ((discrete_gronwall_forward, m + 1),
+                                 (discrete_gronwall_backward, m - 1)):
+                stacked = bound(first, p, q, r)
+                assert stacked.shape == (n, width)
+                for i, row in enumerate(stacked):
+                    assert np.array_equal(row, bound(first[i], p[i], q[i], r[i]))
             np.testing.assert_allclose(
                 forward_extremal(first, p, q, r),
                 [forward_recursion(*row) for row in zip(first, p, q, r)],
@@ -228,6 +235,10 @@ def test_batched_continuous_oracle_matches_scalar():
         b1 = rng.exponential(0.5, (n, 1)) \
             * (1 + np.cos(rng.uniform(0, 6, (n, 1)) * grid)) / 2
         b2 = rng.exponential(0.5, (n, 1)) * np.ones_like(grid)
+        stacked = continuous_gronwall(rho0, a, b1, b2, grid)
+        assert stacked.shape == (n, grid.size)
+        for row, args in zip(stacked, zip(rho0, a, b1, b2)):
+            assert np.array_equal(row, continuous_gronwall(*args, grid))
         np.testing.assert_allclose(
             continuous_extremal(rho0, a, b1, b2, grid),
             [integro_rk4(*row, grid) for row in zip(rho0, a, b1, b2)],
@@ -263,6 +274,9 @@ def test_cumulative_simpson_is_scipys_bit_for_bit():
             y = rng.standard_normal(m)
             assert np.array_equal(_cumulative_simpson(y, grid),
                                   cumulative_simpson(y, x=grid)), m
+    # a stack of rows, integrated along the last axis
+    y = rng.standard_normal((7, grid.size))
+    assert np.array_equal(_cumulative_simpson(y, grid), cumulative_simpson(y, x=grid))
 
 
 def test_cumulative_simpson_needs_an_increasing_grid():
