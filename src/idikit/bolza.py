@@ -13,18 +13,13 @@ module (the sensitivity of w_m to an earlier node is the transposed
 rectangle integral).
 
 For a drift built with ``linear`` (f = A x) and a zero or exponential
-kernel, both recurrences are affine: the march in z_j = x_j (zero kernel)
-or z_j = (x_j, S_j), S the running memory sum, as z_{j+1} = M_j z_j + c_j,
-and the backward sweep in (lambda_{j+1}, R_j), R the running coupling
-sum, with the transposed matrices M_j^T.  Affine maps compose
-associatively, so each runs as one prefix scan by doubling, ceil(log2 k)
-batched products (Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190, 1990; :func:`dynamics._affine_scan`).  The products of a
-scan can grow where its result stays bounded (an unstable A held by the
-controls), and its round-off grows with them, so a problem scans only
-while the product of the step norms over its mesh stays below
-:data:`dynamics.SCAN_GROWTH`.  A scan that yields a value that is not
-finite is run again as the node loop, which names the stage and the node.
+kernel both recurrences are affine, the sweep by the march's step matrices
+transposed, and each runs as one prefix scan (:func:`dynamics._affine_scan`)
+while the products of the steps over the mesh stay below
+:data:`dynamics.SCAN_GROWTH`, as decided once per mesh.  Else, and where a
+scan yields a value that is not finite, the march takes the node loop
+:func:`dynamics._march` and the sweep the backward loop
+:func:`dynamics._backward_loop` it shares with the multipliers.
 """
 
 from __future__ import annotations
@@ -34,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DiscreteTrajectory, _affine_scan, _check_finite,
-                       _decide_scan, _march, _sample_reference, _scan_march,
-                       approximate_arc)
+from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
+                       _check_finite, _decide_scan, _march, _sample_reference,
+                       _scan_march, approximate_arc)
 from .kernel import _discretize, _Discretization, _exp_steps, _tensors
 from .mesh import TimeMesh, _sq_integral
 from .problem import InflatedSet, ProblemData
@@ -216,75 +211,53 @@ def cost_gradient(problem: DiscreteBolzaProblem,
                   traj: Optional[DiscreteTrajectory] = None):
     """Exact gradient of the (possibly penalized) cost in the controls.
 
-    One forward evaluation, the trajectory's tensors, one stacked call for
-    the running-cost gradients, one backward sweep.
-    Returns (gradient (k, n), trajectory).
-    The adjoint seed is the terminal-cost gradient plus the endpoint penalty
-    gradient; each step accumulates the running-cost gradients, the drift
-    Jacobian action, and the memory tensors carrying dw_m/dx_j; where
-    the march is affine the sweep is :func:`_scan_gradient`, and the loop
-    runs only if that gives a value that is not finite.  A gradient that
-    is not finite raises :class:`NonFiniteStateError`.
+    Returns (gradient (k, n), trajectory).  With b_j = h_j grad_v l_j +
+    theta_j the gradient in u_j is s_j = b_j + h_j lambda_{j+1}, lambda_k
+    the terminal-cost plus endpoint-penalty gradient and lambda_j =
+    lambda_{j+1} + h_j grad_x l_j + J_j^T s_j + mu_j s_j / h_j + coupling_j,
+    the coupling taken of r_m = s_m / h_m.  Where the march scans, the
+    state (lambda_{j+1}, R_j), R the running coupling sum, steps by M_j^T,
+    the march's own matrix transposed, plus (h_j grad_x l_j + A^T b_j +
+    c tri_j b_j / h_j, c tau_j b_j / h_j), one scan over j = k-1, ..., 1;
+    else, and where that is not finite, :func:`dynamics._backward_loop`
+    runs.  A gradient that is not finite raises NonFiniteStateError.
     """
-    base = problem.base
-    mesh = problem.mesh
-    k = mesh.k
-    h = mesh.steps
+    base, mesh, disc = problem.base, problem.mesh, problem._disc
+    k, n, h = mesh.k, base.dim, mesh.steps
     if traj is None:
         traj = forward_trajectory(problem, controls)
-    tensors = _tensors(problem._disc, traj.states, traj.w, traj.velocities)
-
+    tensors = _tensors(disc, traj.states, traj.w, traj.velocities)
     glx, glv = _running_grads(problem, traj)
-    jac, t, x = base.fmap.jacobian, mesh.nodes, traj.states
-
-    lam_next = base.terminal_cost.grad(traj.states[-1]) \
+    b = h[:, None] * glv + tensors.theta
+    seed = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
     if _scans(problem):
+        M = disc.scan
+        c = np.zeros(M.shape[:2])
+        c[:, :n] = h[:, None] * glx + b @ base.fmap._linear
+        if disc.tau is not None:
+            c_tri, c_tau = _exp_steps(disc)[:2]
+            c[:, :n] += (c_tri / h)[:, None] * b
+            c[:, n:] = (c_tau / h)[:, None] * b
+        lam = np.empty_like(b)
+        lam[-1] = seed
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = _scan_gradient(problem, tensors, glx, glv, lam_next)
+            lam[:-1] = _affine_scan(M[:0:-1].transpose(0, 2, 1), c[:0:-1], seed)[::-1, :n]
+            grad = b + h[:, None] * lam
         if np.isfinite(grad).all():
             return grad, traj
-    grad = np.empty_like(controls.u)
-    r = np.empty_like(controls.u)  # r_m = s_m / h_m, the memory weights
-    coupling = tensors.backward_coupling(r)
-    for j in range(k - 1, -1, -1):
-        s_j = h[j] * glv[j] + tensors.theta[j] + h[j] * lam_next
-        grad[j] = s_j
-        r[j] = s_j / h[j]
-        lam_next = (lam_next + h[j] * glx[j] + jac(t[j], x[j]).T @ s_j
-                    + tensors.mu[j] @ s_j / h[j] + coupling(j))
+    jac, t, x, mu = base.fmap.jacobian, mesh.nodes, traj.states, tensors.mu
+
+    def step(j, lam_next):
+        s_j = b[j] + h[j] * lam_next
+        return jac(t[j], x[j]).T @ s_j + mu[j] @ s_j / h[j]
+
+    lam = _backward_loop(tensors, np.broadcast_to(np.eye(n), (k, n, n)),
+                         h[:, None] * glx, glv + tensors.theta / h[:, None],
+                         seed, step)
+    grad = b + h[:, None] * lam[1:]
     _check_finite("cost_gradient", mesh, grad, backward=True)
     return grad, traj
-
-
-def _scan_gradient(problem: DiscreteBolzaProblem, tensors, glx, glv,
-                   seed: np.ndarray) -> np.ndarray:
-    """The backward sweep of :func:`cost_gradient` by one
-    :func:`_affine_scan` over the steps j = k-1, ..., 1.
-
-    With b_j = h_j grad_v l_j + theta_j the sweep's s_j is b_j + h_j
-    lambda_{j+1}, and the state (lambda_{j+1}, R_j) steps to
-    (lambda_j, R_{j-1}) by M_j^T, the march's own matrix transposed,
-    plus (h_j grad_x l_j + A^T b_j + c tri_j b_j / h_j, c tau_j b_j / h_j);
-    the zero kernel has no R block and no tri term.
-    """
-    disc, A = problem._disc, problem.base.fmap._linear
-    M = disc.scan
-    h, n = disc.mesh.steps, A.shape[0]
-    b = h[:, None] * glv + tensors.theta
-    c = np.zeros(M.shape[:2])
-    c[:, :n] = h[:, None] * glx + b @ A
-    if disc.tau is not None:
-        c_tri, c_tau = _exp_steps(disc)[:2]
-        c[:, :n] += (c_tri / h)[:, None] * b
-        c[:, n:] = (c_tau / h)[:, None] * b
-    M, c = M[:0:-1].transpose(0, 2, 1), c[:0:-1]
-    lam = np.empty_like(b)
-    lam[-1] = seed
-    if len(c):
-        c[0] += M[0, :, :n] @ seed
-        lam[:-1] = _affine_scan(M, c)[::-1, :n]
-    return b + h[:, None] * lam
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ distances are closed-form: each residual set is one stacked
 :func:`recover_multipliers` is the path from a trajectory to its
 multipliers, the CLI's too: the lam = 1 sweep of
 :func:`adjoint_solve_smooth`, then the lam = 0 probe if that does not
-certify.  :func:`euler_lagrange_residual` is one row of the stacked pass
-:func:`build_condition_report` takes.
+certify.  Each sweep's one stacked Euler-Lagrange pass serves the route
+choice and :func:`build_condition_report`.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bolza import DiscreteBolzaProblem, _running_grads
-from .dynamics import (DiscreteTrajectory, _affine_scan, _bounded_growth,
-                       _check_finite)
-from .kernel import (QuadratureTensors, _adjoint_integrals, _exp_steps,
+from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
+                       _bounded_growth, _check_finite)
+from .kernel import (QuadratureTensors, _adjoint_integrals, _exp_blocks,
                      _memory_integrals, _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
@@ -63,8 +63,8 @@ class DegenerateMultiplierError(ValueError):
 @dataclass(frozen=True)
 class MultiplierSet:
     """Normalized multipliers (lam, p_0..p_k) with their coupling tensors,
-    the running-cost gradients and the stack of graph normal cones of the
-    nodes j = 0..k-1.
+    the running-cost gradients, the stack of graph normal cones of the
+    nodes j = 0..k-1 and, computed from p once, the Euler-Lagrange residuals.
 
     Normalized so that lam + |p_k| is exactly 1.  ``normalization`` records
     the raw magnitudes; ``m_l`` is the sampled bound on the running-cost
@@ -80,6 +80,7 @@ class MultiplierSet:
     normalization: dict
     m_l: float
     theta_l1: float
+    el_residuals: np.ndarray  # (k,)
 
     @property
     def terminal(self) -> np.ndarray:
@@ -122,11 +123,11 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                    endpoint_normal: Optional[np.ndarray]) -> MultiplierSet:
     """:func:`adjoint_solve_smooth` on terms already built for ``traj``.
 
-    The sweep p_j = p_{j+1} + 2 mu_j p_{j+1} - mu_j pin_j - h_j lam grad_x l_j
-    + h_j J_j^T u_j + coupling_j, with u_j the projection of p_{j+1} - pin_j
-    onto the u-cone of row j, runs as :func:`_scan_sweep`, to round-off,
-    where that applies; else, and where a scanned value is not finite,
-    as this node loop, its oracle.
+    The sweep p_j = P_j p_{j+1} + c_j + h_j J_j^T u_j + coupling_j, with
+    P_j = I + 2 mu_j, c_j = -mu_j pin_j - h_j lam grad_x l_j and u_j the
+    projection of p_{j+1} - pin_j onto the u-cone of row j, runs as
+    :func:`_scan_sweep`, to round-off, where that applies; else, and where
+    a scanned value is not finite, as :func:`dynamics._backward_loop`.
     """
     base = problem.base
     mesh = problem.mesh
@@ -134,20 +135,18 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     h = mesh.steps
     tensors, glx, glv, cones = terms
 
-    p = np.empty((k + 1, n))
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
-    p[k] = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
+    p_end = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
     pin = lam * (glv + tensors.theta / h[:, None])
-    scanned = _scan_sweep(h, terms, lam, pin, p[k])
-    if scanned is not None:
-        p[:k] = scanned
-    else:
-        coupling = tensors.backward_coupling(p[1:])
-        for j in range(k - 1, -1, -1):
-            u_j = cones.project_u(p[j + 1] - pin[j], j)
-            p[j] = (p[j + 1] + 2.0 * tensors.mu[j] @ p[j + 1] - tensors.mu[j] @ pin[j]
-                    - h[j] * lam * glx[j] + h[j] * cones.row_jacobian(j).T @ u_j
-                    + coupling(j))
+    P = np.eye(n) + 2.0 * tensors.mu
+    c = -_matvec(tensors.mu, pin) - h[:, None] * lam * glx
+
+    def step(j, p_next):
+        return h[j] * cones.row_jacobian(j).T @ cones.project_u(p_next - pin[j], j)
+
+    p = _scan_sweep(tensors, cones, h, pin, P, c, p_end, step)
+    if p is None:
+        p = _backward_loop(tensors, P, c, np.zeros_like(c), p_end, step)
     _check_finite("adjoint_solve_smooth", mesh, p, backward=True)
 
     raw_total = lam + float(np.linalg.norm(p[k]))
@@ -170,45 +169,40 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
                   float(np.linalg.norm(glv, axis=1).max()))
     theta_l1 = float(np.linalg.norm(tensors.theta, axis=1).sum())
     return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, glx=glx, glv=glv,
-                         cones=cones, normalization=norm_rec, m_l=m_l, theta_l1=theta_l1)
+                         cones=cones, normalization=norm_rec, m_l=m_l, theta_l1=theta_l1,
+                         el_residuals=_el_residuals(problem, lam_s, p_s, terms))
 
 
-def _scan_sweep(h: np.ndarray, terms: tuple, lam: float, pin: np.ndarray,
-                p_end: np.ndarray) -> Optional[np.ndarray]:
-    """p_0..p_{k-1} of the sweep of :func:`_adjoint_sweep` by prefix scans,
-    or None where the node loop runs instead.
+def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
+                h: np.ndarray, pin: np.ndarray, P: np.ndarray, c: np.ndarray,
+                p_end: np.ndarray, step) -> Optional[np.ndarray]:
+    """p_0..p_k of the sweep of :func:`_adjoint_sweep`, given its P, c and
+    ``step(j, p_{j+1})`` = h_j J_j^T u_j, by prefix scans, or None where
+    the node loop runs instead.
 
-    A ``zero`` row (u_j = 0) and a ``subspace`` row (u_j = p_{j+1} - pin_j)
-    make the step affine in p_{j+1}: p_j = P_j p_{j+1} + c_j with
-    P_j = I + 2 mu_j, plus h_j J_j^T on a subspace row.  With an
-    exponential kernel the state is (p_{j+1}, R_j), R the running sum of
-    :meth:`~idikit.kernel.QuadratureTensors.backward_coupling`, and steps to
-    (p_j, R_{j-1}) by the blocks P_j, tau_j I, c tau_j I and e^{-r h_j} I;
-    the zero kernel has no R block.  Each maximal run of such rows is one
-    :func:`~idikit.dynamics._affine_scan`; a ``ray`` or ``polyhedral`` row
-    takes one step, its u_j projected from the p_{j+1} the run above it
-    gave.  A row-rule kernel, steps whose products could grow past
+    A ``zero`` row (u_j = 0) and a ``subspace`` row (u_j = p_{j+1} - pin_j,
+    which folds h_j J_j^T into P_j and -h_j J_j^T pin_j into c_j) make the
+    step affine in p_{j+1}.  With an exponential kernel the state is
+    (p_{j+1}, R_j), R the running sum of ``tensors.backward_coupling``, and
+    steps by the transposed :func:`~idikit.kernel._exp_blocks`.  Each
+    maximal run of such rows is one :func:`~idikit.dynamics._affine_scan`
+    from the state the run above it left; a ``ray`` or ``polyhedral`` row
+    is a run of its own, whose ``step`` is added to its c_j + M_j y.  A
+    row-rule kernel, steps whose products could grow past
     :data:`~idikit.dynamics.SCAN_GROWTH` and a value that is not finite
     give None.
     """
-    tensors, glx, _, cones = terms
     if tensors.xi is not None:
         return None
     k, n = pin.shape
     JT = h[:, None, None] * np.swapaxes(np.broadcast_to(cones.jacobian, (k, n, n)), 1, 2)
     free = (cones.kind == "subspace")[:, None]
     affine = free[:, 0] | (cones.kind == "zero")
-    P = np.eye(n) + 2.0 * tensors.mu + np.where(free[..., None], JT, 0.0)
-    c = np.zeros((k, 2 * n if tensors.cells is not None else n))
-    c[:, :n] = (-_matvec(tensors.mu, pin) - h[:, None] * lam * glx
-                - np.where(free, _matvec(JT, pin), 0.0))
-    if tensors.cells is None:
-        M = P
-    else:
-        _, c_tau, tau, decay = _exp_steps(tensors.cells)
-        blocks = np.stack([np.zeros(k), tau, c_tau, decay], axis=-1).reshape(-1, 2, 2)
-        M = np.kron(blocks, np.eye(n))
-        M[:, :n, :n] = P
+    M = P + np.where(free[..., None], JT, 0.0)
+    c = c - np.where(free, _matvec(JT, pin), 0.0)
+    if tensors.cells is not None:
+        M = _exp_blocks(tensors.cells, M, transposed=True)
+        c = np.hstack([c, np.zeros((k, n))])
     if not _bounded_growth(M[affine]):
         return None
     # the rows from j = k-1 down, cut before every row that does not scan
@@ -219,15 +213,11 @@ def _scan_sweep(h: np.ndarray, terms: tuple, lam: float, pin: np.ndarray,
     y[:n] = p_end
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, k]):
-            seg = c[lo:hi].copy()
-            seg[0] += M[lo] @ y
+            out[lo:hi] = _affine_scan(M[lo:hi], c[lo:hi], y)
             if not affine[lo]:
-                j = k - 1 - lo
-                u_j = cones.project_u(y[:n] - pin[j], j)
-                seg[0, :n] += h[j] * cones.row_jacobian(j).T @ u_j
-            out[lo:hi] = _affine_scan(M[lo:hi], seg)
+                out[lo, :n] += step(k - 1 - lo, y[:n])
             y = out[hi - 1]
-    p = out[::-1, :n]
+    p = np.concatenate([out[::-1, :n], p_end[None]])
     return p if np.isfinite(p).all() else None
 
 
@@ -254,25 +244,26 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
             + (a * h + lf) * mult.theta_l1) * math.exp(T * (3.0 * a * T + lf))
 
 
-def _el_residuals(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> np.ndarray:
-    """The Euler-Lagrange residual at every node j = 0..k-1.  The memory
-    couplings of p are collected from j = k-1 down, the order in which they
-    are a running sum; the distances are then one stacked pass."""
+def _el_residuals(problem: DiscreteBolzaProblem, lam: float, p: np.ndarray,
+                  terms: tuple) -> np.ndarray:
+    """The Euler-Lagrange residual at every node j = 0..k-1 of (lam, p) on
+    ``terms`` (:func:`_trajectory_terms`).  The memory couplings of p are
+    collected from j = k-1 down, the order in which they are a running sum;
+    the distances are then one stacked pass."""
     h = problem.mesh.steps[:, None]
-    t = mult.tensors
-    coupling = t.backward_coupling(mult.p[1:])
+    t, glx, glv, cones = terms
+    coupling = t.backward_coupling(p[1:])
     couplings = np.empty_like(t.theta)
     for j in range(problem.mesh.k - 1, -1, -1):
         couplings[j] = coupling(j)
-    p0, p1 = mult.p[:-1], mult.p[1:]
-    pin = mult.lam * (mult.glv + t.theta / h)
+    p0, p1 = p[:-1], p[1:]
+    pin = lam * (glv + t.theta / h)
     lhs1 = ((p1 - p0) / h
             + 2.0 / h * _matvec(t.mu, p1)
             - _matvec(t.mu, pin) / h
             + couplings / h)
-    lhs2 = p1 - mult.lam * t.theta / h
-    d, _ = pair_distances(mult.cones, lhs1 - mult.lam * mult.glx,
-                          lhs2 - mult.lam * mult.glv)
+    lhs2 = p1 - lam * t.theta / h
+    d, _ = pair_distances(cones, lhs1 - lam * glx, lhs2 - lam * glv)
     return d
 
 
@@ -282,9 +273,11 @@ def euler_lagrange_residual(problem: DiscreteBolzaProblem, mult: MultiplierSet,
 
     The running-cost gradients and the cone are the ones ``mult`` carries
     for node j, built by :func:`adjoint_solve_smooth` on its trajectory.
-    This is row j of the stacked pass the condition report takes.
+    This is row j of the stacked pass on the set's own p, so of the
+    ``el_residuals`` the sweep gave the set, bit for bit.
     """
-    return float(_el_residuals(problem, mult)[j])
+    terms = (mult.tensors, mult.glx, mult.glv, mult.cones)
+    return float(_el_residuals(problem, mult.lam, mult.p, terms)[j])
 
 
 def transversality_residual(problem: ProblemData, x_end, p_end, lam: float,
@@ -339,14 +332,14 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     """
     terms = _trajectory_terms(problem, traj)
     mult = _adjoint_sweep(problem, traj, terms, 1.0, endpoint_normal)
-    el = _el_residuals(problem, mult).max()
+    el = mult.el_residuals.max()
     if el <= resid_tol:
         return mult, "normal"
     try:
         mult0 = _adjoint_sweep(problem, traj, terms, 0.0, endpoint_normal)
     except DegenerateMultiplierError:
         return mult, "normal-degraded"
-    el0 = _el_residuals(problem, mult0).max()
+    el0 = mult0.el_residuals.max()
     if el0 <= resid_tol or el0 < el:
         return mult0, "abnormal"
     return mult, "normal-degraded"
@@ -391,7 +384,6 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     """
     mesh = problem.mesh
     base = problem.base
-    el = _el_residuals(problem, mult)
     trans = transversality_residual(base, traj.states[-1], mult.terminal,
                                     mult.lam, omega=problem.omega_k, tol=1e-5)
     nontriv = nontriviality_value(mult)
@@ -405,7 +397,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     p0_gap = float(np.linalg.norm(mult.p[0]) - np.median(norms)) if norms.size else 0.0
     return ConditionReport(
         problem=base.name, k=mesh.k, h_max=mesh.max_step, lam=mult.lam,
-        el_residuals=el, transversality=trans, nontriviality=nontriv,
+        el_residuals=mult.el_residuals, transversality=trans, nontriviality=nontriv,
         volterra_taus=taus, volterra_residuals=vol, adjoint_bound=bound,
         adjoint_bound_ok=bound_ok, p0_interior_gap=p0_gap)
 

@@ -107,6 +107,16 @@ def _count(parser, section, key, default, low):
     return value
 
 
+def _tolerance(parser, section, key, default, zero_ok=False):
+    """A float field that must be finite and > 0, or >= 0 where ``zero_ok``."""
+    value = _get(parser, section, key, float, default=default)
+    if value is not None and not (math.isfinite(value)
+                                  and (value >= 0 if zero_ok else value > 0)):
+        raise ConfigError(f"field '{section}.{key}': must be finite and "
+                          f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+    return value
+
+
 def _policy(name: str, field_name: str) -> str:
     if name not in POLICIES:
         raise ConfigError(f"field '{field_name}': unknown policy {name!r}; "
@@ -306,15 +316,16 @@ def load_config(path: str) -> ExperimentConfig:
         seed=_get(parser, "run", "seed", int, default=0),
         output_dir=_get(parser, "run", "output_dir", str, default="idikit_out"),
         label=_get(parser, "run", "label", str, default=name),
-        tol_stat=_get(parser, "solver", "tol_stat", float, default=1e-7),
-        max_iter=_get(parser, "solver", "max_iter", int, default=20000),
-        endpoint_tol=_get(parser, "solver", "endpoint_tol", float, default=1e-6),
+        tol_stat=_tolerance(parser, "solver", "tol_stat", 1e-7),
+        max_iter=_count(parser, "solver", "max_iter", 20000, 1),
+        endpoint_tol=_tolerance(parser, "solver", "endpoint_tol", 1e-6),
         reference_policy=_policy(_get(parser, "reference", "policy", str,
                                       default="min_norm"), "reference.policy"),
         reference_k=_count(parser, "reference", "k", 0, 0),
         reference_constant=None if const_raw is None
         else _vector(const_raw, "reference.constant_deviation"),
-        reference_feas_tol=_get(parser, "reference", "feas_tol", float),
+        reference_feas_tol=_tolerance(parser, "reference", "feas_tol", None,
+                                      zero_ok=True),
         audit_instances=_count(parser, "audit", "n_instances", 1000, 1),
         audit_policies=[_policy(p, "audit.policies") for p in policies],
         audit_mesh_k=_count(parser, "audit", "mesh_k", 24, 1),

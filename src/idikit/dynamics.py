@@ -14,7 +14,8 @@ kernel, also runs as one prefix scan (:func:`_affine_scan`, after Blelloch,
 "Prefix sums and their applications", CMU-CS-90-190, 1990), which the
 solver takes and so does ``approximate_arc`` on a point body; on the zero
 kernel ``approximate_arc`` projects every node in one stacked pass.  The
-loop is the fallback and the oracle of both.
+loop is the fallback and the oracle of both, as :func:`_backward_loop` is
+of the scans of the gradient's and the multipliers' backward sweeps.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (_assemble_w, _discretize, _Discretization, _exp_steps,
-                     _memory_averages, _memory_integrals, assemble_w)
+from .kernel import (_assemble_w, _discretize, _Discretization, _exp_blocks,
+                     _exp_steps, _memory_averages, _memory_integrals, assemble_w)
 from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
                    l2_distance, sup_distance)
 from .problem import ProblemData
@@ -179,16 +180,19 @@ def _march(problem: ProblemData, disc: _Discretization, select,
 SCAN_GROWTH = 2.0 ** 6
 
 
-def _affine_scan(M: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = 0, shape (k, m),
-    given M (k, m, m) and c (k, m).
+def _affine_scan(M: np.ndarray, c: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = y0, shape (k, m),
+    given M (k, m, m), c (k, m) and y0 of length m or, zero-padded, n < m.
 
-    Doubling: after the pass of stride d, row j holds the composition of
-    the maps j - 2d + 1..j (from map 0 where that is < 0), so
-    ceil(log2 k) passes of batched products give every prefix.
+    Doubling: after c_0 + M_0[:, :len(y0)] y0 and the pass of stride d, row
+    j holds the composition of the maps j - 2d + 1..j (from map 0 where
+    that is < 0), so ceil(log2 k) passes of batched products give them all.
     """
-    M, c = M.copy(), c[..., None].copy()
+    c = c[..., None].copy()
     k, d = len(c), 1
+    if k:
+        c[0, :, 0] += M[0, :, :len(y0)] @ y0
+    M = M.copy()
     while d < k:
         c[d:] += M[d:] @ c[:-d]
         if 2 * d < k:
@@ -224,9 +228,7 @@ def _scan_steps(fmap, disc: _Discretization) -> Optional[np.ndarray]:
     h, n = disc.mesh.steps, A.shape[0]
     M = np.eye(n) + h[:, None, None] * A
     if disc.tau is not None:
-        top = M
-        M = np.kron(np.stack(_exp_steps(disc), axis=-1).reshape(-1, 2, 2), np.eye(n))
-        M[:, :n, :n] += top
+        M = _exp_blocks(disc, M + _exp_steps(disc)[0][:, None, None] * np.eye(n))
     if not _bounded_growth(M):
         return None
     M.flags.writeable = False  # shared by every scan on the mesh
@@ -251,8 +253,7 @@ def _scan_march(problem: ProblemData, disc: _Discretization, u: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         z0, c = np.zeros(M.shape[1]), np.zeros(M.shape[:2])
         z0[:n], c[:, :n] = problem.x0, h[:, None] * u
-        c[0] += M[0] @ z0
-        z = np.concatenate([z0[None], _affine_scan(M, c)])
+        z = np.concatenate([z0[None], _affine_scan(M, c, z0)])
         states = z[:, :n]
         if disc.tau is None:
             w = np.zeros_like(u)
@@ -262,6 +263,23 @@ def _scan_march(problem: ProblemData, disc: _Discretization, u: np.ndarray):
         v = _centers(problem.fmap, disc.mesh.nodes[:-1], states[:-1]) + u + w
     rows = (states, v, w)
     return rows if all(np.isfinite(r).all() for r in rows) else None
+
+
+def _backward_loop(tensors, P: np.ndarray, c: np.ndarray, e: np.ndarray,
+                   y_end: np.ndarray, step) -> np.ndarray:
+    """y_j = P_j y_{j+1} + c_j + step(j, y_{j+1}) + coupling_j from
+    y_k = ``y_end`` down to j = 0, shape (k+1, n), given P (k, n, n) and
+    c, e (k, n): the backward sweep of the gradient and of the multipliers,
+    with coupling_j = sum_{m>j} xi[m, j] (y_{m+1} + e_m) from
+    ``tensors.backward_coupling``.  The caller checks that y is finite."""
+    k = len(c)
+    y, r = np.empty((k + 1, len(y_end))), np.empty_like(e)
+    y[k] = y_end
+    coupling = tensors.backward_coupling(r)
+    for j in range(k - 1, -1, -1):
+        r[j] = y[j + 1] + e[j]
+        y[j] = P[j] @ y[j + 1] + c[j] + step(j, y[j + 1]) + coupling(j)
+    return y
 
 
 def estimate_tau(problem: ProblemData, h: float) -> float:
@@ -349,12 +367,11 @@ def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh) -> float:
     return _inclusion_defect(problem, arc, disc)[-1]
 
 
-def localization_check(candidate, reference, eps: float, mesh: TimeMesh,
-                       samples_per_cell: int = 16) -> bool:
+def localization_check(candidate, reference, eps: float, mesh: TimeMesh) -> bool:
     """Strict sup-norm and derivative-L2 localization test around an arc."""
     if eps <= 0:
         raise ValueError("localization radius must be positive")
-    sup_gap = sup_distance(mesh, candidate, reference, samples_per_cell)
+    sup_gap = sup_distance(mesh, candidate, reference)
     if sup_gap >= eps:
         return False
     dgap = l2_distance(mesh, candidate.derivative, reference.derivative)

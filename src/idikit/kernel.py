@@ -299,6 +299,20 @@ def _exp_steps(disc: _Discretization):
     return c * disc.tri, c * disc.tau, disc.tau, disc.decay
 
 
+def _exp_blocks(disc: _Discretization, top: np.ndarray,
+                transposed: bool = False) -> np.ndarray:
+    """The steps (k, 2n, 2n) of a recurrence in (state, running sum S of
+    :func:`_exp_steps`): blocks ``top`` (k, n, n), c tau_j I, tau_j I and
+    e^{-r h_j} I, the off-diagonal two swapped where ``transposed``, for a
+    backward sweep in (adjoint, running coupling sum)."""
+    _, c_tau, tau, decay = _exp_steps(disc)
+    off, n = (tau, c_tau) if transposed else (c_tau, tau), top.shape[-1]
+    blocks = np.stack([np.zeros_like(tau), *off, decay], axis=-1).reshape(-1, 2, 2)
+    M = np.kron(blocks, np.eye(n))
+    M[:, :n, :n] = top
+    return M
+
+
 def _in_turn(step: Callable, cells: range, what: str) -> Callable:
     """``step(j, ...)`` for the cells j of ``cells``, one after another, as
     a running sum needs; a call for any other cell raises

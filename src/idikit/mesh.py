@@ -138,8 +138,9 @@ class TimeMesh:
         if bad.any():
             raise MeshError(f"time {t[bad].flat[0]} outside [0, {self.horizon}]")
 
-    def dense_samples(self, per_cell: int = DEFAULT_SUP_SAMPLES) -> np.ndarray:
-        """Deterministic sample grid: nodes plus per_cell interior points."""
+    def dense_samples(self) -> np.ndarray:
+        """Deterministic sample grid: nodes plus DEFAULT_SUP_SAMPLES per cell."""
+        per_cell = DEFAULT_SUP_SAMPLES
         inner = (self.nodes[:-1, None] + self.steps[:, None]
                  * (np.arange(1, per_cell + 1) / (per_cell + 1)))
         return np.sort(np.concatenate([self.nodes, inner.ravel()]))
@@ -326,16 +327,14 @@ def l2_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike) -> float:
     return float(np.sqrt(_sq_integral(wts, d)))
 
 
-def sup_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike,
-                 samples_per_cell: int = DEFAULT_SUP_SAMPLES) -> float:
-    grid = mesh.dense_samples(samples_per_cell)
+def sup_distance(mesh: TimeMesh, a: ArcLike, b: ArcLike) -> float:
+    grid = mesh.dense_samples()
     d = _sample(a, grid) - _sample(b, grid)
     return float(np.sqrt(np.vecdot(d, d).max()))  # row norms as np.linalg.norm
 
 
-def w12_distance(mesh: TimeMesh, a: PiecewiseLinearArc, b: ArcLike,
-                 b_dot: ArcLike, samples_per_cell: int = DEFAULT_SUP_SAMPLES):
+def w12_distance(mesh: TimeMesh, a: PiecewiseLinearArc, b: ArcLike, b_dot: ArcLike):
     """(sup-norm gap, L2 gap of derivatives) between a and an a.c. arc b."""
-    sup_err = sup_distance(mesh, a, b, samples_per_cell)
+    sup_err = sup_distance(mesh, a, b)
     deriv_err = l2_distance(mesh, a.derivative, b_dot)
     return sup_err, deriv_err

@@ -267,8 +267,8 @@ class ProblemData:
     def dim(self) -> int:
         return self.x0.size
 
-    def state_grid(self, per_axis: int = 8) -> np.ndarray:
-        """Deterministic sample grid over the declared state box."""
+    def state_grid(self, per_axis: int) -> np.ndarray:
+        """Deterministic grid of per_axis points along each state-box axis."""
         lo, hi = self.state_box
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.dim)]
         grid = np.meshgrid(*axes, indexing="ij")

@@ -401,7 +401,7 @@ class GraphNormalCone:
         return _polyhedral_witness(self.generators(j), np.zeros((n, n)),
                                    np.zeros((1, n)), b[None])[0]
 
-    def pair_samples(self, j: int, scale: float = 1.0) -> np.ndarray:
+    def pair_samples(self, j: int) -> np.ndarray:
         """A few representative normal pairs of row j, used by
         sampling-based audits."""
         J = self.row_jacobian(j)
@@ -410,11 +410,11 @@ class GraphNormalCone:
         if kind == "zero":
             us = np.zeros((1, n))
         elif kind == "subspace":
-            us = np.vstack([np.eye(n), -np.eye(n)]) * scale
+            us = np.vstack([np.eye(n), -np.eye(n)])
         elif kind == "ray":
-            us = self.direction[j][None, :] * scale
+            us = self.direction[j][None, :]
         else:
-            us = self.generators(j) * scale
+            us = self.generators(j)
         return np.hstack([-(J.T @ us.T).T, us])
 
 

@@ -105,7 +105,7 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="audit.samples_per_cell"):
         load_config(_write(tmp_path, "[problem]\nname = cos_t\n[audit]\n"
                            "samples_per_cell = 16\n", "g.ini"))
-    # audit and reference fields out of range, each named and exit 2
+    # audit, reference and solver fields out of range, each named and exit 2
     for section, body, name in (
             ("audit", "n_instances = -3", "audit.n_instances"),
             ("audit", "n_instances = 0", "audit.n_instances"),
@@ -113,7 +113,16 @@ def test_config_errors(tmp_path):
             ("reference", "k = -1", "reference.k"),
             ("audit", "policies =", "audit.policies"),
             ("audit", "policies = min_norm lazy", "audit.policies"),
-            ("reference", "policy = lazy", "reference.policy")):
+            ("reference", "policy = lazy", "reference.policy"),
+            ("solver", "tol_stat = nan", "solver.tol_stat"),
+            ("solver", "tol_stat = -1", "solver.tol_stat"),
+            ("solver", "tol_stat = 0", "solver.tol_stat"),
+            ("solver", "max_iter = -5", "solver.max_iter"),
+            ("solver", "max_iter = 0", "solver.max_iter"),
+            ("solver", "endpoint_tol = -1", "solver.endpoint_tol"),
+            ("solver", "endpoint_tol = inf", "solver.endpoint_tol"),
+            ("reference", "feas_tol = -1e-9", "reference.feas_tol"),
+            ("reference", "feas_tol = nan", "reference.feas_tol")):
         cfgp = _write(tmp_path, f"[problem]\nname = cos_t\n[{section}]\n{body}\n",
                       "h.ini")
         with pytest.raises(ConfigError, match=name):

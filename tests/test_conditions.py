@@ -225,7 +225,7 @@ def test_nontriviality_value_literal():
                          normalization={"raw_lambda": 0.6,
                                         "raw_terminal_norm": 1.4,
                                         "scale": 0.5, "p_trivial": False},
-                         m_l=0.0, theta_l1=0.0)
+                         m_l=0.0, theta_l1=0.0, el_residuals=np.zeros(1))
     assert nontriviality_value(mult) == pytest.approx(1.0)
     degenerate = MultiplierSet(lam=0.0, p=np.zeros((2, 1)),
                                tensors=tensors_dummy, glx=np.zeros((1, 1)),
@@ -233,7 +233,7 @@ def test_nontriviality_value_literal():
                                normalization={"raw_lambda": 0.0,
                                               "raw_terminal_norm": 0.0,
                                               "scale": 1.0, "p_trivial": True},
-                               m_l=0.0, theta_l1=0.0)
+                               m_l=0.0, theta_l1=0.0, el_residuals=np.zeros(1))
     with pytest.raises(DegenerateMultiplierError):
         nontriviality_value(degenerate)
 
@@ -277,8 +277,13 @@ def test_el_residual_is_the_report_row(name, request):
     traj, rep0 = approximate_arc(prob, ref, mesh)
     dbp = _wrap_discrete(prob, mesh, ref, zeta=rep0.zeta_k)
     mult = adjoint_solve_smooth(dbp, traj)
-    # the multipliers moved off the recursion, so the couplings count
-    mult = replace(mult, p=mult.p + 0.01 * np.arange(mesh.k + 1)[:, None])
+    # the multipliers moved off the recursion, so the couplings count; a
+    # set carries the residuals of its own p
+    from idikit.conditions import _el_residuals
+    moved = mult.p + 0.01 * np.arange(mesh.k + 1)[:, None]
+    terms = (mult.tensors, mult.glx, mult.glv, mult.cones)
+    mult = replace(mult, p=moved,
+                   el_residuals=_el_residuals(dbp, mult.lam, moved, terms))
     rep = build_condition_report(dbp, traj, mult, x_arc=ref)
     assert rep.el_max > 1e-6
     assert [euler_lagrange_residual(dbp, mult, j)
@@ -472,7 +477,9 @@ def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
             assert np.array_equal(cone.generators, want.generators)
 
     calls.clear()
-    el = conditions._el_residuals(dbp, mult)
+    terms = (mult.tensors, mult.glx, mult.glv, mult.cones)
+    el = conditions._el_residuals(dbp, mult.lam, mult.p, terms)
+    assert np.array_equal(mult.el_residuals, el)
     assert [euler_lagrange_residual(dbp, mult, j)
             for j in range(mesh.k)] == list(el)
     assert calls == []
@@ -482,6 +489,6 @@ def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
 
     # the carried cones are the ones used: whole-space body cones make
     # every velocity slot free, so the residuals change
-    free = replace(mult, cones=replace(mult.cones,
-                                       kind=np.full(mesh.k, "subspace")))
-    assert not np.array_equal(conditions._el_residuals(dbp, free), el)
+    free = replace(mult.cones, kind=np.full(mesh.k, "subspace"))
+    assert not np.array_equal(
+        conditions._el_residuals(dbp, mult.lam, mult.p, terms[:3] + (free,)), el)

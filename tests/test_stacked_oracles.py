@@ -9,7 +9,10 @@ per-row oracle from ``oracles`` (the formulas of one time or one point, or
 the node loop) within 1e-12 relative, and the zero kernel's stacked march
 bit for bit, on random non-uniform meshes; an oracle of the wrong shape
 raises a named error, and a scan that is not finite falls back to the
-loop, which names the stage and the node.
+loop, which names the stage and the node.  The scan takes its start state
+as the callers added it by hand, the gradient and the multipliers share one
+backward loop, and a mesh on the ``normal`` route takes one Euler-Lagrange
+pass.
 """
 
 import math
@@ -431,6 +434,29 @@ def test_a_fast_growing_drift_takes_the_loop(kernel):
         assert np.array_equal(getattr(traj, field), np.zeros_like(getattr(traj, field)))
 
 
+@pytest.mark.parametrize("k", (0,) + KS)
+def test_the_seeded_scan_is_the_hand_seeded_one(k):
+    # the start enters as c_0 + M_0[:, :len(y0)] y0, for a whole state and
+    # for the first n entries of one; the scan is the loop to round-off
+    rng = np.random.default_rng(23)
+    m, n = 4, 2
+    M = np.eye(m) + 0.1 * rng.normal(size=(k, m, m))
+    c = rng.normal(size=(k, m))
+    for y0 in (rng.normal(size=m), rng.normal(size=n)):
+        hand = c.copy()
+        if k:
+            hand[0] += M[0, :, :len(y0)] @ y0
+        got = dynamics._affine_scan(M, c, y0)
+        assert got.shape == (k, m)
+        assert np.array_equal(got, dynamics._affine_scan(M, hand, np.zeros(0)))
+        y, looped = np.zeros(m), np.empty((k, m))
+        y[:len(y0)] = y0
+        for j in range(k):
+            y = looped[j] = M[j] @ y + c[j]
+        if k:
+            _assert_rel(got, looped)
+
+
 # --- the approximation march -------------------------------------------------------
 
 def _rider(n, body, linear):
@@ -623,10 +649,12 @@ def test_the_sweep_gates_the_matrices_it_composes():
     assert not _scans(dbp)
     traj = forward_trajectory(dbp, ControlParameterization(np.zeros((k, 1))))
     tensors, glx, glv, cones = _trajectory_terms(dbp, traj)
-    pin = tensors.theta / dbp.mesh.steps[:, None] + glv
+    h = dbp.mesh.steps
+    pin = tensors.theta / h[:, None] + glv
+    P, c = np.eye(1) + 2.0 * tensors.mu, -h[:, None] * glx
     for kind, scans in (("zero", True), ("subspace", False)):
-        terms = (tensors, glx, glv, replace(cones, kind=np.full(k, kind)))
-        got = conditions._scan_sweep(dbp.mesh.steps, terms, 1.0, pin, np.ones(1))
+        got = conditions._scan_sweep(tensors, replace(cones, kind=np.full(k, kind)),
+                                     h, pin, P, c, np.ones(1), None)
         assert (got is not None) == scans
 
 
@@ -661,6 +689,50 @@ def test_recovery_makes_no_call_per_node(monkeypatch):
             recover_multipliers(dbp, traj)
             seen.append((marched, counts.get("project_u", 0), counts.get("row_jacobian", 0)))
         assert seen[0] == seen[1], name
+
+
+def test_the_gradient_and_the_multipliers_share_one_backward_loop(monkeypatch):
+    # a row-rule kernel scans neither backward sweep: both take the one
+    # loop of dynamics, and its gradient is the central differences'
+    from idikit import bolza
+    from oracles import fd_gradient
+    assert bolza._backward_loop is conditions._backward_loop is dynamics._backward_loop
+    calls, inner = [], dynamics._backward_loop
+    for module in (bolza, conditions):
+        monkeypatch.setattr(module, "_backward_loop",
+                            lambda *args: calls.append(len(args[2])) or inner(*args))
+    # the reference's kinks are nodes, where the cost's quadrature of the
+    # tracking term is exact
+    rng, k = np.random.default_rng(24), 12
+    row_rule = VolterraKernel.convolution(lambda u: 0.7 * np.exp(-2.5 * u), 0.7, 0.7)
+    dbp, _ = _linear_problem(DRIFTS[2][0], row_rule, TimeMesh.uniform(k, 1.0), rng)
+    controls = ControlParameterization(0.3 * rng.normal(size=(k, 2))).projected(dbp)
+    for rho in (0.0, 10.0):
+        calls.clear()
+        grad, traj = cost_gradient(dbp, controls, rho)
+        assert calls == [k]
+        fd = fd_gradient(dbp, controls, rho)
+        assert np.abs(grad - fd).max() < 1e-5 * np.abs(fd).max()
+    calls.clear()
+    _, route = recover_multipliers(dbp, traj)
+    assert calls == [k] * (1 if route == "normal" else 2)
+
+
+def test_a_normal_mesh_takes_one_euler_lagrange_pass(tmp_path, monkeypatch):
+    # the sweep computes the residuals once; the route choice and the
+    # report read them
+    import json
+    from idikit.cli import main
+    calls, inner = [], conditions._el_residuals
+    monkeypatch.setattr(conditions, "_el_residuals",
+                        lambda *args: calls.append(1) or inner(*args))
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[problem]\nname = ball_control_lq\n[meshes]\nk = 8\n"
+                   f"[run]\noutput_dir = {tmp_path}\nlabel = one\n", encoding="utf-8")
+    assert main(["converge", str(ini)]) == 0
+    record = json.loads((tmp_path / "one_converge.json").read_text(encoding="utf-8"))
+    assert [s["route"] for s in record["solves"]] == ["normal"]
+    assert len(calls) == 1
 
 
 # --- values that are not finite on the stacked paths ----------------------------------
