@@ -197,8 +197,6 @@ class PolytopeOffset(_OffsetMap):
     def __init__(self, f, vertices: Sequence[Sequence[float]], jac=None):
         super().__init__(f, jac)
         verts = np.atleast_2d(np.array(vertices, dtype=float))
-        if verts.size == 0:
-            raise SetValuedError("polytope needs at least one vertex")
         verts.setflags(write=False)
         self.vertices = verts
         self._hull = _HullFaces(verts)
@@ -284,28 +282,80 @@ def _norm(w: np.ndarray):
 class _HullFaces:
     """Euclidean projection onto conv(vertices), exact at desk scale.
 
-    The candidate faces are the vertex subsets of size <= n+1, by size and
-    then in ``itertools.combinations`` order; each keeps its base vertex, its
-    edge matrix and the edges' pseudo-inverse, which gives the minimum-norm
-    least-squares solution on rank-deficient subsets.  The projection lies
-    in the relative interior of some face, so it is among the affine-hull
-    projections whose barycentric coordinates are all >= -1e-10.  Faces are
-    visited in order; a candidate replaces the best so far when it is nearer
-    by more than 1e-12, or when it is within 1e-12 of the best distance and
-    lexicographically smaller.  Each face is evaluated for every row at once.
+    The ordered scan (``_scan``): the candidate faces are the vertex subsets
+    of size <= n+1, by size and then in ``itertools.combinations`` order;
+    each keeps its base vertex, its edge matrix and the edges'
+    pseudo-inverse, which gives the minimum-norm least-squares solution on
+    rank-deficient subsets.  The projection lies in the relative interior of
+    some face, so it is among the affine-hull projections whose barycentric
+    coordinates are all >= -1e-10.  Faces are visited in order; a candidate
+    replaces the best so far when it is nearer by more than 1e-12, or when
+    it is within 1e-12 of the best distance and lexicographically smaller.
+    Each face is evaluated for every row at once.
+
+    The deep-row rule: when the vertices form a full-dimensional simplex
+    (m = n + 1, edge condition number at most 1e4), ``project`` first
+    evaluates the full face, last in the scan, for the whole stack.  A row
+    whose distance to every facet hyperplane, lambda_i times the height
+    h_i = 1 / |grad lambda_i|, exceeds 1e-9 * max(1, max |vertex|) takes
+    that face's candidate, which is bit for bit what the scan returns for
+    it (see ``__init__``); only the other rows go through the scan.
     """
 
     def __init__(self, vertices: np.ndarray):
+        if vertices.ndim != 2 or 0 in vertices.shape:
+            raise SetValuedError("convex hull needs at least one vertex, as an "
+                                 f"(m, n) array with n >= 1; got shape {vertices.shape}")
+        if not np.isfinite(vertices).all():
+            raise SetValuedError("convex hull vertices must be finite")
         m, n = vertices.shape
+        self._n = n
         self._faces = []
         for size in range(1, min(m, n + 1) + 1):
             for idx in combinations(range(m), size):
                 S = vertices[list(idx)]
                 E = (S[1:] - S[0]).T  # n x (size-1)
                 self._faces.append((S[0], E, np.linalg.pinv(E) if size > 1 else None))
+        # Why a deep row's full-face candidate is the scan's choice.  Every
+        # other face of a simplex misses some vertex i, so its candidate lies,
+        # up to round-off, in the hyperplane of the facet opposite i, at
+        # least lambda_i h_i from z; the full face's candidate is z up to
+        # round-off, passes the scan's coordinate test (every lambda_i > 0)
+        # and is visited last.  With s = max(1, max |vertex|) >= |z|/sqrt(n)
+        # and edge condition number kappa <= 1e4, the round-offs in
+        # lambda_i h_i, in a candidate (|coef| <= kappa |z - base| / |E|,
+        # since a subset's edges are the full edges times a 0/+-1 matrix of
+        # singular values >= 1) and in a distance are each below about
+        # 8 n kappa eps s, 5e-11 s at n = 3.  So a row with every
+        # lambda_i h_i > 1e-9 s has a full-face distance below every other
+        # candidate's by more than the scan's tie width 1e-12 <= 1e-12 s
+        # plus those round-offs, and the scan replaces its best with that
+        # candidate.  Rows nearer a facet, or NaN, fail the test.
+        self._heights = None
+        if m == n + 1:
+            E_pinv = self._faces[-1][2]
+            sv = np.linalg.svd(self._faces[-1][1], compute_uv=False)
+            if sv[-1] * 1e4 >= sv[0] > 0.0:
+                grads = np.vstack([-E_pinv.sum(axis=0), E_pinv])
+                self._heights = 1.0 / _norm(grads)
+                self._margin = 1e-9 * max(1.0, float(np.abs(vertices).max()))
 
     def project(self, z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(z)
+        if Z.ndim != 2 or Z.shape[1] != self._n:
+            raise SetValuedError(f"query of shape {np.shape(z)} for a hull in R^{self._n}; "
+                                 f"expected ({self._n},) or (N, {self._n})")
+        if self._heights is None:
+            return self._scan(Z).reshape(np.shape(z))
+        coef, out = _face_candidates(Z, *self._faces[-1])
+        lam = np.column_stack((1.0 - coef.sum(axis=1), coef))
+        shallow = ~(lam * self._heights > self._margin).all(axis=1)
+        if shallow.any():
+            out[shallow] = self._scan(Z[shallow])
+        return out.reshape(np.shape(z))
+
+    def _scan(self, Z: np.ndarray) -> np.ndarray:
+        """The ordered scan over all faces, for a stack Z of shape (N, n)."""
         best = np.full(Z.shape, np.nan)
         best_d = np.full(Z.shape[0], np.inf)
         for base, E, E_pinv in self._faces:
@@ -313,12 +363,9 @@ class _HullFaces:
                 cand = np.broadcast_to(base, Z.shape)
                 ok = True
             else:
-                # products summed elementwise, not by BLAS, so that a row's
-                # result does not depend on the other rows
-                coef = ((Z - base)[:, None, :] * E_pinv).sum(axis=-1)
+                coef, cand = _face_candidates(Z, base, E, E_pinv)
                 ok = ~((1.0 - coef.sum(axis=1) < -1e-10)
                        | np.any(coef < -1e-10, axis=1))
-                cand = base + (coef[:, None, :] * E).sum(axis=-1)
             d = _norm(Z - cand)
             better = ok & (d < best_d - 1e-12)
             tie = ok & ~better & (np.abs(d - best_d) <= 1e-12)
@@ -327,7 +374,18 @@ class _HullFaces:
             take = better | tie
             best[take] = cand[take]
             best_d[better] = d[better]
-        return best.reshape(np.shape(z))
+        return best
+
+
+def _face_candidates(Z, base, E, E_pinv):
+    """The coordinates along the edges E, shape (N, size-1), and the
+    projections onto the face's affine hull, shape (N, n), of the rows of Z.
+
+    Products are summed elementwise, not by BLAS, so that a row's result
+    does not depend on the other rows.
+    """
+    coef = ((Z - base)[:, None, :] * E_pinv).sum(axis=-1)
+    return coef, base + (coef[:, None, :] * E).sum(axis=-1)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,7 +400,13 @@ def project_convex_hull(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Euclidean projection of z, shape (n,) or (N, n), onto conv(vertices).
 
     Enumerates the vertex subsets of size <= n+1 (see ``_HullFaces``); ties
-    within 1e-12 resolve to the lexicographically smallest point.
+    within 1e-12 resolve to the lexicographically smallest point.  On a
+    full-dimensional simplex a row farther than 1e-9 * max(1, max |vertex|)
+    from every facet hyperplane skips that scan and takes the full face's
+    candidate, which is the scan's choice bit for bit: every other face
+    lies in a facet hyperplane, farther from z by more than the tie width.
+    Raises ``SetValuedError`` for no vertex, a non-finite vertex, or a
+    query whose last axis is not n.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     return _HullFaces(V).project(np.asarray(z, dtype=float))

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from idikit import catalog
 from idikit.setvalued import (BallOffset, PolytopeOffset, SetValuedError,
-                              Singleton, averaged_modulus,
+                              Singleton, _HullFaces, averaged_modulus,
                               distance_and_projection, project_convex_hull)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -145,6 +146,98 @@ def test_barycentric_coordinates_may_reach_minus_1e_10():
         assert np.abs(got - want).max() <= 1e-16
         assert np.abs(oracle - want).max() <= 1e-16
 
+
+
+# --- the deep-row rule of the hull projection --------------------------------
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+SIMPLICES = {1: [[-0.5], [1.25]],
+             2: [[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]],
+             3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.1]]}
+PLACEMENTS = {"unit": (1.0, 0.0), "small": (1e-6, 0.0), "large": (1e6, 0.0),
+              "translated": (1.0, 1e6)}
+
+
+def _simplex_rows(hull, V):
+    """Rows deep inside, at 0.5x and 2x the margin from each facet, on each
+    facet, edge and vertex, outside, far out (|z| = 1e6) and NaN."""
+    m, n = V.shape
+    inside = np.full(m, 1.0 / m)
+    lams = [inside]
+    for i in range(m):
+        for t in (0.5, 2.0, 0.0):  # lambda_i h_i = t * margin
+            lam = np.full(m, 0.0)
+            lam[i] = t * hull._margin / hull._heights[i]
+            lam[np.arange(m) != i] = (1.0 - lam[i]) / (m - 1)
+            lams.append(lam)
+        lams.append(np.eye(m)[i])  # vertex
+        for j in range(i + 1, m):  # midpoint of an edge
+            lams.append((np.eye(m)[i] + np.eye(m)[j]) / 2.0)
+    Z = np.array(lams) @ V
+    out = 2.0 * V - Z[0]  # beyond each vertex
+    far = 1e6 * np.vstack([np.ones(n), -np.eye(n)])
+    return np.vstack([Z, out, far, np.full((1, n), np.nan)])
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+@pytest.mark.parametrize("n", sorted(SIMPLICES))
+def test_simplex_projection_equals_the_ordered_scan(n, placement):
+    scale, shift = PLACEMENTS[placement]
+    V = scale * np.array(SIMPLICES[n]) + shift
+    hull = _HullFaces(V)
+    assert hull._heights is not None  # the deep-row rule applies
+    Z = _simplex_rows(hull, V)
+    got = hull.project(Z)
+    assert _same_bits(got, hull._scan(Z))
+    assert _same_bits(project_convex_hull(V, Z), got)
+    for z, g in zip(Z, got):
+        assert _same_bits(hull.project(z), g)
+    want = np.array([oracles.convex_hull_projection(V, z) for z in Z[:-1]])
+    assert np.abs(got[:-1] - want).max() <= RTOL * _scale(V, Z[:-1])
+    assert np.isnan(got[-1]).all()
+
+
+@pytest.mark.parametrize("V", [
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],  # a square
+    [[0.0], [1.0], [0.5]],  # an interval with an inner vertex
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],  # flat, m = n + 1
+    [[1.0, 1.0], [1.0, 1.0], [2.0, 3.0]],  # a doubled vertex
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-5]],  # a simplex too thin for the rule
+    [[0.3, -0.2]],  # one vertex
+], ids=["square", "interval-3", "flat", "doubled", "thin", "vertex"])
+def test_other_bodies_take_the_ordered_scan(V):
+    V = np.array(V)
+    hull = _HullFaces(V)
+    assert hull._heights is None
+    n = V.shape[1]
+    Z = np.vstack([V.mean(axis=0), V, 2.0 * V - V.mean(axis=0), 1e6 * np.ones((1, n)),
+                   np.full((1, n), np.nan)])
+    got = hull.project(Z)
+    assert _same_bits(got, hull._scan(Z))
+    want = np.array([oracles.convex_hull_projection(V, z) for z in Z[:-1]])
+    assert np.abs(got[:-1] - want).max() <= RTOL * _scale(V, Z[:-1])
+
+
+def test_rows_inside_the_simplex_never_enter_the_scan(monkeypatch):
+    body = catalog.get("polytope_endpoint").problem.fmap
+    scan, handed = _HullFaces._scan, []
+
+    def spy(self, Z):
+        handed.append(Z.copy())
+        return scan(self, Z)
+    monkeypatch.setattr(_HullFaces, "_scan", spy)
+    rng = np.random.default_rng(20)
+    Z = (0.05 + 0.85 * rng.dirichlet(np.ones(3), size=40)) @ body.vertices
+    body.project_body(Z)
+    assert handed == []
+    Z[17] = [2.0, 2.0]
+    got = body.project_body(Z)
+    assert len(handed) == 1 and _same_bits(handed[0], Z[17:18])
+    assert _same_bits(got, scan(body._hull, Z))
 
 @st.composite
 def ball_queries(draw):

@@ -69,8 +69,35 @@ def test_polytope_projection_random_points_optimality():
 
 
 def test_empty_polytope_rejected():
-    with pytest.raises(SetValuedError):
+    with pytest.raises(SetValuedError, match="at least one vertex"):
         PolytopeOffset(lambda t, x: np.zeros(2), np.zeros((0, 2)))
+    with pytest.raises(SetValuedError, match="at least one vertex"):
+        project_convex_hull(np.zeros((0, 2)), np.zeros(2))
+    with pytest.raises(SetValuedError, match="at least one vertex"):
+        PolytopeOffset(lambda t, x: np.zeros(1), [])
+
+
+def test_non_finite_vertex_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        V = [[0.0, 0.0], [1.0, 0.0], [0.0, bad]]
+        with pytest.raises(SetValuedError, match="finite"):
+            project_convex_hull(V, np.zeros(2))
+        with pytest.raises(SetValuedError, match="finite"):
+            PolytopeOffset(lambda t, x: np.zeros(2), V)
+
+
+def test_query_of_the_wrong_dimension_rejected():
+    V = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    body = PolytopeOffset(lambda t, x: np.zeros(2), V)
+    for z in (np.zeros(3), np.zeros((4, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(SetValuedError, match="R\\^2"):
+            project_convex_hull(V, z)
+        with pytest.raises(SetValuedError, match="R\\^2"):
+            body.project_body(z)
+    # one vertex and flat bodies project as before
+    assert np.array_equal(project_convex_hull([[0.3, -0.2]], [[1.0, 1.0]]), [[0.3, -0.2]])
+    assert np.array_equal(project_convex_hull([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                                              [3.0, 3.0]), [2.0, 2.0])
 
 
 def test_projection_lipschitz_and_membership():
