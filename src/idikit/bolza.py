@@ -16,7 +16,8 @@ For a drift built with ``linear`` (f = A x) and a zero or exponential
 kernel both recurrences are affine, the sweep by the march's step matrices
 transposed, and each runs as one prefix scan (:func:`dynamics._affine_scan`)
 while the products of the steps over the mesh stay below
-:data:`dynamics.SCAN_GROWTH`, as decided once per mesh.  Else, and where a
+:data:`dynamics.SCAN_GROWTH`, as decided once per mesh; each direction's
+scan levels are composed once per mesh, at its first scan.  Else, and where a
 scan yields a value that is not finite, the march takes the node loop
 :func:`dynamics._march` and the sweep the backward loop
 :func:`dynamics._backward_loop` it shares with the multipliers.
@@ -62,8 +63,9 @@ class DiscreteBolzaProblem:
     mesh and the reference sampled on it, taken by every cost, gradient and
     trial step, are those of the approximation run when
     :func:`build_discrete_problem` hands them over, else built here; so is
-    the decision whether the march scans, with its step matrices
-    (:func:`dynamics._decide_scan`), which the run made for this map.
+    the decision whether the march scans, with its step matrices and their
+    scan levels (:func:`dynamics._decide_scan`), which the run made for this
+    map.
     """
 
     base: ProblemData
@@ -232,8 +234,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     seed = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
     if _scans(problem):
-        M = disc.scan
-        c = np.zeros(M.shape[:2])
+        c = np.zeros(disc.scan.M.shape[:2])
         c[:, :n] = h[:, None] * glx + b @ base.fmap._linear
         if disc.tau is not None:
             c_tri, c_tau = _exp_steps(disc)[:2]
@@ -242,7 +243,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
         lam = np.empty_like(b)
         lam[-1] = seed
         with np.errstate(over="ignore", invalid="ignore"):
-            lam[:-1] = _affine_scan(M[:0:-1].transpose(0, 2, 1), c[:0:-1], seed)[::-1, :n]
+            lam[:-1] = _affine_scan(disc.scan.backward(), c[:0:-1], seed)[::-1, :n]
             grad = b + h[:, None] * lam
         if np.isfinite(grad).all():
             return grad, traj

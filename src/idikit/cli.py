@@ -68,16 +68,6 @@ def _write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _finite(obj):
-    if isinstance(obj, dict):
-        return all(_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(_finite(v) for v in obj)
-    if isinstance(obj, (float, np.floating)):
-        return bool(np.isfinite(obj))
-    return True
-
-
 def _write_record(path: Path, command, cfg: ExperimentConfig, rows, columns,
                   extra, wall):
     record = {
@@ -93,10 +83,15 @@ def _write_record(path: Path, command, cfg: ExperimentConfig, rows, columns,
         "wall_clock_s": wall,
     }
     record.update(extra)
-    if not _finite({k: v for k, v in record.items() if k != "wall_clock_s"}):
-        raise RuntimeError("run record contains non-finite numeric fields")
-    path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    # one line per top-level key, each value by the C encoder (an indent
+    # would force the pure-Python one)
+    try:
+        lines = [f"{json.dumps(key)}: "
+                 f"{json.dumps(record[key], sort_keys=True, allow_nan=False)}"
+                 for key in sorted(record)]
+    except ValueError as exc:
+        raise RuntimeError("run record contains non-finite numeric fields") from exc
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 def _reference_for(cfg: ExperimentConfig):

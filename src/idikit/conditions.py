@@ -33,7 +33,7 @@ import numpy as np
 
 from .bolza import DiscreteBolzaProblem, _running_grads
 from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
-                       _bounded_growth, _check_finite)
+                       _bounded_growth, _check_finite, _scan_levels)
 from .kernel import (QuadratureTensors, _adjoint_integrals, _exp_blocks,
                      _memory_integrals, _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
@@ -186,9 +186,10 @@ def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
     (p_{j+1}, R_j), R the running sum of ``tensors.backward_coupling``, and
     steps by the transposed :func:`~idikit.kernel._exp_blocks`.  Each
     maximal run of such rows is one :func:`~idikit.dynamics._affine_scan`
-    from the state the run above it left; a ``ray`` or ``polyhedral`` row
-    is a run of its own, whose ``step`` is added to its c_j + M_j y.  A
-    row-rule kernel, steps whose products could grow past
+    from the state the run above it left, over levels composed for that run
+    (its matrices follow the cones, so none are kept); a ``ray`` or
+    ``polyhedral`` row is a run of its own, whose ``step`` is added to its
+    c_j + M_j y.  A row-rule kernel, steps whose products could grow past
     :data:`~idikit.dynamics.SCAN_GROWTH` and a value that is not finite
     give None.
     """
@@ -213,7 +214,7 @@ def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
     y[:n] = p_end
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, k]):
-            out[lo:hi] = _affine_scan(M[lo:hi], c[lo:hi], y)
+            out[lo:hi] = _affine_scan(_scan_levels(M[lo:hi]), c[lo:hi], y)
             if not affine[lo]:
                 out[lo, :n] += step(k - 1 - lo, y[:n])
             y = out[hi - 1]

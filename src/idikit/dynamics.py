@@ -16,6 +16,13 @@ solver takes and so does ``approximate_arc`` on a point body; on the zero
 kernel ``approximate_arc`` projects every node in one stacked pass.  The
 loop is the fallback and the oracle of both, as :func:`_backward_loop` is
 of the scans of the gradient's and the multipliers' backward sweeps.
+
+A scan is two steps: :func:`_scan_levels` composes the doubling products of
+the step matrices, which depend only on the problem and the mesh, and
+:func:`_affine_scan` runs the passes over a right-hand side.  The march's
+and the gradient's levels are composed once per (problem, mesh) and
+direction and kept (:class:`_ScanSteps`, within :data:`SCAN_LEVEL_BYTES`),
+the multipliers' once per run of their sweep.
 """
 
 from __future__ import annotations
@@ -180,25 +187,77 @@ def _march(problem: ProblemData, disc: _Discretization, select,
 SCAN_GROWTH = 2.0 ** 6
 
 
-def _affine_scan(M: np.ndarray, c: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = y0, shape (k, m),
-    given M (k, m, m), c (k, m) and y0 of length m or, zero-padded, n < m.
+# Stored scan levels take about ceil(log2 k) times the bytes of the step
+# matrices; a mesh whose levels of one direction exceed this composes them on
+# each scan and stores nothing.  It covers polytope_endpoint (m = 2) at
+# k = 10^5, about 50 MB.
+SCAN_LEVEL_BYTES = 64 * 2 ** 20
 
-    Doubling: after c_0 + M_0[:, :len(y0)] y0 and the pass of stride d, row
-    j holds the composition of the maps j - 2d + 1..j (from map 0 where
-    that is < 0), so ceil(log2 k) passes of batched products give them all.
+
+def _scan_levels(M: np.ndarray) -> tuple:
+    """The doubling levels of the steps M (k, m, m) for :func:`_affine_scan`,
+    each read-only: ``levels[0]`` is M itself, which takes the start state,
+    and ``levels[1 + i]``, shape (k - d, m, m), the level of stride d = 2^i,
+    whose row for map j = d..k-1 composes the d maps j - d + 1..j, for
+    each d < k.  The level of stride 1 is M[1:] in C order, a view of M
+    where M is in C order (a product with a transposed view rounds
+    differently); that of stride 2d is formed from that of stride d.  A
+    pass of stride d reads no row j < d, so none is kept."""
+    levels, d = [M.view()], 1
+    if len(M) > 1:
+        levels.append(np.ascontiguousarray(M[1:]))
+    while 2 * d < len(M):
+        levels.append(levels[-1][d:] @ levels[-1][:-d])
+        d *= 2
+    for L in levels:
+        L.flags.writeable = False
+    return tuple(levels)
+
+
+def _affine_scan(levels: tuple, c: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = y0, shape (k, m),
+    given the levels of M (k, m, m) from :func:`_scan_levels`, c (k, m) and
+    y0 of length m or, zero-padded, n < m.
+
+    Doubling: after c_0 + M_0[:, :len(y0)] y0 and the pass of stride d over
+    its level, row j holds the composition of the maps j - 2d + 1..j (from
+    map 0 where that is < 0), so ceil(log2 k) passes of batched products
+    give them all.
     """
     c = c[..., None].copy()
-    k, d = len(c), 1
-    if k:
-        c[0, :, 0] += M[0, :, :len(y0)] @ y0
-    M = M.copy()
-    while d < k:
-        c[d:] += M[d:] @ c[:-d]
-        if 2 * d < k:
-            M[d:] = M[d:] @ M[:-d]
-        d *= 2
+    if len(c):
+        c[0, :, 0] += levels[0][0, :, :len(y0)] @ y0
+    for i, L in enumerate(levels[1:]):
+        d = 1 << i
+        c[d:] += L @ c[:-d]
     return c[..., 0]
+
+
+class _ScanSteps:
+    """The step matrices M (k, m, m) of a march that scans, decided once per
+    (problem, mesh) by :func:`_scan_steps`, with two sets of
+    :func:`_scan_levels`, each composed on first use: ``forward()`` of M,
+    for :func:`_scan_march`, and ``backward()`` of M_{k-1}^T, ..., M_1^T,
+    for the gradient's sweep.  A set above :data:`SCAN_LEVEL_BYTES` is
+    composed again on each call and not stored."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self._levels = {}
+
+    def _stored(self, direction: str, M: np.ndarray) -> tuple:
+        levels = self._levels.get(direction)
+        if levels is None:
+            levels = _scan_levels(M)
+            if sum(L.nbytes for L in levels[1:]) <= SCAN_LEVEL_BYTES:
+                self._levels[direction] = levels
+        return levels
+
+    def forward(self) -> tuple:
+        return self._stored("forward", self.M)
+
+    def backward(self) -> tuple:
+        return self._stored("backward", self.M[:0:-1].transpose(0, 2, 1))
 
 
 def _bounded_growth(M: np.ndarray) -> bool:
@@ -210,9 +269,9 @@ def _bounded_growth(M: np.ndarray) -> bool:
     return bool(np.log(np.maximum(norms, 1.0)).sum() <= np.log(SCAN_GROWTH))
 
 
-def _scan_steps(fmap, disc: _Discretization) -> Optional[np.ndarray]:
-    """The M_j of the march z_{j+1} = M_j z_j + c_j, shape (k, m, m), for a
-    map ``fmap`` whose march scans, else None.
+def _scan_steps(fmap, disc: _Discretization) -> Optional[_ScanSteps]:
+    """The M_j of the march z_{j+1} = M_j z_j + c_j, shape (k, m, m), in a
+    :class:`_ScanSteps`, for a map ``fmap`` whose march scans, else None.
 
     A march scans when the drift is built with ``linear``, the kernel is
     zero or exponential, and the steps pass :func:`_bounded_growth`; the
@@ -232,7 +291,7 @@ def _scan_steps(fmap, disc: _Discretization) -> Optional[np.ndarray]:
     if not _bounded_growth(M):
         return None
     M.flags.writeable = False  # shared by every scan on the mesh
-    return M
+    return _ScanSteps(M)
 
 
 def _decide_scan(fmap, disc: _Discretization) -> _Discretization:
@@ -246,14 +305,14 @@ def _decide_scan(fmap, disc: _Discretization) -> _Discretization:
 
 def _scan_march(problem: ProblemData, disc: _Discretization, u: np.ndarray):
     """(states, velocities, w) of the march v_j = A x_j + u_j + w_j, u of
-    shape (k, n), by one :func:`_affine_scan` over ``disc.scan``, the
-    velocities from one stacked pass; None if a value is not finite, which
-    the node loop then names."""
-    M, n, h = disc.scan, problem.dim, disc.mesh.steps
+    shape (k, n), by one :func:`_affine_scan` over the forward levels of
+    ``disc.scan``, the velocities from one stacked pass; None if a value is
+    not finite, which the node loop then names."""
+    M, n, h = disc.scan.M, problem.dim, disc.mesh.steps
     with np.errstate(over="ignore", invalid="ignore"):
         z0, c = np.zeros(M.shape[1]), np.zeros(M.shape[:2])
         z0[:n], c[:, :n] = problem.x0, h[:, None] * u
-        z = np.concatenate([z0[None], _affine_scan(M, c, z0)])
+        z = np.concatenate([z0[None], _affine_scan(disc.scan.forward(), c, z0)])
         states = z[:, :n]
         if disc.tau is None:
             w = np.zeros_like(u)

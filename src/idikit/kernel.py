@@ -248,8 +248,10 @@ class _Discretization(NamedTuple):
     triangle; once sampled, a reference arc at the nodes, (k+1, n), and its
     derivative at the Gauss points, (k, GAUSS_ORDER, n); and, once
     :func:`dynamics._decide_scan` has looked at a velocity map (``drift``),
-    the step matrices of its march when that march scans (``scan``).  What
-    does not apply is None."""
+    the step matrices of its march when that march scans (``scan``, a
+    :class:`dynamics._ScanSteps` that composes the march's and the
+    gradient's scan levels on first use and keeps them for every later
+    scan on the mesh).  What does not apply is None."""
 
     mesh: TimeMesh
     kernel: VolterraKernel
@@ -263,7 +265,7 @@ class _Discretization(NamedTuple):
     ref_nodes: Optional[np.ndarray] = None
     ref_dot: Optional[np.ndarray] = None
     drift: Optional[object] = None      # the velocity map ``scan`` was decided for
-    scan: Optional[np.ndarray] = None   # (k, m, m), None where the march loops
+    scan: Optional[object] = None       # _ScanSteps, None where the march loops
 
 
 def _discretize(kernel: VolterraKernel, mesh: TimeMesh) -> _Discretization:

@@ -21,7 +21,9 @@ stacks); a linear drift A x as a plain callable, which the package steps
 node by node (it scans a drift built with ``linear``); the march of
 ``approximate_arc`` with one projection per node (the package projects
 every node of a zero kernel's march in one stacked pass, and scans a point
-body's).
+body's); the prefix scan of an affine recurrence that composes the doubling
+products of its steps on every call (the package composes them once per
+mesh and direction and runs only the passes over c).
 """
 
 import itertools
@@ -535,3 +537,21 @@ def project_u(cone, b):
         return max(0.0, float(cone.direction @ b)) * cone.direction
     lam, _ = nnls(cone.generators.T, b)
     return cone.generators.T @ lam
+
+
+def affine_scan(M, c, y0):
+    """y_j = M_j y_{j-1} + c_j for j = 0..k-1 from y_{-1} = y0 (zero-padded
+    to length m), forming the doubling products of M on every call: after
+    c_0 + M_0[:, :len(y0)] y0 and the pass of stride d, row j holds the
+    composition of the maps j - 2d + 1..j."""
+    c = c[..., None].copy()
+    k, d = len(c), 1
+    if k:
+        c[0, :, 0] += M[0, :, :len(y0)] @ y0
+    M = M.copy()
+    while d < k:
+        c[d:] += M[d:] @ c[:-d]
+        if 2 * d < k:
+            M[d:] = M[d:] @ M[:-d]
+        d *= 2
+    return c[..., 0]

@@ -55,6 +55,29 @@ def test_converge_csv_and_record(tmp_path):
     assert all(s["message"] == "" for s in rec["solves"])
 
 
+def test_record_has_one_line_per_key_and_rejects_non_finite_fields(tmp_path):
+    # each top-level key on a line of its own; a NaN or inf anywhere in the
+    # record, the wall time included, raises and writes nothing
+    cfg = load_config(_write(tmp_path, BASE.format(out=tmp_path / "out")))
+    path = tmp_path / "r.json"
+    extra = {"solves": [{"costs": [1.0, np.float64(0.5)], "note": "x"}]}
+    cli._write_record(path, "converge", cfg, [[8, np.float64(0.125), "a"]],
+                      ["k", "h", "flags"], extra, 0.25)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads("\n".join(lines))
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(rec) + 2
+    assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0]
+            for line in lines[1:-1]] == sorted(rec)
+    assert rec["rows"] == [[8, 0.125, "a"]] and rec["solves"] == extra["solves"]
+    for bad, wall in (({"solves": [{"costs": [1.0, float("nan")]}]}, 0.25),
+                      ({"x": np.float64(-np.inf)}, 0.25), ({}, float("nan"))):
+        path.unlink(missing_ok=True)
+        with pytest.raises(RuntimeError, match="non-finite numeric fields"):
+            cli._write_record(path, "converge", cfg, [[8, 0.125, ""]],
+                              ["k", "h", "flags"], bad, wall)
+        assert not path.exists()
+
+
 def test_demo_multipliers_are_normal_on_every_mesh(tmp_path):
     # configs/demo.ini's converge recovers lam = 1 multipliers on all three
     # meshes, and its record says so

@@ -12,7 +12,9 @@ raises a named error, and a scan that is not finite falls back to the
 loop, which names the stage and the node.  The scan takes its start state
 as the callers added it by hand, the gradient and the multipliers share one
 backward loop, and a mesh on the ``normal`` route takes one Euler-Lagrange
-pass.
+pass.  Every scan over composed levels is the compose-per-call scan of
+``oracles`` bit for bit, and a solve composes the march's and the
+gradient's levels once, or per scan above the byte budget.
 """
 
 import math
@@ -21,10 +23,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idikit import catalog, conditions, dynamics
+from idikit import bolza, catalog, conditions, dynamics
 from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
-                          build_discrete_problem, cost_breakdown,
-                          cost_gradient, forward_trajectory)
+                          SolveOptions, build_discrete_problem, cost_breakdown,
+                          cost_gradient, forward_trajectory, solve_Pk)
 from idikit.bolza import _scans
 from idikit.catalog import _quadratic_running
 from idikit.conditions import (_adjoint_sweep, _trajectory_terms,
@@ -39,8 +41,8 @@ from idikit.problem import (BallSet, CostShapeError, InflatedSet, ProblemData,
                             RunningCost, TerminalCost, WholeSpace)
 from idikit.setvalued import (BallOffset, GraphNormalCone, PolytopeOffset,
                               Singleton, _centers, graph_normal_cone)
-from oracles import (approximation_march, centers, loop_drift, per_row_arc,
-                     per_row_cost)
+from oracles import (affine_scan, approximation_march, centers, loop_drift,
+                     per_row_arc, per_row_cost)
 
 KS = (1, 2, 11, 200)
 
@@ -446,15 +448,144 @@ def test_the_seeded_scan_is_the_hand_seeded_one(k):
         hand = c.copy()
         if k:
             hand[0] += M[0, :, :len(y0)] @ y0
-        got = dynamics._affine_scan(M, c, y0)
+        levels = dynamics._scan_levels(M)
+        got = dynamics._affine_scan(levels, c, y0)
         assert got.shape == (k, m)
-        assert np.array_equal(got, dynamics._affine_scan(M, hand, np.zeros(0)))
+        assert np.array_equal(got, dynamics._affine_scan(levels, hand, np.zeros(0)))
         y, looped = np.zeros(m), np.empty((k, m))
         y[:len(y0)] = y0
         for j in range(k):
             y = looped[j] = M[j] @ y + c[j]
         if k:
             _assert_rel(got, looped)
+
+
+# --- the scan levels -------------------------------------------------------------
+
+@pytest.mark.parametrize("k", (0,) + KS + (10 ** 4,))
+def test_the_levels_scan_is_the_compose_per_call_one(k):
+    # the steps as each caller hands them over: the march's M, the
+    # gradient's reversed transposed view and a run of the sweep's reversed
+    # rows; each level is read-only
+    rng = np.random.default_rng(24)
+    for m in (2, 4):
+        M = np.eye(m) + 0.1 * rng.normal(size=(k, m, m))
+        M.flags.writeable = False
+        c = rng.normal(size=(k, m))
+        for steps, rows in ((M, c), (M[:0:-1].transpose(0, 2, 1), c[:0:-1]),
+                            (M[::-1][k // 3:], c[::-1][k // 3:])):
+            levels = dynamics._scan_levels(steps)
+            assert levels[0].strides == steps.strides
+            assert levels[0].size == 0 or np.shares_memory(levels[0], M)
+            assert not any(L.flags.writeable for L in levels)
+            assert len(levels) == 1 + math.ceil(math.log2(max(len(rows), 1)))
+            for y0 in (rng.normal(size=m), rng.normal(size=m // 2)):
+                assert np.array_equal(dynamics._affine_scan(levels, rows, y0),
+                                      affine_scan(steps, rows, y0))
+
+
+def _oracle_scans(monkeypatch):
+    """Every scan of the package by the compose-per-call oracle, on the
+    steps the caller handed to :func:`dynamics._scan_levels`."""
+    def scan(levels, c, y0):
+        return affine_scan(levels[0], c, y0)
+    for module in (dynamics, bolza, conditions):
+        monkeypatch.setattr(module, "_affine_scan", scan)
+
+
+@pytest.mark.parametrize("k", KS + (10 ** 4,))
+@pytest.mark.parametrize("kernel", ("zero", "fading"))
+def test_every_scan_is_the_compose_per_call_oracle(kernel, k, monkeypatch):
+    # the forward march, the gradient's backward scan and the runs of the
+    # multipliers' sweep, with m = n (zero kernel) and 2n (exponential),
+    # bit for bit the parent's scans; k = 0 has no mesh and is covered above
+    rng = np.random.default_rng(25)
+    sweeps = []
+    inner = conditions._scan_sweep
+    monkeypatch.setattr(conditions, "_scan_sweep",
+                        lambda *args: sweeps.append(inner(*args)) or sweeps[-1])
+    for n, drifts in DRIFTS.items():
+        mesh = _random_mesh(rng, k, 1.0)
+        dbp, _ = _linear_problem(drifts[0], KERNELS[kernel](), mesh, rng)
+        assert _scans(dbp)
+        u = ControlParameterization(rng.normal(size=(k, n))).projected(dbp)
+        tensors, glx, glv, _ = _trajectory_terms(dbp, forward_trajectory(dbp, u))
+        # runs of about 50 rows, so that a scan takes several levels
+        cones = _mixed_cones(rng, k, n, np.array(drifts[0]), p=(0.49, 0.49, 0.01, 0.01))
+        terms = (tensors, glx, glv, cones)
+        nu = rng.normal(size=n)
+
+        def run():
+            traj = forward_trajectory(dbp, u)
+            grad, _ = cost_gradient(dbp, u, rho=10.0, traj=traj)
+            return traj.states, traj.velocities, traj.w, grad, \
+                _adjoint_sweep(dbp, traj, terms, 1.0, nu).p
+        got = run()
+        with monkeypatch.context() as m:
+            _oracle_scans(m)
+            want = run()
+        assert all(p is not None for p in sweeps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def _solved(problem, k):
+    entry = catalog.get(problem)
+    dbp, controls, _, _ = build_discrete_problem(
+        entry.problem, TimeMesh.uniform(k, entry.problem.horizon), entry.reference)
+    traj, controls, log = solve_Pk(dbp, controls, SolveOptions(max_iter=200))
+    return dbp, traj, controls, log
+
+
+def _counted_levels(monkeypatch):
+    composed = []
+    inner = dynamics._scan_levels
+    monkeypatch.setattr(dynamics, "_scan_levels",
+                        lambda M: composed.append(M.shape) or inner(M))
+    return composed
+
+
+@pytest.mark.parametrize("problem, iterations", (("polytope_endpoint", 3),
+                                                 ("damped_volterra", 0)))
+def test_one_solve_composes_each_direction_once(problem, iterations, monkeypatch):
+    # the march's levels (composed by approximate_arc on a point body) and
+    # the gradient's, once per mesh however many marches and gradients the
+    # solve makes, stored read-only
+    composed = _counted_levels(monkeypatch)
+    marches = []
+    inner = dynamics._scan_march
+    monkeypatch.setattr(bolza, "_scan_march",
+                        lambda *args: marches.append(1) or inner(*args))
+    dbp, _, _, log = _solved(problem, 40)
+    steps = dbp._disc.scan
+    assert log.iterations >= iterations and len(marches) > log.iterations
+    assert sorted(steps._levels) == ["backward", "forward"]
+    assert composed == [(40, *steps.M.shape[1:]), (39, *steps.M.shape[1:])]
+    # level 0 is the march's M and the gradient's reversed transposed view
+    # of it, not a copy: the start state's product rounds by its layout
+    for direction, M in (("forward", steps.M),
+                         ("backward", steps.M[:0:-1].transpose(0, 2, 1))):
+        levels = steps._levels[direction]
+        assert levels[0].strides == M.strides and np.shares_memory(levels[0], M)
+        assert np.array_equal(levels[0], M)
+    for levels in steps._levels.values():
+        assert not any(L.flags.writeable for L in levels)
+        with pytest.raises(ValueError):
+            levels[-1][0, 0, 0] = 0.0
+
+
+def test_levels_over_the_budget_are_composed_per_scan(monkeypatch):
+    # below the bytes of M nothing is stored, every scan composes its own
+    # levels, and the solve is the stored one bit for bit
+    stored = _solved("polytope_endpoint", 40)
+    composed = _counted_levels(monkeypatch)
+    monkeypatch.setattr(dynamics, "SCAN_LEVEL_BYTES", stored[0]._disc.scan.M.nbytes - 1)
+    dbp, traj, controls, log = _solved("polytope_endpoint", 40)
+    assert dbp._disc.scan._levels == {}
+    assert len(composed) > 2
+    assert log.costs == stored[3].costs and log.iterations == stored[3].iterations
+    for got, want in ((traj.states, stored[1].states), (controls.u, stored[2].u)):
+        assert np.array_equal(got, want)
 
 
 # --- the approximation march -------------------------------------------------------
@@ -587,10 +718,11 @@ def test_the_solver_takes_the_approximations_scan_decision(monkeypatch):
 KINDS = np.array(["zero", "subspace", "ray", "polyhedral"])
 
 
-def _mixed_cones(rng, k, n, jacobian):
+def _mixed_cones(rng, k, n, jacobian, p=(0.35, 0.35, 0.15, 0.15)):
     """A cone stack of every kind, in runs: mostly ``zero`` and
-    ``subspace`` rows, with ``ray`` and ``polyhedral`` rows between."""
-    kind = KINDS[rng.choice(4, size=k, p=[0.35, 0.35, 0.15, 0.15])]
+    ``subspace`` rows, with ``ray`` and ``polyhedral`` rows between; ``p``
+    are the shares of the four kinds."""
+    kind = KINDS[rng.choice(4, size=k, p=p)]
     direction = rng.normal(size=(k, n))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     direction[kind != "ray"] = 0.0
