@@ -207,7 +207,9 @@ def _draw_continuous(rng):
 def _violations(instances, bound, oracle, cols, rtol, grid):
     """Which instances the bound fails, from one bound and one oracle call
     per length on the stacked fields; ``cols`` picks the oracle columns the
-    bound covers.  With a ``grid`` the three last fields are constant rows."""
+    bound covers.  With a ``grid`` the three last fields are constant rows.
+    A non-finite oracle or bound entry is a violation: no comparison with
+    NaN holds, so it would otherwise pass."""
     lengths = np.array([np.size(inst[1]) for inst in instances])
     bad = np.zeros(len(instances), dtype=bool)
     for m in np.unique(lengths):
@@ -218,8 +220,9 @@ def _violations(instances, bound, oracle, cols, rtol, grid):
             rows = [np.broadcast_to(r[:, None], (idx.size, grid.size)) for r in rows]
             extra = (grid,)
         actual = oracle(first, *rows, *extra)[:, cols]
-        bad[idx] = np.any(actual > bound(first, *rows, *extra) * (1 + rtol) + 1e-300,
-                          axis=1)
+        limit = bound(first, *rows, *extra)
+        bad[idx] = np.any((actual > limit * (1 + rtol) + 1e-300)
+                          | ~np.isfinite(actual) | ~np.isfinite(limit), axis=1)
     return bad
 
 

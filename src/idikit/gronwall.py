@@ -6,7 +6,9 @@ forward and backward recursions and an RK4 solve of the integro-ODE, each
 run on a stack of N instances: first argument (N,), rows (N, m) or (N, G).
 The bounds take such a stack too, or one instance (a scalar and rows (m,)
 or (G,)), and work along the last axis: row i of a stacked bound is bit for
-bit the call on instance i.  The bounds never consult the oracles.
+bit the call on instance i.  The bounds never consult the oracles.  The RK4
+oracle forms its stage times and finds their grid cells once per call, and
+steps only a uniform grid: any other grid raises GronwallDomainError.
 """
 
 from __future__ import annotations
@@ -231,6 +233,22 @@ def backward_extremal(x_k, c, b, a) -> np.ndarray:
     return x
 
 
+def _uniform_step(grid: np.ndarray) -> float:
+    """The cell width of an increasing uniform grid of at least two points.
+
+    Widths may differ from the first by 16 eps times the grid's largest
+    magnitude, room for the rounding np.linspace leaves; any other grid, or
+    one of fewer than two points, raises GronwallDomainError.
+    """
+    if grid.ndim != 1 or grid.size < 2:
+        raise GronwallDomainError("grid needs at least two points")
+    dx = np.diff(grid)
+    tol = 16 * np.finfo(float).eps * max(abs(grid[0]), abs(grid[-1]))
+    if not (np.all(dx > 0) and np.all(np.abs(dx - dx[0]) <= tol)):
+        raise GronwallDomainError("grid must be increasing and uniform")
+    return dx[0]
+
+
 def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
     """Equality case rho' = a + b1 rho + b2 int_0^t rho for N instances.
 
@@ -239,37 +257,57 @@ def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
     points as np.interp does.  Fixed-step RK4 with 4 substeps per grid cell
     on the state (rho, int rho), dense enough to sit far below the
     continuous bound's built-in exp(t) slack.  Returns rho on the grid,
-    shape (N, G).
+    shape (N, G).  A grid that is not uniform, or rows of another shape,
+    raise GronwallDomainError.
+
+    The stage times are formed up front, with the float arithmetic of the
+    stepping (t = grid[i], t + hh/2, t + hh, t += hh), and located in the
+    grid by one search; each stage then interpolates the three coefficients
+    as one (3, N) block of a (G, 3, N) array.  The result is bit for bit
+    the loop that looks up every stage on its own (``tests/oracles.py``).
     """
     grid = np.asarray(grid, dtype=float)
-    rows = [np.asarray(c, dtype=float) for c in (a, b1, b2)]
-
-    def f(t, r, q):
-        # np.interp(t, grid, row) for every coefficient row, with its
-        # arithmetic; t >= grid[0] throughout
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        if j == grid.size - 1 or grid[j] == t:
-            av, b1v, b2v = (c[:, j] for c in rows)
-        else:
-            dx = grid[j + 1] - grid[j]
-            av, b1v, b2v = ((c[:, j + 1] - c[:, j]) / dx * (t - grid[j]) + c[:, j]
-                            for c in rows)
-        return av + b1v * r + b2v * q, r
-
+    hh = _uniform_step(grid) / 4
     r = np.array(rho0, dtype=float)
+    rows = [np.asarray(c, dtype=float) for c in (a, b1, b2)]
+    if any(c.shape != (r.size, grid.size) for c in rows):
+        raise GronwallDomainError("coefficient rows must have shape (N, G)")
+    coeffs = np.stack([c.T for c in rows], axis=1)  # (G, 3, N)
+
+    # the 9 distinct stage times of each cell: column 0 is t = grid[i]; the
+    # substep whose t is in column s takes t + hh/2 in column s + 1 (its k2
+    # and k3) and t + hh in column s + 2 (its k4, and the next substep's t
+    # as t += hh gives it)
+    times = np.empty((grid.size - 1, 9))
+    times[:, 0] = grid[:-1]
+    for s in range(0, 8, 2):
+        times[:, s + 1] = times[:, s] + hh / 2
+        times[:, s + 2] = times[:, s] + hh
+    cells = np.searchsorted(grid, times, side="right") - 1
+    nodes = grid.tolist()
+
+    def at(t, j):
+        # np.interp(t, grid, row) for the three rows, with its arithmetic;
+        # t >= grid[0] throughout
+        if j == grid.size - 1 or nodes[j] == t:
+            return coeffs[j]
+        return (coeffs[j + 1] - coeffs[j]) / (nodes[j + 1] - nodes[j]) \
+            * (t - nodes[j]) + coeffs[j]
+
+    def f(c, r, q):
+        return c[0] + c[1] * r + c[2] * q, r
+
     q = np.zeros_like(r)
     out = np.empty((r.size, grid.size))
     out[:, 0] = r
-    hh = (grid[1] - grid[0]) / 4
-    for i in range(grid.size - 1):
-        t = grid[i]
-        for _ in range(4):
-            k1 = f(t, r, q)
-            k2 = f(t + hh / 2, r + hh / 2 * k1[0], q + hh / 2 * k1[1])
-            k3 = f(t + hh / 2, r + hh / 2 * k2[0], q + hh / 2 * k2[1])
-            k4 = f(t + hh, r + hh * k3[0], q + hh * k3[1])
+    for i, (ts, js) in enumerate(zip(times.tolist(), cells.tolist())):
+        c = [at(t, j) for t, j in zip(ts, js)]
+        for s in range(0, 8, 2):
+            k1 = f(c[s], r, q)
+            k2 = f(c[s + 1], r + hh / 2 * k1[0], q + hh / 2 * k1[1])
+            k3 = f(c[s + 1], r + hh / 2 * k2[0], q + hh / 2 * k2[1])
+            k4 = f(c[s + 2], r + hh * k3[0], q + hh * k3[1])
             r = r + hh / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             q = q + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            t += hh
         out[:, i + 1] = r
     return out

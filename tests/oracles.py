@@ -23,7 +23,10 @@ node by node (it scans a drift built with ``linear``); the march of
 every node of a zero kernel's march in one stacked pass, and scans a point
 body's); the prefix scan of an affine recurrence that composes the doubling
 products of its steps on every call (the package composes them once per
-mesh and direction and runs only the passes over c).
+mesh and direction and runs only the passes over c); the batched RK4 of the
+integro-ODE that searches the grid and interpolates each coefficient row at
+every stage on its own (the package forms every stage time and its cell up
+front and interpolates the three rows as one block).
 """
 
 import itertools
@@ -162,6 +165,42 @@ def integro_rk4(rho0, a, b1, b2, grid):
             y1 = y1 + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         out.append(y0)
     return np.array(out)
+
+
+def continuous_extremal_loop(rho0, a, b1, b2, grid):
+    """``continuous_extremal`` for N instances, rho0 (N,) and rows (N, G),
+    with one grid search and one interpolation per coefficient row at each
+    RK4 stage, in the order the stages run."""
+    grid = np.asarray(grid, dtype=float)
+    rows = [np.asarray(c, dtype=float) for c in (a, b1, b2)]
+
+    def f(t, r, q):
+        j = int(np.searchsorted(grid, t, side="right")) - 1
+        if j == grid.size - 1 or grid[j] == t:
+            av, b1v, b2v = (c[:, j] for c in rows)
+        else:
+            dx = grid[j + 1] - grid[j]
+            av, b1v, b2v = ((c[:, j + 1] - c[:, j]) / dx * (t - grid[j]) + c[:, j]
+                            for c in rows)
+        return av + b1v * r + b2v * q, r
+
+    r = np.array(rho0, dtype=float)
+    q = np.zeros_like(r)
+    out = np.empty((r.size, grid.size))
+    out[:, 0] = r
+    hh = (grid[1] - grid[0]) / 4
+    for i in range(grid.size - 1):
+        t = grid[i]
+        for _ in range(4):
+            k1 = f(t, r, q)
+            k2 = f(t + hh / 2, r + hh / 2 * k1[0], q + hh / 2 * k1[1])
+            k3 = f(t + hh / 2, r + hh / 2 * k2[0], q + hh / 2 * k2[1])
+            k4 = f(t + hh, r + hh * k3[0], q + hh * k3[1])
+            r = r + hh / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            q = q + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += hh
+        out[:, i + 1] = r
+    return out
 
 
 def penalized_objective(dbp, u, rho):

@@ -9,7 +9,8 @@ from idikit import catalog, cli
 from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
-from idikit.gronwall import discrete_gronwall_backward, discrete_gronwall_forward
+from idikit.gronwall import (continuous_extremal, discrete_gronwall_backward,
+                             discrete_gronwall_forward)
 from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
 from oracles import backward_recursion, forward_recursion, per_row_cost
@@ -307,6 +308,29 @@ def test_each_failing_suite_replays_its_own_instance(tmp_path, monkeypatch):
     assert set(last) == {"gronwall_forward", "gronwall_backward"}
     rec = json.loads((tmp_path / "out" / "t_audit.json").read_text())
     assert {f["check"]: f["replay"] for f in rec["failures"]} == last
+
+
+def test_non_finite_oracle_row_is_a_violation(tmp_path, monkeypatch):
+    # a NaN compares False with any bound: the audit must still count the
+    # row, FAIL its suite and replay that instance
+    seen = {}
+
+    def nan_row(rho0, a, b1, b2, grid):
+        out = continuous_extremal(rho0, a, b1, b2, grid)
+        out[7, 30] = np.nan
+        seen.update(rho0=rho0[7], a=a[7, 0], b1=b1[7, 0], b2=b2[7, 0])
+        return out
+
+    monkeypatch.setattr(cli, "continuous_extremal", nan_row)
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out") +
+                  "\n[audit]\nn_instances = 20\nmesh_k = 12\n")
+    assert main(["audit", cfgp]) == 1
+    lines = (tmp_path / "out" / "t_audit.csv").read_text().splitlines()
+    rows = {ln.split(",")[0]: ln.split(",") for ln in lines[2:]}
+    assert rows["gronwall_continuous"][2:4] == ["FAIL", "1"]
+    rec = json.loads((tmp_path / "out" / "t_audit.json").read_text())
+    assert [f["check"] for f in rec["failures"]] == ["gronwall_continuous"]
+    assert rec["failures"][0]["replay"] == {"suite": "continuous", **seen}
 
 
 def test_audit_calls_bound_and_oracle_once_per_length(tmp_path, monkeypatch):

@@ -1,16 +1,18 @@
 import bisect
+import itertools
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 from idikit.gronwall import (BoundCertificate, GronwallDomainError,
-                             _cumulative_simpson, apriori_bounds,
+                             _cumulative_simpson, _uniform_step, apriori_bounds,
                              backward_extremal,
                              continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
                              discrete_gronwall_forward, forward_extremal)
-from oracles import backward_recursion, forward_recursion, integro_rk4
+from oracles import (backward_recursion, continuous_extremal_loop,
+                     forward_recursion, integro_rk4)
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -243,6 +245,72 @@ def test_batched_continuous_oracle_matches_scalar():
             continuous_extremal(rho0, a, b1, b2, grid),
             [integro_rk4(*row, grid) for row in zip(rho0, a, b1, b2)],
             rtol=1e-12, atol=0)
+
+
+def _coefficient_rows(rng, n, grid, constant):
+    """Three (N, G) rows: one value per instance broadcast along the grid,
+    as the audit passes them, or independent samples at every point."""
+    if constant:
+        return [np.broadcast_to(rng.exponential(0.4, (n, 1)), (n, grid.size))
+                for _ in range(3)]
+    return [rng.exponential(0.4, (n, grid.size)) for _ in range(3)]
+
+
+def test_continuous_extremal_is_the_stage_loop_bit_for_bit():
+    rng = np.random.default_rng(5152)
+    for g, n, start, constant in itertools.product(
+            (2, 3, 33, 65, 81), (1, 250), (0.0, 1e3), (True, False)):
+        grid = np.linspace(start, start + 1.0, g)
+        rho0 = rng.exponential(1.0, n)
+        rows = _coefficient_rows(rng, n, grid, constant)
+        assert np.array_equal(continuous_extremal(rho0, *rows, grid),
+                              continuous_extremal_loop(rho0, *rows, grid)), \
+            (g, n, start, constant)
+
+
+def test_continuous_extremal_stage_at_a_node_and_one_ulp_off():
+    # on linspace(0, 1, 33) the accumulated t + hh of every cell's last
+    # stage is the next node exactly (the exact-node branch); every other
+    # inner node moved one ulp down or up puts it one ulp past the node (the
+    # next cell's interpolation) or one ulp short of it
+    rng = np.random.default_rng(5153)
+    exact = np.linspace(0.0, 1.0, 33)
+    hh = (exact[1] - exact[0]) / 4
+    seen = set()
+    for way in (0.0, -np.inf, np.inf):
+        grid = exact.copy()
+        if way:
+            grid[1:-1:2] = np.nextafter(grid[1:-1:2], way)
+        end = grid[:-1]
+        for _ in range(4):
+            end = end + hh
+        seen |= {int(e) for e in np.sign(end - grid[1:])}
+        rho0 = rng.exponential(1.0, 250)
+        rows = _coefficient_rows(rng, 250, grid, False)
+        assert np.array_equal(continuous_extremal(rho0, *rows, grid),
+                              continuous_extremal_loop(rho0, *rows, grid)), way
+    assert seen == {-1, 0, 1}
+
+
+def test_continuous_extremal_rejects_what_it_cannot_step():
+    # fixed steps of the first cell's width would answer rho0 = 0, a = 1,
+    # b = 0 on [0, .1, .5, 1] with 0.2 at t = 0.5, where rho = t is 0.5
+    for grid, g in ((np.array([0.0, 0.1, 0.5, 1.0]), 4),  # not uniform
+                    (np.linspace(0.0, 1.0, 4), 5),        # rows too long
+                    (np.array([0.0]), 1),                 # a single point
+                    (np.linspace(1.0, 0.0, 5), 5)):       # decreasing
+        ones = np.ones((1, g))
+        with pytest.raises(GronwallDomainError):
+            continuous_extremal(np.zeros(1), ones, 0 * ones, 0 * ones, grid)
+
+
+def test_uniform_step_takes_every_linspace_grid():
+    # widths of linspace(0.1, 0.4, g) differ by up to 1.25 eps * 0.4
+    for start, span in itertools.product((0.0, -3.0, 0.1, 1e6),
+                                         (1.0, 1e-3, 0.3, 7.5, 250.0)):
+        for g in range(2, 201):
+            grid = np.linspace(start, start + span, g)
+            assert _uniform_step(grid) == grid[1] - grid[0], (start, span, g)
 
 
 # --- a-priori bounds ----------------------------------------------------------
