@@ -187,21 +187,25 @@ def run_convergence_study(cfg: ExperimentConfig):
     return rows, meta
 
 
+# Each draw takes its rows from one generator call: an array fills in C
+# order, value after value, so a (3, m) block is the stream of three rows
+# of m drawn one after another, and the generator ends in the same state.
+
 def _draw_forward(rng):
     m = int(rng.integers(1, 10))
     e0 = rng.exponential(1.0)
-    return (e0, *(rng.exponential(0.5, m) for _ in range(3)))
+    return (e0, *rng.exponential(0.5, (3, m)))
 
 
 def _draw_backward(rng):
     m = int(rng.integers(2, 10))
-    c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+    c, b, a = rng.exponential(0.5, (3, m))
     return (rng.exponential(1.0), c, b, a)
 
 
 def _draw_continuous(rng):
     # rho0, then the one value of each constant coefficient row a, b1, b2
-    return (rng.exponential(1.0), *(rng.exponential(0.4) for _ in range(3)))
+    return (rng.exponential(1.0), *rng.exponential(0.4, 3).tolist())
 
 
 def _violations(instances, bound, oracle, cols, rtol, grid):

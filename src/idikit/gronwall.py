@@ -7,8 +7,10 @@ run on a stack of N instances: first argument (N,), rows (N, m) or (N, G).
 The bounds take such a stack too, or one instance (a scalar and rows (m,)
 or (G,)), and work along the last axis: row i of a stacked bound is bit for
 bit the call on instance i.  The bounds never consult the oracles.  The RK4
-oracle forms its stage times and finds their grid cells once per call, and
-steps only a uniform grid: any other grid raises GronwallDomainError.
+oracle forms its stage times and finds their grid cells once per call,
+interpolates each cell's stage coefficients as one block and steps the
+packed (int rho, rho, rho') rows of one workspace; it takes only a uniform
+grid: any other grid raises GronwallDomainError.
 """
 
 from __future__ import annotations
@@ -262,52 +264,91 @@ def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
 
     The stage times are formed up front, with the float arithmetic of the
     stepping (t = grid[i], t + hh/2, t + hh, t += hh), and located in the
-    grid by one search; each stage then interpolates the three coefficients
-    as one (3, N) block of a (G, 3, N) array.  The result is bit for bit
-    the loop that looks up every stage on its own (``tests/oracles.py``).
+    grid by one search; each cell then interpolates the three coefficients
+    at its 9 distinct stages as one (9, 3, N) block.  Stage s of a substep
+    is the rows (q, r, k) of one (4, 3, N) workspace, so its state (q, r)
+    and its slope (r, k) are two overlapping views and every step of the
+    stage scheme runs on both components at once, in place.  The result is
+    bit for bit the loop that looks up every stage on its own and steps rho
+    and int rho as separate rows (``tests/oracles.py``).
     """
     grid = np.asarray(grid, dtype=float)
     hh = _uniform_step(grid) / 4
-    r = np.array(rho0, dtype=float)
-    rows = [np.asarray(c, dtype=float) for c in (a, b1, b2)]
-    if any(c.shape != (r.size, grid.size) for c in rows):
+    rho0 = np.array(rho0, dtype=float)
+    n, g = rho0.size, grid.size
+    rows = [np.asarray(c, dtype=float) for c in (b2, b1, a)]
+    if any(c.shape != (n, g) for c in rows):
         raise GronwallDomainError("coefficient rows must have shape (N, G)")
-    coeffs = np.stack([c.T for c in rows], axis=1)  # (G, 3, N)
+    # (G, 3, N): b2, b1, a, C-ordered so that taking a cell's stage rows
+    # copies only those rows
+    coeffs = np.empty((g, 3, n))
+    for k, c in enumerate(rows):
+        coeffs[:, k] = c.T
 
     # the 9 distinct stage times of each cell: column 0 is t = grid[i]; the
     # substep whose t is in column s takes t + hh/2 in column s + 1 (its k2
     # and k3) and t + hh in column s + 2 (its k4, and the next substep's t
     # as t += hh gives it)
-    times = np.empty((grid.size - 1, 9))
+    times = np.empty((g - 1, 9))
     times[:, 0] = grid[:-1]
     for s in range(0, 8, 2):
         times[:, s + 1] = times[:, s] + hh / 2
         times[:, s + 2] = times[:, s] + hh
-    cells = np.searchsorted(grid, times, side="right") - 1
-    nodes = grid.tolist()
+    # np.interp(t, grid, row) with its arithmetic, (c[j+1] - c[j]) / dx_j *
+    # (t - x_j) + c[j], and c[j] itself where t == x_j or j == G - 1
+    lo = np.searchsorted(grid, times, side="right") - 1
+    hi = np.minimum(lo + 1, g - 1)
+    exact = (lo == g - 1) | (grid[lo] == times)
+    width = np.where(exact, 1.0, grid[hi] - grid[lo])[..., None, None]
+    offset = (times - grid[lo])[..., None, None]
+    exact = exact[..., None, None]
+    left = np.empty((9, 3, n))
+    stage = np.empty((9, 3, n))  # rows b2, b1, a at the 9 stage times
 
-    def at(t, j):
-        # np.interp(t, grid, row) for the three rows, with its arithmetic;
-        # t >= grid[0] throughout
-        if j == grid.size - 1 or nodes[j] == t:
-            return coeffs[j]
-        return (coeffs[j + 1] - coeffs[j]) / (nodes[j + 1] - nodes[j]) \
-            * (t - nodes[j]) + coeffs[j]
+    # W[s] = (q, r, k) of stage s: W[s, 0:2] its state, W[s, 1:3] its slope
+    W = np.empty((4, 3, n))
+    W[0, 0] = 0.0
+    W[0, 1] = rho0
+    y1, y2, y3, y4 = (W[s, 0:2] for s in range(4))
+    s1, s2, s3, s4 = (W[s, 1:3] for s in range(4))
+    k1, k2, k3, k4 = (W[s, 2] for s in range(4))
+    tmp = np.empty((2, n))
+    b2q, b1r = tmp
+    mid = W[1:3, 1:3]  # s2, s3
+    twice = np.empty((2, 2, n))
+    d2, d3 = twice
+    acc = np.empty((2, n))
+    half, sixth = hh / 2, hh / 6
+    # per substep: the (b2, b1) pairs and the a rows of its k1, k2 = k3, k4
+    substeps = [(stage[c, 0:2], stage[c + 1, 0:2], stage[c + 2, 0:2],
+                 stage[c, 2], stage[c + 1, 2], stage[c + 2, 2])
+                for c in range(0, 8, 2)]
+    mul, add = np.multiply, np.add
 
-    def f(c, r, q):
-        return c[0] + c[1] * r + c[2] * q, r
-
-    q = np.zeros_like(r)
-    out = np.empty((r.size, grid.size))
-    out[:, 0] = r
-    for i, (ts, js) in enumerate(zip(times.tolist(), cells.tolist())):
-        c = [at(t, j) for t, j in zip(ts, js)]
-        for s in range(0, 8, 2):
-            k1 = f(c[s], r, q)
-            k2 = f(c[s + 1], r + hh / 2 * k1[0], q + hh / 2 * k1[1])
-            k3 = f(c[s + 1], r + hh / 2 * k2[0], q + hh / 2 * k2[1])
-            k4 = f(c[s + 2], r + hh * k3[0], q + hh * k3[1])
-            r = r + hh / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            q = q + hh / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        out[:, i + 1] = r
+    out = np.empty((n, g))
+    out[:, 0] = rho0
+    for i in range(g - 1):
+        # mode="clip" takes without a buffer; every index is in range
+        coeffs.take(lo[i], axis=0, out=left, mode="clip")
+        coeffs.take(hi[i], axis=0, out=stage, mode="clip")
+        np.subtract(stage, left, out=stage)
+        np.divide(stage, width[i], out=stage)
+        np.multiply(stage, offset[i], out=stage)
+        np.add(stage, left, out=stage)
+        np.copyto(stage, left, where=exact[i])
+        for p1, p2, p4, a1, a2, a4 in substeps:
+            # k = (a + b1 r) + b2 q; the next stage's state is y + h slope
+            mul(p1, y1, out=tmp); add(a1, b1r, out=k1); add(k1, b2q, out=k1)
+            mul(half, s1, out=tmp); add(y1, tmp, out=y2)
+            mul(p2, y2, out=tmp); add(a2, b1r, out=k2); add(k2, b2q, out=k2)
+            mul(half, s2, out=tmp); add(y1, tmp, out=y3)
+            mul(p2, y3, out=tmp); add(a2, b1r, out=k3); add(k3, b2q, out=k3)
+            mul(hh, s3, out=tmp); add(y1, tmp, out=y4)
+            mul(p4, y4, out=tmp); add(a4, b1r, out=k4); add(k4, b2q, out=k4)
+            # y += hh/6 (((s1 + 2 s2) + 2 s3) + s4)
+            mul(2.0, mid, out=twice)
+            add(s1, d2, out=acc); add(acc, d3, out=acc)
+            add(acc, s4, out=acc)
+            mul(sixth, acc, out=acc); add(y1, acc, out=y1)
+        out[:, i + 1] = W[0, 1]
     return out

@@ -9,11 +9,13 @@ from idikit import catalog, cli
 from idikit.catalog import CatalogEntry
 from idikit.cli import main
 from idikit.config import ConfigError, load_config
-from idikit.gronwall import (continuous_extremal, discrete_gronwall_backward,
+from idikit.gronwall import (continuous_extremal, continuous_gronwall,
+                             discrete_gronwall_backward,
                              discrete_gronwall_forward)
 from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
-from oracles import backward_recursion, forward_recursion, per_row_cost
+from oracles import (backward_recursion, continuous_extremal_loop,
+                     forward_recursion, per_row_cost)
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -360,6 +362,65 @@ def test_audit_calls_bound_and_oracle_once_per_length(tmp_path, monkeypatch):
         assert calls[bound] == calls[oracle]
         rows, ms = zip(*calls[bound])
         assert sum(rows) == 250 and len(set(ms)) == len(ms) == lengths
+
+
+
+def test_block_draws_are_the_one_at_a_time_stream():
+    # each suite's draw takes its rows from one generator call; the values,
+    # their types and the generator's state after them are those of
+    # drawing every row and value on its own
+    def forward(rng):
+        m = int(rng.integers(1, 10))
+        e0 = rng.exponential(1.0)
+        return (e0, *(rng.exponential(0.5, m) for _ in range(3)))
+
+    def backward(rng):
+        m = int(rng.integers(2, 10))
+        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+        return (rng.exponential(1.0), c, b, a)
+
+    def continuous(rng):
+        return (rng.exponential(1.0), *(rng.exponential(0.4) for _ in range(3)))
+
+    for seed in (0, 3, 17, 2024, 99991):
+        blocks, singles = np.random.default_rng(seed), np.random.default_rng(seed)
+        for draw, one_by_one in ((cli._draw_forward, forward),
+                                 (cli._draw_backward, backward),
+                                 (cli._draw_continuous, continuous)):
+            for _ in range(100):
+                got, want = draw(blocks), one_by_one(singles)
+                assert len(got) == len(want) == 4
+                for g, w in zip(got, want):
+                    assert type(g) is type(w) and np.array_equal(g, w), seed
+        assert blocks.bit_generator.state == singles.bit_generator.state
+        assert blocks.random() == singles.random()
+
+
+@pytest.mark.parametrize("taper", [None, 0.4])
+def test_audit_with_the_loop_oracle_is_the_same_audit(tmp_path, monkeypatch, taper):
+    # the whole audit, once with the shipped RK4 oracle and once with the
+    # stage loop it must equal bit for bit; with a taper the continuous
+    # bound falls linearly from itself at t = 0 to 0.4 of itself at t = 1,
+    # so that the oracle's values decide which instances violate it and
+    # which one the record replays
+    if taper:
+        monkeypatch.setattr(cli, "continuous_gronwall", lambda *args: (
+            continuous_gronwall(*args) * np.linspace(1.0, taper, args[-1].size)))
+
+    def audit(out):
+        cfgp = _write(tmp_path, BASE.format(out=out) +
+                      "\n[audit]\nn_instances = 250\nmesh_k = 12\n",
+                      name=f"{out.name}.ini")
+        code = main(["audit", cfgp])
+        rec = json.loads((out / "t_audit.json").read_text())
+        return code, (out / "t_audit.csv").read_bytes(), rec["rows"], rec["failures"]
+
+    shipped = audit(tmp_path / "shipped")
+    monkeypatch.setattr(cli, "continuous_extremal", continuous_extremal_loop)
+    assert audit(tmp_path / "loop") == shipped
+    if taper:
+        violations = shipped[3][0]["violations"]
+        assert shipped[0] == 1 and 0 < violations < 250
 
 
 MEMORY = """

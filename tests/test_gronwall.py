@@ -292,6 +292,37 @@ def test_continuous_extremal_stage_at_a_node_and_one_ulp_off():
     assert seen == {-1, 0, 1}
 
 
+def test_continuous_extremal_on_no_instances():
+    grid = np.linspace(0.0, 1.0, 33)
+    rows = [np.empty((0, grid.size))] * 3
+    out = continuous_extremal(np.empty(0), *rows, grid)
+    assert out.shape == (0, grid.size)
+    assert np.array_equal(out, continuous_extremal_loop(np.empty(0), *rows, grid))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_continuous_extremal_non_finite_is_the_loop():
+    # one inf, -inf or NaN in one instance's a, b1 or b2, at the first, an
+    # inner or the last node: stages on that node take it as it is, stages
+    # between it and its neighbours interpolate it; the audit counts a
+    # non-finite entry as a violation, so NaN and inf must land where the
+    # loop puts them
+    rng = np.random.default_rng(5154)
+    grid = np.linspace(0.0, 1.0, 33)
+    seen = set()
+    for row, node, value in itertools.product(
+            range(3), (0, 12, grid.size - 1), (np.inf, -np.inf, np.nan)):
+        rho0 = rng.exponential(1.0, 4)
+        rows = _coefficient_rows(rng, 4, grid, False)
+        rows[row][2, node] = value
+        got = continuous_extremal(rho0, *rows, grid)
+        assert np.array_equal(got, continuous_extremal_loop(rho0, *rows, grid),
+                              equal_nan=True), (row, node, value)
+        assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
+        seen |= {"nan" if np.isnan(v) else v for v in got[2] if not np.isfinite(v)}
+    assert seen == {"nan", np.inf, -np.inf}
+
+
 def test_continuous_extremal_rejects_what_it_cannot_step():
     # fixed steps of the first cell's width would answer rho0 = 0, a = 1,
     # b = 0 on [0, .1, .5, 1] with 0.2 at t = 0.5, where rho = t is 0.5
