@@ -187,47 +187,62 @@ def run_convergence_study(cfg: ExperimentConfig):
     return rows, meta
 
 
-# Each draw takes its rows from one generator call: an array fills in C
-# order, value after value, so a (3, m) block is the stream of three rows
-# of m drawn one after another, and the generator ends in the same state.
+# Each draw takes its values from one generator call: an array fills in C
+# order, value after value, and exponential(scale) is scale times
+# standard_exponential, so the block scaled is the stream of every value
+# drawn one after another, and the generator ends in the same state.  A
+# scale of 1.0 leaves a value as it is.
 
 def _draw_forward(rng):
     m = int(rng.integers(1, 10))
-    e0 = rng.exponential(1.0)
-    return (e0, *rng.exponential(0.5, (3, m)))
+    z = rng.standard_exponential(1 + 3 * m)
+    return (float(z[0]), *(0.5 * z[1:]).reshape(3, m))
 
 
 def _draw_backward(rng):
     m = int(rng.integers(2, 10))
-    c, b, a = rng.exponential(0.5, (3, m))
-    return (rng.exponential(1.0), c, b, a)
+    z = rng.standard_exponential(3 * m + 1)
+    return (float(z[-1]), *(0.5 * z[:-1]).reshape(3, m))
 
 
 def _draw_continuous(rng):
     # rho0, then the one value of each constant coefficient row a, b1, b2
-    return (rng.exponential(1.0), *rng.exponential(0.4, 3).tolist())
+    z = rng.standard_exponential(4)
+    return (float(z[0]), *(0.4 * z[1:]).tolist())
 
 
-def _violations(instances, bound, oracle, cols, rtol, grid):
+def _violations(instances, bound, oracle, cols, rtol, grid, front):
     """Which instances the bound fails, from one bound and one oracle call
-    per length on the stacked fields; ``cols`` picks the oracle columns the
-    bound covers.  With a ``grid`` the three last fields are constant rows.
-    A non-finite oracle or bound entry is a violation: no comparison with
-    NaN holds, so it would otherwise pass."""
-    lengths = np.array([np.size(inst[1]) for inst in instances])
-    bad = np.zeros(len(instances), dtype=bool)
-    for m in np.unique(lengths):
-        idx = np.flatnonzero(lengths == m)
-        first, *rows = (np.array([instances[i][p] for i in idx]) for p in range(4))
-        extra = ()
-        if grid is not None:
-            rows = [np.broadcast_to(r[:, None], (idx.size, grid.size)) for r in rows]
-            extra = (grid,)
-        actual = oracle(first, *rows, *extra)[:, cols]
-        limit = bound(first, *rows, *extra)
-        bad[idx] = np.any((actual > limit * (1 + rtol) + 1e-300)
-                          | ~np.isfinite(actual) | ~np.isfinite(limit), axis=1)
-    return bad
+    on the stacked fields; ``cols`` picks the oracle columns the bound
+    covers.  With a ``grid`` the three last fields are constant rows.
+    Otherwise the rows are zero-padded to the longest, at the front where
+    ``front`` (a recursion anchored at its terminal) and at the end else (a
+    causal one); the columns as far from the padded side as the row is
+    short are covered, and in those row i of both calls is bit for bit the
+    call on instance i alone.  Only covered columns count.  A non-finite
+    oracle or bound entry is a violation: no comparison with NaN holds, so
+    it would otherwise pass."""
+    n = len(instances)
+    first = np.array([inst[0] for inst in instances])
+    if grid is not None:
+        rows = [np.broadcast_to(r[:, None], (n, grid.size))
+                for r in np.array([inst[1:] for inst in instances]).T]
+        actual = oracle(first, *rows, grid)[:, cols]
+        limit = bound(first, *rows, grid)
+        pad = 0
+    else:
+        lengths = np.array([np.size(inst[1]) for inst in instances])
+        width = lengths.max()
+        rows = np.zeros((3, n, width))
+        for i, (inst, m) in enumerate(zip(instances, lengths.tolist())):
+            rows[:, i, slice(width - m, None) if front else slice(m)] = inst[1:]
+        actual = oracle(first, *rows)[:, cols]
+        limit = bound(first, *rows)
+        pad = (width - lengths)[:, None]
+    at = np.arange(actual.shape[1])
+    covered = at >= pad if front else at < actual.shape[1] - pad
+    return np.any(covered & ((actual > limit * (1 + rtol) + 1e-300)
+                             | ~np.isfinite(actual) | ~np.isfinite(limit)), axis=1)
 
 
 def run_bound_audit(cfg: ExperimentConfig):
@@ -300,20 +315,23 @@ def run_bound_audit(cfg: ExperimentConfig):
     # each suite: its name and replay fields, the draw of one instance (from
     # the one seeded rng, suite after suite), the bound and its oracle (named
     # here, at call time), the oracle columns, the relative slack, the grid
+    # and whether its rows are padded at the front (terminal-anchored)
     suite_specs = (
         ("forward", ("e0", "sigma", "rho", "gamma"), _draw_forward,
-         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, None),
+         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, None,
+         False),
         ("backward", ("x_k", "c", "b", "a"), _draw_backward,
-         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12, None),
+         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12, None,
+         True),
         ("continuous", ("rho0", "a", "b1", "b2"), _draw_continuous,
-         continuous_gronwall, continuous_extremal, slice(None), 1e-9, grid),
+         continuous_gronwall, continuous_extremal, slice(None), 1e-9, grid, False),
     )
     suites = {}
-    for name, fields, draw, bound, oracle, cols, rtol, on_grid in suite_specs:
+    for name, fields, draw, bound, oracle, cols, rtol, on_grid, front in suite_specs:
         label = f"gronwall_{name}"
         started = time.perf_counter()
         instances = [draw(rng) for _ in range(n)]
-        bad = _violations(instances, bound, oracle, cols, rtol, on_grid)
+        bad = _violations(instances, bound, oracle, cols, rtol, on_grid, front)
         count = int(bad.sum())
         suites[label] = {"instances": n, "violations": count,
                          "wall_s": time.perf_counter() - started}

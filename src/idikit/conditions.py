@@ -248,15 +248,12 @@ def adjoint_norm_bound(problem: DiscreteBolzaProblem, mult: MultiplierSet) -> fl
 def _el_residuals(problem: DiscreteBolzaProblem, lam: float, p: np.ndarray,
                   terms: tuple) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1 of (lam, p) on
-    ``terms`` (:func:`_trajectory_terms`).  The memory couplings of p are
-    collected from j = k-1 down, the order in which they are a running sum;
+    ``terms`` (:func:`_trajectory_terms`).  The memory couplings of p come
+    from :meth:`~idikit.kernel.QuadratureTensors.couplings` in one call;
     the distances are then one stacked pass."""
     h = problem.mesh.steps[:, None]
     t, glx, glv, cones = terms
-    coupling = t.backward_coupling(p[1:])
-    couplings = np.empty_like(t.theta)
-    for j in range(problem.mesh.k - 1, -1, -1):
-        couplings[j] = coupling(j)
+    couplings = t.couplings(p[1:])
     p0, p1 = p[:-1], p[1:]
     pin = lam * (glv + t.theta / h)
     lhs1 = ((p1 - p0) / h

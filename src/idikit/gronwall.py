@@ -6,11 +6,18 @@ forward and backward recursions and an RK4 solve of the integro-ODE, each
 run on a stack of N instances: first argument (N,), rows (N, m) or (N, G).
 The bounds take such a stack too, or one instance (a scalar and rows (m,)
 or (G,)), and work along the last axis: row i of a stacked bound is bit for
-bit the call on instance i.  The bounds never consult the oracles.  The RK4
-oracle forms its stage times and finds their grid cells once per call,
-interpolates each cell's stage coefficients as one block and steps the
-packed (int rho, rho, rho') rows of one workspace; it takes only a uniform
-grid: any other grid raises GronwallDomainError.
+bit the call on instance i.  Instances of different lengths may share one
+stack zero-padded to the longest, at the end for the forward recursion
+(causal: a row's first m + 1 columns do not see the padding) and at the
+front for the backward one (anchored at the terminal: a row's last m - 1
+covered columns do not see it); in those covered columns row i of a bound
+or of its oracle is bit for bit the call on instance i, and zero padding
+passes the nonnegativity checks and stays finite.  The bounds never
+consult the oracles.  The RK4 oracle forms its stage times and finds their
+grid cells once per call, interpolates each cell's stage coefficients as
+one block (once per call for rows that are constant, finite and free of
+-0.0) and steps the packed (int rho, rho, rho') rows of one workspace; it
+takes only a uniform grid: any other grid raises GronwallDomainError.
 """
 
 from __future__ import annotations
@@ -265,12 +272,15 @@ def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
     The stage times are formed up front, with the float arithmetic of the
     stepping (t = grid[i], t + hh/2, t + hh, t += hh), and located in the
     grid by one search; each cell then interpolates the three coefficients
-    at its 9 distinct stages as one (9, 3, N) block.  Stage s of a substep
-    is the rows (q, r, k) of one (4, 3, N) workspace, so its state (q, r)
-    and its slope (r, k) are two overlapping views and every step of the
-    stage scheme runs on both components at once, in place.  The result is
-    bit for bit the loop that looks up every stage on its own and steps rho
-    and int rho as separate rows (``tests/oracles.py``).
+    at its 9 distinct stages as one (9, 3, N) block, or, where every row is
+    constant along the grid, finite and free of -0.0, fills that block once
+    with the rows themselves, which the interpolation would give back bit
+    for bit.  Stage s of a substep is the rows (q, r, k) of one (4, 3, N)
+    workspace, so its state (q, r) and its slope (r, k) are two overlapping
+    views and every step of the stage scheme runs on both components at
+    once, in place.  The result is bit for bit the loop that looks up every
+    stage on its own and steps rho and int rho as separate rows
+    (``tests/oracles.py``).
     """
     grid = np.asarray(grid, dtype=float)
     hh = _uniform_step(grid) / 4
@@ -325,17 +335,26 @@ def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
                 for c in range(0, 8, 2)]
     mul, add = np.multiply, np.add
 
+    # rows constant along the grid, finite and free of -0.0: there
+    # (c - c) / dx * (t - x) + c is c itself, so every stage of every cell
+    # takes the first node's rows and the block is filled once
+    constant = ((coeffs == coeffs[0]).all() and np.isfinite(coeffs).all()
+                and not np.signbit(coeffs[coeffs == 0.0]).any())
+    if constant:
+        stage[:] = coeffs[0]
+
     out = np.empty((n, g))
     out[:, 0] = rho0
     for i in range(g - 1):
-        # mode="clip" takes without a buffer; every index is in range
-        coeffs.take(lo[i], axis=0, out=left, mode="clip")
-        coeffs.take(hi[i], axis=0, out=stage, mode="clip")
-        np.subtract(stage, left, out=stage)
-        np.divide(stage, width[i], out=stage)
-        np.multiply(stage, offset[i], out=stage)
-        np.add(stage, left, out=stage)
-        np.copyto(stage, left, where=exact[i])
+        if not constant:
+            # mode="clip" takes without a buffer; every index is in range
+            coeffs.take(lo[i], axis=0, out=left, mode="clip")
+            coeffs.take(hi[i], axis=0, out=stage, mode="clip")
+            np.subtract(stage, left, out=stage)
+            np.divide(stage, width[i], out=stage)
+            np.multiply(stage, offset[i], out=stage)
+            np.add(stage, left, out=stage)
+            np.copyto(stage, left, where=exact[i])
         for p1, p2, p4, a1, a2, a4 in substeps:
             # k = (a + b1 r) + b2 q; the next stage's state is y + h slope
             mul(p1, y1, out=tmp); add(a1, b1r, out=k1); add(k1, b2q, out=k1)

@@ -26,7 +26,12 @@ products of its steps on every call (the package composes them once per
 mesh and direction and runs only the passes over c); the batched RK4 of the
 integro-ODE that searches the grid and interpolates each coefficient row at
 every stage on its own (the package forms every stage time and its cell up
-front and interpolates the three rows as one block).
+front and interpolates the three rows as one block); the memory running
+sums stepped one numpy row per node: the panel recurrence's, and the
+memory averages of every cell from the march's own closure (the package
+runs each sum on Python floats, one column at a time); the audit's
+violation count with one bound and one oracle call per instance length
+(the package pads every suite to one stack).
 """
 
 import itertools
@@ -39,7 +44,7 @@ from scipy.spatial import ConvexHull
 
 from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
 from idikit.dynamics import _march, _sample_reference
-from idikit.kernel import _assemble_w, _discretize, kernel_average_w
+from idikit.kernel import _discretize, _memory_averages, kernel_average_w
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
                          sup_distance)
@@ -70,7 +75,7 @@ def approximation_march(problem, reference, mesh):
     ``distance_and_projection`` call per node."""
     disc = _sample_reference(reference, _discretize(problem.kernel, mesh))
     a = np.diff(disc.ref_nodes, axis=0) / mesh.steps[:, None]
-    b = _assemble_w(disc, disc.ref_nodes)
+    b = assemble_w_loop(disc, disc.ref_nodes)
     t = mesh.nodes
     return _march(problem, disc, lambda j, x, w: distance_and_projection(
         problem.fmap, t[j], x, a[j] - b[j])[1] + w, "approximate_arc")
@@ -426,6 +431,44 @@ def error_report(problem, reference, mesh, traj, tau_f):
         sup_error=sup_distance(mesh, arc, reference),
         state_l2_error=l2_distance(mesh, arc, reference),
         deriv_l2_error=math.sqrt(max(deriv_sq, 0.0)))
+
+
+def running_sums_loop(decay, terms):
+    """y_i = decay_i y_{i-1} + terms_i for i = 0..k-1 from y_{-1} = 0, one
+    numpy row of shape (n,) per step."""
+    decay, terms = np.asarray(decay, dtype=float), np.asarray(terms, dtype=float)
+    running = np.zeros((terms.shape[0] + 1, terms.shape[1]))
+    for i in range(terms.shape[0]):
+        running[i + 1] = decay[i] * running[i] + terms[i]
+    return running[1:]
+
+
+def assemble_w_loop(disc, states):
+    """The memory average of every cell of ``disc``, one call per cell to
+    the closure the march takes them from."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    w_of = _memory_averages(disc)
+    return np.array([w_of(j, states) for j in range(disc.mesh.k)])
+
+
+def violations_per_length(instances, bound, oracle, cols, rtol, grid):
+    """Which Gronwall instances the bound fails, from one bound and one
+    oracle call per instance length on the instances of that length
+    stacked; with a ``grid`` the three last fields are constant rows."""
+    lengths = np.array([np.size(inst[1]) for inst in instances])
+    bad = np.zeros(len(instances), dtype=bool)
+    for m in np.unique(lengths):
+        idx = np.flatnonzero(lengths == m)
+        first, *rows = (np.array([instances[i][p] for i in idx]) for p in range(4))
+        extra = ()
+        if grid is not None:
+            rows = [np.broadcast_to(r[:, None], (idx.size, grid.size)) for r in rows]
+            extra = (grid,)
+        actual = oracle(first, *rows, *extra)[:, cols]
+        limit = bound(first, *rows, *extra)
+        bad[idx] = np.any((actual > limit * (1 + rtol) + 1e-300)
+                          | ~np.isfinite(actual) | ~np.isfinite(limit), axis=1)
+    return bad
 
 
 def memory_coupling(xi, j, r):

@@ -15,7 +15,7 @@ from idikit.gronwall import (continuous_extremal, continuous_gronwall,
 from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
 from oracles import (backward_recursion, continuous_extremal_loop,
-                     forward_recursion, per_row_cost)
+                     forward_recursion, per_row_cost, violations_per_length)
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -335,11 +335,11 @@ def test_non_finite_oracle_row_is_a_violation(tmp_path, monkeypatch):
     assert rec["failures"][0]["replay"] == {"suite": "continuous", **seen}
 
 
-def test_audit_calls_bound_and_oracle_once_per_length(tmp_path, monkeypatch):
+def test_audit_calls_bound_and_oracle_once_per_suite(tmp_path, monkeypatch):
     # a count that does not depend on the machine: at n = 250 every suite
-    # stacks its instances by length and hands each stack to its bound and
-    # its oracle in one call, forward lengths 1..9, backward 2..9 and the
-    # continuous suite's one grid
+    # hands all its instances to its bound and its oracle in one call, the
+    # discrete rows zero-padded to the longest (9) and the continuous rows
+    # on the one grid
     calls = {}
 
     def counted(name, fn):
@@ -355,14 +355,93 @@ def test_audit_calls_bound_and_oracle_once_per_length(tmp_path, monkeypatch):
     cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out") +
                   "\n[audit]\nn_instances = 250\nmesh_k = 12\n")
     assert main(["audit", cfgp]) == 0
-    for bound, oracle, lengths in (
+    for bound, oracle, width in (
             ("discrete_gronwall_forward", "forward_extremal", 9),
-            ("discrete_gronwall_backward", "backward_extremal", 8),
-            ("continuous_gronwall", "continuous_extremal", 1)):
-        assert calls[bound] == calls[oracle]
-        rows, ms = zip(*calls[bound])
-        assert sum(rows) == 250 and len(set(ms)) == len(ms) == lengths
+            ("discrete_gronwall_backward", "backward_extremal", 9),
+            ("continuous_gronwall", "continuous_extremal", 65)):
+        assert calls[bound] == calls[oracle] == [(250, width)]
 
+
+_SUITES = {  # the discrete suites' draw, bound, oracle, columns and padding
+    "forward": (cli._draw_forward, discrete_gronwall_forward,
+                cli.forward_extremal, slice(None), False),
+    "backward": (cli._draw_backward, discrete_gronwall_backward,
+                 cli.backward_extremal, slice(1, -2), True),
+}
+
+
+def _tapered(bound, front):
+    # 0.93 per column away from the anchored side: a covered column keeps
+    # its factor however far its row is padded
+    def call(*args):
+        out = bound(*args)
+        taper = 0.93 ** np.arange(out.shape[-1])
+        return out * (taper[::-1] if front else taper)
+    return call
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_padded_suites_are_the_per_length_audit(suite):
+    # one padded stack per suite gives the violations of one call per
+    # instance length, on the shipped bounds (no violation), the halved and
+    # the tapered ones (some), and a stack of one length
+    draw, bound, oracle, cols, front = _SUITES[suite]
+    found = 0
+    for seed in (0, 1, 9, 123, 2024, 31337):
+        rng = np.random.default_rng(seed)
+        instances = [draw(rng) for _ in range(250)]
+        one_length = [inst for inst in instances if np.size(inst[1]) == 5]
+        for insts in (instances, one_length, instances[:1]):
+            for b in (bound, _halved(bound), _tapered(bound, front)):
+                got = cli._violations(insts, b, oracle, cols, 1e-12, None, front)
+                want = violations_per_length(insts, b, oracle, cols, 1e-12, None)
+                assert np.array_equal(got, want), (suite, seed, len(insts))
+                found += int(want.sum())
+    assert found > 0
+
+
+def test_padded_rows_are_the_per_instance_calls():
+    # covered columns of the padded calls are bit for bit the calls on
+    # each instance alone; the padding is finite and passes _nonneg
+    for name, (draw, bound, oracle, cols, front) in sorted(_SUITES.items()):
+        rng = np.random.default_rng(7)
+        instances = [draw(rng) for _ in range(60)]
+        width = max(np.size(inst[1]) for inst in instances)
+        rows = np.zeros((3, len(instances), width))
+        for i, inst in enumerate(instances):
+            m = np.size(inst[1])
+            rows[:, i, slice(width - m, None) if front else slice(m)] = inst[1:]
+        first = np.array([inst[0] for inst in instances])
+        limit, actual = bound(first, *rows), oracle(first, *rows)[:, cols]
+        assert np.isfinite(limit).all() and np.isfinite(actual).all()
+        for i, inst in enumerate(instances):
+            one = bound(*inst)
+            alone = oracle(np.array([inst[0]]), *(r[None] for r in inst[1:]))[0, cols]
+            part = np.s_[limit.shape[1] - one.size:] if front else np.s_[:one.size]
+            assert np.array_equal(limit[i, part], one), (name, i)
+            assert np.array_equal(actual[i, part], alone), (name, i)
+
+
+def test_audit_with_the_per_length_count_is_the_same_audit(tmp_path, monkeypatch):
+    # the whole audit, once with the padded stacks and once with one call
+    # per instance length: with the discrete bounds halved both suites fail
+    # and replay their last violator
+    for name in ("discrete_gronwall_forward", "discrete_gronwall_backward"):
+        monkeypatch.setattr(cli, name, _halved(getattr(cli, name)))
+
+    def audit(out):
+        cfgp = _write(tmp_path, BASE.format(out=out) +
+                      "\n[audit]\nn_instances = 250\nmesh_k = 12\n",
+                      name=f"{out.name}.ini")
+        code = main(["audit", cfgp])
+        rec = json.loads((out / "t_audit.json").read_text())
+        return code, (out / "t_audit.csv").read_bytes(), rec["rows"], rec["failures"]
+
+    padded = audit(tmp_path / "padded")
+    monkeypatch.setattr(cli, "_violations",
+                        lambda *args: violations_per_length(*args[:-1]))
+    assert audit(tmp_path / "per_length") == padded
+    assert padded[0] == 1 and len(padded[3]) == 2
 
 
 def test_block_draws_are_the_one_at_a_time_stream():

@@ -323,6 +323,48 @@ def test_continuous_extremal_non_finite_is_the_loop():
     assert seen == {"nan", np.inf, -np.inf}
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_continuous_extremal_constant_rows_are_the_loop():
+    # rows constant along the grid skip the interpolation only where it
+    # would give c itself: not for -0.0 (0.0 + -0.0 is 0.0), inf or NaN,
+    # nor for a stack that mixes constant and varying rows
+    rng = np.random.default_rng(5155)
+    grid = np.linspace(0.0, 1.0, 33)
+
+    def same(rho0, rows):
+        got = continuous_extremal(rho0, *rows, grid)
+        want = continuous_extremal_loop(rho0, *rows, grid)
+        number = ~np.isnan(want)
+        return (np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got[number]), np.signbit(want[number])))
+
+    n = 6
+    full = lambda v: np.full((n, grid.size), v)  # noqa: E731
+    # rho0 = -0.0 stays -0.0 only where every stage's a and b2 are -0.0;
+    # the interpolation turns them to +0.0 between the nodes
+    for a, b1, b2 in ((-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, -0.0)):
+        assert same(np.full(n, -0.0), [full(a), full(b1), full(b2)]), (a, b1, b2)
+    assert np.signbit(continuous_extremal(
+        np.full(n, -0.0), full(-0.0), full(0.0), full(-0.0), grid)).sum() == n
+    # +0.0 at the first node, -0.0 after it: equal, but not the same bits
+    mixed_zero = full(0.0)
+    mixed_zero[:, 1:] = -0.0
+    assert same(np.full(n, -0.0), [mixed_zero, full(0.0), full(-0.0)])
+    for value in (np.inf, -np.inf, np.nan):
+        for row in range(3):
+            rows = [full(c) for c in rng.exponential(0.4, 3)]
+            rows[row][1] = value  # one instance's row, constant and not finite
+            assert same(rng.exponential(1.0, n), rows), (value, row)
+    # finite constants, negative ones among them, and a stack in which one
+    # instance varies
+    for varying in (None, 0, n - 1):
+        rows = [full(c) for c in rng.normal(0.0, 0.5, 3)]
+        rows[1][2] = 0.0
+        if varying is not None:
+            rows[0][varying] = rng.exponential(0.4, grid.size)
+        assert same(rng.exponential(1.0, n), rows), varying
+
+
 def test_continuous_extremal_rejects_what_it_cannot_step():
     # fixed steps of the first cell's width would answer rho0 = 0, a = 1,
     # b = 0 on [0, .1, .5, 1] with 0.2 at t = 0.5, where rho = t is 0.5

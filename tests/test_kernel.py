@@ -10,7 +10,8 @@ from idikit import catalog
 from idikit.config import ConfigError, load_config
 from idikit.dynamics import simulate
 from idikit.kernel import (TRIANGLE_POINTS, TRIANGLE_WEIGHTS, KernelIndexError,
-                           VolterraKernel, _memory_integrals,
+                           VolterraKernel, _discretize, _memory_integrals,
+                           _running_sums, _assemble_w,
                            assemble_tensors, assemble_w, continuous_accumulator,
                            kernel_average_w, mu_tensor, theta_vector,
                            volterra_adjoint_integral, xi_tensor)
@@ -708,6 +709,61 @@ def test_running_sums_run_in_turn():
             sweep(j)
         with pytest.raises(KernelIndexError):  # past cell 0
             sweep(0)
+
+
+def _same_bits(got, want):
+    """Equal entry for entry, NaN where NaN is, and zeros of the same sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    number = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[number]), np.signbit(want[number])))
+
+
+def test_running_sums_are_the_row_loop():
+    rng = np.random.default_rng(24)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for k in (0, 1, 2, 1000):
+        for n in (1, 2, 3):
+            for decay in (np.zeros(k), np.ones(k), rng.uniform(size=k)):
+                terms = rng.normal(size=(k, n))
+                assert _same_bits(_running_sums(decay, terms),
+                                  oracles.running_sums_loop(decay, terms))
+                # signed zeros everywhere, then a few infinities and NaNs
+                zeros = np.where(rng.random((k, n)) < 0.5, 0.0, -0.0)
+                assert _same_bits(_running_sums(decay, zeros),
+                                  oracles.running_sums_loop(decay, zeros))
+                if k:
+                    at = rng.random((k, n)) < 0.02
+                    at.flat[rng.integers(k * n)] = True
+                    terms[at] = rng.choice(special, at.sum())
+                    with np.errstate(invalid="ignore"):  # inf - inf in the loop
+                        want = oracles.running_sums_loop(decay, terms)
+                    assert _same_bits(_running_sums(decay, terms), want)
+                assert _running_sums(decay, terms).shape == (k, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assemble_w_and_couplings_are_the_closures(dim):
+    # assemble_w is the march's closure cell by cell, and couplings(r) the
+    # backward_coupling sequence, bit for bit, on every kind of kernel
+    rng = np.random.default_rng(240 + dim)
+    c, rate = -1.3, 1.0
+    kernels = (VolterraKernel.exponential(c, rate, beta=1.0, alpha=1.0),
+               VolterraKernel.convolution(lambda u: c * np.exp(-rate * u), 1.0, 1.0),
+               VolterraKernel.zero())
+    for kern in kernels:
+        for k in (1, 2, 11, 200):
+            mesh = _random_mesh(rng, k, 1.6)
+            states = rng.normal(size=(k + 1, dim))
+            disc = _discretize(kern, mesh)
+            assert _same_bits(_assemble_w(disc, states),
+                              oracles.assemble_w_loop(disc, states))
+            tensors = assemble_tensors(kern, mesh, states, rng.normal(size=(k, dim)),
+                                       states)
+            r = rng.normal(size=(k, dim))
+            sweep = tensors.backward_coupling(r)
+            want = [sweep(j) for j in range(k - 1, -1, -1)][::-1]
+            assert _same_bits(tensors.couplings(r), want)
 
 
 def test_zero_kernel_march_has_exact_zero_memory(monkeypatch):

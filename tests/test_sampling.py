@@ -261,6 +261,7 @@ def test_one_discretization_per_mesh(tmp_path, monkeypatch):
                                                     entry.reference)
     counted("_memory_averages", walks)
     counted("assemble_w", walks)
+    counted("_assemble_w", walks)
     cost_gradient(dbp, controls, traj=traj)
     adjoint_solve_smooth(dbp, traj)
     assert walks == []
