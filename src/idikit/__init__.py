@@ -17,9 +17,9 @@ from .problem import (ProblemData, TerminalCost, RunningCost, CallableArc,
 from .dynamics import (DiscreteTrajectory, ApproximationErrorReport, simulate,
                        approximate_arc, feasibility_residual,
                        localization_check)
-from .bolza import (DiscreteBolzaProblem, ControlParameterization,
-                    SolveOptions, build_discrete_problem, forward_trajectory,
-                    cost_Jk, cost_breakdown, cost_gradient, solve_Pk)
+from .bolza import (DiscreteBolzaProblem, SolveOptions, build_discrete_problem,
+                    forward_trajectory, cost_Jk, cost_breakdown, cost_gradient,
+                    solve_Pk)
 from .conditions import (MultiplierSet, ConditionReport, adjoint_solve_smooth,
                          recover_multipliers,
                          euler_lagrange_residual, volterra_residual,

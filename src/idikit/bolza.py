@@ -1,9 +1,9 @@
 """Assembly and numerical solution of the discrete Bolza approximations.
 
 The discrete problem over nodal states is reparameterized by the deviation
-controls u_j inside the offset body, so the inclusion constraint is exact at
-every iterate and the solver is plain projected gradient with Armijo
-backtracking.  Control u_j enters through
+controls u_j inside the offset body, one (k, n) array, so the inclusion
+constraint is exact at every iterate and the solver is plain projected
+gradient with Armijo backtracking.  Control u_j enters through
 
     x_{j+1} = x_j + h_j (f(t_j, x_j) + u_j + w_j(x_0..x_j)),
 
@@ -17,8 +17,11 @@ kernel both recurrences are affine, the sweep by the march's step matrices
 transposed, and each runs as one prefix scan (:func:`dynamics._affine_scan`)
 while the products of the steps over the mesh stay below
 :data:`dynamics.SCAN_GROWTH`, as decided once per mesh; each direction's
-scan levels are composed once per mesh, at its first scan.  Else, and where a
-scan yields a value that is not finite, the march takes the node loop
+scan levels are composed once per mesh, at its first scan.  The march is
+the one driver :func:`dynamics._controlled_march`, which ``approximate_arc``
+runs on a point body too; the memory part of every scan's steps and
+right-hand sides comes from the kernel module.  Else, and where a scan
+yields a value that is not finite, the march takes the node loop
 :func:`dynamics._march` and the sweep the backward loop
 :func:`dynamics._backward_loop` it shares with the multipliers.
 """
@@ -31,16 +34,15 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
-                       _check_finite, _decide_scan, _march, _sample_reference,
-                       _scan_march, approximate_arc)
-from .kernel import _discretize, _Discretization, _exp_steps, _tensors
+                       _check_finite, _controlled_march, _decide_scan,
+                       _sample_reference, approximate_arc)
+from .kernel import _discretize, _Discretization, _gradient_rhs, _tensors
 from .mesh import TimeMesh, _sq_integral
 from .problem import InflatedSet, ProblemData
 from .setvalued import _centers, _norm
 
 __all__ = [
     "DiscreteBolzaProblem",
-    "ControlParameterization",
     "SolveOptions",
     "SolveLog",
     "build_discrete_problem",
@@ -56,28 +58,31 @@ __all__ = [
 class DiscreteBolzaProblem:
     """One discrete approximation instance around a reference arc.
 
-    ``omega_k`` is the endpoint set inflated by the nodal error majorant of
-    the approximation run that produced the initial point; the localization
-    constraints (nodal eps/2 tube, derivative-L2 budget eps/2) are recorded
-    and enforced as a trust region by the solver.  The discretization of the
-    mesh and the reference sampled on it, taken by every cost, gradient and
-    trial step, are those of the approximation run when
-    :func:`build_discrete_problem` hands them over, else built here; so is
-    the decision whether the march scans, with its step matrices and their
-    scan levels (:func:`dynamics._decide_scan`), which the run made for this
-    map.
+    Derived, also by ``dataclasses.replace``: ``omega_k``, the endpoint set
+    inflated by ``zeta_k``, the nodal error majorant of the approximation
+    run that produced the initial point, and ``epsilon``, the base
+    problem's; the solver enforces the localization constraints (nodal
+    eps/2 tube, derivative-L2 budget eps/2) as a trust region.  The
+    discretization of the mesh and the reference sampled on it, taken by
+    every cost, gradient and trial step, are those of the approximation run
+    when :func:`build_discrete_problem` hands them over, else built here; so
+    is the decision whether the march scans, with its step matrices and
+    their scan levels (:func:`dynamics._decide_scan`), which the run made
+    for this map.
     """
 
     base: ProblemData
     mesh: TimeMesh
     reference: object
     zeta_k: float
-    epsilon: float
-    omega_k: InflatedSet
+    epsilon: float = field(init=False)
+    omega_k: InflatedSet = field(init=False)
     _disc: Optional[_Discretization] = field(default=None, repr=False,
                                              compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", self.base.epsilon)
+        object.__setattr__(self, "omega_k", InflatedSet(self.base.omega, self.zeta_k))
         disc = self._disc
         if disc is None:
             disc = _sample_reference(self.reference,
@@ -92,16 +97,6 @@ class DiscreteBolzaProblem:
         return self._disc.ref_nodes
 
 
-@dataclass(frozen=True)
-class ControlParameterization:
-    """Deviations u_j in the offset body; v_j = f(t_j,x_j) + u_j + w_j."""
-
-    u: np.ndarray  # (k, n)
-
-    def projected(self, problem: DiscreteBolzaProblem) -> "ControlParameterization":
-        return ControlParameterization(problem.base.fmap.project_body(self.u))
-
-
 def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
                            precomputed=None):
     """Construct the discrete problem plus a feasible initial point.
@@ -111,24 +106,19 @@ def build_discrete_problem(problem: ProblemData, mesh: TimeMesh, reference,
     the same mesh); the report's nodal majorant becomes the endpoint
     inflation, and the discretization and reference samples it carries are
     not built again.
-    Returns (discrete problem, initial controls, initial trajectory, report).
+    Returns (discrete problem, initial controls (k, n), the deviations
+    v_j - f(t_j, x_j) - w_j projected onto the offset body, initial
+    trajectory, report).
     """
     if precomputed is None:
         traj, report = approximate_arc(problem, reference, mesh)
     else:
         traj, report = precomputed
-    dbp = DiscreteBolzaProblem(
-        base=problem, mesh=mesh, reference=reference, zeta_k=report.zeta_k,
-        epsilon=problem.epsilon, omega_k=InflatedSet(problem.omega, report.zeta_k),
-        _disc=report._disc)
-    controls = _controls_from_trajectory(problem, traj).projected(dbp)
-    return dbp, controls, traj, report
-
-
-def _controls_from_trajectory(problem: ProblemData,
-                              traj: DiscreteTrajectory) -> ControlParameterization:
+    dbp = DiscreteBolzaProblem(base=problem, mesh=mesh, reference=reference,
+                               zeta_k=report.zeta_k, _disc=report._disc)
     c = _centers(problem.fmap, traj.mesh.nodes[:-1], traj.states[:-1])
-    return ControlParameterization(traj.velocities - c - traj.w)
+    controls = problem.fmap.project_body(traj.velocities - c - traj.w)
+    return dbp, controls, traj, report
 
 
 def _scans(problem: DiscreteBolzaProblem) -> bool:
@@ -137,21 +127,16 @@ def _scans(problem: DiscreteBolzaProblem) -> bool:
 
 
 def forward_trajectory(problem: DiscreteBolzaProblem,
-                       controls: ControlParameterization) -> DiscreteTrajectory:
-    """Evaluate the dynamics for given controls; feasibility is exact.
+                       controls: np.ndarray) -> DiscreteTrajectory:
+    """Evaluate the dynamics for given controls u (k, n), the deviations
+    in the offset body; feasibility is exact.
 
-    A problem that scans takes :func:`dynamics._scan_march`, where
-    x_{j+1} = x_j + h_j v_j holds to round-off; any other problem, and a
-    scan with a value that is not finite, takes the node loop.
+    The march v_j = f(t_j, x_j) + u_j + w_j runs as
+    :func:`dynamics._controlled_march`: a prefix scan where the problem
+    scans, with x_{j+1} = x_j + h_j v_j to round-off, else the node loop.
     """
-    if _scans(problem):
-        rows = _scan_march(problem.base, problem._disc, controls.u)
-        if rows is not None:
-            return DiscreteTrajectory(problem.mesh, *rows)
-    center, t = problem.base.fmap.center, problem.mesh.nodes
-    return _march(problem.base, problem._disc,
-                  lambda j, x, w: center(t[j], x) + controls.u[j] + w,
-                  "forward_trajectory")
+    return _controlled_march(problem.base, problem._disc, controls,
+                             "forward_trajectory")
 
 
 def _tracking_term(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory) -> float:
@@ -209,7 +194,7 @@ def _objective(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
 
 
 def cost_gradient(problem: DiscreteBolzaProblem,
-                  controls: ControlParameterization, rho: float = 0.0,
+                  controls: np.ndarray, rho: float = 0.0,
                   traj: Optional[DiscreteTrajectory] = None):
     """Exact gradient of the (possibly penalized) cost in the controls.
 
@@ -218,11 +203,11 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     the terminal-cost plus endpoint-penalty gradient and lambda_j =
     lambda_{j+1} + h_j grad_x l_j + J_j^T s_j + mu_j s_j / h_j + coupling_j,
     the coupling taken of r_m = s_m / h_m.  Where the march scans, the
-    state (lambda_{j+1}, R_j), R the running coupling sum, steps by M_j^T,
-    the march's own matrix transposed, plus (h_j grad_x l_j + A^T b_j +
-    c tri_j b_j / h_j, c tau_j b_j / h_j), one scan over j = k-1, ..., 1;
-    else, and where that is not finite, :func:`dynamics._backward_loop`
-    runs.  A gradient that is not finite raises NonFiniteStateError.
+    state steps by M_j^T, the march's own matrix transposed, plus the
+    right-hand side :func:`kernel._gradient_rhs` builds on h_j grad_x l_j
+    + A^T b_j, one scan over j = k-1, ..., 1; else, and where that is not
+    finite, :func:`dynamics._backward_loop` runs.  A gradient that is not
+    finite raises NonFiniteStateError.
     """
     base, mesh, disc = problem.base, problem.mesh, problem._disc
     k, n, h = mesh.k, base.dim, mesh.steps
@@ -234,12 +219,7 @@ def cost_gradient(problem: DiscreteBolzaProblem,
     seed = base.terminal_cost.grad(traj.states[-1]) \
         + _penalty_gradient(problem, traj.states[-1], rho)
     if _scans(problem):
-        c = np.zeros(disc.scan.M.shape[:2])
-        c[:, :n] = h[:, None] * glx + b @ base.fmap._linear
-        if disc.tau is not None:
-            c_tri, c_tau = _exp_steps(disc)[:2]
-            c[:, :n] += (c_tri / h)[:, None] * b
-            c[:, n:] = (c_tau / h)[:, None] * b
+        c = _gradient_rhs(disc, h[:, None] * glx + b @ base.fmap._linear, b)
         lam = np.empty_like(b)
         lam[-1] = seed
         with np.errstate(over="ignore", invalid="ignore"):
@@ -296,12 +276,12 @@ class SolveLog:
 
 
 def _scaled_projected_gradient_norm(problem, controls, grad):
-    step = controls.u - grad / problem.mesh.steps[:, None]
-    gap = controls.u - problem.base.fmap.project_body(step)
+    step = controls - grad / problem.mesh.steps[:, None]
+    gap = controls - problem.base.fmap.project_body(step)
     return float(_norm(gap).max())
 
 
-def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
+def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
              opts: SolveOptions = SolveOptions()):
     """Projected-gradient descent with Armijo line search and exact penalty.
 
@@ -314,7 +294,7 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
     h = problem.mesh.steps
     half = problem.epsilon / 2.0
     log = SolveLog()
-    controls = init.projected(problem)
+    controls = body.project_body(init)
     rho = RHO0
 
     while True:  # penalty escalation stages
@@ -338,9 +318,8 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
             accepted = False
             trial_alpha = alpha
             for _bt in range(MAX_BACKTRACKS):
-                cand = ControlParameterization(body.project_body(
-                    controls.u - trial_alpha * grad / h[:, None]))
-                slope = float(np.sum(grad * (cand.u - controls.u)))
+                cand = body.project_body(controls - trial_alpha * grad / h[:, None])
+                slope = float(np.sum(grad * (cand - controls)))
                 cand_traj = forward_trajectory(problem, cand)
                 cand_obj, cand_cost, cand_nodal, cand_budget = _objective(
                     problem, cand_traj, rho)
@@ -355,7 +334,7 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
                 break
             if cand_obj > obj + noise:
                 log.descent_ok = False
-            s_step = cand.u - controls.u
+            s_step = cand - controls
             controls = cand
             prev_grad = grad
             grad, traj = cost_gradient(problem, controls, rho, traj=cand_traj)
@@ -382,6 +361,4 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: ControlParameterization,
 
     log.tube_active = bool(nodal > 0.95 * problem.epsilon / 2.0)
     log.budget_active = bool(budget > 0.95 * problem.epsilon / 2.0)
-    if not log.stationary and not log.message:
-        log.message = "iteration cap reached"
     return traj, controls, log

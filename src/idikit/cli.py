@@ -37,7 +37,7 @@ from .bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
 from .conditions import build_condition_report, recover_multipliers
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import (InfeasibleReferenceError, NonFiniteStateError,
-                       approximate_arc, feasibility_residual, simulate)
+                       approximate_arc, simulate)
 from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
@@ -95,21 +95,16 @@ def _write_record(path: Path, command, cfg: ExperimentConfig, rows, columns,
 
 
 def _reference_for(cfg: ExperimentConfig):
-    """Closed-form catalog reference, or a fine simulated fallback, gated at
-    twice its largest inclusion residual over the meshes of the sweep."""
-    entry = cfg.entry
+    """Closed-form catalog reference, or a fine simulated fallback, and its
+    residual tolerance: ``[reference] feas_tol``, else 1e-6 for a closed form
+    and inf for a simulation, a trajectory of the inclusion by construction."""
+    entry, feas_tol = cfg.entry, cfg.reference_feas_tol
     if entry.reference is not None:
-        feas_tol = cfg.reference_feas_tol
         return entry.reference, 1e-6 if feas_tol is None else feas_tol
     k_fine = cfg.reference_k or 8 * cfg.mesh_ks[-1]
     fine_mesh = TimeMesh.uniform(k_fine, entry.problem.horizon)
     arc = _simulate(cfg, fine_mesh, cfg.reference_policy).arc()
-    if cfg.reference_feas_tol is not None:
-        return arc, cfg.reference_feas_tol
-    res = max(feasibility_residual(entry.problem, arc,
-                                   TimeMesh.uniform(k, entry.problem.horizon))
-              for k in cfg.mesh_ks)
-    return arc, max(2.0 * res, 1e-9)
+    return arc, np.inf if feas_tol is None else feas_tol
 
 
 def _simulate(cfg: ExperimentConfig, mesh: TimeMesh, policy: str):

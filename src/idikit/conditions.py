@@ -34,8 +34,8 @@ import numpy as np
 from .bolza import DiscreteBolzaProblem, _running_grads
 from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
                        _bounded_growth, _check_finite, _scan_levels)
-from .kernel import (QuadratureTensors, _adjoint_integrals, _exp_blocks,
-                     _memory_integrals, _tensors)
+from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
+                     _tensors)
 from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
 from .problem import ProblemData
 from .setvalued import (CONE_TOL_FEAS, GraphNormalCone, _centers, _matvec,
@@ -182,9 +182,8 @@ def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
 
     A ``zero`` row (u_j = 0) and a ``subspace`` row (u_j = p_{j+1} - pin_j,
     which folds h_j J_j^T into P_j and -h_j J_j^T pin_j into c_j) make the
-    step affine in p_{j+1}.  With an exponential kernel the state is
-    (p_{j+1}, R_j), R the running sum of ``tensors.backward_coupling``, and
-    steps by the transposed :func:`~idikit.kernel._exp_blocks`.  Each
+    step affine in p_{j+1}; ``tensors.sweep_steps`` adds the memory, an
+    exponential kernel's running coupling sum next to p_{j+1}.  Each
     maximal run of such rows is one :func:`~idikit.dynamics._affine_scan`
     from the state the run above it left, over levels composed for that run
     (its matrices follow the cones, so none are kept); a ``ray`` or
@@ -193,19 +192,15 @@ def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
     :data:`~idikit.dynamics.SCAN_GROWTH` and a value that is not finite
     give None.
     """
-    if tensors.xi is not None:
-        return None
     k, n = pin.shape
     JT = h[:, None, None] * np.swapaxes(np.broadcast_to(cones.jacobian, (k, n, n)), 1, 2)
     free = (cones.kind == "subspace")[:, None]
     affine = free[:, 0] | (cones.kind == "zero")
-    M = P + np.where(free[..., None], JT, 0.0)
-    c = c - np.where(free, _matvec(JT, pin), 0.0)
-    if tensors.cells is not None:
-        M = _exp_blocks(tensors.cells, M, transposed=True)
-        c = np.hstack([c, np.zeros((k, n))])
-    if not _bounded_growth(M[affine]):
+    steps = tensors.sweep_steps(P + np.where(free[..., None], JT, 0.0),
+                                c - np.where(free, _matvec(JT, pin), 0.0))
+    if steps is None or not _bounded_growth(steps[0][affine]):
         return None
+    M, c = steps
     # the rows from j = k-1 down, cut before every row that does not scan
     # and after it
     M, c, affine = M[::-1], c[::-1], affine[::-1]

@@ -11,11 +11,12 @@ bound and the derivative-L2 budget) next to the measured errors.
 Both step through the node loop :func:`_march`.  A march that is an affine
 recurrence, for a drift built with ``linear`` and a zero or exponential
 kernel, also runs as one prefix scan (:func:`_affine_scan`, after Blelloch,
-"Prefix sums and their applications", CMU-CS-90-190, 1990), which the
-solver takes and so does ``approximate_arc`` on a point body; on the zero
-kernel ``approximate_arc`` projects every node in one stacked pass.  The
-loop is the fallback and the oracle of both, as :func:`_backward_loop` is
-of the scans of the gradient's and the multipliers' backward sweeps.
+"Prefix sums and their applications", CMU-CS-90-190, 1990), in steps whose
+memory part the kernel module builds; :func:`_controlled_march` runs the
+solver's march and a point body's ``approximate_arc``, scan or loop.  On the
+zero kernel ``approximate_arc`` projects every node in one stacked pass.
+The loop is the fallback and the oracle, as :func:`_backward_loop` is of the
+scans of the gradient's and the multipliers' backward sweeps.
 
 A scan is two steps: :func:`_scan_levels` composes the doubling products of
 the step matrices, which depend only on the problem and the mesh, and
@@ -33,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (_assemble_w, _discretize, _Discretization, _exp_blocks,
-                     _exp_steps, _memory_averages, _memory_integrals, assemble_w)
+from .kernel import (_assemble_w, _discretize, _Discretization, _march_steps,
+                     _memory_averages, _memory_integrals, _scanned_w, assemble_w)
 from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
                    l2_distance, sup_distance)
 from .problem import ProblemData
@@ -273,22 +274,17 @@ def _scan_steps(fmap, disc: _Discretization) -> Optional[_ScanSteps]:
     """The M_j of the march z_{j+1} = M_j z_j + c_j, shape (k, m, m), in a
     :class:`_ScanSteps`, for a map ``fmap`` whose march scans, else None.
 
-    A march scans when the drift is built with ``linear``, the kernel is
-    zero or exponential, and the steps pass :func:`_bounded_growth`; the
+    A march scans when the drift is built with ``linear``, the kernel has
+    the steps of :func:`kernel._march_steps` for the drift block I + h_j A
+    (zero or exponential), and they pass :func:`_bounded_growth`; the
     bound holds for M_j^T too, so the solver's backward sweep scans with
-    the march.  Zero kernel: z = x and M_j = I + h_j A.  Exponential kernel:
-    z = (x, S) with S the running sum of :func:`kernel._exp_steps`, and M_j
-    holds the blocks I + h_j A + c tri_j I, c tau_j I, tau_j I and
-    e^{-r h_j} I.
+    the march.
     """
     A = fmap._linear
-    if A is None or not (disc.kernel.is_zero or disc.tau is not None):
+    if A is None:
         return None
-    h, n = disc.mesh.steps, A.shape[0]
-    M = np.eye(n) + h[:, None, None] * A
-    if disc.tau is not None:
-        M = _exp_blocks(disc, M + _exp_steps(disc)[0][:, None, None] * np.eye(n))
-    if not _bounded_growth(M):
+    M = _march_steps(disc, np.eye(A.shape[0]) + disc.mesh.steps[:, None, None] * A)
+    if M is None or not _bounded_growth(M):
         return None
     M.flags.writeable = False  # shared by every scan on the mesh
     return _ScanSteps(M)
@@ -313,15 +309,23 @@ def _scan_march(problem: ProblemData, disc: _Discretization, u: np.ndarray):
         z0, c = np.zeros(M.shape[1]), np.zeros(M.shape[:2])
         z0[:n], c[:, :n] = problem.x0, h[:, None] * u
         z = np.concatenate([z0[None], _affine_scan(disc.scan.forward(), c, z0)])
-        states = z[:, :n]
-        if disc.tau is None:
-            w = np.zeros_like(u)
-        else:
-            c_tri, c_tau = _exp_steps(disc)[:2]
-            w = (c_tau / h)[:, None] * z[:-1, n:] + (c_tri / h)[:, None] * states[:-1]
+        states, w = z[:, :n], _scanned_w(disc, z[:-1])
         v = _centers(problem.fmap, disc.mesh.nodes[:-1], states[:-1]) + u + w
     rows = (states, v, w)
     return rows if all(np.isfinite(r).all() for r in rows) else None
+
+
+def _controlled_march(problem: ProblemData, disc: _Discretization,
+                      u: np.ndarray, stage: str) -> DiscreteTrajectory:
+    """The march v_j = f(t_j, x_j) + u_j + w_j with controls u (k, n): one
+    :func:`_scan_march` where ``disc`` scans, else, and where a scanned
+    value is not finite, the node loop :func:`_march`."""
+    if disc.scan is not None:
+        rows = _scan_march(problem, disc, u)
+        if rows is not None:
+            return DiscreteTrajectory(disc.mesh, *rows)
+    center, t = problem.fmap.center, disc.mesh.nodes
+    return _march(problem, disc, lambda j, x, w: center(t[j], x) + u[j] + w, stage)
 
 
 def _backward_loop(tensors, P: np.ndarray, c: np.ndarray, e: np.ndarray,
@@ -481,22 +485,21 @@ def _approximation_march(problem: ProblemData, disc: _Discretization,
     F(t_j, x_j) to a_j - b_j, plus w_j.
 
     A point body (:class:`~idikit.setvalued.Singleton`) projects every
-    deviation onto its drift, so its march is the solver's with zero
-    controls and scans where that does (to round-off).  On the zero kernel
+    deviation onto its drift, as f + 0.0, so its march is the solver's
+    (:func:`_controlled_march`) with zero controls: the same loop bit for
+    bit, or the solver's scan where that scans.  On the zero kernel
     one stacked pass stands for the loop, bit for bit: it takes every
     projection as inactive, so the states X are the sums of the steps
     h_j (a_j - b_j), projects at all of them at once, and keeps the
     velocities V up to the first node where the sums of h_j V_j leave X;
     the loop resumes there, and an arc with no active projection never
-    loops.  Any other problem, and a scan that is not finite, takes the
-    node loop :func:`_march`, the oracle of both.
+    loops.  Any other problem takes the node loop :func:`_march`, the
+    oracle of both.
     """
     fmap, mesh = problem.fmap, disc.mesh
     t, h = mesh.nodes, mesh.steps
-    if disc.scan is not None and isinstance(fmap, Singleton):
-        rows = _scan_march(problem, disc, np.zeros_like(a))
-        if rows is not None:
-            return DiscreteTrajectory(mesh, *rows)
+    if isinstance(fmap, Singleton):
+        return _controlled_march(problem, disc, np.zeros_like(a), "approximate_arc")
 
     def select(j, x, w):
         return distance_and_projection(fmap, t[j], x, a[j] - b[j])[1] + w

@@ -23,7 +23,6 @@ takes only a uniform grid: any other grid raises GronwallDomainError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -117,12 +116,7 @@ def discrete_gronwall_backward(x_k, c, b, a) -> np.ndarray:
     return ((x_k[..., None] + csum) * np.exp(wsum))[..., ::-1]
 
 
-ArrOrFn = Union[np.ndarray, Callable[[float], float]]
-
-
-def _on_grid(f: ArrOrFn, grid: np.ndarray) -> np.ndarray:
-    if callable(f):
-        return np.array([float(f(t)) for t in grid])
+def _on_grid(f, grid: np.ndarray) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.shape[-1:] != grid.shape:
         raise GronwallDomainError("array input must match the grid shape")
@@ -166,15 +160,14 @@ def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.cumsum(cells, axis=-1)
 
 
-def continuous_gronwall(rho0, a: ArrOrFn, b1: ArrOrFn, b2: ArrOrFn,
-                        grid) -> np.ndarray:
+def continuous_gronwall(rho0, a, b1, b2, grid) -> np.ndarray:
     """Majorant arc for rho' <= a + b1 rho + b2 * int rho, on the given grid.
 
     With b = max(b1, b2) pointwise the bound is
     rho0 exp(int (b+1)) + int a(s) exp(int_s^t (b+1)) ds, evaluated through
     cumulative composite-Simpson integrals of (b+1) and of a e^{-B}.
-    Rows of shape (G,) or callables give (G,); a stack, rho0 (N,) and rows
-    (N, G), gives (N, G).
+    Rows of shape (G,) give (G,); a stack, rho0 (N,) and rows (N, G),
+    gives (N, G).
     """
     rho0 = _nonneg("rho0", rho0)
     grid = np.asarray(grid, dtype=float)

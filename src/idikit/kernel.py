@@ -16,11 +16,12 @@ sum per cell, tau_j = sum tw e^{-r (t_q - t_j)}, and an s-side sum over
 e^{-r (t_{j+1} - s_q)}, which the symmetric Gauss rule makes the same sum
 in reverse order, so tau_j serves as both; with the triangle integral of
 each cell they give w, the backward coupling sums and mu by one running
-sum each, and only the stable factors e^{-r (>= 0)} are ever formed.  This is
-the fast-convolution recurrence of Lubich & Schaedle, SIAM J. Sci. Comput.
-24 (2002), applied to the Gauss rule itself.  Every other kernel keeps the
-row rule, which is also the oracle of the recurrence.  The cell sums are
-built once per (problem, mesh), in the discretization every layer takes.
+sum each, and only the stable factors e^{-r (>= 0)} are ever formed: the
+fast-convolution recurrence of Lubich & Schaedle, SIAM J. Sci. Comput. 24
+(2002), on the Gauss rule itself.  Every other kernel keeps the row rule,
+the recurrence's oracle.  The recurrence is built once per (problem, mesh),
+in the discretization every layer takes, and read only here: this module
+hands out the memory part of every prefix scan, on (state, running sum).
 A running sum over values known beforehand (w along given states, every
 coupling of a known weight, the panel sums below) is one loop on Python
 floats per state component, :func:`_running_sums`, bit for bit the loop
@@ -249,24 +250,23 @@ class _Discretization(NamedTuple):
     """A problem on one mesh, built once by :func:`_discretize` and taken by
     every layer that works on the mesh: the cell Gauss points and weights,
     shape (k, GAUSS_ORDER); for an exponential kernel c e^{-r (t - s)} x its
-    sums per cell, shape (k,), from the row rule's own Gauss points and
-    triangle; once sampled, a reference arc at the nodes, (k+1, n), and its
-    derivative at the Gauss points, (k, GAUSS_ORDER, n); and, once
-    :func:`dynamics._decide_scan` has looked at a velocity map (``drift``),
-    the step matrices of its march when that march scans (``scan``, a
-    :class:`dynamics._ScanSteps` that composes the march's and the
-    gradient's scan levels on first use and keeps them for every later
-    scan on the mesh).  What does not apply is None."""
+    recurrence (:func:`_exp_cells`), four arrays of shape (k,), from the
+    row rule's own Gauss points and triangle; once sampled, a reference arc
+    at the nodes, (k+1, n), and its derivative at the Gauss points,
+    (k, GAUSS_ORDER, n); and, once :func:`dynamics._decide_scan` has looked
+    at a velocity map (``drift``), the step matrices of its march when that
+    march scans (``scan``, a :class:`dynamics._ScanSteps` that composes the
+    march's and the gradient's scan levels on first use and keeps them for
+    every later scan on the mesh).  What does not apply is None."""
 
     mesh: TimeMesh
     kernel: VolterraKernel
     pts: np.ndarray
     wts: np.ndarray
-    # sum of tw e^{-r (t_q - t_j)} over cell j's points, and of
-    # sw e^{-r (t_{j+1} - s_q)}: the Gauss rule is symmetric
+    own: Optional[np.ndarray] = None    # the recurrence of :func:`_exp_cells`
+    past: Optional[np.ndarray] = None
     tau: Optional[np.ndarray] = None
-    tri: Optional[np.ndarray] = None    # triangle rule of e^{-r (t - s)} on cell j
-    decay: Optional[np.ndarray] = None  # e^{-r h_j}
+    decay: Optional[np.ndarray] = None
     ref_nodes: Optional[np.ndarray] = None
     ref_dot: Optional[np.ndarray] = None
     drift: Optional[object] = None      # the velocity map ``scan`` was decided for
@@ -279,63 +279,92 @@ def _discretize(kernel: VolterraKernel, mesh: TimeMesh) -> _Discretization:
 
 
 def _exp_cells(disc: _Discretization) -> _Discretization:
-    """``disc`` with the cell sums of its exponential kernel, O(k) work."""
-    r = disc.kernel._exp[1]
-    nodes, h, q, wq = disc.mesh.nodes, disc.mesh.steps, disc.pts, disc.wts
-    tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
-    return disc._replace(
-        tau=np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1),
-        tri=0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS),
-        decay=np.exp(-r * h))
+    """``disc`` with the cell recurrence of its exponential kernel
+    c e^{-r (t - s)} x, in O(k) work:
 
-
-def _exp_steps(disc: _Discretization):
-    """The cell recurrence of an exponential kernel c e^{-r (t - s)} x, as
-    four arrays of shape (k,), (c tri_j, c tau_j, tau_j, e^{-r h_j}):
-
-        h_j w_j = c tri_j x_j + c tau_j S_j,
+        h_j w_j = own_j x_j + past_j S_j,
         S_{j+1} = tau_j x_j + e^{-r h_j} S_j,  S_0 = 0,
 
-    with S_j = sum_{i<j} e^{-r (t_j - t_{i+1})} tau_i x_i the running sum
-    of the past cells.  Each coefficient multiplies the identity.  The
-    march's memory averages (:func:`_memory_averages`), the backward
-    coupling (the transposed recurrence) and the prefix scans all read the
-    recurrence from here.
+    own_j = c tri_j, tri_j the triangle rule of e^{-r (t - s)} on cell j,
+    past_j = c tau_j, tau_j the sum of tw e^{-r (t_q - t_j)} over cell j's
+    Gauss points (and of sw e^{-r (t_{j+1} - s_q)}: the rule is symmetric),
+    and S_j the running sum of the past cells; each multiplies the identity.
     """
-    c = disc.kernel._exp[0]
-    return c * disc.tri, c * disc.tau, disc.tau, disc.decay
+    c, r = disc.kernel._exp
+    nodes, h, q, wq = disc.mesh.nodes, disc.mesh.steps, disc.pts, disc.wts
+    tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
+    tau = np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1)
+    return disc._replace(
+        own=c * (0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS)),
+        past=c * tau, tau=tau, decay=np.exp(-r * h))
+
+
+def _exp_w(disc: _Discretization, x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The averages w_j = (own_j x_j + past_j S_j) / h_j, shape (k, n)."""
+    h = disc.mesh.steps
+    return (disc.past / h)[:, None] * S + (disc.own / h)[:, None] * x
 
 
 def _exp_blocks(disc: _Discretization, top: np.ndarray,
                 transposed: bool = False) -> np.ndarray:
-    """The steps (k, 2n, 2n) of a recurrence in (state, running sum S of
-    :func:`_exp_steps`): blocks ``top`` (k, n, n), c tau_j I, tau_j I and
-    e^{-r h_j} I, the off-diagonal two swapped where ``transposed``, for a
-    backward sweep in (adjoint, running coupling sum)."""
-    _, c_tau, tau, decay = _exp_steps(disc)
-    off, n = (tau, c_tau) if transposed else (c_tau, tau), top.shape[-1]
-    blocks = np.stack([np.zeros_like(tau), *off, decay], axis=-1).reshape(-1, 2, 2)
+    """The steps (k, 2n, 2n) of a recurrence in (state, running sum S):
+    blocks ``top`` (k, n, n), past_j I, tau_j I and e^{-r h_j} I, the
+    off-diagonal two swapped where ``transposed``, for a backward sweep in
+    (adjoint, running coupling sum)."""
+    off, n = (disc.tau, disc.past) if transposed else (disc.past, disc.tau), top.shape[-1]
+    blocks = np.stack([np.zeros_like(disc.tau), *off, disc.decay],
+                      axis=-1).reshape(-1, 2, 2)
     M = np.kron(blocks, np.eye(n))
     M[:, :n, :n] = top
     return M
+
+
+def _march_steps(disc: _Discretization, drift: np.ndarray) -> Optional[np.ndarray]:
+    """The steps M (k, m, m) of a march z_{j+1} = M_j z_j + c_j with the
+    drift block ``drift`` (k, n, n), I + h_j A: z = x and M = ``drift`` on
+    the zero kernel, z = (x, S) and the top block ``drift`` + own_j I on an
+    exponential one (:func:`_exp_blocks`), None for the row rule."""
+    if disc.tau is None:
+        return drift if disc.kernel.is_zero else None
+    return _exp_blocks(disc, drift + disc.own[:, None, None] * np.eye(drift.shape[-1]))
+
+
+def _scanned_w(disc: _Discretization, z: np.ndarray) -> np.ndarray:
+    """The averages w (k, n) of nodes 0..k-1 of a march scanned in the
+    steps of :func:`_march_steps`, from its states z (k, m)."""
+    if disc.tau is None:
+        return np.zeros_like(z)
+    return _exp_w(disc, *np.split(z, 2, axis=1))
+
+
+def _gradient_rhs(disc: _Discretization, top: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """The right-hand side (k, m) of the gradient's sweep in the transposed
+    steps of :func:`_march_steps`, given its state part ``top`` (k, n) and
+    the weights b (k, n) of the averages: ``top``, or on an exponential
+    kernel (top_j + own_j b_j / h_j, past_j b_j / h_j)."""
+    if disc.tau is None:
+        return top
+    h = disc.mesh.steps
+    return np.hstack([top + (disc.own / h)[:, None] * b, (disc.past / h)[:, None] * b])
 
 
 def _running_sums(decay: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """y_i = decay_i y_{i-1} + terms_i for i = 0..k-1 from y_{-1} = 0,
     shape (k, n), given scalar decays (k,) and terms (k, n).
 
-    One column at a time on Python floats: every product and sum is the
-    IEEE operation a loop over the (n,) rows does, in the same order, so
-    the result is that loop's bit for bit at a fraction of its calls.
+    One column at a time on Python floats, each y written back over its
+    term in the column's one list: every product and sum is the IEEE
+    operation a loop over the (n,) rows does, in the same order, so the
+    result is that loop's bit for bit at a fraction of its calls.
     """
     terms = np.asarray(terms, dtype=float)
     out = np.empty(terms.shape)
     decay = np.asarray(decay, dtype=float).tolist()
-    for col, column in enumerate(terms.T.tolist()):
-        y, ys = 0.0, []
-        for d, term in zip(decay, column):
-            y = d * y + term
-            ys.append(y)
+    for col in range(terms.shape[1]):
+        ys, y = terms[:, col].tolist(), 0.0
+        for i, d in enumerate(decay):
+            y = ys[i] = d * y + ys[i]
         out[:, col] = ys
     return out
 
@@ -364,7 +393,7 @@ def _memory_averages(disc: _Discretization):
 
     The forward march takes its averages from it, and :func:`assemble_w`
     gives the same bit for bit.  An exponential kernel carries the running
-    sum S_j of :func:`_exp_steps`, so that w_j costs O(n); any other kernel
+    sum S_j of :func:`_exp_cells`, so that w_j costs O(n); any other kernel
     takes the row rule of :func:`kernel_average_w`, and the zero kernel
     gives zeros.
     """
@@ -373,10 +402,9 @@ def _memory_averages(disc: _Discretization):
         return lambda j, states: np.zeros(np.shape(states)[-1])
     if disc.tau is None:
         return lambda j, states: kernel_average_w(kernel, mesh, states[:j + 1], j)
-    c_tri, c_tau, tau, decay = _exp_steps(disc)
     # Python floats: a step is then four small-array operations
-    past, own = (c_tau / mesh.steps).tolist(), (c_tri / mesh.steps).tolist()
-    decay, tau = decay.tolist(), tau.tolist()
+    past, own = (disc.past / mesh.steps).tolist(), (disc.own / mesh.steps).tolist()
+    decay, tau = disc.decay.tolist(), disc.tau.tolist()
     running = 0.0
 
     def w(j, states):
@@ -425,11 +453,10 @@ def _assemble_w(disc: _Discretization, nodal_states) -> np.ndarray:
     if disc.tau is None:
         w_of = _memory_averages(disc)
         return np.array([w_of(j, states) for j in range(k)])
-    c_tri, c_tau, tau, decay = _exp_steps(disc)
     x = states[:k]
     S = np.zeros_like(x)
-    S[1:] = _running_sums(decay[:-1], tau[:-1, None] * x[:-1])
-    return (c_tau / mesh.steps)[:, None] * S + (c_tri / mesh.steps)[:, None] * x
+    S[1:] = _running_sums(disc.decay[:-1], disc.tau[:-1, None] * x[:-1])
+    return _exp_w(disc, x, S)
 
 
 def xi_tensor(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -477,7 +504,8 @@ class QuadratureTensors:
     ``cells``, the discretization, holds the per-cell sums it factors into,
     xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} tau_j I.  The couplings of
     all three are read through :meth:`backward_coupling`, in turn, or
-    :meth:`couplings`, all at once.
+    :meth:`couplings`, all at once, and a sweep's scan steps through
+    :meth:`sweep_steps`.
     """
 
     w: np.ndarray             # (k, n)
@@ -494,21 +522,21 @@ class QuadratureTensors:
 
         Call j reads rows j + 1.. of r, so a backward sweep may write
         r[j + 1] just before it asks for j.  An exponential kernel runs the
-        recurrence of :func:`_exp_steps` transposed, carrying
-        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} c tau_m r[m] as the running
-        sum R_j = e^{-r h_{j+1}} R_{j+1} + c tau_{j+1} r[j + 1], R_{k-1} = 0,
+        recurrence of :func:`_exp_cells` transposed, carrying
+        R_j = sum_{m>j} e^{-r (t_m - t_{j+1})} past_m r[m] as the running
+        sum R_j = e^{-r h_{j+1}} R_{j+1} + past_{j+1} r[j + 1], R_{k-1} = 0,
         so that coupling(j) = tau_j R_j costs O(n); the row rule's kernel
         sums its dense ``xi``, and the zero kernel gives zeros.
         """
         k, cells = len(r), self.cells
         if cells is not None:
-            _, c_tau, tau, decay = (a.tolist() for a in _exp_steps(cells))
+            past, tau, decay = (a.tolist() for a in (cells.past, cells.tau, cells.decay))
             running = np.zeros(r.shape[1])
 
             def coupling(j):
                 nonlocal running
                 if j + 1 < k:
-                    running = decay[j + 1] * running + c_tau[j + 1] * r[j + 1]
+                    running = decay[j + 1] * running + past[j + 1] * r[j + 1]
                 return tau[j] * running
         elif self.xi is not None:
             def coupling(j):
@@ -525,14 +553,23 @@ class QuadratureTensors:
         rule's dense sums cell by cell; zeros for the zero kernel."""
         k, cells = len(r), self.cells
         if cells is not None:
-            _, c_tau, tau, decay = _exp_steps(cells)
             R = np.zeros(r.shape)
-            R[:-1] = _running_sums(decay[:0:-1], c_tau[:0:-1, None] * r[:0:-1])[::-1]
-            return tau[:, None] * R
+            R[:-1] = _running_sums(cells.decay[:0:-1],
+                                   cells.past[:0:-1, None] * r[:0:-1])[::-1]
+            return cells.tau[:, None] * R
         if self.xi is not None:
             return np.array([np.einsum("mab,mb->a", self.xi[j + 1:k, j], r[j + 1:])
                              for j in range(k)])
         return np.zeros(r.shape)
+
+    def sweep_steps(self, M: np.ndarray, c: np.ndarray):
+        """(steps, right-hand side) of the sweep y_j = M_j y_{j+1} + c_j +
+        coupling_j as one affine recurrence: M (k, n, n) and c (k, n) on the
+        zero kernel, in (y_{j+1}, R_j) of :meth:`backward_coupling` by the
+        transposed :func:`_exp_blocks` on an exponential one, else None."""
+        if self.cells is None:
+            return None if self.xi is not None else (M, c)
+        return _exp_blocks(self.cells, M, transposed=True), np.hstack([c, np.zeros_like(c)])
 
 
 def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
@@ -563,7 +600,7 @@ def _tensors(disc: _Discretization, states: np.ndarray, w: np.ndarray,
     mu, xi = np.zeros((k, n, n)), None
     if disc.tau is not None:
         cells = disc
-        mu[:] = _exp_steps(disc)[0][:, None, None] * np.eye(n)
+        mu[:] = disc.own[:, None, None] * np.eye(n)
     elif not kernel.is_zero:
         xi = np.zeros((k + 1, k, n, n))
         for i in range(k):

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from idikit.bolza import ControlParameterization, cost_Jk, forward_trajectory
+from idikit.bolza import cost_Jk, forward_trajectory
 from idikit.dynamics import _march, _sample_reference
 from idikit.kernel import _discretize, _memory_averages, kernel_average_w
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
@@ -211,13 +211,13 @@ def continuous_extremal_loop(rho0, a, b1, b2, grid):
 def penalized_objective(dbp, u, rho):
     """J_k plus rho times the distance of the endpoint to omega_k, at the
     controls u."""
-    traj = forward_trajectory(dbp, ControlParameterization(u))
+    traj = forward_trajectory(dbp, u)
     return cost_Jk(dbp, traj) + rho * dbp.omega_k.distance(traj.states[-1])
 
 
 def fd_gradient(dbp, controls, rho=0.0, step=1e-6):
     """Central-difference gradient of the penalized objective."""
-    u0 = controls.u.copy()
+    u0 = controls.copy()
     g = np.zeros_like(u0)
     for j in range(u0.shape[0]):
         for i in range(u0.shape[1]):
@@ -235,9 +235,9 @@ def quadratic_oracle(dbp, controls0):
     finite-difference identities below are exact up to roundoff, so the
     normal-equations solve is an independent oracle.
     """
-    k, n = controls0.u.shape
+    k, n = controls0.shape
     N = k * n
-    base = controls0.u.ravel()
+    base = controls0.ravel()
 
     def f(vec):
         return penalized_objective(dbp, vec.reshape(k, n), 0.0)
@@ -254,7 +254,7 @@ def quadratic_oracle(dbp, controls0):
             fij = f(base + E[i] + E[j])
             H[i, j] = H[j, i] = fij - fp[i] - fp[j] + f0
     sol = base + np.linalg.solve(H, -g)
-    return ControlParameterization(sol.reshape(k, n))
+    return sol.reshape(k, n)
 
 
 # --- cell quadrature, one Gauss point at a time -------------------------------

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from idikit import catalog
-from idikit.bolza import (ControlParameterization, SolveOptions,
-                          build_discrete_problem, cost_breakdown,
+from idikit.bolza import (SolveOptions, build_discrete_problem, cost_breakdown,
                           cost_gradient, cost_Jk, forward_trajectory, solve_Pk)
 from idikit.bolza import _scans
 from idikit.dynamics import approximate_arc
@@ -148,9 +147,8 @@ def test_gradient_matches_central_differences(name, tmp_path):
         dbp, controls, traj0, _ = _discrete(catalog.get(name), 10)
     # move off the initial point so nothing is special about it
     rng = np.random.default_rng(0)
-    bumped = ControlParameterization(
-        controls.u + 0.01 * rng.standard_normal(controls.u.shape))
-    bumped = bumped.projected(dbp)
+    bumped = dbp.base.fmap.project_body(
+        controls + 0.01 * rng.standard_normal(controls.shape))
     if name == "memory_control":  # the endpoint penalty's gradient is live
         x_end = forward_trajectory(dbp, bumped).states[-1]
         assert dbp.omega_k.distance(x_end) > 0.3
@@ -173,7 +171,7 @@ def _reference_adjoint_gradient_g_zero(dbp, controls):
     traj = forward_trajectory(dbp, controls)
     k = mesh.k
     lam = base.terminal_cost.grad(traj.states[-1])
-    grad = np.zeros_like(controls.u)
+    grad = np.zeros_like(controls)
     for j in range(k - 1, -1, -1):
         t_j = mesh.nodes[j]
         x_j, v_j = traj.states[j], traj.velocities[j]
@@ -192,8 +190,8 @@ def _reference_adjoint_gradient_g_zero(dbp, controls):
 def test_gradient_g_zero_reduction_matches_reference(ball_entry):
     dbp, controls, traj0, _ = _discrete(ball_entry, 12)
     rng = np.random.default_rng(3)
-    bumped = ControlParameterization(
-        controls.u + 0.05 * rng.standard_normal(controls.u.shape)).projected(dbp)
+    bumped = dbp.base.fmap.project_body(
+        controls + 0.05 * rng.standard_normal(controls.shape))
     g_main, _ = cost_gradient(dbp, bumped)
     g_ref = _reference_adjoint_gradient_g_zero(dbp, bumped)
     assert np.abs(g_main - g_ref).max() < 1e-12
@@ -210,7 +208,7 @@ def test_solver_matches_normal_equations_lq(ball_entry):
     traj_star = forward_trajectory(dbp, oracle)
     assert np.abs(traj.states - traj_star.states).max() < 1e-8
     # the optimum stays strictly inside the ball: the constraint never binds
-    assert np.linalg.norm(controls.u, axis=1).max() < dbp.base.fmap.radius - 0.5
+    assert np.linalg.norm(controls, axis=1).max() < dbp.base.fmap.radius - 0.5
 
 
 def test_solver_descent_and_determinism(ball_entry):
@@ -231,7 +229,7 @@ def test_solver_zero_residual_fit(cos_t_entry):
     traj, controls, log = solve_Pk(dbp, controls0, SolveOptions(tol_stat=1e-9))
     assert log.stationary
     assert log.iterations == 0  # nothing to move: the control set is a point
-    assert np.array_equal(controls.u, np.zeros_like(controls.u))
+    assert np.array_equal(controls, np.zeros_like(controls))
     gap = np.abs(traj.states - traj0.states).max()
     assert gap <= 1e-12 * np.abs(traj0.states).max()
 
@@ -243,7 +241,7 @@ def test_solver_endpoint_penalty_polytope(polytope_entry):
     assert log.stationary, log.message
     assert log.endpoint_violation <= 1e-6
     # controls stay in the simplex exactly
-    for u in controls.u:
+    for u in controls:
         assert u[0] >= -1e-12 and u[1] >= -1e-12 and u.sum() <= 1 + 1e-12
     # \eqref between tube/budget activity is reported, not assumed
     assert isinstance(log.tube_active, bool)
@@ -254,10 +252,29 @@ def test_feasibility_exact_at_every_iterate(ball_entry):
     dbp, controls0, _, _ = _discrete(ball_entry, 6)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        u = rng.normal(scale=3.0, size=controls0.u.shape)
-        cp = ControlParameterization(u).projected(dbp)
+        u = rng.normal(scale=3.0, size=controls0.shape)
+        cp = dbp.base.fmap.project_body(u)
         traj = forward_trajectory(dbp, cp)
         assert traj.max_feasibility_defect(dbp.base) < 1e-12
+
+
+def test_the_trust_radius_and_endpoint_set_are_derived(ball_entry):
+    # epsilon is the base problem's and omega_k its endpoint set inflated
+    # by zeta_k, also in a replaced problem; neither can be passed
+    from idikit.bolza import DiscreteBolzaProblem
+    from idikit.problem import BallSet
+    dbp, _, _, _ = _discrete(ball_entry, 6)
+    base = dbp.base
+    moved = replace(dbp, zeta_k=0.25)
+    other = replace(dbp, base=replace(base, epsilon=3.0, omega=BallSet(np.ones(2), 0.5)))
+    for p, eps, omega, zeta in ((dbp, base.epsilon, base.omega, dbp.zeta_k),
+                                (moved, base.epsilon, base.omega, 0.25),
+                                (other, 3.0, other.base.omega, dbp.zeta_k)):
+        assert p.epsilon == eps and p.omega_k.base is omega and p.omega_k.zeta == zeta
+    with pytest.raises(TypeError):
+        DiscreteBolzaProblem(base, dbp.mesh, dbp.reference, 0.0, epsilon=1.0)
+    with pytest.raises(ValueError):
+        replace(dbp, omega_k=moved.omega_k)
 
 
 def _cosh_benchmark():

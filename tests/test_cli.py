@@ -857,7 +857,8 @@ label = sim
 
 def test_simulated_reference_passes_the_gate_of_every_mesh(tmp_path):
     # a small ball's reference misses the inclusion more on the coarse
-    # mesh than on the fine one; the gate covers both
+    # mesh than on the fine one; a trajectory of the inclusion by
+    # construction, it is not bounded, and each mesh reports its residual
     from idikit.dynamics import approximate_arc, feasibility_residual
     cfg = load_config(_write(tmp_path, SIMULATED.format(
         body="variant = ball\nradius = 0.01", out=tmp_path / "out")))
@@ -865,10 +866,24 @@ def test_simulated_reference_passes_the_gate_of_every_mesh(tmp_path):
     horizon = cfg.entry.problem.horizon
     res = [feasibility_residual(cfg.entry.problem, reference,
                                 TimeMesh.uniform(k, horizon)) for k in cfg.mesh_ks]
-    assert res[0] > 2.0 * res[-1] and feas_tol == 2.0 * max(res)
-    for k in cfg.mesh_ks:
-        approximate_arc(cfg.entry.problem, reference, TimeMesh.uniform(k, horizon),
-                        feas_tol=feas_tol)
+    assert res[0] > 2.0 * res[-1] and feas_tol == np.inf
+    for k, r in zip(cfg.mesh_ks, res):
+        _, report = approximate_arc(cfg.entry.problem, reference,
+                                    TimeMesh.uniform(k, horizon), feas_tol=feas_tol)
+        assert report.reference_defect == r
+
+
+def test_a_simulated_reference_makes_no_residual_pass(tmp_path, monkeypatch):
+    # the tolerance is inf where unset, the configured one where set; no
+    # mesh's inclusion defect is walked to find it
+    from idikit import dynamics
+    passes, inner = [], dynamics._inclusion_defect
+    monkeypatch.setattr(dynamics, "_inclusion_defect",
+                        lambda *args: passes.append(args) or inner(*args))
+    text = SIMULATED.format(body="variant = ball\nradius = 0.01", out=tmp_path / "out")
+    for extra, want in (("", np.inf), ("\n[reference]\nfeas_tol = 1e-3\n", 1e-3)):
+        assert cli._reference_for(load_config(_write(tmp_path, text + extra)))[1] == want
+    assert passes == []
 
 
 def test_problems_the_run_cannot_check_exit_5(tmp_path, capsys):

@@ -36,8 +36,7 @@ def _singleton_linear_problem(a=0.8, phi_grad=None):
 
 def _wrap_discrete(problem, mesh, reference, zeta=0.0):
     return DiscreteBolzaProblem(base=problem, mesh=mesh, reference=reference,
-                                zeta_k=zeta, epsilon=problem.epsilon,
-                                omega_k=InflatedSet(problem.omega, zeta))
+                                zeta_k=zeta)
 
 
 def test_adjoint_classical_discrete_recursion_g_zero():
@@ -416,13 +415,13 @@ def test_recover_multipliers_routes(cos_t_entry):
 def test_recover_multipliers_degraded_on_nonstationary(ball_entry):
     # feasible but non-optimal controls: residuals exceed tolerance, the
     # abnormal probe degenerates (free endpoint), the normal set is returned
-    from idikit.bolza import forward_trajectory, ControlParameterization
+    from idikit.bolza import forward_trajectory
     from idikit.conditions import recover_multipliers
     mesh = TimeMesh.uniform(8, ball_entry.problem.horizon)
     from idikit.bolza import build_discrete_problem
     dbp, c0, _, _ = build_discrete_problem(ball_entry.problem, mesh,
                                            ball_entry.reference)
-    off = ControlParameterization(c0.u + 0.5).projected(dbp)
+    off = dbp.base.fmap.project_body(c0 + 0.5)
     traj = forward_trajectory(dbp, off)
     mult, route = recover_multipliers(dbp, traj, resid_tol=1e-8)
     assert route == "normal-degraded"

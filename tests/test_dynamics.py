@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from idikit import catalog
-from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
-                          forward_trajectory)
+from idikit.bolza import DiscreteBolzaProblem, forward_trajectory
 from idikit.dynamics import (InfeasibleReferenceError, NonFiniteStateError,
                              approximate_arc, estimate_tau,
                              feasibility_residual, localization_check,
@@ -14,8 +13,8 @@ from idikit.dynamics import (InfeasibleReferenceError, NonFiniteStateError,
 from idikit.gronwall import apriori_bounds
 from idikit.kernel import VolterraKernel
 from idikit.mesh import TimeMesh
-from idikit.problem import (CallableArc, InflatedSet, ProblemData,
-                            RunningCost, TerminalCost, WholeSpace)
+from idikit.problem import (CallableArc, ProblemData, RunningCost, TerminalCost,
+                            WholeSpace)
 from idikit.setvalued import Singleton
 from oracles import per_row_arc
 
@@ -238,12 +237,11 @@ def test_non_finite_state_names_stage_and_node():
         m_F=0.0, l_F=0.0, beta=0.0, alpha=0.0, state_box=prob.state_box)
     mesh = TimeMesh.uniform(8, 1.0)  # t_5 = 0.625 is the first node past 0.5
     ref = per_row_arc(lambda t: np.zeros(1), lambda t: np.zeros(1))
-    dbp = DiscreteBolzaProblem(base=prob, mesh=mesh, reference=ref, zeta_k=0.0,
-                               epsilon=1.0, omega_k=InflatedSet(WholeSpace(), 0.0))
+    dbp = DiscreteBolzaProblem(base=prob, mesh=mesh, reference=ref, zeta_k=0.0)
     runs = {
         "simulate": lambda: simulate(prob, mesh),
         "forward_trajectory": lambda: forward_trajectory(
-            dbp, ControlParameterization(np.zeros((8, 1)))),
+            dbp, np.zeros((8, 1))),
     }
     for stage, run in runs.items():
         with pytest.raises(NonFiniteStateError) as info:

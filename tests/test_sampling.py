@@ -13,9 +13,8 @@ import pytest
 
 import oracles
 from idikit import catalog
-from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
-                          SolveOptions, _tracking_term, build_discrete_problem,
-                          forward_trajectory, solve_Pk)
+from idikit.bolza import (DiscreteBolzaProblem, SolveOptions, _tracking_term,
+                          build_discrete_problem, forward_trajectory, solve_Pk)
 from idikit.conditions import adjoint_solve_smooth, build_condition_report
 from idikit.config import load_config
 from idikit.dynamics import approximate_arc, feasibility_residual, simulate
@@ -119,8 +118,7 @@ def test_tracking_term_and_reference_nodes_match_oracle(cases, name):
         dbp, c0, _, _ = build_discrete_problem(problem, mesh, ref,
                                                precomputed=(traj, rep))
         rng = np.random.default_rng(5)
-        bumped = ControlParameterization(
-            c0.u + 0.1 * rng.standard_normal(c0.u.shape)).projected(dbp)
+        bumped = dbp.base.fmap.project_body(c0 + 0.1 * rng.standard_normal(c0.shape))
         for tr in (traj, forward_trajectory(dbp, bumped)):
             assert _close(_tracking_term(dbp, tr), oracles.tracking_term(dbp, tr))
         nodes = np.array([np.atleast_1d(ref(t)) for t in mesh.nodes])
@@ -223,8 +221,7 @@ def test_discrete_problem_takes_the_reference_samples_of_its_approximation():
     dbp, _, _, _ = build_discrete_problem(entry.problem, mesh, ref,
                                           precomputed=(traj, rep))
     assert times == []  # nothing sampled again
-    fresh = DiscreteBolzaProblem(dbp.base, mesh, ref, dbp.zeta_k, dbp.epsilon,
-                                 dbp.omega_k)
+    fresh = DiscreteBolzaProblem(dbp.base, mesh, ref, dbp.zeta_k)
     assert len(times) == mesh.k + 1 + 4 * mesh.k
     assert np.array_equal(dbp.reference_nodes(), fresh.reference_nodes())
     assert np.array_equal(dbp._disc.ref_dot, fresh._disc.ref_dot)

@@ -24,9 +24,8 @@ import numpy as np
 import pytest
 
 from idikit import bolza, catalog, conditions, dynamics
-from idikit.bolza import (ControlParameterization, DiscreteBolzaProblem,
-                          SolveOptions, build_discrete_problem, cost_breakdown,
-                          cost_gradient, forward_trajectory, solve_Pk)
+from idikit.bolza import (DiscreteBolzaProblem, SolveOptions, build_discrete_problem,
+                          cost_breakdown, cost_gradient, forward_trajectory, solve_Pk)
 from idikit.bolza import _scans
 from idikit.catalog import _quadratic_running
 from idikit.conditions import (_adjoint_sweep, _trajectory_terms,
@@ -37,8 +36,8 @@ from idikit.dynamics import NonFiniteStateError, approximate_arc
 from idikit.kernel import VolterraKernel
 from idikit.mesh import (CallableArc, MeshError, PiecewiseLinearArc, TimeMesh,
                          cell_gauss_points)
-from idikit.problem import (BallSet, CostShapeError, InflatedSet, ProblemData,
-                            RunningCost, TerminalCost, WholeSpace)
+from idikit.problem import (BallSet, CostShapeError, ProblemData, RunningCost,
+                            TerminalCost, WholeSpace)
 from idikit.setvalued import (BallOffset, GraphNormalCone, PolytopeOffset,
                               Singleton, _centers, graph_normal_cone)
 from oracles import (affine_scan, approximation_march, centers, loop_drift,
@@ -294,7 +293,7 @@ def test_recovery_builds_tensors_and_cones_once(ball_entry, monkeypatch):
     mesh = TimeMesh.uniform(8, ball_entry.problem.horizon)
     dbp, c0, _, _ = build_discrete_problem(ball_entry.problem, mesh,
                                            ball_entry.reference)
-    traj = forward_trajectory(dbp, ControlParameterization(c0.u + 0.5).projected(dbp))
+    traj = forward_trajectory(dbp, dbp.base.fmap.project_body(c0 + 0.5))
     want = adjoint_solve_smooth(dbp, traj)
     calls = []
     original = conditions.graph_normal_cone
@@ -346,8 +345,7 @@ def _linear_problem(A, kernel, mesh, rng, x0=None):
         running_cost=_quadratic_running(0.3, 2.5), m_F=1.0, l_F=1.0,
         beta=1.0, alpha=1.0, state_box=(-np.ones(n), np.ones(n)))
     ref = PiecewiseLinearArc(TimeMesh.uniform(3, mesh.horizon), rng.normal(size=(4, n)))
-    fast = DiscreteBolzaProblem(base=base, mesh=mesh, reference=ref, zeta_k=0.0,
-                                epsilon=1.0, omega_k=InflatedSet(base.omega, 0.0))
+    fast = DiscreteBolzaProblem(base=base, mesh=mesh, reference=ref, zeta_k=0.0)
     slow = replace(fast, base=replace(base, fmap=loop_drift(base.fmap)))
     assert not _scans(slow)
     return fast, slow
@@ -373,7 +371,7 @@ def test_scans_match_the_node_loop(kernel):
                 mesh = _random_mesh(rng, k, 1.0)
                 fast, slow = _linear_problem(A, KERNELS[kernel](), mesh, rng)
                 assert _scans(fast) or np.abs(A).max() == 10.0
-                controls = ControlParameterization(rng.normal(size=(k, n)))
+                controls = rng.normal(size=(k, n))
                 _assert_scan_matches_loop(fast, slow, controls)
 
 
@@ -383,7 +381,7 @@ def test_scans_match_the_node_loop_on_a_fine_mesh():
     fast, slow = _linear_problem(3.0 * np.eye(2), KERNELS["fading"](),
                                  _random_mesh(rng, k, 1.0), rng)
     assert _scans(fast)
-    _assert_scan_matches_loop(fast, slow, ControlParameterization(rng.normal(size=(k, 2))))
+    _assert_scan_matches_loop(fast, slow, rng.normal(size=(k, 2)))
 
 
 @pytest.mark.parametrize("a, horizon", ((20.0, 2.0), (10.0, 1.0), (3.0, 1.0)))
@@ -398,7 +396,7 @@ def test_held_growing_states_match_the_loop_entry_by_entry(a, horizon):
     fast, slow = _linear_problem(A, VolterraKernel.zero(), _random_mesh(rng, k, horizon),
                                  rng, x0=x_star)
     assert _scans(fast) == (a * horizon <= 3.0)
-    controls = ControlParameterization(np.tile(-A @ x_star, (k, 1)))
+    controls = np.tile(-A @ x_star, (k, 1))
     scanned, looped = forward_trajectory(fast, controls), forward_trajectory(slow, controls)
     assert np.array_equal(looped.states, np.tile(x_star, (k + 1, 1)))
     assert np.all(np.abs(scanned.states - looped.states) <= 1e-12 * np.abs(looped.states))
@@ -417,7 +415,7 @@ def test_a_nan_control_names_its_node_on_the_scan(kernel):
     u = rng.normal(size=(8, 2))
     u[5, 1] = np.nan
     with pytest.raises(NonFiniteStateError) as info:
-        forward_trajectory(fast, ControlParameterization(u))
+        forward_trajectory(fast, u)
     err = info.value
     assert (err.stage, err.k, err.node, err.t) == ("forward_trajectory", 8, 5, 0.625)
 
@@ -431,7 +429,7 @@ def test_a_fast_growing_drift_takes_the_loop(kernel):
     fast, _ = _linear_problem([[800.0]], KERNELS[kernel](), TimeMesh.uniform(k, 2.0),
                               rng, x0=np.zeros(1))
     assert not _scans(fast)
-    traj = forward_trajectory(fast, ControlParameterization(np.zeros((k, 1))))
+    traj = forward_trajectory(fast, np.zeros((k, 1)))
     for field in ("states", "velocities", "w"):
         assert np.array_equal(getattr(traj, field), np.zeros_like(getattr(traj, field)))
 
@@ -508,7 +506,7 @@ def test_every_scan_is_the_compose_per_call_oracle(kernel, k, monkeypatch):
         mesh = _random_mesh(rng, k, 1.0)
         dbp, _ = _linear_problem(drifts[0], KERNELS[kernel](), mesh, rng)
         assert _scans(dbp)
-        u = ControlParameterization(rng.normal(size=(k, n))).projected(dbp)
+        u = dbp.base.fmap.project_body(rng.normal(size=(k, n)))
         tensors, glx, glv, _ = _trajectory_terms(dbp, forward_trajectory(dbp, u))
         # runs of about 50 rows, so that a scan takes several levels
         cones = _mixed_cones(rng, k, n, np.array(drifts[0]), p=(0.49, 0.49, 0.01, 0.01))
@@ -554,7 +552,7 @@ def test_one_solve_composes_each_direction_once(problem, iterations, monkeypatch
     composed = _counted_levels(monkeypatch)
     marches = []
     inner = dynamics._scan_march
-    monkeypatch.setattr(bolza, "_scan_march",
+    monkeypatch.setattr(dynamics, "_scan_march",
                         lambda *args: marches.append(1) or inner(*args))
     dbp, _, _, log = _solved(problem, 40)
     steps = dbp._disc.scan
@@ -584,7 +582,7 @@ def test_levels_over_the_budget_are_composed_per_scan(monkeypatch):
     assert dbp._disc.scan._levels == {}
     assert len(composed) > 2
     assert log.costs == stored[3].costs and log.iterations == stored[3].iterations
-    for got, want in ((traj.states, stored[1].states), (controls.u, stored[2].u)):
+    for got, want in ((traj.states, stored[1].states), (controls, stored[2])):
         assert np.array_equal(got, want)
 
 
@@ -695,6 +693,30 @@ def test_a_point_body_scans_the_approximation_march(monkeypatch):
                 _assert_rel(getattr(traj, field), getattr(want, field))
 
 
+@pytest.mark.parametrize("kernel", ("zero", "fading"))
+def test_a_point_bodys_approximation_is_the_solvers_march_with_zero_controls(kernel):
+    # approximate_arc on a Singleton and forward_trajectory with u = 0 run
+    # one driver: the same scan for a drift built with ``linear``, the same
+    # node loop for the drift as a plain callable, bit for bit
+    rng = np.random.default_rng(31)
+    A, x0 = np.array([[-1.5, 0.3], [0.0, -0.8]]), np.array([0.6, -0.2])
+    for k in KS:
+        mesh = _random_mesh(rng, k, 1.0)
+        nodes = np.vstack([x0, rng.normal(size=(3, 2))])
+        ref = PiecewiseLinearArc(TimeMesh.uniform(3, 1.0), nodes)
+        for fmap in (Singleton.linear(A), loop_drift(Singleton.linear(A))):
+            problem = ProblemData(
+                name="point", fmap=fmap, kernel=KERNELS[kernel](), x0=x0, horizon=1.0,
+                omega=WholeSpace(), terminal_cost=TerminalCost.zero(),
+                running_cost=RunningCost.zero(), m_F=5.0, l_F=1.5, beta=1.0,
+                alpha=1.0, state_box=(-3.0 * np.ones(2), 3.0 * np.ones(2)))
+            traj, report = approximate_arc(problem, ref, mesh, feas_tol=np.inf, tau_f=0.0)
+            dbp, _, _, _ = build_discrete_problem(problem, mesh, ref,
+                                                  precomputed=(traj, report))
+            assert _scans(dbp) == (fmap._linear is not None)
+            _assert_bits(traj, forward_trajectory(dbp, np.zeros((k, 2))))
+
+
 def test_the_solver_takes_the_approximations_scan_decision(monkeypatch):
     # build_discrete_problem hands the discretization on with the decision
     # made for the same map; a problem with another map decides again
@@ -750,7 +772,7 @@ def test_the_sweep_scans_its_runs_and_steps_the_rest(kernel, monkeypatch):
             for k in KS:
                 mesh = _random_mesh(rng, k, 1.0)
                 dbp, _ = _linear_problem(A, KERNELS[kernel](), mesh, rng)
-                u = ControlParameterization(rng.normal(size=(k, n))).projected(dbp)
+                u = dbp.base.fmap.project_body(rng.normal(size=(k, n)))
                 traj = forward_trajectory(dbp, u)
                 tensors, glx, glv, _ = _trajectory_terms(dbp, traj)
                 per_row = np.array(A) + 0.1 * rng.normal(size=(k, n, n))
@@ -779,7 +801,7 @@ def test_the_sweep_gates_the_matrices_it_composes():
     dbp, _ = _linear_problem([[800.0]], VolterraKernel.zero(), TimeMesh.uniform(k, 2.0),
                              rng, x0=np.zeros(1))
     assert not _scans(dbp)
-    traj = forward_trajectory(dbp, ControlParameterization(np.zeros((k, 1))))
+    traj = forward_trajectory(dbp, np.zeros((k, 1)))
     tensors, glx, glv, cones = _trajectory_terms(dbp, traj)
     h = dbp.mesh.steps
     pin = tensors.theta / h[:, None] + glv
@@ -838,7 +860,7 @@ def test_the_gradient_and_the_multipliers_share_one_backward_loop(monkeypatch):
     rng, k = np.random.default_rng(24), 12
     row_rule = VolterraKernel.convolution(lambda u: 0.7 * np.exp(-2.5 * u), 0.7, 0.7)
     dbp, _ = _linear_problem(DRIFTS[2][0], row_rule, TimeMesh.uniform(k, 1.0), rng)
-    controls = ControlParameterization(0.3 * rng.normal(size=(k, 2))).projected(dbp)
+    controls = dbp.base.fmap.project_body(0.3 * rng.normal(size=(k, 2)))
     for rho in (0.0, 10.0):
         calls.clear()
         grad, traj = cost_gradient(dbp, controls, rho)
