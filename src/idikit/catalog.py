@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import VolterraKernel
+from .mesh import _short_sum
 from .problem import (BallSet, CallableArc, ProblemData, RunningCost,
                       TerminalCost, WholeSpace)
 from .setvalued import BallOffset, PolytopeOffset, Singleton
@@ -51,8 +52,7 @@ def _quadratic_terminal(target: np.ndarray) -> TerminalCost:
 
 def _quadratic_running(cx: float, cv: float) -> RunningCost:
     return RunningCost(
-        value=lambda t, x, v: 0.5 * (cx * np.sum(x ** 2, axis=-1)
-                                     + cv * np.sum(v ** 2, axis=-1)),
+        value=lambda t, x, v: 0.5 * (cx * _short_sum(x ** 2) + cv * _short_sum(v ** 2)),
         grad_x=lambda t, x, v: cx * x,
         grad_v=lambda t, x, v: cv * v,
     )

@@ -41,7 +41,7 @@ from .dynamics import (InfeasibleReferenceError, NonFiniteStateError,
 from .gronwall import (apriori_bounds, backward_extremal, continuous_extremal,
                        continuous_gronwall, discrete_gronwall_backward,
                        discrete_gronwall_forward, forward_extremal)
-from .mesh import TimeMesh
+from .mesh import TimeMesh, _short_norm
 from .problem import EndpointError
 from .setvalued import (InfeasiblePointError, SetValuedError, _centers,
                         _jacobians, _norm)
@@ -86,12 +86,32 @@ def _write_record(path: Path, command, cfg: ExperimentConfig, rows, columns,
     # one line per top-level key, each value by the C encoder (an indent
     # would force the pure-Python one)
     try:
-        lines = [f"{json.dumps(key)}: "
-                 f"{json.dumps(record[key], sort_keys=True, allow_nan=False)}"
-                 for key in sorted(record)]
-    except ValueError as exc:
-        raise RuntimeError("run record contains non-finite numeric fields") from exc
+        lines = _record_lines(record)
+    except ValueError:  # JSON has no NaN or inf: write null and name the field
+        found = []
+        record = _finite_or_null(record, "", found)
+        record["non_finite_fields"] = found
+        lines = _record_lines(record)
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+def _record_lines(record: dict) -> list:
+    return [f"{json.dumps(key)}: {json.dumps(record[key], sort_keys=True, allow_nan=False)}"
+            for key in sorted(record)]
+
+
+def _finite_or_null(value, path: str, found: list):
+    """``value`` with each float that is not finite replaced by None, its
+    path (``solves[0].costs[1]``) appended to ``found`` in key order."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(value[key], f"{path}.{key}" if path else str(key), found)
+                for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v, f"{path}[{i}]", found) for i, v in enumerate(value)]
+    if isinstance(value, float) and not np.isfinite(value):
+        found.append(path)
+        return None
+    return value
 
 
 def _reference_for(cfg: ExperimentConfig):
@@ -280,7 +300,7 @@ def run_bound_audit(cfg: ExperimentConfig):
     for policy in cfg.audit_policies:
         traj = _simulate(cfg, mesh, policy)
         sizes = 1.0 + _norm(traj.arc().eval(grid))
-        speeds = np.linalg.norm(traj.velocities, axis=1)
+        speeds = _short_norm(traj.velocities, 1)
         # the first time the sup is hit, and the start of the first fastest cell
         first, fastest = int(np.argmax(sizes)), int(np.argmax(speeds))
         for label, check, value, bound, witness_t in (

@@ -36,7 +36,7 @@ from .dynamics import (DiscreteTrajectory, _affine_scan, _backward_loop,
                        _bounded_growth, _check_finite, _scan_levels)
 from .kernel import (QuadratureTensors, _adjoint_integrals, _memory_integrals,
                      _tensors)
-from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample
+from .mesh import PiecewiseLinearArc, TimeMesh, _panel_edges, _sample, _short_norm
 from .problem import ProblemData
 from .setvalued import (CONE_TOL_FEAS, GraphNormalCone, _centers, _matvec,
                         _norm, graph_normal_cone, pair_distances)
@@ -165,9 +165,8 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
 
     m_l = 0.0
     if k:
-        m_l = max(float(np.linalg.norm(glx, axis=1).max()),
-                  float(np.linalg.norm(glv, axis=1).max()))
-    theta_l1 = float(np.linalg.norm(tensors.theta, axis=1).sum())
+        m_l = max(float(_short_norm(glx, 1).max()), float(_short_norm(glv, 1).max()))
+    theta_l1 = float(_short_norm(tensors.theta, 1).sum())
     return MultiplierSet(lam=lam_s, p=p_s, tensors=tensors, glx=glx, glv=glv,
                          cones=cones, normalization=norm_rec, m_l=m_l, theta_l1=theta_l1,
                          el_residuals=_el_residuals(problem, lam_s, p_s, terms))
@@ -385,7 +384,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     taus = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     vol = volterra_residual(base, arc_x, p_arc, mult.lam, taus)
     bound = adjoint_norm_bound(problem, mult)
-    norms = np.linalg.norm(mult.p[1:], axis=1)
+    norms = _short_norm(mult.p[1:], 1)
     bound_ok = bool(np.all(norms <= bound * (1 + 1e-9)))
     p0_gap = float(np.linalg.norm(mult.p[0]) - np.median(norms)) if norms.size else 0.0
     return ConditionReport(
@@ -412,9 +411,9 @@ def perturbation_robustness(problem: ProblemData, t: float, x, v,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     dirs = rng.standard_normal((n_dirs, x.size))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= _short_norm(dirs, 1)[:, None]
     vdirs = rng.standard_normal((n_dirs, x.size))
-    vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
+    vdirs /= _short_norm(vdirs, 1)[:, None]
     cone0 = graph_normal_cone(problem.fmap, t, x, v)
     pairs0 = cone0.pair_samples(0)
     (glx0,), (glv0,) = problem.running_cost.gradients(np.array([t]), x[None], v[None])

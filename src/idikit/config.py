@@ -19,6 +19,7 @@ from . import catalog
 from .catalog import CatalogEntry, _quadratic_running, _quadratic_terminal
 from .dynamics import POLICIES
 from .kernel import VolterraKernel
+from .mesh import _short_norm
 from .problem import (BallSet, BoxSet, PointSet, ProblemData,
                       RunningCost, TerminalCost, WholeSpace)
 from .setvalued import BallOffset, PolytopeOffset, Singleton
@@ -172,7 +173,7 @@ def _build_inline_problem(parser) -> CatalogEntry:
         if verts.shape[1] != dim:
             raise ConfigError("field 'problem.vertices': dimension mismatch")
         fmap = PolytopeOffset.linear(A, verts)
-        body_rad = float(np.linalg.norm(verts, axis=1).max())
+        body_rad = float(_short_norm(verts, 1).max())
     else:
         raise ConfigError(f"field 'problem.variant': unknown variant {variant!r}")
 

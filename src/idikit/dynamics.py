@@ -35,9 +35,10 @@ from typing import Optional
 import numpy as np
 
 from .kernel import (_assemble_w, _discretize, _Discretization, _march_steps,
-                     _memory_averages, _memory_integrals, _scanned_w, assemble_w)
-from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _sq_integral,
-                   l2_distance, sup_distance)
+                     _memory_averages, _memory_integrals, _scanned_w,
+                     _with_reference, assemble_w)
+from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _short_all, _short_any,
+                   _short_norm, _short_sum, _sq_integral, l2_distance, sup_distance)
 from .problem import ProblemData
 from .setvalued import (Singleton, _centers, _norm, averaged_modulus,
                         distance_and_projection)
@@ -266,7 +267,7 @@ def _bounded_growth(M: np.ndarray) -> bool:
     bounded by sqrt(||M_j||_1 ||M_j||_inf) and so the same for M_j^T, is at
     most :data:`SCAN_GROWTH`: a bound on every product a scan of them forms."""
     size = np.abs(M)
-    norms = np.sqrt(size.sum(axis=1).max(axis=1) * size.sum(axis=2).max(axis=1))
+    norms = np.sqrt(_short_sum(size, 1).max(axis=1) * _short_sum(size, 2).max(axis=1))
     return bool(np.log(np.maximum(norms, 1.0)).sum() <= np.log(SCAN_GROWTH))
 
 
@@ -394,8 +395,7 @@ class ApproximationErrorReport:
 def _check_finite(stage: str, mesh: TimeMesh, *rows, backward: bool = False):
     """Raise NonFiniteStateError at the first node, in the sweep's order,
     whose rows are not all finite; ``rows`` hold one row per node j >= 0."""
-    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(r).all(axis=1)
-                                                 for r in rows]))
+    bad = np.flatnonzero(~_short_all(np.isfinite(np.hstack(rows)), 1))
     if bad.size:
         j = int(bad[-1] if backward else bad[0])
         raise NonFiniteStateError(stage, mesh.k, j, float(mesh.nodes[j]))
@@ -403,8 +403,8 @@ def _check_finite(stage: str, mesh: TimeMesh, *rows, backward: bool = False):
 
 def _sample_reference(arc, disc: _Discretization) -> _Discretization:
     """``disc`` with a reference arc sampled on it."""
-    return disc._replace(ref_nodes=_sample(arc, disc.mesh.nodes),
-                         ref_dot=_sample(arc.derivative, disc.pts))
+    return _with_reference(disc, _sample(arc, disc.mesh.nodes),
+                           _sample(arc.derivative, disc.pts))
 
 
 def _inclusion_defect(problem: ProblemData, arc, disc: _Discretization):
@@ -469,7 +469,7 @@ def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,
         raise InfeasibleReferenceError("reference arc does not start at x0")
 
     # exact cell averages of the reference derivative
-    a = np.diff(disc.ref_nodes, axis=0) / mesh.steps[:, None]
+    a = disc.ref_steps / mesh.steps[:, None]
     # memory averages frozen along the reference nodes
     b = _assemble_w(disc, disc.ref_nodes)
 
@@ -511,7 +511,7 @@ def _approximation_march(problem: ProblemData, disc: _Discretization,
     v = distance_and_projection(fmap, t[:-1], guess[:-1], z)[1] + w
     states = np.add.accumulate(np.concatenate([problem.x0[None], h[:, None] * v]))
     # bit patterns: a -0.0 for a 0.0 could change a later projection
-    differ = np.flatnonzero((states.view(np.uint64) != guess.view(np.uint64)).any(axis=1))
+    differ = np.flatnonzero(_short_any(states.view(np.uint64) != guess.view(np.uint64), 1))
     start = int(differ[0]) if differ.size else mesh.k
     return _march(problem, disc, select, "approximate_arc", start, (states, v, w))
 
@@ -531,19 +531,19 @@ def _error_report(problem, reference, traj, a, b, disc, x, y, defect, residual,
     xi_k = math.sqrt(T * _sq_integral(wts, da))
 
     const = (2.0 * l_f + alpha * T + alpha * mesh.steps / 2.0) * xi_k + tau_f
-    c = (2.0 * np.linalg.norm(da, axis=-1)
-         + np.linalg.norm(b[:, None] - y, axis=-1)
-         + l_f * (pts - mesh.nodes[:-1, None]) * np.linalg.norm(a, axis=-1)[:, None]
+    c = (2.0 * _short_norm(da)
+         + _short_norm(b[:, None] - y)
+         + l_f * (pts - mesh.nodes[:-1, None]) * _short_norm(a)[:, None]
          + const[:, None] + defect)
     c_int = float(np.sum(wts * c))
     c_sq_int = float(np.sum(wts * c * c))
     dv = traj.velocities[:, None] - disc.ref_dot
-    nu_k = float(np.sum(wts * np.linalg.norm(dv, axis=-1)))
+    nu_k = float(np.sum(wts * _short_norm(dv)))
 
     zeta_k = c_int * math.exp(alpha * T * T / 2.0 + T * (l_f + 1.5 * alpha * h_max))
     beta_k = c_sq_int + T * (l_f + 2.0 * alpha * T + alpha * h_max / 2.0) ** 2 * zeta_k ** 2
 
-    nodal = float(np.linalg.norm(traj.states - disc.ref_nodes, axis=1).max())
+    nodal = float(_short_norm(traj.states - disc.ref_nodes, 1).max())
     arc = traj.arc()
     sup_err = sup_distance(mesh, arc, reference)
     state_l2 = math.sqrt(_sq_integral(wts, _sample(arc, pts) - x))

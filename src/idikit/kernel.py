@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .mesh import (GAUSS_ORDER, TimeMesh, _panel_edges, _sample,
+from .mesh import (GAUSS_ORDER, TimeMesh, _panel_edges, _sample, _short_sum,
                    cell_gauss_points, interval_gauss_points)
 from .setvalued import _fd_jacobian
 
@@ -251,9 +251,12 @@ class _Discretization(NamedTuple):
     every layer that works on the mesh: the cell Gauss points and weights,
     shape (k, GAUSS_ORDER); for an exponential kernel c e^{-r (t - s)} x its
     recurrence (:func:`_exp_cells`), four arrays of shape (k,), from the
-    row rule's own Gauss points and triangle; once sampled, a reference arc
-    at the nodes, (k+1, n), and its derivative at the Gauss points,
-    (k, GAUSS_ORDER, n); and, once :func:`dynamics._decide_scan` has looked
+    row rule's own Gauss points and triangle; once sampled
+    (:func:`_with_reference`), a reference arc at the nodes, (k+1, n), its
+    derivative at the Gauss points, (k, GAUSS_ORDER, n), the differences
+    of its nodal values, (k, n), and, but for the row rule's kernel, the
+    triangle tensors mu, (k, n, n), which do not depend on the states;
+    and, once :func:`dynamics._decide_scan` has looked
     at a velocity map (``drift``), the step matrices of its march when that
     march scans (``scan``, a :class:`dynamics._ScanSteps` that composes the
     march's and the gradient's scan levels on first use and keeps them for
@@ -269,6 +272,8 @@ class _Discretization(NamedTuple):
     decay: Optional[np.ndarray] = None
     ref_nodes: Optional[np.ndarray] = None
     ref_dot: Optional[np.ndarray] = None
+    ref_steps: Optional[np.ndarray] = None
+    mu: Optional[np.ndarray] = None
     drift: Optional[object] = None      # the velocity map ``scan`` was decided for
     scan: Optional[object] = None       # _ScanSteps, None where the march loops
 
@@ -276,6 +281,25 @@ class _Discretization(NamedTuple):
 def _discretize(kernel: VolterraKernel, mesh: TimeMesh) -> _Discretization:
     disc = _Discretization(mesh, kernel, *cell_gauss_points(mesh))
     return disc if kernel._exp is None else _exp_cells(disc)
+
+
+def _with_reference(disc: _Discretization, ref_nodes: np.ndarray,
+                    ref_dot: Optional[np.ndarray] = None) -> _Discretization:
+    """``disc`` with a reference's nodal values (k+1, n) and derivative
+    samples, and the per-mesh parts of :func:`_tensors`, read-only: the
+    nodal differences and, for a zero or exponential kernel, mu."""
+    ref_nodes = np.asarray(ref_nodes, dtype=float)
+    k, n = disc.mesh.k, ref_nodes.shape[1]
+    mu = None
+    if disc.tau is not None:
+        mu = disc.own[:, None, None] * np.eye(n)
+    elif disc.kernel.is_zero:
+        mu = np.zeros((k, n, n))
+    ref_steps = np.diff(ref_nodes, axis=0)
+    for a in (ref_steps, mu):
+        if a is not None:
+            a.flags.writeable = False
+    return disc._replace(ref_nodes=ref_nodes, ref_dot=ref_dot, ref_steps=ref_steps, mu=mu)
 
 
 def _exp_cells(disc: _Discretization) -> _Discretization:
@@ -293,7 +317,7 @@ def _exp_cells(disc: _Discretization) -> _Discretization:
     c, r = disc.kernel._exp
     nodes, h, q, wq = disc.mesh.nodes, disc.mesh.steps, disc.pts, disc.wts
     tri_lag = h[:, None] * (_TRI_TS[:, 0] - _TRI_TS[:, 1])
-    tau = np.sum(wq * np.exp(-r * (q - nodes[:-1, None])), axis=1)
+    tau = _short_sum(wq * np.exp(-r * (q - nodes[:-1, None])), 1)
     return disc._replace(
         own=c * (0.5 * h * h * (np.exp(-r * tri_lag) @ TRIANGLE_WEIGHTS)),
         past=c * tau, tau=tau, decay=np.exp(-r * h))
@@ -581,7 +605,7 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
     per-cell sums in place of ``xi``, in O(k) time and memory; the zero
     kernel gets no ``xi``.
     """
-    disc = _discretize(kernel, mesh)._replace(ref_nodes=reference_nodes)
+    disc = _with_reference(_discretize(kernel, mesh), reference_nodes)
     states = np.atleast_2d(np.asarray(nodal_states, dtype=float))
     return _tensors(disc, states, _assemble_w(disc, states), velocities)
 
@@ -589,20 +613,19 @@ def assemble_tensors(kernel: VolterraKernel, mesh: TimeMesh, nodal_states,
 def _tensors(disc: _Discretization, states: np.ndarray, w: np.ndarray,
              velocities) -> QuadratureTensors:
     """:func:`assemble_tensors` on a discretization with its reference
-    nodes, given the averages ``w`` of the states: a trajectory's own, which
-    are :func:`assemble_w`'s bit for bit.  Only the row rule evaluates the
-    kernel here."""
-    mesh, kernel, cells = disc.mesh, disc.kernel, None
+    (:func:`_with_reference`), given the averages ``w`` of the states: a
+    trajectory's own, which are :func:`assemble_w`'s bit for bit.  Only the
+    row rule evaluates the kernel here; the other kernels' mu is the
+    discretization's own."""
+    mesh, kernel = disc.mesh, disc.kernel
     k, n = mesh.k, states.shape[1]
     # theta_vector for every cell at once
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
-    theta = mesh.steps[:, None] * v - np.diff(disc.ref_nodes, axis=0)
-    mu, xi = np.zeros((k, n, n)), None
-    if disc.tau is not None:
-        cells = disc
-        mu[:] = disc.own[:, None, None] * np.eye(n)
-    elif not kernel.is_zero:
-        xi = np.zeros((k + 1, k, n, n))
+    theta = mesh.steps[:, None] * v - disc.ref_steps
+    mu, xi = disc.mu, None
+    cells = disc if disc.tau is not None else None
+    if mu is None:
+        mu, xi = np.zeros((k, n, n)), np.zeros((k + 1, k, n, n))
         for i in range(k):
             rows = _row_integrals(kernel.jac_batch_s, mesh, states, i)
             xi[i, :i] = rows[:i].transpose(0, 2, 1)

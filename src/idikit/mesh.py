@@ -300,13 +300,61 @@ def cell_gauss_points(mesh: TimeMesh):
     return interval_gauss_points(mesh.nodes[:-1], mesh.nodes[1:])
 
 
+# Reductions over a short axis: a state, pair, subset or Gauss-point axis of a
+# few entries.  numpy reduces such an axis with a loop per row inside one
+# call, which costs more than one elementwise call per entry of the axis, so
+# these fold the columns (the slices along the axis) one after another.  A
+# sum adds them left to right from +0.0 at every length; numpy's reduction
+# also starts from +0.0 (it sums an all -0.0 row to +0.0), so at lengths
+# 1 to 7, below its pairwise blocks, the sum is bit for bit np.add.reduce
+# and the norm np.linalg.norm(x, axis=...).  Long axes (cells, grid columns,
+# samples) keep numpy's reductions.
+
+def _short_fold(ufunc, start, x, axis: int):
+    """``ufunc`` applied to ``start`` and each column of x along ``axis``
+    in turn, into one new array; ``start`` alone, broadcast, on an axis of
+    length 0."""
+    x = np.asarray(x)
+    lead = (slice(None),) * (axis % x.ndim)
+    if not x.shape[axis]:
+        return np.full(x.shape[:len(lead)] + x.shape[len(lead) + 1:], start)
+    out = ufunc(start, x[lead + (0,)])
+    for i in range(1, x.shape[axis]):
+        if out.ndim:
+            ufunc(out, x[lead + (i,)], out=out)
+        else:  # a 1-D x folds to a numpy scalar
+            out = ufunc(out, x[lead + (i,)])
+    return out
+
+
+def _short_sum(x, axis: int = -1):
+    """Sum over a short axis, the columns added left to right from +0.0."""
+    return _short_fold(np.add, 0.0, x, axis)
+
+
+def _short_norm(x, axis: int = -1):
+    """Euclidean norm over a short axis: sqrt of the :func:`_short_sum` of
+    the squares, bit for bit np.linalg.norm(x, axis=axis) at lengths 1-7."""
+    return np.sqrt(_short_sum(x * x, axis))
+
+
+def _short_all(x, axis: int = -1):
+    """Whether every entry along a short axis is true: & of the columns."""
+    return _short_fold(np.logical_and, True, x, axis)
+
+
+def _short_any(x, axis: int = -1):
+    """Whether some entry along a short axis is true: | of the columns."""
+    return _short_fold(np.logical_or, False, x, axis)
+
+
 def _sq_integral(wts: np.ndarray, d: np.ndarray) -> float:
     """Cell quadrature of |d|^2 from samples d of shape (k, GAUSS_ORDER, n).
 
     Every cell-quadrature functional is such a weighted reduction of the
     samples of its arcs at the points of :func:`cell_gauss_points`.
     """
-    return float(np.sum(wts * np.sum(d * d, axis=-1)))
+    return float(np.sum(wts * _short_sum(d * d)))
 
 
 def average_operator(mesh: TimeMesh, y: ArcLike) -> PiecewiseConstantArc:

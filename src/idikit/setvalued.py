@@ -20,6 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .mesh import _short_all, _short_any, _short_norm, _short_sum
+
 __all__ = [
     "Singleton",
     "BallOffset",
@@ -238,31 +240,31 @@ class PolytopeOffset(_OffsetMap):
                                           if f[1].shape[1] == n - 1]))
             _, s, Vt = np.linalg.svd(np.swapaxes(E, 1, 2))
             A = Vt[:, -1] / _norm(Vt[:, -1])[:, None]
-            side = (V[:, None, :] * A).sum(axis=-1) - np.vecdot(A, base)  # (m, K)
-            below, above = (side <= tol).all(axis=0), (side >= -tol).all(axis=0)
+            side = _short_sum(V[:, None, :] * A) - np.vecdot(A, base)  # (m, K)
+            below, above = _short_all(side <= tol, 0), _short_all(side >= -tol, 0)
             A = np.where(below[:, None], A, -A)[(s[:, -1] > tol) & (below | above)]
             same = np.abs(A[:, None] - A[None]).max(axis=-1) <= 1e-9
-            A = A[~np.tril(same, -1).any(axis=1)]
-            self._facets = (A, (V[:, None, :] * A).sum(axis=-1).max(axis=0))
+            A = A[~_short_any(np.tril(same, -1), 1)]
+            self._facets = (A, _short_sum(V[:, None, :] * A).max(axis=0))
         return self._facets
 
     def body_normal_cone(self, W):
         if self.vertices.shape[0] == 1:
             return super().body_normal_cone(W)
         A, b = self._facet_system()
-        resid = (W[:, None, :] * A).sum(axis=-1) - b  # (N, m)
-        far = np.flatnonzero((resid > CONE_TOL_FEAS).any(axis=1))
+        resid = _short_sum(W[:, None, :] * A) - b  # (N, m)
+        far = np.flatnonzero(_short_any(resid > CONE_TOL_FEAS, 1))
         if far.size:
             i = int(far[0])
             raise InfeasiblePointError(
                 f"row {i}: point {resid[i].max():.3e} outside a facet of the "
                 f"polytope, beyond the cone tolerance {CONE_TOL_FEAS:.1e}")
         active = np.abs(resid) <= _ACTIVE_TOL
-        return {"kind": np.where(active.any(axis=1), "polyhedral", "zero"),
+        return {"kind": np.where(_short_any(active, 1), "polyhedral", "zero"),
                 "direction": np.zeros_like(W), "facets": A, "active": active}
 
     def body_radius(self):
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        return float(np.max(_short_norm(self.vertices, 1)))
 
     def sample_extreme(self, t, x, rng):
         return self.center(t, x) + self.vertices[int(rng.integers(self.vertices.shape[0]))]
@@ -336,7 +338,7 @@ class _HullFaces:
             E_pinv = self._faces[-1][2]
             sv = np.linalg.svd(self._faces[-1][1], compute_uv=False)
             if sv[-1] * 1e4 >= sv[0] > 0.0:
-                grads = np.vstack([-E_pinv.sum(axis=0), E_pinv])
+                grads = np.vstack([-_short_sum(E_pinv, 0), E_pinv])
                 self._heights = 1.0 / _norm(grads)
                 self._margin = 1e-9 * max(1.0, float(np.abs(vertices).max()))
 
@@ -348,8 +350,8 @@ class _HullFaces:
         if self._heights is None:
             return self._scan(Z).reshape(np.shape(z))
         coef, out = _face_candidates(Z, *self._faces[-1])
-        lam = np.column_stack((1.0 - coef.sum(axis=1), coef))
-        shallow = ~(lam * self._heights > self._margin).all(axis=1)
+        lam = np.column_stack((1.0 - _short_sum(coef, 1), coef))
+        shallow = ~_short_all(lam * self._heights > self._margin, 1)
         if shallow.any():
             out[shallow] = self._scan(Z[shallow])
         return out.reshape(np.shape(z))
@@ -364,8 +366,8 @@ class _HullFaces:
                 ok = True
             else:
                 coef, cand = _face_candidates(Z, base, E, E_pinv)
-                ok = ~((1.0 - coef.sum(axis=1) < -1e-10)
-                       | np.any(coef < -1e-10, axis=1))
+                ok = ~((1.0 - _short_sum(coef, 1) < -1e-10)
+                       | _short_any(coef < -1e-10, 1))
             d = _norm(Z - cand)
             better = ok & (d < best_d - 1e-12)
             tie = ok & ~better & (np.abs(d - best_d) <= 1e-12)
@@ -382,10 +384,11 @@ def _face_candidates(Z, base, E, E_pinv):
     projections onto the face's affine hull, shape (N, n), of the rows of Z.
 
     Products are summed elementwise, not by BLAS, so that a row's result
-    does not depend on the other rows.
+    does not depend on the other rows: by :func:`mesh._short_sum`, left to
+    right from +0.0 over the short axis.
     """
-    coef = ((Z - base)[:, None, :] * E_pinv).sum(axis=-1)
-    return coef, base + (coef[:, None, :] * E).sum(axis=-1)
+    coef = _short_sum((Z - base)[:, None, :] * E_pinv)
+    return coef, base + _short_sum(coef[:, None, :] * E)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,7 +396,7 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differ = a != b
     first = differ.argmax(axis=1)
     rows = np.arange(a.shape[0])
-    return differ.any(axis=1) & (a[rows, first] < b[rows, first])
+    return _short_any(differ, 1) & (a[rows, first] < b[rows, first])
 
 
 def project_convex_hull(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -484,22 +487,24 @@ class GraphNormalCone:
 
 # Products of the stacked passes below are summed elementwise, not by BLAS,
 # so that a row's result does not depend on the other rows: the one-row case
-# of a stack is bit for bit the row.  ``J`` is shared, (n, n), or (N, n, n).
+# of a stack is bit for bit the row.  Each sum is mesh._short_sum, the
+# columns of the short axis added left to right from +0.0.  ``J`` is shared,
+# (n, n), or (N, n, n).
 
 def _matvec(M, x):
     """M_i x_i for a matrix (n, n) or one per row (N, n, n), and x (N, n)."""
-    return (M * x[:, None, :]).sum(axis=-1)
+    return _short_sum(M * x[:, None, :])
 
 
 def _rmatvec(M, x):
     """M_i^T x_i, with M and x as for :func:`_matvec`."""
-    return (M * x[:, :, None]).sum(axis=-2)
+    return _short_sum(M * x[:, :, None], -2)
 
 
 def _subspace_witness(J, Qx, Qv):
     # normal equations of min |q_x + J^T u|^2 + |q_v - u|^2; I + J J^T is
     # factored once when the Jacobian is shared
-    JJt = (J[..., :, None, :] * J[..., None, :, :]).sum(axis=-1)
+    JJt = _short_sum(J[..., :, None, :] * J[..., None, :, :])
     K_inv = np.linalg.inv(np.eye(Qx.shape[1]) + JJt)
     return _matvec(K_inv, Qv - _matvec(J, Qx))
 
@@ -524,7 +529,7 @@ def _polyhedral_witness(G, J, Qx, Qv):
     """
     n = G.shape[1]
     Q = np.concatenate([Qx, Qv], axis=1)
-    JtG = (G[:, :, None] * J[..., None, :, :]).sum(axis=-2)  # rows J^T g
+    JtG = _short_sum(G[:, :, None] * J[..., None, :, :], -2)  # rows J^T g
     P = np.concatenate([-JtG, np.broadcast_to(G, JtG.shape)],
                        axis=-1)  # pair rows, (g, 2n) or (N, g, 2n)
     best_d = np.full(Q.shape[0], np.inf)
@@ -537,7 +542,7 @@ def _polyhedral_witness(G, J, Qx, Qv):
             d = _norm(Q - _rmatvec(P[..., rows, :], lam))
             take = d < best_d
             best_d[take] = d[take]
-            best_u[take] = (lam[take, :, None] * G[rows]).sum(axis=1)
+            best_u[take] = _short_sum(lam[take, :, None] * G[rows], 1)
     return best_u
 
 
@@ -651,7 +656,7 @@ def averaged_modulus(fmap: _OffsetMap, h: float, state_samples,
             pts = np.array([fmap.center(tw, x) for tw in window])
             # max pairwise distance of the centers == max Hausdorff gap
             diff = pts[:, None, :] - pts[None, :, :]
-            worst = max(worst, float(np.sqrt((diff ** 2).sum(-1)).max()))
+            worst = max(worst, float(_short_norm(diff).max()))
         sigma[i] = worst
     return float(np.trapezoid(sigma, tg))
 

@@ -58,9 +58,10 @@ def test_converge_csv_and_record(tmp_path):
     assert all(s["message"] == "" for s in rec["solves"])
 
 
-def test_record_has_one_line_per_key_and_rejects_non_finite_fields(tmp_path):
+def test_record_has_one_line_per_key_and_nulls_non_finite_fields(tmp_path):
     # each top-level key on a line of its own; a NaN or inf anywhere in the
-    # record, the wall time included, raises and writes nothing
+    # record, the wall time included, is written as null and its path named
+    # in non_finite_fields, which a finite record does not have
     cfg = load_config(_write(tmp_path, BASE.format(out=tmp_path / "out")))
     path = tmp_path / "r.json"
     extra = {"solves": [{"costs": [1.0, np.float64(0.5)], "note": "x"}]}
@@ -72,13 +73,22 @@ def test_record_has_one_line_per_key_and_rejects_non_finite_fields(tmp_path):
     assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0]
             for line in lines[1:-1]] == sorted(rec)
     assert rec["rows"] == [[8, 0.125, "a"]] and rec["solves"] == extra["solves"]
-    for bad, wall in (({"solves": [{"costs": [1.0, float("nan")]}]}, 0.25),
-                      ({"x": np.float64(-np.inf)}, 0.25), ({}, float("nan"))):
-        path.unlink(missing_ok=True)
-        with pytest.raises(RuntimeError, match="non-finite numeric fields"):
-            cli._write_record(path, "converge", cfg, [[8, 0.125, ""]],
-                              ["k", "h", "flags"], bad, wall)
-        assert not path.exists()
+    assert "non_finite_fields" not in rec
+    for bad, wall, rows, named in (
+            ({"solves": [{"costs": [1.0, float("nan")], "k": 8}]}, 0.25,
+             [[8, 0.125, ""]], ["solves[0].costs[1]"]),
+            ({"x": np.float64(-np.inf)}, 0.25, [[8, np.inf, ""]], ["rows[0][1]", "x"]),
+            ({}, float("nan"), [[8, 0.125, ""]], ["wall_clock_s"])):
+        cli._write_record(path, "converge", cfg, rows, ["k", "h", "flags"], bad, wall)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rec = json.loads("\n".join(lines))
+        assert len(lines) == len(rec) + 2 and rec["non_finite_fields"] == named
+        for field in named:  # each named path reads null
+            value = rec
+            for part in field.replace("[", ".").replace("]", "").split("."):
+                value = value[int(part)] if part.isdigit() else value[part]
+            assert value is None
+        assert rec["config"] == cfg.snapshot and rec["columns"] == ["k", "h", "flags"]
 
 
 def test_demo_multipliers_are_normal_on_every_mesh(tmp_path):

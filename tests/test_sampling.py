@@ -262,3 +262,42 @@ def test_one_discretization_per_mesh(tmp_path, monkeypatch):
     cost_gradient(dbp, controls, traj=traj)
     adjoint_solve_smooth(dbp, traj)
     assert walks == []
+
+
+@pytest.mark.parametrize("name", ["polytope_endpoint", "damped_volterra"])
+def test_tensor_constants_once_per_mesh(name, monkeypatch):
+    # theta's reference differences, and mu of a zero or exponential kernel,
+    # depend on the problem and the mesh alone: they are formed once, with
+    # the reference samples, and no gradient or multiplier sweep forms them
+    # again (no np.diff call, one read-only mu shared by every sweep)
+    import idikit.bolza as bolza
+    import idikit.conditions as conditions
+    import idikit.dynamics as dynamics
+    from idikit.bolza import cost_gradient
+
+    entry = catalog.get(name)
+    mesh = TimeMesh.uniform(40, entry.problem.horizon)
+    built, seen, diffs = [], [], []
+
+    def recorded(module, name, log):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: log.append(inner(*a)) or log[-1])
+
+    recorded(dynamics, "_with_reference", built)
+    dbp, controls, traj, _ = build_discrete_problem(entry.problem, mesh, entry.reference)
+    recorded(bolza, "_tensors", seen)
+    recorded(conditions, "_tensors", seen)
+    diff = np.diff
+    monkeypatch.setattr(np, "diff", lambda *a, **kw: diffs.append(a) or diff(*a, **kw))
+    for scale in (1.0, 0.5, 0.25):
+        cost_gradient(dbp, scale * controls)
+    adjoint_solve_smooth(dbp, traj)
+    assert diffs == [] and len(built) == 1 and len(seen) == 4
+    disc = dbp._disc
+    assert all(t.mu is disc.mu for t in seen) and not disc.mu.flags.writeable
+    want_mu = (np.zeros((40, 2, 2)) if entry.problem.kernel.is_zero
+               else disc.own[:, None, None] * np.eye(1))
+    np.testing.assert_array_equal(disc.mu, want_mu)
+    ref = dbp.reference_nodes()
+    np.testing.assert_array_equal(
+        seen[-1].theta, mesh.steps[:, None] * traj.velocities - (ref[1:] - ref[:-1]))
