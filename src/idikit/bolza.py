@@ -275,12 +275,6 @@ class SolveLog:
     message: str = ""
 
 
-def _scaled_projected_gradient_norm(problem, controls, grad):
-    step = controls - grad / problem.mesh.steps[:, None]
-    gap = controls - problem.base.fmap.project_body(step)
-    return float(_norm(gap).max())
-
-
 def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
              opts: SolveOptions = SolveOptions()):
     """Projected-gradient descent with Armijo line search and exact penalty.
@@ -288,10 +282,14 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
     The endpoint set is handled by an exact distance penalty escalated until
     the violation is below tolerance; the localization tube and derivative
     budget act as a trust region (violating steps are rejected).  Dynamics
-    feasibility holds exactly at every iterate by construction.
+    feasibility holds exactly at every iterate by construction.  Each
+    iteration projects the stationarity step u - g/h and its first trial
+    u - (alpha g)/h in one call on the 2k stacked rows (the projection is
+    row by row); a backtrack projects its trial alone.
     """
     body = problem.base.fmap
     h = problem.mesh.steps
+    k = problem.mesh.k
     half = problem.epsilon / 2.0
     log = SolveLog()
     controls = body.project_body(init)
@@ -302,7 +300,9 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
         obj, cost, nodal, budget = _objective(problem, traj, rho)
         alpha = ALPHA0
         while True:
-            gnorm = _scaled_projected_gradient_norm(problem, controls, grad)
+            pair = body.project_body(np.concatenate(
+                (controls - grad / h[:, None], controls - alpha * grad / h[:, None])))
+            gnorm = float(_norm(controls - pair[:k]).max())
             log.grad_norms.append(gnorm)
             log.costs.append(cost)
             if gnorm < opts.tol_stat:
@@ -317,8 +317,9 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
             noise = 4.0 * np.finfo(float).eps * (1.0 + abs(obj))
             accepted = False
             trial_alpha = alpha
-            for _bt in range(MAX_BACKTRACKS):
-                cand = body.project_body(controls - trial_alpha * grad / h[:, None])
+            for bt in range(MAX_BACKTRACKS):
+                cand = pair[k:] if bt == 0 else \
+                    body.project_body(controls - trial_alpha * grad / h[:, None])
                 slope = float(np.sum(grad * (cand - controls)))
                 cand_traj = forward_trajectory(problem, cand)
                 cand_obj, cand_cost, cand_nodal, cand_budget = _objective(

@@ -18,12 +18,23 @@ plus one JSON run record per invocation; identical config + seed reproduce
 the CSV byte for byte.  ``converge`` and ``conditions`` recover the
 multipliers normal-first with :func:`~idikit.conditions.recover_multipliers`
 and record its route per k: ``route`` in each ``solves`` entry, ``routes``
-in the conditions record.
+in the conditions record.  Exits 3, 4 and 5 write the record too, with no
+rows, the exit code and the printed line (and on 3 the stage, k, node and
+t).
+
+``converge`` solves the first mesh from the approximation's controls; each
+later mesh starts from the previous mesh's solved controls, prolonged by
+midpoint sampling and projected onto the body, where they lie in the
+solver's trust region and their penalized objective is no higher than the
+approximation start's (``start`` in each ``solves`` entry, ``"coarse"`` or
+``"approximation"``).  The solver columns may then differ from a solve
+started from the approximation within the solver's tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -33,7 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
+from .bolza import (RHO0, SolveOptions, _objective, build_discrete_problem,
+                    cost_Jk, forward_trajectory, solve_Pk)
 from .conditions import build_condition_report, recover_multipliers
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import (InfeasibleReferenceError, NonFiniteStateError,
@@ -134,12 +146,39 @@ def _simulate(cfg: ExperimentConfig, mesh: TimeMesh, policy: str):
                     constant_deviation=cfg.reference_constant)
 
 
+def _prolong(coarse: TimeMesh, controls: np.ndarray, mesh: TimeMesh) -> np.ndarray:
+    """Controls on ``mesh`` from ``controls`` on ``coarse``: each cell takes
+    the control of the coarse cell that holds its midpoint (one on a coarse
+    node, the later cell's), so on nested uniform meshes ``np.repeat``."""
+    return controls[coarse.cell_index(0.5 * (mesh.nodes[:-1] + mesh.nodes[1:]))]
+
+
+def _solve_start(dbp, controls: np.ndarray, traj, warm: np.ndarray):
+    """(controls, start) the solve begins from: ``warm``, a coarser mesh's
+    solved controls prolonged onto the body (``"coarse"``), where its
+    trajectory lies in the solver's trust region (nodal distance and
+    derivative budget at most eps/2) and its penalized objective at the
+    first penalty weight is no higher than that of the approximation's
+    ``controls`` with their trajectory ``traj``; else ``controls``
+    (``"approximation"``).  Controls equal to ``controls`` bit for bit, a
+    point body's zeros, are not evaluated."""
+    if warm.tobytes() != controls.tobytes():
+        half = dbp.epsilon / 2.0
+        obj, _, nodal, budget = _objective(dbp, forward_trajectory(dbp, warm), RHO0)
+        if nodal <= half and budget <= half and obj <= _objective(dbp, traj, RHO0)[0]:
+            return warm, "coarse"
+    return controls, "approximation"
+
+
 def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
-                 solve: bool):
+                 solve: bool, coarse=None):
     """Approximate, build, solve if ``solve``, recover the multipliers
     normal-first (:func:`~idikit.conditions.recover_multipliers`) and report
     the conditions on the uniform mesh of k cells; the recovery's route
-    comes back with the reports."""
+    comes back with the reports, and so do the solve's start and final
+    controls.  The solve starts from the approximation's controls, or from
+    ``coarse`` = (mesh, solved controls) prolonged where
+    :func:`_solve_start` takes them."""
     problem = cfg.entry.problem
     mesh = TimeMesh.uniform(k, problem.horizon)
     traj, report = approximate_arc(problem, reference, mesh, feas_tol=feas_tol)
@@ -148,11 +187,14 @@ def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
     # a body without the normal cones the checks need (a flat polytope)
     # raises here, not after a solve that cannot be checked
     problem.fmap.body_normal_cone(np.empty((0, problem.dim)))
-    log, normal = None, None
+    log, normal, start = None, None, "approximation"
     if solve:
+        if coarse is not None:
+            warm = problem.fmap.project_body(_prolong(*coarse, mesh))
+            controls, start = _solve_start(dbp, controls, traj, warm)
         opts = SolveOptions(tol_stat=cfg.tol_stat, max_iter=cfg.max_iter,
                             endpoint_tol=cfg.endpoint_tol)
-        traj, _, log = solve_Pk(dbp, controls, opts)
+        traj, controls, log = solve_Pk(dbp, controls, opts)
         normal = log.endpoint_normal
     mult, route = recover_multipliers(dbp, traj, endpoint_normal=normal)
     # continuous residuals run along the designated reference arc: the
@@ -160,17 +202,21 @@ def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
     # the reference is exactly feasible where discrete extensions carry an
     # O(h) defect that would trip the cone feasibility gate
     crep = build_condition_report(dbp, traj, mult, x_arc=reference)
-    return report, dbp, traj, log, crep, route
+    return report, dbp, traj, log, crep, route, start, controls
 
 
 def run_convergence_study(cfg: ExperimentConfig):
-    """Approximate, solve and verify on every mesh; one CSV row per k."""
+    """Approximate, solve and verify on every mesh; one CSV row per k.
+    Each mesh after the first may start its solve from the previous mesh's
+    solved controls (:func:`_verify_mesh`)."""
     reference, feas_tol = _reference_for(cfg)
     rows = []
     meta = []
+    coarse = None
     for k in cfg.mesh_ks:
-        report, dbp, traj, log, crep, route = _verify_mesh(
-            cfg, reference, feas_tol, k, solve=True)
+        report, dbp, traj, log, crep, route, start, controls = _verify_mesh(
+            cfg, reference, feas_tol, k, solve=True, coarse=coarse)
+        coarse = (dbp.mesh, controls)
         flags = "" if log.stationary else "nonstationary"
         rows.append((k, dbp.mesh.max_step, report.sup_error, report.w12_error,
                      report.zeta_k, report.beta_k, cost_Jk(dbp, traj),
@@ -178,7 +224,7 @@ def run_convergence_study(cfg: ExperimentConfig):
                      crep.nontriviality, flags))
         meta.append({"k": k, "iterations": log.iterations,
                      "stationary": log.stationary, "message": log.message,
-                     "route": route,
+                     "route": route, "start": start,
                      "endpoint_violation": float(log.endpoint_violation),
                      "tube_active": log.tube_active,
                      "budget_active": log.budget_active,
@@ -386,8 +432,8 @@ def run_conditions(cfg: ExperimentConfig):
     routes = []
     bounds_ok = True
     for k in cfg.mesh_ks:
-        _, dbp, _, _, crep, route = _verify_mesh(cfg, reference, feas_tol, k,
-                                                 solve=False)
+        _, dbp, _, _, crep, route, _, _ = _verify_mesh(cfg, reference, feas_tol,
+                                                       k, solve=False)
         routes.append(route)
         rows.append((k, dbp.mesh.max_step, crep.el_max, crep.volterra_median,
                      crep.transversality, crep.nontriviality,
@@ -399,14 +445,20 @@ def run_conditions(cfg: ExperimentConfig):
     return rows, bounds_ok, decreasing, routes
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="idikit", description="Volterra inclusion discretization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("converge", "audit", "simulate", "conditions"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the INI experiment config")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)
@@ -414,18 +466,26 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    started = time.perf_counter()
     try:
         return _run(args.command, cfg)
     except NonFiniteStateError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"numerical failure: {exc}"
+        extra = {"failure": {"stage": exc.stage, "k": int(exc.k),
+                             "node": int(exc.node), "t": float(exc.t)}}
     except EndpointError as exc:
-        print(f"endpoint error: {exc}", file=sys.stderr)
-        return 4
+        code, line, extra = 4, f"endpoint error: {exc}", {}
     except (InfeasibleReferenceError, InfeasiblePointError,
             SetValuedError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+        code, line, extra = 5, f"{type(exc).__name__}: {exc}", {}
+    print(line, file=sys.stderr)
+    # the failed run's record, in the directory _run made first: no rows,
+    # the exit code and the printed line
+    _write_record(Path(cfg.output_dir) / f"{cfg.label}_{args.command}.json",
+                  args.command, cfg, [], (),
+                  {"exit_code": code, "error": line, **extra},
+                  time.perf_counter() - started)
+    return code
 
 
 def _run(command: str, cfg: ExperimentConfig) -> int:

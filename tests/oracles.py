@@ -31,7 +31,9 @@ sums stepped one numpy row per node: the panel recurrence's, and the
 memory averages of every cell from the march's own closure (the package
 runs each sum on Python floats, one column at a time); the audit's
 violation count with one bound and one oracle call per instance length
-(the package pads every suite to one stack).
+(the package pads every suite to one stack); the projected-gradient solve
+that projects the stationarity step and the first Armijo trial in two
+calls (the package stacks them into one).
 """
 
 import itertools
@@ -42,7 +44,8 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from idikit.bolza import cost_Jk, forward_trajectory
+from idikit import bolza
+from idikit.bolza import SolveLog, cost_gradient, cost_Jk, forward_trajectory
 from idikit.dynamics import _march, _sample_reference
 from idikit.kernel import _discretize, _memory_averages, kernel_average_w
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
@@ -50,7 +53,7 @@ from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          sup_distance)
 from idikit.problem import RunningCost
 from idikit.setvalued import (BallOffset, InfeasiblePointError, PolytopeOffset,
-                              Singleton, distance_and_projection)
+                              Singleton, _norm, distance_and_projection)
 
 
 # --- oracles of one time or one point, served row by row ----------------------
@@ -213,6 +216,77 @@ def penalized_objective(dbp, u, rho):
     controls u."""
     traj = forward_trajectory(dbp, u)
     return cost_Jk(dbp, traj) + rho * dbp.omega_k.distance(traj.states[-1])
+
+
+def solve_two_projections(problem, init, opts):
+    """:func:`idikit.bolza.solve_Pk` with one projection for the
+    stationarity measure and another for the first trial of each iteration;
+    returns (trajectory, controls, log) as the solver does."""
+    body = problem.base.fmap
+    h = problem.mesh.steps
+    half = problem.epsilon / 2.0
+    log = SolveLog()
+    controls = body.project_body(init)
+    rho = bolza.RHO0
+    while True:
+        grad, traj = cost_gradient(problem, controls, rho)
+        obj, cost, nodal, budget = bolza._objective(problem, traj, rho)
+        alpha = bolza.ALPHA0
+        while True:
+            gap = controls - body.project_body(controls - grad / h[:, None])
+            gnorm = float(_norm(gap).max())
+            log.grad_norms.append(gnorm)
+            log.costs.append(cost)
+            if gnorm < opts.tol_stat:
+                log.stationary = True
+                break
+            if log.iterations >= opts.max_iter:
+                log.message = "iteration cap reached"
+                break
+            noise = 4.0 * np.finfo(float).eps * (1.0 + abs(obj))
+            accepted = False
+            trial_alpha = alpha
+            for _ in range(bolza.MAX_BACKTRACKS):
+                cand = body.project_body(controls - trial_alpha * grad / h[:, None])
+                slope = float(np.sum(grad * (cand - controls)))
+                cand_traj = forward_trajectory(problem, cand)
+                cand_obj, cand_cost, cand_nodal, cand_budget = bolza._objective(
+                    problem, cand_traj, rho)
+                if cand_obj <= obj + bolza.ARMIJO_C1 * slope + noise \
+                        and cand_nodal <= half and cand_budget <= half:
+                    accepted = True
+                    break
+                trial_alpha *= bolza.BACKTRACK
+            log.iterations += 1
+            if not accepted:
+                log.message = "line search stalled"
+                break
+            if cand_obj > obj + noise:
+                log.descent_ok = False
+            s_step = cand - controls
+            controls = cand
+            prev_grad = grad
+            grad, traj = cost_gradient(problem, controls, rho, traj=cand_traj)
+            obj, cost, nodal, budget = cand_obj, cand_cost, cand_nodal, cand_budget
+            y_step = (grad - prev_grad) / h[:, None]
+            sy = float(np.sum(s_step * y_step))
+            ss = float(np.sum(s_step * s_step))
+            if sy > 1e-16 * max(ss, 1e-16):
+                alpha = min(max(ss / sy, 1e-8), 1e8)
+            else:
+                alpha = min(trial_alpha / bolza.BACKTRACK, 1e3)
+        violation = problem.omega_k.distance(traj.states[-1])
+        if violation <= opts.endpoint_tol or rho >= bolza.RHO_MAX \
+                or log.iterations >= opts.max_iter or log.message == "line search stalled":
+            log.rho_final = rho
+            log.endpoint_violation = violation
+            log.endpoint_normal = bolza._penalty_gradient(problem, traj.states[-1], rho)
+            break
+        rho *= bolza.RHO_GROWTH
+        log.stationary = False
+    log.tube_active = bool(nodal > 0.95 * problem.epsilon / 2.0)
+    log.budget_active = bool(budget > 0.95 * problem.epsilon / 2.0)
+    return traj, controls, log
 
 
 def fd_gradient(dbp, controls, rho=0.0, step=1e-6):

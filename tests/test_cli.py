@@ -707,7 +707,60 @@ def test_non_finite_state_exits_with_its_stage_and_node(tmp_path, monkeypatch, c
         assert "k=" in err and "Traceback" not in err
     # simulate runs at the finest mesh, k = 16: node 9 is t = 0.5625
     assert main(["simulate", cfgp]) == 3
-    assert "node 9 of k=16 (t=0.5625)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "node 9 of k=16 (t=0.5625)" in err
+    # the failed run writes its record: the exit code, the printed line and
+    # where the value stopped being finite, with no rows
+    rec = _failure_record(tmp_path / "out" / "t_simulate.json", 3, err)
+    assert rec["failure"] == {"stage": "simulate", "k": 16, "node": 9, "t": 0.5625}
+    rec = _failure_record(tmp_path / "out" / "t_converge.json", 3, None)
+    assert rec["failure"]["stage"] == "approximate_arc"
+
+
+def _failure_record(path, code, err):
+    """The record a run that exits ``code`` writes, with ``err`` its line."""
+    rec = json.loads(path.read_text())
+    assert rec["exit_code"] == code and rec["rows"] == [] and rec["columns"] == []
+    assert rec["command"] == path.stem.rpartition("_")[2]
+    if err is not None:
+        assert rec["error"] + "\n" == err
+    assert ("failure" in rec) == (code == 3)
+    return rec
+
+
+def test_a_run_that_succeeds_writes_no_failure_fields(tmp_path):
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert main(["simulate", cfgp]) == 0
+    rec = json.loads((tmp_path / "out" / "t_simulate.json").read_text())
+    assert not {"exit_code", "error", "failure"} & set(rec)
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).parents[1])
+    # not at import: the set-up of a process does not pay for it
+    code = ("import idikit.cli as c; "
+            "assert c._parser.cache_info().currsize == 0, 'built at import'")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": src, "PATH": ""})
+    parser = cli._parser()
+    assert cli._parser() is parser
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("a second parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", _refuse)
+    cfgp = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert main(["simulate", cfgp]) == 0
+    for argv, code in ((["--help"], 0), ([], 2), (["converge"], 2),
+                       (["nope", cfgp], 2)):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: idikit [-h] {converge,audit,simulate,conditions}")
+    assert "idikit converge: error: the following arguments are required: config" in out.err
 
 
 def test_non_finite_gradient_and_multiplier_exit_3(tmp_path, monkeypatch, capsys):
@@ -839,6 +892,7 @@ def test_endpoint_outside_its_set_exits_4(tmp_path, capsys):
     assert main(["conditions", cfgp]) == 4
     err = capsys.readouterr().err
     assert err == "endpoint error: endpoint outside the inflated set\n"
+    _failure_record(tmp_path / "out" / "mc_conditions.json", 4, err)
 
 
 # an inline problem with memory whose reference is simulated on a fine mesh
@@ -907,3 +961,4 @@ def test_problems_the_run_cannot_check_exit_5(tmp_path, capsys):
             assert main([command, cfgp]) == 5
             err = capsys.readouterr().err
             assert err.startswith(f"{error}: ") and err.count("\n") == 1
+            _failure_record(tmp_path / "out" / f"sim_{command}.json", 5, err)
