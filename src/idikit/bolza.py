@@ -276,7 +276,8 @@ class SolveLog:
 
 
 def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
-             opts: SolveOptions = SolveOptions()):
+             opts: SolveOptions = SolveOptions(),
+             traj: Optional[DiscreteTrajectory] = None):
     """Projected-gradient descent with Armijo line search and exact penalty.
 
     The endpoint set is handled by an exact distance penalty escalated until
@@ -285,7 +286,9 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
     feasibility holds exactly at every iterate by construction.  Each
     iteration projects the stationarity step u - g/h and its first trial
     u - (alpha g)/h in one call on the 2k stacked rows (the projection is
-    row by row); a backtrack projects its trial alone.
+    row by row); a backtrack projects its trial alone.  ``traj``, the march
+    of ``init``, is taken where projecting ``init`` leaves it bit for bit (a
+    projection can move a row it returned).
     """
     body = problem.base.fmap
     h = problem.mesh.steps
@@ -293,10 +296,11 @@ def solve_Pk(problem: DiscreteBolzaProblem, init: np.ndarray,
     half = problem.epsilon / 2.0
     log = SolveLog()
     controls = body.project_body(init)
+    traj = traj if controls.tobytes() == np.asarray(init).tobytes() else None
     rho = RHO0
 
     while True:  # penalty escalation stages
-        grad, traj = cost_gradient(problem, controls, rho)
+        grad, traj = cost_gradient(problem, controls, rho, traj=traj)
         obj, cost, nodal, budget = _objective(problem, traj, rho)
         alpha = ALPHA0
         while True:

@@ -20,7 +20,7 @@ multipliers normal-first with :func:`~idikit.conditions.recover_multipliers`
 and record its route per k: ``route`` in each ``solves`` entry, ``routes``
 in the conditions record.  Exits 3, 4 and 5 write the record too, with no
 rows, the exit code and the printed line (and on 3 the stage, k, node and
-t).
+t), and delete an earlier run's CSV.
 
 ``converge`` solves the first mesh from the approximation's controls; each
 later mesh starts from the previous mesh's solved controls, prolonged by
@@ -154,20 +154,21 @@ def _prolong(coarse: TimeMesh, controls: np.ndarray, mesh: TimeMesh) -> np.ndarr
 
 
 def _solve_start(dbp, controls: np.ndarray, traj, warm: np.ndarray):
-    """(controls, start) the solve begins from: ``warm``, a coarser mesh's
-    solved controls prolonged onto the body (``"coarse"``), where its
-    trajectory lies in the solver's trust region (nodal distance and
+    """(controls, start, march) the solve begins from: ``warm``, a coarser
+    mesh's solved controls prolonged onto the body (``"coarse"``), and its
+    march, where that lies in the solver's trust region (nodal distance and
     derivative budget at most eps/2) and its penalized objective at the
     first penalty weight is no higher than that of the approximation's
     ``controls`` with their trajectory ``traj``; else ``controls``
-    (``"approximation"``).  Controls equal to ``controls`` bit for bit, a
-    point body's zeros, are not evaluated."""
+    (``"approximation"``) and None.  Controls equal to ``controls`` bit for
+    bit, a point body's zeros, are not evaluated."""
     if warm.tobytes() != controls.tobytes():
         half = dbp.epsilon / 2.0
-        obj, _, nodal, budget = _objective(dbp, forward_trajectory(dbp, warm), RHO0)
+        marched = forward_trajectory(dbp, warm)
+        obj, _, nodal, budget = _objective(dbp, marched, RHO0)
         if nodal <= half and budget <= half and obj <= _objective(dbp, traj, RHO0)[0]:
-            return warm, "coarse"
-    return controls, "approximation"
+            return warm, "coarse", marched
+    return controls, "approximation", None
 
 
 def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
@@ -187,14 +188,14 @@ def _verify_mesh(cfg: ExperimentConfig, reference, feas_tol: float, k: int,
     # a body without the normal cones the checks need (a flat polytope)
     # raises here, not after a solve that cannot be checked
     problem.fmap.body_normal_cone(np.empty((0, problem.dim)))
-    log, normal, start = None, None, "approximation"
+    log, normal, start, marched = None, None, "approximation", None
     if solve:
         if coarse is not None:
             warm = problem.fmap.project_body(_prolong(*coarse, mesh))
-            controls, start = _solve_start(dbp, controls, traj, warm)
+            controls, start, marched = _solve_start(dbp, controls, traj, warm)
         opts = SolveOptions(tol_stat=cfg.tol_stat, max_iter=cfg.max_iter,
                             endpoint_tol=cfg.endpoint_tol)
-        traj, controls, log = solve_Pk(dbp, controls, opts)
+        traj, controls, log = solve_Pk(dbp, controls, opts, traj=marched)
         normal = log.endpoint_normal
     mult, route = recover_multipliers(dbp, traj, endpoint_normal=normal)
     # continuous residuals run along the designated reference arc: the
@@ -248,58 +249,58 @@ def run_convergence_study(cfg: ExperimentConfig):
     return rows, meta
 
 
-# Each draw takes its values from one generator call: an array fills in C
-# order, value after value, and exponential(scale) is scale times
-# standard_exponential, so the block scaled is the stream of every value
-# drawn one after another, and the generator ends in the same state.  A
-# scale of 1.0 leaves a value as it is.
-
-def _draw_forward(rng):
-    m = int(rng.integers(1, 10))
-    z = rng.standard_exponential(1 + 3 * m)
-    return (float(z[0]), *(0.5 * z[1:]).reshape(3, m))
-
-
-def _draw_backward(rng):
-    m = int(rng.integers(2, 10))
-    z = rng.standard_exponential(3 * m + 1)
-    return (float(z[-1]), *(0.5 * z[:-1]).reshape(3, m))
-
-
-def _draw_continuous(rng):
-    # rho0, then the one value of each constant coefficient row a, b1, b2
-    z = rng.standard_exponential(4)
-    return (float(z[0]), *(0.4 * z[1:]).tolist())
+def _draw_suite(rng, n, fewest, front):
+    """(first, rows, lengths) of ``n`` discrete Gronwall instances: each
+    m = ``rng.integers(fewest, 10)`` and 1 + 3m standard exponentials, the
+    anchor (first, last where ``front``) and three rows of m halved, padded
+    to (3, n, width) at the front where ``front`` and at the end else.  An
+    array fills value after value: the stream of drawing each on its own."""
+    lengths, blocks = np.empty(n, dtype=np.intp), []
+    for i in range(n):  # the length decides how many values follow it
+        lengths[i] = m = rng.integers(fewest, 10)
+        blocks.append(rng.standard_exponential(1 + 3 * m))
+    z = np.concatenate(blocks)
+    anchor = np.cumsum(1 + 3 * lengths) - (1 if front else 1 + 3 * lengths)
+    width = lengths.max()
+    covered = (np.arange(width) < lengths[:, None])[:, ::-1 if front else 1]
+    rows = np.zeros((3, n, width))  # filled through its (n, 3, width) view: block order
+    rows.transpose(1, 0, 2)[np.broadcast_to(covered[:, None], (n, 3, width))] = \
+        0.5 * np.delete(z, anchor)
+    return z[anchor], rows, lengths
 
 
-def _violations(instances, bound, oracle, cols, rtol, grid, front):
+def _draw_continuous(rng, n):
+    """(rho0, 0.4 (a, b1, b2) as (3, n), None) from one (n, 4) block."""
+    z = rng.standard_exponential(4 * n).reshape(n, 4)
+    return z[:, 0], 0.4 * z[:, 1:].T, None
+
+
+def _instance(first, rows, lengths, i, front):
+    """Instance ``i`` of a suite's stacks in Python floats, its discrete rows
+    cut to their covered columns (the replay of a violation)."""
+    values = rows[:, i]
+    if lengths is not None:
+        values = values[:, -lengths[i]:] if front else values[:, :lengths[i]]
+    return [float(first[i]), *values.tolist()]
+
+
+def _violations(first, rows, lengths, bound, oracle, cols, rtol, grid, front):
     """Which instances the bound fails, from one bound and one oracle call
-    on the stacked fields; ``cols`` picks the oracle columns the bound
-    covers.  With a ``grid`` the three last fields are constant rows.
-    Otherwise the rows are zero-padded to the longest, at the front where
-    ``front`` (a recursion anchored at its terminal) and at the end else (a
-    causal one); the columns as far from the padded side as the row is
-    short are covered, and in those row i of both calls is bit for bit the
-    call on instance i alone.  Only covered columns count.  A non-finite
-    oracle or bound entry is a violation: no comparison with NaN holds, so
-    it would otherwise pass."""
-    n = len(instances)
-    first = np.array([inst[0] for inst in instances])
-    if grid is not None:
-        rows = [np.broadcast_to(r[:, None], (n, grid.size))
-                for r in np.array([inst[1:] for inst in instances]).T]
+    on a suite's stacks; ``cols`` picks the oracle columns the bound covers.
+    Without ``lengths`` the rows are constants on the ``grid``.  Otherwise
+    the columns as far from the padded side as the row is short are
+    covered, and in those row i of both calls is bit for bit the call on
+    instance i alone.  Only covered columns count.  A non-finite oracle or
+    bound entry is a violation: no comparison with NaN holds."""
+    if lengths is None:
+        rows = [np.broadcast_to(r[:, None], (r.size, grid.size)) for r in rows]
         actual = oracle(first, *rows, grid)[:, cols]
         limit = bound(first, *rows, grid)
         pad = 0
     else:
-        lengths = np.array([np.size(inst[1]) for inst in instances])
-        width = lengths.max()
-        rows = np.zeros((3, n, width))
-        for i, (inst, m) in enumerate(zip(instances, lengths.tolist())):
-            rows[:, i, slice(width - m, None) if front else slice(m)] = inst[1:]
         actual = oracle(first, *rows)[:, cols]
         limit = bound(first, *rows)
-        pad = (width - lengths)[:, None]
+        pad = (rows.shape[-1] - lengths)[:, None]
     at = np.arange(actual.shape[1])
     covered = at >= pad if front else at < actual.shape[1] - pad
     return np.any(covered & ((actual > limit * (1 + rtol) + 1e-300)
@@ -373,17 +374,14 @@ def run_bound_audit(cfg: ExperimentConfig):
 
     n = cfg.audit_instances
     grid = np.linspace(0.0, 1.0, 65)
-    # each suite: its name and replay fields, the draw of one instance (from
-    # the one seeded rng, suite after suite), the bound and its oracle (named
-    # here, at call time), the oracle columns, the relative slack, the grid
+    # each suite: name, replay fields, draw (from the one rng in turn), bound
+    # and oracle (named at call time), oracle columns, relative slack, grid
     # and whether its rows are padded at the front (terminal-anchored)
     suite_specs = (
-        ("forward", ("e0", "sigma", "rho", "gamma"), _draw_forward,
-         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, None,
-         False),
-        ("backward", ("x_k", "c", "b", "a"), _draw_backward,
-         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12, None,
-         True),
+        ("forward", ("e0", "sigma", "rho", "gamma"), lambda r, n: _draw_suite(r, n, 1, False),
+         discrete_gronwall_forward, forward_extremal, slice(None), 1e-12, None, False),
+        ("backward", ("x_k", "c", "b", "a"), lambda r, n: _draw_suite(r, n, 2, True),
+         discrete_gronwall_backward, backward_extremal, slice(1, -2), 1e-12, None, True),
         ("continuous", ("rho0", "a", "b1", "b2"), _draw_continuous,
          continuous_gronwall, continuous_extremal, slice(None), 1e-9, grid, False),
     )
@@ -391,17 +389,17 @@ def run_bound_audit(cfg: ExperimentConfig):
     for name, fields, draw, bound, oracle, cols, rtol, on_grid, front in suite_specs:
         label = f"gronwall_{name}"
         started = time.perf_counter()
-        instances = [draw(rng) for _ in range(n)]
-        bad = _violations(instances, bound, oracle, cols, rtol, on_grid, front)
+        first, stacked, lengths = draw(rng, n)
+        bad = _violations(first, stacked, lengths, bound, oracle, cols, rtol,
+                          on_grid, front)
         count = int(bad.sum())
         suites[label] = {"instances": n, "violations": count,
                          "wall_s": time.perf_counter() - started}
         rows.append((label, f"{n} instances", "pass" if count == 0 else "FAIL",
                      count, 0, 0.0))
         if count:  # replay the suite's last violating instance
-            last = instances[np.flatnonzero(bad)[-1]]
-            replay = {"suite": name, **{f: v.tolist() if np.ndim(v) else v
-                                        for f, v in zip(fields, last)}}
+            last = _instance(first, stacked, lengths, np.flatnonzero(bad)[-1], front)
+            replay = {"suite": name, **dict(zip(fields, last))}
             failures.append({"check": label, "violations": count,
                              "replay": replay, "seed": cfg.seed})
     return rows, failures, suites
@@ -480,18 +478,23 @@ def main(argv=None) -> int:
         code, line, extra = 5, f"{type(exc).__name__}: {exc}", {}
     print(line, file=sys.stderr)
     # the failed run's record, in the directory _run made first: no rows,
-    # the exit code and the printed line
-    _write_record(Path(cfg.output_dir) / f"{cfg.label}_{args.command}.json",
-                  args.command, cfg, [], (),
+    # the exit code and the printed line; an earlier run's CSV goes
+    csv, record = _outputs(cfg, args.command)
+    csv.unlink(missing_ok=True)
+    _write_record(record, args.command, cfg, [], (),
                   {"exit_code": code, "error": line, **extra},
                   time.perf_counter() - started)
     return code
 
 
+def _outputs(cfg: ExperimentConfig, command: str):
+    """<label>_<command>.csv and .json in the output directory."""
+    return (Path(cfg.output_dir) / f"{cfg.label}_{command}.{ext}" for ext in ("csv", "json"))
+
+
 def _run(command: str, cfg: ExperimentConfig) -> int:
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{cfg.label}_{command}"
+    csv, record = _outputs(cfg, command)
+    csv.parent.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     failures = []  # the lines printed for a run that exits 1
 
@@ -517,8 +520,8 @@ def _run(command: str, cfg: ExperimentConfig) -> int:
         if not bounds_ok or (len(cfg.mesh_ks) > 1 and not decreasing):
             failures = ["condition failure: adjoint bound or residual decay violated"]
 
-    _write_csv(outdir / f"{stem}.csv", columns, rows)
-    _write_record(outdir / f"{stem}.json", command, cfg, rows, columns, extra,
+    _write_csv(csv, columns, rows)
+    _write_record(record, command, cfg, rows, columns, extra,
                   time.perf_counter() - started)
     for line in failures:
         print(line, file=sys.stderr)

@@ -337,6 +337,17 @@ def recover_multipliers(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     return mult, "normal-degraded"
 
 
+def _median(x: np.ndarray):
+    """``np.median`` of a non-empty 1-D float array bit for bit, without its
+    ``numpy.ma`` import: NaN if an entry is, else the middle value or mean
+    of the middle two, summed from +0.0 as ``np.mean`` does (-0.0 -> +0.0)."""
+    half, odd = divmod(x.size, 2)
+    part = np.partition(x, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):  # the partition puts a NaN last
+        return part[-1]
+    return 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Residuals of one multiplier verification run, self-describing."""
@@ -360,7 +371,7 @@ class ConditionReport:
 
     @property
     def volterra_median(self) -> float:
-        return float(np.median(self.volterra_residuals)) \
+        return float(_median(self.volterra_residuals)) \
             if self.volterra_residuals.size else 0.0
 
 
@@ -386,7 +397,7 @@ def build_condition_report(problem: DiscreteBolzaProblem,
     bound = adjoint_norm_bound(problem, mult)
     norms = _short_norm(mult.p[1:], 1)
     bound_ok = bool(np.all(norms <= bound * (1 + 1e-9)))
-    p0_gap = float(np.linalg.norm(mult.p[0]) - np.median(norms)) if norms.size else 0.0
+    p0_gap = float(np.linalg.norm(mult.p[0]) - _median(norms)) if norms.size else 0.0
     return ConditionReport(
         problem=base.name, k=mesh.k, h_max=mesh.max_step, lam=mult.lam,
         el_residuals=mult.el_residuals, transversality=trans, nontriviality=nontriv,

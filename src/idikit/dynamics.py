@@ -129,12 +129,13 @@ def simulate(problem: ProblemData, mesh: TimeMesh, policy: str = "min_norm",
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-    rng = np.random.default_rng(seed)
     if constant_deviation is None:
         constant_deviation = np.zeros(problem.dim)
     # keep the step feasible even if the requested deviation leaves the body
     constant_deviation = problem.fmap.project_body(
         np.atleast_1d(np.asarray(constant_deviation, dtype=float)))
+    # the only policy that draws; numpy.random loads on its first use
+    rng = np.random.default_rng(seed) if policy == "extreme" else None
     fmap, t = problem.fmap, mesh.nodes
     select = {
         "min_norm": lambda j, x, w: distance_and_projection(fmap, t[j], x, -w)[1] + w,

@@ -123,10 +123,9 @@ def _on_grid(f, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _simpson_first_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """int_{x_i}^{x_{i+1}} of the parabola through the samples i, i+1, i+2,
-    for i = 0..len(y)-3 (Cartwright's rule for unequal intervals)."""
-    x21, x32 = dx[:-1], dx[1:]
+def _simpson_cells(y0, y1, y2, x21, x32) -> np.ndarray:
+    """int over [x0, x1] of the parabola through y0, y1, y2 at x0, x1, x2, from
+    the steps x21 = |x1 - x0| and x32 = |x2 - x1| (Cartwright's rule)."""
     x31 = x21 + x32
     x21_x31 = x21 / x31
     x21_x32 = x21 / x32
@@ -134,8 +133,7 @@ def _simpson_first_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     coeff1 = 3 - x21_x31
     coeff2 = 3 + x21x21_x31x32 + x21_x31
     coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[..., :-2] + coeff2 * y[..., 1:-1]
-                      + coeff3 * y[..., 2:])
+    return x21 / 6 * (coeff1 * y0 + coeff2 * y1 + coeff3 * y2)
 
 
 def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -151,12 +149,14 @@ def _cumulative_simpson(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     dx = np.diff(grid)
     if np.any(dx <= 0):
         raise GronwallDomainError("grid must be strictly increasing")
-    forward = _simpson_first_cells(y, dx)
-    backward = _simpson_first_cells(y[..., ::-1], dx[::-1])[..., ::-1]
+    y0, y1, y2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]  # cells 2j, 2j + 1
+    x10, x21 = dx[:-1:2], dx[1::2]
     cells = np.empty(y.shape[:-1] + dx.shape)
-    cells[..., :-1:2] = forward[..., ::2]
-    cells[..., 1::2] = backward[..., ::2]
-    cells[..., -1] = backward[..., -1]
+    cells[..., :-1:2] = _simpson_cells(y0, y1, y2, x10, x21)
+    cells[..., 1::2] = _simpson_cells(y2, y1, y0, x21, x10)
+    if dx.size % 2:  # an even last interval, read backward
+        cells[..., -1] = _simpson_cells(y[..., -1], y[..., -2], y[..., -3],
+                                        dx[-1], dx[-2])
     return np.cumsum(cells, axis=-1)
 
 
@@ -177,7 +177,8 @@ def continuous_gronwall(rho0, a, b1, b2, grid) -> np.ndarray:
     b = np.maximum(_nonneg("b1", _on_grid(b1, grid)), _nonneg("b2", _on_grid(b2, grid)))
     B = np.insert(_cumulative_simpson(b + 1.0, grid), 0, 0.0, axis=-1)
     inner = np.insert(_cumulative_simpson(av * np.exp(-B), grid), 0, 0.0, axis=-1)
-    return rho0[..., None] * np.exp(B) + np.exp(B) * inner
+    growth = np.exp(B)
+    return rho0[..., None] * growth + growth * inner
 
 
 def apriori_bounds(problem) -> tuple:

@@ -30,8 +30,11 @@ front and interpolates the three rows as one block); the memory running
 sums stepped one numpy row per node: the panel recurrence's, and the
 memory averages of every cell from the march's own closure (the package
 runs each sum on Python floats, one column at a time); the audit's
-violation count with one bound and one oracle call per instance length
-(the package pads every suite to one stack); the projected-gradient solve
+instances drawn one row and one value at a time and padded one instance at
+a time (the package draws a block per instance, or per continuous suite,
+and scatters a suite's blocks into its stack at once), and its violation
+count with one bound and one oracle call per instance length (the package
+pads every suite to one stack); the projected-gradient solve
 that projects the stationarity step and the first Armijo trial in two
 calls (the package stacks them into one).
 """
@@ -523,6 +526,44 @@ def assemble_w_loop(disc, states):
     states = np.atleast_2d(np.asarray(states, dtype=float))
     w_of = _memory_averages(disc)
     return np.array([w_of(j, states) for j in range(disc.mesh.k)])
+
+
+def draw_instance(rng, fewest, front):
+    """One Gronwall audit instance, every row and value drawn on its own: a
+    continuous one (``fewest`` None) is rho0 ~ Exp(1) and the constants a,
+    b1, b2 ~ Exp(0.4); a discrete one takes m = rng.integers(fewest, 10)
+    and three rows of m values ~ Exp(0.5), its anchor ~ Exp(1) drawn before
+    them, or after them where ``front`` (the backward suite's terminal)."""
+    if fewest is None:
+        return (rng.exponential(1.0), *(rng.exponential(0.4) for _ in range(3)))
+    m = int(rng.integers(fewest, 10))
+    if front:
+        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
+        return (rng.exponential(1.0), c, b, a)
+    e0 = rng.exponential(1.0)
+    return (e0, *(rng.exponential(0.5, m) for _ in range(3)))
+
+
+def stack_instances(instances, front):
+    """(first, rows, lengths) of a list of instances, the stacks the audit
+    hands its bounds: discrete rows copied one instance at a time into a
+    zero stack as wide as the longest, at its end where ``front`` and at
+    its start else; continuous constants as (3, n) and lengths None."""
+    first = np.array([inst[0] for inst in instances])
+    if np.ndim(instances[0][1]) == 0:
+        return first, np.array([inst[1:] for inst in instances]).T, None
+    lengths = np.array([np.size(inst[1]) for inst in instances])
+    width = lengths.max()
+    rows = np.zeros((3, len(instances), width))
+    for i, (inst, m) in enumerate(zip(instances, lengths.tolist())):
+        rows[:, i, slice(width - m, None) if front else slice(m)] = inst[1:]
+    return first, rows, lengths
+
+
+def suite_one_at_a_time(rng, n, fewest, front):
+    """The stacks of ``n`` instances of :func:`draw_instance`."""
+    return stack_instances([draw_instance(rng, fewest, front) for _ in range(n)],
+                           front)
 
 
 def violations_per_length(instances, bound, oracle, cols, rtol, grid):

@@ -15,7 +15,9 @@ from idikit.gronwall import (continuous_extremal, continuous_gronwall,
 from idikit.mesh import TimeMesh
 from idikit.setvalued import Singleton
 from oracles import (backward_recursion, continuous_extremal_loop,
-                     forward_recursion, per_row_cost, violations_per_length)
+                     draw_instance, forward_recursion, per_row_cost,
+                     stack_instances, suite_one_at_a_time,
+                     violations_per_length)
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -372,11 +374,12 @@ def test_audit_calls_bound_and_oracle_once_per_suite(tmp_path, monkeypatch):
         assert calls[bound] == calls[oracle] == [(250, width)]
 
 
-_SUITES = {  # the discrete suites' draw, bound, oracle, columns and padding
-    "forward": (cli._draw_forward, discrete_gronwall_forward,
-                cli.forward_extremal, slice(None), False),
-    "backward": (cli._draw_backward, discrete_gronwall_backward,
-                 cli.backward_extremal, slice(1, -2), True),
+_SUITES = {  # the discrete suites' fewest values per row, bound, oracle,
+    # columns and padding
+    "forward": (1, discrete_gronwall_forward, cli.forward_extremal,
+                slice(None), False),
+    "backward": (2, discrete_gronwall_backward, cli.backward_extremal,
+                 slice(1, -2), True),
 }
 
 
@@ -395,15 +398,16 @@ def test_padded_suites_are_the_per_length_audit(suite):
     # one padded stack per suite gives the violations of one call per
     # instance length, on the shipped bounds (no violation), the halved and
     # the tapered ones (some), and a stack of one length
-    draw, bound, oracle, cols, front = _SUITES[suite]
+    fewest, bound, oracle, cols, front = _SUITES[suite]
     found = 0
     for seed in (0, 1, 9, 123, 2024, 31337):
         rng = np.random.default_rng(seed)
-        instances = [draw(rng) for _ in range(250)]
+        instances = [draw_instance(rng, fewest, front) for _ in range(250)]
         one_length = [inst for inst in instances if np.size(inst[1]) == 5]
         for insts in (instances, one_length, instances[:1]):
             for b in (bound, _halved(bound), _tapered(bound, front)):
-                got = cli._violations(insts, b, oracle, cols, 1e-12, None, front)
+                got = cli._violations(*stack_instances(insts, front), b, oracle,
+                                      cols, 1e-12, None, front)
                 want = violations_per_length(insts, b, oracle, cols, 1e-12, None)
                 assert np.array_equal(got, want), (suite, seed, len(insts))
                 found += int(want.sum())
@@ -413,15 +417,10 @@ def test_padded_suites_are_the_per_length_audit(suite):
 def test_padded_rows_are_the_per_instance_calls():
     # covered columns of the padded calls are bit for bit the calls on
     # each instance alone; the padding is finite and passes _nonneg
-    for name, (draw, bound, oracle, cols, front) in sorted(_SUITES.items()):
+    for name, (fewest, bound, oracle, cols, front) in sorted(_SUITES.items()):
+        first, rows, _ = cli._draw_suite(np.random.default_rng(7), 60, fewest, front)
         rng = np.random.default_rng(7)
-        instances = [draw(rng) for _ in range(60)]
-        width = max(np.size(inst[1]) for inst in instances)
-        rows = np.zeros((3, len(instances), width))
-        for i, inst in enumerate(instances):
-            m = np.size(inst[1])
-            rows[:, i, slice(width - m, None) if front else slice(m)] = inst[1:]
-        first = np.array([inst[0] for inst in instances])
+        instances = [draw_instance(rng, fewest, front) for _ in range(60)]
         limit, actual = bound(first, *rows), oracle(first, *rows)[:, cols]
         assert np.isfinite(limit).all() and np.isfinite(actual).all()
         for i, inst in enumerate(instances):
@@ -447,42 +446,68 @@ def test_audit_with_the_per_length_count_is_the_same_audit(tmp_path, monkeypatch
         rec = json.loads((out / "t_audit.json").read_text())
         return code, (out / "t_audit.csv").read_bytes(), rec["rows"], rec["failures"]
 
+    def per_length(first, rows, lengths, *args):
+        front = args[-1]
+        instances = [cli._instance(first, rows, lengths, i, front)
+                     for i in range(first.size)]
+        return violations_per_length(instances, *args[:-1])
+
     padded = audit(tmp_path / "padded")
-    monkeypatch.setattr(cli, "_violations",
-                        lambda *args: violations_per_length(*args[:-1]))
+    monkeypatch.setattr(cli, "_violations", per_length)
     assert audit(tmp_path / "per_length") == padded
     assert padded[0] == 1 and len(padded[3]) == 2
 
 
 def test_block_draws_are_the_one_at_a_time_stream():
-    # each suite's draw takes its rows from one generator call; the values,
-    # their types and the generator's state after them are those of
-    # drawing every row and value on its own
-    def forward(rng):
-        m = int(rng.integers(1, 10))
-        e0 = rng.exponential(1.0)
-        return (e0, *(rng.exponential(0.5, m) for _ in range(3)))
-
-    def backward(rng):
-        m = int(rng.integers(2, 10))
-        c, b, a = (rng.exponential(0.5, m) for _ in range(3))
-        return (rng.exponential(1.0), c, b, a)
-
-    def continuous(rng):
-        return (rng.exponential(1.0), *(rng.exponential(0.4) for _ in range(3)))
-
+    # each suite's stacks hold the values, and each instance read back for
+    # a replay the floats, of drawing every row and value on its own, and
+    # the generator ends in the same state
     for seed in (0, 3, 17, 2024, 99991):
-        blocks, singles = np.random.default_rng(seed), np.random.default_rng(seed)
-        for draw, one_by_one in ((cli._draw_forward, forward),
-                                 (cli._draw_backward, backward),
-                                 (cli._draw_continuous, continuous)):
-            for _ in range(100):
-                got, want = draw(blocks), one_by_one(singles)
-                assert len(got) == len(want) == 4
-                for g, w in zip(got, want):
-                    assert type(g) is type(w) and np.array_equal(g, w), seed
-        assert blocks.bit_generator.state == singles.bit_generator.state
-        assert blocks.random() == singles.random()
+        for n in (1, 2, 250):
+            blocks, singles = np.random.default_rng(seed), np.random.default_rng(seed)
+            for fewest, front in ((1, False), (2, True), (None, False)):
+                got = (cli._draw_continuous(blocks, n) if fewest is None
+                       else cli._draw_suite(blocks, n, fewest, front))
+                want = [draw_instance(singles, fewest, front) for _ in range(n)]
+                for g, w in zip(got, stack_instances(want, front)):
+                    assert g is w is None or np.array_equal(g, w), (seed, n)
+                for i, inst in enumerate(want):
+                    replay = cli._instance(*got, i, front)
+                    assert len(replay) == len(inst) == 4
+                    assert type(replay[0]) is float and replay[0] == inst[0]
+                    for g, w in zip(replay[1:], inst[1:]):
+                        assert type(g) is (list if fewest else float)
+                        assert np.array(g).tobytes() == np.array(w).tobytes()
+            assert blocks.bit_generator.state == singles.bit_generator.state
+            assert blocks.random() == singles.random()
+
+
+def test_audit_with_the_one_at_a_time_draws_is_the_same_audit(tmp_path, monkeypatch):
+    # the whole audit, once with the suite draw and once with every value
+    # drawn on its own and padded instance by instance: with the discrete
+    # bounds halved and the continuous one tapered, all three suites fail
+    # and replay their last violator
+    for name in ("discrete_gronwall_forward", "discrete_gronwall_backward"):
+        monkeypatch.setattr(cli, name, _halved(getattr(cli, name)))
+    monkeypatch.setattr(cli, "continuous_gronwall", lambda *args: (
+        continuous_gronwall(*args) * np.linspace(1.0, 0.4, args[-1].size)))
+
+    def audit(out):
+        cfgp = _write(tmp_path, BASE.format(out=out) +
+                      "\n[audit]\nn_instances = 250\nmesh_k = 12\n",
+                      name=f"{out.name}.ini")
+        code = main(["audit", cfgp])
+        rec = json.loads((out / "t_audit.json").read_text())
+        return code, (out / "t_audit.csv").read_bytes(), rec["rows"], rec["failures"]
+
+    drawn = audit(tmp_path / "suite")
+    monkeypatch.setattr(cli, "_draw_suite", suite_one_at_a_time)
+    monkeypatch.setattr(cli, "_draw_continuous",
+                        lambda rng, n: suite_one_at_a_time(rng, n, None, False))
+    assert audit(tmp_path / "one_at_a_time") == drawn
+    assert drawn[0] == 1
+    assert [f["replay"]["suite"] for f in drawn[3]] == ["forward", "backward",
+                                                        "continuous"]
 
 
 @pytest.mark.parametrize("taper", [None, 0.4])
@@ -962,3 +987,39 @@ def test_problems_the_run_cannot_check_exit_5(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"{error}: ") and err.count("\n") == 1
             _failure_record(tmp_path / "out" / f"sim_{command}.json", 5, err)
+
+
+def test_a_failed_run_leaves_no_csv_of_an_earlier_run(tmp_path, capsys):
+    # one label and command into one directory: a run that succeeds, then
+    # one whose small ball's reference fails the cone gate (exit 5); the
+    # failure record is not left beside the first run's rows, and a dot in
+    # the label stays in both file names
+    out = tmp_path / "out"
+    for radius, code in (("1.5", 0), ("0.01", 5)):
+        cfgp = _write(tmp_path, SIMULATED.replace("label = sim", "label = sim.v2")
+                      .format(body=f"variant = ball\nradius = {radius}", out=out))
+        assert main(["conditions", cfgp]) == code
+        assert (out / "sim.v2_conditions.csv").exists() == (code == 0)
+    assert sorted(f.name for f in out.iterdir()) == ["sim.v2_conditions.json"]
+    _failure_record(out / "sim.v2_conditions.json", 5, capsys.readouterr().err)
+
+
+def test_converge_loads_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # np.median's NaN check imports numpy.ma and a Generator numpy.random;
+    # converge needs neither, on a catalog problem nor on the README's
+    # inline example with its simulated min_norm reference
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).parents[1])
+    catalog_cfg = _write(tmp_path, BASE.replace("cos_t", "polytope_endpoint")
+                         .format(out=tmp_path / "out"),
+                         name="pe.ini")
+    inline_cfg = _write(tmp_path, MEMORY_CONTROL.replace("k = 8, 16", "k = 8")
+                        .format(out=tmp_path / "out"), name="mc.ini")
+    code = ("import sys; from idikit.cli import main; "
+            f"assert main(['converge', {catalog_cfg!r}]) == 0; "
+            f"assert main(['converge', {inline_cfg!r}]) == 0; "
+            "loaded = {'numpy.ma', 'numpy.random'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": src, "PATH": ""})

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from idikit.bolza import (DiscreteBolzaProblem, SolveOptions,
                           build_discrete_problem, solve_Pk)
 from idikit.conditions import (DegenerateMultiplierError, MultiplierSet,
-                               adjoint_norm_bound, adjoint_solve_smooth,
+                               _median, adjoint_norm_bound, adjoint_solve_smooth,
                                build_condition_report, euler_lagrange_residual,
                                nontriviality_value, perturbation_robustness,
                                transversality_residual, volterra_residual)
@@ -491,3 +491,24 @@ def test_node_cones_built_once_and_shared(polytope_entry, monkeypatch):
     free = replace(mult.cones, kind=np.full(mesh.k, "subspace"))
     assert not np.array_equal(
         conditions._el_residuals(dbp, mult.lam, mult.p, terms[:3] + (free,)), el)
+
+
+def test_median_is_numpys_bit_for_bit():
+    # odd and even lengths, signed zeros (a -0.0 median reads +0.0, as
+    # np.mean sums from +0.0), infinities (inf - inf is NaN) and NaN
+    # anywhere in the array
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+    cases = [np.array([-0.0]), np.array([-0.0, -0.0]), np.array([-np.inf, np.inf]),
+             np.array([0.0, -0.0, 1.0]), np.array([np.nan, 1.0])]
+    for n in range(1, 10):
+        for _ in range(300):
+            x = rng.standard_normal(n)
+            cases += [x, rng.choice(special, n),
+                      np.where(rng.random(n) < 0.3, rng.choice(special, n), x)]
+    with np.errstate(invalid="ignore"):
+        for x in cases:
+            got, want = _median(x), np.median(x)
+            assert np.isnan(got) == np.isnan(want), x
+            if not np.isnan(want):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), x

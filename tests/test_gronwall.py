@@ -415,9 +415,14 @@ def test_cumulative_simpson_is_scipys_bit_for_bit():
             y = rng.standard_normal(m)
             assert np.array_equal(_cumulative_simpson(y, grid),
                                   cumulative_simpson(y, x=grid)), m
-    # a stack of rows, integrated along the last axis
-    y = rng.standard_normal((7, grid.size))
-    assert np.array_equal(_cumulative_simpson(y, grid), cumulative_simpson(y, x=grid))
+    # a stack of rows, integrated along the last axis, with an even and an
+    # odd last interval, on the shortest grids and the audit's
+    for m in (3, 4, 5, 65, 66, 200):
+        uneven = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, m - 1))])
+        for grid in (np.linspace(0.0, 1.0, m), uneven):
+            y = rng.standard_normal((7, m))
+            assert np.array_equal(_cumulative_simpson(y, grid),
+                                  cumulative_simpson(y, x=grid)), m
 
 
 def test_cumulative_simpson_needs_an_increasing_grid():

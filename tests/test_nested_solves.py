@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idikit import catalog, cli
-from idikit.bolza import SolveOptions, build_discrete_problem, cost_Jk, solve_Pk
+from idikit import bolza, catalog, cli
+from idikit.bolza import (SolveOptions, build_discrete_problem, cost_Jk,
+                          forward_trajectory, solve_Pk)
 from idikit.cli import _prolong, _solve_start, _verify_mesh, main
 from idikit.config import load_config
 from idikit.dynamics import approximate_arc
@@ -111,9 +112,14 @@ def test_a_coarse_start_outside_the_trust_region_is_not_taken(name, epsilon):
         problem = replace(entry.problem, epsilon=eps)
         dbp, c80, traj, _ = build_discrete_problem(problem, mesh, entry.reference)
         warm = problem.fmap.project_body(_prolong(coarse, u40, mesh))
-        start, chosen = _solve_start(dbp, c80, traj, warm)
+        start, chosen, marched = _solve_start(dbp, c80, traj, warm)
         assert chosen == want
         assert start is (warm if want == "coarse" else c80)
+        if want == "coarse":  # the march that tested it comes with it
+            again = forward_trajectory(dbp, warm)
+            assert marched.states.tobytes() == again.states.tobytes()
+        else:
+            assert marched is None
 
 
 def test_a_rejected_coarse_start_leaves_the_run_as_from_the_approximation(
@@ -142,6 +148,54 @@ def test_a_point_body_starts_from_the_approximation_without_a_march(
         _config(tmp_path, "damped_volterra", ks="8, 16, 32"))
     assert marches == []
     assert [m["start"] for m in meta] == ["approximation"] * 3
+
+
+def _counted_marches(monkeypatch):
+    """The (k, control bytes) of every march the solver layer makes."""
+    marches, inner = [], bolza._controlled_march
+
+    def march(base, disc, controls, stage):
+        marches.append((controls.shape[0], controls.tobytes()))
+        return inner(base, disc, controls, stage)
+
+    monkeypatch.setattr(bolza, "_controlled_march", march)
+    return marches
+
+
+@pytest.mark.parametrize("name", CONTROL_PROBLEMS)
+def test_a_sweep_marches_no_controls_twice(tmp_path, monkeypatch, name):
+    # the solve of a coarse start takes the trajectory its test marched
+    marches = _counted_marches(monkeypatch)
+    rows, meta = cli.run_convergence_study(_config(tmp_path, name))
+    assert [m["start"] for m in meta] == ["approximation", "coarse", "coarse"]
+    assert len(set(marches)) == len(marches) > 0
+
+
+@pytest.mark.parametrize("name", CONTROL_PROBLEMS)
+def test_a_start_trajectory_is_taken_only_where_the_projection_keeps_the_start(
+        monkeypatch, name):
+    # the approximation's controls lie on the body bit for bit: with their
+    # trajectory the solve is the same and marches them once fewer; rows
+    # pushed off the body are projected, and a trajectory given with them
+    # (here the unpushed one's) is not used
+    entry = catalog.get(name)
+    dbp, c0, _, _ = build_discrete_problem(
+        entry.problem, TimeMesh.uniform(40, entry.problem.horizon), entry.reference)
+    assert entry.problem.fmap.project_body(c0).tobytes() == c0.tobytes()
+    traj = forward_trajectory(dbp, c0)
+    opts = SolveOptions(max_iter=20000)
+    marches = _counted_marches(monkeypatch)
+    for init, given in ((c0, traj), (3.0 * c0 + 1.0, traj)):
+        runs = []
+        for start in (None, given):
+            del marches[:]
+            runs.append((solve_Pk(dbp, init, opts, traj=start), len(marches)))
+        (plain, n_plain), (fed, n_fed) = runs
+        assert n_fed == n_plain - (init is c0)
+        assert fed[0].states.tobytes() == plain[0].states.tobytes()
+        assert fed[1].tobytes() == plain[1].tobytes()
+        assert fed[2].costs == plain[2].costs
+        assert fed[2].iterations == plain[2].iterations
 
 
 @pytest.mark.parametrize("name", ("polytope_endpoint", "ball_control_lq",
