@@ -1,22 +1,20 @@
 """Discretize, solve and verify Bolza problems over Volterra integro-differential inclusions."""
 
 from .mesh import (TimeMesh, PiecewiseLinearArc, PiecewiseConstantArc,
-                   round_down_map, average_operator, l2_distance, sup_distance,
-                   w12_distance)
+                   average_operator, l2_distance, sup_distance, w12_distance)
 from .setvalued import (Singleton, BallOffset, PolytopeOffset,
-                        distance_and_projection, hausdorff_distance,
-                        averaged_modulus, graph_normal_cone, coderivative)
+                        distance_and_projection, averaged_modulus,
+                        graph_normal_cone, coderivative)
 from .kernel import (VolterraKernel, QuadratureTensors, kernel_average_w,
                      xi_tensor, mu_tensor, theta_vector, assemble_tensors,
                      continuous_accumulator, volterra_adjoint_integral)
-from .gronwall import (BoundCertificate, discrete_gronwall_forward,
+from .gronwall import (discrete_gronwall_forward,
                        discrete_gronwall_backward, continuous_gronwall,
                        apriori_bounds)
 from .problem import (ProblemData, TerminalCost, RunningCost, CallableArc,
                       WholeSpace, PointSet, BallSet, BoxSet, InflatedSet)
 from .dynamics import (DiscreteTrajectory, ApproximationErrorReport, simulate,
-                       approximate_arc, feasibility_residual,
-                       localization_check)
+                       approximate_arc, feasibility_residual)
 from .bolza import (DiscreteBolzaProblem, SolveOptions, build_discrete_problem,
                     forward_trajectory, cost_Jk, cost_breakdown, cost_gradient,
                     solve_Pk)

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteBolzaProblem:
     """One discrete approximation instance around a reference arc.
 
@@ -77,8 +77,7 @@ class DiscreteBolzaProblem:
     zeta_k: float
     epsilon: float = field(init=False)
     omega_k: InflatedSet = field(init=False)
-    _disc: Optional[_Discretization] = field(default=None, repr=False,
-                                             compare=False)
+    _disc: Optional[_Discretization] = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", self.base.epsilon)
@@ -243,6 +242,9 @@ def cost_gradient(problem: DiscreteBolzaProblem,
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Stopping rules of :func:`solve_Pk`: the stationarity tolerance, the
+    iteration cap and the endpoint violation the penalty is raised until."""
+
     tol_stat: float = 1e-7     # max_j |u_j - proj(u_j - g_j/h_j)|
     max_iter: int = 5000
     endpoint_tol: float = 1e-6
@@ -260,8 +262,14 @@ RHO_GROWTH = 10.0
 RHO_MAX = 1e8
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveLog:
+    """What one :func:`solve_Pk` run did: iterations, the cost and the
+    stationarity measure at each, whether it ended stationary, the final
+    penalty weight with the endpoint's violation and normal, which
+    localization constraints ended near active, whether every accepted step
+    descended, and why it stopped short (``message``, empty otherwise)."""
+
     iterations: int = 0
     costs: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)

@@ -32,8 +32,12 @@ from .setvalued import BallOffset, PolytopeOffset, Singleton
 __all__ = ["CatalogEntry", "get", "names"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A problem with the reference arc that its approximation runs and
+    measured errors are taken against: closed form for a catalog problem,
+    None for an inline one, whose reference the CLI simulates."""
+
     problem: ProblemData
     reference: CallableArc
 

@@ -60,7 +60,7 @@ class DegenerateMultiplierError(ValueError):
     """All-zero multiplier pair: the excluded degenerate case."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSet:
     """Normalized multipliers (lam, p_0..p_k) with their coupling tensors,
     the running-cost gradients, the stack of graph normal cones of the
@@ -348,7 +348,7 @@ def _median(x: np.ndarray):
     return 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Residuals of one multiplier verification run, self-describing."""
 

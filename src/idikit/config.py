@@ -49,8 +49,14 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
+    """One parsed experiment file: the problem, the meshes, the solver
+    tolerances, the ``reference_`` fields (how a reference the entry lacks
+    is simulated, and the residual tolerance of any reference), the audit's
+    sizes and policies, and where the run writes.  ``snapshot`` holds every
+    section as read, for the run record."""
+
     entry: CatalogEntry
     mesh_ks: List[int]
     seed: int

@@ -38,7 +38,7 @@ from .kernel import (_assemble_w, _discretize, _Discretization, _march_steps,
                      _memory_averages, _memory_integrals, _scanned_w,
                      _with_reference, assemble_w)
 from .mesh import (PiecewiseLinearArc, TimeMesh, _sample, _short_all, _short_any,
-                   _short_norm, _short_sum, _sq_integral, l2_distance, sup_distance)
+                   _short_norm, _short_sum, _sq_integral, sup_distance)
 from .problem import ProblemData
 from .setvalued import (Singleton, _centers, _norm, averaged_modulus,
                         distance_and_projection)
@@ -50,7 +50,6 @@ __all__ = [
     "simulate",
     "approximate_arc",
     "feasibility_residual",
-    "localization_check",
     "estimate_tau",
 ]
 
@@ -73,7 +72,7 @@ class NonFiniteStateError(ArithmeticError):
         self.stage, self.k, self.node, self.t = stage, k, node, t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTrajectory:
     """Nodal states, step velocities and frozen-node memory averages.
 
@@ -429,17 +428,6 @@ def feasibility_residual(problem: ProblemData, arc, mesh: TimeMesh) -> float:
     """
     disc = _sample_reference(arc, _discretize(problem.kernel, mesh))
     return _inclusion_defect(problem, arc, disc)[-1]
-
-
-def localization_check(candidate, reference, eps: float, mesh: TimeMesh) -> bool:
-    """Strict sup-norm and derivative-L2 localization test around an arc."""
-    if eps <= 0:
-        raise ValueError("localization radius must be positive")
-    sup_gap = sup_distance(mesh, candidate, reference)
-    if sup_gap >= eps:
-        return False
-    dgap = l2_distance(mesh, candidate.derivative, reference.derivative)
-    return dgap ** 2 < eps
 
 
 def approximate_arc(problem: ProblemData, reference, mesh: TimeMesh,

@@ -22,12 +22,9 @@ takes only a uniform grid: any other grid raises GronwallDomainError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BoundCertificate",
     "discrete_gronwall_forward",
     "discrete_gronwall_backward",
     "continuous_gronwall",
@@ -36,8 +33,6 @@ __all__ = [
     "backward_extremal",
     "continuous_extremal",
 ]
-
-CERT_TOL = 1e-12
 
 
 class GronwallDomainError(ValueError):
@@ -49,26 +44,6 @@ def _nonneg(name, arr):
     if np.any(a < 0):
         raise GronwallDomainError(f"{name} must be nonnegative")
     return a
-
-
-@dataclass(frozen=True)
-class BoundCertificate:
-    """A bound sequence together with the witness values it must dominate."""
-
-    bounds: np.ndarray
-    actual: np.ndarray
-
-    @property
-    def slack(self) -> np.ndarray:
-        return self.bounds - self.actual
-
-    @property
-    def min_slack(self) -> float:
-        return float(self.slack.min())
-
-    @property
-    def certified(self) -> bool:
-        return self.min_slack >= -CERT_TOL
 
 
 def discrete_gronwall_forward(e0, sigma, rho, gamma) -> np.ndarray:

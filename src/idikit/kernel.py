@@ -516,7 +516,7 @@ def theta_vector(mesh: TimeMesh, velocities, reference_arc, j: int) -> np.ndarra
     return mesh.steps[j] * v[j] - (ref[1] - ref[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureTensors:
     """The coupling tensors of one discrete trajectory.
 

@@ -22,7 +22,6 @@ __all__ = [
     "PiecewiseLinearArc",
     "PiecewiseConstantArc",
     "CallableArc",
-    "round_down_map",
     "average_operator",
     "l2_distance",
     "sup_distance",
@@ -32,9 +31,16 @@ __all__ = [
 ]
 
 # every cell and panel quadrature is Gauss-Legendre of this order, exact for
-# polynomials of degree <= 2 * GAUSS_ORDER - 1
+# polynomials of degree <= 2 * GAUSS_ORDER - 1; its nodes and weights on
+# [-1, 1] are stored as the bits of np.polynomial.legendre.leggauss(4), so
+# importing the package runs no eigenvalue solve
 GAUSS_ORDER = 4
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_GAUSS_X = np.array([float.fromhex(s) for s in (
+    "-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2",
+    "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1")])
+_GAUSS_W = np.array([float.fromhex(s) for s in (
+    "0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1",
+    "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")])
 DEFAULT_SUP_SAMPLES = 16
 # a memory integral over [0, T] is summed over at least this many panels
 MIN_PANELS = 64
@@ -57,7 +63,7 @@ def interval_gauss_points(a, b):
     return 0.5 * (a + b) + half * _GAUSS_X, half * _GAUSS_W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeMesh:
     """Partition 0 = t_0 < t_1 < ... < t_k = T of the horizon.
 
@@ -146,19 +152,11 @@ class TimeMesh:
         return np.sort(np.concatenate([self.nodes, inner.ravel()]))
 
 
-def round_down_map(mesh: TimeMesh, t: float) -> float:
-    """Largest mesh node <= t (so 0 at t=0 and T at t=T)."""
-    mesh._check_domain(t)
-    t = min(max(t, 0.0), mesh.horizon)
-    idx = int(np.searchsorted(mesh.nodes, t, side="right") - 1)
-    return float(mesh.nodes[idx])
-
-
 ArcLike = Union["PiecewiseLinearArc", "PiecewiseConstantArc", "CallableArc",
                 Callable[[float], np.ndarray]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearArc:
     """Piecewise-linear extension of nodal values x_0..x_k.
 
@@ -201,7 +199,7 @@ class PiecewiseLinearArc:
         return self.slopes[self.mesh.cell_index(t)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseConstantArc:
     """Left-continuous step extension: value y_j on (t_j, t_{j+1}].
 

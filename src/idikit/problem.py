@@ -37,6 +37,9 @@ class EndpointError(ValueError):
 
 @dataclass(frozen=True)
 class TerminalCost:
+    """Terminal cost phi(x_k) with its gradient: ``value`` takes one state
+    (n,) and returns a float, ``grad`` returns the gradient, shape (n,)."""
+
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
 
@@ -119,8 +122,10 @@ class WholeSpace(_EndpointSet):
         return float(np.linalg.norm(w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet(_EndpointSet):
+    """The one-point endpoint set {point}; its normal cone is all of R^n."""
+
     point: np.ndarray
 
     def __post_init__(self):
@@ -138,8 +143,11 @@ class PointSet(_EndpointSet):
         return 0.0  # the cone is all of R^n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet(_EndpointSet):
+    """The endpoint box lo <= x <= hi, coordinatewise; lo > hi in any
+    coordinate raises ValueError, lo = hi fixes that coordinate."""
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -177,7 +185,7 @@ class BoxSet(_EndpointSet):
         return float(np.sqrt(res2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InflatedSet(_EndpointSet):
     """base + zeta * unit ball, the endpoint set of the discrete problems."""
 
@@ -230,7 +238,7 @@ class BallSet(InflatedSet):
 
 # --- the problem bundle -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """Everything the discretization and the condition checks consume.
 

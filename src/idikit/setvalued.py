@@ -29,7 +29,6 @@ __all__ = [
     "GraphNormalCone",
     "pair_distances",
     "distance_and_projection",
-    "hausdorff_distance",
     "averaged_modulus",
     "graph_normal_cone",
     "coderivative",
@@ -415,7 +414,7 @@ def project_convex_hull(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _HullFaces(V).project(np.asarray(z, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphNormalCone:
     """Closed-form N_{gph F(t_i,.)}(x_i, v_i) for a stack of N >= 1 points.
 
@@ -617,15 +616,6 @@ def distance_and_projection(fmap: _OffsetMap, t, x, z):
     c = _centers(fmap, t, np.asarray(x, dtype=float))
     d, p = fmap.body_distance_projection(np.asarray(z, dtype=float) - c)
     return d, c + p
-
-
-def hausdorff_distance(fmap: _OffsetMap, t: float, x1, x2) -> float:
-    """Pompeiu-Hausdorff distance between F(t,x1) and F(t,x2).
-
-    The values are translates of one body, so this is just the distance
-    between the centers.
-    """
-    return float(np.linalg.norm(fmap.center(t, _as_state(x1)) - fmap.center(t, _as_state(x2))))
 
 
 def averaged_modulus(fmap: _OffsetMap, h: float, state_samples,

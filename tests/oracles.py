@@ -36,12 +36,17 @@ and scatters a suite's blocks into its stack at once), and its violation
 count with one bound and one oracle call per instance length (the package
 pads every suite to one stack); the projected-gradient solve
 that projects the stationarity step and the first Armijo trial in two
-calls (the package stacks them into one).
+calls (the package stacks them into one).  Last, four helpers that no
+module of the package calls, kept for the tests that check them: the
+round-down map onto the mesh nodes, the Hausdorff distance of two values
+of a velocity map, the localization test around an arc and the
+certificate of a Gronwall bound sequence.
 """
 
 import itertools
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -51,12 +56,14 @@ from idikit import bolza
 from idikit.bolza import SolveLog, cost_gradient, cost_Jk, forward_trajectory
 from idikit.dynamics import _march, _sample_reference
 from idikit.kernel import _discretize, _memory_averages, kernel_average_w
+import idikit.mesh
 from idikit.mesh import (CallableArc, PiecewiseConstantArc, PiecewiseLinearArc,
                          TimeMesh, cell_gauss_points, interval_gauss_points,
                          sup_distance)
 from idikit.problem import RunningCost
 from idikit.setvalued import (BallOffset, InfeasiblePointError, PolytopeOffset,
-                              Singleton, _norm, distance_and_projection)
+                              Singleton, _as_state, _norm,
+                              distance_and_projection)
 
 
 # --- oracles of one time or one point, served row by row ----------------------
@@ -752,3 +759,54 @@ def affine_scan(M, c, y0):
             M[d:] = M[d:] @ M[:-d]
         d *= 2
     return c[..., 0]
+
+
+def round_down_map(mesh, t):
+    """Largest mesh node <= t (so 0 at t=0 and T at t=T)."""
+    mesh._check_domain(t)
+    t = min(max(t, 0.0), mesh.horizon)
+    idx = int(np.searchsorted(mesh.nodes, t, side="right") - 1)
+    return float(mesh.nodes[idx])
+
+
+def hausdorff_distance(fmap, t, x1, x2):
+    """Pompeiu-Hausdorff distance between F(t,x1) and F(t,x2).
+
+    The values are translates of one body, so this is just the distance
+    between the centers.
+    """
+    return float(np.linalg.norm(fmap.center(t, _as_state(x1)) - fmap.center(t, _as_state(x2))))
+
+
+def localization_check(candidate, reference, eps, mesh):
+    """Strict sup-norm and derivative-L2 localization test around an arc."""
+    if eps <= 0:
+        raise ValueError("localization radius must be positive")
+    sup_gap = sup_distance(mesh, candidate, reference)
+    if sup_gap >= eps:
+        return False
+    dgap = idikit.mesh.l2_distance(mesh, candidate.derivative, reference.derivative)
+    return dgap ** 2 < eps
+
+
+CERT_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class BoundCertificate:
+    """A bound sequence together with the witness values it must dominate."""
+
+    bounds: np.ndarray
+    actual: np.ndarray
+
+    @property
+    def slack(self):
+        return self.bounds - self.actual
+
+    @property
+    def min_slack(self):
+        return float(self.slack.min())
+
+    @property
+    def certified(self):
+        return self.min_slack >= -CERT_TOL

@@ -8,15 +8,14 @@ from idikit import catalog
 from idikit.bolza import DiscreteBolzaProblem, forward_trajectory
 from idikit.dynamics import (InfeasibleReferenceError, NonFiniteStateError,
                              approximate_arc, estimate_tau,
-                             feasibility_residual, localization_check,
-                             simulate)
+                             feasibility_residual, simulate)
 from idikit.gronwall import apriori_bounds
 from idikit.kernel import VolterraKernel
 from idikit.mesh import TimeMesh
 from idikit.problem import (CallableArc, ProblemData, RunningCost, TerminalCost,
                             WholeSpace)
 from idikit.setvalued import Singleton
-from oracles import per_row_arc
+from oracles import localization_check, per_row_arc
 
 
 def _static_problem(f_const, n=1):

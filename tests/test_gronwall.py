@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from idikit.gronwall import (BoundCertificate, GronwallDomainError,
-                             _cumulative_simpson, _uniform_step, apriori_bounds,
-                             backward_extremal,
+from idikit.gronwall import (GronwallDomainError, _cumulative_simpson,
+                             _uniform_step, apriori_bounds, backward_extremal,
                              continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
                              discrete_gronwall_forward, forward_extremal)
-from oracles import (backward_recursion, continuous_extremal_loop,
-                     forward_recursion, integro_rk4)
+from oracles import (BoundCertificate, backward_recursion,
+                     continuous_extremal_loop, forward_recursion, integro_rk4)
 
 
 # --- brute-force oracles -----------------------------------------------------

@@ -3,8 +3,15 @@ import pytest
 
 from idikit.mesh import (CallableArc, MeshError, PiecewiseConstantArc,
                          PiecewiseLinearArc, TimeMesh, average_operator,
-                         l2_distance, round_down_map, sup_distance,
-                         w12_distance)
+                         l2_distance, sup_distance, w12_distance)
+from idikit import mesh as mesh_module
+from oracles import round_down_map
+
+
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(mesh_module.GAUSS_ORDER)
+    assert mesh_module._GAUSS_X.tobytes() == x.tobytes()
+    assert mesh_module._GAUSS_W.tobytes() == w.tobytes()
 
 
 def test_round_down_basics():
