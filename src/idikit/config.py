@@ -16,13 +16,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import catalog
-from .catalog import CatalogEntry, _quadratic_running, _quadratic_terminal
+from .catalog import CatalogEntry
 from .dynamics import POLICIES
-from .kernel import VolterraKernel
-from .mesh import _short_norm
-from .problem import (BallSet, BoxSet, PointSet, ProblemData,
-                      RunningCost, TerminalCost, WholeSpace)
-from .setvalued import BallOffset, PolytopeOffset, Singleton
+from .kernel import KernelError
+from .problem import BallSet, BoxSet, PointSet, WholeSpace
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -139,68 +136,39 @@ def _horizon(horizon: float) -> float:
 
 
 def _build_inline_problem(parser) -> CatalogEntry:
+    """The parts of an inline [problem], parsed and checked, built as the
+    catalog builds its problems."""
     sec = "problem"
     name = _get(parser, sec, "name", str, required=True)
     dim = _get(parser, sec, "dim", int, required=True)
     variant = _get(parser, sec, "variant", str, required=True)
     drift = _get(parser, sec, "drift", str, default="zero")
     scale = _number(parser, "drift_scale", default=0.0)
-
-    if drift == "zero":
-        A = np.zeros((dim, dim))
-        drift_norm = lambda box_rad: 0.0
-        l_f_auto = 0.0
-    elif drift == "rotation":
-        if dim != 2:
-            raise ConfigError("field 'problem.drift': rotation needs dim = 2")
-        A = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
-        drift_norm = lambda box_rad: abs(scale) * box_rad
-        l_f_auto = abs(scale)
-    elif drift == "scalar_linear":
-        if dim != 1:
-            raise ConfigError("field 'problem.drift': scalar_linear needs dim = 1")
-        A = np.array([[scale]])
-        drift_norm = lambda box_rad: abs(scale) * box_rad
-        l_f_auto = abs(scale)
-    else:
+    if drift not in catalog._DRIFTS:
         raise ConfigError(f"field 'problem.drift': unknown drift {drift!r}")
+    needs = catalog._DRIFTS[drift][0]
+    if needs not in (None, dim):
+        raise ConfigError(f"field 'problem.drift': {drift} needs dim = {needs}")
 
     if variant == "singleton":
-        fmap = Singleton.linear(A)
-        body_rad = 0.0
+        body = ()
     elif variant == "ball":
-        radius = _number(parser, "radius", required=True)
-        fmap = BallOffset.linear(A, radius)
-        body_rad = radius
+        body = (_number(parser, "radius", required=True),)
     elif variant == "polytope":
         raw = _get(parser, sec, "vertices", str, required=True)
         rows = [r for r in raw.split(";") if r.strip()]
-        verts = np.array([_vector(r, "problem.vertices") for r in rows])
-        if verts.shape[1] != dim:
+        verts = [_vector(r, "problem.vertices") for r in rows]
+        if not verts or any(v.size != dim for v in verts):
             raise ConfigError("field 'problem.vertices': dimension mismatch")
-        fmap = PolytopeOffset.linear(A, verts)
-        body_rad = float(_short_norm(verts, 1).max())
+        body = (np.array(verts),)
     else:
         raise ConfigError(f"field 'problem.variant': unknown variant {variant!r}")
 
-    kernel_name = _get(parser, sec, "kernel", str, default="none")
-    if kernel_name == "none":
-        kern = VolterraKernel.zero()
-        beta_auto = alpha_auto = 0.0
-    elif kernel_name == "negative_identity":
-        kern = VolterraKernel.exponential(-1.0, 0.0, beta=1.0, alpha=1.0)
-        beta_auto = alpha_auto = 1.0
-    elif kernel_name == "identity_decay":
-        rate = _number(parser, "kernel_rate", default=1.0)
-        # the declared beta = alpha = 1 hold only for a fading or constant
-        # kernel, which is what exponential accepts
-        try:
-            kern = VolterraKernel.exponential(-1.0, rate, beta=1.0, alpha=1.0)
-        except ValueError as exc:
-            raise ConfigError(f"field 'problem.kernel_rate': {exc}") from None
-        beta_auto = alpha_auto = 1.0
-    else:
-        raise ConfigError(f"field 'problem.kernel': unknown kernel {kernel_name!r}")
+    kernel = _get(parser, sec, "kernel", str, default="none")
+    if kernel not in catalog._KERNELS:
+        raise ConfigError(f"field 'problem.kernel': unknown kernel {kernel!r}")
+    rate = (_number(parser, "kernel_rate", default=1.0)
+            if kernel == "identity_decay" else None)
 
     x0 = _vector(_get(parser, sec, "x0", str, required=True), "problem.x0")
     if x0.size != dim:
@@ -212,30 +180,25 @@ def _build_inline_problem(parser) -> CatalogEntry:
                  "problem.state_box_lo")
     hi = _vector(_get(parser, sec, "state_box_hi", str, required=True),
                  "problem.state_box_hi")
-    box_rad = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-
-    m_f = _number(parser, "m_F", default=drift_norm(box_rad) + body_rad)
-    l_f = _number(parser, "l_F", default=l_f_auto)
-    beta = _number(parser, "beta", default=beta_auto)
-    alpha = _number(parser, "alpha", default=alpha_auto)
+    declared = {key: value for key in ("m_F", "l_F", "beta", "alpha")
+                if (value := _number(parser, key)) is not None}
 
     terminal = _get(parser, sec, "terminal", str, default="none")
     if terminal == "none":
-        phi = TerminalCost.zero()
+        target = None
     elif terminal == "quadratic":
-        phi = _quadratic_terminal(_vector(
+        target = _vector(
             _get(parser, sec, "terminal_target", str, default=" ".join(["0"] * dim)),
-            "problem.terminal_target"))
+            "problem.terminal_target")
     else:
         raise ConfigError(f"field 'problem.terminal': unknown cost {terminal!r}")
 
     running = _get(parser, sec, "running", str, default="none")
     if running == "none":
-        lrun = RunningCost.zero()
+        weights = None
     elif running == "quadratic":
-        lrun = _quadratic_running(
-            _number(parser, "running_x_weight", default=1.0),
-            _number(parser, "running_v_weight", default=1.0))
+        weights = (_number(parser, "running_x_weight", default=1.0),
+                   _number(parser, "running_v_weight", default=1.0))
     else:
         raise ConfigError(f"field 'problem.running': unknown cost {running!r}")
 
@@ -257,10 +220,14 @@ def _build_inline_problem(parser) -> CatalogEntry:
     else:
         raise ConfigError(f"field 'problem.omega': unknown shape {omega_kind!r}")
 
-    problem = ProblemData(
-        name=name, fmap=fmap, kernel=kern, x0=x0, horizon=horizon,
-        omega=omega, terminal_cost=phi, running_cost=lrun, m_F=m_f, l_F=l_f,
-        beta=beta, alpha=alpha, state_box=(lo, hi), epsilon=eps)
+    try:
+        problem = catalog._problem(
+            name, x0, horizon, (lo, hi), variant=variant, body=body,
+            drift=drift, drift_scale=scale, kernel=kernel, kernel_rate=rate,
+            terminal_target=target, running_weights=weights, omega=omega,
+            epsilon=eps, **declared)
+    except KernelError as exc:
+        raise ConfigError(f"field 'problem.kernel_rate': {exc}") from None
     return CatalogEntry(problem, None)
 
 

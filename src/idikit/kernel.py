@@ -72,6 +72,10 @@ class KernelIndexError(IndexError):
     """Cell-pair indices outside the admissible triangular range."""
 
 
+class KernelError(ValueError):
+    """An exponential kernel's weight or rate outside its range."""
+
+
 def _triangle_rule():
     # 12-point symmetric rule, exact for total degree <= 6 on the reference
     # triangle; weights normalized to sum to 1 (multiply by the area).
@@ -139,14 +143,14 @@ class VolterraKernel:
         """g(t, s, x) = c e^{-r (t - s)} x, a fading (r > 0) or constant
         (r = 0) memory, with Jacobian c e^{-r (t - s)} I.
 
-        Raises ValueError unless c and r are finite and r >= 0: a growing
+        Raises KernelError unless c and r are finite and r >= 0: a growing
         kernel would need the unstable factors e^{r s}, and its declared
         bounds ``beta`` and ``alpha`` could not hold on [0, T].
         """
         c, r = float(c), float(r)
         if not (math.isfinite(c) and math.isfinite(r) and r >= 0.0):
-            raise ValueError(f"exponential kernel needs finite c and r >= 0, "
-                             f"got c={c!r}, r={r!r}")
+            raise KernelError(f"exponential kernel needs finite c and r >= 0, "
+                              f"got c={c!r}, r={r!r}")
         kernel = cls.convolution(lambda u: c * np.exp(-r * u), beta, alpha)
         kernel._exp = (c, r)
         return kernel

@@ -220,6 +220,51 @@ def test_solver_descent_and_determinism(ball_entry):
     assert np.array_equal(traj1.states, traj2.states)
 
 
+def test_the_iteration_cap_ends_the_solve(ball_entry):
+    dbp, controls0, _, _ = _discrete(ball_entry, 8)
+    _, _, log = solve_Pk(dbp, controls0, SolveOptions(max_iter=1))
+    assert log.message == "iteration cap reached"
+    assert log.iterations == 1 and not log.stationary
+
+
+# a terminal target 15 away from the point endpoint set: its multiplier is
+# near 15 > RHO0, and the velocity ball keeps x(T) <= 1 inside the tube
+PULLED = """[problem]
+name = pulled
+inline = true
+dim = 1
+variant = ball
+radius = 1
+x0 = 0
+horizon = 1.0
+epsilon = 4
+state_box_lo = -2
+state_box_hi = 2
+terminal = quadratic
+terminal_target = 15
+omega = point
+omega_point = 0.2
+"""
+
+
+def test_the_penalty_grows_until_the_endpoint_holds(tmp_path):
+    from idikit import cli
+    from idikit.bolza import RHO0
+    from idikit.config import load_config
+    ini = tmp_path / "pulled.ini"
+    ini.write_text(PULLED, encoding="utf-8")
+    cfg = load_config(str(ini))
+    prob, (ref, feas_tol) = cfg.entry.problem, cli._reference_for(cfg)
+    mesh = TimeMesh.uniform(6, prob.horizon)
+    dbp, c0, _, _ = build_discrete_problem(
+        prob, mesh, ref, precomputed=approximate_arc(prob, ref, mesh, feas_tol))
+    opts = SolveOptions()
+    traj, _, log = solve_Pk(dbp, c0, opts)
+    assert log.rho_final > RHO0
+    assert log.endpoint_violation <= opts.endpoint_tol
+    assert dbp.omega_k.distance(traj.states[-1]) == log.endpoint_violation
+
+
 def test_solver_zero_residual_fit(cos_t_entry):
     # tracking cost with a feasible reference: singleton controls leave the
     # initial trajectory untouched and it is already stationary; the solver

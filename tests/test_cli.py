@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from idikit.gronwall import (continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
                              discrete_gronwall_forward)
 from idikit.mesh import TimeMesh
+from idikit.problem import BoxSet, PointSet
 from idikit.setvalued import Singleton
 from oracles import (backward_recursion, continuous_extremal_loop,
                      draw_instance, forward_recursion, per_row_cost,
@@ -678,6 +680,59 @@ k = 6
     # auto-derived constants: sup |Ax| over the box + r, and |A|
     assert prob.m_F == pytest.approx(0.2 * np.linalg.norm([4, 4]) + 1.5)
     assert prob.l_F == pytest.approx(0.2)
+
+
+GRAMMAR = """
+[problem]
+name = g
+inline = true
+horizon = 1.0
+{dims}
+{parts}
+"""
+DIM1 = "dim = 1\nx0 = 1\nstate_box_lo = -2\nstate_box_hi = 2"
+DIM2 = "dim = 2\nx0 = 1 0\nstate_box_lo = -2 -2\nstate_box_hi = 2 2"
+
+
+def _scalar_drift(prob):
+    return (np.array_equal(prob.fmap.jacobian(0.0, prob.x0), [[-0.5]])
+            and (prob.m_F, prob.l_F) == (1.0, 0.5))
+
+
+@pytest.mark.parametrize("dims,parts,want", [
+    (DIM1, "variant = singleton\ndrift = scalar_linear\ndrift_scale = -0.5",
+     _scalar_drift),
+    (DIM2, "variant = singleton\ndrift = scalar_linear",
+     "problem.drift': scalar_linear needs dim = 1"),
+    (DIM1, "variant = singleton\ndrift = rotation",
+     "problem.drift': rotation needs dim = 2"),
+    (DIM2, "variant = singleton\nomega = point\nomega_point = 0.5 0.5",
+     lambda prob: type(prob.omega) is PointSet),
+    (DIM2, "variant = singleton\nomega = box\nomega_lo = 0 0\nomega_hi = 1 1",
+     lambda prob: type(prob.omega) is BoxSet),
+    (DIM2, "variant = singleton\ndrift = spiral", "problem.drift': unknown drift"),
+    (DIM2, "variant = cone", "problem.variant': unknown variant"),
+    (DIM2, "variant = singleton\nkernel = gauss", "problem.kernel': unknown kernel"),
+    (DIM2, "variant = singleton\nterminal = cubic", "problem.terminal': unknown cost"),
+    (DIM2, "variant = singleton\nrunning = cubic", "problem.running': unknown cost"),
+    (DIM2, "variant = singleton\nomega = sphere", "problem.omega': unknown shape"),
+    (DIM2, "variant = polytope\nvertices = 0; 1", "problem.vertices': dimension mismatch"),
+    # rows of two lengths, and no row: both used to raise numpy's errors
+    (DIM2, "variant = polytope\nvertices = 0 0; 1", "problem.vertices': dimension mismatch"),
+    (DIM2, "variant = polytope\nvertices = ;", "problem.vertices': dimension mismatch"),
+    (DIM2.replace("x0 = 1 0", "x0 = 1"), "variant = singleton",
+     "problem.x0': dimension mismatch"),
+], ids=["scalar_linear", "scalar_linear-dim2", "rotation-dim1", "omega-point",
+        "omega-box", "drift", "variant", "kernel", "terminal", "running", "omega",
+        "vertices", "vertices-ragged", "vertices-none", "x0"])
+def test_inline_grammar_loads_or_names_the_field(tmp_path, dims, parts, want):
+    cfgp = _write(tmp_path, GRAMMAR.format(dims=dims, parts=parts))
+    if callable(want):
+        assert want(load_config(cfgp).entry.problem)
+        return
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        load_config(cfgp)
+    assert main(["converge", cfgp]) == 2
 
 
 def test_converge_degenerate_kernel_columns(tmp_path):

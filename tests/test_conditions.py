@@ -428,6 +428,31 @@ def test_recover_multipliers_degraded_on_nonstationary(ball_entry):
     assert nontriviality_value(mult) == 1.0
 
 
+@pytest.mark.parametrize("el,el0,route", [
+    (1e-6, None, "normal"),       # lam = 1 certifies: no probe
+    (1.0, 1e-6, "abnormal"),      # lam = 0 certifies
+    (1.0, 0.5, "abnormal"),       # lam = 0 leaves the smaller residual
+    (1.0, 1.0, "normal-degraded"),
+    (1.0, 2.0, "normal-degraded"),
+])
+def test_recover_multipliers_picks_the_route_by_residual(monkeypatch, el, el0, route):
+    # each probe's Euler-Lagrange residuals are given; the route and the set
+    # returned follow from them alone
+    import idikit.conditions as conditions
+    from types import SimpleNamespace
+    sets = {1.0: SimpleNamespace(el_residuals=np.array([0.0, el])),
+            0.0: SimpleNamespace(el_residuals=np.array([el0, 0.0]))}
+    probes = []
+    monkeypatch.setattr(conditions, "_trajectory_terms", lambda problem, traj: None)
+    monkeypatch.setattr(conditions, "_adjoint_sweep",
+                        lambda problem, traj, terms, lam, normal:
+                        probes.append(lam) or sets[lam])
+    mult, got = conditions.recover_multipliers(None, None)
+    assert got == route
+    assert mult is sets[0.0 if route == "abnormal" else 1.0]
+    assert probes == ([1.0] if route == "normal" else [1.0, 0.0])
+
+
 def test_non_finite_multiplier_names_stage_and_node(cos_t_entry):
     from dataclasses import replace
     from idikit.dynamics import NonFiniteStateError
