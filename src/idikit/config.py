@@ -135,6 +135,18 @@ def _horizon(horizon: float) -> float:
     return horizon
 
 
+def _corner(parser, key: str, dim: int) -> np.ndarray:
+    """A corner of the state box the constants are certified over: ``dim``
+    finite numbers."""
+    raw = _get(parser, "problem", key, str, required=True)
+    corner = _vector(raw, f"problem.{key}")
+    if corner.size != dim:
+        raise ConfigError(f"field 'problem.{key}': dimension mismatch")
+    if not np.isfinite(corner).all():
+        raise ConfigError(f"field 'problem.{key}': must be finite, got {raw!r}")
+    return corner
+
+
 def _build_inline_problem(parser) -> CatalogEntry:
     """The parts of an inline [problem], parsed and checked, built as the
     catalog builds its problems."""
@@ -176,10 +188,10 @@ def _build_inline_problem(parser) -> CatalogEntry:
     horizon = _horizon(_get(parser, sec, "horizon", float, required=True))
     eps = _number(parser, "epsilon", default=1.0)
 
-    lo = _vector(_get(parser, sec, "state_box_lo", str, required=True),
-                 "problem.state_box_lo")
-    hi = _vector(_get(parser, sec, "state_box_hi", str, required=True),
-                 "problem.state_box_hi")
+    lo, hi = _corner(parser, "state_box_lo", dim), _corner(parser, "state_box_hi", dim)
+    if np.any(lo > hi):
+        raise ConfigError("field 'problem.state_box_hi': must be >= "
+                          "problem.state_box_lo in every entry")
     declared = {key: value for key in ("m_F", "l_F", "beta", "alpha")
                 if (value := _number(parser, key)) is not None}
 

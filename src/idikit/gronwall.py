@@ -13,11 +13,9 @@ front for the backward one (anchored at the terminal: a row's last m - 1
 covered columns do not see it); in those covered columns row i of a bound
 or of its oracle is bit for bit the call on instance i, and zero padding
 passes the nonnegativity checks and stays finite.  The bounds never
-consult the oracles.  The RK4 oracle forms its stage times and finds their
-grid cells once per call, interpolates each cell's stage coefficients as
-one block (once per call for rows that are constant, finite and free of
--0.0) and steps the packed (int rho, rho, rho') rows of one workspace; it
-takes only a uniform grid: any other grid raises GronwallDomainError.
+consult the oracles.  The RK4 oracle steps the linear integro-ODE one
+affine map per grid cell, its 4 RK4 substeps composed; it takes only a
+uniform grid: any other grid raises GronwallDomainError.
 """
 
 from __future__ import annotations
@@ -174,8 +172,8 @@ def apriori_bounds(problem) -> tuple:
 
 # --- equality-case oracles, batched over instances ----------------------------
 #
-# Each oracle takes N instances stacked along axis 0 and does for every row
-# the arithmetic of the one-instance loop it batches, in the same order.
+# Each oracle takes N instances stacked along axis 0: the recursions do every
+# row's arithmetic in their loop's order, the RK4 oracle is its loop to 1e-12.
 
 
 def forward_extremal(e0, sigma, rho, gamma) -> np.ndarray:
@@ -227,29 +225,90 @@ def _uniform_step(grid: np.ndarray) -> float:
     return dx[0]
 
 
+def _stage_blocks(coeffs: np.ndarray, grid: np.ndarray, hh: float, out: np.ndarray):
+    """Yield (cells, block): the rows ``coeffs`` (3, G, N) at the 9 RK4 stage
+    times of out.shape[3] cells after another, a (3, 9, cells, N) view of
+    ``out`` (3, 2, 9, cells, N) that the next block overwrites.  Columns 0
+    to 3 hold each substep's t (the stepping's t = grid[i], t += hh), 1 to 4
+    its t + hh, 5 to 8 its t + hh/2, interpolated as np.interp does finite
+    rows, bit for bit: (c[j+1] - c[j]) / dx_j * (t - x_j) + c[j], and c[j]
+    where t == x_j or j == G - 1."""
+    g, width = grid.size, out.shape[3]
+    times = np.empty((9, g - 1))
+    times[0], times[1:5] = grid[:-1], hh
+    np.add.accumulate(times[:5], out=times[:5])
+    np.add(times[:4], hh / 2, out=times[5:])
+    lo = np.searchsorted(grid, times, side="right") - 1
+    exact = (lo == g - 1) | (grid[lo] == times)
+    offset = (times - grid[lo])[..., None]
+    for i in range(0, g - 1, width):
+        cells, near = slice(i, min(i + width, g - 1)), slice(i, i + width + 2)
+        # each stage's (c[j], slope) from the nodes it can fall between, the
+        # slope -0.0 on a node or past the last: -0.0 * (t - x_j) + c[j] is c[j]
+        c = coeffs[:, near]
+        table = np.concatenate([c, np.diff(c, axis=1) / np.diff(grid[near])[:, None],
+                                np.full((3, 1, c.shape[2]), -0.0)], axis=1)
+        at, w = lo[:, cells] - i, c.shape[1]
+        # mode="clip" takes without a buffer; every index is in range
+        both = table.take(np.stack([at, np.where(exact[:, cells], 2 * w - 1, w + at)]),
+                          axis=1, out=out[..., :cells.stop - i, :], mode="clip")
+        both[:, 1] *= offset[:, cells]; both[:, 1] += both[:, 0]
+        yield cells, both[:, 1]
+
+
+def _compose(outer, inner, out, tmp) -> np.ndarray:
+    """[M | m] of y -> M2 (M1 y + m1) + m2 into ``out`` from [M2 | m2] and
+    [M1 | m1], each as its rows (2, 3, ...); ``tmp`` is scratch like out."""
+    np.multiply(outer[:, 0:1], inner[0], out=out)
+    out += np.multiply(outer[:, 1:2], inner[1], out=tmp)
+    out[:, 2] += outer[:, 2]
+    return out
+
+
+def _cell_maps(stage: np.ndarray, hh: float, out: np.ndarray, work: np.ndarray) -> None:
+    """The map y -> C y + c of a cell's 4 RK4 substeps on y = (q, r) = (int
+    rho, rho), y' = A y + e, A = [[0, 1], [b2, b1]], e = (0, a), from the
+    stage block (3, 9, cells, N): the rows (q, r, 1 coefficients) of [C | c]
+    into ``out`` (2, 3, cells, N), ``work`` (6, 3, 4, cells, N) as scratch.
+    The stage slopes are maps K1 = A1, K2 = A2 (I + hh/2 K1), K3 = A2 (I +
+    hh/2 K2), K4 = A4 (I + hh K3), the substep R = I + hh/6 (K1 + 2 K2 + 2 K3
+    + K4).  Row q of A X is row r of X, so only rows r are formed: k' = b2 w
+    + b1 u + (0, 0, a), u = e_r + h k and w = e_q + h (u before, or e_r)."""
+    p1, p4, p2, half = stage[:, 0:4], stage[:, 1:5], stage[:, 5:9], hh / 2
+    k, (u, w, tmp) = work[0:3], work[3:6]  # k2, k3, k4; k1 is p1
+    np.multiply(half, p1, out=u); u[1] += 1.0
+    np.multiply(p2[1], u, out=k[0]); k[0, 0] += p2[0]  # k2, with w = (1, hh/2, 0)
+    k[0, 1] += half * p2[0]; k[0, 2] += p2[2]
+    for s, p, h in ((1, p2, half), (2, p4, hh)):
+        np.multiply(h, u, out=w); w[0] += 1.0
+        np.multiply(h, k[s - 1], out=u); u[1] += 1.0
+        np.multiply(p[0], w, out=k[s]); k[s] += np.multiply(p[1], u, out=tmp)
+        k[s, 2] += p[2]
+    # T = k2 + k3 and S = T + k1; R's rows e_q + hh e_r + hh^2/6 S and
+    # e_r + hh/6 (S + T + k4) go into the spent k2 and k3
+    k[0] += k[1]; np.add(k[0], p1, out=u)
+    np.add(u, k[0], out=k[1]); k[1] += k[2]; k[1] *= hh / 6; k[1, 1] += 1.0
+    np.multiply(hh * hh / 6, u, out=k[0]); k[0, 0] += 1.0; k[0, 1] += hh
+    pairs = _compose(k[:2, :, 1::2], k[:2, :, 0::2], work[2:4, :, :2], work[4:6, :, :2])
+    _compose(pairs[:, :, 1], pairs[:, :, 0], out, work[0:2, :, 0])
+
+
 def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
     """Equality case rho' = a + b1 rho + b2 int_0^t rho for N instances.
 
     rho0 has shape (N,) and the coefficient rows a, b1, b2 shape (N, G),
     sampled on the uniform grid (G,) and interpolated linearly between its
     points as np.interp does.  Fixed-step RK4 with 4 substeps per grid cell
-    on the state (rho, int rho), dense enough to sit far below the
+    on the state (int rho, rho), dense enough to sit far below the
     continuous bound's built-in exp(t) slack.  Returns rho on the grid,
     shape (N, G).  A grid that is not uniform, or rows of another shape,
     raise GronwallDomainError.
 
-    The stage times are formed up front, with the float arithmetic of the
-    stepping (t = grid[i], t + hh/2, t + hh, t += hh), and located in the
-    grid by one search; each cell then interpolates the three coefficients
-    at its 9 distinct stages as one (9, 3, N) block, or, where every row is
-    constant along the grid, finite and free of -0.0, fills that block once
-    with the rows themselves, which the interpolation would give back bit
-    for bit.  Stage s of a substep is the rows (q, r, k) of one (4, 3, N)
-    workspace, so its state (q, r) and its slope (r, k) are two overlapping
-    views and every step of the stage scheme runs on both components at
-    once, in place.  The result is bit for bit the loop that looks up every
-    stage on its own and steps rho and int rho as separate rows
-    (``tests/oracles.py``).
+    The system is linear: a cell's 4 substeps are one affine map, y <-
+    C_i y + c_i, stepped cell after cell.  The stage times and coefficients
+    are the stepping's and np.interp's, and row i of a stack is the call on
+    instance i, bit for bit; the values are the loop that steps the stages
+    (``tests/oracles.py``) to 1e-12 relative, with its non-finite entries.
     """
     grid = np.asarray(grid, dtype=float)
     hh = _uniform_step(grid) / 4
@@ -258,85 +317,26 @@ def continuous_extremal(rho0, a, b1, b2, grid) -> np.ndarray:
     rows = [np.asarray(c, dtype=float) for c in (b2, b1, a)]
     if any(c.shape != (n, g) for c in rows):
         raise GronwallDomainError("coefficient rows must have shape (N, G)")
-    # (G, 3, N): b2, b1, a, C-ordered so that taking a cell's stage rows
-    # copies only those rows
-    coeffs = np.empty((g, 3, n))
-    for k, c in enumerate(rows):
-        coeffs[:, k] = c.T
-
-    # the 9 distinct stage times of each cell: column 0 is t = grid[i]; the
-    # substep whose t is in column s takes t + hh/2 in column s + 1 (its k2
-    # and k3) and t + hh in column s + 2 (its k4, and the next substep's t
-    # as t += hh gives it)
-    times = np.empty((g - 1, 9))
-    times[:, 0] = grid[:-1]
-    for s in range(0, 8, 2):
-        times[:, s + 1] = times[:, s] + hh / 2
-        times[:, s + 2] = times[:, s] + hh
-    # np.interp(t, grid, row) with its arithmetic, (c[j+1] - c[j]) / dx_j *
-    # (t - x_j) + c[j], and c[j] itself where t == x_j or j == G - 1
-    lo = np.searchsorted(grid, times, side="right") - 1
-    hi = np.minimum(lo + 1, g - 1)
-    exact = (lo == g - 1) | (grid[lo] == times)
-    width = np.where(exact, 1.0, grid[hi] - grid[lo])[..., None, None]
-    offset = (times - grid[lo])[..., None, None]
-    exact = exact[..., None, None]
-    left = np.empty((9, 3, n))
-    stage = np.empty((9, 3, n))  # rows b2, b1, a at the 9 stage times
-
-    # W[s] = (q, r, k) of stage s: W[s, 0:2] its state, W[s, 1:3] its slope
-    W = np.empty((4, 3, n))
-    W[0, 0] = 0.0
-    W[0, 1] = rho0
-    y1, y2, y3, y4 = (W[s, 0:2] for s in range(4))
-    s1, s2, s3, s4 = (W[s, 1:3] for s in range(4))
-    k1, k2, k3, k4 = (W[s, 2] for s in range(4))
-    tmp = np.empty((2, n))
-    b2q, b1r = tmp
-    mid = W[1:3, 1:3]  # s2, s3
-    twice = np.empty((2, 2, n))
-    d2, d3 = twice
-    acc = np.empty((2, n))
-    half, sixth = hh / 2, hh / 6
-    # per substep: the (b2, b1) pairs and the a rows of its k1, k2 = k3, k4
-    substeps = [(stage[c, 0:2], stage[c + 1, 0:2], stage[c + 2, 0:2],
-                 stage[c, 2], stage[c + 1, 2], stage[c + 2, 2])
-                for c in range(0, 8, 2)]
-    mul, add = np.multiply, np.add
-
-    # rows constant along the grid, finite and free of -0.0: there
-    # (c - c) / dx * (t - x) + c is c itself, so every stage of every cell
-    # takes the first node's rows and the block is filled once
-    constant = ((coeffs == coeffs[0]).all() and np.isfinite(coeffs).all()
+    # rows constant along the grid, finite and free of -0.0 are their own
+    # interpolation: one map for all cells; others map blocks of about 4096
+    # substep-instances, their work arrays and stage blocks one allocation
+    coeffs = np.stack([c.T for c in rows])  # b2, b1, a: the rows r of [A | e]
+    constant = ((coeffs == coeffs[:, :1]).all() and np.isfinite(coeffs).all()
                 and not np.signbit(coeffs[coeffs == 0.0]).any())
-    if constant:
-        stage[:] = coeffs[0]
-
-    out = np.empty((n, g))
-    out[:, 0] = rho0
-    for i in range(g - 1):
-        if not constant:
-            # mode="clip" takes without a buffer; every index is in range
-            coeffs.take(lo[i], axis=0, out=left, mode="clip")
-            coeffs.take(hi[i], axis=0, out=stage, mode="clip")
-            np.subtract(stage, left, out=stage)
-            np.divide(stage, width[i], out=stage)
-            np.multiply(stage, offset[i], out=stage)
-            np.add(stage, left, out=stage)
-            np.copyto(stage, left, where=exact[i])
-        for p1, p2, p4, a1, a2, a4 in substeps:
-            # k = (a + b1 r) + b2 q; the next stage's state is y + h slope
-            mul(p1, y1, out=tmp); add(a1, b1r, out=k1); add(k1, b2q, out=k1)
-            mul(half, s1, out=tmp); add(y1, tmp, out=y2)
-            mul(p2, y2, out=tmp); add(a2, b1r, out=k2); add(k2, b2q, out=k2)
-            mul(half, s2, out=tmp); add(y1, tmp, out=y3)
-            mul(p2, y3, out=tmp); add(a2, b1r, out=k3); add(k3, b2q, out=k3)
-            mul(hh, s3, out=tmp); add(y1, tmp, out=y4)
-            mul(p4, y4, out=tmp); add(a4, b1r, out=k4); add(k4, b2q, out=k4)
-            # y += hh/6 (((s1 + 2 s2) + 2 s3) + s4)
-            mul(2.0, mid, out=twice)
-            add(s1, d2, out=acc); add(acc, d3, out=acc)
-            add(acc, s4, out=acc)
-            mul(sixth, acc, out=acc); add(y1, acc, out=y1)
-        out[:, i + 1] = W[0, 1]
+    width = 1 if constant else max(1, 4096 // max(n, 1))
+    scratch = np.empty(126 * width * n)
+    maps = np.empty((width, 3, 2, n))  # each cell's [C | c] by columns, for both rows
+    work = scratch[:72 * width * n].reshape(6, 3, 4, width, n)
+    blocks = ([(slice(0, g - 1), np.broadcast_to(coeffs[:, None, :1], (3, 9, 1, n)))]
+              if constant else _stage_blocks(coeffs, grid, hh,
+                                             scratch[72 * width * n:].reshape(3, 2, 9, width, n)))
+    y, (t0, t1), out = np.zeros((2, n)), np.empty((2, 2, n)), np.empty((n, g))
+    out[:, 0] = y[1] = rho0  # y = (int rho, rho)
+    for cells, stage in blocks:
+        m = stage.shape[2]
+        _cell_maps(stage, hh, maps[:m].transpose(2, 1, 0, 3), work[..., :m, :])
+        block = np.broadcast_to(maps[:m], (cells.stop - cells.start, 3, 2, n))
+        for j, (cq, cr, off) in enumerate(block, cells.start + 1):
+            np.multiply(cq, y[0], out=t0); t0 += np.multiply(cr, y[1], out=t1)
+            out[:, j] = np.add(t0, off, out=y)[1]
     return out

@@ -722,9 +722,18 @@ def _scalar_drift(prob):
     (DIM2, "variant = polytope\nvertices = ;", "problem.vertices': dimension mismatch"),
     (DIM2.replace("x0 = 1 0", "x0 = 1"), "variant = singleton",
      "problem.x0': dimension mismatch"),
+    # the state box the constants are certified over: not finite, a corner
+    # of the wrong length, lo above hi
+    (DIM2.replace("-2 -2", "-inf -inf").replace("2 2", "inf inf"), "variant = ball\nradius = 1",
+     "problem.state_box_lo': must be finite"),
+    (DIM2.replace("state_box_lo = -2 -2", "state_box_lo = -2"), "variant = ball\nradius = 1",
+     "problem.state_box_lo': dimension mismatch"),
+    (DIM2.replace("state_box_hi = 2 2", "state_box_hi = 2 -3"), "variant = singleton",
+     "problem.state_box_hi': must be >= problem.state_box_lo"),
 ], ids=["scalar_linear", "scalar_linear-dim2", "rotation-dim1", "omega-point",
         "omega-box", "drift", "variant", "kernel", "terminal", "running", "omega",
-        "vertices", "vertices-ragged", "vertices-none", "x0"])
+        "vertices", "vertices-ragged", "vertices-none", "x0", "box-infinite",
+        "box-short", "box-order"])
 def test_inline_grammar_loads_or_names_the_field(tmp_path, dims, parts, want):
     cfgp = _write(tmp_path, GRAMMAR.format(dims=dims, parts=parts))
     if callable(want):

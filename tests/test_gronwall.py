@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 
+from idikit.cli import _draw_continuous
 from idikit.gronwall import (GronwallDomainError, _cumulative_simpson,
-                             _uniform_step, apriori_bounds, backward_extremal,
+                             _stage_blocks, _uniform_step,
+                             apriori_bounds, backward_extremal,
                              continuous_extremal, continuous_gronwall,
                              discrete_gronwall_backward,
                              discrete_gronwall_forward, forward_extremal)
@@ -18,35 +20,42 @@ from oracles import (BoundCertificate, backward_recursion,
 
 def _interp(grid, *values):
     """t -> (np.interp(t, grid, v) for v in values) bit for bit, with one
-    search of the grid, on Python floats."""
-    xs, ys = grid.tolist(), [v.tolist() for v in values]
+    search of the grid; each v is a row (G,) or a stack of rows (N, G),
+    interpolated along its last axis."""
+    xs = grid.tolist()
 
     def at(t):
         j = bisect.bisect_right(xs, t) - 1
         if j < 0:
-            return [y[0] for y in ys]
+            return [y[..., 0] for y in values]
         if j >= len(xs) - 1:
-            return [y[-1] for y in ys]
+            return [y[..., -1] for y in values]
         if xs[j] == t:
-            return [y[j] for y in ys]
+            return [y[..., j] for y in values]
         dx, dt = xs[j + 1] - xs[j], t - xs[j]
-        return [(y[j + 1] - y[j]) / dx * dt + y[j] for y in ys]
+        return [(y[..., j + 1] - y[..., j]) / dx * dt + y[..., j] for y in values]
 
     return at
 
 
 def integro_ode_worst_case(rho0, a, b1, b2, grid):
-    """Stiffly integrated equality case rho' = a + b1 rho + b2 int rho."""
+    """Stiffly integrated equality case rho' = a + b1 rho + b2 int rho, for
+    one instance (rho0 a float, rows (G,)) or N in one solve (rho0 (N,),
+    rows (N, G)).  RK45 accepts a step on the RMS error of all 2N
+    components, so rtol and atol are divided by sqrt(N): no instance is held
+    more loosely than in a solve of its own."""
+    rho0 = np.asarray(rho0, dtype=float)
+    n = rho0.size
     coefficients = _interp(grid, a, b1, b2)
 
     def rhs(t, y):
-        y0, y1 = y.tolist()
         av, b1v, b2v = coefficients(t)
-        return [av + b1v * y0 + b2v * y1, y0]
+        return np.concatenate([av + b1v * y[:n] + b2v * y[n:], y[:n]])
 
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), [rho0, 0.0], t_eval=grid,
-                    rtol=1e-8, atol=1e-11, method="RK45")
-    return sol.y[0]
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), np.concatenate([rho0.ravel(), np.zeros(n)]),
+                    t_eval=grid, rtol=1e-8 / np.sqrt(n), atol=1e-11 / np.sqrt(n),
+                    method="RK45")
+    return sol.y[:n] if rho0.ndim else sol.y[0]
 
 
 # --- forward -----------------------------------------------------------------
@@ -164,16 +173,21 @@ def test_continuous_integro_ode_oracle():
 
 
 def test_continuous_dominates_randomized():
+    # 1000 instances drawn one after the other, bounded and solved as one stack
     rng = np.random.default_rng(5150)
     grid = np.linspace(0, 1, 81)
+    draws = []
     for _ in range(1000):
         rho0 = rng.exponential(1.0)
         a = rng.exponential(0.5) * (1 + np.sin(rng.uniform(0, 6) * grid)) / 2
         b1 = rng.exponential(0.5) * (1 + np.cos(rng.uniform(0, 6) * grid)) / 2
         b2 = rng.exponential(0.5) * np.ones_like(grid)
-        bound = continuous_gronwall(rho0, a, b1, b2, grid)
-        actual = integro_ode_worst_case(rho0, a, b1, b2, grid)
-        cert = BoundCertificate(bounds=bound, actual=actual - 1e-9 * (1 + np.abs(actual)))
+        draws.append((rho0, a, b1, b2))
+    rho0, a, b1, b2 = map(np.array, zip(*draws))
+    bound = continuous_gronwall(rho0, a, b1, b2, grid)
+    actual = integro_ode_worst_case(rho0, a, b1, b2, grid)
+    for row, worst in zip(bound, actual):
+        cert = BoundCertificate(bounds=row, actual=worst - 1e-9 * (1 + np.abs(worst)))
         assert cert.certified
 
 
@@ -255,23 +269,54 @@ def _coefficient_rows(rng, n, grid, constant):
     return [rng.exponential(0.4, (n, grid.size)) for _ in range(3)]
 
 
-def test_continuous_extremal_is_the_stage_loop_bit_for_bit():
+def _assert_agrees(got, want, msg=None, row_scale=False):
+    """The same non-finite entries, NaN where NaN and the same infinities,
+    and the finite ones within 1e-12 relative: to each entry, or with
+    ``row_scale`` to the largest finite magnitude of its row, for rows that
+    cross zero, where no reordering of the arithmetic keeps the digits."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite), msg
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), msg
+    scale = np.abs(np.where(finite, want, 0.0))
+    if row_scale:
+        scale = np.broadcast_to(scale.max(axis=-1, keepdims=True), want.shape)
+    assert np.all(np.abs(got - want)[finite] <= 1e-12 * scale[finite]), msg
+
+
+def test_continuous_extremal_is_the_stage_loop_to_1e12():
     rng = np.random.default_rng(5152)
     for g, n, start, constant in itertools.product(
             (2, 3, 33, 65, 81), (1, 250), (0.0, 1e3), (True, False)):
         grid = np.linspace(start, start + 1.0, g)
         rho0 = rng.exponential(1.0, n)
         rows = _coefficient_rows(rng, n, grid, constant)
-        assert np.array_equal(continuous_extremal(rho0, *rows, grid),
-                              continuous_extremal_loop(rho0, *rows, grid)), \
-            (g, n, start, constant)
+        _assert_agrees(continuous_extremal(rho0, *rows, grid),
+                       continuous_extremal_loop(rho0, *rows, grid),
+                       (g, n, start, constant))
+
+
+def _stage_times(grid):
+    """The 9 stage times of every cell as the RK4 stepping forms them, (9,
+    G - 1): the substeps' t (rows 0 to 3), t + hh of the last (row 4) and
+    t + hh/2 (rows 5 to 8)."""
+    hh = (grid[1] - grid[0]) / 4
+    times = np.empty((9, grid.size - 1))
+    for i in range(grid.size - 1):
+        t = grid[i]
+        for s in range(4):
+            times[s, i], times[s + 5, i] = t, t + hh / 2
+            t += hh
+        times[4, i] = t
+    return times
 
 
 def test_continuous_extremal_stage_at_a_node_and_one_ulp_off():
     # on linspace(0, 1, 33) the accumulated t + hh of every cell's last
     # stage is the next node exactly (the exact-node branch); every other
     # inner node moved one ulp down or up puts it one ulp past the node (the
-    # next cell's interpolation) or one ulp short of it
+    # next cell's interpolation) or one ulp short of it.  The stage
+    # coefficients are np.interp's bit for bit, in blocks of any number of
+    # cells, and the extremal is the stage loop's to 1e-12
     rng = np.random.default_rng(5153)
     exact = np.linspace(0.0, 1.0, 33)
     hh = (exact[1] - exact[0]) / 4
@@ -286,8 +331,18 @@ def test_continuous_extremal_stage_at_a_node_and_one_ulp_off():
         seen |= {int(e) for e in np.sign(end - grid[1:])}
         rho0 = rng.exponential(1.0, 250)
         rows = _coefficient_rows(rng, 250, grid, False)
-        assert np.array_equal(continuous_extremal(rho0, *rows, grid),
-                              continuous_extremal_loop(rho0, *rows, grid)), way
+        coeffs = np.stack([c.T for c in rows[::-1]])  # b2, b1, a
+        times = _stage_times(grid)
+        want = np.stack([np.stack([np.interp(times, grid, c) for c in row.T], axis=-1)
+                         for row in coeffs])
+        step = (grid[1] - grid[0]) / 4  # the extremal's hh on this grid
+        for width in (1, 5, 7, 32, 40):
+            blocks = _stage_blocks(coeffs, grid, step, np.empty((3, 2, 9, width, 250)))
+            stage = np.concatenate([block.copy() for _, block in blocks], axis=2)
+            assert stage.shape == want.shape == (3, 9, grid.size - 1, 250)
+            assert np.array_equal(stage, want), (way, width)
+        _assert_agrees(continuous_extremal(rho0, *rows, grid),
+                       continuous_extremal_loop(rho0, *rows, grid), way)
     assert seen == {-1, 0, 1}
 
 
@@ -315,8 +370,8 @@ def test_continuous_extremal_non_finite_is_the_loop():
         rows = _coefficient_rows(rng, 4, grid, False)
         rows[row][2, node] = value
         got = continuous_extremal(rho0, *rows, grid)
-        assert np.array_equal(got, continuous_extremal_loop(rho0, *rows, grid),
-                              equal_nan=True), (row, node, value)
+        _assert_agrees(got, continuous_extremal_loop(rho0, *rows, grid),
+                       (row, node, value))
         assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
         seen |= {"nan" if np.isnan(v) else v for v in got[2] if not np.isfinite(v)}
     assert seen == {"nan", np.inf, -np.inf}
@@ -324,27 +379,33 @@ def test_continuous_extremal_non_finite_is_the_loop():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_continuous_extremal_constant_rows_are_the_loop():
-    # rows constant along the grid skip the interpolation only where it
-    # would give c itself: not for -0.0 (0.0 + -0.0 is 0.0), inf or NaN,
-    # nor for a stack that mixes constant and varying rows
+    """Rows constant along the grid take one map for all cells only where
+    the interpolation would give c itself: not for -0.0 (0.0 + -0.0 is
+    0.0), inf or NaN, nor for a stack that mixes constant and varying rows.
+
+    The sign of a zero is no longer part of the contract: all-zero rows give
+    values == the loop's, and the one map is the interpolating path's, so a
+    constant instance is == itself in a stack with a varying one.  Against
+    the loop, other rows have its non-finite entries and agree to 1e-12 of
+    their row's largest value: signed rows may cross zero, where no other
+    order of the float operations keeps the relative digits."""
     rng = np.random.default_rng(5155)
     grid = np.linspace(0.0, 1.0, 33)
+    n = 6
+    full = lambda v: np.full((n, grid.size), v)  # noqa: E731
 
     def same(rho0, rows):
         got = continuous_extremal(rho0, *rows, grid)
-        want = continuous_extremal_loop(rho0, *rows, grid)
-        number = ~np.isnan(want)
-        return (np.array_equal(got, want, equal_nan=True)
-                and np.array_equal(np.signbit(got[number]), np.signbit(want[number])))
+        _assert_agrees(got, continuous_extremal_loop(rho0, *rows, grid), row_scale=True)
+        varying = [np.vstack([c, np.linspace(0.1, 0.5, grid.size)]) for c in rows]
+        mixed = continuous_extremal(np.append(rho0, 1.0), *varying, grid)
+        return np.array_equal(mixed[:n], got, equal_nan=True)
 
-    n = 6
-    full = lambda v: np.full((n, grid.size), v)  # noqa: E731
-    # rho0 = -0.0 stays -0.0 only where every stage's a and b2 are -0.0;
-    # the interpolation turns them to +0.0 between the nodes
     for a, b1, b2 in ((-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, -0.0)):
-        assert same(np.full(n, -0.0), [full(a), full(b1), full(b2)]), (a, b1, b2)
-    assert np.signbit(continuous_extremal(
-        np.full(n, -0.0), full(-0.0), full(0.0), full(-0.0), grid)).sum() == n
+        rows = [full(a), full(b1), full(b2)]
+        got = continuous_extremal(np.full(n, -0.0), *rows, grid)
+        assert np.all(got == continuous_extremal_loop(np.full(n, -0.0), *rows, grid))
+        assert same(np.full(n, -0.0), rows), (a, b1, b2)
     # +0.0 at the first node, -0.0 after it: equal, but not the same bits
     mixed_zero = full(0.0)
     mixed_zero[:, 1:] = -0.0
@@ -362,6 +423,29 @@ def test_continuous_extremal_constant_rows_are_the_loop():
         if varying is not None:
             rows[0][varying] = rng.exponential(0.4, grid.size)
         assert same(rng.exponential(1.0, n), rows), varying
+
+
+def test_continuous_extremal_is_rk4_on_the_audit_and_edge_inputs():
+    # the one-step maps against RK4 on Python floats: the audit's own draw
+    # (constant rows, N = 250 on its 65-point grid), a nilpotent A (b1 = b2
+    # = 0, so rho' = a), a single cell and no instances
+    grid = np.linspace(0.0, 1.0, 65)
+    rho0, (a, b1, b2), _ = _draw_continuous(np.random.default_rng(31), 250)
+    rows = [np.broadcast_to(c[:, None], (250, grid.size)) for c in (a, b1, b2)]
+    rng = np.random.default_rng(32)
+    zero = np.zeros((5, grid.size))
+    cases = [(rho0, rows, grid),
+             (rng.exponential(1.0, 5), [rng.exponential(0.4, (5, grid.size)), zero, zero], grid),
+             (rng.exponential(1.0, 5), _coefficient_rows(rng, 5, grid[:2], False), grid[:2])]
+    for first, coefficients, on in cases:
+        got = continuous_extremal(first, *coefficients, on)
+        assert got.shape == (first.size, on.size)
+        np.testing.assert_allclose(
+            got, [integro_rk4(*row, on) for row in zip(first, *coefficients)],
+            rtol=1e-12, atol=0)
+    for on in (grid[:2], grid):
+        empty = [np.empty((0, on.size))] * 3
+        assert continuous_extremal(np.empty(0), *empty, on).shape == (0, on.size)
 
 
 def test_continuous_extremal_rejects_what_it_cannot_step():
