@@ -126,8 +126,10 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     The sweep p_j = P_j p_{j+1} + c_j + h_j J_j^T u_j + coupling_j, with
     P_j = I + 2 mu_j, c_j = -mu_j pin_j - h_j lam grad_x l_j and u_j the
     projection of p_{j+1} - pin_j onto the u-cone of row j, runs as
-    :func:`_scan_sweep`, to round-off, where that applies; else, and where
-    a scanned value is not finite, as :func:`dynamics._backward_loop`.
+    :func:`_scan_sweep` where that applies; else, and where a scanned value
+    is not finite, as :func:`dynamics._backward_loop`.  Tensors that carry
+    no memory (:attr:`~idikit.kernel.QuadratureTensors.memoryless`) form
+    no mu term: P_j = I and c_j = -h_j lam grad_x l_j.
     """
     base = problem.base
     mesh = problem.mesh
@@ -138,8 +140,11 @@ def _adjoint_sweep(problem: DiscreteBolzaProblem, traj: DiscreteTrajectory,
     nu = np.zeros(n) if endpoint_normal is None else np.asarray(endpoint_normal, float)
     p_end = -(lam * np.atleast_1d(base.terminal_cost.grad(traj.states[k])) + nu)
     pin = lam * (glv + tensors.theta / h[:, None])
-    P = np.eye(n) + 2.0 * tensors.mu
-    c = -_matvec(tensors.mu, pin) - h[:, None] * lam * glx
+    if tensors.memoryless:
+        P, c = np.broadcast_to(np.eye(n), (k, n, n)), -(h[:, None] * lam * glx)
+    else:
+        P = np.eye(n) + 2.0 * tensors.mu
+        c = -_matvec(tensors.mu, pin) - h[:, None] * lam * glx
 
     def step(j, p_next):
         return h[j] * cones.row_jacobian(j).T @ cones.project_u(p_next - pin[j], j)
@@ -176,40 +181,56 @@ def _scan_sweep(tensors: QuadratureTensors, cones: GraphNormalCone,
                 h: np.ndarray, pin: np.ndarray, P: np.ndarray, c: np.ndarray,
                 p_end: np.ndarray, step) -> Optional[np.ndarray]:
     """p_0..p_k of the sweep of :func:`_adjoint_sweep`, given its P, c and
-    ``step(j, p_{j+1})`` = h_j J_j^T u_j, by prefix scans, or None where
-    the node loop runs instead.
+    ``step(j, p_{j+1})`` = h_j J_j^T u_j, by running sums and prefix scans,
+    or None where the node loop runs instead.
 
     A ``zero`` row (u_j = 0) and a ``subspace`` row (u_j = p_{j+1} - pin_j,
     which folds h_j J_j^T into P_j and -h_j J_j^T pin_j into c_j) make the
     step affine in p_{j+1}; ``tensors.sweep_steps`` adds the memory, an
-    exponential kernel's running coupling sum next to p_{j+1}.  Each
-    maximal run of such rows is one :func:`~idikit.dynamics._affine_scan`
-    from the state the run above it left, over levels composed for that run
-    (its matrices follow the cones, so none are kept); a ``ray`` or
-    ``polyhedral`` row is a run of its own, whose ``step`` is added to its
-    c_j + M_j y.  A row-rule kernel, steps whose products could grow past
+    exponential kernel's running coupling sum next to p_{j+1}.  The sweep
+    runs over each maximal run of such rows, from the state the run above
+    it left; a ``ray`` or ``polyhedral`` row is a run of its own, whose
+    ``step`` is added to its c_j + M_j y.  On memoryless tensors P_j = I
+    off the ``subspace`` rows, so a run with none of them takes no step
+    matrix: a run of ``zero`` rows is the running sum p_j = p_{j+1} + c_j,
+    one ``np.add.accumulate`` in the loop's order and so the node loop's
+    values, and a lone row is p_{j+1} + c_j + step.  Every other run is one
+    :func:`~idikit.dynamics._affine_scan`, to round-off, over levels
+    composed for that run (its matrices follow the cones, so none are
+    kept).  A row-rule kernel, scanned steps whose products could grow past
     :data:`~idikit.dynamics.SCAN_GROWTH` and a value that is not finite
     give None.
     """
     k, n = pin.shape
-    JT = h[:, None, None] * np.swapaxes(np.broadcast_to(cones.jacobian, (k, n, n)), 1, 2)
-    free = (cones.kind == "subspace")[:, None]
-    affine = free[:, 0] | (cones.kind == "zero")
-    steps = tensors.sweep_steps(P + np.where(free[..., None], JT, 0.0),
-                                c - np.where(free, _matvec(JT, pin), 0.0))
-    if steps is None or not _bounded_growth(steps[0][affine]):
-        return None
-    M, c = steps
-    # the rows from j = k-1 down, cut before every row that does not scan
-    # and after it
-    M, c, affine = M[::-1], c[::-1], affine[::-1]
-    cuts = np.flatnonzero(~affine[1:] | ~affine[:-1]) + 1
-    y, out = np.zeros(M.shape[1]), np.empty_like(c)
+    free = cones.kind == "subspace"
+    affine = free | (cones.kind == "zero")
+    # the runs [lo, hi) of the rows from j = k-1 down, cut before every row
+    # that does not scan and after it; on memoryless tensors a run with no
+    # subspace row sums, and every other run scans
+    down = affine[::-1]
+    edges = np.concatenate(([0], np.flatnonzero(~down[1:] | ~down[:-1]) + 1, [k]))
+    summed = ~np.logical_or.reduceat(free[::-1], edges[:-1]) & tensors.memoryless
+    scanned = np.repeat(~summed, edges[1:] - edges[:-1])[::-1]
+    if scanned.any():
+        JT = h[:, None, None] * np.swapaxes(np.broadcast_to(cones.jacobian, (k, n, n)), 1, 2)
+        steps = tensors.sweep_steps(P + np.where(free[:, None, None], JT, 0.0),
+                                    c - np.where(free[:, None], _matvec(JT, pin), 0.0))
+        if steps is None or not _bounded_growth(steps[0][scanned & affine]):
+            return None
+        M, c = steps
+        M = M[::-1]
+    c = c[::-1]
+    y, out = np.zeros(c.shape[1]), np.empty_like(c)
     y[:n] = p_end
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, k]):
-            out[lo:hi] = _affine_scan(_scan_levels(M[lo:hi]), c[lo:hi], y)
-            if not affine[lo]:
+        for lo, hi, sums in zip(edges[:-1], edges[1:], summed):
+            if sums:
+                run = c[lo:hi].copy()
+                run[0] += y
+                np.add.accumulate(run, axis=0, out=out[lo:hi])
+            else:
+                out[lo:hi] = _affine_scan(_scan_levels(M[lo:hi]), c[lo:hi], y)
+            if not down[lo]:
                 out[lo, :n] += step(k - 1 - lo, y[:n])
             y = out[hi - 1]
     p = np.concatenate([out[::-1, :n], p_end[None]])
@@ -243,17 +264,19 @@ def _el_residuals(problem: DiscreteBolzaProblem, lam: float, p: np.ndarray,
                   terms: tuple) -> np.ndarray:
     """The Euler-Lagrange residual at every node j = 0..k-1 of (lam, p) on
     ``terms`` (:func:`_trajectory_terms`).  The memory couplings of p come
-    from :meth:`~idikit.kernel.QuadratureTensors.couplings` in one call;
-    the distances are then one stacked pass."""
+    from :meth:`~idikit.kernel.QuadratureTensors.couplings` in one call,
+    and memoryless tensors form neither them nor a mu term; the distances
+    are then one stacked pass."""
     h = problem.mesh.steps[:, None]
     t, glx, glv, cones = terms
-    couplings = t.couplings(p[1:])
     p0, p1 = p[:-1], p[1:]
-    pin = lam * (glv + t.theta / h)
-    lhs1 = ((p1 - p0) / h
-            + 2.0 / h * _matvec(t.mu, p1)
-            - _matvec(t.mu, pin) / h
-            + couplings / h)
+    lhs1 = (p1 - p0) / h
+    if not t.memoryless:
+        pin = lam * (glv + t.theta / h)
+        lhs1 = (lhs1
+                + 2.0 / h * _matvec(t.mu, p1)
+                - _matvec(t.mu, pin) / h
+                + t.couplings(p1) / h)
     lhs2 = p1 - lam * t.theta / h
     d, _ = pair_distances(cones, lhs1 - lam * glx, lhs2 - lam * glv)
     return d
@@ -292,7 +315,8 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     supported families the right-hand side is already convex, so the hull
     operation is representational.  ``tau`` is a scalar, giving a float, or
     a 1-D array, giving one residual per time.  The times count as sampled
-    on p's panels, which both memory integrals share.
+    on p's panels, which both memory integrals share; on the zero kernel
+    both are zeros shaped like the sampled states, and no panel is built.
     """
     p_end = _sample(p_arc, problem.horizon)
     if lam + float(np.linalg.norm(p_end)) < 1e-9:
@@ -301,9 +325,12 @@ def volterra_residual(problem: ProblemData, x_arc, p_arc, lam: float,
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     x, v = _sample(x_arc, taus), _sample(x_arc.derivative, taus)
     p, pdot = _sample(p_arc, taus), _sample(p_arc.derivative, taus)
-    mem = _adjoint_integrals(problem.kernel, x, p_arc, taus, problem.horizon)
-    p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
-    y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
+    if problem.kernel.is_zero:
+        mem = y = np.zeros_like(x)
+    else:
+        mem = _adjoint_integrals(problem.kernel, x, p_arc, taus, problem.horizon)
+        p_panels = TimeMesh(_panel_edges(p_arc, TimeMesh.uniform(1, problem.horizon)))
+        y = _memory_integrals(problem.kernel, x_arc, taus, p_panels)
     cones = graph_normal_cone(problem.fmap, taus, x, v - y)
     glx, glv = problem.running_cost.gradients(taus, x, v)
     out, _ = pair_distances(cones, pdot + mem - lam * glx, p - lam * glv)

@@ -348,7 +348,12 @@ def _backward_loop(tensors, P: np.ndarray, c: np.ndarray, e: np.ndarray,
 
 def estimate_tau(problem: ProblemData, h: float) -> float:
     """Averaged time-oscillation of F sampled on the declared state box: on
-    about 64 states (at least 2 per axis) and at 64 times."""
+    about 64 states (at least 2 per axis) and at 64 times.  A drift built
+    with ``linear`` does not depend on t: its 0.0, which is what
+    :func:`~idikit.setvalued.averaged_modulus` gives it, comes before
+    either grid is built."""
+    if h > 0 and problem.fmap._linear is not None:
+        return 0.0
     states = problem.state_grid(max(2, math.ceil(64.0 ** (1.0 / problem.dim))))
     times = np.linspace(0.0, problem.horizon, 64)
     return averaged_modulus(problem.fmap, h, states, times)
@@ -409,10 +414,12 @@ def _sample_reference(arc, disc: _Discretization) -> _Discretization:
 
 def _inclusion_defect(problem: ProblemData, arc, disc: _Discretization):
     """The arc x and its memory accumulator y(s) = int_0^s g(s, r, x(r)) dr
-    at the cell Gauss points, the defect dist(x'(s) - y(s); F(s, x(s)))
-    there, and the L2 norm of the defect; x' is ``disc``'s sample."""
+    at the cell Gauss points, zeros shaped like x on the zero kernel, the
+    defect dist(x'(s) - y(s); F(s, x(s))) there, and the L2 norm of the
+    defect; x' is ``disc``'s sample."""
     x = _sample(arc, disc.pts)
-    y = _memory_integrals(problem.kernel, arc, disc.pts, disc.mesh)
+    y = (np.zeros_like(x) if problem.kernel.is_zero
+         else _memory_integrals(problem.kernel, arc, disc.pts, disc.mesh))
     n = x.shape[-1]
     defect, _ = distance_and_projection(problem.fmap, disc.pts.ravel(), x.reshape(-1, n),
                                         (disc.ref_dot - y).reshape(-1, n))

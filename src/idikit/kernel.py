@@ -533,7 +533,8 @@ class QuadratureTensors:
     xi[i, j] = c tau_i e^{-r (t_i - t_{j+1})} tau_j I.  The couplings of
     all three are read through :meth:`backward_coupling`, in turn, or
     :meth:`couplings`, all at once, and a sweep's scan steps through
-    :meth:`sweep_steps`.
+    :meth:`sweep_steps`; :attr:`memoryless` tells the zero kernel's
+    tensors, whose mu and couplings all vanish, from the others.
     """
 
     w: np.ndarray             # (k, n)
@@ -541,6 +542,12 @@ class QuadratureTensors:
     xi: Optional[np.ndarray]  # (k+1, k, n, n), rows 0 and k zero; row rule only
     mu: np.ndarray            # (k, n, n)
     cells: Optional[_Discretization] = None
+
+    @property
+    def memoryless(self) -> bool:
+        """Whether these are the zero kernel's tensors: mu is zero and so is
+        every coupling, so a sweep need form neither."""
+        return self.cells is None and self.xi is None
 
     def backward_coupling(self, r: np.ndarray) -> Callable:
         """``coupling(j)`` = sum_{m=j+1}^{k-1} xi[m, j] @ r[m], how the memory

@@ -515,7 +515,8 @@ def test_audit_with_the_one_at_a_time_draws_is_the_same_audit(tmp_path, monkeypa
 @pytest.mark.parametrize("taper", [None, 0.4])
 def test_audit_with_the_loop_oracle_is_the_same_audit(tmp_path, monkeypatch, taper):
     # the whole audit, once with the shipped RK4 oracle and once with the
-    # stage loop it must equal bit for bit; with a taper the continuous
+    # stage loop it agrees with within 1e-12 relative: the audit's rows must
+    # be equal bit for bit; with a taper the continuous
     # bound falls linearly from itself at t = 0 to 0.4 of itself at t = 1,
     # so that the oracle's values decide which instances violate it and
     # which one the record replays

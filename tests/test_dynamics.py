@@ -175,8 +175,27 @@ def test_localization_check(cos_t_entry):
     assert localization_check(interp, ref, 0.1, mesh)
 
 
-def test_estimate_tau_autonomous_maps_vanish(ball_entry):
-    assert estimate_tau(ball_entry.problem, 0.05) == 0.0
+def test_estimate_tau_autonomous_maps_vanish(ball_entry, monkeypatch):
+    # a drift built with ``linear`` gives 0.0 with no grid; the same drift
+    # as a plain callable, and one that moves in time, are sampled on the
+    # grids as before
+    from idikit.problem import ProblemData
+    from idikit.setvalued import BallOffset, averaged_modulus
+    from oracles import loop_drift
+    problem, grids = ball_entry.problem, []
+    inner = ProblemData.state_grid
+    monkeypatch.setattr(ProblemData, "state_grid",
+                        lambda self, m: grids.append(m) or inner(self, m))
+    assert estimate_tau(problem, 0.05) == 0.0
+    assert grids == []
+    moving = BallOffset(lambda t, x: np.sin(3.0 * t) * np.atleast_1d(x), 0.5)
+    for fmap in (loop_drift(problem.fmap), moving):
+        sampled = replace(problem, fmap=fmap)
+        tau = estimate_tau(sampled, 0.05)
+        assert grids.pop() == 8
+        assert tau == averaged_modulus(fmap, 0.05, inner(sampled, 8),
+                                       np.linspace(0.0, problem.horizon, 64))
+        assert (tau == 0.0) == (fmap is not moving)
 
 
 def test_approximate_arc_w12_monotone_damped(damped_entry):

@@ -7,9 +7,11 @@ zero kernel and a scan on a point body, and the multipliers' adjoint sweep
 scans its runs of ``zero`` and ``subspace`` rows.  Each is held to its
 per-row oracle from ``oracles`` (the formulas of one time or one point, or
 the node loop) within 1e-12 relative, and the zero kernel's stacked march
-bit for bit, on random non-uniform meshes; an oracle of the wrong shape
-raises a named error, and a scan that is not finite falls back to the
-loop, which names the stage and the node.  The scan takes its start state
+and its sweep with no ``subspace`` row (whose runs of ``zero`` rows are
+running sums) exactly, on random non-uniform meshes; a mesh on the zero
+kernel forms none of its known-zero memory terms; an oracle of the wrong
+shape raises a named error, and a scan that is not finite falls back to
+the loop, which names the stage and the node.  The scan takes its start state
 as the callers added it by hand, the gradient and the multipliers share one
 backward loop, and a mesh on the ``normal`` route takes one Euler-Lagrange
 pass.  Every scan over composed levels is the compose-per-call scan of
@@ -792,6 +794,40 @@ def test_the_sweep_scans_its_runs_and_steps_the_rest(kernel, monkeypatch):
                         _assert_rel(got.p, want.p)
 
 
+@pytest.mark.parametrize("k", KS)
+def test_the_zero_kernels_sweep_is_the_loop(k, monkeypatch):
+    # off the subspace rows the zero kernel steps by P_j = I: a run of zero
+    # rows is a running sum in the loop's order, a ray or polyhedral row
+    # adds its step, so the sweep is the node loop exactly and composes no
+    # levels
+    rng = np.random.default_rng(27)
+    composed = []
+    inner = conditions._scan_levels
+    monkeypatch.setattr(conditions, "_scan_levels",
+                        lambda M: composed.append(M.shape) or inner(M))
+    for n, drifts in DRIFTS.items():
+        for A in drifts[:2]:
+            mesh = _random_mesh(rng, k, 1.0)
+            dbp, _ = _linear_problem(A, VolterraKernel.zero(), mesh, rng)
+            traj = forward_trajectory(dbp, dbp.base.fmap.project_body(rng.normal(size=(k, n))))
+            tensors, glx, glv, _ = _trajectory_terms(dbp, traj)
+            assert tensors.memoryless
+            per_row = np.array(A) + 0.1 * rng.normal(size=(k, n, n))
+            for jac in (np.array(A, dtype=float), per_row):
+                for shares in ((0.6, 0.0, 0.2, 0.2), (1.0, 0.0, 0.0, 0.0)):
+                    terms = (tensors, glx, glv, _mixed_cones(rng, k, n, jac, p=shares))
+                    for lam in (1.0, 0.0):
+                        nu = rng.normal(size=n)
+                        got = _adjoint_sweep(dbp, traj, terms, lam, nu)
+                        with monkeypatch.context() as m:
+                            _looped(m)
+                            want = _adjoint_sweep(dbp, traj, terms, lam, nu)
+                        assert got.lam == want.lam
+                        assert (got.p == want.p).all()
+                        assert (got.el_residuals == want.el_residuals).all()
+    assert composed == []
+
+
 def test_the_sweep_gates_the_matrices_it_composes():
     # A = 800 over [0, 2]: the march's steps I + h A grow past the gate and
     # loop, while a zero row drops h A^T, so a sweep of zero rows scans and
@@ -887,6 +923,41 @@ def test_a_normal_mesh_takes_one_euler_lagrange_pass(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "one_converge.json").read_text(encoding="utf-8"))
     assert [s["route"] for s in record["solves"]] == ["normal"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ("polytope_endpoint", "ball_control_lq", "damped_volterra"))
+def test_a_mesh_forms_no_known_zero(name, tmp_path, monkeypatch):
+    # on the zero kernel a converge mesh samples no reference at t = 0 to
+    # size its memory integrals, builds no panel mesh for the Volterra
+    # residual, no tau_f grid for its linear drift and no scan of its
+    # multipliers' sweep; the exponential kernel of damped_volterra still
+    # integrates its memory and scans its sweep
+    from idikit import kernel
+    from idikit.cli import main
+    seen = {"t0": 0, "integrals": 0, "panels": 0, "grids": 0, "scans": 0}
+
+    def counted(owner, attr, key, when=lambda *args: True):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args):
+            seen[key] += bool(when(*args))
+            return inner(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(kernel, "_sample", "t0", lambda arc, t: np.array_equal(t, np.zeros(1)))
+    for module, attr in ((dynamics, "_memory_integrals"), (conditions, "_memory_integrals"),
+                         (conditions, "_adjoint_integrals")):
+        counted(module, attr, "integrals")
+    counted(conditions, "_panel_edges", "panels")
+    counted(ProblemData, "state_grid", "grids")
+    counted(conditions, "_scan_levels", "scans")
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[problem]\nname = {name}\n[meshes]\nk = 16\n"
+                   f"[run]\noutput_dir = {tmp_path}\nlabel = one\n", encoding="utf-8")
+    assert main(["converge", str(ini)]) == 0
+    assert seen["t0"] == seen["grids"] == 0
+    memory = name == "damped_volterra"
+    assert [seen[key] > 0 for key in ("integrals", "panels", "scans")] == [memory] * 3
 
 
 # --- values that are not finite on the stacked paths ----------------------------------
